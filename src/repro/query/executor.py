@@ -889,9 +889,13 @@ def _apply_index_scan(ctx, operation: IndexScanOp, batches):
     out: list = []
     for batch in batches:
         for frame in batch:
-            if ctx.txn is not None:
-                # Indexes reflect the latest committed state, not this
-                # snapshot: fall back to scan + the original full predicate.
+            probe = value_fn(ctx, frame) if ctx.txn is None else None
+            if probe is None:
+                # The index cannot answer: inside a transaction it reflects
+                # the latest committed state, not this snapshot; and it
+                # holds no NULL keys, while ``attr == NULL`` matches every
+                # record whose attribute is NULL or missing.  Fall back to
+                # scan + the original full predicate.
                 original_fn = (
                     _compiled(
                         operation, "_c_original", operation.original_condition
@@ -910,7 +914,6 @@ def _apply_index_scan(ctx, operation: IndexScanOp, batches):
                             yield out
                             out = []
                 continue
-            probe = value_fn(ctx, frame)
             index_view = ctx.db.context.indexes.get(operation.index_name)
             ctx.stats["index_lookups"] += 1
             if obs_metrics.ENABLED:
@@ -1484,8 +1487,11 @@ def _return_batches(ctx: ExecContext, operation: ast.ReturnOp, batches, probes):
 
     DISTINCT dedups through the model hash (compare-equal values hash
     equally); each bucket is verified with values_equal so a hash
-    collision can never drop a distinct row.  Deadline and row-budget
-    guardrails are charged once per batch."""
+    collision can never drop a distinct row.  Strings skip that: a string
+    equals nothing but an equal string, so a plain ``set`` holds them and
+    every other type (1 == 1.0, true != 1, NULL, arrays, objects) keeps
+    the model-hash path.  Deadline and row-budget guardrails are charged
+    once per batch."""
     project = _compiled_batch(
         operation, "_cb_expr", operation.expr, compile_projection_batch
     )
@@ -1495,6 +1501,7 @@ def _return_batches(ctx: ExecContext, operation: ast.ReturnOp, batches, probes):
         probes.append(probe)
     perf_counter = time.perf_counter
     seen: Optional[dict] = {} if operation.distinct else None
+    seen_strings: set = set()
     produced = 0
     start = perf_counter() if probe is not None else 0.0
     for batch in batches:
@@ -1522,12 +1529,18 @@ def _return_batches(ctx: ExecContext, operation: ast.ReturnOp, batches, probes):
         if seen is not None:
             kept = []
             for value in values:
-                bucket = seen.setdefault(datamodel.hash_value(value), [])
-                if any(
-                    datamodel.values_equal(value, known) for known in bucket
-                ):
-                    continue
-                bucket.append(value)
+                if isinstance(value, str):
+                    if value in seen_strings:
+                        continue
+                    seen_strings.add(value)
+                else:
+                    bucket = seen.setdefault(datamodel.hash_value(value), [])
+                    if any(
+                        datamodel.values_equal(value, known)
+                        for known in bucket
+                    ):
+                        continue
+                    bucket.append(value)
                 kept.append(value)
             values = kept
         produced += len(values)

@@ -10,7 +10,10 @@ materialization) and predicate splitting — into a named, toggleable
 
 :func:`optimize` drives that registry to a **fixpoint**: rules apply in
 registry order, and passes repeat until no rule changes the plan (bounded
-by ``rules.MAX_PASSES``).  The names of the rules that fired land on
+by ``rules.MAX_PASSES``).  The statement comes first; then every subquery
+the outer rules left in the plan is planned the same way, as a nested
+scope that knows which variables are bound around it.  The names of the
+rules that fired — at any depth — land on
 ``query.rules_fired`` for EXPLAIN's ``Rules fired:`` line, and — when the
 database carries a :class:`repro.query.statistics.StatisticsStore` — the
 final plan is annotated with per-operator cardinality estimates that
@@ -24,7 +27,13 @@ import dataclasses
 from typing import Any, Optional
 
 from repro.query import ast
-from repro.query.plan import HashJoinOp, IndexScanOp, MaterializeOp, SemiJoinOp
+from repro.query.plan import (
+    HashJoinOp,
+    IndexScanOp,
+    MaterializeOp,
+    SemiJoinOp,
+    nested_queries,
+)
 
 __all__ = [
     "optimize",
@@ -42,21 +51,60 @@ _FOLDABLE_BINOPS = {"+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "
 # ---------------------------------------------------------------------------
 
 
-def _fold_expr(expr: ast.Expr) -> ast.Expr:
+def _map_children(expr: ast.Expr, fn) -> ast.Expr:
+    """*expr* rebuilt with *fn* applied to each direct child expression;
+    leaves and subqueries (whose query is not an expression) come back
+    as they are."""
     if isinstance(expr, ast.BinOp):
-        left = _fold_expr(expr.left)
-        right = _fold_expr(expr.right)
+        return ast.BinOp(expr.op, fn(expr.left), fn(expr.right))
+    if isinstance(expr, ast.UnaryOp):
+        return ast.UnaryOp(expr.op, fn(expr.operand))
+    if isinstance(expr, ast.AttrAccess):
+        return ast.AttrAccess(fn(expr.subject), expr.attribute)
+    if isinstance(expr, ast.IndexAccess):
+        return ast.IndexAccess(fn(expr.subject), fn(expr.index))
+    if isinstance(expr, ast.FuncCall):
+        return ast.FuncCall(expr.name, tuple(fn(arg) for arg in expr.args))
+    if isinstance(expr, ast.ArrayLiteral):
+        return ast.ArrayLiteral(tuple(fn(item) for item in expr.items))
+    if isinstance(expr, ast.ObjectLiteral):
+        return ast.ObjectLiteral(
+            tuple((key, fn(value)) for key, value in expr.items)
+        )
+    if isinstance(expr, ast.Expansion):
+        return ast.Expansion(
+            fn(expr.subject), fn(expr.suffix) if expr.suffix else None
+        )
+    if isinstance(expr, ast.InlineFilter):
+        return ast.InlineFilter(fn(expr.subject), fn(expr.condition))
+    if isinstance(expr, ast.RangeExpr):
+        return ast.RangeExpr(fn(expr.low), fn(expr.high))
+    if isinstance(expr, ast.Ternary):
+        return ast.Ternary(
+            fn(expr.condition), fn(expr.then), fn(expr.otherwise)
+        )
+    return expr
+
+
+#: Nodes with no child expression: nothing to rebuild, nothing to fold.
+_CHILDLESS = (ast.VarRef, ast.Literal, ast.BindVar, ast.SubQuery)
+
+
+def _fold_expr(expr: ast.Expr) -> ast.Expr:
+    if isinstance(expr, _CHILDLESS):
+        return expr
+    expr = _map_children(expr, _fold_expr)
+    if isinstance(expr, ast.BinOp):
         if (
-            isinstance(left, ast.Literal)
-            and isinstance(right, ast.Literal)
+            isinstance(expr.left, ast.Literal)
+            and isinstance(expr.right, ast.Literal)
             and expr.op in _FOLDABLE_BINOPS
         ):
-            folded = _try_fold(expr.op, left.value, right.value)
+            folded = _try_fold(expr.op, expr.left.value, expr.right.value)
             if folded is not _NO_FOLD:
                 return ast.Literal(folded)
-        return ast.BinOp(expr.op, left, right)
-    if isinstance(expr, ast.UnaryOp):
-        operand = _fold_expr(expr.operand)
+    elif isinstance(expr, ast.UnaryOp):
+        operand = expr.operand
         if isinstance(operand, ast.Literal):
             if expr.op == "-" and isinstance(operand.value, (int, float)):
                 return ast.Literal(-operand.value)
@@ -64,38 +112,20 @@ def _fold_expr(expr: ast.Expr) -> ast.Expr:
                 from repro.core.datamodel import truthy
 
                 return ast.Literal(not truthy(operand.value))
-        return ast.UnaryOp(expr.op, operand)
-    if isinstance(expr, ast.AttrAccess):
-        return ast.AttrAccess(_fold_expr(expr.subject), expr.attribute)
-    if isinstance(expr, ast.IndexAccess):
-        return ast.IndexAccess(_fold_expr(expr.subject), _fold_expr(expr.index))
-    if isinstance(expr, ast.FuncCall):
-        return ast.FuncCall(expr.name, tuple(_fold_expr(arg) for arg in expr.args))
-    if isinstance(expr, ast.ArrayLiteral):
-        return ast.ArrayLiteral(tuple(_fold_expr(item) for item in expr.items))
-    if isinstance(expr, ast.ObjectLiteral):
-        return ast.ObjectLiteral(
-            tuple((key, _fold_expr(value)) for key, value in expr.items)
-        )
-    if isinstance(expr, ast.Expansion):
-        return ast.Expansion(
-            _fold_expr(expr.subject),
-            _fold_expr(expr.suffix) if expr.suffix else None,
-        )
-    if isinstance(expr, ast.InlineFilter):
-        return ast.InlineFilter(_fold_expr(expr.subject), _fold_expr(expr.condition))
-    if isinstance(expr, ast.RangeExpr):
-        return ast.RangeExpr(_fold_expr(expr.low), _fold_expr(expr.high))
-    if isinstance(expr, ast.Ternary):
-        condition = _fold_expr(expr.condition)
-        then = _fold_expr(expr.then)
-        otherwise = _fold_expr(expr.otherwise)
-        if isinstance(condition, ast.Literal):
+    elif isinstance(expr, ast.Ternary):
+        if isinstance(expr.condition, ast.Literal):
             from repro.core.datamodel import truthy
 
-            return then if truthy(condition.value) else otherwise
-        return ast.Ternary(condition, then, otherwise)
+            return expr.then if truthy(expr.condition.value) else expr.otherwise
     return expr
+
+
+def _map_subqueries(expr: ast.Expr, plan) -> ast.Expr:
+    """*expr* with every subquery node replaced by ``plan(node)`` —
+    subqueries nested inside those are ``plan``'s to handle."""
+    if isinstance(expr, ast.SubQuery):
+        return plan(expr)
+    return _map_children(expr, lambda child: _map_subqueries(child, plan))
 
 
 class _NoFold:
@@ -201,7 +231,17 @@ def _map_operation_exprs(operation: ast.Operation, mapper) -> ast.Operation:
         )
     if isinstance(operation, ast.RemoveOp):
         return ast.RemoveOp(mapper(operation.key), operation.target)
-    return operation
+    if isinstance(operation, IndexScanOp):
+        changes = {"value": mapper(operation.value)}
+    elif isinstance(operation, (HashJoinOp, SemiJoinOp)):
+        changes = {"probe": mapper(operation.probe)}
+    else:
+        return operation
+    for name in ("residual", "original_condition"):
+        expr = getattr(operation, name)
+        if expr is not None:
+            changes[name] = mapper(expr)
+    return dataclasses.replace(operation, **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +405,16 @@ def _is_probe_value(expr: ast.Expr, loop_var: str) -> bool:
     return loop_var not in _variables_in(expr)
 
 
-def select_indexes(query: ast.Query, db) -> ast.Query:
-    """Rewrite scan+filter pairs into index scans where the catalog allows."""
+def select_indexes(query: ast.Query, db, scope=frozenset()) -> ast.Query:
+    """Rewrite scan+filter pairs into index scans where the catalog allows.
+
+    *scope* holds the variables the enclosing scopes bind (empty for a
+    top-level statement): a FOR over a name bound there or upstream
+    iterates that variable's array, not the collection of the same name,
+    so no index can serve it."""
     operations = list(query.operations)
     result: list[ast.Operation] = []
+    bound_vars = set(scope)
     index = 0
     while index < len(operations):
         operation = operations[index]
@@ -377,9 +423,11 @@ def select_indexes(query: ast.Query, db) -> ast.Query:
         if (
             isinstance(operation, ast.ForOp)
             and isinstance(operation.source, ast.VarRef)
+            and operation.source.name not in bound_vars
             and isinstance(next_operation, ast.FilterOp)
         ):
             rewritten = _try_index_scan(operation, next_operation, db)
+        bound_vars |= _operation_binds(operation)
         if rewritten is not None:
             result.append(rewritten)
             index += 2
@@ -454,7 +502,7 @@ _MULTI_FRAME_OPS = (
 )
 
 
-def build_hash_joins(query: ast.Query, db) -> ast.Query:
+def build_hash_joins(query: ast.Query, db, scope=frozenset()) -> ast.Query:
     """Rewrite correlated inner scans into hash joins.
 
     Pattern: an inner ``FOR x IN coll`` + ``FILTER … x.path == probe …``
@@ -467,11 +515,15 @@ def build_hash_joins(query: ast.Query, db) -> ast.Query:
     The rewrite only fires when an earlier operation can produce multiple
     frames (otherwise the scan runs once and a plain filter — or an index
     scan — is already optimal), and never when the FOR source is a variable
-    bound upstream (that is array iteration, not a collection scan).
+    bound upstream or in *scope*, the enclosing scopes' variables (that is
+    array iteration, not a collection scan).  Hence the head FOR of a
+    subquery never becomes a hash join, however often the enclosing query
+    runs it: its build would be redone per outer row, which is the rescan
+    the join was meant to replace.
     """
     operations = list(query.operations)
     result: list[ast.Operation] = []
-    bound_vars: set[str] = set()
+    bound_vars: set[str] = set(scope)
     inner_loop = False
     index = 0
     while index < len(operations):
@@ -581,10 +633,17 @@ def optimize(
     coordinator needs before segmenting a statement for shards.  Rules
     that inspect the catalog are likewise skipped when *db* is None.
 
-    The names of the rules that fired are recorded on
-    ``query.rules_fired`` (EXPLAIN renders them); with a database
-    attached, the final plan is annotated with cardinality estimates fed
-    by the statistics store's observed feedback.
+    With physical planning on (a database, not ``ast_only``), every
+    subquery still in the plan after the statement's own fixpoint — so
+    decorrelation and LET materialization keep first pick on the
+    unplanned subquery — is planned through the same rules and toggles as
+    a nested scope (:func:`_plan_nested_scopes`).  A statement without
+    subqueries pays one walk over its expressions to find that out.
+
+    The names of the rules that fired, inside subqueries included, are
+    recorded on ``query.rules_fired`` (EXPLAIN renders them); with a
+    database attached, the statement's own operators are annotated with
+    cardinality estimates fed by the statistics store's observed feedback.
     """
     from repro.query import rules as rules_module
     from repro.query.statistics import annotate_estimates
@@ -602,15 +661,35 @@ def optimize(
     toggles = getattr(db, "optimizer_rules", None)
     if toggles is not None:
         off |= set(toggles.disabled)
+    physical = db is not None and not ast_only
+    active = [
+        rule
+        for rule in rules_module.REGISTRY
+        if rule.name not in off and (rule.ast_safe or physical)
+    ]
     context = rules_module.RuleContext(db=db)
+    optimized = _fixpoint(query, active, context)
+    if physical and any(nested_queries(op) for op in optimized.operations):
+        context.writes = rules_module._contains_writes(optimized)
+        optimized = _plan_nested_scopes(optimized, active, context)
+    if optimized is query:
+        # Never hand back the caller's object with mutated metadata.
+        optimized = ast.Query(list(query.operations))
+    optimized.rules_fired = tuple(context.fired)
+    if physical:
+        annotate_estimates(optimized, db)
+    return optimized
+
+
+def _fixpoint(query: ast.Query, active, context) -> ast.Query:
+    """Apply the *active* rules in order, pass after pass, until a whole
+    pass changes nothing; returns *query* itself when no rule fired."""
+    from repro.query.rules import MAX_PASSES
+
     optimized = query
-    for _pass in range(rules_module.MAX_PASSES):
+    for _pass in range(MAX_PASSES):
         changed = False
-        for rule in rules_module.REGISTRY:
-            if rule.name in off:
-                continue
-            if not rule.ast_safe and (ast_only or db is None):
-                continue
+        for rule in active:
             rewritten = rule.rewrite(optimized, context)
             if rewritten is not optimized and rewritten != optimized:
                 optimized = rewritten
@@ -619,10 +698,50 @@ def optimize(
                     context.fired.append(rule.name)
         if not changed:
             break
-    if optimized is query:
-        # Never hand back the caller's object with mutated metadata.
-        optimized = ast.Query(list(query.operations))
-    optimized.rules_fired = tuple(context.fired)
-    if db is not None and not ast_only:
-        annotate_estimates(optimized, db)
     return optimized
+
+
+def _plan_nested_scopes(query: ast.Query, active, context) -> ast.Query:
+    """Plan every query nested in *query* (itself already at its
+    fixpoint) as a scope of its own: the same rules, with the variables
+    bound around it in ``context.scope``, then its own nested queries."""
+
+    def plan_scope(inner: ast.Query, scope: frozenset) -> ast.Query:
+        inner_context = dataclasses.replace(context, scope=scope)
+        return _plan_nested_scopes(
+            _fixpoint(inner, active, inner_context), active, inner_context
+        )
+
+    bound = set(context.scope)
+    operations: list[ast.Operation] = []
+    for operation in query.operations:
+        # The operation's own variables are in scope for a residual; for
+        # its other expressions they only make the scope larger, which
+        # errs towards "correlated".
+        bound |= _operation_binds(operation)
+        if isinstance(operation, MaterializeOp):
+            # Runs once, from an empty frame: a top-level scope.
+            operation = dataclasses.replace(
+                operation, query=plan_scope(operation.query, frozenset())
+            )
+        elif nested_queries(operation):
+            scope = frozenset(bound)
+            if isinstance(operation, SemiJoinOp):
+                # Its residual runs with the join's variable bound,
+                # which nothing downstream ever sees.
+                scope |= {operation.var}
+            # By node identity: a scan or join holds a subquery of its
+            # residual or probe in its original condition too; it is
+            # planned once and stays one node.
+            planned: dict[int, ast.SubQuery] = {}
+
+            def plan(node: ast.SubQuery) -> ast.SubQuery:
+                if id(node) not in planned:
+                    planned[id(node)] = ast.SubQuery(plan_scope(node.query, scope))
+                return planned[id(node)]
+
+            operation = _map_operation_exprs(
+                operation, lambda expr: _map_subqueries(expr, plan)
+            )
+        operations.append(operation)
+    return ast.Query(operations)

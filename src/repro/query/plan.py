@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.query import ast
+from repro.query.compile import _operation_exprs
 
 __all__ = [
     "IndexScanOp",
@@ -19,6 +20,7 @@ __all__ = [
     "SemiJoinOp",
     "AntiJoinOp",
     "MaterializeOp",
+    "nested_queries",
     "render_plan",
     "analyzed_op_stats",
     "render_analyzed_plan",
@@ -30,10 +32,11 @@ class IndexScanOp(ast.Operation):
     """``FOR var IN collection FILTER var.path == value`` rewritten to probe
     a secondary index.
 
-    ``residual`` is any remaining filter condition; ``fallback_condition``
-    re-applies the full original predicate when the scan cannot use the
-    index (inside snapshots older than the index's data, the executor falls
-    back to scan + filter).
+    ``residual`` is any remaining filter condition; ``original_condition``
+    is the full original predicate, re-applied over a plain scan when the
+    index cannot answer: inside a transaction (the index holds committed
+    state, not the snapshot's) and for a NULL probe value (the index holds
+    no NULL keys, yet ``attr == NULL`` matches NULL and missing attributes).
     """
 
     var: str
@@ -112,6 +115,24 @@ class MaterializeOp(ast.Operation):
     query: ast.Query
 
 
+def nested_queries(operation: ast.Operation) -> list[ast.Query]:
+    """The queries nested directly in *operation* — the subqueries of its
+    expressions, left to right, or a :class:`MaterializeOp`'s query.
+    Each is a planning scope of its own; what is nested inside one is
+    that query's, not this operation's."""
+    if isinstance(operation, MaterializeOp):
+        return [operation.query]
+    found: list[ast.Query] = []
+    stack = _operation_exprs(operation)[::-1]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.SubQuery):
+            found.append(node.query)
+        else:
+            stack.extend(reversed(node.children()))
+    return found
+
+
 def _expr_text(expr: ast.Expr) -> str:
     if isinstance(expr, ast.Literal):
         return repr(expr.value)
@@ -152,6 +173,19 @@ def _expr_text(expr: ast.Expr) -> str:
 
 
 def _operation_lines(operation: ast.Operation, indent: int) -> list[str]:
+    """The operation's own line(s), then the plan of each query nested
+    in it — what a ``(subquery)`` in the text above stands for — indented
+    under it."""
+    lines = _own_lines(operation, indent)
+    nested = nested_queries(operation)
+    for number, query in enumerate(nested, start=1):
+        label = f"Subquery #{number}:" if len(nested) > 1 else "Subquery:"
+        lines.append(f"{'  ' * (indent + 1)}{label}")
+        lines.extend(_plan_lines(query, indent + 2))
+    return lines
+
+
+def _own_lines(operation: ast.Operation, indent: int) -> list[str]:
     pad = "  " * indent
     if isinstance(operation, IndexScanOp):
         lines = [
@@ -251,11 +285,16 @@ def _operation_lines(operation: ast.Operation, indent: int) -> list[str]:
 
 
 def render_plan(query: ast.Query) -> str:
-    """Human-readable plan, one operation per line, pipeline order."""
+    """Human-readable plan, one operation per line, pipeline order;
+    nested queries are rendered under the operation that owns them."""
+    return "\n".join(_plan_lines(query, 0))
+
+
+def _plan_lines(query: ast.Query, indent: int) -> list[str]:
     lines = []
-    for indent, operation in enumerate(query.operations):
-        lines.extend(_operation_lines(operation, indent))
-    return "\n".join(lines)
+    for depth, operation in enumerate(query.operations, start=indent):
+        lines.extend(_operation_lines(operation, depth))
+    return lines
 
 
 def analyzed_op_stats(probes: list) -> list[dict]:
@@ -272,7 +311,7 @@ def analyzed_op_stats(probes: list) -> list[dict]:
     previous_seconds = 0.0
     for probe in probes:
         operation = probe.operation
-        label = _operation_lines(operation, 0)[0].strip()
+        label = _own_lines(operation, 0)[0].strip()
         entry = {
             "operator": type(operation).__name__,
             "label": label,

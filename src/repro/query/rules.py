@@ -20,6 +20,11 @@ subquery rewrites (decorrelation, materialization), then access-path
 selection (indexes before hash joins, so an index nested-loop keeps
 first pick).
 
+A rule rewrites one query's operations and never looks inside a
+subquery: the optimizer plans each subquery left in the plan as a scope
+of its own, through this same registry, and tells the rules which
+variables the enclosing scopes bind (:attr:`RuleContext.scope`).
+
 Rules also drive the index advisor: when a rewrite *almost* fires — the
 predicate shape matches but no index exists — the rule records an
 :class:`IndexSuggestion` on the database (``db.index_suggestions``),
@@ -47,7 +52,12 @@ from repro.query.optimizer import (
     push_down_filters,
     select_indexes,
 )
-from repro.query.plan import AntiJoinOp, MaterializeOp, SemiJoinOp
+from repro.query.plan import (
+    AntiJoinOp,
+    MaterializeOp,
+    SemiJoinOp,
+    nested_queries,
+)
 
 __all__ = [
     "Rule",
@@ -128,11 +138,22 @@ class SuggestionLog:
 @dataclass
 class RuleContext:
     """What a rule sees besides the plan: the database (None for
-    ast-only replanning, e.g. on the cluster coordinator) and the
-    suggestion hook."""
+    ast-only replanning, e.g. on the cluster coordinator), the
+    suggestion hook, and — when the plan is a nested query — where it
+    sits.
+
+    ``scope`` holds the variables the enclosing scopes bind around the
+    query being rewritten (empty for the statement itself).  A rule that
+    asks "does this read anything the loop binds" or "is this FOR over a
+    collection or over a variable" must count them as bound: a subquery
+    two levels down that reads the outermost variable is correlated,
+    though nothing in its own query or its parent's binds it.
+    ``writes`` is true when the enclosing statement performs DML."""
 
     db: Any = None
     fired: list = field(default_factory=list)
+    scope: frozenset = frozenset()
+    writes: bool = False
 
     def suggest(self, source: str, path: tuple, rule: str, reason: str) -> None:
         log = getattr(self.db, "index_suggestions", None)
@@ -207,35 +228,9 @@ def _contains_writes(query: ast.Query) -> bool:
     for operation in query.operations:
         if isinstance(operation, _WRITE_OPS):
             return True
-        for expr in _operation_subqueries(operation):
-            if _contains_writes(expr.query):
-                return True
+        if any(_contains_writes(inner) for inner in nested_queries(operation)):
+            return True
     return False
-
-
-def _operation_subqueries(operation: ast.Operation):
-    """Every :class:`ast.SubQuery` reachable from an operation's
-    expressions."""
-    stack: list = []
-    for attr in ("source", "condition", "value", "expr", "start", "goal",
-                 "key", "changes", "document", "search", "insert_doc",
-                 "update_patch", "probe", "residual"):
-        node = getattr(operation, attr, None)
-        if isinstance(node, ast.Expr):
-            stack.append(node)
-    if isinstance(operation, ast.SortOp):
-        stack.extend(key.expr for key in operation.keys)
-    if isinstance(operation, ast.CollectOp):
-        stack.extend(expr for _name, expr in operation.groups)
-        stack.extend(arg for _name, _func, arg in operation.aggregates)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.SubQuery):
-            yield node
-            for inner in node.query.operations:
-                yield from _operation_subqueries(inner)
-        else:
-            stack.extend(node.children())
 
 
 def _free_vars(query: ast.Query) -> set[str]:
@@ -464,7 +459,7 @@ def _rule_decorrelate(query: ast.Query, ctx: RuleContext) -> ast.Query:
     while guard:
         guard -= 1
         rewrote = False
-        bound: set = set()
+        bound: set = set(ctx.scope)
         let_values: dict[str, tuple[int, ast.SubQuery]] = {}
         for index, operation in enumerate(operations):
             if isinstance(operation, ast.LetOp) and isinstance(
@@ -499,7 +494,7 @@ def _rule_decorrelate(query: ast.Query, ctx: RuleContext) -> ast.Query:
                 if let_index is not None:
                     # The subquery's scope is where the LET ran, not
                     # where the filter tests it.
-                    let_bound = set()
+                    let_bound = set(ctx.scope)
                     for earlier in operations[:let_index]:
                         let_bound |= _operation_binds(earlier)
                 joined = _match_semi_join(subquery, kind, let_bound, ctx)
@@ -558,17 +553,15 @@ def _rule_materialize_let(query: ast.Query, ctx: RuleContext) -> ast.Query:
     query** and shares them across every downstream frame, instead of
     re-running the subquery per frame.
 
-    Guards: the subquery must read no variable bound upstream (else it is
-    genuinely correlated), and the whole statement must be read-only —
-    re-execution of a subquery after DML could observe its own writes,
-    and a one-shot materialization must not change that story because
-    there is none to change."""
-    if _contains_writes(query):
-        return query
+    Guards: the subquery must read no variable bound upstream or by an
+    enclosing scope (else it is genuinely correlated), and the whole
+    statement must be read-only — re-execution of a subquery after DML
+    could observe its own writes, and a one-shot materialization must not
+    change that story because there is none to change."""
     operations = list(query.operations)
     changed = False
     multi_frame = False
-    bound: set = set()
+    bound: set = set(ctx.scope)
     for index, operation in enumerate(operations):
         if (
             multi_frame
@@ -576,6 +569,8 @@ def _rule_materialize_let(query: ast.Query, ctx: RuleContext) -> ast.Query:
             and isinstance(operation.value, ast.SubQuery)
             and not (_free_vars(operation.value.query) & bound)
         ):
+            if ctx.writes or _contains_writes(query):
+                return query
             operations[index] = MaterializeOp(
                 var=operation.var, query=operation.value.query
             )
@@ -602,13 +597,13 @@ def _rule_filter_pushdown(query: ast.Query, ctx: RuleContext) -> ast.Query:
 
 
 def _rule_index_selection(query: ast.Query, ctx: RuleContext) -> ast.Query:
-    rewritten = select_indexes(query, ctx.db)
+    rewritten = select_indexes(query, ctx.db, ctx.scope)
     _suggest_scan_near_misses(rewritten, ctx)
     return rewritten
 
 
 def _rule_hash_join(query: ast.Query, ctx: RuleContext) -> ast.Query:
-    return build_hash_joins(query, ctx.db)
+    return build_hash_joins(query, ctx.db, ctx.scope)
 
 
 def _suggest_scan_near_misses(query: ast.Query, ctx: RuleContext) -> None:
@@ -623,6 +618,7 @@ def _suggest_scan_near_misses(query: ast.Query, ctx: RuleContext) -> None:
         if not (
             isinstance(operation, ast.ForOp)
             and isinstance(operation.source, ast.VarRef)
+            and operation.source.name not in ctx.scope
         ):
             continue
         follower = operations[index + 1] if index + 1 < len(operations) else None

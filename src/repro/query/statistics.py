@@ -169,8 +169,8 @@ def predicate_fingerprint(expr: ast.Expr, scope: str = "") -> Optional[str]:
     """Stable text key for a predicate shape (the unparsed condition,
     optionally scoped by a source name so identical predicate text over
     different collections stays distinct).  None when the expression
-    cannot round-trip (physical nodes never appear in conditions, so this
-    is defensive)."""
+    cannot round-trip: a condition holding a subquery whose plan has
+    physical operators has no text, and gets no learned selectivity."""
     from repro.query.unparse import unparse_expr
 
     try:

@@ -242,25 +242,27 @@ def replay_into(path: str, log: CentralLog) -> tuple[int, int]:
 
     Returns ``(redone_ops, discarded_ops)``.  Operations of transactions
     without a commit record are discarded; aborted transactions likewise.
+
+    The WAL is streamed twice — once for the transaction outcomes, once to
+    redo — so recovery holds the outcome sets and one record, never the
+    whole log as dicts beside the state it rebuilds.  The first pass reads
+    to the end, so a mid-file corruption still raises before anything is
+    replayed.
     """
     if obs_metrics.ENABLED:
         _RECOVERY_RUNS.inc()
-    records = list(WriteAheadLog.read_records(path))
-    committed = {
-        record["txn"]
-        for record in records
-        if record["op"] == LogOp.COMMIT.value
-    }
-    aborted = {
-        record["txn"]
-        for record in records
-        if record["op"] == LogOp.ABORT.value
-    }
+    committed = set()
+    aborted = set()
+    for record in WriteAheadLog.read_records(path):
+        if record["op"] == LogOp.COMMIT.value:
+            committed.add(record["txn"])
+        elif record["op"] == LogOp.ABORT.value:
+            aborted.add(record["txn"])
     redone = 0
     discarded = 0
     data_ops = {LogOp.INSERT.value, LogOp.UPDATE.value, LogOp.DELETE.value}
     structural = {LogOp.CREATE_NAMESPACE.value, LogOp.DROP_NAMESPACE.value}
-    for record in records:
+    for record in WriteAheadLog.read_records(path):
         op = record["op"]
         if op in data_ops:
             if record["txn"] in committed and record["txn"] not in aborted:

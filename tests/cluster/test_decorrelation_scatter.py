@@ -15,7 +15,10 @@ import pytest
 
 from repro import MultiModelDB
 from repro.cluster import start_cluster
+from repro.query.engine import run_query
 from repro.unibench.generator import generate, load_into_multimodel
+from repro.unibench.workloads import QUERIES_B
+from tests.query.nested_scopes import ALIGNED, NESTED_QUERIES
 
 #: orders is hash-partitioned on customer_id, customers on id — the
 #: correlated subquery is aligned with the enclosing partition value, so
@@ -42,6 +45,11 @@ FOR c IN customers
     FILTER o.customer_id == c.id AND c.city == @city
     RETURN {order: o.Order_no, total: o.total}
 """
+
+
+#: Statements whose subqueries stay in the plan and correlate along the
+#: partition keys: every shard plans them locally as nested scopes.
+NESTED = {"Q4": QUERIES_B["Q4"], **{name: NESTED_QUERIES[name] for name in ALIGNED}}
 
 
 def _canon(rows):
@@ -89,3 +97,21 @@ def test_shard_local_plans_decorrelate(cluster):
     result = cluster.query("EXPLAIN ANALYZE " + SEMI_INLINE)
     # Every shard's analyzed segment report shows the rewritten operator.
     assert "SemiJoin" in result.analyzed
+
+
+@pytest.mark.parametrize("name", sorted(NESTED))
+def test_nested_scope_rows_equal_unoptimized_embedded_rows(
+    name, embedded, cluster
+):
+    text, binds = NESTED[name]
+    expected = run_query(embedded, text, binds, optimize_query=False).rows
+    assert len(expected) > 0, "vacuous equivalence"
+    # Every nested-scope statement SORTs: the order is part of the answer.
+    assert cluster.query(text, binds).rows == expected
+    assert embedded.query(text, binds).rows == expected
+
+
+def test_shard_local_plans_probe_the_index_inside_the_subquery(cluster):
+    text, binds = QUERIES_B["Q4"]
+    result = cluster.query("EXPLAIN ANALYZE " + text, binds)
+    assert "IndexScan f IN feedback USING hash index" in result.analyzed

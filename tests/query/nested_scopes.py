@@ -1,0 +1,160 @@
+"""Nested-scope statements shared by the differential suites.
+
+Each statement holds a subquery the outer rules leave in the plan (a
+list-valued LET, a counted FILTER, a SORT key, a RETURN member, the
+residual of a decorrelated join), so the optimizer plans it as a scope of
+its own.  Every suite that takes them
+(rule ablation, batch/columnar equivalence, 1-vs-3-shard scatter)
+compares the rows with those of the unoptimized statement.
+
+Every statement SORTs, outside and inside its list-valued subqueries: an
+index probe and a scan may enumerate matches in different orders, and
+MMQL promises none.
+"""
+
+#: Over the UniBench data.
+NESTED_QUERIES = {
+    "let_list_unindexed": (
+        """
+        FOR c IN customers
+          FILTER c.credit_limit >= @floor
+          LET said = (FOR f IN feedback
+                        FILTER f.customer_id == c.id
+                        SORT f._key
+                        RETURN f._key)
+          SORT c.id
+          RETURN {id: c.id, said: said}
+        """,
+        {"floor": 3000},
+    ),
+    # The inner LET sits behind a multi-frame scan and reads nothing its
+    # own query or its parent binds — only the outermost variable.  Taken
+    # for uncorrelated it is materialized once, for the first product.
+    "let_nested_reads_outermost": (
+        """
+        FOR p IN products
+          FILTER p.category == @category
+          LET reviews = (
+            FOR f IN feedback
+              FILTER f.product_no == p.product_no
+              LET siblings = (FOR g IN feedback
+                                FILTER g.product_no == p.product_no
+                                RETURN g._key)
+              SORT f._key
+              RETURN {key: f._key, siblings: LENGTH(siblings)}
+          )
+          SORT p.product_no
+          RETURN {product: p.product_no, reviews: reviews}
+        """,
+        {"category": "Book"},
+    ),
+    "subquery_in_filter": (
+        """
+        FOR c IN customers
+          FILTER LENGTH(FOR o IN orders
+                          FILTER o.customer_id == c.id AND o.total >= @floor
+                          RETURN o) >= 2
+          SORT c.id
+          RETURN c.id
+        """,
+        {"floor": 100},
+    ),
+    "subquery_in_sort_key": (
+        """
+        FOR c IN customers
+          FILTER c.credit_limit >= @floor
+          SORT LENGTH(FOR o IN orders
+                        FILTER o.customer_id == c.id RETURN 1) DESC, c.id
+          LIMIT 10
+          RETURN c.id
+        """,
+        {"floor": 3000},
+    ),
+    "subquery_in_return": (
+        """
+        FOR c IN customers
+          FILTER c.city == @city
+          SORT c.id
+          RETURN {id: c.id,
+                  totals: (FOR o IN orders
+                             FILTER o.customer_id == c.id
+                             SORT o.Order_no
+                             RETURN o.total)}
+        """,
+        {"city": "Prague"},
+    ),
+    # Decorrelation turns the outer subquery into a semi join whose
+    # residual holds the middle one; the LET inside that reads only the
+    # join's own variable, bound for the residual and nowhere else.
+    "subquery_in_join_residual": (
+        """
+        FOR c IN customers
+          FILTER c.id <= @limit
+          FILTER LENGTH(
+            FOR o IN orders
+              FILTER o.customer_id == c.id
+                AND LENGTH(FOR wanted IN 2..3
+                             LET mine = (FOR g IN orders
+                                           FILTER g.customer_id == o.customer_id
+                                           RETURN g._key)
+                             FILTER LENGTH(mine) >= wanted
+                             RETURN 1) > 0
+              RETURN 1) > 0
+          SORT c.id
+          RETURN c.id
+        """,
+        {"limit": 40},
+    ),
+    "inner_shadows_outer": (
+        """
+        FOR p IN products
+          FILTER p.category == @category
+          LET wanted = p.product_no
+          LET praise = (FOR p IN feedback
+                          FILTER p.product_no == wanted AND p.positive == true
+                          SORT p._key
+                          RETURN p._key)
+          SORT p.product_no
+          RETURN {product: p.product_no, praise: praise}
+        """,
+        {"category": "Book"},
+    ),
+}
+
+#: The statements that correlate only along the partition keys of the demo
+#: placements (customers↔orders on the customer id, products↔feedback on
+#: the product number), so a sharded cluster can answer them too;
+#: feedback is partitioned by product, not by customer.
+ALIGNED = sorted(set(NESTED_QUERIES) - {"let_list_unindexed"})
+
+#: Probe keys on which the model's ``==`` and a naive hash lookup could
+#: part ways: 1 == 1.0, true != 1, '1' != 1, and a missing attribute
+#: reads as NULL, which equals NULL.
+PROBE_KEYS = [
+    {"_key": "int", "k": 1},
+    {"_key": "float", "k": 1.0},
+    {"_key": "null", "k": None},
+    {"_key": "missing"},
+    {"_key": "string", "k": "1"},
+    {"_key": "bool", "k": True},
+]
+
+PROBE_QUERY = """
+FOR l IN probe_left
+  LET matches = (FOR r IN probe_right
+                   FILTER r.k == l.k
+                   SORT r._key
+                   RETURN r._key)
+  SORT l._key
+  RETURN {left: l._key, matches: matches}
+"""
+
+
+def load_probe_collections(db) -> None:
+    """``probe_left`` ⋈ ``probe_right`` on ``k``, the right side indexed."""
+    left = db.create_collection("probe_left")
+    right = db.create_collection("probe_right")
+    for document in PROBE_KEYS:
+        left.insert(dict(document))
+        right.insert(dict(document))
+    right.create_index("k", kind="hash")

@@ -11,22 +11,38 @@ including over NULL-bearing and mixed-type columns.
 import pytest
 
 from repro.cli import make_demo_db
+from repro.query.engine import run_query
 from repro.relational.schema import Column, ColumnType, TableSchema
 from repro.unibench.workloads import QUERIES_B, workload_b_api
 from repro.widecolumn.table import CqlColumn
+from tests.query.nested_scopes import (
+    NESTED_QUERIES,
+    PROBE_QUERY,
+    load_probe_collections,
+)
 
 WIDTHS = [1, 2, 256]
+
+#: Workload B plus the nested-scope statements: a planned subquery runs
+#: its own pipeline per outer frame, at the same width as the statement.
+QUERIES = {**QUERIES_B, **NESTED_QUERIES, "probe_keys": (PROBE_QUERY, {})}
 
 
 @pytest.fixture(scope="module")
 def db():
-    return make_demo_db(scale_factor=1)
+    db = make_demo_db(scale_factor=1)
+    load_probe_collections(db)
+    return db
 
 
-@pytest.mark.parametrize("name", sorted(QUERIES_B))
+@pytest.mark.parametrize("name", sorted(QUERIES))
 def test_workload_b_rows_invariant_under_batch_size(db, name):
-    text, binds = QUERIES_B[name]
+    text, binds = QUERIES[name]
     baseline = db.query(text, binds, batch_size=1)
+    if name not in QUERIES_B:
+        naive = run_query(db, text, binds, optimize_query=False, batch_size=1)
+        assert baseline.rows == naive.rows, f"{name} diverged from the naive plan"
+        assert baseline.rows, f"{name} returned nothing"
     for width in WIDTHS[1:]:
         result = db.query(text, binds, batch_size=width)
         assert result.rows == baseline.rows, (
@@ -81,9 +97,9 @@ def test_wider_batches_mean_fewer_batches(db):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(QUERIES_B))
+@pytest.mark.parametrize("name", sorted(QUERIES))
 def test_workload_b_rows_invariant_under_columnar(db, name):
-    text, binds = QUERIES_B[name]
+    text, binds = QUERIES[name]
     columnar = db.query(text, binds, columnar=True)
     rows = db.query(text, binds, columnar=False)
     assert columnar.rows == rows.rows, f"{name} diverged with columnar scans"

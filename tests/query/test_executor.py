@@ -102,6 +102,29 @@ class TestBasics:
         result = db.query("FOR c IN customers RETURN DISTINCT c.city")
         assert sorted(result.rows) == ["Helsinki", "Prague"]
 
+    def test_distinct_keeps_model_equality_across_types(self, db):
+        """Strings dedup through a plain set, everything else through the
+        model hash: 1 == 1.0, but '1' != 1 != true, and NULL, arrays and
+        objects equal only their like.  First occurrences survive, in
+        order, at any batch width."""
+        values = [
+            "a", 1, "1", 1.0, True, "a", None, [1], [1.0], {"k": "a"},
+            "", None, {"k": "a"}, False, 0, "1", ["a"], "true",
+        ]
+        expected = [
+            "a", 1, "1", True, None, [1], {"k": "a"}, "", False, 0, ["a"],
+            "true",
+        ]
+        for width in (1, 3, 256):
+            result = db.query(
+                "FOR v IN @values RETURN DISTINCT v",
+                bind_vars={"values": values},
+                batch_size=width,
+            )
+            assert [(type(row), row) for row in result.rows] == [
+                (type(row), row) for row in expected
+            ]
+
     def test_bind_vars(self, db):
         result = db.query(
             "FOR c IN customers FILTER c.credit_limit > @floor RETURN c.name",

@@ -4,24 +4,39 @@ Every rewrite rule must be *semantically invisible*: for each workload
 query, disabling any single rule must produce row-identical results to
 the all-rules-on baseline.  The workload is UniBench Q1–Q5 (the
 recommendation query and the cross-model mix) plus correlated-subquery
-and shared-LET fixtures built to exercise the new rules specifically.
+and shared-LET fixtures built to exercise the new rules specifically,
+plus the nested-scope statements of :mod:`tests.query.nested_scopes`,
+whose subqueries the optimizer plans as scopes of their own.
 
-The suite also pins the EXPLAIN contract: ``rules_fired`` never contains
-a disabled rule, and always stays within the enabled set.
+The suite also pins the EXPLAIN contract: ``rules_fired`` — rules fired
+inside subqueries included — never contains a disabled rule, and always
+stays within the enabled set.
 """
 
 import json
 
 import pytest
 
+from repro.query import ast
+from repro.query.engine import run_query
 from repro.query.optimizer import optimize
 from repro.query.parser import parse
+from repro.query.plan import HashJoinOp, IndexScanOp
 from repro.query.rules import rule_names
 from repro.unibench import build_multimodel, generate
 from repro.unibench.workloads import QUERIES_B
+from tests.query.nested_scopes import (
+    NESTED_QUERIES,
+    PROBE_QUERY,
+    load_probe_collections,
+)
+
+#: Nested-scope statements, the NULL / 1 vs 1.0 / missing probe keys among
+#: them.
+NESTED = {**NESTED_QUERIES, "probe_keys": (PROBE_QUERY, {})}
 
 #: Queries whose statements impose a total order on the result.
-ORDERED = {"Q3", "Q4"}
+ORDERED = {"Q3", "Q4", *NESTED}
 
 #: Fixtures aimed at the new rules: correlated existence subqueries in
 #: both polarities and spellings, and an uncorrelated shared LET.
@@ -69,7 +84,7 @@ EXTRA_QUERIES = {
     ),
 }
 
-ALL_QUERIES = {**QUERIES_B, **EXTRA_QUERIES}
+ALL_QUERIES = {**QUERIES_B, **EXTRA_QUERIES, **NESTED}
 
 
 def _canon(rows, ordered):
@@ -80,9 +95,15 @@ def _canon(rows, ordered):
     )
 
 
+def _build():
+    db = build_multimodel(generate(scale_factor=1, seed=11))
+    load_probe_collections(db)
+    return db
+
+
 @pytest.fixture(scope="module")
 def db():
-    return build_multimodel(generate(scale_factor=1, seed=11))
+    return _build()
 
 
 @pytest.fixture(autouse=True)
@@ -145,3 +166,136 @@ def test_all_rules_off_equals_all_rules_on(db, baselines):
         assert _canon(rows, ordered) == _canon(
             baselines[query_id], ordered
         ), f"{query_id} changed rows with every rule disabled"
+
+
+# ---------------------------------------------------------------------------
+# Nested scopes: the subqueries the outer rules leave in the plan
+# ---------------------------------------------------------------------------
+
+
+def _inner_operations(plan, var):
+    """Operations of the subquery that ``LET var = (…)`` holds in *plan*."""
+    for operation in plan.operations:
+        if isinstance(operation, ast.LetOp) and operation.var == var:
+            assert isinstance(operation.value, ast.SubQuery)
+            return operation.value.query.operations
+    raise AssertionError(f"no LET {var} in the plan")
+
+
+@pytest.mark.parametrize("query_id", sorted({"Q4", *NESTED}))
+def test_nested_scope_rows_equal_unoptimized(db, query_id):
+    text, binds = ALL_QUERIES[query_id]
+    naive = run_query(db, text, binds, optimize_query=False).rows
+    assert naive, "vacuous equivalence"
+    assert _canon(db.query(text, binds).rows, True) == _canon(naive, True)
+
+
+def test_q4_probes_the_feedback_index_inside_its_subquery(db):
+    text, binds = QUERIES_B["Q4"]
+    head = _inner_operations(optimize(parse(text), db), "praise")[0]
+    assert isinstance(head, IndexScanOp)
+    assert head.index_name == "hash:doc:feedback:product_no"
+    explained = db.explain(text)
+    assert (
+        "IndexScan f IN feedback USING hash index "
+        "'hash:doc:feedback:product_no'" in explained
+    )
+    assert db.query(text, binds).stats["scanned"] == 0
+
+    db.optimizer_rules.disable("index_selection")
+    head, follower = _inner_operations(optimize(parse(text), db), "praise")[:2]
+    assert isinstance(head, ast.ForOp) and isinstance(follower, ast.FilterOp)
+    explained = db.explain(text)
+    assert "Scan f IN feedback" in explained and "IndexScan" not in explained
+
+
+def test_a_subquery_head_over_an_unindexed_path_stays_a_filter_scan(db):
+    """No index serves ``feedback.customer_id``; a hash join there would
+    rebuild its table for every customer."""
+    text, _binds = NESTED["let_list_unindexed"]
+    plan = optimize(parse(text), db)
+    inner = _inner_operations(plan, "said")
+    assert isinstance(inner[0], ast.ForOp) and isinstance(inner[1], ast.FilterOp)
+    assert not any(isinstance(op, HashJoinOp) for op in inner)
+    assert "hash_join" not in plan.rules_fired
+
+
+def test_rules_fired_lists_rules_that_fired_only_inside_a_subquery(db):
+    text, _binds = NESTED["subquery_in_return"]
+    plan = optimize(parse(text), db)
+    # No index serves the outer ``c.city == @city``: index selection can
+    # only have fired inside the RETURN's subquery.
+    assert not any(isinstance(op, IndexScanOp) for op in plan.operations)
+    assert "index_selection" in plan.rules_fired
+    assert "Rules fired: index_selection" in db.explain(text)
+
+
+def test_a_for_over_an_enclosing_variable_is_not_an_index_scan(db):
+    """``orders`` names a collection with an index on ``customer_id`` —
+    and, here, an outer variable, which is what the inner FOR iterates."""
+    text = """
+    LET orders = [{customer_id: 3, Order_no: 'mine'}]
+    FOR c IN customers
+      FILTER c.id <= 5
+      SORT c.id
+      RETURN {id: c.id,
+              own: (FOR o IN orders
+                      FILTER o.customer_id == c.id RETURN o.Order_no)}
+    """
+    rows = db.query(text).rows
+    assert rows == run_query(db, text, optimize_query=False).rows
+    assert [row["own"] for row in rows] == [[], [], ["mine"], [], []]
+
+
+@pytest.mark.parametrize("query_id", sorted({"Q4", *NESTED_QUERIES}))
+def test_nested_scopes_inside_a_transaction_with_uncommitted_writes(
+    db, query_id
+):
+    """Indexes hold committed state only: inside the transaction the
+    planned subqueries must see its own feedback and orders."""
+    text, binds = ALL_QUERIES[query_id]
+    committed = db.query(text, binds).rows
+    txn = db.begin()
+    try:
+        for product in db.query(
+            "FOR p IN products FILTER p.category == 'Book' RETURN p.product_no"
+        ).rows:
+            db.collection("feedback").insert(
+                {"_key": f"txn-{product}", "product_no": product,
+                 "customer_id": 1, "positive": True, "text": "uncommitted"},
+                txn=txn,
+            )
+        for customer in range(1, 101):
+            for extra in range(1 + customer % 4):
+                number = f"txn-{customer}-{extra}"
+                db.collection("orders").insert(
+                    {"_key": number, "Order_no": number,
+                     "customer_id": customer, "total": 500, "Orderlines": []},
+                    txn=txn,
+                )
+        inside = db.query(text, binds, txn=txn).rows
+        naive = run_query(
+            db, text, binds, txn=txn, optimize_query=False
+        ).rows
+    finally:
+        db.abort(txn)
+    assert _canon(inside, True) == _canon(naive, True)
+    assert _canon(inside, True) != _canon(committed, True), (
+        "the uncommitted writes did not reach the statement"
+    )
+    assert _canon(db.query(text, binds).rows, True) == _canon(committed, True)
+
+
+def test_drop_index_after_a_cached_run_falls_back_to_the_scan_plan():
+    db = _build()
+    text, binds = QUERIES_B["Q4"]
+    db.query(text, binds)
+    cached = db.query(text, binds)
+    assert cached.stats["plan_cached"]
+    assert "hash:doc:feedback:product_no" in cached.stats["indexes_used"]
+    db.context.indexes.drop_index("hash:doc:feedback:product_no")
+    replanned = db.query(text, binds)
+    assert not replanned.stats["plan_cached"]
+    assert replanned.rows == cached.rows
+    assert "hash:doc:feedback:product_no" not in replanned.stats["indexes_used"]
+    assert "Scan f IN feedback" in db.explain(text)

@@ -77,6 +77,52 @@ class TestRecovery:
         with pytest.raises(WalError):
             list(WriteAheadLog.read_records(path))
 
+    def test_mid_file_corruption_replays_nothing(self, tmp_path):
+        """Transaction 10 commits before the damaged line, but redo from
+        a damaged log is unsound: nothing may reach the log."""
+        path = str(tmp_path / "wal.log")
+        _write_transactions(path)
+        lines = open(path, encoding="utf-8").read().splitlines()
+        lines[2] = "00000000 {\"corrupt\": true}"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        log = CentralLog()
+        with pytest.raises(WalError):
+            replay_into(path, log)
+        assert log.last_lsn == 0
+
+    def test_replay_streams_the_wal(self, tmp_path):
+        """Recovery holds the transaction outcomes and one record at a
+        time, not the whole WAL as dicts beside the state it rebuilds."""
+        import os
+        import tracemalloc
+
+        path = str(tmp_path / "wal.log")
+        transactions = 1500
+        with WriteAheadLog(path, sync=False) as wal:
+            for txn in range(transactions):
+                wal.append(2 * txn + 1, txn, "insert", "t", f"k{txn}",
+                           {"pad": "x" * 1000})
+                wal.append(2 * txn + 2, txn, "commit")
+
+        class CountingSink:
+            """Stands in for the central log: counts, keeps nothing."""
+
+            appended = 0
+
+            def append(self, *_entry):
+                self.appended += 1
+
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            redone, discarded = replay_into(path, sink)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (redone, discarded, sink.appended) == (transactions, 0, transactions)
+        assert peak < os.path.getsize(path) / 4
+
     def test_replay_into_existing_log(self, tmp_path):
         path = str(tmp_path / "wal.log")
         _write_transactions(path)
