@@ -382,9 +382,9 @@ class MultiModelDB:
     # ------------------------------------------------------------- durability --
 
     def attach_wal(self, path: str, sync: bool = True) -> WriteAheadLog:
-        """Shadow every log entry into a WAL file from now on."""
+        """Write every log unit to a WAL file first from now on."""
         self._wal = WriteAheadLog(path, sync=sync)
-        self.context.log.subscribe(self._wal.log_entry)
+        self.context.log.write_ahead = self._wal.log_group
         return self._wal
 
     def recover(self, path: str) -> tuple[int, int]:

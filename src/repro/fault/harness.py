@@ -149,7 +149,7 @@ def torture_run(
     rows = RowView(log)
     manager = TransactionManager(log)
     wal = WriteAheadLog(wal_path, sync=True)
-    log.subscribe(wal.log_entry)
+    log.write_ahead = wal.log_group
 
     oracle: dict = {}  # committed state the recovery must reproduce
     inflight: Optional[list] = None  # writes of the txn crashed mid-commit

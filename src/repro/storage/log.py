@@ -17,18 +17,23 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from repro.errors import StorageError
 from repro.fault import registry as fault_registry
 
 __all__ = ["LogOp", "LogEntry", "CentralLog"]
 
-# Fires *before* the entry is created: a crash here leaves the log (and
-# therefore every subscribed view and the WAL shadow) untouched.
+# Fires *before* any entry of the call is created: a crash here leaves the
+# log (and therefore every subscribed view and the WAL) untouched.
 _FP_APPEND = fault_registry.register(
     "log.append", "central-log append, before entry creation and fan-out"
 )
+
+# The ``meta`` of every entry that carries none: the log retains each entry,
+# so an empty dict apiece would be paid for on every record ever written.
+_NO_META: Mapping = MappingProxyType({})
 
 
 class LogOp(enum.Enum):
@@ -44,7 +49,7 @@ class LogOp(enum.Enum):
     CHECKPOINT = "checkpoint"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     """One immutable logical log record.
 
@@ -61,7 +66,7 @@ class LogEntry:
     key: Any = None
     value: Any = None
     before: Any = None
-    meta: dict = field(default_factory=dict)
+    meta: Mapping = field(default_factory=lambda: _NO_META)
 
     def is_data_op(self) -> bool:
         """True for entries that change records (not txn/checkpoint marks)."""
@@ -71,14 +76,22 @@ class LogEntry:
 class CentralLog:
     """Append-only in-memory logical log with subscriber fan-out.
 
-    Subscribers (storage views) are invoked synchronously on append, in
-    registration order, so a view is always consistent with the log tail the
-    moment :meth:`append` returns.
+    One call publishes one *unit*: a single entry (:meth:`append`) or a
+    transaction's data records followed by its COMMIT (:meth:`append_group`).
+    The unit goes to :attr:`write_ahead` first — the WAL, when one is
+    attached, makes it durable with one write — and only then into the log
+    and to the subscribers (storage views), synchronously, entry by entry in
+    registration order.  A unit the WAL could not take therefore reaches
+    neither the log, nor a view, nor a replica fed from the log; every view
+    is consistent with the log tail the moment the call returns.
     """
 
     def __init__(self):
         self._entries: list[LogEntry] = []
         self._subscribers: list[Callable[[LogEntry], None]] = []
+        #: Called with each unit's entries before the log takes them; if it
+        #: raises, the unit was never published (its LSNs are used again).
+        self.write_ahead: Optional[Callable[[list[LogEntry]], None]] = None
         self._next_lsn = 1
         # Number of entries dropped from the front by truncation; the entry
         # at list position i always has lsn == _offset + i + 1.
@@ -97,23 +110,29 @@ class CentralLog:
         meta: Optional[dict] = None,
     ) -> LogEntry:
         """Create, store and fan out a new log entry; returns it."""
+        return self.append_group(
+            txn_id, ((op, namespace, key, value, before, meta),)
+        )[0]
+
+    def append_group(self, txn_id: int, records: Iterable[tuple]) -> list[LogEntry]:
+        """Publish *records* — ``(op, namespace, key, value, before, meta)``
+        tuples of one transaction — as one unit with consecutive LSNs."""
         if _FP_APPEND.armed:
             _FP_APPEND.check()
-        entry = LogEntry(
-            lsn=self._next_lsn,
-            txn_id=txn_id,
-            op=op,
-            namespace=namespace,
-            key=key,
-            value=value,
-            before=before,
-            meta=meta or {},
-        )
-        self._next_lsn += 1
-        self._entries.append(entry)
-        for subscriber in self._subscribers:
-            subscriber(entry)
-        return entry
+        entries = [
+            LogEntry(lsn, txn_id, op, namespace, key, value, before, meta or _NO_META)
+            for lsn, (op, namespace, key, value, before, meta) in enumerate(
+                records, self._next_lsn
+            )
+        ]
+        if self.write_ahead is not None:
+            self.write_ahead(entries)
+        self._next_lsn += len(entries)
+        self._entries.extend(entries)
+        for entry in entries:
+            for subscriber in self._subscribers:
+                subscriber(entry)
+        return entries
 
     # -- subscription ------------------------------------------------------
 
@@ -140,9 +159,12 @@ class CentralLog:
     def entries_since(self, lsn: int) -> Iterator[LogEntry]:
         """Yield entries with ``entry.lsn > lsn`` in LSN order."""
         # The retained log is dense in LSN, so position math suffices.
-        start = max(lsn - self._offset, 0)
-        if start >= len(self._entries):
-            return iter(())
+        start = lsn - self._offset
+        if start < 0:
+            raise StorageError(
+                f"log entries after lsn {lsn} were truncated "
+                f"(oldest retained is {self._offset + 1})"
+            )
         return iter(self._entries[start:])
 
     def entry_at(self, lsn: int) -> LogEntry:

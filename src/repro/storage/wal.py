@@ -9,10 +9,20 @@ transactions — uncommitted tails are discarded (redo-only, no undo needed,
 because views are rebuilt from scratch on recovery).
 
 Records are length-free JSON lines prefixed with a CRC32 checksum; a torn
-final line (simulated crash mid-write) is detected and dropped.  Early seed
-WALs predate the checksum prefix and are plain JSON lines — the read path
-still accepts those (parsed, but with no integrity check to offer), so an
-upgraded engine can recover a pre-checksum data directory in place.
+final line (simulated crash mid-write) is detected and dropped.
+
+**Durability contract.**  The WAL is written one *unit* at a time — what one
+central-log call publishes: a transaction's data records followed by its
+COMMIT, or a single structural / checkpoint / ABORT record.  The central log
+hands the unit over *before* it takes the entries itself or shows them to a
+view (:attr:`CentralLog.write_ahead`).  A unit is encoded, handed to the
+file in one ``write`` and, with ``sync=True``, made durable by one flush +
+fsync before the call (and therefore ``commit()``) returns; ``sync=False``
+never fsyncs on append.  So every record of a transaction reaches the file
+no later than its COMMIT record, and a crash anywhere inside the unit leaves
+data records without a COMMIT (recovery discards them) or a torn last line
+(dropped) — never a COMMIT ahead of its data.  A unit whose write or fsync
+raised was not published: the log, the views and the replicas never see it.
 """
 
 from __future__ import annotations
@@ -46,7 +56,12 @@ _FP_APPEND_WRITE = fault_registry.register(
     "wal.append.write", "writing one WAL record line"
 )
 _FP_APPEND_FSYNC = fault_registry.register(
-    "wal.append.fsync", "per-append fsync (sync=True)"
+    "wal.append.fsync", "the one fsync per appended unit (sync=True)"
+)
+# The torn-commit window of a transaction's unit: its data lines are in the
+# file, its COMMIT line is not.  Named for the commit it interrupts.
+_FP_COMMIT_MID = fault_registry.register(
+    "txn.commit.mid_publish", "after data records, before the COMMIT record"
 )
 _FP_FLUSH_FSYNC = fault_registry.register(
     "wal.flush.fsync", "explicit WriteAheadLog.flush()"
@@ -59,8 +74,9 @@ _FP_CLOSE_FSYNC = fault_registry.register(
 class WriteAheadLog:
     """Durable, append-only JSON-line WAL.
 
-    ``sync`` controls whether each append flushes to the OS (the benchmark
-    harness toggles it to show the durability/throughput trade-off).
+    ``sync=True`` makes each appended unit durable before the call returns;
+    ``sync=False`` never fsyncs on append (the benchmark harness toggles it
+    to show the durability/throughput trade-off).
     """
 
     def __init__(self, path: str, sync: bool = True):
@@ -81,25 +97,36 @@ class WriteAheadLog:
         value: Any = None,
         before: Any = None,
     ) -> None:
-        """Append one WAL record and (optionally) flush it."""
+        """Append one WAL record as a unit of its own."""
+        self._write_unit([dict(
+            lsn=lsn, txn=txn_id, op=op, ns=namespace, key=key, value=value,
+            before=before,
+        )])
+
+    def log_group(self, entries) -> None:
+        """Adapter: set this as :attr:`CentralLog.write_ahead` to make each
+        unit durable before the log publishes it."""
+        self._write_unit([entry_to_record(entry) for entry in entries])
+
+    def _write_unit(self, records: list[dict]) -> None:
+        """One write, and with ``sync`` one flush + fsync, for *records*."""
         enabled = obs_metrics.ENABLED
         start = time.perf_counter() if enabled else 0.0
-        body = {
-            "lsn": lsn,
-            "txn": txn_id,
-            "op": op,
-            "ns": namespace,
-            "key": key,
-            "value": value,
-            "before": before,
-        }
-        payload = canonical_json(body)
-        checksum = zlib.crc32(payload.encode("utf-8"))
-        line = f"{checksum:08x} {payload}\n"
-        if _FP_APPEND_WRITE.armed:
-            fault_io.write(self._file, line, _FP_APPEND_WRITE)
+        lines = []
+        for record in records:
+            payload = canonical_json(record)
+            checksum = zlib.crc32(payload.encode("utf-8"))
+            lines.append(f"{checksum:08x} {payload}\n")
+        if _FP_APPEND_WRITE.armed or _FP_COMMIT_MID.armed:
+            # Record by record, so a fault can land at any position in the
+            # unit; a crash flushes what precedes it, as the OS might.
+            for record, line in zip(records, lines):
+                if record["op"] == LogOp.COMMIT.value and _FP_COMMIT_MID.armed:
+                    self._file.flush()
+                    _FP_COMMIT_MID.check()
+                fault_io.write(self._file, line, _FP_APPEND_WRITE)
         else:
-            self._file.write(line)
+            self._file.write("".join(lines))
         if self._sync:
             if _FP_APPEND_FSYNC.armed:
                 fault_io.fsync(self._file, _FP_APPEND_FSYNC)
@@ -108,22 +135,10 @@ class WriteAheadLog:
                 os.fsync(self._file.fileno())
             if enabled:
                 _WAL_FSYNCS.inc()
-        self._records_written += 1
+        self._records_written += len(lines)
         if enabled:
-            _WAL_APPENDS.inc()
+            _WAL_APPENDS.inc(len(lines))
             _WAL_APPEND_SECONDS.observe(time.perf_counter() - start)
-
-    def log_entry(self, entry) -> None:
-        """Adapter: subscribe this to a :class:`CentralLog` to shadow it."""
-        self.append(
-            entry.lsn,
-            entry.txn_id,
-            entry.op.value,
-            entry.namespace,
-            entry.key,
-            entry.value,
-            entry.before,
-        )
 
     def flush(self) -> None:
         fault_io.fsync(self._file, _FP_FLUSH_FSYNC)
@@ -195,14 +210,6 @@ class WriteAheadLog:
 
     @staticmethod
     def _parse_line(line: str) -> Optional[dict]:
-        if line.startswith("{"):
-            # Legacy checksum-less record (pre-CRC seed WAL): nothing to
-            # verify, but a parseable object is still a valid record.
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                return None
-            return record if isinstance(record, dict) else None
         parts = line.split(" ", 1)
         if len(parts) != 2 or len(parts[0]) != 8:
             return None

@@ -56,15 +56,13 @@ _TXN_COMMIT_SECONDS = obs_metrics.histogram("txn_commit_seconds")
 _TXN_LOCK_WAIT = obs_metrics.histogram("txn_lock_wait_seconds")
 
 # Failpoint sites bracketing the commit publish: ``begin`` fires after
-# validation (nothing published), ``mid_publish`` fires after the data
-# records but *before* the COMMIT record (the torn-commit window — recovery
-# must discard the transaction), ``end`` fires after the COMMIT record (the
-# transaction is durable even though commit() never returned).
+# validation (nothing published), ``end`` fires after the COMMIT record (the
+# transaction is durable even though commit() never returned).  The window
+# between them — data records written, COMMIT record not, recovery must
+# discard the transaction — exists only inside the WAL's write of the unit,
+# so ``txn.commit.mid_publish`` is a site of :mod:`repro.storage.wal`.
 _FP_COMMIT_BEGIN = fault_registry.register(
     "txn.commit.begin", "after validation, before any log append"
-)
-_FP_COMMIT_MID = fault_registry.register(
-    "txn.commit.mid_publish", "after data records, before the COMMIT record"
 )
 _FP_COMMIT_END = fault_registry.register(
     "txn.commit.end", "after the COMMIT record, before commit() returns"
@@ -95,13 +93,12 @@ class _TxnStatus(enum.Enum):
     ABORTED = "aborted"
 
 
-@dataclass
+@dataclass(slots=True)
 class _Version:
     """One committed version of a record."""
 
     commit_ts: int
     value: Any  # None encodes deletion
-    txn_id: int
 
 
 @dataclass
@@ -165,7 +162,13 @@ class TransactionManager:
             return txn
 
     def commit(self, txn: Transaction) -> None:
-        """Validate, assign a commit timestamp, publish to the central log."""
+        """Validate, assign a commit timestamp, publish to the central log.
+
+        The data records and the COMMIT record go to the log as one unit,
+        which an attached WAL makes durable with one write and one fsync
+        before this returns.  A transaction that wrote nothing finishes in
+        memory: no log entry, no LSN, no WAL record.
+        """
         self._require_active(txn)
         enabled = obs_metrics.ENABLED
         start = time.perf_counter() if enabled else 0.0
@@ -180,47 +183,8 @@ class TransactionManager:
                 raise
             if _FP_COMMIT_BEGIN.armed:
                 _FP_COMMIT_BEGIN.check()
-            self._clock += 1
-            commit_ts = self._clock
-            appended: list[tuple[str, Any]] = []
-            try:
-                for (namespace, key), write in txn.writes.items():
-                    chain = self._versions.setdefault((namespace, key), [])
-                    value = None if write.op is LogOp.DELETE else write.value
-                    chain.append(_Version(commit_ts, value, txn.txn_id))
-                    appended.append((namespace, key))
-                    self._log.append(
-                        txn.txn_id,
-                        write.op,
-                        namespace,
-                        key,
-                        write.value,
-                        write.before,
-                    )
-                if _FP_COMMIT_MID.armed:
-                    _FP_COMMIT_MID.check()
-                self._log.append(txn.txn_id, LogOp.COMMIT, meta={"ts": commit_ts})
-            except BaseException:
-                # The publish failed before the COMMIT record reached the
-                # log: the transaction did not commit.  Roll back its
-                # version-chain entries and finish it as aborted so a
-                # recoverable failure (an injected or real I/O error) leaves
-                # no dirty versions and no leaked active transaction.
-                for chain_key in appended:
-                    chain = self._versions.get(chain_key)
-                    if (
-                        chain
-                        and chain[-1].commit_ts == commit_ts
-                        and chain[-1].txn_id == txn.txn_id
-                    ):
-                        chain.pop()
-                    if chain is not None and not chain:
-                        self._versions.pop(chain_key, None)
-                self.aborts += 1
-                if enabled:
-                    _TXN_ABORTS.inc()
-                self._finish(txn, _TxnStatus.ABORTED)
-                raise
+            if txn.writes:
+                self._publish(txn)
             self.commits += 1
             self._finish(txn, _TxnStatus.COMMITTED)
             if enabled:
@@ -231,6 +195,40 @@ class TransactionManager:
             # returns — the crash-after-commit window.
             if _FP_COMMIT_END.armed:
                 _FP_COMMIT_END.check()
+
+    def _publish(self, txn: Transaction) -> None:
+        """Log *txn*'s writes and COMMIT as one unit, then install its
+        versions, pruning each written chain on the way."""
+        self._clock += 1
+        commit_ts = self._clock
+        records = [
+            (write.op, namespace, key, write.value, write.before, None)
+            for (namespace, key), write in txn.writes.items()
+        ]
+        records.append((LogOp.COMMIT, "", None, None, None, None))
+        try:
+            self._log.append_group(txn.txn_id, records)
+        except BaseException:
+            # The unit was not made durable (an injected or real I/O
+            # error), so — the log being write-ahead — no entry, view or
+            # version holds any of it: finish as aborted, nothing to roll
+            # back, no leaked active transaction.
+            self.aborts += 1
+            if obs_metrics.ENABLED:
+                _TXN_ABORTS.inc()
+            self._finish(txn, _TxnStatus.ABORTED)
+            raise
+        horizon = None
+        for chain_key, write in txn.writes.items():
+            value = None if write.op is LogOp.DELETE else write.value
+            chain = self._versions.setdefault(chain_key, [])
+            chain.append(_Version(commit_ts, value))
+            # A lone live version has nothing to prune: a bulk load pays
+            # for neither the horizon nor the call.
+            if len(chain) > 1 or value is None:
+                if horizon is None:
+                    horizon = self._horizon(finishing=txn)
+                self._prune(chain_key, chain, horizon)
 
     def abort(self, txn: Transaction) -> None:
         self._require_active(txn)
@@ -307,11 +305,10 @@ class TransactionManager:
             return None
         if txn.isolation is IsolationLevel.READ_COMMITTED:
             return chain[-1].value
-        visible = None
-        for version in chain:
+        for version in reversed(chain):
             if version.commit_ts <= txn.begin_ts:
-                visible = version
-        return visible.value if visible else None
+                return version.value
+        return None
 
     # -- writes -------------------------------------------------------------------
 
@@ -375,26 +372,41 @@ class TransactionManager:
                 if attempt > retries:
                     raise
 
+    def _horizon(self, finishing: Optional[Transaction] = None) -> int:
+        """The oldest snapshot still being read from: the smallest begin
+        timestamp among active transactions other than *finishing*."""
+        others = (
+            txn.begin_ts for txn in self._active.values() if txn is not finishing
+        )
+        return min(others, default=self._clock)
+
+    def _prune(self, chain_key, chain: list[_Version], horizon: int) -> int:
+        """Cut *chain* down to the newest version committed at or below
+        *horizon* plus everything newer — what no active snapshot can read
+        goes; a chain left with only a tombstone at or below the horizon
+        goes whole.  Returns the number of versions dropped."""
+        keep_from = 0
+        for index in range(len(chain) - 1, 0, -1):
+            if chain[index].commit_ts <= horizon:
+                keep_from = index
+                break
+        del chain[:keep_from]
+        if len(chain) == 1 and chain[0].value is None and chain[0].commit_ts <= horizon:
+            del self._versions[chain_key]
+            return keep_from + 1
+        return keep_from
+
     def garbage_collect(self) -> int:
-        """Drop versions no active transaction can see; returns the count."""
+        """Drop versions no active transaction can see; returns the count.
+
+        Commit prunes the chains it writes; this is the full sweep, for
+        chains nobody writes again."""
         with self._mutex:
-            horizon = min(
-                (txn.begin_ts for txn in self._active.values()),
-                default=self._clock,
+            horizon = self._horizon()
+            return sum(
+                self._prune(chain_key, chain, horizon)
+                for chain_key, chain in list(self._versions.items())
             )
-            dropped = 0
-            for chain_key, chain in list(self._versions.items()):
-                keep_from = 0
-                for index in range(len(chain) - 1, -1, -1):
-                    if chain[index].commit_ts <= horizon:
-                        keep_from = index
-                        break
-                dropped += keep_from
-                del chain[:keep_from]
-                if chain and chain[-1].value is None and len(chain) == 1 and chain[0].commit_ts <= horizon:
-                    dropped += 1
-                    del self._versions[chain_key]
-            return dropped
 
     def drop_namespace(self, namespace: str) -> None:
         """Forget every version chain of *namespace* (DDL path: truncate /

@@ -121,7 +121,7 @@ class TestCheckpointedRecovery:
         log = CentralLog()
         rows = RowView(log)
         with WriteAheadLog(wal_path) as wal:
-            log.subscribe(wal.log_entry)
+            log.write_ahead = wal.log_group
             from repro.storage.log import LogOp
 
             log.append(1, LogOp.INSERT, "ns", "k", {"v": 1})

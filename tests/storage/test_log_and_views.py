@@ -63,6 +63,58 @@ class TestCentralLog:
         entry = _insert(log, "t", 99, {})
         assert entry.lsn == 7
 
+    def test_entries_since_below_the_truncation_floor_raises(self):
+        """A subscriber whose watermark predates the truncation must hear
+        that the history is gone, not receive a stream with a hole in it."""
+        log = CentralLog()
+        for i in range(6):
+            _insert(log, "t", i, {})
+        log.truncate_before(4)
+        assert [entry.lsn for entry in log.entries_since(3)] == [4, 5, 6]
+        for lost in (0, 2):
+            with pytest.raises(StorageError, match="truncated"):
+                log.entries_since(lost)
+
+    def test_group_is_one_unit_with_consecutive_lsns(self):
+        """The write-ahead hook sees a group whole and before anyone else,
+        subscribers then see it entry by entry; a single append is a group
+        of one."""
+        log = CentralLog()
+        seen = []
+        log.subscribe(lambda entry: seen.append(entry.lsn))
+        log.write_ahead = lambda entries: seen.append(
+            [entry.lsn for entry in entries]
+        )
+        _insert(log, "t", 0, {})
+        entries = log.append_group(7, [
+            (LogOp.INSERT, "t", 1, {"v": 1}, None, None),
+            (LogOp.UPDATE, "t", 0, {"v": 2}, {}, None),
+            (LogOp.COMMIT, "", None, None, None, None),
+        ])
+        assert seen == [[1], 1, [2, 3, 4], 2, 3, 4]
+        assert [entry.txn_id for entry in entries] == [7, 7, 7]
+        assert entries[2].op is LogOp.COMMIT and log.last_lsn == 4
+        assert entries[0].meta is entries[2].meta and not entries[0].meta
+
+    def test_unit_the_write_ahead_hook_refuses_is_not_published(self):
+        log = CentralLog()
+        rows = RowView(log)
+        _insert(log, "t", 0, {"v": 0})
+
+        def refuse(entries):
+            raise OSError("disk full")
+
+        log.write_ahead = refuse
+        with pytest.raises(OSError):
+            log.append_group(7, [
+                (LogOp.INSERT, "t", 1, {"v": 1}, None, None),
+                (LogOp.COMMIT, "", None, None, None, None),
+            ])
+        assert log.last_lsn == 1 and len(log) == 1
+        assert dict(rows.scan("t")) == {0: {"v": 0}}
+        log.write_ahead = None
+        assert _insert(log, "t", 2, {}).lsn == 2  # the LSNs are used again
+
     def test_unsubscribe(self):
         log = CentralLog()
         seen = []

@@ -37,7 +37,7 @@ class TestWalRoundTrip:
         path = str(tmp_path / "wal.log")
         log = CentralLog()
         with WriteAheadLog(path) as wal:
-            log.subscribe(wal.log_entry)
+            log.write_ahead = wal.log_group
             log.append(1, LogOp.INSERT, "t", "k", {"v": 1})
             log.append(1, LogOp.COMMIT)
         records = list(WriteAheadLog.read_records(path))
@@ -226,7 +226,7 @@ class TestCorruptionModes:
         log = CentralLog()
         rows = RowView(log)
         with WriteAheadLog(wal_path) as wal:
-            log.subscribe(wal.log_entry)
+            log.write_ahead = wal.log_group
             log.append(0, LogOp.CREATE_NAMESPACE, "t")
             for i in range(10):
                 log.append(100 + i, LogOp.INSERT, "t", f"k{i}", {"v": i})
@@ -285,7 +285,7 @@ class TestCrashSimulation:
         log = CentralLog()
         rows = RowView(log)
         with WriteAheadLog(path) as wal:
-            log.subscribe(wal.log_entry)
+            log.write_ahead = wal.log_group
             for i in range(50):
                 log.append(100 + i, LogOp.INSERT, "t", i, {"v": i})
                 log.append(100 + i, LogOp.COMMIT)
@@ -302,58 +302,21 @@ class TestCrashSimulation:
         assert rows.count("t") == 50
 
 
-class TestLegacyChecksumLessWal:
-    """Pre-CRC seed WALs are plain JSON lines; the read path must accept
-    them in place so an upgraded engine can recover an old data dir."""
-
-    @staticmethod
-    def _legacy_line(lsn, txn, op, ns="t", key=None, value=None):
-        import json
-
-        return json.dumps(
-            {"lsn": lsn, "txn": txn, "op": op, "ns": ns, "key": key,
-             "value": value, "before": None}
-        )
-
-    def _write_legacy(self, path):
-        lines = [
-            self._legacy_line(1, 10, "insert", key="a", value={"v": 1}),
-            self._legacy_line(2, 10, "commit"),
-            self._legacy_line(3, 11, "insert", key="b", value={"v": 2}),
-        ]
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-
-    def test_legacy_lines_read_without_checksum(self, tmp_path):
-        path = str(tmp_path / "legacy.wal")
-        self._write_legacy(path)
-        records = list(WriteAheadLog.read_records(path))
-        assert [r["op"] for r in records] == ["insert", "commit", "insert"]
-
-    def test_legacy_wal_recovers_committed_only(self, tmp_path):
-        path = str(tmp_path / "legacy.wal")
-        self._write_legacy(path)
-        log, redone, discarded = recover(path)
-        assert redone == 1  # txn 10's insert; txn 11 never committed
-        assert discarded == 1
-
-    def test_mixed_legacy_and_checksummed_records(self, tmp_path):
-        path = str(tmp_path / "mixed.wal")
-        self._write_legacy(path)
-        with WriteAheadLog(path) as wal:  # appends checksummed lines
-            wal.append(4, 11, "commit")
-        records = list(WriteAheadLog.read_records(path))
-        assert len(records) == 4
-        _log, redone, _discarded = recover(path)
-        assert redone == 2  # both txns now committed
-
-    def test_corrupt_legacy_line_mid_file_raises(self, tmp_path):
-        path = str(tmp_path / "legacy.wal")
-        self._write_legacy(path)
-        lines = open(path, encoding="utf-8").read().splitlines()
-        lines[0] = lines[0][:-3]  # truncated JSON: unparseable
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+class TestChecksumLessLine:
+    def test_bare_json_line_is_ordinary_corruption(self, tmp_path):
+        """A line without the CRC prefix — the pre-checksum format — has
+        nothing to verify it by: at the tail it is dropped like a torn
+        write, followed by valid records it is mid-file corruption."""
+        path = str(tmp_path / "wal.log")
+        _write_transactions(path)
+        bare = '{"lsn": 9, "txn": 13, "op": "commit", "ns": "", "key": null}\n'
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(bare)
+        assert len(list(WriteAheadLog.read_records(path))) == 8
+        _log, redone, discarded = recover(path)
+        assert (redone, discarded) == (3, 2)  # txn 13 stays uncommitted
+        with WriteAheadLog(path) as wal:
+            wal.append(10, 14, "commit")
         with pytest.raises(WalError, match="mid-file"):
             list(WriteAheadLog.read_records(path))
 

@@ -230,16 +230,24 @@ class TestRunHelper:
         assert manager.read_committed_latest("t", "counter") == 11
 
 
+def _commit_update(manager, key, value, namespace="t"):
+    txn = manager.begin()
+    manager.write(txn, namespace, key, value, LogOp.UPDATE)
+    manager.commit(txn)
+
+
 class TestGarbageCollection:
-    def test_gc_drops_invisible_versions(self, setup):
+    def test_gc_sweeps_chains_nobody_writes_again(self, setup):
+        """Versions pile up above an open snapshot; once it is gone, only a
+        later commit to the same key or the full sweep drops them."""
         _log, _rows, manager = setup
+        reader = manager.begin()
         for i in range(5):
-            txn = manager.begin()
-            manager.write(txn, "t", "k", {"v": i}, LogOp.UPDATE)
-            manager.commit(txn)
+            _commit_update(manager, "k", {"v": i})
         assert manager.version_count == 5
-        dropped = manager.garbage_collect()
-        assert dropped == 4
+        manager.commit(reader)
+        assert manager.version_count == 5
+        assert manager.garbage_collect() == 4
         assert manager.read_committed_latest("t", "k") == {"v": 4}
 
     def test_gc_respects_active_snapshots(self, setup):
@@ -249,9 +257,95 @@ class TestGarbageCollection:
         manager.commit(txn)
         reader = manager.begin()
         for i in range(1, 4):
-            writer = manager.begin()
-            manager.write(writer, "t", "k", {"v": i}, LogOp.UPDATE)
-            manager.commit(writer)
+            _commit_update(manager, "k", {"v": i})
         manager.garbage_collect()
         # The reader's snapshot version must survive.
         assert manager.read(reader, "t", "k") == {"v": 0}
+
+
+class TestCommitTimePruning:
+    @pytest.mark.parametrize(
+        "isolation, sees",
+        [("snapshot", 0), ("serializable", 0), ("read_committed", 50)],
+    )
+    def test_open_reader_keeps_its_version(self, setup, isolation, sees):
+        _log, _rows, manager = setup
+        _commit_update(manager, "k", {"v": 0})
+        reader = manager.begin(isolation)
+        for i in range(1, 51):
+            _commit_update(manager, "k", {"v": i})
+        assert manager.read(reader, "t", "k") == {"v": sees}
+        manager.commit(reader)
+
+    def test_next_commit_after_the_reader_leaves_one_version(self, setup):
+        _log, _rows, manager = setup
+        _commit_update(manager, "k", {"v": 0})
+        reader = manager.begin()
+        for i in range(1, 51):
+            _commit_update(manager, "k", {"v": i})
+        assert manager.read(reader, "t", "k") == {"v": 0}
+        # The snapshot's version and every newer one: nothing older exists.
+        assert manager.version_count == 51
+        manager.commit(reader)
+        _commit_update(manager, "k", {"v": 51})
+        assert manager.version_count == 1
+        assert manager.read_committed_latest("t", "k") == {"v": 51}
+
+    def test_versions_above_an_open_snapshot_survive_an_older_one_closing(
+        self, setup
+    ):
+        _log, _rows, manager = setup
+        _commit_update(manager, "k", {"v": 0})
+        old = manager.begin()
+        _commit_update(manager, "k", {"v": 1})
+        young = manager.begin()
+        _commit_update(manager, "k", {"v": 2})
+        manager.commit(old)
+        _commit_update(manager, "k", {"v": 3})
+        assert manager.read(young, "t", "k") == {"v": 1}
+        assert manager.version_count == 3  # v1 (young's), v2, v3
+
+    def test_hot_keys_hold_one_version_each(self):
+        """2 000 new-order transactions over 40 hot customers, no snapshot
+        left open: every chain is one version long."""
+        from repro.core.database import MultiModelDB
+        from repro.relational.schema import Column, ColumnType, TableSchema
+        from repro.unibench.workloads import new_order_transaction
+
+        db = MultiModelDB()
+        customers = db.create_table(TableSchema("customers", [
+            Column("id", ColumnType.INTEGER, nullable=False),
+            Column("credit_limit", ColumnType.INTEGER),
+        ]))
+        db.create_collection("orders")
+        db.create_bucket("cart")
+        for customer_id in range(40):
+            customers.insert({"id": customer_id, "credit_limit": 10**6})
+        for n in range(2000):
+            order = {"_key": f"o{n}", "Order_no": f"o{n}",
+                     "customer_id": n % 40, "total": 1, "Orderlines": []}
+            txn = db.begin()
+            new_order_transaction(db, n % 40, order, txn=txn)
+            db.commit(txn)
+        manager = db.context.transactions
+        assert manager.active_count == 0
+        assert max(len(chain) for chain in manager._versions.values()) == 1
+        assert customers.get(7)["credit_limit"] == 10**6 - 50
+
+    def test_tombstone_below_the_horizon_goes_with_its_chain(self, setup):
+        _log, rows, manager = setup
+        _commit_update(manager, "k", {"v": 0})
+        reader = manager.begin()
+        txn = manager.begin()
+        manager.delete(txn, "t", "k")
+        manager.commit(txn)
+        # Above the reader's snapshot the tombstone must stay: it is what
+        # makes a write by the reader a first-committer-wins conflict.
+        assert manager.version_count == 2
+        assert manager.read(reader, "t", "k") == {"v": 0}
+        manager.commit(reader)
+        txn = manager.begin()
+        manager.delete(txn, "t", "k")
+        manager.commit(txn)
+        assert manager.version_count == 0
+        assert rows.get("t", "k") is None
