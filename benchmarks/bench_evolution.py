@@ -92,7 +92,7 @@ def test_eager_migration_then_reads(benchmark):
     plan.apply_all(collection)
 
     def read():
-        return sum(1 for doc in collection.all() if doc["name"])
+        return sum(1 for doc in collection.scan_cursor() if doc["name"])
 
     assert benchmark(read) == N
 

@@ -59,7 +59,7 @@ def test_materialized_column_scan(benchmark):
 
 
 def UniversalRelationReadBack():
-    for document in COLLECTION.all():
+    for document in COLLECTION.scan_cursor():
         yield document["_key"], document["meta"]["score"]
 
 

@@ -85,7 +85,7 @@ def test_index_agrees_everywhere(benchmark, mm_db, join_index):
 
     def sweep():
         mismatches = 0
-        for vertex in list(mm_db.graph("social").vertices())[:50]:
+        for vertex in list(mm_db.graph("social").scan_cursor())[:50]:
             key = vertex["_key"]
             expected = set(run_query(mm_db, QUERY, {"start": key}).rows)
             if set(join_index.lookup(key)) != expected:

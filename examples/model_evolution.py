@@ -66,7 +66,7 @@ def main() -> None:
     print(f"migrated {moved} legacy rows; legacy left: {view.legacy_count}")
 
     # 3. Infer the merged schema, then evolve it with a plan.
-    schema = infer_schema(new_era.all())
+    schema = infer_schema(new_era.scan_cursor())
     print("inferred fields:", sorted(schema["fields"]))
 
     plan = MigrationPlan()
@@ -83,7 +83,7 @@ def main() -> None:
     migrator.settle()
     print("after settle, pending:", migrator.pending_count())
 
-    after = infer_schema(new_era.all())
+    after = infer_schema(new_era.scan_cursor())
     print("schema diff legacy→latest:", schema_diff(schema, after))
 
     # 4. A Sinew universal relation over the evolved collection.

@@ -54,7 +54,7 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.obs import metrics as obs_metrics
-from repro.query import ast
+from repro.query import ast, visit
 from repro.query.executor import _group_token
 from repro.query.optimizer import optimize
 from repro.query.parser import parse
@@ -87,14 +87,6 @@ _STORE_FUNCS = {
 
 #: Aggregate functions with a distributive/algebraic partial form.
 _SPLITTABLE_AGGS = ("COUNT", "LENGTH", "SUM", "MIN", "MAX", "AVG")
-
-_WRITE_NODES = (
-    ast.InsertOp,
-    ast.UpdateOp,
-    ast.RemoveOp,
-    ast.ReplaceOp,
-    ast.UpsertOp,
-)
 
 obs_metrics.describe(
     "cluster_fanout_queries_total",
@@ -208,12 +200,6 @@ class ClusterResult:
 # ---------------------------------------------------------------------------
 
 
-def _conjuncts(condition) -> list:
-    if isinstance(condition, ast.BinOp) and condition.op == "AND":
-        return _conjuncts(condition.left) + _conjuncts(condition.right)
-    return [condition]
-
-
 def _static_value(expr, binds: dict):
     """Evaluate an expression without a database; returns ``(ok, value)``."""
     if isinstance(expr, ast.Literal):
@@ -239,93 +225,6 @@ def _static_value(expr, binds: dict):
             out.append(evaluated)
         return True, out
     return False, None
-
-
-def _walk_exprs(node):
-    """Every expression hanging off one operation (not recursing into
-    subquery *operations* — callers handle SubQuery explicitly)."""
-    if isinstance(node, ast.ForOp):
-        yield node.source
-    elif isinstance(node, (ast.TraversalOp,)):
-        yield node.start
-    elif isinstance(node, ast.ShortestPathOp):
-        yield node.start
-        yield node.goal
-    elif isinstance(node, ast.FilterOp):
-        yield node.condition
-    elif isinstance(node, ast.LetOp):
-        yield node.value
-    elif isinstance(node, ast.SortOp):
-        for key in node.keys:
-            yield key.expr
-    elif isinstance(node, ast.CollectOp):
-        for _name, expr in node.groups:
-            yield expr
-        for _name, _func, arg in node.aggregates:
-            yield arg
-    elif isinstance(node, ast.ReturnOp):
-        yield node.expr
-    elif isinstance(node, ast.InsertOp):
-        yield node.document
-    elif isinstance(node, ast.UpdateOp):
-        yield node.key
-        yield node.changes
-    elif isinstance(node, ast.RemoveOp):
-        yield node.key
-    elif isinstance(node, ast.ReplaceOp):
-        yield node.key
-        yield node.document
-    elif isinstance(node, ast.UpsertOp):
-        yield node.search
-        yield node.insert_doc
-        yield node.update_patch
-
-
-def _subexprs(expr):
-    """The expression and every nested expression, subqueries excluded
-    (yielded as :class:`ast.SubQuery` nodes for the caller to recurse)."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if node is None:
-            continue
-        yield node
-        if isinstance(node, ast.SubQuery):
-            continue  # caller recurses with scope rules
-        if isinstance(node, (ast.AttrAccess, ast.Expansion, ast.InlineFilter)):
-            stack.append(node.subject)
-            if isinstance(node, ast.Expansion) and node.suffix is not None:
-                stack.append(node.suffix)
-            if isinstance(node, ast.InlineFilter):
-                stack.append(node.condition)
-        elif isinstance(node, ast.IndexAccess):
-            stack.extend((node.subject, node.index))
-        elif isinstance(node, ast.FuncCall):
-            stack.extend(node.args)
-        elif isinstance(node, ast.UnaryOp):
-            stack.append(node.operand)
-        elif isinstance(node, ast.BinOp):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, ast.RangeExpr):
-            stack.extend((node.low, node.high))
-        elif isinstance(node, ast.ArrayLiteral):
-            stack.extend(node.items)
-        elif isinstance(node, ast.ObjectLiteral):
-            stack.extend(value for _key, value in node.items)
-        elif isinstance(node, ast.Ternary):
-            stack.extend((node.condition, node.then, node.otherwise))
-
-
-def _deep_exprs(ops):
-    """Every expression node under *ops*, subquery bodies included."""
-    pending = list(ops)
-    while pending:
-        op = pending.pop()
-        for expr in _walk_exprs(op):
-            for node in _subexprs(expr):
-                yield node
-                if isinstance(node, ast.SubQuery):
-                    pending.extend(node.query.operations)
 
 
 def _rewrite_tree(node, table):
@@ -361,12 +260,12 @@ def _member_arg(suffix, frame_vars: set):
     unknown frame fields)."""
     if suffix is None:
         return None
-    for node in _subexprs(suffix):
+    for node in visit.walk(suffix):
         if isinstance(node, (ast.Expansion, ast.InlineFilter, ast.SubQuery)):
             return None  # inner scopes rebind $CURRENT
     roots = [
         node
-        for node in _subexprs(suffix)
+        for node in visit.walk(suffix)
         if isinstance(node, ast.AttrAccess)
         and node.subject == ast.VarRef("$CURRENT")
     ]
@@ -379,71 +278,10 @@ def _member_arg(suffix, frame_vars: set):
     )
     if any(
         isinstance(node, ast.VarRef) and node.name == "$CURRENT"
-        for node in _subexprs(member)
+        for node in visit.walk(member)
     ):
         return None
     return member
-
-
-def _bound_vars(op) -> list:
-    if isinstance(op, ast.ForOp):
-        return [op.var]
-    if isinstance(op, ast.TraversalOp):
-        return [op.var] + ([op.edge_var] if op.edge_var else [])
-    if isinstance(op, ast.ShortestPathOp):
-        return [op.var]
-    if isinstance(op, ast.LetOp):
-        return [op.var]
-    if isinstance(op, ast.CollectOp):
-        names = [name for name, _expr in op.groups]
-        names += [name for name, _func, _arg in op.aggregates]
-        if op.count_into:
-            names.append(op.count_into)
-        if op.into:
-            names.append(op.into)
-        return names
-    return []
-
-
-def _free_vars_expr(expr, bound: set, out: set) -> None:
-    for node in _subexprs(expr):
-        if isinstance(node, ast.VarRef):
-            if node.name not in bound and node.name != "$CURRENT":
-                out.add(node.name)
-        elif isinstance(node, ast.SubQuery):
-            _free_vars_ops(node.query.operations, set(bound), out)
-
-
-def _free_vars_ops(ops, bound: set, out: set) -> None:
-    for op in ops:
-        if isinstance(op, ast.ForOp):
-            # The source may be a store name rather than a variable; a
-            # store name is never "free" — the shard resolves it.
-            if not isinstance(op.source, ast.VarRef):
-                _free_vars_expr(op.source, bound, out)
-            bound.add(op.var)
-            continue
-        for expr in _walk_exprs(op):
-            _free_vars_expr(expr, bound, out)
-        bound.update(_bound_vars(op))
-
-
-def _free_vars(ops, bound_candidates: list) -> list:
-    """Which of *bound_candidates* do *ops* actually consume?  ForOp
-    sources get special treatment: a VarRef source counts as a use when
-    it names a candidate (array loop over an earlier variable)."""
-    used: set = set()
-    bound: set = set()
-    for op in ops:
-        if isinstance(op, ast.ForOp) and isinstance(op.source, ast.VarRef):
-            if op.source.name not in bound:
-                used.add(op.source.name)
-            bound.add(op.var)
-            continue
-        for expr in _walk_exprs(op):
-            _free_vars_expr(expr, bound, used)
-        bound.update(_bound_vars(op))
-    return [name for name in bound_candidates if name in used]
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +317,9 @@ class Coordinator:
         query = parse(text)
         binds = bind_vars or {}
         terminal = query.operations[-1] if query.operations else None
-        if isinstance(terminal, _WRITE_NODES):
+        if isinstance(terminal, visit.WRITE_OPS):
             return self._plan_dml(query, binds)
-        if any(
-            self._contains_write_subquery(op) for op in query.operations
-        ):
+        if visit.contains_write(query):
             raise ClusterUnsupportedError(
                 "writes inside subqueries cannot be routed across shards"
             )
@@ -494,19 +330,6 @@ class Coordinator:
         # shard-locally where the indexes live.
         query = optimize(query, None, ast_only=True)
         return self._plan_read(query, binds)
-
-    def _contains_write_subquery(self, op) -> bool:
-        for expr in _walk_exprs(op):
-            for node in _subexprs(expr):
-                if isinstance(node, ast.SubQuery):
-                    sub_ops = node.query.operations
-                    if any(isinstance(o, _WRITE_NODES) for o in sub_ops):
-                        return True
-                    if any(
-                        self._contains_write_subquery(o) for o in sub_ops
-                    ):
-                        return True
-        return False
 
     # .. read planning ...................................................
 
@@ -594,7 +417,7 @@ class Coordinator:
                 # the (store-free) remainder at the coordinator.
                 post_ops = ops[index + 1:]
                 self._require_store_free(
-                    post_ops, bound | set(_bound_vars(op))
+                    post_ops, bound | set(visit.binds(op))
                 )
                 current.append(op)
                 segment = SegmentPlan(
@@ -606,13 +429,13 @@ class Coordinator:
                 segments.append(segment)
                 return self._finish_segments(segments, ops)
             # Expression-level store accesses (DOCUMENT/KV_GET/…).
-            for expr in _walk_exprs(op):
+            for expr in visit.operation_exprs(op):
                 self._check_expr(expr, anchor, binds, pinned, bound, multi)
             if isinstance(op, ast.LetOp) and anchor is not None:
                 if any(op.value == known for known in anchor):
                     anchor.append(ast.VarRef(op.var))
             if isinstance(op, ast.FilterOp) and anchor is not None:
-                for conjunct in _conjuncts(op.condition):
+                for conjunct in visit.conjuncts(op.condition):
                     if (
                         isinstance(conjunct, ast.BinOp)
                         and conjunct.op == "=="
@@ -632,7 +455,7 @@ class Coordinator:
                         "LIMIT before further pipeline stages cannot be "
                         "applied per shard; move it to the end of the query"
                     )
-            bound.update(_bound_vars(op))
+            bound.update(visit.binds(op))
             current.append(op)
             index += 1
         segment = SegmentPlan(
@@ -662,10 +485,13 @@ class Coordinator:
                     later_ops.extend(post)
             candidates: list = list(segment.input_vars)
             for op in segment.ops:
-                for name in _bound_vars(op):
+                for name in visit.binds(op):
                     if name not in candidates:
                         candidates.append(name)
-            live = _free_vars(later_ops, candidates)
+            # Free names include the stores the later segments scan; only
+            # the ones that are this segment's variables travel.
+            used = visit.free_vars(later_ops)
+            live = [name for name in candidates if name in used]
             segment.output_vars = live
             segments[position + 1].input_vars = live
         return segments
@@ -692,7 +518,7 @@ class Coordinator:
         known = list(anchor)
         for op in ops_ahead:
             if isinstance(op, ast.FilterOp):
-                for conjunct in _conjuncts(op.condition):
+                for conjunct in visit.conjuncts(op.condition):
                     if (
                         isinstance(conjunct, ast.BinOp)
                         and conjunct.op == "=="
@@ -710,7 +536,7 @@ class Coordinator:
     def _check_expr(
         self, expr, anchor, binds, pinned: set, bound: set, multi: bool
     ) -> None:
-        for node in _subexprs(expr):
+        for node in visit.walk(expr):
             if isinstance(node, ast.SubQuery):
                 self._check_subquery(node.query, anchor, binds, pinned, bound)
             elif isinstance(node, ast.FuncCall):
@@ -796,14 +622,14 @@ class Coordinator:
                         f"graph {op.graph!r} is hash-partitioned; "
                         "traversals need a reference placement"
                     )
-            for expr in _walk_exprs(op):
+            for expr in visit.operation_exprs(op):
                 self._check_expr(
                     expr, local_anchor, binds, pinned, local_bound, False
                 )
             if isinstance(op, ast.LetOp) and local_anchor is not None:
                 if any(op.value == known for known in local_anchor):
                     local_anchor.append(ast.VarRef(op.var))
-            local_bound.update(_bound_vars(op))
+            local_bound.update(visit.binds(op))
 
     def _require_store_free(self, ops, bound: set) -> None:
         local_bound = set(bound)
@@ -818,8 +644,8 @@ class Coordinator:
                     "pipeline stages after a distributed COLLECT must not "
                     "touch stores"
                 )
-            for expr in _walk_exprs(op):
-                for node in _subexprs(expr):
+            for expr in visit.operation_exprs(op):
+                for node in visit.walk(expr):
                     if isinstance(node, ast.FuncCall) and node.name in (
                         set(_STORE_FUNCS) | {"FULLTEXT"}
                     ):
@@ -831,7 +657,7 @@ class Coordinator:
                         self._require_store_free(
                             node.query.operations, local_bound
                         )
-            local_bound.update(_bound_vars(op))
+            local_bound.update(visit.binds(op))
 
     # .. rendering .......................................................
 
@@ -964,7 +790,7 @@ class Coordinator:
         for op in segment.ops:
             if not isinstance(op, ast.FilterOp):
                 continue
-            for conjunct in _conjuncts(op.condition):
+            for conjunct in visit.conjuncts(op.condition):
                 if not (
                     isinstance(conjunct, ast.BinOp) and conjunct.op == "=="
                 ):
@@ -1021,7 +847,7 @@ class Coordinator:
         if into and post_ops:
             frame_vars = set(segment.input_vars or ())
             for op in body:
-                frame_vars.update(_bound_vars(op))
+                frame_vars.update(visit.binds(op))
             split = self._split_into_aggregates(
                 into, post_ops, frame_vars, len(collect.aggregates)
             )
@@ -1077,21 +903,26 @@ class Coordinator:
         ``(shard_aggregates, agg_plan, rewritten_post_ops)`` or None when
         any use of *into* resists the rewrite (then the member frames
         ship as before)."""
-        candidates: dict = {}
-        for node in _deep_exprs(post_ops):
+        def splittable(node) -> bool:
             if not isinstance(node, ast.FuncCall) or len(node.args) != 1:
-                continue
+                return False
             func = node.name.upper()
-            if func not in _SPLITTABLE_AGGS:
-                continue
             arg = node.args[0]
-            if (
-                isinstance(arg, ast.Expansion)
-                and arg.subject == ast.VarRef(into)
-            ):
-                candidates.setdefault(node)
-            elif arg == ast.VarRef(into) and func in ("COUNT", "LENGTH"):
-                candidates.setdefault(node)
+            if func not in _SPLITTABLE_AGGS:
+                return False
+            if isinstance(arg, ast.Expansion):
+                return arg.subject == ast.VarRef(into)
+            return arg == ast.VarRef(into) and func in ("COUNT", "LENGTH")
+
+        candidates: dict = {}
+        pending = list(post_ops)  # grows as subquery bodies are met
+        for op in pending:
+            for expr in visit.operation_exprs(op):
+                for node in visit.walk(expr):
+                    if isinstance(node, ast.SubQuery):
+                        pending.extend(node.query.operations)
+                    elif splittable(node):
+                        candidates.setdefault(node)
         if not candidates:
             return None
         table: list = []
@@ -1130,7 +961,7 @@ class Coordinator:
                 extra_plan.append((name, func))
             table.append((call, ast.VarRef(name)))
         rewritten = [_rewrite_tree(op, table) for op in post_ops]
-        if into in _free_vars(rewritten, [into]):
+        if into in visit.free_vars(rewritten):
             return None  # members consumed beyond splittable aggregates
         return extra_aggs, extra_plan, rewritten
 

@@ -15,15 +15,11 @@ batched protocol:
   never perturb a running scan.
 
 Every model store exposes ``scan_cursor(txn=None)`` (see the per-store
-overrides); the legacy iteration methods survive as thin compat shims that
-emit :class:`DeprecationWarning` via :func:`warn_deprecated_scan` (promoted
-from :class:`PendingDeprecationWarning` one release after the cursor
-protocol landed — the shims are next to go).
+overrides) and no other full-scan method.
 """
 
 from __future__ import annotations
 
-import warnings
 from itertools import islice
 from typing import Any, Iterable, Iterator, Optional
 
@@ -32,7 +28,6 @@ __all__ = [
     "ScanCursor",
     "IteratorScanCursor",
     "open_scan_cursor",
-    "warn_deprecated_scan",
 ]
 
 #: Engine-wide default batch size: large enough to amortize per-batch
@@ -108,8 +103,7 @@ class IteratorScanCursor(ScanCursor):
 def open_scan_cursor(db: Any, name: str, txn: Any = None) -> ScanCursor:
     """Open the unified scan cursor of any catalog object by name.
 
-    This is the **only** way the query layer iterates a store — the
-    per-kind legacy methods are compat shims for external callers."""
+    This is the **only** way the query layer iterates a store."""
     from repro.errors import UnknownCollectionError
 
     store = db.resolve(name)
@@ -117,15 +111,6 @@ def open_scan_cursor(db: Any, name: str, txn: Any = None) -> ScanCursor:
     if opener is None:
         raise UnknownCollectionError(f"cannot iterate a {db.kind_of(name)}")
     return opener(txn=txn)
-
-
-def warn_deprecated_scan(old: str, new: str = "scan_cursor()") -> None:
-    """One-liner used by the legacy iteration shims on every store."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} (the unified ScanCursor protocol)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def _values_cursor(store: Any, txn: Optional[Any]) -> IteratorScanCursor:

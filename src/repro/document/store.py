@@ -14,11 +14,10 @@ when absent, ArangoDB-style), with:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from repro.core import datamodel
 from repro.core.context import BaseStore, EngineContext
-from repro.core.cursor import warn_deprecated_scan
 from repro.document import jsonpath
 from repro.errors import PrimaryKeyError, SchemaError
 from repro.txn.manager import Transaction
@@ -134,11 +133,6 @@ class DocumentCollection(BaseStore):
         return self._delete_key(key, txn)
 
     # -- queries -----------------------------------------------------------------
-
-    def all(self, txn: Optional[Transaction] = None) -> Iterator[dict]:
-        """Deprecated compat shim — use :meth:`scan_cursor` instead."""
-        warn_deprecated_scan("DocumentCollection.all()")
-        return iter(self.scan_cursor(txn=txn))
 
     def find(
         self,

@@ -23,7 +23,7 @@ from typing import Any, Iterator, Optional
 
 from repro.core import datamodel
 from repro.core.context import BaseStore, EngineContext
-from repro.core.cursor import ScanCursor, warn_deprecated_scan
+from repro.core.cursor import ScanCursor
 from repro.errors import PrimaryKeyError, SchemaError, UnknownCollectionError
 from repro.indexes.hashindex import ExtendibleHashIndex
 from repro.storage.views import IndexView
@@ -120,11 +120,6 @@ class PropertyGraph:
         """Unified batched scan over the vertex documents (the graph's
         natural MMQL frame shape; edges stream via :meth:`edges`)."""
         return self._vertices.scan_cursor(txn=txn)
-
-    def vertices(self, txn: Optional[Transaction] = None) -> Iterator[dict]:
-        """Deprecated compat shim — use :meth:`scan_cursor` instead."""
-        warn_deprecated_scan("PropertyGraph.vertices()")
-        return iter(self.scan_cursor(txn=txn))
 
     def vertex_count(self, txn: Optional[Transaction] = None) -> int:
         return self._vertices.count(txn)

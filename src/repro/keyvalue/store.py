@@ -21,7 +21,7 @@ from typing import Any, Iterator, Optional
 
 from repro.core import datamodel
 from repro.core.context import BaseStore, EngineContext
-from repro.core.cursor import IteratorScanCursor, ScanCursor, warn_deprecated_scan
+from repro.core.cursor import IteratorScanCursor, ScanCursor
 from repro.errors import DataModelError
 from repro.keyvalue.crdt import crdt_from_dict
 from repro.txn.manager import Transaction
@@ -115,26 +115,6 @@ class KeyValueBucket(BaseStore):
                 yield {"_key": key, "value": envelope["value"]}
 
         return IteratorScanCursor(_frames())
-
-    def items(self, txn: Optional[Transaction] = None) -> Iterator[tuple[str, Any]]:
-        """Deprecated compat shim — use :meth:`scan_cursor` instead."""
-        warn_deprecated_scan("KeyValueBucket.items()")
-        return (
-            (frame["_key"], frame["value"])
-            for frame in self.scan_cursor(txn=txn)
-        )
-
-    def scan_prefix(
-        self, prefix: str, txn: Optional[Transaction] = None
-    ) -> list[tuple[str, Any]]:
-        """Deprecated compat shim — use ``scan_cursor(prefix=…)``."""
-        warn_deprecated_scan(
-            "KeyValueBucket.scan_prefix()", "scan_cursor(prefix=…)"
-        )
-        return sorted(
-            (frame["_key"], frame["value"])
-            for frame in self.scan_cursor(txn=txn, prefix=prefix)
-        )
 
     def _expired(self, envelope: dict) -> bool:
         expires_at = envelope.get("expires_at")

@@ -23,12 +23,9 @@ from typing import Optional
 
 from repro.errors import QueryError
 from repro.query import ast
-from repro.query.optimizer import (
-    _attr_path,
-    _equality_conjuncts,
-    _is_probe_value,
-)
+from repro.query.optimizer import _equality_probes
 from repro.query.parser import parse
+from repro.query.visit import conjuncts, nested_queries
 
 __all__ = ["Recommendation", "advise", "apply"]
 
@@ -62,31 +59,8 @@ def _walk_operations(query: ast.Query):
             )
             if isinstance(next_operation, ast.FilterOp):
                 yield operation, next_operation
-        for expr in _operation_exprs(operation):
-            yield from _walk_exprs(expr)
-
-
-def _operation_exprs(operation: ast.Operation):
-    for attr in ("source", "condition", "value", "expr", "start", "key",
-                 "changes", "document", "search", "insert_doc", "update_patch"):
-        expr = getattr(operation, attr, None)
-        if isinstance(expr, ast.Expr):
-            yield expr
-    if isinstance(operation, ast.SortOp):
-        for key in operation.keys:
-            yield key.expr
-    if isinstance(operation, ast.CollectOp):
-        for _name, expr in operation.groups:
-            yield expr
-        for _name, _func, arg in operation.aggregates:
-            yield arg
-
-
-def _walk_exprs(expr: ast.Expr):
-    if isinstance(expr, ast.SubQuery):
-        yield from _walk_operations(expr.query)
-    for child in expr.children():
-        yield from _walk_exprs(child)
+        for inner in nested_queries(operation):
+            yield from _walk_operations(inner)
 
 
 def advise(
@@ -122,19 +96,12 @@ def advise(
                 namespace = db.resolve(source_name).namespace
             except Exception:
                 continue
-            for conjunct in _equality_conjuncts(filter_op.condition):
-                if not (isinstance(conjunct, ast.BinOp) and conjunct.op == "=="):
-                    continue
-                for path_side, value_side in (
-                    (conjunct.left, conjunct.right),
-                    (conjunct.right, conjunct.left),
-                ):
-                    path = _attr_path(path_side, for_op.var)
-                    if path is None or not _is_probe_value(value_side, for_op.var):
-                        continue
-                    if db.context.indexes.find(namespace, path, "point"):
-                        continue  # already served
-                    opportunities[(source_name, path)] += 1
+            for _position, path, _probe in _equality_probes(
+                conjuncts(filter_op.condition), for_op.var
+            ):
+                if db.context.indexes.find(namespace, path, "point"):
+                    continue  # already served
+                opportunities[(source_name, path)] += 1
     return [
         Recommendation(source_name, path, count)
         for (source_name, path), count in opportunities.most_common()

@@ -9,36 +9,9 @@ scatter).  Hoisted here so there is exactly one classifier and one cache;
 
 from __future__ import annotations
 
-import dataclasses
 from functools import lru_cache
 
-from repro.query import ast as _ast
-
 __all__ = ["statement_writes"]
-
-#: AST operations that mutate data; anything else is a read.
-_WRITE_NODES = (
-    _ast.InsertOp,
-    _ast.UpdateOp,
-    _ast.RemoveOp,
-    _ast.ReplaceOp,
-    _ast.UpsertOp,
-)
-
-
-def _contains_write(node) -> bool:
-    if isinstance(node, _WRITE_NODES):
-        return True
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        return any(
-            _contains_write(getattr(node, field.name))
-            for field in dataclasses.fields(node)
-        )
-    if isinstance(node, (list, tuple)):
-        return any(_contains_write(item) for item in node)
-    if isinstance(node, dict):
-        return any(_contains_write(value) for value in node.values())
-    return False
 
 
 @lru_cache(maxsize=1024)
@@ -52,9 +25,10 @@ def statement_writes(text: str) -> bool:
     full position info, which beats a routing-layer guess.
     """
     from repro.query.parser import parse
+    from repro.query.visit import contains_write
 
     try:
         query = parse(text)
     except Exception:
         return False
-    return _contains_write(query)
+    return contains_write(query)

@@ -40,6 +40,8 @@ from repro.errors import BindError, ExecutionError
 from repro.obs import metrics as obs_metrics
 from repro.query import ast
 from repro.query.functions import call_function
+from repro.query.plan import MaterializeOp
+from repro.query.visit import conjuncts, operation_exprs, walk
 
 __all__ = [
     "compile_expr",
@@ -86,54 +88,7 @@ _NATIVE_NODES = (
 
 def compiles_fully(expr: ast.Expr) -> bool:
     """True when *expr* lowers without any interpreter fallback."""
-    if not isinstance(expr, _NATIVE_NODES):
-        return False
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, _NATIVE_NODES):
-            return False
-        stack.extend(node.children())
-    return True
-
-
-#: Expression-bearing attributes across logical and physical operations.
-_EXPR_ATTRS = (
-    "source",
-    "condition",
-    "value",
-    "expr",
-    "start",
-    "goal",
-    "key",
-    "changes",
-    "document",
-    "search",
-    "insert_doc",
-    "update_patch",
-    "probe",
-    "residual",
-)
-
-
-def _operation_exprs(operation) -> list:
-    """Every expression hanging off one operation (logical or physical)."""
-    out = []
-    for attr in _EXPR_ATTRS:
-        value = getattr(operation, attr, None)
-        if isinstance(value, ast.Expr):
-            out.append(value)
-    for spec in getattr(operation, "keys", None) or ():
-        expr = getattr(spec, "expr", None)
-        if isinstance(expr, ast.Expr):
-            out.append(expr)
-    for _name, expr in getattr(operation, "groups", None) or ():
-        if isinstance(expr, ast.Expr):
-            out.append(expr)
-    for _name, _fn, expr in getattr(operation, "aggregates", None) or ():
-        if isinstance(expr, ast.Expr):
-            out.append(expr)
-    return out
+    return all(isinstance(node, _NATIVE_NODES) for node in walk(expr))
 
 
 def fallback_node_counts(query) -> dict[str, int]:
@@ -145,10 +100,9 @@ def fallback_node_counts(query) -> dict[str, int]:
     counts: dict[str, int] = {}
     stack: list = []
     for operation in query.operations:
-        stack.extend(_operation_exprs(operation))
-        inner = getattr(operation, "query", None)
-        if inner is not None and hasattr(inner, "operations"):
-            for name, count in fallback_node_counts(inner).items():
+        stack.extend(operation_exprs(operation))
+        if isinstance(operation, MaterializeOp):
+            for name, count in fallback_node_counts(operation.query).items():
                 counts[name] = counts.get(name, 0) + count
     while stack:
         node = stack.pop()
@@ -495,19 +449,6 @@ def _constant_fn(expr: ast.Expr):
     return None
 
 
-def _conjuncts(condition: ast.Expr) -> list:
-    out: list = []
-    stack = [condition]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.BinOp) and node.op == "AND":
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            out.append(node)
-    return out
-
-
 def _column_comparison(node: ast.Expr, var: str):
     """``(column, op, value_fn)`` when *node* is ``var.col <op> constant``
     (either orientation), else None."""
@@ -534,7 +475,7 @@ def extract_zone_predicates(condition: ast.Expr, var: str) -> list:
     zone range makes a conjunct unsatisfiable, so any conjuncts this
     function cannot express are simply not used for pruning."""
     predicates = []
-    for node in _conjuncts(condition):
+    for node in conjuncts(condition):
         found = _column_comparison(node, var)
         if found is not None and found[1] != "!=":
             predicates.append(found)
@@ -626,7 +567,7 @@ def compile_filter_columnar(condition: ast.Expr, var: str):
     fallback) for anything else; the kernel itself returns None
     (run-time fallback) when a segment lacks one of the columns."""
     kernels = []
-    for node in _conjuncts(condition):
+    for node in conjuncts(condition):
         found = _column_comparison(node, var)
         if found is None:
             return None

@@ -1,6 +1,11 @@
 """MMQL front door: parse → optimize → execute (and EXPLAIN / ANALYZE).
 
-Every query is observable end to end:
+One planning path: :func:`plan_statement` takes a statement from text to
+plan and :class:`ExecContext`; :func:`run_query` executes that eagerly,
+:func:`open_query_cursor` streams it, and nothing else differs between
+them.
+
+Every query, eager or streamed, is observable end to end:
 
 * spans ``query`` → ``query.parse`` / ``query.optimize`` / ``query.execute``
   (visible with ``repro.obs.tracing`` enabled, e.g. the shell's ``.trace on``),
@@ -44,6 +49,7 @@ __all__ = [
     "PlanCache",
     "QueryCursor",
     "QueryGuardrails",
+    "plan_statement",
     "run_query",
     "open_query_cursor",
     "explain_query",
@@ -298,6 +304,111 @@ def _effective_batch_size(db: Any, batch_size: Optional[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def plan_statement(
+    db: Any,
+    text: str,
+    bind_vars: Optional[dict] = None,
+    txn: Any = None,
+    optimize_query: bool = True,
+    analyze: bool = False,
+    timeout: Optional[float] = None,
+    max_rows: Optional[int] = None,
+    batch_size: Optional[int] = None,
+    columnar: Optional[bool] = None,
+) -> tuple:
+    """Everything between a statement's text and its execution, for both
+    entry points: guardrail defaults, the plan cache (key, lookup,
+    DDL-version validation, put), parse and optimize on a miss — timed,
+    in ``query.parse``/``query.optimize`` spans, and observed in
+    ``query_phase_seconds`` here, where planning happens — and the
+    :class:`ExecContext` with every knob resolved.
+
+    Returns ``(query, ctx, phases, cache_key)``: the plan, its context,
+    the planning seconds by phase (zeros on a cache hit) and the plan's
+    cache key (None without a plan cache)."""
+    perf_counter = time.perf_counter
+    started = perf_counter()
+    guardrails = getattr(db, "guardrails", None)
+    if guardrails is not None:
+        if timeout is None:
+            timeout = guardrails.timeout
+        if max_rows is None:
+            max_rows = guardrails.max_rows
+    cache: Optional[PlanCache] = getattr(db, "plan_cache", None)
+    cache_key = versions = query = None
+    if cache is not None:
+        cache_key = PlanCache.key(
+            text, bind_vars, optimize_query, _plan_config(db)
+        )
+        versions = _ddl_versions(db)
+        query = cache.get(cache_key, versions)
+    plan_cached = query is not None
+    phases = {"parse": 0.0, "optimize": 0.0}
+    if query is None:
+        with tracing.span("query.parse"):
+            phase_start = perf_counter()
+            query = parse(text)
+            phases["parse"] = perf_counter() - phase_start
+        if optimize_query:
+            with tracing.span("query.optimize"):
+                phase_start = perf_counter()
+                query = optimize(query, db)
+                phases["optimize"] = perf_counter() - phase_start
+        if cache is not None:
+            cache.put(cache_key, query, versions)
+        if metrics.ENABLED:
+            metrics.histogram("query_phase_seconds", phase="parse").observe(
+                phases["parse"]
+            )
+            if optimize_query:
+                metrics.histogram(
+                    "query_phase_seconds", phase="optimize"
+                ).observe(phases["optimize"])
+    ctx = ExecContext(
+        db=db,
+        bind_vars=bind_vars or {},
+        txn=txn,
+        analyze=analyze,
+        batch_size=_effective_batch_size(db, batch_size),
+        columnar=(
+            bool(getattr(db, "columnar", True))
+            if columnar is None
+            else bool(columnar)
+        ),
+    )
+    if timeout is not None:
+        ctx.timeout = float(timeout)
+        ctx.deadline = started + ctx.timeout
+    if max_rows is not None:
+        ctx.max_rows = int(max_rows)
+    ctx.stats["plan_cached"] = plan_cached
+    return query, ctx, phases, cache_key
+
+
+def _count_error(error: Exception) -> None:
+    """A statement failed, while planning or while executing."""
+    if metrics.ENABLED:
+        metrics.counter("query_errors_total").inc()
+        if isinstance(error, QueryTimeoutError):
+            metrics.counter("query_timeouts_total").inc()
+        elif isinstance(error, ResourceExhaustedError):
+            metrics.counter("query_row_budget_exceeded_total").inc()
+
+
+def _record_finished(text: str, elapsed: float, phases: dict, rows: int) -> None:
+    """A statement ran to its end: an eager one when its rows are in, a
+    stream when it drains or is closed."""
+    if metrics.ENABLED:
+        metrics.counter("queries_total").inc()
+        metrics.histogram("query_seconds").observe(elapsed)
+        metrics.histogram("query_phase_seconds", phase="execute").observe(
+            phases["execute"]
+        )
+        metrics.counter("query_rows_returned_total").inc(rows)
+    if slowlog.THRESHOLD is not None:
+        slowlog.record(text, elapsed, rows=rows, phases=phases)
+
+
 def run_query(
     db: Any,
     text: str,
@@ -339,101 +450,25 @@ def run_query(
     """
     text, prefixed = _strip_analyze_prefix(text)
     analyze = analyze or prefixed
-    enabled = metrics.ENABLED
     perf_counter = time.perf_counter
     started = perf_counter()
-    guardrails = getattr(db, "guardrails", None)
-    if guardrails is not None:
-        if timeout is None:
-            timeout = guardrails.timeout
-        if max_rows is None:
-            max_rows = guardrails.max_rows
-    cache: Optional[PlanCache] = getattr(db, "plan_cache", None)
-    cache_key = versions = None
-    plan_cached = False
     with tracing.span("query"):
         try:
-            query = None
-            if cache is not None:
-                cache_key = PlanCache.key(
-                    text, bind_vars, optimize_query, _plan_config(db)
-                )
-                versions = _ddl_versions(db)
-                query = cache.get(cache_key, versions)
-                plan_cached = query is not None
-            parse_seconds = 0.0
-            optimize_seconds = 0.0
-            if query is None:
-                with tracing.span("query.parse"):
-                    phase_start = perf_counter()
-                    query = parse(text)
-                    parse_seconds = perf_counter() - phase_start
-                if optimize_query:
-                    with tracing.span("query.optimize"):
-                        phase_start = perf_counter()
-                        query = optimize(query, db)
-                        optimize_seconds = perf_counter() - phase_start
-                if cache is not None:
-                    cache.put(cache_key, query, versions)
-            ctx = ExecContext(
-                db=db,
-                bind_vars=bind_vars or {},
-                txn=txn,
-                analyze=analyze,
-                batch_size=_effective_batch_size(db, batch_size),
-                columnar=(
-                    bool(getattr(db, "columnar", True))
-                    if columnar is None
-                    else bool(columnar)
-                ),
+            query, ctx, phases, cache_key = plan_statement(
+                db, text, bind_vars, txn, optimize_query, analyze,
+                timeout, max_rows, batch_size, columnar,
             )
-            if timeout is not None:
-                ctx.timeout = float(timeout)
-                ctx.deadline = started + ctx.timeout
-            if max_rows is not None:
-                ctx.max_rows = int(max_rows)
             with tracing.span("query.execute") as execute_span:
                 phase_start = perf_counter()
                 result = execute(ctx, query)
-                execute_seconds = perf_counter() - phase_start
+                phases["execute"] = perf_counter() - phase_start
                 if execute_span is not None:
                     execute_span.set(rows=len(result.rows))
         except Exception as error:
-            if enabled:
-                metrics.counter("query_errors_total").inc()
-                if isinstance(error, QueryTimeoutError):
-                    metrics.counter("query_timeouts_total").inc()
-                elif isinstance(error, ResourceExhaustedError):
-                    metrics.counter("query_row_budget_exceeded_total").inc()
+            _count_error(error)
             raise
-    result.stats["plan_cached"] = plan_cached
     elapsed = perf_counter() - started
-    if enabled:
-        metrics.counter("queries_total").inc()
-        metrics.histogram("query_seconds").observe(elapsed)
-        if not plan_cached:
-            metrics.histogram("query_phase_seconds", phase="parse").observe(
-                parse_seconds
-            )
-            if optimize_query:
-                metrics.histogram(
-                    "query_phase_seconds", phase="optimize"
-                ).observe(optimize_seconds)
-        metrics.histogram("query_phase_seconds", phase="execute").observe(
-            execute_seconds
-        )
-        metrics.counter("query_rows_returned_total").inc(len(result.rows))
-    if slowlog.THRESHOLD is not None:
-        slowlog.record(
-            text,
-            elapsed,
-            rows=len(result.rows),
-            phases={
-                "parse": parse_seconds,
-                "optimize": optimize_seconds,
-                "execute": execute_seconds,
-            },
-        )
+    _record_finished(text, elapsed, phases, len(result.rows))
     if analyze:
         statistics = getattr(db, "statistics", None)
         if statistics is not None:
@@ -444,18 +479,14 @@ def run_query(
 
             version_before = statistics.version
             record_feedback(statistics, ctx.probes)
-            if (
-                statistics.version != version_before
-                and cache is not None
-                and cache_key is not None
-            ):
+            if statistics.version != version_before and cache_key is not None:
                 # The feedback just invalidated every cached plan stamped
                 # with the old statistics version — including this one.
                 # Refresh *this* plan's estimates with the learned numbers
                 # and re-stamp it, so the query that produced the feedback
                 # immediately benefits instead of paying a re-plan.
                 annotate_estimates(query, db)
-                cache.put(cache_key, query, _ddl_versions(db))
+                db.plan_cache.put(cache_key, query, _ddl_versions(db))
         result.op_stats = plan_module.analyzed_op_stats(ctx.probes)
         result.analyzed = render_analyzed_plan(
             query, ctx.probes, elapsed, ctx.stats
@@ -471,7 +502,7 @@ def run_query(
             )
         result.analyzed += (
             "\nPlan: served from plan cache"
-            if plan_cached
+            if ctx.stats["plan_cached"]
             else "\nPlan: parsed + optimized this call"
         )
     return result
@@ -486,22 +517,29 @@ class QueryCursor:
     errors (timeout, row budget) surface from whichever ``next_batch``
     call crosses the limit.  The server's wire cursors
     (``query_open``/``cursor_next``) are thin shims over this class.
+
+    A stream is one query to the metrics and the slow-query log, like an
+    eager :func:`run_query`: it is recorded once, when the last batch is
+    pulled or the cursor is closed, with the pipeline time summed over
+    every pull (the consumer's think time between fetches is not the
+    query's); an error from a pull is counted where it is raised and the
+    failed stream is not recorded as finished.
     """
 
     __slots__ = ("text", "_ctx", "_batches", "_buffer", "_exhausted",
-                 "_execute_seconds", "_slow_recorded")
+                 "_phases", "_recorded")
 
-    def __init__(self, ctx: ExecContext, batches, text: str):
+    def __init__(self, ctx: ExecContext, batches, text: str, phases: dict):
         self.text = text
         self._ctx = ctx
         self._batches = batches
         self._buffer: list = []
         self._exhausted = False
-        #: Cumulative pipeline time across every next_batch pull — the
-        #: honest "how slow was this query" measure for a stream, which
-        #: excludes the consumer's think time between fetches.
-        self._execute_seconds = 0.0
-        self._slow_recorded = False
+        #: Planning seconds from :func:`plan_statement`; ``execute``
+        #: accumulates across every next_batch pull.
+        self._phases = phases
+        phases["execute"] = 0.0
+        self._recorded = False
 
     @property
     def stats(self) -> dict:
@@ -513,23 +551,39 @@ class QueryCursor:
     def exhausted(self) -> bool:
         return self._exhausted and not self._buffer
 
+    def _pull(self, n: Optional[int]) -> None:
+        """Advance the pipeline until *n* rows are buffered (None: to its
+        end)."""
+        pull_started = time.perf_counter()
+        try:
+            while not self._exhausted and (n is None or len(self._buffer) < n):
+                try:
+                    self._buffer.extend(next(self._batches))
+                except StopIteration:
+                    self._exhausted = True
+        except Exception as error:
+            _count_error(error)
+            self._recorded = True  # a failed stream did not finish
+            raise
+        self._phases["execute"] += time.perf_counter() - pull_started
+
     def next_batch(self, n: int = DEFAULT_BATCH_SIZE) -> list:
         """Up to *n* result rows; ``[]`` once the query is exhausted."""
         n = max(int(n), 1)
-        pull_started = time.perf_counter()
-        while len(self._buffer) < n and not self._exhausted:
-            try:
-                self._buffer.extend(next(self._batches))
-            except StopIteration:
-                self._exhausted = True
-        self._execute_seconds += time.perf_counter() - pull_started
+        self._pull(n)
         if len(self._buffer) <= n:
             out, self._buffer = self._buffer, []
         else:
             out, self._buffer = self._buffer[:n], self._buffer[n:]
         if self._exhausted and not self._buffer:
-            self._record_slow()
+            self._record()
         return out
+
+    def materialize(self) -> None:
+        """Run the query to its end now and keep the rows for the
+        ``next_batch`` calls to come — for a caller whose snapshot may end
+        before its reader does."""
+        self._pull(None)
 
     def fetch_all(self) -> list:
         """Drain the cursor; returns every remaining row."""
@@ -547,18 +601,15 @@ class QueryCursor:
                 return
             yield from batch
 
-    def _record_slow(self) -> None:
-        """Slow-query log entry for a finished (or abandoned) stream —
-        :func:`run_query` records eagerly; cursors record once, when the
-        last batch is pulled or the cursor is closed."""
-        if self._slow_recorded or slowlog.THRESHOLD is None:
+    def _record(self) -> None:
+        if self._recorded:
             return
-        self._slow_recorded = True
-        slowlog.record(
+        self._recorded = True
+        _record_finished(
             self.text,
-            self._execute_seconds,
-            rows=self._ctx.stats.get("rows_returned", 0),
-            phases={"execute": self._execute_seconds},
+            sum(self._phases.values()),
+            self._phases,
+            self._ctx.stats.get("rows_returned", 0),
         )
 
     def close(self) -> None:
@@ -566,7 +617,7 @@ class QueryCursor:
         (source cursors release via their ``finally`` blocks)."""
         self._exhausted = True
         self._buffer = []
-        self._record_slow()
+        self._record()
         close = getattr(self._batches, "close", None)
         if close is not None:
             close()
@@ -589,10 +640,10 @@ def open_query_cursor(
     batch_size: Optional[int] = None,
     columnar: Optional[bool] = None,
 ) -> QueryCursor:
-    """Open a :class:`QueryCursor` over an MMQL query: same planning path
-    as :func:`run_query` (guardrail defaults, plan cache, DDL-version
-    validation), but execution is *lazy* — rows stream out through
-    ``next_batch`` instead of materializing up front.
+    """Open a :class:`QueryCursor` over an MMQL query: the planning path
+    of :func:`run_query` (:func:`plan_statement`), but execution is
+    *lazy* — rows stream out through ``next_batch`` instead of
+    materializing up front.
 
     EXPLAIN ANALYZE is eager by construction (probes are only meaningful
     over a completed run), so an analyze prefix is rejected here."""
@@ -602,52 +653,19 @@ def open_query_cursor(
             "EXPLAIN ANALYZE runs eagerly — use run_query()/db.query() "
             "instead of a cursor"
         )
-    started = time.perf_counter()
-    guardrails = getattr(db, "guardrails", None)
-    if guardrails is not None:
-        if timeout is None:
-            timeout = guardrails.timeout
-        if max_rows is None:
-            max_rows = guardrails.max_rows
-    cache: Optional[PlanCache] = getattr(db, "plan_cache", None)
-    plan_cached = False
-    query = None
-    if cache is not None:
-        cache_key = PlanCache.key(
-            text, bind_vars, optimize_query, _plan_config(db)
-        )
-        versions = _ddl_versions(db)
-        query = cache.get(cache_key, versions)
-        plan_cached = query is not None
-    if query is None:
-        with tracing.span("query.parse"):
-            query = parse(text)
-        if optimize_query:
-            with tracing.span("query.optimize"):
-                query = optimize(query, db)
-        if cache is not None:
-            cache.put(cache_key, query, versions)
-    ctx = ExecContext(
-        db=db,
-        bind_vars=bind_vars or {},
-        txn=txn,
-        batch_size=_effective_batch_size(db, batch_size),
-        columnar=(
-            bool(getattr(db, "columnar", True))
-            if columnar is None
-            else bool(columnar)
-        ),
-    )
-    if timeout is not None:
-        ctx.timeout = float(timeout)
-        ctx.deadline = started + ctx.timeout
-    if max_rows is not None:
-        ctx.max_rows = int(max_rows)
-    ctx.stats["plan_cached"] = plan_cached
+    with tracing.span("query"):
+        try:
+            query, ctx, phases, _cache_key = plan_statement(
+                db, text, bind_vars, txn, optimize_query,
+                timeout=timeout, max_rows=max_rows,
+                batch_size=batch_size, columnar=columnar,
+            )
+        except Exception as error:
+            _count_error(error)
+            raise
     if metrics.ENABLED:
-        metrics.counter("queries_total").inc()
         metrics.counter("query_cursors_total").inc()
-    return QueryCursor(ctx, execute_stream(ctx, query), text)
+    return QueryCursor(ctx, execute_stream(ctx, query), text, phases)
 
 
 def explain_query(db: Any, text: str, bind_vars: Optional[dict] = None) -> str:

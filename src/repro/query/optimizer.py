@@ -24,15 +24,20 @@ loop.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from repro.query import ast
-from repro.query.plan import (
-    HashJoinOp,
-    IndexScanOp,
-    MaterializeOp,
-    SemiJoinOp,
+from repro.query.plan import HashJoinOp, IndexScanOp, MaterializeOp, SemiJoinOp
+from repro.query.visit import (
+    WRITE_OPS,
+    and_join,
+    binds,
+    conjuncts,
+    contains_write,
+    map_children,
+    map_operation_exprs,
     nested_queries,
+    variables_in,
 )
 
 __all__ = [
@@ -51,49 +56,8 @@ _FOLDABLE_BINOPS = {"+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "
 # ---------------------------------------------------------------------------
 
 
-def _map_children(expr: ast.Expr, fn) -> ast.Expr:
-    """*expr* rebuilt with *fn* applied to each direct child expression;
-    leaves and subqueries (whose query is not an expression) come back
-    as they are."""
-    if isinstance(expr, ast.BinOp):
-        return ast.BinOp(expr.op, fn(expr.left), fn(expr.right))
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, fn(expr.operand))
-    if isinstance(expr, ast.AttrAccess):
-        return ast.AttrAccess(fn(expr.subject), expr.attribute)
-    if isinstance(expr, ast.IndexAccess):
-        return ast.IndexAccess(fn(expr.subject), fn(expr.index))
-    if isinstance(expr, ast.FuncCall):
-        return ast.FuncCall(expr.name, tuple(fn(arg) for arg in expr.args))
-    if isinstance(expr, ast.ArrayLiteral):
-        return ast.ArrayLiteral(tuple(fn(item) for item in expr.items))
-    if isinstance(expr, ast.ObjectLiteral):
-        return ast.ObjectLiteral(
-            tuple((key, fn(value)) for key, value in expr.items)
-        )
-    if isinstance(expr, ast.Expansion):
-        return ast.Expansion(
-            fn(expr.subject), fn(expr.suffix) if expr.suffix else None
-        )
-    if isinstance(expr, ast.InlineFilter):
-        return ast.InlineFilter(fn(expr.subject), fn(expr.condition))
-    if isinstance(expr, ast.RangeExpr):
-        return ast.RangeExpr(fn(expr.low), fn(expr.high))
-    if isinstance(expr, ast.Ternary):
-        return ast.Ternary(
-            fn(expr.condition), fn(expr.then), fn(expr.otherwise)
-        )
-    return expr
-
-
-#: Nodes with no child expression: nothing to rebuild, nothing to fold.
-_CHILDLESS = (ast.VarRef, ast.Literal, ast.BindVar, ast.SubQuery)
-
-
 def _fold_expr(expr: ast.Expr) -> ast.Expr:
-    if isinstance(expr, _CHILDLESS):
-        return expr
-    expr = _map_children(expr, _fold_expr)
+    expr = map_children(expr, _fold_expr)
     if isinstance(expr, ast.BinOp):
         if (
             isinstance(expr.left, ast.Literal)
@@ -118,14 +82,6 @@ def _fold_expr(expr: ast.Expr) -> ast.Expr:
 
             return expr.then if truthy(expr.condition.value) else expr.otherwise
     return expr
-
-
-def _map_subqueries(expr: ast.Expr, plan) -> ast.Expr:
-    """*expr* with every subquery node replaced by ``plan(node)`` —
-    subqueries nested inside those are ``plan``'s to handle."""
-    if isinstance(expr, ast.SubQuery):
-        return plan(expr)
-    return _map_children(expr, lambda child: _map_subqueries(child, plan))
 
 
 class _NoFold:
@@ -177,71 +133,9 @@ def _try_fold(op: str, left: Any, right: Any) -> Any:
 
 
 def fold_constants(query: ast.Query) -> ast.Query:
-    operations: list[ast.Operation] = []
-    for operation in query.operations:
-        operations.append(_map_operation_exprs(operation, _fold_expr))
-    return ast.Query(operations)
-
-
-def _map_operation_exprs(operation: ast.Operation, mapper) -> ast.Operation:
-    if isinstance(operation, ast.FilterOp):
-        return ast.FilterOp(mapper(operation.condition))
-    if isinstance(operation, ast.ForOp):
-        return ast.ForOp(operation.var, mapper(operation.source))
-    if isinstance(operation, ast.LetOp):
-        return ast.LetOp(operation.var, mapper(operation.value))
-    if isinstance(operation, ast.SortOp):
-        return ast.SortOp(
-            [ast.SortKeySpec(mapper(key.expr), key.ascending) for key in operation.keys]
-        )
-    if isinstance(operation, ast.ReturnOp):
-        return ast.ReturnOp(mapper(operation.expr), operation.distinct)
-    if isinstance(operation, ast.TraversalOp):
-        return dataclasses.replace(operation, start=mapper(operation.start))
-    if isinstance(operation, ast.ShortestPathOp):
-        return dataclasses.replace(
-            operation, start=mapper(operation.start), goal=mapper(operation.goal)
-        )
-    if isinstance(operation, ast.CollectOp):
-        return ast.CollectOp(
-            [(name, mapper(expr)) for name, expr in operation.groups],
-            operation.count_into,
-            operation.into,
-            [
-                (name, func, mapper(arg))
-                for name, func, arg in operation.aggregates
-            ],
-        )
-    if isinstance(operation, ast.ReplaceOp):
-        return ast.ReplaceOp(
-            mapper(operation.key), mapper(operation.document), operation.target
-        )
-    if isinstance(operation, ast.UpsertOp):
-        return ast.UpsertOp(
-            mapper(operation.search),
-            mapper(operation.insert_doc),
-            mapper(operation.update_patch),
-            operation.target,
-        )
-    if isinstance(operation, ast.InsertOp):
-        return ast.InsertOp(mapper(operation.document), operation.target)
-    if isinstance(operation, ast.UpdateOp):
-        return ast.UpdateOp(
-            mapper(operation.key), mapper(operation.changes), operation.target
-        )
-    if isinstance(operation, ast.RemoveOp):
-        return ast.RemoveOp(mapper(operation.key), operation.target)
-    if isinstance(operation, IndexScanOp):
-        changes = {"value": mapper(operation.value)}
-    elif isinstance(operation, (HashJoinOp, SemiJoinOp)):
-        changes = {"probe": mapper(operation.probe)}
-    else:
-        return operation
-    for name in ("residual", "original_condition"):
-        expr = getattr(operation, name)
-        if expr is not None:
-            changes[name] = mapper(expr)
-    return dataclasses.replace(operation, **changes)
+    return ast.Query(
+        [map_operation_exprs(operation, _fold_expr) for operation in query.operations]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,113 +143,27 @@ def _map_operation_exprs(operation: ast.Operation, mapper) -> ast.Operation:
 # ---------------------------------------------------------------------------
 
 
-def _variables_in(expr: ast.Expr) -> set[str]:
-    names: set[str] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.VarRef):
-            names.add(node.name)
-        if isinstance(node, ast.SubQuery):
-            for operation in node.query.operations:
-                names |= _operation_reads(operation)
-        stack.extend(node.children())
-    names.discard("$CURRENT")
-    return names
-
-
-def _operation_reads(operation: ast.Operation) -> set[str]:
-    reads: set[str] = set()
-    if isinstance(operation, ast.FilterOp):
-        reads |= _variables_in(operation.condition)
-    elif isinstance(operation, ast.ForOp):
-        reads |= _variables_in(operation.source)
-    elif isinstance(operation, ast.LetOp):
-        reads |= _variables_in(operation.value)
-    elif isinstance(operation, ast.SortOp):
-        for key in operation.keys:
-            reads |= _variables_in(key.expr)
-    elif isinstance(operation, ast.ReturnOp):
-        reads |= _variables_in(operation.expr)
-    elif isinstance(operation, ast.TraversalOp):
-        reads |= _variables_in(operation.start)
-    elif isinstance(operation, ast.ShortestPathOp):
-        reads |= _variables_in(operation.start)
-        reads |= _variables_in(operation.goal)
-    elif isinstance(operation, ast.CollectOp):
-        for _name, expr in operation.groups:
-            reads |= _variables_in(expr)
-        for _name, _func, arg in operation.aggregates:
-            reads |= _variables_in(arg)
-    elif isinstance(operation, (ast.InsertOp, ast.UpdateOp, ast.RemoveOp)):
-        for attr in ("document", "key", "changes"):
-            expr = getattr(operation, attr, None)
-            if expr is not None:
-                reads |= _variables_in(expr)
-    return reads
-
-
-def _operation_binds(operation: ast.Operation) -> set[str]:
-    if isinstance(operation, ast.TraversalOp):
-        bound = {operation.var}
-        if operation.edge_var:
-            bound.add(operation.edge_var)
-        return bound
-    if isinstance(operation, (ast.ForOp, ast.ShortestPathOp)):
-        return {operation.var}
-    if isinstance(operation, (IndexScanOp, HashJoinOp)):
-        return {operation.var}
-    if isinstance(operation, MaterializeOp):
-        return {operation.var}
-    # Semi/anti joins bind nothing: only existence is observable, the
-    # inner variable never escapes.
-    if isinstance(operation, ast.LetOp):
-        return {operation.var}
-    if isinstance(operation, ast.CollectOp):
-        bound = {name for name, _expr in operation.groups}
-        bound |= {name for name, _func, _arg in operation.aggregates}
-        if operation.count_into:
-            bound.add(operation.count_into)
-        if operation.into:
-            bound.add(operation.into)
-        return bound
-    return set()
-
-
 def push_down_filters(query: ast.Query) -> ast.Query:
     """Move each FILTER to just after the last operation binding a variable
     it reads.  Barriers (SORT/LIMIT/COLLECT/DML) are never crossed because
     crossing them changes semantics."""
     operations = list(query.operations)
-    barriers = (
-        ast.SortOp,
-        ast.LimitOp,
-        ast.CollectOp,
-        ast.InsertOp,
-        ast.UpdateOp,
-        ast.RemoveOp,
-        ast.ReplaceOp,
-        ast.UpsertOp,
-    )
+    barriers = (ast.SortOp, ast.LimitOp, ast.CollectOp) + WRITE_OPS
     changed = True
     while changed:
         changed = False
         for index, operation in enumerate(operations):
             if not isinstance(operation, ast.FilterOp):
                 continue
-            needed = _variables_in(operation.condition)
+            needed = variables_in(operation.condition)
             target = 0
-            blocked = False
             for earlier_index in range(index - 1, -1, -1):
                 earlier = operations[earlier_index]
-                if isinstance(earlier, barriers):
-                    blocked = True
+                if isinstance(earlier, barriers) or not needed.isdisjoint(
+                    binds(earlier)
+                ):
                     target = earlier_index + 1
                     break
-                if _operation_binds(earlier) & needed:
-                    target = earlier_index + 1
-                    break
-            del blocked
             # Only move when the hop crosses a non-FILTER operation:
             # reordering a filter past sibling filters is semantically a
             # no-op, and attempting it makes two filters that share a
@@ -374,13 +182,6 @@ def push_down_filters(query: ast.Query) -> ast.Query:
 # ---------------------------------------------------------------------------
 # Rule 3: index selection
 # ---------------------------------------------------------------------------
-
-
-def _equality_conjuncts(condition: ast.Expr) -> list[ast.Expr]:
-    """Split a condition into AND-conjuncts."""
-    if isinstance(condition, ast.BinOp) and condition.op == "AND":
-        return _equality_conjuncts(condition.left) + _equality_conjuncts(condition.right)
-    return [condition]
 
 
 def _attr_path(expr: ast.Expr, var: str) -> Optional[tuple]:
@@ -402,7 +203,23 @@ def _is_probe_value(expr: ast.Expr, loop_var: str) -> bool:
     join)."""
     if isinstance(expr, ast.SubQuery):
         return False
-    return loop_var not in _variables_in(expr)
+    return loop_var not in variables_in(expr)
+
+
+def _equality_probes(parts: list, var: str) -> Iterator[tuple]:
+    """``(position, path, probe)`` for each of the conjuncts *parts* that
+    reads ``var.path == probe``, either way round, with a probe that does
+    not depend on *var*."""
+    for position, conjunct in enumerate(parts):
+        if not (isinstance(conjunct, ast.BinOp) and conjunct.op == "=="):
+            continue
+        for path_side, probe_side in (
+            (conjunct.left, conjunct.right),
+            (conjunct.right, conjunct.left),
+        ):
+            path = _attr_path(path_side, var)
+            if path is not None and _is_probe_value(probe_side, var):
+                yield position, path, probe_side
 
 
 def select_indexes(query: ast.Query, db, scope=frozenset()) -> ast.Query:
@@ -427,7 +244,7 @@ def select_indexes(query: ast.Query, db, scope=frozenset()) -> ast.Query:
             and isinstance(next_operation, ast.FilterOp)
         ):
             rewritten = _try_index_scan(operation, next_operation, db)
-        bound_vars |= _operation_binds(operation)
+        bound_vars.update(binds(operation))
         if rewritten is not None:
             result.append(rewritten)
             index += 2
@@ -447,23 +264,13 @@ def _try_index_scan(
         namespace = db.resolve(source_name).namespace
     except Exception:
         return None
-    conjuncts = _equality_conjuncts(filter_op.condition)
+    parts = conjuncts(filter_op.condition)
     # Collect every index-servable conjunct, then pick the most selective
     # index (fewest expected matches per probe) — the cost-based choice.
     candidates: list[tuple[float, int, Any, tuple, ast.Expr]] = []
-    for position, conjunct in enumerate(conjuncts):
-        if not (isinstance(conjunct, ast.BinOp) and conjunct.op == "=="):
-            continue
-        for path_side, value_side in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
-            path = _attr_path(path_side, for_op.var)
-            if path is None or not _is_probe_value(value_side, for_op.var):
-                continue
-            index_view = db.context.indexes.find(namespace, path, "point")
-            if index_view is None:
-                continue
+    for position, path, value_side in _equality_probes(parts, for_op.var):
+        index_view = db.context.indexes.find(namespace, path, "point")
+        if index_view is not None:
             candidates.append(
                 (index_selectivity(index_view), position, index_view, path, value_side)
             )
@@ -471,10 +278,6 @@ def _try_index_scan(
         return None
     candidates.sort(key=lambda entry: (entry[0], entry[1]))
     _selectivity, position, index_view, path, value_side = candidates[0]
-    residual_conjuncts = conjuncts[:position] + conjuncts[position + 1:]
-    residual = None
-    for part in residual_conjuncts:
-        residual = part if residual is None else ast.BinOp("AND", residual, part)
     return IndexScanOp(
         var=for_op.var,
         source_name=source_name,
@@ -482,7 +285,7 @@ def _try_index_scan(
         value=value_side,
         index_name=index_view.index.name,
         index_kind=index_view.index.kind,
-        residual=residual,
+        residual=and_join(parts[:position] + parts[position + 1:]),
         original_condition=filter_op.condition,
     )
 
@@ -541,13 +344,13 @@ def build_hash_joins(query: ast.Query, db, scope=frozenset()) -> ast.Query:
             rewritten = _try_hash_join(operation, next_operation, db)
             if rewritten is not None:
                 result.append(rewritten)
-                bound_vars |= _operation_binds(rewritten)
+                bound_vars.update(binds(rewritten))
                 inner_loop = True
                 index += 2
                 continue
         if isinstance(operation, _MULTI_FRAME_OPS):
             inner_loop = True
-        bound_vars |= _operation_binds(operation)
+        bound_vars.update(binds(operation))
         result.append(operation)
         index += 1
     return ast.Query(result)
@@ -561,31 +364,16 @@ def _try_hash_join(
         db.resolve(source_name)
     except Exception:
         return None
-    conjuncts = _equality_conjuncts(filter_op.condition)
-    for position, conjunct in enumerate(conjuncts):
-        if not (isinstance(conjunct, ast.BinOp) and conjunct.op == "=="):
-            continue
-        for path_side, probe_side in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
-            path = _attr_path(path_side, for_op.var)
-            if path is None or not _is_probe_value(probe_side, for_op.var):
-                continue
-            residual_conjuncts = conjuncts[:position] + conjuncts[position + 1:]
-            residual = None
-            for part in residual_conjuncts:
-                residual = (
-                    part if residual is None else ast.BinOp("AND", residual, part)
-                )
-            return HashJoinOp(
-                var=for_op.var,
-                source_name=source_name,
-                build_path=path,
-                probe=probe_side,
-                residual=residual,
-                original_condition=filter_op.condition,
-            )
+    parts = conjuncts(filter_op.condition)
+    for position, path, probe_side in _equality_probes(parts, for_op.var):
+        return HashJoinOp(
+            var=for_op.var,
+            source_name=source_name,
+            build_path=path,
+            probe=probe_side,
+            residual=and_join(parts[:position] + parts[position + 1:]),
+            original_condition=filter_op.condition,
+        )
     return None
 
 
@@ -594,23 +382,9 @@ def _try_hash_join(
 # ---------------------------------------------------------------------------
 
 
-#: Legacy keyword → registry rule names (pre-registry callers and the
-#: older ablation tests pass ``optimize(query, db, hash_joins=False)``).
-_LEGACY_TOGGLES = {
-    "fold": ("constant_folding",),
-    "pushdown": ("filter_pushdown", "predicate_split"),
-    "indexes": ("index_selection",),
-    "hash_joins": ("hash_join",),
-}
-
-
 def optimize(
     query: ast.Query,
     db,
-    fold: bool = True,
-    pushdown: bool = True,
-    indexes: bool = True,
-    hash_joins: bool = True,
     disabled=None,
     ast_only: bool = False,
 ) -> ast.Query:
@@ -621,11 +395,11 @@ def optimize(
     an index nested-loop probe needs no build and stays current under
     writes), repeating until a full pass changes nothing.
 
-    Toggles compose from three sources: the legacy boolean kwargs, the
-    explicit ``disabled`` iterable of rule names, and the database's
-    ``optimizer_rules`` (:class:`repro.query.rules.RuleToggles`).  A
-    disabled rule never fires — the ablation suite proves result parity
-    for every single-rule ablation.
+    Toggles compose from two sources: the ``disabled`` iterable of rule
+    names and the database's ``optimizer_rules``
+    (:class:`repro.query.rules.RuleToggles`).  A disabled rule never
+    fires — the ablation suite proves result parity for every single-rule
+    ablation.
 
     ``ast_only=True`` applies only the AST-safe subset (folding,
     predicate split, pushdown): the output is guaranteed re-parseable
@@ -649,15 +423,6 @@ def optimize(
     from repro.query.statistics import annotate_estimates
 
     off = set(disabled or ())
-    legacy = {
-        "fold": fold,
-        "pushdown": pushdown,
-        "indexes": indexes,
-        "hash_joins": hash_joins,
-    }
-    for keyword, names in _LEGACY_TOGGLES.items():
-        if not legacy[keyword]:
-            off.update(names)
     toggles = getattr(db, "optimizer_rules", None)
     if toggles is not None:
         off |= set(toggles.disabled)
@@ -670,7 +435,7 @@ def optimize(
     context = rules_module.RuleContext(db=db)
     optimized = _fixpoint(query, active, context)
     if physical and any(nested_queries(op) for op in optimized.operations):
-        context.writes = rules_module._contains_writes(optimized)
+        context.writes = contains_write(optimized)
         optimized = _plan_nested_scopes(optimized, active, context)
     if optimized is query:
         # Never hand back the caller's object with mutated metadata.
@@ -718,7 +483,7 @@ def _plan_nested_scopes(query: ast.Query, active, context) -> ast.Query:
         # The operation's own variables are in scope for a residual; for
         # its other expressions they only make the scope larger, which
         # errs towards "correlated".
-        bound |= _operation_binds(operation)
+        bound.update(binds(operation))
         if isinstance(operation, MaterializeOp):
             # Runs once, from an empty frame: a top-level scope.
             operation = dataclasses.replace(
@@ -735,13 +500,13 @@ def _plan_nested_scopes(query: ast.Query, active, context) -> ast.Query:
             # planned once and stays one node.
             planned: dict[int, ast.SubQuery] = {}
 
-            def plan(node: ast.SubQuery) -> ast.SubQuery:
-                if id(node) not in planned:
-                    planned[id(node)] = ast.SubQuery(plan_scope(node.query, scope))
-                return planned[id(node)]
+            def plan_in(expr: ast.Expr) -> ast.Expr:
+                if not isinstance(expr, ast.SubQuery):
+                    return map_children(expr, plan_in)
+                if id(expr) not in planned:
+                    planned[id(expr)] = ast.SubQuery(plan_scope(expr.query, scope))
+                return planned[id(expr)]
 
-            operation = _map_operation_exprs(
-                operation, lambda expr: _map_subqueries(expr, plan)
-            )
+            operation = map_operation_exprs(operation, plan_in)
         operations.append(operation)
     return ast.Query(operations)

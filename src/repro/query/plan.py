@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.query import ast
-from repro.query.compile import _operation_exprs
 
 __all__ = [
     "IndexScanOp",
@@ -20,7 +19,6 @@ __all__ = [
     "SemiJoinOp",
     "AntiJoinOp",
     "MaterializeOp",
-    "nested_queries",
     "render_plan",
     "analyzed_op_stats",
     "render_analyzed_plan",
@@ -115,24 +113,6 @@ class MaterializeOp(ast.Operation):
     query: ast.Query
 
 
-def nested_queries(operation: ast.Operation) -> list[ast.Query]:
-    """The queries nested directly in *operation* — the subqueries of its
-    expressions, left to right, or a :class:`MaterializeOp`'s query.
-    Each is a planning scope of its own; what is nested inside one is
-    that query's, not this operation's."""
-    if isinstance(operation, MaterializeOp):
-        return [operation.query]
-    found: list[ast.Query] = []
-    stack = _operation_exprs(operation)[::-1]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.SubQuery):
-            found.append(node.query)
-        else:
-            stack.extend(reversed(node.children()))
-    return found
-
-
 def _expr_text(expr: ast.Expr) -> str:
     if isinstance(expr, ast.Literal):
         return repr(expr.value)
@@ -176,6 +156,9 @@ def _operation_lines(operation: ast.Operation, indent: int) -> list[str]:
     """The operation's own line(s), then the plan of each query nested
     in it — what a ``(subquery)`` in the text above stands for — indented
     under it."""
+    # visit needs the node classes above to build its table.
+    from repro.query.visit import nested_queries
+
     lines = _own_lines(operation, indent)
     nested = nested_queries(operation)
     for number, query in enumerate(nested, start=1):

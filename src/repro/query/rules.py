@@ -41,22 +41,22 @@ from typing import Any, Callable, Optional
 from repro.query import ast
 from repro.query.optimizer import (
     _MULTI_FRAME_OPS,
-    _attr_path,
-    _equality_conjuncts,
-    _is_probe_value,
-    _operation_binds,
-    _operation_reads,
-    _variables_in,
+    _equality_probes,
     build_hash_joins,
     fold_constants,
     push_down_filters,
     select_indexes,
 )
-from repro.query.plan import (
-    AntiJoinOp,
-    MaterializeOp,
-    SemiJoinOp,
-    nested_queries,
+from repro.query.plan import AntiJoinOp, MaterializeOp, SemiJoinOp
+from repro.query.visit import (
+    and_join,
+    binds,
+    conjuncts,
+    contains_write,
+    free_vars,
+    reads,
+    variables_in,
+    walk,
 )
 
 __all__ = [
@@ -210,48 +210,6 @@ class RuleToggles:
 
 
 # ---------------------------------------------------------------------------
-# Helpers shared by the new rules
-# ---------------------------------------------------------------------------
-
-
-_WRITE_OPS = (
-    ast.InsertOp,
-    ast.UpdateOp,
-    ast.RemoveOp,
-    ast.ReplaceOp,
-    ast.UpsertOp,
-)
-
-
-def _contains_writes(query: ast.Query) -> bool:
-    """True when the query (or any nested subquery) performs DML."""
-    for operation in query.operations:
-        if isinstance(operation, _WRITE_OPS):
-            return True
-        if any(_contains_writes(inner) for inner in nested_queries(operation)):
-            return True
-    return False
-
-
-def _free_vars(query: ast.Query) -> set[str]:
-    """Variables a (sub)query reads from its enclosing scope: reads not
-    bound by an earlier operation of the query itself."""
-    free: set[str] = set()
-    bound: set[str] = set()
-    for operation in query.operations:
-        free |= _operation_reads(operation) - bound
-        bound |= _operation_binds(operation)
-    return free
-
-
-def _and_join(conjuncts: list) -> Optional[ast.Expr]:
-    joined = None
-    for part in conjuncts:
-        joined = part if joined is None else ast.BinOp("AND", joined, part)
-    return joined
-
-
-# ---------------------------------------------------------------------------
 # Rule: predicate split
 # ---------------------------------------------------------------------------
 
@@ -263,17 +221,17 @@ def _split_filter(condition: ast.Expr) -> Optional[list[ast.Expr]]:
     predicate slides down into the scan, where zone maps and index
     selection see it).  Same-variable conjuncts stay together, so index
     selection keeps its residual behavior."""
-    conjuncts = _equality_conjuncts(condition)
-    if len(conjuncts) < 2:
+    parts = conjuncts(condition)
+    if len(parts) < 2:
         return None
     groups: "OrderedDict[frozenset, list]" = OrderedDict()
-    for conjunct in conjuncts:
-        groups.setdefault(frozenset(_variables_in(conjunct)), []).append(
+    for conjunct in parts:
+        groups.setdefault(frozenset(variables_in(conjunct)), []).append(
             conjunct
         )
     if len(groups) < 2:
         return None
-    return [_and_join(parts) for parts in groups.values()]
+    return [and_join(group) for group in groups.values()]
 
 
 def _rule_predicate_split(query: ast.Query, ctx: RuleContext) -> ast.Query:
@@ -349,13 +307,7 @@ def _safe_return_expr(expr: ast.Expr) -> bool:
     """The decorrelated plan never evaluates the subquery's RETURN, so it
     must be an expression that could not have raised (no function calls,
     arithmetic, or nested subqueries)."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, _SAFE_RETURN_NODES):
-            return False
-        stack.extend(node.children())
-    return True
+    return all(isinstance(node, _SAFE_RETURN_NODES) for node in walk(expr))
 
 
 def _match_semi_join(
@@ -380,40 +332,28 @@ def _match_semi_join(
     middle = operations[1:-1]
     if not all(isinstance(op, ast.FilterOp) for op in middle):
         return None
-    if _contains_writes(subquery):
+    if contains_write(subquery):
         return None
     if ctx.db is not None:
         try:
             ctx.db.resolve(head.source.name)
         except Exception:
             return None
-    conjuncts: list = []
+    parts: list = []
     for op in middle:
-        conjuncts.extend(_equality_conjuncts(op.condition))
-    for position, conjunct in enumerate(conjuncts):
-        if not (isinstance(conjunct, ast.BinOp) and conjunct.op == "=="):
-            continue
-        for path_side, probe_side in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
-            path = _attr_path(path_side, head.var)
-            if path is None or not _is_probe_value(probe_side, head.var):
-                continue
-            residual = _and_join(
-                conjuncts[:position] + conjuncts[position + 1:]
-            )
-            op_type = SemiJoinOp if kind == "semi" else AntiJoinOp
-            joined = op_type(
-                var=head.var,
-                source_name=head.source.name,
-                build_path=path,
-                probe=probe_side,
-                residual=residual,
-                original_condition=_and_join(conjuncts),
-            )
-            _suggest_build_index(joined, ctx)
-            return joined
+        parts.extend(conjuncts(op.condition))
+    for position, path, probe_side in _equality_probes(parts, head.var):
+        op_type = SemiJoinOp if kind == "semi" else AntiJoinOp
+        joined = op_type(
+            var=head.var,
+            source_name=head.source.name,
+            build_path=path,
+            probe=probe_side,
+            residual=and_join(parts[:position] + parts[position + 1:]),
+            original_condition=and_join(parts),
+        )
+        _suggest_build_index(joined, ctx)
+        return joined
     return None
 
 
@@ -467,10 +407,10 @@ def _rule_decorrelate(query: ast.Query, ctx: RuleContext) -> ast.Query:
             ):
                 let_values[operation.var] = (index, operation.value)
             if not isinstance(operation, ast.FilterOp):
-                bound |= _operation_binds(operation)
+                bound.update(binds(operation))
                 continue
-            conjuncts = _equality_conjuncts(operation.condition)
-            for position, conjunct in enumerate(conjuncts):
+            parts = conjuncts(operation.condition)
+            for position, conjunct in enumerate(parts):
                 test = _existence_test(conjunct)
                 if test is None:
                     continue
@@ -496,11 +436,11 @@ def _rule_decorrelate(query: ast.Query, ctx: RuleContext) -> ast.Query:
                     # where the filter tests it.
                     let_bound = set(ctx.scope)
                     for earlier in operations[:let_index]:
-                        let_bound |= _operation_binds(earlier)
+                        let_bound.update(binds(earlier))
                 joined = _match_semi_join(subquery, kind, let_bound, ctx)
                 if joined is None:
                     continue
-                rest = _and_join(conjuncts[:position] + conjuncts[position + 1:])
+                rest = and_join(parts[:position] + parts[position + 1:])
                 replacement: list = [joined]
                 if rest is not None:
                     replacement.append(ast.FilterOp(rest))
@@ -511,7 +451,7 @@ def _rule_decorrelate(query: ast.Query, ctx: RuleContext) -> ast.Query:
                 break
             if rewrote:
                 break
-            bound |= _operation_binds(operation)
+            bound.update(binds(operation))
         if not rewrote:
             break
     return ast.Query(operations) if changed else query
@@ -527,16 +467,15 @@ def _let_var_is_private(
         if index == let_index:
             continue
         if index == filter_index:
-            conjuncts = _equality_conjuncts(operation.condition)
-            for position, conjunct in enumerate(conjuncts):
+            for position, conjunct in enumerate(conjuncts(operation.condition)):
                 if position == conjunct_position:
                     continue
-                if var in _variables_in(conjunct):
+                if var in variables_in(conjunct):
                     return False
             continue
-        if var in _operation_reads(operation):
+        if var in reads(operation):
             return False
-        if var in _operation_binds(operation):
+        if var in binds(operation):
             # Rebound downstream — shadowing, leave it alone.
             return False
     return True
@@ -567,9 +506,9 @@ def _rule_materialize_let(query: ast.Query, ctx: RuleContext) -> ast.Query:
             multi_frame
             and isinstance(operation, ast.LetOp)
             and isinstance(operation.value, ast.SubQuery)
-            and not (_free_vars(operation.value.query) & bound)
+            and not free_vars(operation.value.query.operations) & bound
         ):
-            if ctx.writes or _contains_writes(query):
+            if ctx.writes or contains_write(query):
                 return query
             operations[index] = MaterializeOp(
                 var=operation.var, query=operation.value.query
@@ -579,7 +518,7 @@ def _rule_materialize_let(query: ast.Query, ctx: RuleContext) -> ast.Query:
             continue
         if isinstance(operation, _MULTI_FRAME_OPS):
             multi_frame = True
-        bound |= _operation_binds(operation)
+        bound.update(binds(operation))
     return ast.Query(operations) if changed else query
 
 
@@ -629,29 +568,20 @@ def _suggest_scan_near_misses(query: ast.Query, ctx: RuleContext) -> None:
             namespace = db.resolve(source_name).namespace
         except Exception:
             continue
-        for conjunct in _equality_conjuncts(follower.condition):
-            if not (isinstance(conjunct, ast.BinOp) and conjunct.op == "=="):
+        for _position, path, _probe in _equality_probes(
+            conjuncts(follower.condition), operation.var
+        ):
+            try:
+                if db.context.indexes.find(namespace, path, "point"):
+                    continue
+            except Exception:
                 continue
-            for path_side, value_side in (
-                (conjunct.left, conjunct.right),
-                (conjunct.right, conjunct.left),
-            ):
-                path = _attr_path(path_side, operation.var)
-                if path is None or not _is_probe_value(
-                    value_side, operation.var
-                ):
-                    continue
-                try:
-                    if db.context.indexes.find(namespace, path, "point"):
-                        continue
-                except Exception:
-                    continue
-                ctx.suggest(
-                    source_name,
-                    path,
-                    "index_selection",
-                    "equality predicate matched but no point index exists",
-                )
+            ctx.suggest(
+                source_name,
+                path,
+                "index_selection",
+                "equality predicate matched but no point index exists",
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from collections import defaultdict
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.core.context import BaseStore, EngineContext
-from repro.core.cursor import IteratorScanCursor, ScanCursor, warn_deprecated_scan
+from repro.core.cursor import IteratorScanCursor, ScanCursor
 from repro.errors import QueryError
 from repro.txn.manager import Transaction
 
@@ -131,11 +131,6 @@ class TripleStore(BaseStore):
         return IteratorScanCursor(
             list(stored) for _key, stored in self._raw_scan(txn)
         )
-
-    def triples(self, txn: Optional[Transaction] = None) -> Iterator[Triple]:
-        """Deprecated compat shim — use :meth:`scan_cursor` instead."""
-        warn_deprecated_scan("TripleStore.triples()")
-        return (tuple(frame) for frame in self.scan_cursor(txn=txn))
 
     def _scan_triples(self, txn: Optional[Transaction] = None) -> Iterator[Triple]:
         return (tuple(frame) for frame in self.scan_cursor(txn=txn))

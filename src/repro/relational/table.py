@@ -8,11 +8,10 @@ access into ``json`` columns (the PostgreSQL pattern of slides 37/73).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from repro.core import datamodel
 from repro.core.context import BaseStore, EngineContext
-from repro.core.cursor import warn_deprecated_scan
 from repro.errors import PrimaryKeyError
 from repro.relational.schema import TableSchema
 from repro.txn.manager import Transaction
@@ -90,14 +89,6 @@ class Table(BaseStore):
         return self._delete_key(key, txn)
 
     # -- queries ------------------------------------------------------------------
-
-    def rows(self, txn: Optional[Transaction] = None) -> Iterator[dict]:
-        """Deprecated compat shim — use :meth:`scan_cursor` instead.
-
-        (Scan order: primary-key order inside transactions, insertion
-        order otherwise — the cursor preserves it.)"""
-        warn_deprecated_scan("Table.rows()")
-        return iter(self.scan_cursor(txn=txn))
 
     def select(
         self,

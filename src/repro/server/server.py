@@ -119,32 +119,6 @@ obs_metrics.describe(
 )
 
 
-class _EagerCursor:
-    """Cursor facade over an already-materialized result — used for
-    ``query_open`` inside a transaction, where lazy execution could
-    straddle the commit/abort that ends the snapshot."""
-
-    __slots__ = ("_rows", "_pos", "stats")
-
-    def __init__(self, rows: list, stats: dict):
-        self._rows = rows
-        self._pos = 0
-        self.stats = stats
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._rows)
-
-    def next_batch(self, n: int) -> list:
-        chunk = self._rows[self._pos : self._pos + max(int(n), 1)]
-        self._pos += len(chunk)
-        return chunk
-
-    def close(self) -> None:
-        self._rows = []
-        self._pos = 0
-
-
 def _phases_ms(phases: dict) -> dict:
     """Phase seconds → milliseconds, rounded for wire stats."""
     return {name: round(seconds * 1000, 3) for name, seconds in phases.items()}
@@ -1229,28 +1203,22 @@ class ReproServer:
             )
 
         def work():
-            from repro.query.engine import open_query_cursor, run_query
+            from repro.query.engine import open_query_cursor
 
-            if txn is not None:
-                # Inside a transaction the stream must not outlive the txn
-                # (commit/abort can land between fetches), so execute
-                # eagerly and stream the buffered rows.
-                result = run_query(
-                    self.db, text, bind_vars, txn,
-                    timeout=timeout, max_rows=max_rows,
-                    batch_size=params.get("batch_size"),
-                )
-                cursor: Any = _EagerCursor(result.rows, result.stats)
-            else:
-                cursor = open_query_cursor(
-                    self.db, text, bind_vars,
-                    timeout=timeout, max_rows=max_rows,
-                    batch_size=params.get("batch_size"),
-                )
+            cursor = open_query_cursor(
+                self.db, text, bind_vars, txn,
+                timeout=timeout, max_rows=max_rows,
+                batch_size=params.get("batch_size"),
+            )
             # First chunk rides in the same blocking call: one admission
             # pass, and DML (executed eagerly on first pull) occupies its
             # worker for the whole statement.
             try:
+                if txn is not None:
+                    # The stream must not outlive the transaction's
+                    # snapshot (commit/abort can land between fetches):
+                    # run it to its end now, later fetches read the buffer.
+                    cursor.materialize()
                 return cursor, cursor.next_batch(chunk_rows)
             except BaseException:
                 cursor.close()

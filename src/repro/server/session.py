@@ -41,10 +41,9 @@ _session_ids = itertools.count(1)
 class ServerCursor:
     """One open streaming result held by a session.
 
-    Wraps an engine :class:`~repro.query.engine.QueryCursor` (or anything
-    with ``next_batch``/``close``/``stats``) plus the wire-level
-    bookkeeping: chunk size, idle clock, and the query text for ``stats``
-    listings."""
+    Wraps an engine :class:`~repro.query.engine.QueryCursor` plus the
+    wire-level bookkeeping: chunk size, idle clock, and the query text for
+    ``stats`` listings."""
 
     __slots__ = ("cursor_id", "cursor", "chunk_rows", "created_at",
                  "last_used_at", "text", "fetches", "trace_id")
@@ -139,20 +138,6 @@ class Session:
             )
         txn, self.txn = self.txn, None
         return txn
-
-    # -- guardrails ----------------------------------------------------------
-
-    def effective_limits(self, guardrails: Any) -> tuple[Optional[float], Optional[int]]:
-        """(timeout, max_rows) for the next query: the session override when
-        set, else the database default from *guardrails*."""
-        timeout = self.timeout
-        max_rows = self.max_rows
-        if guardrails is not None:
-            if timeout is None:
-                timeout = guardrails.timeout
-            if max_rows is None:
-                max_rows = guardrails.max_rows
-        return timeout, max_rows
 
     # -- cursors -------------------------------------------------------------
 

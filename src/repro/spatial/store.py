@@ -12,11 +12,11 @@ documents can embed it too.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.core import datamodel
 from repro.core.context import BaseStore, EngineContext
-from repro.core.cursor import IteratorScanCursor, ScanCursor, warn_deprecated_scan
+from repro.core.cursor import IteratorScanCursor, ScanCursor
 from repro.errors import SchemaError
 from repro.spatial.rtree import Rect, RTree
 from repro.storage.log import LogEntry, LogOp
@@ -133,14 +133,6 @@ class SpatialStore(BaseStore):
         shape)."""
         return IteratorScanCursor(
             {"_key": key, **record} for key, record in self._raw_scan(txn)
-        )
-
-    def all(self, txn: Optional[Transaction] = None) -> Iterator[tuple[str, dict]]:
-        """Deprecated compat shim — use :meth:`scan_cursor` instead."""
-        warn_deprecated_scan("SpatialStore.all()")
-        return (
-            (frame["_key"], {k: v for k, v in frame.items() if k != "_key"})
-            for frame in self.scan_cursor(txn=txn)
         )
 
     # -- spatial queries -------------------------------------------------------------

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.core import datamodel
 from repro.core.context import BaseStore, EngineContext
-from repro.core.cursor import warn_deprecated_scan
 from repro.errors import ConstraintViolationError, PrimaryKeyError, SchemaError
 from repro.txn.manager import Transaction
 
@@ -176,11 +175,6 @@ class WideColumnTable(BaseStore):
 
     def get(self, key: Any, txn: Optional[Transaction] = None) -> Optional[dict]:
         return self._raw_get(key, txn)
-
-    def rows(self, txn: Optional[Transaction] = None) -> Iterator[dict]:
-        """Deprecated compat shim — use :meth:`scan_cursor` instead."""
-        warn_deprecated_scan("WideColumnTable.rows()")
-        return iter(self.scan_cursor(txn=txn))
 
     def select_json(
         self,

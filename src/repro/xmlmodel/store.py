@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Iterator, Optional
 
 from repro.core.context import BaseStore, EngineContext
-from repro.core.cursor import IteratorScanCursor, ScanCursor, warn_deprecated_scan
+from repro.core.cursor import IteratorScanCursor, ScanCursor
 from repro.errors import UnknownCollectionError
 from repro.txn.manager import Transaction
 from repro.xmlmodel.tree import Node, from_json, parse_xml
@@ -68,11 +68,6 @@ class TreeStore(BaseStore):
         return IteratorScanCursor(
             {"uri": uri, "format": record["format"]} for uri, record in stored
         )
-
-    def uris(self, txn: Optional[Transaction] = None) -> list[str]:
-        """Deprecated compat shim — use :meth:`scan_cursor` instead."""
-        warn_deprecated_scan("TreeStore.uris()")
-        return [frame["uri"] for frame in self.scan_cursor(txn=txn)]
 
     # -- queries ------------------------------------------------------------------
 

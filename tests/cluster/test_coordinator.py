@@ -71,6 +71,23 @@ def test_misaligned_join_cuts_the_pipeline():
     assert plan.segments[-1].final
 
 
+def test_a_variable_read_only_as_a_subquery_for_source_crosses_the_cut():
+    """``tags`` is used after the cut, and only as the source of the
+    subquery's FOR: it must ship with segment 0's frames."""
+    coordinator, _ = _coordinator()
+    plan = coordinator.plan(
+        "FOR c IN customers LET tags = [c.id, c.credit_limit] "
+        "FOR o IN orders FILTER o.total > 0 "
+        "RETURN {o: o._key, "
+        "n: LENGTH((FOR t IN tags FILTER t > 1 RETURN t))}"
+    )
+    first, second = plan.segments
+    assert first.output_vars == ["tags"]
+    assert "RETURN {'tags': tags}" in first.statement
+    assert second.input_vars == ["tags"]
+    assert "LET tags = __cluster_f.tags" in second.statement
+
+
 def test_workload_b_strategies_are_pinned():
     coordinator, _ = _coordinator()
     expected = {

@@ -61,6 +61,26 @@ def test_cluster_rows_equal_embedded_rows(query_id, embedded, cluster):
     assert len(got) > 0, f"{query_id} returned nothing — vacuous equivalence"
 
 
+def test_a_variable_read_only_inside_a_subquery_crosses_the_cut(
+    embedded, cluster
+):
+    """``orders`` is not aligned with ``customers`` here, so the pipeline
+    is cut before it; ``tags`` is bound before the cut and read after it
+    only as the source of the subquery's FOR."""
+    text = """
+    FOR c IN customers
+      FILTER c.id <= 3
+      LET tags = [c.id, c.credit_limit]
+      FOR o IN orders
+        FILTER o.total > 0
+        RETURN {c: c.id, o: o._key,
+                n: LENGTH((FOR t IN tags FILTER t > 1 RETURN t))}
+    """
+    expected = embedded.query(text).rows
+    assert expected and any(row["n"] for row in expected)
+    assert _canon(cluster.query(text).rows, False) == _canon(expected, False)
+
+
 def test_explain_analyze_surfaces_the_fan_out(cluster):
     text, binds = QUERIES_B["Q2"]
     result = cluster.query("EXPLAIN ANALYZE " + text, binds)

@@ -1,6 +1,6 @@
-"""The unified ScanCursor protocol: all nine model stores speak it, the
-legacy per-store iteration methods are deprecation shims over it, and the
-batching semantics (width, termination, close, snapshots) hold everywhere.
+"""The unified ScanCursor protocol: all nine model stores speak it, and
+the batching semantics (width, termination, close, snapshots) hold
+everywhere.
 """
 
 import pytest
@@ -162,73 +162,23 @@ class TestVisibilitySemantics:
         assert sorted(keys) == [f"k{i}" for i in range(ROWS_PER_STORE)]
 
 
-class TestDeprecatedShims:
-    """Every legacy iteration method still works, still returns the same
-    rows as the cursor — and announces its replacement."""
+class TestFrameShapes:
+    """What the per-store iteration methods used to return is what the
+    cursor's frames carry."""
 
-    def _legacy_calls(self, db):
-        return [
-            ("Table.rows()", lambda: list(db.table("people").rows())),
-            (
-                "DocumentCollection.all()",
-                lambda: list(db.collection("orders").all()),
-            ),
-            (
-                "KeyValueBucket.items()",
-                lambda: list(db.bucket("cart").items()),
-            ),
-            (
-                "KeyValueBucket.scan_prefix()",
-                lambda: db.bucket("cart").scan_prefix("k"),
-            ),
-            (
-                "PropertyGraph.vertices()",
-                lambda: list(db.graph("social").vertices()),
-            ),
-            (
-                "WideColumnTable.rows()",
-                lambda: list(db.resolve("events").rows()),
-            ),
-            ("TreeStore.uris()", lambda: db.tree_store("docs").uris()),
-            (
-                "TripleStore.triples()",
-                lambda: list(db.triple_store("facts").triples()),
-            ),
-            (
-                "SpatialStore.all()",
-                lambda: list(db.spatial("places").all()),
-            ),
+    def test_cursor_frames_are_the_stored_records(self, full_db):
+        orders = full_db.collection("orders")
+        assert list(orders.scan_cursor()) == [
+            orders.get(f"o{index}") for index in range(ROWS_PER_STORE)
         ]
-
-    def test_every_shim_warns_deprecation(self, full_db):
-        # Promoted from PendingDeprecationWarning: one release in, the
-        # shims now emit the real thing (and pytest.warns is exact about
-        # subclasses, so this also pins the class).
-        for label, call in self._legacy_calls(full_db):
-            with pytest.warns(DeprecationWarning, match="deprecated") as record:
-                rows = call()
-            assert len(rows) >= 1, label
-            assert all(
-                issubclass(warning.category, DeprecationWarning)
-                and not issubclass(warning.category, PendingDeprecationWarning)
-                for warning in record
-            ), label
-
-    def test_shim_rows_match_cursor_rows(self, full_db):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert list(full_db.collection("orders").all()) == list(
-                full_db.collection("orders").scan_cursor()
-            )
-            assert list(full_db.table("people").rows()) == list(
-                full_db.table("people").scan_cursor()
-            )
-            assert list(full_db.bucket("cart").items()) == [
-                (f["_key"], f["value"])
-                for f in full_db.bucket("cart").scan_cursor()
-            ]
+        assert list(full_db.table("people").scan_cursor()) == [
+            {"id": index, "name": f"p{index}"}
+            for index in range(ROWS_PER_STORE)
+        ]
+        assert [
+            (frame["_key"], frame["value"])
+            for frame in full_db.bucket("cart").scan_cursor()
+        ] == [(f"k{index}", index) for index in range(ROWS_PER_STORE)]
 
 
 class TestIteratorScanCursor:

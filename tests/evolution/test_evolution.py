@@ -327,7 +327,7 @@ class TestLazyMigrator:
         assert migrator.pending_count() == 2
         migrator.settle()
         assert migrator.pending_count() == 0
-        assert all("name" in doc for doc in collection.all())
+        assert all("name" in doc for doc in collection.scan_cursor())
 
     def test_mixed_version_iteration(self):
         collection = DocumentCollection(EngineContext(), "c")

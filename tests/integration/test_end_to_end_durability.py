@@ -145,7 +145,7 @@ class TestThreadedNewOrders:
         # 1. Every committed order exists; none were lost or duplicated.
         stored = {
             doc["_key"]
-            for doc in orders.all()
+            for doc in orders.scan_cursor()
             if doc["_key"].startswith("w")
         }
         assert stored == {order["_key"] for order in committed}

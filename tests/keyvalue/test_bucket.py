@@ -44,13 +44,18 @@ class TestSimpleApi:
         bucket.put("a", 1)
         bucket.put("b", 2)
         assert sorted(bucket.keys()) == ["a", "b"]
-        assert dict(bucket.items()) == {"a": 1, "b": 2}
+        assert {
+            frame["_key"]: frame["value"] for frame in bucket.scan_cursor()
+        } == {"a": 1, "b": 2}
 
     def test_scan_prefix(self, bucket):
         bucket.put("user:1", "a")
         bucket.put("user:2", "b")
         bucket.put("order:1", "c")
-        assert bucket.scan_prefix("user:") == [("user:1", "a"), ("user:2", "b")]
+        assert sorted(
+            (frame["_key"], frame["value"])
+            for frame in bucket.scan_cursor(prefix="user:")
+        ) == [("user:1", "a"), ("user:2", "b")]
 
 
 class TestTtl:
@@ -66,7 +71,7 @@ class TestTtl:
         bucket.put("kept", 2)
         bucket.tick(1)
         assert list(bucket.keys()) == ["kept"]
-        assert dict(bucket.items()) == {"kept": 2}
+        assert list(bucket.scan_cursor()) == [{"_key": "kept", "value": 2}]
 
     def test_purge_expired(self, bucket):
         bucket.put("a", 1, ttl=1)

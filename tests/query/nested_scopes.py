@@ -127,6 +127,38 @@ NESTED_QUERIES = {
 #: feedback is partitioned by product, not by customer.
 ALIGNED = sorted(set(NESTED_QUERIES) - {"let_list_unindexed"})
 
+#: A subquery that writes reads the outer variables its DML expressions
+#: name, like any other: the FILTER that holds it has to stay below the
+#: FOR that binds them.  Over :func:`load_write_collections`, and written
+#: to leave the data as they found it — the suites run each statement
+#: many times on one database.  Kept out of ``NESTED_QUERIES``: a cluster
+#: refuses writes inside subqueries.
+WRITING_SUBQUERIES = {
+    "replace_in_filter_subquery": (
+        """
+        FOR a IN pairs_left
+          FOR b IN pairs_right
+            FILTER LENGTH((FOR z IN [1]
+                             REPLACE b._key WITH {v: b.v} IN pairs_right)) >= 0
+            SORT a.v, b.v
+            RETURN [a.v, b.v]
+        """,
+        {},
+    ),
+    "upsert_in_filter_subquery": (
+        """
+        FOR a IN pairs_left
+          FOR b IN pairs_right
+            FILTER LENGTH((FOR z IN [1]
+                             UPSERT {k: b.v} INSERT {k: b.v}
+                             UPDATE {seen: a.v >= 0} INTO pairs_seen)) >= 0
+            SORT a.v, b.v
+            RETURN [a.v, b.v]
+        """,
+        {},
+    ),
+}
+
 #: Probe keys on which the model's ``==`` and a naive hash lookup could
 #: part ways: 1 == 1.0, true != 1, '1' != 1, and a missing attribute
 #: reads as NULL, which equals NULL.
@@ -158,3 +190,15 @@ def load_probe_collections(db) -> None:
         left.insert(dict(document))
         right.insert(dict(document))
     right.create_index("k", kind="hash")
+
+
+def load_write_collections(db) -> None:
+    """``pairs_left`` x ``pairs_right``, and ``pairs_seen`` holding one
+    document per right-hand value already, so every UPSERT updates."""
+    left = db.create_collection("pairs_left")
+    right = db.create_collection("pairs_right")
+    seen = db.create_collection("pairs_seen")
+    for value in range(3):
+        left.insert({"_key": f"l{value}", "v": value})
+        right.insert({"_key": f"r{value}", "v": value})
+        seen.insert({"_key": f"s{value}", "k": value, "seen": True})

@@ -18,20 +18,28 @@ from repro.widecolumn.table import CqlColumn
 from tests.query.nested_scopes import (
     NESTED_QUERIES,
     PROBE_QUERY,
+    WRITING_SUBQUERIES,
     load_probe_collections,
+    load_write_collections,
 )
 
 WIDTHS = [1, 2, 256]
 
 #: Workload B plus the nested-scope statements: a planned subquery runs
 #: its own pipeline per outer frame, at the same width as the statement.
-QUERIES = {**QUERIES_B, **NESTED_QUERIES, "probe_keys": (PROBE_QUERY, {})}
+QUERIES = {
+    **QUERIES_B,
+    **NESTED_QUERIES,
+    "probe_keys": (PROBE_QUERY, {}),
+    **WRITING_SUBQUERIES,
+}
 
 
 @pytest.fixture(scope="module")
 def db():
     db = make_demo_db(scale_factor=1)
     load_probe_collections(db)
+    load_write_collections(db)
     return db
 
 

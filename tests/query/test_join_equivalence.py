@@ -28,7 +28,7 @@ def run_both_ways(db, text, bind_vars=None, expect_rewrite=True):
     """Execute *text* with and without the hash-join rewrite; assert the
     rewrite fired (unless told otherwise) and both row sets match."""
     plan_on = optimize(parse(text), db)
-    plan_off = optimize(parse(text), db, hash_joins=False)
+    plan_off = optimize(parse(text), db, disabled=("hash_join",))
     has_join = any(isinstance(op, HashJoinOp) for op in plan_on.operations)
     assert has_join == expect_rewrite, (
         f"hash-join rewrite {'did not fire' if expect_rewrite else 'fired'} "

@@ -1,0 +1,148 @@
+"""One front door: a streamed query is the same query to the telemetry
+as an eager one.
+
+``run_query`` and ``open_query_cursor`` plan through the same
+``plan_statement``; these tests hold the two entry points to one meaning
+for the query metrics, the error counters and the trace.
+"""
+
+import pytest
+
+from repro.core.database import MultiModelDB
+from repro.errors import BindError, ParseError
+from repro.obs import metrics, tracing
+from repro.query.engine import open_query_cursor, run_query
+
+TEXT = "FOR d IN docs FILTER d.x >= @floor SORT d.x RETURN d.x"
+BINDS = {"floor": 3}
+
+
+@pytest.fixture
+def db():
+    db = MultiModelDB()
+    docs = db.create_collection("docs")
+    for value in range(10):
+        docs.insert({"x": value})
+    return db
+
+
+class Moved:
+    """What one call moved in the query metrics."""
+
+    PHASES = ("parse", "optimize", "execute")
+
+    def __init__(self):
+        self._before = self._read()
+
+    @staticmethod
+    def _read() -> dict:
+        out = {
+            phase: metrics.histogram("query_phase_seconds", phase=phase).count
+            for phase in Moved.PHASES
+        }
+        out["query_seconds"] = metrics.histogram("query_seconds").count
+        for name in ("query_rows_returned_total", "query_errors_total",
+                     "queries_total"):
+            out[name] = metrics.counter(name).value
+        return out
+
+    def delta(self) -> dict:
+        return {
+            name: value - self._before[name]
+            for name, value in self._read().items()
+        }
+
+
+def test_a_drained_cursor_moves_what_run_query_moves(db):
+    moved = Moved()
+    eager = run_query(db, TEXT, BINDS)
+    by_run_query = moved.delta()
+    db.plan_cache.clear()
+    moved = Moved()
+    streamed = open_query_cursor(db, TEXT, BINDS).fetch_all()
+    by_cursor = moved.delta()
+    assert streamed == eager.rows == [3, 4, 5, 6, 7, 8, 9]
+    assert by_cursor == by_run_query == {
+        "parse": 1,
+        "optimize": 1,
+        "execute": 1,
+        "query_seconds": 1,
+        "query_rows_returned_total": 7,
+        "query_errors_total": 0,
+        "queries_total": 1,
+    }
+
+
+@pytest.mark.parametrize("entry", ["run_query", "cursor"])
+def test_a_plan_cache_hit_observes_no_planning_phase(db, entry):
+    run_query(db, TEXT, BINDS)
+    moved = Moved()
+    if entry == "run_query":
+        stats = run_query(db, TEXT, BINDS).stats
+    else:
+        cursor = open_query_cursor(db, TEXT, BINDS)
+        cursor.fetch_all()
+        stats = cursor.stats
+    assert stats["plan_cached"]
+    delta = moved.delta()
+    assert (delta["parse"], delta["optimize"], delta["execute"]) == (0, 0, 1)
+
+
+def test_a_parse_error_at_open_is_a_query_error(db):
+    moved = Moved()
+    with pytest.raises(ParseError):
+        open_query_cursor(db, "FOR d IN docs RETURN")
+    assert moved.delta()["query_errors_total"] == 1
+
+
+def test_a_bind_error_at_first_fetch_is_a_query_error(db):
+    cursor = open_query_cursor(db, "FOR d IN docs RETURN d.x + @missing")
+    moved = Moved()
+    with pytest.raises(BindError):
+        cursor.next_batch(5)
+    cursor.close()
+    delta = moved.delta()
+    assert delta["query_errors_total"] == 1
+    # A failed stream did not finish: like run_query, it records nothing else.
+    assert delta["query_seconds"] == delta["execute"] == 0
+
+
+def test_an_abandoned_then_closed_cursor_records_once(db):
+    cursor = open_query_cursor(db, TEXT, BINDS, batch_size=2)
+    moved = Moved()
+    assert cursor.next_batch(2) == [3, 4]
+    assert moved.delta()["query_seconds"] == 0  # still open
+    cursor.close()
+    cursor.close()
+    delta = moved.delta()
+    assert (delta["execute"], delta["query_seconds"]) == (1, 1)
+    assert delta["query_rows_returned_total"] == cursor.stats["rows_returned"]
+
+
+def test_materialize_buffers_the_whole_result_and_records_when_it_is_read(db):
+    cursor = open_query_cursor(db, TEXT, BINDS, batch_size=2)
+    moved = Moved()
+    cursor.materialize()
+    assert cursor.stats["rows_returned"] == 7
+    assert moved.delta()["query_seconds"] == 0
+    assert cursor.next_batch(5) == [3, 4, 5, 6, 7]
+    assert cursor.fetch_all() == [8, 9]
+    assert moved.delta()["query_seconds"] == 1
+
+
+@pytest.mark.parametrize("entry", ["run_query", "cursor"])
+def test_planning_spans_are_children_of_a_query_span(db, entry):
+    tracing.enable()
+    tracing.TRACER.clear()
+    try:
+        if entry == "run_query":
+            run_query(db, TEXT, BINDS)
+        else:
+            open_query_cursor(db, TEXT, BINDS).fetch_all()
+        roots = [root for root in tracing.TRACER.roots if root.name == "query"]
+    finally:
+        tracing.disable()
+        tracing.TRACER.clear()
+    assert len(roots) == 1
+    children = [child.name for child in roots[0].children]
+    assert children[:2] == ["query.parse", "query.optimize"]

@@ -28,12 +28,18 @@ from repro.unibench.workloads import QUERIES_B
 from tests.query.nested_scopes import (
     NESTED_QUERIES,
     PROBE_QUERY,
+    WRITING_SUBQUERIES,
     load_probe_collections,
+    load_write_collections,
 )
 
-#: Nested-scope statements, the NULL / 1 vs 1.0 / missing probe keys among
-#: them.
-NESTED = {**NESTED_QUERIES, "probe_keys": (PROBE_QUERY, {})}
+#: Nested-scope statements, the NULL / 1 vs 1.0 / missing probe keys and
+#: the subqueries that write among them.
+NESTED = {
+    **NESTED_QUERIES,
+    "probe_keys": (PROBE_QUERY, {}),
+    **WRITING_SUBQUERIES,
+}
 
 #: Queries whose statements impose a total order on the result.
 ORDERED = {"Q3", "Q4", *NESTED}
@@ -98,6 +104,7 @@ def _canon(rows, ordered):
 def _build():
     db = build_multimodel(generate(scale_factor=1, seed=11))
     load_probe_collections(db)
+    load_write_collections(db)
     return db
 
 

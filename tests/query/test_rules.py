@@ -124,15 +124,13 @@ class TestFixpoint:
             isinstance(op, SemiJoinOp) for op in plan.operations
         )
 
-    def test_legacy_keywords_still_map(self, db):
-        plan = optimize(
-            parse(
-                "FOR l IN customers FOR r IN orders "
-                "FILTER r.cust == l.id RETURN r"
-            ),
-            db,
-            hash_joins=False,
+    def test_disabled_argument_composes_with_the_database_toggles(self, db):
+        text = (
+            "FOR l IN customers FOR r IN orders "
+            "FILTER r.cust == l.id RETURN r"
         )
+        assert "hash_join" in optimize(parse(text), db).rules_fired
+        plan = optimize(parse(text), db, disabled=("hash_join",))
         assert "hash_join" not in plan.rules_fired
 
 
@@ -290,7 +288,7 @@ class TestPredicateSplit:
             "FILTER o.cust == c.id AND c.name == 'n4' RETURN o"
         )
         plan = optimize(
-            parse(text), db, indexes=False, hash_joins=False
+            parse(text), db, disabled=("index_selection", "hash_join")
         )
         assert "predicate_split" in plan.rules_fired
         filters = [
@@ -313,7 +311,7 @@ class TestPredicateSplit:
             "FOR o IN orders "
             "FILTER o.cust == 4 AND o.total >= 40 RETURN o"
         )
-        plan = optimize(parse(text), db, indexes=False)
+        plan = optimize(parse(text), db, disabled=("index_selection",))
         assert "predicate_split" not in plan.rules_fired
 
     def test_split_feeds_traversal_pushdown(self):

@@ -176,7 +176,9 @@ class TestTreeStore:
 
     def test_delete(self, store):
         assert store.delete("/myXML1.xml")
-        assert store.uris() == ["/myJSON1.json"]
+        assert [frame["uri"] for frame in store.scan_cursor()] == [
+            "/myJSON1.json"
+        ]
 
     def test_transactional_insert(self, store):
         manager = store._context.transactions
