@@ -129,7 +129,11 @@ def run_statement(db: MultiModelDB, statement: str, out: IO, state: dict) -> Non
                 file=out,
             )
         print(f"  indexes: {len(stats['indexes'])}", file=out)
-        print(f"  log entries: {stats['log_entries']}", file=out)
+        print(
+            f"  log entries: {stats['log_entries']} retained "
+            f"(floor lsn {stats['log_floor_lsn']})",
+            file=out,
+        )
         print(f"  transactions: {stats['transactions']}", file=out)
         registry = obs_metrics.REGISTRY
         print("  metrics:", file=out)

@@ -26,12 +26,19 @@ from repro.txn.manager import Transaction, TransactionManager
 
 __all__ = ["EngineContext", "BaseStore"]
 
+# Entries the engine's own log keeps behind its head (it holds between one
+# and two of these).  The views, segments and indexes are maintained entry by
+# entry as the log is appended and nothing in the engine reads history; the
+# one reader is the server's ship loop, which a replica that is merely lagging
+# stays inside; one that joins later than that bootstraps from a snapshot.
+_LOG_TAIL = 4096
+
 
 class EngineContext:
     """The single integrated backend shared by all model APIs."""
 
     def __init__(self, lock_timeout: float = 5.0):
-        self.log = CentralLog()
+        self.log = CentralLog(tail=_LOG_TAIL)
         self.rows = RowView(self.log)
         self.columns = ColumnView(self.log)
         #: Columnar segments + zone maps for registered (relational /
@@ -135,8 +142,11 @@ class BaseStore:
 
     def truncate(self) -> None:
         """Drop all records (auto-commit; runs outside any transaction)."""
-        self._context.transactions.drop_namespace(self.namespace)
-        self._context.log.append(0, LogOp.DROP_NAMESPACE, self.namespace)
+        # Under the commit mutex, as every other log append is: a snapshot
+        # image taken there sees the rows and the log at one LSN.
+        with self._context.transactions.exclusive():
+            self._context.transactions.drop_namespace(self.namespace)
+            self._context.log.append(0, LogOp.DROP_NAMESPACE, self.namespace)
 
     def __len__(self) -> int:
         return self.count()

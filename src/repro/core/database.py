@@ -252,7 +252,10 @@ class MultiModelDB:
         return {
             "objects": objects,
             "indexes": self.context.indexes.names(),
+            # The engine log keeps a bounded tail: entries retained, and
+            # the LSN at and below which they are gone (last_lsn counts on).
             "log_entries": len(self.context.log),
+            "log_floor_lsn": self.context.log.floor_lsn,
             "transactions": {
                 "commits": transactions.commits,
                 "aborts": transactions.aborts,

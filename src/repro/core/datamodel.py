@@ -28,6 +28,7 @@ import enum
 import hashlib
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterator
 
 from repro.errors import DataModelError, TypeMismatchError
@@ -64,12 +65,35 @@ class TypeTag(enum.IntEnum):
 
 _SCALAR_TAGS = (TypeTag.NULL, TypeTag.BOOL, TypeTag.NUMBER, TypeTag.STRING)
 
+# The exact Python types of the value algebra.  Nearly every value the engine
+# meets has one of them, and a lookup on ``type(value)`` answers several times
+# faster than the ``isinstance`` chain; subclasses (``IntEnum``,
+# ``OrderedDict`` …) miss the table and take the chain, which decides alone.
+_TAG_OF_TYPE = {
+    type(None): TypeTag.NULL,
+    bool: TypeTag.BOOL,
+    int: TypeTag.NUMBER,
+    float: TypeTag.NUMBER,
+    str: TypeTag.STRING,
+    list: TypeTag.ARRAY,
+    tuple: TypeTag.ARRAY,
+    dict: TypeTag.OBJECT,
+}
+
+# Exact types whose own ``==`` / ``<`` *are* the total order when both sides
+# have the same one.  ``bool`` is left out (it sorts before every number) and
+# so is any int-vs-float pair: those go through the tags.
+_SAME_TYPE_ORDERED = frozenset((str, int, float))
+
 
 def type_of(value: Any) -> TypeTag:
     """Return the :class:`TypeTag` of a model value.
 
     Raises :class:`DataModelError` for objects outside the value algebra.
     """
+    tag = _TAG_OF_TYPE.get(type(value))
+    if tag is not None:
+        return tag
     if value is None:
         return TypeTag.NULL
     if isinstance(value, bool):
@@ -134,6 +158,11 @@ def compare(left: Any, right: Any) -> int:
     then by length; objects compare by their sorted key sequence, then by
     the values of those keys in key order (the ArangoDB object order).
     """
+    kind = type(left)
+    if kind is type(right) and kind in _SAME_TYPE_ORDERED:
+        if left == right:
+            return 0
+        return -1 if left < right else 1
     ltag = type_of(left)
     rtag = type_of(right)
     if ltag is not rtag:
@@ -167,6 +196,9 @@ def compare(left: Any, right: Any) -> int:
 
 def values_equal(left: Any, right: Any) -> bool:
     """Deep equality under the data model (1 == 1.0, but 1 != true)."""
+    kind = type(left)
+    if kind is type(right) and kind in _SAME_TYPE_ORDERED:
+        return left == right
     return compare(left, right) == 0
 
 
@@ -198,7 +230,13 @@ class SortKey:
         self.value = value
 
     def __lt__(self, other: "SortKey") -> bool:
-        return compare(self.value, other.value) < 0
+        # Sorting, ``min`` and zone maps live in this method, so it answers
+        # same-typed scalars itself rather than through ``compare``.
+        left, right = self.value, other.value
+        kind = type(left)
+        if kind is type(right) and kind in _SAME_TYPE_ORDERED:
+            return left < right
+        return compare(left, right) < 0
 
     def __le__(self, other: "SortKey") -> bool:
         return compare(self.value, other.value) <= 0
@@ -327,11 +365,23 @@ def hash_value(value: Any) -> int:
     GIN mode rely on for reproducible benchmarks.  Compare-equal values hash
     equally (1 and 1.0 produce the same digest).
     """
-    digest = hashlib.blake2b(
-        canonical_json(_canonical_for_hash(value)).encode("utf-8"),
-        digest_size=8,
-    ).digest()
+    # A scalar's canonical JSON is one token, written here the way
+    # ``json.dumps`` writes it; the digest is the general path's bit for bit
+    # (hash indexes and GIN postings persist it).
+    kind = type(value)
+    if kind is str:
+        text = encode_basestring_ascii(value)
+    elif kind is int:
+        text = repr(value)
+    elif kind is float and math.isfinite(value):
+        text = repr(int(value)) if value.is_integer() else repr(value)
+    else:
+        text = canonical_json(_canonical_for_hash(value))
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+_MISSING = object()
 
 
 def deep_get(value: Any, path: tuple) -> Any:
@@ -340,6 +390,11 @@ def deep_get(value: Any, path: tuple) -> Any:
     convention) rather than raising."""
     current = value
     for step in path:
+        if type(current) is dict and type(step) is str:
+            current = current.get(step, _MISSING)
+            if current is _MISSING:
+                return None
+            continue
         tag = type_of(current)
         if isinstance(step, str):
             if tag is not TypeTag.OBJECT or step not in current:

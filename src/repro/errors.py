@@ -378,6 +378,22 @@ class NotPrimaryError(ReplicationError):
         self.primary = primary
 
 
+class ReplicaBelowFloorError(ReplicationError):
+    """A replica that already holds state asked to resume the WAL stream
+    from an LSN the primary's bounded log no longer retains.  It cannot be
+    caught up by streaming: it has to subscribe again asking for a snapshot
+    (``wal_subscribe`` with ``snapshot: true``), which it then loads as the
+    difference to its own state — the engine's own puller does just that.
+    ``from_lsn`` and ``floor_lsn`` say by how much it missed."""
+
+    code = "REPLICA_BELOW_FLOOR"
+
+    def __init__(self, message: str, from_lsn: int, floor_lsn: int):
+        super().__init__(message)
+        self.from_lsn = from_lsn
+        self.floor_lsn = floor_lsn
+
+
 class FailoverInProgressError(ReplicationError):
     """The replica-set router is mid-failover: the old primary is gone and
     a replacement has not been promoted yet.  Non-transactional work is

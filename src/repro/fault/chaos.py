@@ -132,6 +132,30 @@ class ClusterChaosReport(ChaosReport):
         )
 
 
+def _write_until_confirmed(
+    upsert, key: str, value: int, tolerated: tuple, report: ChaosReport,
+    timeout: float,
+) -> bool:
+    """Retry one write through a failover until it is confirmed or
+    *timeout* seconds have passed.  How long a promotion takes depends on
+    the machine, so the budget is time, not a number of attempts."""
+    deadline = time.monotonic() + timeout
+    attempt = 0
+    while True:
+        try:
+            upsert(key, value)
+            return True
+        except tolerated as error:
+            report.note(
+                "write_refused", key=key, attempt=attempt,
+                error=type(error).__name__,
+            )
+        if time.monotonic() >= deadline:
+            return False
+        attempt += 1
+        time.sleep(0.1)
+
+
 def _disarm_net_sites() -> None:
     for site in _NET_SITES:
         FAILPOINTS.disarm(site)
@@ -164,6 +188,10 @@ def chaos_run(
     servers: list = []
     router = None
     confirmed: dict = {}  # key -> value the router confirmed written
+    #: A refused semi-sync write is committed on the primary all the same
+    #: ("may not be replicated"): a read may show a key no write of which
+    #: was confirmed, and the key's value leaves the oracle.
+    attempted: set = set()
 
     #: Typed outcomes the workload absorbs and reports instead of dying:
     #: a refused semi-sync write or a mid-failover statement is the
@@ -172,11 +200,16 @@ def chaos_run(
 
     def upsert(key: str, value: int) -> None:
         report.writes_attempted += 1
-        router.query(
-            "UPSERT {_key: @k} INSERT {_key: @k, v: @v} "
-            "UPDATE {v: @v} INTO kv",
-            {"k": key, "v": value},
-        )
+        attempted.add(key)
+        try:
+            router.query(
+                "UPSERT {_key: @k} INSERT {_key: @k, v: @v} "
+                "UPDATE {v: @v} INTO kv",
+                {"k": key, "v": value},
+            )
+        except tolerated:
+            confirmed.pop(key, None)  # applied or not: no longer known
+            raise
         confirmed[key] = value
         report.writes_confirmed += 1
 
@@ -187,7 +220,7 @@ def chaos_run(
         report.reads_served += 1
         # A read may trail the confirmed map (bounded waits only for the
         # router's last-seen LSN), but it must never invent keys.
-        extra = {row["_key"] for row in rows} - set(confirmed)
+        extra = {row["_key"] for row in rows} - attempted
         if extra:
             report.errors.append(
                 f"{level} read returned keys never written: {sorted(extra)}"
@@ -292,17 +325,9 @@ def chaos_run(
             report.note("primary_killed", address=report.killed_primary)
             for index in range(writes // 3):
                 key, value = f"p{rng.randint(0, 9)}", index
-                for attempt in range(8):
-                    try:
-                        upsert(key, value)
-                        break
-                    except tolerated as error:
-                        report.note(
-                            "write_refused", error=type(error).__name__,
-                            attempt=attempt,
-                        )
-                        time.sleep(0.1)
-                else:
+                if not _write_until_confirmed(
+                    upsert, key, value, tolerated, report, settle_timeout
+                ):
                     report.errors.append(
                         f"write of {key!r} never succeeded after failover"
                     )
@@ -616,17 +641,9 @@ def cluster_chaos_run(
                             f"{owner}) was confirmed"
                         )
                     continue
-                for attempt in range(8):
-                    try:
-                        upsert(key, index)
-                        break
-                    except tolerated as error:
-                        report.note(
-                            "write_refused", key=key, attempt=attempt,
-                            error=type(error).__name__,
-                        )
-                        time.sleep(0.1)
-                else:
+                if not _write_until_confirmed(
+                    upsert, key, index, tolerated, report, settle_timeout
+                ):
                     report.errors.append(
                         f"write of {key!r} (owned by live shard {owner}) "
                         "never succeeded after the kill"

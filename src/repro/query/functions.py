@@ -65,8 +65,20 @@ def _fn_count(ctx, value):
     return _fn_length(ctx, value)
 
 
+def _sum(numbers: list):
+    """Left to right with ``+``, like the running accumulator of COLLECT …
+    AGGREGATE, on every Python: the builtin ``sum`` compensates float
+    rounding from 3.12 on, and ``SUM(list)`` has to equal ``AGGREGATE
+    SUM`` over the same inputs to the last bit (the
+    ``collect_into_aggregate`` rule turns one into the other)."""
+    total = 0
+    for number in numbers:
+        total += number
+    return total
+
+
 def _fn_sum(ctx, values):
-    return sum(_numbers("SUM", values))
+    return _sum(_numbers("SUM", values))
 
 
 def _fn_min(ctx, values):
@@ -81,7 +93,7 @@ def _fn_max(ctx, values):
 
 def _fn_avg(ctx, values):
     numbers = _numbers("AVG", values)
-    return sum(numbers) / len(numbers) if numbers else None
+    return _sum(numbers) / len(numbers) if numbers else None
 
 
 def _fn_unique(ctx, values):

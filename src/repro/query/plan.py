@@ -236,6 +236,11 @@ def _own_lines(operation: ast.Operation, indent: int) -> list[str]:
     if isinstance(operation, ast.CollectOp):
         groups = ", ".join(f"{name} = {_expr_text(expr)}" for name, expr in operation.groups)
         extras = []
+        if operation.aggregates:
+            extras.append("AGGREGATE " + ", ".join(
+                f"{name} = {func}({_expr_text(arg)})"
+                for name, func, arg in operation.aggregates
+            ))
         if operation.count_into:
             extras.append(f"WITH COUNT INTO {operation.count_into}")
         if operation.into:

@@ -54,6 +54,9 @@ from repro.query.visit import (
     conjuncts,
     contains_write,
     free_vars,
+    map_children,
+    map_operation_exprs,
+    nested_queries,
     reads,
     variables_in,
     walk,
@@ -246,6 +249,173 @@ def _rule_predicate_split(query: ast.Query, ctx: RuleContext) -> ast.Query:
                 continue
         operations.append(operation)
     return ast.Query(operations) if changed else query
+
+
+# ---------------------------------------------------------------------------
+# Rule: COLLECT … INTO members read only through aggregates
+# ---------------------------------------------------------------------------
+
+#: The array aggregates COLLECT … AGGREGATE folds into running accumulators
+#: with the verdict the array function gives on the collected list: NULL
+#: inputs skipped (COUNT counts them), the same error for a non-number,
+#: sums added in member order.
+_RUNNING_AGGREGATES = frozenset(("SUM", "MIN", "MAX", "AVG", "COUNT"))
+
+
+def _member_path(suffix: Optional[ast.Expr], frame_vars: set) -> Optional[ast.Expr]:
+    """``v.path`` for the suffix of ``members[*].v.path`` — a pure
+    attribute chain under ``$CURRENT`` whose first step names a variable
+    of the member frames — else None."""
+    attributes: list = []
+    node = suffix
+    while isinstance(node, ast.AttrAccess):
+        attributes.append(node.attribute)
+        node = node.subject
+    if (
+        node != ast.VarRef("$CURRENT")
+        or not attributes
+        or attributes[-1] not in frame_vars
+    ):
+        return None
+    member: ast.Expr = ast.VarRef(attributes.pop())
+    for attribute in reversed(attributes):
+        member = ast.AttrAccess(member, attribute)
+    return member
+
+
+def _collects_members(query: ast.Query) -> bool:
+    """True when *query*, or a query nested in it, has a COLLECT … INTO:
+    its member lists hold every variable of the frames they were built
+    from, those of the enclosing scopes included."""
+    return any(
+        (type(operation) is ast.CollectOp and operation.into)
+        or any(_collects_members(inner) for inner in nested_queries(operation))
+        for operation in query.operations
+    )
+
+
+#: Operations that hand every frame on, one for one: an expression in or
+#: below them still runs once for each group.
+_KEEPS_EVERY_FRAME = (ast.LetOp, ast.SortOp)
+
+#: Expression nodes that evaluate all their children whenever they are
+#: evaluated themselves (a BinOp other than AND / OR is one too).
+_EVALUATES_ALL = (
+    ast.AttrAccess, ast.IndexAccess, ast.FuncCall, ast.UnaryOp,
+    ast.RangeExpr, ast.ArrayLiteral, ast.ObjectLiteral,
+)
+
+
+def _fold_members(
+    operations: list, index: int, frame_vars: set, taken: set
+) -> Optional[list]:
+    """*operations* with the COLLECT at *index* aggregating instead of
+    collecting, or None when its member lists are needed as lists."""
+    collect = operations[index]
+    into = collect.into
+    aggregates = list(collect.aggregates)
+    folded: dict = {}
+
+    def fold(expr: ast.Expr, certain: bool) -> ast.Expr:
+        """*certain*: the statement evaluates *expr* for every group.  An
+        accumulator raises on a non-number while it runs, the array
+        function only where it is called — so a use some group may never
+        reach (COUNT aside, which cannot fail) keeps the members."""
+        if (
+            isinstance(expr, ast.FuncCall)
+            and expr.name.upper() in _RUNNING_AGGREGATES
+            and len(expr.args) == 1
+            and isinstance(expr.args[0], ast.Expansion)
+            and expr.args[0].subject == ast.VarRef(into)
+        ):
+            func = expr.name.upper()
+            member = _member_path(expr.args[0].suffix, frame_vars)
+            if member is not None and (certain or func == "COUNT"):
+                key = (func, member)
+                if key not in folded:
+                    name = f"{into}_{len(folded)}"
+                    while name in taken:
+                        name = "_" + name
+                    taken.add(name)
+                    folded[key] = name
+                    aggregates.append((name, func, member))
+                return ast.VarRef(folded[key])
+        if not (
+            isinstance(expr, _EVALUATES_ALL)
+            or (isinstance(expr, ast.BinOp) and expr.op not in ("AND", "OR"))
+        ):
+            certain = False  # a ternary's arms, the right of AND / OR, …
+        return map_children(expr, lambda child: fold(child, certain))
+
+    downstream: list = []
+    every_group = True
+    for position in range(index + 1, len(operations)):
+        operation = operations[position]
+        if into in binds(operation):
+            return None
+        if any(_collects_members(inner) for inner in nested_queries(operation)):
+            # A subquery's own INTO lists would show the members gone and
+            # the aggregate variables in their place.
+            return None
+        operation = map_operation_exprs(
+            operation, lambda expr: fold(expr, every_group)
+        )
+        if into in reads(operation):
+            # LENGTH(m), m returned or passed whole, m[*] bare, or an
+            # aggregate a FILTER, LIMIT, FOR or short circuit may skip.
+            return None
+        downstream.append(operation)
+        if type(operation) is ast.CollectOp:
+            # The next COLLECT starts fresh frames: nothing after it sees
+            # the members, or the aggregates that replace them.
+            if operation.into or into in free_vars(operations[position + 1:]):
+                return None
+            downstream.extend(operations[position + 1:])
+            break
+        if type(operation) not in _KEEPS_EVERY_FRAME:
+            every_group = False
+    if not folded:
+        return None
+    collect = ast.CollectOp(
+        list(collect.groups), collect.count_into, None, aggregates
+    )
+    return operations[:index] + [collect] + downstream
+
+
+def _rule_collect_into_aggregate(query: ast.Query, ctx: RuleContext) -> ast.Query:
+    """``COLLECT g = e INTO m`` whose members are read only as
+    ``SUM/MIN/MAX/AVG/COUNT(m[*].v.path)`` → ``COLLECT g = e AGGREGATE
+    a = FUNC(v.path)``, the uses replaced by ``a``.
+
+    The executor then keeps one running accumulator per group instead of a
+    list of member frames it walks again, per member and per use, through
+    the expression interpreter.  An accumulator raises on a non-number
+    input when it meets it, so only uses the statement evaluates for every
+    group fold — none behind a FILTER, LIMIT or FOR, in a ternary's arm or
+    right of AND / OR: a group such a guard spares must not fail the query
+    (when no group is spared both forms raise, possibly naming another
+    value).  Statements that write are left alone."""
+    operations = query.operations
+    for index, operation in enumerate(operations):
+        if type(operation) is not ast.CollectOp or not operation.into:
+            continue
+        if ctx.writes or contains_write(query):
+            return query
+        # What the member frames hold: the variables bound since the last
+        # COLLECT (which starts fresh frames), or since the enclosing scopes.
+        frame_vars = set(ctx.scope)
+        for upstream in operations[:index]:
+            if type(upstream) is ast.CollectOp:
+                frame_vars = set()
+            frame_vars.update(binds(upstream))
+        taken = frame_vars | free_vars(operations)
+        for bound in operations:
+            taken.update(binds(bound))
+        rewritten = _fold_members(operations, index, frame_vars, taken)
+        if rewritten is not None:
+            # One COLLECT a pass; the fixpoint comes back for more.
+            return ast.Query(rewritten)
+    return query
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +779,15 @@ REGISTRY: tuple[Rule, ...] = (
         name="filter_pushdown",
         description="move each FILTER just after the op binding its inputs",
         rewrite=_rule_filter_pushdown,
+        ast_safe=True,
+    ),
+    Rule(
+        name="collect_into_aggregate",
+        description=(
+            "COLLECT INTO members read only through SUM/MIN/MAX/AVG/COUNT "
+            "keeps running aggregates instead of member lists"
+        ),
+        rewrite=_rule_collect_into_aggregate,
         ast_safe=True,
     ),
     Rule(

@@ -40,6 +40,7 @@ from typing import Optional
 from repro.errors import ReplicationError
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
+from repro.storage.checkpoint import load_image
 from repro.storage.log import LogOp
 
 __all__ = ["ReplicationApplier"]
@@ -100,6 +101,32 @@ class ReplicationApplier:
             if self._received_lsn == 0:
                 self._received_lsn = lsn
                 self._applied_lsn = lsn
+
+    def load_snapshot(self, lsn: int, namespaces: dict) -> int:
+        """Snapshot bootstrap: become the primary's row image taken at
+        *lsn*.  An empty replica loads it as INSERTs; one that holds state
+        (it fell below the primary's floor) appends only what differs, and
+        an open block goes — the image has its transaction or never will.
+        The local log is then fast-forwarded to *lsn*, so the records
+        streamed next land on the LSNs they carry and the replica stays
+        LSN-aligned — promotable — exactly as if it had replayed the
+        history it never saw.  Returns the number of records appended."""
+        context = self.db.context
+        with context.transactions.exclusive():
+            self._pending = []
+            stateful = context.log.last_lsn > 0
+            loaded = load_image(
+                context.log, namespaces, context.rows if stateful else None
+            )
+            context.log.fast_forward(lsn)
+        with self._lock:
+            self._received_lsn = self._applied_lsn = lsn
+            self._records_applied += loaded
+        obs_events.emit(
+            "replica_snapshot_loaded",
+            replica=self.name, lsn=lsn, rows=loaded, resync=stateful,
+        )
+        return loaded
 
     def sync_catalog(self, entries: list) -> list:
         """Materialize catalog objects this replica is missing.
@@ -255,9 +282,13 @@ class ReplicationApplier:
         """Append the buffered block (data ops + COMMIT) to the local log
         as one contiguous run, mirroring the primary's atomic publish."""
         block, self._pending = self._pending, []
-        log = self.db.context.log
-        for record in block:
-            self._append_record(log, record)
+        context = self.db.context
+        # Under the commit mutex, like a local transaction's publish: a
+        # snapshot taken from this node (it may feed replicas of its own)
+        # cuts between blocks, not through one.
+        with context.transactions.exclusive():
+            for record in block:
+                self._append_record(context.log, record)
         last = block[-1]["lsn"]
         with self._lock:
             self._received_lsn = max(self._received_lsn, last)
@@ -265,7 +296,9 @@ class ReplicationApplier:
             self._records_applied += len(block)
 
     def _append_marker(self, record: dict) -> None:
-        self._append_record(self.db.context.log, record)
+        context = self.db.context
+        with context.transactions.exclusive():
+            self._append_record(context.log, record)
 
     def _append_record(self, log, record: dict) -> None:
         entry = log.append(

@@ -108,6 +108,16 @@ class ReplicationHub:
     def describe(self) -> list[dict]:
         return [sub.describe() for sub in self._subscribers.values()]
 
+    def slowest_shipped_lsn(self) -> Optional[int]:
+        """The LSN every live subscriber has been shipped (None without
+        one): the engine log keeps what follows it, so a subscriber that
+        lags is never trimmed out of the stream.  The one method called
+        off the loop — by whichever thread commits — hence the copy."""
+        return min(
+            (sub.shipped_lsn for sub in list(self._subscribers.values())),
+            default=None,
+        )
+
     # -- acks ----------------------------------------------------------------
 
     def acked_count(self, lsn: int) -> int:

@@ -36,7 +36,7 @@ import threading
 import time
 from typing import Optional
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, ReplicaBelowFloorError
 from repro.fault.retry import RetryExhaustedError, retry_with_backoff
 from repro.obs import events as obs_events
 from repro.replication.apply import ReplicationApplier
@@ -71,6 +71,13 @@ class WalPuller:
         self._lock = threading.Lock()
         self._connected = False
         self._last_ship_ts: Optional[float] = None
+        #: Snapshot frames of the current connection, held until the frame
+        #: that says ``done`` (a half-received image is never loaded).
+        self._snapshot_rows: dict = {}
+        #: Set by the primary's refusal (this replica fell below its floor)
+        #: until the snapshot asked for in its place has been loaded.
+        self._resync = False
+        self._resyncs = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -144,6 +151,19 @@ class WalPuller:
                 )
             except ConnectionAbortedError:
                 return  # stop() interrupted a backoff sleep
+            except ReplicaBelowFloorError as error:
+                # The records between this replica's watermark and the
+                # primary's floor are gone (it was away for longer than
+                # the log's tail): ask for the row image instead.
+                self._resync = True
+                self._resyncs += 1
+                obs_events.emit(
+                    "replica_below_floor",
+                    replica=self.applier.name,
+                    primary=self.primary_address,
+                    from_lsn=error.from_lsn,
+                    floor_lsn=error.floor_lsn,
+                )
             except RetryExhaustedError:
                 if self._stop.is_set():
                     return
@@ -174,6 +194,7 @@ class WalPuller:
             (host, port), timeout=self.connect_timeout
         )
         self._sock = sock
+        self._snapshot_rows = {}
         try:
             sock.settimeout(self.connect_timeout)
             hello = protocol.read_frame(sock)
@@ -184,7 +205,9 @@ class WalPuller:
             from_lsn = self.applier.received_lsn
             protocol.write_frame(
                 sock,
-                protocol.request(1, "wal_subscribe", from_lsn=from_lsn),
+                protocol.request(
+                    1, "wal_subscribe", from_lsn=from_lsn, snapshot=self._resync
+                ),
             )
             # The ship task starts inside the wal_subscribe handler, so its
             # first frame can beat the response onto the wire.  Early ships
@@ -240,6 +263,14 @@ class WalPuller:
                 pass
 
     def _handle_ship(self, sock: socket.socket, ship: dict) -> None:
+        snapshot = ship.get("snapshot")
+        if isinstance(snapshot, dict):
+            for namespace, pairs in (snapshot.get("namespaces") or {}).items():
+                self._snapshot_rows.setdefault(namespace, []).extend(pairs)
+            if snapshot.get("done"):
+                rows, self._snapshot_rows = self._snapshot_rows, {}
+                self.applier.load_snapshot(snapshot["lsn"], rows)
+                self._resync = False
         records = ship.get("records") or []
         if records:
             self.applier.apply_records(records)
@@ -260,6 +291,7 @@ class WalPuller:
                 "primary": self.primary_address,
                 "connected": self._connected,
                 "running": self.running,
+                "resyncs": self._resyncs,
                 "last_ship_age_seconds": (
                     None
                     if self._last_ship_ts is None

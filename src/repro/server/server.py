@@ -57,6 +57,7 @@ from repro.errors import (
     InjectedFaultError,
     NotPrimaryError,
     ProtocolError,
+    ReplicaBelowFloorError,
     ReplicationError,
     ReproError,
     ServerOverloadedError,
@@ -64,6 +65,7 @@ from repro.errors import (
     SessionStateError,
     ShardMapStaleError,
     SimulatedCrash,
+    StorageError,
     code_of,
 )
 from repro.obs import events as obs_events
@@ -75,6 +77,7 @@ from repro.replication.apply import ReplicationApplier
 from repro.replication.hub import ReplicationHub
 from repro.server import protocol
 from repro.server.session import Session
+from repro.storage.checkpoint import snapshot_image
 from repro.storage.wal import entry_to_record
 
 __all__ = ["ReproServer"]
@@ -211,6 +214,8 @@ class ReproServer:
         self._reaper: Optional[asyncio.Task] = None
         self._telemetry: Optional[TelemetryEndpoint] = None
         self._hub = ReplicationHub()
+        # The bounded engine log trims behind its subscribers, not past them.
+        self.db.context.log.reader_floor = self._hub.slowest_shipped_lsn
         self._applier: Optional[ReplicationApplier] = None
         self._puller: Optional[WalPuller] = None
         self._kill = False
@@ -872,7 +877,7 @@ class ReproServer:
             self.db.set_consistency(name, level)
             return {"name": name, "level": str(level)}
         if op == "wal_subscribe":
-            return self._op_wal_subscribe(session, params)
+            return await self._op_wal_subscribe(session, params)
         if op == "repl_status":
             return self._repl_status()
         if op == "repl_wait":
@@ -917,7 +922,7 @@ class ReproServer:
             self.db.context.log.last_lsn, self.ack_replication, self.ack_timeout
         )
 
-    def _op_wal_subscribe(self, session: Session, params: dict) -> dict:
+    async def _op_wal_subscribe(self, session: Session, params: dict) -> dict:
         from_lsn = params.get("from_lsn", 0)
         if not isinstance(from_lsn, int) or from_lsn < 0:
             raise ProtocolError("wal_subscribe needs a non-negative 'from_lsn'")
@@ -925,17 +930,70 @@ class ReproServer:
         if entry is None:
             raise SessionStateError("session is gone")
         writer = entry[1]
+        # The engine log keeps a bounded tail.  A subscriber from below its
+        # floor cannot be streamed to: an empty one (lsn 0) is sent the row
+        # image first and streams from the image's LSN, one that holds state
+        # is refused — and comes back asking for the image ('snapshot').
+        image = None
+        floor_lsn = self.db.context.log.floor_lsn
+        if params.get("snapshot") is True or from_lsn == 0 < floor_lsn:
+            image = await self._run_blocking(self._snapshot_image)
+            from_lsn = image["lsn"]
+        elif from_lsn < floor_lsn:
+            if obs_metrics.ENABLED:
+                obs_metrics.counter("wal_subscribe_refusals_total").inc()
+            obs_events.emit(
+                "wal_subscribe_refused",
+                peer=session.peer, from_lsn=from_lsn, floor_lsn=floor_lsn,
+            )
+            raise ReplicaBelowFloorError(
+                f"wal_subscribe from lsn {from_lsn} refused: the primary's "
+                f"log retains nothing at or below lsn {floor_lsn} — "
+                "subscribe with 'snapshot' to be sent the row image",
+                from_lsn=from_lsn, floor_lsn=floor_lsn,
+            )
         subscriber = self._hub.subscribe(session.session_id, session.peer, from_lsn)
         subscriber.task = self._loop.create_task(
-            self._ship_loop(subscriber, writer)
+            self._ship_loop(subscriber, writer, image)
         )
         return {
             "subscribed": True,
             "from_lsn": from_lsn,
+            "snapshot": image is not None,
             "last_lsn": self.db.context.log.last_lsn,
             "heartbeat_interval": self.heartbeat_interval,
             "catalog": self._describe_catalog(),
         }
+
+    def _snapshot_image(self) -> dict:
+        """The row image and its LSN as one cut: nothing commits while the
+        transaction manager's mutex is held."""
+        context = self.db.context
+        with context.transactions.exclusive():
+            return snapshot_image(context.rows, context.log)
+
+    async def _ship_snapshot(self, writer, image: dict) -> None:
+        """Send *image* as ``{"ship": {"snapshot": ...}}`` frames, each a
+        slice of at most ``_SHIP_BATCH`` rows of one namespace, then an empty
+        one that says ``done``: the replica loads the whole image only then."""
+
+        async def send(namespaces: dict, done: bool) -> None:
+            snapshot = {"lsn": image["lsn"], "namespaces": namespaces, "done": done}
+            await protocol.write_frame_async(
+                writer, {"ship": {"snapshot": snapshot, "ts": time.time()}}
+            )
+
+        rows = 0
+        for namespace, pairs in image["namespaces"].items():
+            for start in range(0, len(pairs), _SHIP_BATCH):
+                await send({namespace: pairs[start:start + _SHIP_BATCH]}, False)
+            rows += len(pairs)
+        await send({}, True)
+        if obs_metrics.ENABLED:
+            obs_metrics.counter("wal_snapshots_shipped_total").inc()
+        obs_events.emit(
+            "wal_snapshot_shipped", lsn=image["lsn"], rows=rows
+        )
 
     def _describe_catalog(self) -> list:
         """JSON-safe catalog snapshot shipped with every ``wal_subscribe``
@@ -980,14 +1038,18 @@ class ReproServer:
             entries.append(entry)
         return entries
 
-    async def _ship_loop(self, subscriber, writer) -> None:
+    async def _ship_loop(self, subscriber, writer, image=None) -> None:
         """Stream log entries past the subscriber's watermark as
-        ``{"ship": ...}`` frames; empty frames are heartbeats.  Any wire
-        failure ends the subscription — the replica's puller reconnects
-        and re-subscribes from its own watermark."""
+        ``{"ship": ...}`` frames (after *image*, for a snapshot bootstrap);
+        empty frames are heartbeats.  Any wire failure ends the
+        subscription: the replica's puller reconnects and re-subscribes from
+        its own watermark.  The log trims behind ``shipped_lsn``, not past
+        it, so a subscriber that lags keeps its place."""
         log = self.db.context.log
         last_sent = 0.0
         try:
+            if image is not None:
+                await self._ship_snapshot(writer, image)
             while not self._draining:
                 now = self._loop.time()
                 records: list = []
@@ -1029,6 +1091,21 @@ class ReproServer:
                 await asyncio.sleep(self.ship_interval)
         except asyncio.CancelledError:
             raise
+        except StorageError:
+            # ``entries_since`` no longer reaches back to this subscriber: a
+            # trim won the race with its subscription.  Hang up, so that it
+            # re-subscribes now (and is told to take a snapshot) rather than
+            # after a heartbeat timeout.
+            if obs_metrics.ENABLED:
+                obs_metrics.counter("wal_subscribers_below_floor_total").inc()
+            obs_events.emit(
+                "wal_subscriber_below_floor",
+                session_id=subscriber.session_id,
+                peer=subscriber.peer,
+                shipped_lsn=subscriber.shipped_lsn,
+                floor_lsn=log.floor_lsn,
+            )
+            writer.close()
         except Exception:
             pass  # wire is gone (or injected fault): subscription over
         finally:

@@ -29,7 +29,14 @@ from repro.storage.log import CentralLog, LogOp
 from repro.storage.views import RowView
 from repro.storage.wal import WriteAheadLog
 
-__all__ = ["write_checkpoint", "load_checkpoint", "recover_from_checkpoint", "truncate_wal"]
+__all__ = [
+    "snapshot_image",
+    "load_image",
+    "write_checkpoint",
+    "load_checkpoint",
+    "recover_from_checkpoint",
+    "truncate_wal",
+]
 
 _FORMAT_VERSION = 1
 
@@ -53,6 +60,51 @@ _FP_DIR_FSYNC = fault_registry.register(
 )
 
 
+def snapshot_image(rows: RowView, log: CentralLog) -> dict:
+    """The committed state as ``{"lsn", "namespaces"}``: every namespace of
+    the row view as ``[key, value]`` pairs, and the LSN they are current at.
+    The caller holds off writers (quiescent point or commit mutex) so the
+    two belong to one cut.  A checkpoint file and a replica's snapshot
+    bootstrap are both this image."""
+    return {
+        "lsn": log.last_lsn,
+        "namespaces": {
+            namespace: [[key, value] for key, value in rows.scan(namespace)]
+            for namespace in rows.namespaces()
+        },
+    }
+
+
+def load_image(
+    log: CentralLog, namespaces: dict, rows: Optional[RowView] = None
+) -> int:
+    """Bring *log* to an image's state; returns the record count.  Into an
+    empty log that is one INSERT a row (its subscribers — the storage views
+    — materialize them).  Given *rows*, the row view of a log that already
+    holds state, it is the difference only: an UPDATE where the value is
+    another, a DELETE for what the image no longer has."""
+    loaded = 0
+    if rows is not None:
+        for namespace in set(rows.namespaces()) - set(namespaces):
+            log.append(0, LogOp.DROP_NAMESPACE, namespace)
+            loaded += 1
+    for namespace, pairs in namespaces.items():
+        held = dict(rows.scan(namespace)) if rows is not None else {}
+        for key, value in pairs:
+            before = held.pop(key, None)
+            if before is None:
+                log.append(0, LogOp.INSERT, namespace, key, value)
+            elif canonical_json(before) != canonical_json(value):
+                log.append(0, LogOp.UPDATE, namespace, key, value, before)
+            else:
+                continue
+            loaded += 1
+        for key, before in held.items():
+            log.append(0, LogOp.DELETE, namespace, key, None, before)
+            loaded += 1
+    return loaded
+
+
 def write_checkpoint(
     path: str,
     rows: RowView,
@@ -66,15 +118,8 @@ def write_checkpoint(
             f"cannot checkpoint with {transactions.active_count} active "
             "transaction(s)"
         )
-    lsn = log.last_lsn
-    snapshot = {
-        "version": _FORMAT_VERSION,
-        "lsn": lsn,
-        "namespaces": {
-            namespace: [[key, value] for key, value in rows.scan(namespace)]
-            for namespace in rows.namespaces()
-        },
-    }
+    snapshot = {"version": _FORMAT_VERSION, **snapshot_image(rows, log)}
+    lsn = snapshot["lsn"]
     # Crash-safe publish: write the whole snapshot to a temp file, fsync it
     # (the bytes, not just the metadata, must be on disk *before* the
     # rename), atomically rename over the live checkpoint, then fsync the
@@ -131,11 +176,7 @@ def recover_from_checkpoint(
     if obs_metrics.ENABLED:
         _RECOVERY_RUNS.inc()
     covered_lsn, namespaces = load_checkpoint(checkpoint_path)
-    from_checkpoint = 0
-    for namespace, pairs in namespaces.items():
-        for key, value in pairs:
-            log.append(0, LogOp.INSERT, namespace, key, value)
-            from_checkpoint += 1
+    from_checkpoint = load_image(log, namespaces)
 
     records = [
         record

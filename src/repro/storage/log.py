@@ -16,6 +16,7 @@ tutorial describes.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
@@ -84,14 +85,31 @@ class CentralLog:
     registration order.  A unit the WAL could not take therefore reaches
     neither the log, nor a view, nor a replica fed from the log; every view
     is consistent with the log tail the moment the call returns.
+
+    A bare ``CentralLog()`` retains every entry — the log-only view and the
+    recovery helpers replay it from LSN 1.  With *tail* set it keeps between
+    *tail* and twice *tail* of the newest entries — more while a live reader
+    (:attr:`reader_floor`) is further behind — and forgets the rest: LSNs
+    keep counting, :attr:`floor_lsn` says where the retained part begins, and
+    a reader from below it is refused (history = a snapshot of the row view
+    plus this tail).
     """
 
-    def __init__(self):
+    def __init__(self, tail: Optional[int] = None):
+        self._tail = tail
+        # Guards ``_entries`` together with ``_offset``: the ship loop reads
+        # by position on one thread while a commit trims on another.
+        self._lock = threading.Lock()
         self._entries: list[LogEntry] = []
         self._subscribers: list[Callable[[LogEntry], None]] = []
         #: Called with each unit's entries before the log takes them; if it
         #: raises, the unit was never published (its LSNs are used again).
         self.write_ahead: Optional[Callable[[list[LogEntry]], None]] = None
+        #: Asked when the tail is trimmed: the LSN up to which the slowest
+        #: live reader has read (None: nobody reads).  What follows it stays,
+        #: however far behind the tail that is — a replica that lags keeps
+        #: its place in the stream (the server's replication hub sets this).
+        self.reader_floor: Optional[Callable[[], Optional[int]]] = None
         self._next_lsn = 1
         # Number of entries dropped from the front by truncation; the entry
         # at list position i always has lsn == _offset + i + 1.
@@ -127,8 +145,11 @@ class CentralLog:
         ]
         if self.write_ahead is not None:
             self.write_ahead(entries)
-        self._next_lsn += len(entries)
-        self._entries.extend(entries)
+        with self._lock:
+            self._next_lsn += len(entries)
+            self._entries.extend(entries)
+            if self._tail is not None and len(self._entries) > 2 * self._tail:
+                self._trim()
         for entry in entries:
             for subscriber in self._subscribers:
                 subscriber(entry)
@@ -156,23 +177,37 @@ class CentralLog:
         """LSN of the most recent entry (0 when the log is empty)."""
         return self._next_lsn - 1
 
+    @property
+    def floor_lsn(self) -> int:
+        """LSN of the newest entry no longer retained (0: nothing dropped).
+        ``entries_since(lsn)`` answers for ``lsn >= floor_lsn``."""
+        return self._offset
+
     def entries_since(self, lsn: int) -> Iterator[LogEntry]:
         """Yield entries with ``entry.lsn > lsn`` in LSN order."""
         # The retained log is dense in LSN, so position math suffices.
-        start = lsn - self._offset
-        if start < 0:
-            raise StorageError(
-                f"log entries after lsn {lsn} were truncated "
-                f"(oldest retained is {self._offset + 1})"
-            )
-        return iter(self._entries[start:])
+        with self._lock:
+            start = lsn - self._offset
+            if start >= 0:
+                return iter(self._entries[start:])
+        raise StorageError(
+            f"log entries after lsn {lsn} were truncated: "
+            f"{self._retained()}"
+        )
 
     def entry_at(self, lsn: int) -> LogEntry:
         """Return the entry with exactly this LSN."""
-        position = lsn - self._offset - 1
-        if not 0 <= position < len(self._entries):
-            raise StorageError(f"no log entry with lsn {lsn}")
-        return self._entries[position]
+        with self._lock:
+            position = lsn - self._offset - 1
+            if 0 <= position < len(self._entries):
+                return self._entries[position]
+        raise StorageError(f"no log entry with lsn {lsn}: {self._retained()}")
+
+    def _retained(self) -> str:
+        return (
+            f"the log retains lsn {self._offset + 1}..{self.last_lsn} "
+            f"(floor_lsn {self._offset})"
+        )
 
     # -- truncation --------------------------------------------------------
 
@@ -183,11 +218,38 @@ class CentralLog:
         LSNs keep counting from where they were — the log stays dense in
         *position* terms via the recorded offset.
         """
-        keep_from = len(self._entries)
-        for index, entry in enumerate(self._entries):
-            if entry.lsn >= lsn:
-                keep_from = index
-                break
+        with self._lock:
+            return self._drop_before(lsn)
+
+    def _trim(self) -> None:
+        """Forget what lies behind both the tail and the slowest live
+        reader — at least a tail's worth at a time, so the front-of-list
+        delete pays for itself: one move per *tail* appended entries."""
+        before = self._next_lsn - self._tail
+        if self.reader_floor is not None:
+            read = self.reader_floor()
+            if read is not None:
+                before = min(before, read + 1)
+        if before - self._offset - 1 >= self._tail:
+            self._drop_before(before)
+
+    def _drop_before(self, lsn: int) -> int:
+        keep_from = min(max(lsn - self._offset - 1, 0), len(self._entries))
         del self._entries[:keep_from]
         self._offset += keep_from
         return keep_from
+
+    def fast_forward(self, lsn: int) -> None:
+        """Move the head to *lsn* with nothing retained: the state up to
+        there was loaded from a snapshot image taken at that LSN (the load's
+        own entries, numbered from 1, are dropped), so the next entry is
+        ``lsn + 1`` — what the image's source will publish next."""
+        with self._lock:
+            if lsn < self.last_lsn:
+                raise StorageError(
+                    f"cannot fast-forward the log to lsn {lsn}: it is "
+                    f"already at {self.last_lsn}"
+                )
+            self._entries.clear()
+            self._offset = lsn
+            self._next_lsn = lsn + 1

@@ -141,9 +141,20 @@ class ColumnSegment:
             self.kinds[name] = kind
             if nulls:
                 self.nulls[name] = nulls
-            if values:
+            if not values:
+                continue
+            if kind == _KIND_OBJECT:
                 self.zone_min[name] = min(values, key=sort_key)
                 self.zone_max[name] = max(values, key=sort_key)
+            else:
+                # All int or all float besides the NULLs (and at least one
+                # of them): their own order is the model's, NULL is lowest.
+                present = (
+                    [value for value in values if value is not None]
+                    if nulls else values
+                )
+                self.zone_min[name] = None if nulls else min(present)
+                self.zone_max[name] = max(present)
 
     def __len__(self) -> int:
         return len(self.rows)

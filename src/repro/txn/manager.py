@@ -230,6 +230,12 @@ class TransactionManager:
                     horizon = self._horizon(finishing=txn)
                 self._prune(chain_key, chain, horizon)
 
+    def exclusive(self):
+        """The commit mutex, for ``with``: no transaction begins, publishes
+        or aborts while it is held, so the log head and the row view read
+        inside are one consistent cut (snapshot bootstrap of a replica)."""
+        return self._mutex
+
     def abort(self, txn: Transaction) -> None:
         self._require_active(txn)
         with self._mutex:

@@ -19,7 +19,9 @@ import pytest
 from repro import MultiModelDB
 from repro.cluster import start_cluster
 from repro.unibench.generator import generate, load_into_multimodel
+from repro.query.engine import run_query
 from repro.unibench.workloads import QUERIES_B, workload_b_remote
+from tests.query.nested_scopes import COLLECT_QUERIES, COLLECT_SCATTER
 
 #: Queries whose statements impose a total order on the result.
 ORDERED = {"Q3", "Q4"}
@@ -59,6 +61,18 @@ def test_cluster_rows_equal_embedded_rows(query_id, embedded, cluster):
     ordered = query_id in ORDERED
     assert _canon(got, ordered) == _canon(expected, ordered), query_id
     assert len(got) > 0, f"{query_id} returned nothing — vacuous equivalence"
+
+
+@pytest.mark.parametrize("name", COLLECT_SCATTER)
+def test_collect_into_aggregates_equal_unoptimized_embedded_rows(
+    name, embedded, cluster
+):
+    """The coordinator turns ``AGG(members[*].path)`` into per-shard
+    partial aggregates with the same rule the embedded optimizer uses."""
+    text, binds = COLLECT_QUERIES[name]
+    expected = run_query(embedded, text, binds, optimize_query=False).rows
+    assert len(expected) > 0, "vacuous equivalence"
+    assert cluster.query(text, binds).rows == expected  # every one SORTs
 
 
 def test_a_variable_read_only_inside_a_subquery_crosses_the_cut(

@@ -5,7 +5,8 @@ list-valued LET, a counted FILTER, a SORT key, a RETURN member, the
 residual of a decorrelated join), so the optimizer plans it as a scope of
 its own.  Every suite that takes them
 (rule ablation, batch/columnar equivalence, 1-vs-3-shard scatter)
-compares the rows with those of the unoptimized statement.
+compares the rows with those of the unoptimized statement.  The
+``COLLECT … INTO`` statements ride the same suites.
 
 Every statement SORTs, outside and inside its list-valued subqueries: an
 index probe and a scan may enumerate matches in different orders, and
@@ -126,6 +127,128 @@ NESTED_QUERIES = {
 #: the product number), so a sharded cluster can answer them too;
 #: feedback is partitioned by product, not by customer.
 ALIGNED = sorted(set(NESTED_QUERIES) - {"let_list_unindexed"})
+
+#: ``COLLECT … INTO members`` whose member lists feed only running
+#: aggregates: the ``collect_into_aggregate`` rule swaps the lists for
+#: accumulators where every group reaches every aggregate, and the rows
+#: must not notice.
+COLLECT_QUERIES = {
+    "collect_into_every_aggregate": (
+        """
+        FOR o IN orders
+          LET c = DOCUMENT('customers', o.customer_id)
+          COLLECT city = c.city INTO members
+          SORT city
+          RETURN {city,
+                  spend: SUM(members[*].o.total),
+                  low: MIN(members[*].o.total),
+                  high: MAX(members[*].o.total),
+                  mean: AVG(members[*].o.total),
+                  orders: COUNT(members[*].o)}
+        """,
+        {},
+    ),
+    # Tenths do not add up exactly: the sum depends on the order of the
+    # additions, which has to stay the order of the members.
+    "collect_into_float_sum_order": (
+        """
+        FOR o IN orders
+          LET c = DOCUMENT('customers', o.customer_id)
+          LET tenth = o.total * 0.1
+          COLLECT city = c.city INTO members
+          SORT city
+          RETURN {city,
+                  spend: SUM(members[*].tenth),
+                  mean: AVG(members[*].tenth)}
+        """,
+        {},
+    ),
+    # The same, grouped along the partition key of ``orders``: every
+    # group lives on one shard, so a cluster adds in the same order too.
+    "collect_into_float_sum_per_customer": (
+        """
+        FOR o IN orders
+          LET tenth = o.total * 0.1
+          COLLECT customer = o.customer_id INTO mine
+          SORT customer
+          RETURN {customer, spend: SUM(mine[*].tenth), n: COUNT(mine[*].o)}
+        """,
+        {},
+    ),
+    # Every category but one has members and not one non-NULL input.
+    "collect_into_null_inputs": (
+        """
+        FOR p IN products
+          LET priced = p.category == @category ? p.price : null
+          COLLECT category = p.category INTO members
+          SORT category
+          RETURN {category,
+                  total: SUM(members[*].priced),
+                  low: MIN(members[*].priced),
+                  high: MAX(members[*].priced),
+                  mean: AVG(members[*].priced),
+                  n: COUNT(members[*].priced),
+                  missing: MAX(members[*].p.no_such_attribute)}
+        """,
+        {"category": "Book"},
+    ),
+    # Every category but one sums names: a running SUM would fail the
+    # query on groups the FILTER (or the ternary) never lets SUM see.
+    "collect_into_bad_input_in_a_dropped_group": (
+        """
+        FOR p IN products
+          LET v = p.category == @category ? p.price : p.name
+          COLLECT category = p.category INTO members
+          FILTER category == @category
+          RETURN {category, total: SUM(members[*].v), n: COUNT(members[*].p)}
+        """,
+        {"category": "Book"},
+    ),
+    "collect_into_bad_input_behind_a_ternary": (
+        """
+        FOR p IN products
+          LET v = p.category == @category ? p.price : p.name
+          COLLECT category = p.category INTO members
+          SORT category
+          RETURN {category,
+                  total: category == @category ? SUM(members[*].v) : null,
+                  top: category != @category OR MAX(members[*].v) > 0}
+        """,
+        {"category": "Book"},
+    ),
+    # Inside a subquery the member frames hold the enclosing variables.
+    "collect_into_in_subquery": (
+        """
+        FOR c IN customers
+          FILTER c.id <= @limit
+          SORT c.id
+          RETURN {id: c.id,
+                  orders: (FOR o IN orders
+                             FILTER o.customer_id == c.id
+                             COLLECT customer = o.customer_id INTO mine
+                             RETURN {n: COUNT(mine[*].o),
+                                     spend: SUM(mine[*].o.total),
+                                     credit: MAX(mine[*].c.credit_limit)})}
+        """,
+        {"limit": 40},
+    ),
+}
+
+#: Those whose aggregates some group never reaches: the rule has to leave
+#: them their member lists.
+COLLECT_KEEPS_MEMBERS = {
+    "collect_into_bad_input_in_a_dropped_group",
+    "collect_into_bad_input_behind_a_ternary",
+}
+
+#: Those a sharded cluster answers bit for bit.  Partial sums of a group
+#: spread over shards associate differently, so the by-city float sums
+#: stay out; and what the rule leaves alone, the coordinator's own member
+#: elision (older than the rule, and without its guard) still turns into
+#: per-shard partials that fail on the spared groups' inputs.
+COLLECT_SCATTER = sorted(
+    set(COLLECT_QUERIES) - {"collect_into_float_sum_order"} - COLLECT_KEEPS_MEMBERS
+)
 
 #: A subquery that writes reads the outer variables its DML expressions
 #: name, like any other: the FILTER that holds it has to stay below the

@@ -16,6 +16,7 @@ from repro.relational.schema import Column, ColumnType, TableSchema
 from repro.unibench.workloads import QUERIES_B, workload_b_api
 from repro.widecolumn.table import CqlColumn
 from tests.query.nested_scopes import (
+    COLLECT_QUERIES,
     NESTED_QUERIES,
     PROBE_QUERY,
     WRITING_SUBQUERIES,
@@ -30,6 +31,7 @@ WIDTHS = [1, 2, 256]
 QUERIES = {
     **QUERIES_B,
     **NESTED_QUERIES,
+    **COLLECT_QUERIES,
     "probe_keys": (PROBE_QUERY, {}),
     **WRITING_SUBQUERIES,
 }

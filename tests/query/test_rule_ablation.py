@@ -26,6 +26,8 @@ from repro.query.rules import rule_names
 from repro.unibench import build_multimodel, generate
 from repro.unibench.workloads import QUERIES_B
 from tests.query.nested_scopes import (
+    COLLECT_KEEPS_MEMBERS,
+    COLLECT_QUERIES,
     NESTED_QUERIES,
     PROBE_QUERY,
     WRITING_SUBQUERIES,
@@ -33,10 +35,11 @@ from tests.query.nested_scopes import (
     load_write_collections,
 )
 
-#: Nested-scope statements, the NULL / 1 vs 1.0 / missing probe keys and
-#: the subqueries that write among them.
+#: Nested-scope statements, the NULL / 1 vs 1.0 / missing probe keys, the
+#: subqueries that write and the COLLECT … INTO statements among them.
 NESTED = {
     **NESTED_QUERIES,
+    **COLLECT_QUERIES,
     "probe_keys": (PROBE_QUERY, {}),
     **WRITING_SUBQUERIES,
 }
@@ -162,6 +165,30 @@ def test_new_rules_actually_fire_on_fixtures(db):
         fired_anywhere |= set(optimize(parse(text), db).rules_fired)
     assert "decorrelate_subquery" in fired_anywhere
     assert "materialize_let" in fired_anywhere
+
+
+def test_collect_into_aggregate_fires_on_its_fixtures(db, baselines):
+    for query_id, (text, _binds) in COLLECT_QUERIES.items():
+        fired = "collect_into_aggregate" in optimize(parse(text), db).rules_fired
+        assert fired == (query_id not in COLLECT_KEEPS_MEMBERS), query_id
+    # The float fixture is one where the order of the additions shows …
+    members: dict = {}
+    for order in db.query("FOR o IN orders RETURN o").rows:
+        city = db.table("customers").get(order["customer_id"])["city"]
+        members.setdefault(city, []).append(order["total"] * 0.1)
+    assert any(
+        sum(tenths) != sum(reversed(tenths)) for tenths in members.values()
+    )
+    # … and the NULL fixture has groups without one non-NULL input.
+    empty = [
+        row for row in baselines["collect_into_null_inputs"]
+        if row["category"] != "Book"
+    ]
+    assert empty and all(
+        (row["total"], row["low"], row["high"], row["mean"], row["missing"])
+        == (0, None, None, None, None) and row["n"] > 0
+        for row in empty
+    )
 
 
 def test_all_rules_off_equals_all_rules_on(db, baselines):

@@ -5,7 +5,9 @@ feedback loop."""
 import pytest
 
 from repro.core.database import MultiModelDB
+from repro.errors import FunctionError
 from repro.query import ast
+from repro.query.engine import run_query
 from repro.query.optimizer import optimize
 from repro.query.parser import parse
 from repro.query.plan import AntiJoinOp, MaterializeOp, SemiJoinOp
@@ -16,6 +18,7 @@ from repro.query.rules import (
     rule_names,
 )
 from repro.query.statistics import StatisticsStore, predicate_fingerprint
+from repro.query.visit import reads
 
 
 @pytest.fixture()
@@ -57,6 +60,7 @@ class TestRegistry:
             "constant_folding",
             "predicate_split",
             "filter_pushdown",
+            "collect_into_aggregate",
             "decorrelate_subquery",
             "materialize_let",
             "index_selection",
@@ -70,6 +74,7 @@ class TestRegistry:
             "constant_folding",
             "predicate_split",
             "filter_pushdown",
+            "collect_into_aggregate",
         }
 
     def test_every_rule_has_description(self):
@@ -349,6 +354,192 @@ class TestPredicateSplit:
         graph_db.optimizer_rules.disable("filter_pushdown")
         assert sorted(rows) == sorted(graph_db.query(text).rows)
         assert rows == [50]
+
+
+class TestCollectIntoAggregate:
+    """``COLLECT … INTO m`` read only through ``AGG(m[*].v.path)`` keeps
+    running aggregates; any other use of ``m`` keeps the member lists."""
+
+    BY_PARITY = "FOR o IN orders LET even = o.cust % 4 == 0 COLLECT k = even INTO g "
+
+    def _collect(self, plan):
+        """The statement's first COLLECT."""
+        return next(
+            op for op in plan.operations if isinstance(op, ast.CollectOp)
+        )
+
+    def _rows(self, db, text):
+        rows = db.query(text).rows
+        assert rows == run_query(db, text, optimize_query=False).rows
+        return rows
+
+    def test_every_running_aggregate_folds_and_the_uses_become_variables(self, db):
+        text = self.BY_PARITY + (
+            "SORT k RETURN {k, s: SUM(g[*].o.total), lo: MIN(g[*].o.total), "
+            "hi: MAX(g[*].o.total), mean: AVG(g[*].o.total), "
+            "n: COUNT(g[*].o), again: SUM(g[*].o.total) + 1}"
+        )
+        plan = optimize(parse(text), db)
+        assert "collect_into_aggregate" in plan.rules_fired
+        collect = self._collect(plan)
+        assert collect.into is None
+        # One accumulator per distinct (function, path): ``again`` shares.
+        assert [(func, repr(arg)) for _name, func, arg in collect.aggregates] == [
+            (func, repr(parse(f"RETURN {path}").operations[0].expr))
+            for func, path in [
+                ("SUM", "o.total"), ("MIN", "o.total"), ("MAX", "o.total"),
+                ("AVG", "o.total"), ("COUNT", "o"),
+            ]
+        ]
+        assert not any("g" in reads(op) for op in plan.operations)
+        assert self._rows(db, text) == [
+            {"k": False, "s": 500, "lo": 20, "hi": 180, "mean": 100.0, "n": 5,
+             "again": 501},
+            {"k": True, "s": 400, "lo": 0, "hi": 160, "mean": 80.0, "n": 5,
+             "again": 401},
+        ]
+
+    def test_explain_shows_the_rule_and_the_aggregates(self, db):
+        text = self.BY_PARITY + "RETURN {k, s: SUM(g[*].o.total)}"
+        explained = db.explain(text)
+        assert "Collect k = even AGGREGATE g_0 = SUM(o.total)" in explained
+        assert "Rules fired: collect_into_aggregate" in explained
+
+    def test_let_variable_without_a_path_and_existing_aggregates(self, db):
+        text = (
+            "FOR o IN orders LET t = o.total "
+            "COLLECT k = o.cust % 4 == 0 AGGREGATE top = MAX(o.total) INTO g "
+            "SORT k RETURN [k, top, SUM(g[*].t)]"
+        )
+        collect = self._collect(optimize(parse(text), db))
+        assert [name for name, _f, _a in collect.aggregates] == ["top", "g_0"]
+        assert self._rows(db, text) == [[False, 180, 500], [True, 160, 400]]
+
+    def test_fresh_name_steps_aside_for_a_user_variable(self, db):
+        text = (
+            "FOR o IN orders LET g_0 = 7 COLLECT k = o.cust % 4 == 0 INTO g "
+            "SORT k RETURN [k, SUM(g[*].o.total), MAX(g[*].g_0)]"
+        )
+        collect = self._collect(optimize(parse(text), db))
+        assert [name for name, _f, _a in collect.aggregates] == ["_g_0", "g_1"]
+        assert self._rows(db, text) == [[False, 500, 7], [True, 400, 7]]
+
+    def test_toggle_keeps_the_member_lists(self, db):
+        text = self.BY_PARITY + "RETURN SUM(g[*].o.total)"
+        db.optimizer_rules.disable("collect_into_aggregate")
+        plan = optimize(parse(text), db)
+        assert self._collect(plan).into == "g"
+        assert "collect_into_aggregate" not in plan.rules_fired
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            "RETURN {n: LENGTH(g), s: SUM(g[*].o.total)}",   # LENGTH(m)
+            "RETURN {g, s: SUM(g[*].o.total)}",               # m returned whole
+            "RETURN {all: g[*].o.total, s: SUM(g[*].o.total)}",  # m[*] bare
+            "RETURN SUM(g[*].o.total[0])",                    # not a pure path
+            "RETURN SUM(g[*].nobody.total)",                  # not a frame variable
+            "RETURN UNIQUE(g[*].o.total)",                    # no running form
+            "LET g = 1 RETURN g",                             # rebound
+            "RETURN (FOR x IN g RETURN x.o.total)",           # read in a subquery
+            # a subquery's own members would show the swap
+            "RETURN {s: SUM(g[*].o.total), "
+            "inner: (FOR i IN 1..1 COLLECT j = i INTO h RETURN h)}",
+            # and so would a later COLLECT … INTO
+            "LET s = SUM(g[*].o.total) COLLECT j = s > 0 INTO h RETURN h",
+            # aggregates some group may never reach
+            "FILTER k RETURN SUM(g[*].o.total)",
+            "SORT k LIMIT 1 RETURN MAX(g[*].o.total)",
+            "FOR i IN [] RETURN AVG(g[*].o.total)",
+            "RETURN k ? SUM(g[*].o.total) : 0",
+            "RETURN k AND MIN(g[*].o.total) > 0",
+            "RETURN [1, 2][* FILTER SUM(g[*].o.total) > 0]",
+        ],
+    )
+    def test_any_other_use_of_the_members_leaves_the_collect_alone(self, db, tail):
+        text = self.BY_PARITY + tail
+        plan = optimize(parse(text), db)
+        assert "collect_into_aggregate" not in plan.rules_fired
+        assert self._collect(plan).into == "g"
+        self._rows(db, text)
+
+    def test_a_use_evaluated_for_every_group_folds_wherever_it_stands(self, db):
+        text = self.BY_PARITY + (
+            "LET s = SUM(g[*].o.total) SORT -MAX(g[*].o.total) "
+            "FILTER s + MIN(g[*].o.total) >= 400 "
+            "LIMIT 5 RETURN [k, s, COUNT(g[*].o)]"
+        )
+        plan = optimize(parse(text), db)
+        collect = self._collect(plan)
+        # LET, SORT and the FILTER's own condition see every group; COUNT
+        # cannot fail, so it folds behind the FILTER and the LIMIT too.
+        assert [func for _name, func, _arg in collect.aggregates] == [
+            "SUM", "MAX", "MIN", "COUNT",
+        ]
+        assert collect.into is None
+        assert self._rows(db, text) == [[False, 500, 5], [True, 400, 5]]
+
+    def test_a_bad_input_in_a_group_the_filter_drops_does_not_fail_the_query(
+        self, db
+    ):
+        db.collection("orders").insert({"_key": "bad", "cust": 99, "total": "n/a"})
+        text = (
+            "FOR o IN orders COLLECT c = o.cust INTO m FILTER c < 4 SORT c "
+            "RETURN {c, s: SUM(m[*].o.total)}"
+        )
+        assert "collect_into_aggregate" not in optimize(parse(text), db).rules_fired
+        assert self._rows(db, text) == [{"c": 0, "s": 0}, {"c": 2, "s": 20}]
+        # With nothing between the COLLECT and the use both forms raise.
+        unguarded = "FOR o IN orders COLLECT c = o.cust INTO m RETURN SUM(m[*].o.total)"
+        assert "collect_into_aggregate" in optimize(parse(unguarded), db).rules_fired
+        for optimized in (True, False):
+            with pytest.raises(FunctionError, match="SUM: array contains a string"):
+                run_query(db, unguarded, optimize_query=optimized).rows
+
+    def test_a_statement_that_writes_is_left_alone(self, db):
+        db.create_collection("sums")
+        text = self.BY_PARITY + (
+            "INSERT {_key: TO_STRING(k), s: SUM(g[*].o.total)} INTO sums"
+        )
+        plan = optimize(parse(text), db)
+        assert "collect_into_aggregate" not in plan.rules_fired
+        assert self._collect(plan).into == "g"
+
+    def test_a_later_collect_ends_the_reach_of_the_members(self, db):
+        text = self.BY_PARITY + (
+            "LET s = SUM(g[*].o.total) COLLECT AGGREGATE all = SUM(s) "
+            "RETURN all"
+        )
+        plan = optimize(parse(text), db)
+        assert "collect_into_aggregate" in plan.rules_fired
+        assert self._rows(db, text) == [900]
+
+    def test_fires_inside_a_subquery_with_the_enclosing_variables_in_the_frames(
+        self, db
+    ):
+        text = (
+            "FOR c IN customers FILTER c.id < 4 SORT c.id "
+            "RETURN {id: c.id, mine: (FOR o IN orders FILTER o.cust == c.id "
+            "COLLECT k = o.cust INTO g "
+            "RETURN {n: COUNT(g[*].o), ids: SUM(g[*].c.id)})}"
+        )
+        plan = optimize(parse(text), db)
+        assert "collect_into_aggregate" in plan.rules_fired
+        assert self._rows(db, text) == [
+            {"id": 0, "mine": [{"n": 1, "ids": 0}]},
+            {"id": 1, "mine": []},
+            {"id": 2, "mine": [{"n": 1, "ids": 2}]},
+            {"id": 3, "mine": []},
+        ]
+
+    def test_coordinator_replan_sees_it_as_text(self):
+        from repro.query.unparse import unparse
+
+        text = self.BY_PARITY + "SORT k RETURN {k, s: SUM(g[*].o.total)}"
+        plan = optimize(parse(text), None, ast_only=True)
+        assert "collect_into_aggregate" in plan.rules_fired
+        again = parse(unparse(plan))
+        assert again.operations == plan.operations
 
 
 class TestSuggestionLog:

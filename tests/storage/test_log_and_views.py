@@ -75,6 +75,132 @@ class TestCentralLog:
             with pytest.raises(StorageError, match="truncated"):
                 log.entries_since(lost)
 
+    def test_truncate_cut_is_clamped_to_what_is_retained(self):
+        log = CentralLog()
+        for i in range(6):
+            _insert(log, "t", i, {})
+        assert log.truncate_before(-3) == 0 and log.floor_lsn == 0
+        assert log.truncate_before(4) == 3 and log.floor_lsn == 3
+        assert log.truncate_before(2) == 0  # already below the floor
+        assert log.truncate_before(99) == 3 and len(log) == 0
+        assert log.floor_lsn == log.last_lsn == 6
+        assert _insert(log, "t", 99, {}).lsn == 7
+
+    def test_messages_name_the_floor(self):
+        log = CentralLog()
+        for i in range(6):
+            _insert(log, "t", i, {})
+        log.truncate_before(4)
+        with pytest.raises(StorageError, match=r"retains lsn 4\.\.6 \(floor_lsn 3\)"):
+            log.entries_since(1)
+        with pytest.raises(StorageError, match=r"retains lsn 4\.\.6 \(floor_lsn 3\)"):
+            log.entry_at(2)
+
+    def test_bare_log_retains_everything(self):
+        log = CentralLog()
+        for i in range(5000):
+            _insert(log, "t", i, {})
+        assert len(log) == 5000 and log.floor_lsn == 0
+        assert log.entry_at(1).key == 0
+
+    def test_tail_bounds_what_is_retained(self):
+        log = CentralLog(tail=8)
+        rows = RowView(log)
+        for i in range(100):
+            _insert(log, "t", i, {"v": i})
+            assert 0 < len(log) <= 16
+            assert len(log) >= min(i + 1, 8)
+        assert log.last_lsn == 100
+        assert log.floor_lsn == 100 - len(log)
+        assert [e.lsn for e in log.entries_since(log.floor_lsn)][0] == log.floor_lsn + 1
+        assert rows.count("t") == 100  # the views saw every entry
+        # One unit longer than the whole budget is trimmed to the tail.
+        log.append_group(9, [(LogOp.INSERT, "t", -i, {}, None, None) for i in range(1, 41)])
+        assert len(log) == 8 and log.last_lsn == 140
+
+    def test_a_live_reader_holds_the_floor_behind_the_tail(self):
+        log = CentralLog(tail=8)
+        read = [None]
+        log.reader_floor = lambda: read[0]
+        for i in range(40):
+            _insert(log, "t", i, {})
+        assert len(log) <= 16  # nobody reads: the tail alone decides
+        read[0] = log.last_lsn - 3
+        for i in range(100):
+            _insert(log, "t", i, {})
+        # Everything the reader has yet to see is still there …
+        assert log.floor_lsn <= read[0]
+        assert [e.lsn for e in log.entries_since(read[0])] == list(
+            range(read[0] + 1, log.last_lsn + 1)
+        )
+        # … it moves on, and the log lets go a tail's worth at a time …
+        read[0] += 50
+        _insert(log, "t", 0, {})
+        assert read[0] - 8 < log.floor_lsn <= read[0]
+        # … and a reader that keeps up holds nothing extra.
+        log.reader_floor = lambda: log.last_lsn - 1
+        for i in range(40):
+            _insert(log, "t", i, {})
+        assert len(log) <= 16
+
+    def test_readers_by_position_never_see_a_hole_while_the_tail_is_trimmed(self):
+        """The ship loop reads ``entries_since`` on one thread while commits
+        append and trim on another: a reader gets consecutive LSNs from its
+        watermark or the refusal, never a stream with entries missing."""
+        import sys
+        import threading
+        import time
+
+        log = CentralLog(tail=4)
+        stop = threading.Event()
+        failures: list = []
+
+        def follow():
+            watermark = 0
+            while not stop.is_set():
+                try:
+                    lsns = [entry.lsn for entry in log.entries_since(watermark)]
+                except StorageError:
+                    watermark = log.floor_lsn  # fell behind: start over there
+                    continue
+                if lsns != list(range(watermark + 1, watermark + 1 + len(lsns))):
+                    failures.append((watermark, lsns[:3]))
+                    return
+                if lsns:
+                    watermark = lsns[-1]
+
+        readers = [threading.Thread(target=follow) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            deadline = time.monotonic() + 0.5
+            key = 0
+            while time.monotonic() < deadline and not failures:
+                _insert(log, "t", key, {})
+                key += 1
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=5.0)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert failures == [] and key > 100
+
+    def test_fast_forward_aligns_the_head_with_a_snapshot_lsn(self):
+        log = CentralLog(tail=8)
+        rows = RowView(log)
+        for i in range(3):
+            _insert(log, "t", i, {"v": i})
+        log.fast_forward(50)
+        assert (log.last_lsn, log.floor_lsn, len(log)) == (50, 50, 0)
+        assert _insert(log, "t", 3, {"v": 3}).lsn == 51
+        assert rows.count("t") == 4
+        assert [e.lsn for e in log.entries_since(50)] == [51]
+        with pytest.raises(StorageError, match="fast-forward"):
+            log.fast_forward(10)
+
     def test_group_is_one_unit_with_consecutive_lsns(self):
         """The write-ahead hook sees a group whole and before anyone else,
         subscribers then see it entry by entry; a single append is a group

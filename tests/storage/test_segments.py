@@ -50,6 +50,29 @@ class TestColumnSegmentLayout:
         assert segment.zone_min["v"] is None
         assert segment.zone_max["v"] == 9
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [-7.5, None, 3.25, -0.0, None, 0.0],  # float with NULLs
+            [-4, 9, -11, 0],                      # int, no NULL
+            [None, -2**63, 2**63 - 1],            # the array's own limits
+            [-1, None, 2.5],                      # mixed: an object column
+            [1, 2**70, None],                     # overflow: an object column
+        ],
+    )
+    def test_typed_zone_maps_equal_the_total_order_ones(self, values):
+        """Typed columns take plain min/max; the answer is the one
+        ``SortKey`` gives (NULL lowest, negatives, floats, first of equals)."""
+        from repro.core.datamodel import SortKey
+
+        segment = ColumnSegment(_rows(values), ["v"])
+        for got, want in (
+            (segment.zone_min["v"], min(values, key=SortKey)),
+            (segment.zone_max["v"], max(values, key=SortKey)),
+        ):
+            assert got == want and type(got) is type(want)
+            assert repr(got) == repr(want)  # -0.0 is not 0.0
+
     def test_out_of_range_int_falls_back_to_objects(self):
         big = 2**70
         segment = ColumnSegment(_rows([1, big]), ["v"])
