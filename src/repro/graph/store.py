@@ -221,6 +221,49 @@ class PropertyGraph:
                 result.add(edge["_from"])
         return sorted(result)
 
+    def one_hop(
+        self,
+        starts: list[str],
+        direction: str = Direction.OUTBOUND,
+        label: Optional[str] = None,
+        txn: Optional[Transaction] = None,
+    ) -> dict[str, list[str]]:
+        """Depth-1 traversal of many starts at once: each start's adjacent
+        vertex keys, sorted, itself excluded (a self-loop does not make a
+        vertex its own neighbour at depth 1) — ``traverse(start, 1, 1)``
+        for every start, without a BFS each.  Outside transactions each
+        start costs its edge-index probes; inside one, a single snapshot
+        scan of the edges serves the whole set."""
+        if direction not in Direction.ALL:
+            raise ValueError(f"bad direction {direction!r}")
+        # (edge index, the start's end of the edge, the neighbour's end)
+        sides = []
+        if direction in (Direction.OUTBOUND, Direction.ANY):
+            sides.append((self._from_index, "_from", "_to"))
+        if direction in (Direction.INBOUND, Direction.ANY):
+            sides.append((self._to_index, "_to", "_from"))
+        found: dict[str, set] = {start: set() for start in starts}
+        if txn is None:
+            get_edge = self._edges._raw_get
+            for start, adjacent in found.items():
+                for index, near, far in sides:
+                    for edge_key in index.search(start):
+                        edge = get_edge(edge_key)
+                        if edge is not None and edge[near] == start and (
+                            label is None or edge.get("label") == label
+                        ):
+                            adjacent.add(edge[far])
+        else:
+            for _edge_key, edge in self._edges._raw_scan(txn):
+                if label is None or edge.get("label") == label:
+                    for _index, near, far in sides:
+                        adjacent = found.get(edge[near])
+                        if adjacent is not None:
+                            adjacent.add(edge[far])
+        for start, adjacent in found.items():
+            adjacent.discard(start)
+        return {start: sorted(adjacent) for start, adjacent in found.items()}
+
     def traverse(
         self,
         start: str,

@@ -52,6 +52,7 @@ INSTRUMENTED_METHODS = (
     "add_edge",
     "vertices",
     "edges",
+    "one_hop",
     "traverse",
     "traverse_with_edges",
     "shortest_path",

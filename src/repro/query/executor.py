@@ -48,11 +48,12 @@ from repro.query.compile import (
     compile_projection_columnar,
     extract_zone_predicates,
 )
-from repro.query.functions import call_function
+from repro.query.functions import call_function, keyed_reader
 from repro.query.plan import (
     AntiJoinOp,
     HashJoinOp,
     IndexScanOp,
+    LookupJoinOp,
     MaterializeOp,
     SemiJoinOp,
 )
@@ -66,9 +67,10 @@ def _compiled(operation: Any, slot: str, expr: ast.Expr):
 
     Plans live in the plan cache across executions, so compilation happens
     once per plan, not once per query; a warm cache executes straight
-    closures."""
+    closures.  An absent expression (a residual there is none of)
+    compiles to None."""
     fn = getattr(operation, slot, None)
-    if fn is None:
+    if fn is None and expr is not None:
         fn = compile_expr(expr)
         setattr(operation, slot, fn)
     return fn
@@ -818,238 +820,276 @@ def _apply_for(ctx, operation: ast.ForOp, batches):
         yield out
 
 
-def _apply_traversal(ctx, operation: ast.TraversalOp, batches):
-    graph = ctx.db.graph(operation.graph)
-    start_fn = _compiled(operation, "_c_start", operation.start)
+def _lookup_token(key: Any) -> Any:
+    """The dedupe token of a lookup key.  Exact ``str`` / ``int`` /
+    ``float`` keys dedupe under :func:`_group_token` (1 and 1.0 meet,
+    ``true`` never meets 1); any other key — NULL, a boolean, an object,
+    an array — gets a token equal to no other, so it is probed per frame."""
+    key_type = type(key)
+    if key_type is str or key_type is int:
+        return key
+    if key_type is float:
+        return _group_token(key)
+    return object()
+
+
+def _lookup_join(ctx, batches, key_fn, probe, emit, per_frame=False):
+    """The one gather → dedupe → probe-once → scatter path of lookup
+    joins, traversals, index scans and hash joins.  Per batch,
+    ``key_fn(ctx, frame)`` runs for every frame in frame order;
+    ``probe(keys)`` answers the distinct keys (first occurrences, in frame
+    order) in one call; ``emit(frame, result)`` gives each frame's output
+    frames, in frame order.  Nothing is kept across batches.  Errors come
+    from the frame that raises first, as frame by frame: a key that raises
+    is re-raised after the frames before it are probed and emitted; a probe
+    that raises sends the batch through again frame by frame — the way a
+    one-frame batch and, with ``per_frame`` (writes), every batch goes."""
     width = ctx.batch_size
     out: list = []
     for batch in batches:
-        for frame in batch:
-            start = start_fn(ctx, frame)
-            if isinstance(start, dict):
-                start = start.get("_key")
-            if isinstance(start, (int, float)) and not isinstance(start, bool):
-                # Vertex keys are strings; numeric ids (e.g. from a relational
-                # primary key) coerce, so `FOR f IN 1..1 OUTBOUND c.id …` works.
-                start = str(int(start))
-            if not isinstance(start, str):
-                raise ExecutionError(
-                    "traversal start must be a vertex key or vertex"
-                )
-            if operation.edge_var is not None:
-                visits = graph.traverse_with_edges(
-                    start,
-                    operation.min_depth,
-                    operation.max_depth,
-                    operation.direction,
-                    operation.label,
-                    txn=ctx.txn,
-                )
+        failure = scattered = None
+        if len(batch) == 1:
+            scattered = zip(batch, probe([key_fn(ctx, batch[0])]))
+        elif not per_frame:
+            slots: dict = {}
+            distinct: list = []
+            positions: list = []
+            for frame in batch:
+                try:
+                    key = key_fn(ctx, frame)
+                except Exception as error:  # re-raised after the frames before it
+                    failure = error
+                    break
+                token = _lookup_token(key)
+                position = slots.get(token)
+                if position is None:
+                    position = slots[token] = len(distinct)
+                    distinct.append(key)
+                positions.append(position)
+            try:
+                results = probe(distinct) if distinct else ()
+            except Exception:  # raised again below, from the frame that raises first
+                failure = None
             else:
-                visits = [
-                    (key, depth, None)
-                    for key, depth in graph.traverse(
-                        start,
-                        operation.min_depth,
-                        operation.max_depth,
-                        operation.direction,
-                        operation.label,
-                        txn=ctx.txn,
-                    )
-                ]
-            for key, _depth, edge in visits:
-                vertex = graph.vertex(key, txn=ctx.txn)
-                if vertex is None:
-                    continue
-                ctx.stats["scanned"] += 1
-                child = dict(frame)
-                child[operation.var] = vertex
-                if operation.edge_var is not None:
-                    child[operation.edge_var] = edge
+                scattered = zip(batch, map(results.__getitem__, positions))
+        if scattered is None:
+            scattered = ((frame, probe([key_fn(ctx, frame)])[0]) for frame in batch)
+        for frame, result in scattered:
+            for child in emit(frame, result):
                 out.append(child)
                 if len(out) >= width:
                     if ctx.deadline is not None:
                         _check_deadline(ctx)
                     yield out
                     out = []
+        if failure is not None:
+            raise failure
     if out:
         yield out
+
+
+def _bind_matches(ctx, frame, var, records, residual_fn) -> list:
+    """*frame* with *var* bound to each of *records* that passes the
+    residual (a miss counts as filtered out)."""
+    children = [{**frame, var: record} for record in records]
+    if residual_fn is None:
+        return children
+    kept = [child for child in children if datamodel.truthy(residual_fn(ctx, child))]
+    ctx.stats["filtered_out"] += len(children) - len(kept)
+    return kept
 
 
 def _apply_index_scan(ctx, operation: IndexScanOp, batches):
-    store = ctx.db.resolve(operation.source_name)
-    namespace = store.namespace
-    value_fn = _compiled(operation, "_c_value", operation.value)
-    residual_fn = (
-        _compiled(operation, "_c_residual", operation.residual)
-        if operation.residual is not None
-        else None
-    )
-    width = ctx.batch_size
-    out: list = []
-    for batch in batches:
-        for frame in batch:
-            probe = value_fn(ctx, frame) if ctx.txn is None else None
-            if probe is None:
-                # The index cannot answer: inside a transaction it reflects
-                # the latest committed state, not this snapshot; and it
-                # holds no NULL keys, while ``attr == NULL`` matches every
-                # record whose attribute is NULL or missing.  Fall back to
-                # scan + the original full predicate.
-                original_fn = (
-                    _compiled(
-                        operation, "_c_original", operation.original_condition
-                    )
-                    if operation.original_condition is not None
-                    else None
-                )
-                for value in _iter_source(ctx, operation.source_name):
-                    child = dict(frame)
-                    child[operation.var] = value
-                    if original_fn is None or datamodel.truthy(
-                        original_fn(ctx, child)
-                    ):
-                        out.append(child)
-                        if len(out) >= width:
-                            yield out
-                            out = []
-                continue
-            index_view = ctx.db.context.indexes.get(operation.index_name)
-            ctx.stats["index_lookups"] += 1
-            if obs_metrics.ENABLED:
-                obs_metrics.counter(
-                    "index_lookups_total", index=operation.index_name
-                ).inc()
-            if operation.index_name not in ctx.stats["indexes_used"]:
-                ctx.stats["indexes_used"].append(operation.index_name)
-            for key in index_view.search(probe):
-                record = ctx.db.context.rows.get(namespace, key)
-                if record is None:
-                    continue
-                child = dict(frame)
-                child[operation.var] = record
-                if residual_fn is not None and not datamodel.truthy(
-                    residual_fn(ctx, child)
-                ):
-                    ctx.stats["filtered_out"] += 1
-                    continue
-                out.append(child)
-                if len(out) >= width:
-                    yield out
-                    out = []
-    if out:
-        yield out
-
-
-def _apply_hash_join(ctx, operation: HashJoinOp, batches):
-    """Build a hash table over the named collection (the build side) once,
-    then probe it per outer frame — the linear-time replacement for a
-    correlated rescan.
-
-    The table maps ``hash_value(key)`` to ``[(key, record), …]`` buckets;
-    probes confirm with ``compare() == 0`` so hash collisions cannot leak
-    wrong rows and the match semantics (``null == null`` matches,
-    ``1 == 1.0`` matches) are exactly those of the FILTER it replaced.
-    The build is lazy: an empty outer side never scans the collection.
-    """
-    probe_fn = _compiled(operation, "_c_probe", operation.probe)
-    residual_fn = (
-        _compiled(operation, "_c_residual", operation.residual)
-        if operation.residual is not None
-        else None
-    )
-    hash_value = datamodel.hash_value
-    compare = datamodel.compare
-    build_path = operation.build_path
-    table: Optional[dict] = None
-    width = ctx.batch_size
-    out: list = []
-    for batch in batches:
-        if table is None:
-            table = {}
-            for record in _iter_source(ctx, operation.source_name):
-                key = datamodel.deep_get(record, build_path)
-                table.setdefault(hash_value(key), []).append((key, record))
-            ctx.stats["hash_join_builds"] += 1
-            if obs_metrics.ENABLED:
-                obs_metrics.counter("hash_join_builds_total").inc()
-        for frame in batch:
-            probe = probe_fn(ctx, frame)
-            for key, record in table.get(hash_value(probe), ()):
-                if compare(key, probe) != 0:
-                    continue
-                child = dict(frame)
-                child[operation.var] = record
-                if residual_fn is not None and not datamodel.truthy(
-                    residual_fn(ctx, child)
-                ):
-                    ctx.stats["filtered_out"] += 1
-                    continue
-                out.append(child)
-                if len(out) >= width:
-                    yield out
-                    out = []
-    if out:
-        yield out
-
-
-def _apply_semi_join(ctx, operation: SemiJoinOp, batches, anti: bool = False):
-    """Existence probe against a lazily-built hash table — the
-    decorrelated form of ``FILTER LENGTH((FOR x IN coll …)) > 0``.
-
-    The build side is the named collection keyed on ``build_path``
-    (txn-aware via :func:`_iter_source`, so snapshot reads stay correct);
-    each outer frame passes **unchanged** iff some build row equals the
-    per-frame probe (``compare() == 0`` confirmation — hash collisions
-    cannot leak, and the model's ``1 == 1.0`` / ``null == null`` match
-    semantics are exactly the subquery filter's) and satisfies the
-    residual with the inner variable bound.  ``anti=True`` inverts the
-    verdict (``LENGTH(…) == 0``).  Nothing is bound downstream."""
-    probe_fn = _compiled(operation, "_c_probe", operation.probe)
-    residual_fn = (
-        _compiled(operation, "_c_residual", operation.residual)
-        if operation.residual is not None
-        else None
-    )
-    hash_value = datamodel.hash_value
-    compare = datamodel.compare
-    truthy = datamodel.truthy
-    build_path = operation.build_path
+    """Equality probes of a point index, through :func:`_lookup_join`.  The
+    index cannot answer a NULL probe (it holds no NULL keys, while ``attr ==
+    NULL`` matches NULL and missing attributes) nor one inside a transaction
+    (it holds committed state, not the snapshot's): those frames fall back
+    to a scan + the original full predicate."""
+    namespace = ctx.db.resolve(operation.source_name).namespace
+    rows = ctx.db.context.rows
+    stats = ctx.stats
     var = operation.var
+    value_fn = _compiled(operation, "_c_value", operation.value)
+    residual_fn = _compiled(operation, "_c_residual", operation.residual)
+    lookups = (
+        obs_metrics.counter("index_lookups_total", index=operation.index_name)
+        if obs_metrics.ENABLED else None
+    )
+
+    def probe(values):
+        made = len(values) - values.count(None)
+        if not made:
+            return values  # every frame scans
+        search = ctx.db.context.indexes.get(operation.index_name).search
+        stats["index_lookups"] += made
+        if lookups is not None:
+            lookups.inc(made)
+        if operation.index_name not in stats["indexes_used"]:
+            stats["indexes_used"].append(operation.index_name)
+        return [
+            None if value is None else [
+                record for key in search(value)
+                if (record := rows.get(namespace, key)) is not None
+            ]
+            for value in values
+        ]
+
+    def emit(frame, records):
+        if records is not None:
+            return _bind_matches(ctx, frame, var, records, residual_fn)
+        scanned = ({**frame, var: value} for value in _iter_source(ctx, operation.source_name))
+        original_fn = _compiled(operation, "_c_original", operation.original_condition)
+        if original_fn is None:
+            return scanned
+        return (child for child in scanned if datamodel.truthy(original_fn(ctx, child)))
+
+    key_fn = value_fn if ctx.txn is None else (lambda ctx, frame: None)
+    yield from _lookup_join(ctx, batches, key_fn, probe, emit, operation.per_frame)
+
+
+def _apply_lookup_join(ctx, operation: LookupJoinOp, batches):
+    """``LET var = DOCUMENT/KV_GET('source', key)`` set at a time: one
+    store read per distinct key of a batch (the traversal form goes to
+    :func:`_apply_traversal`)."""
+    if operation.fans_out:
+        return _apply_traversal(ctx, operation, batches)
+    key_fn = _compiled(operation, "_c_key", operation.key)
+    var = operation.var
+    read = None
+
+    def probe(keys):
+        nonlocal read
+        if read is None:
+            read = keyed_reader(ctx, operation.kind, operation.source)
+        return [read(key) for key in keys]
+
+    return _lookup_join(
+        ctx, batches, key_fn, probe, lambda frame, value: ({**frame, var: value},)
+    )
+
+
+def _apply_traversal(ctx, operation, batches):
+    """Graph traversals and shortest paths through :func:`_lookup_join`:
+    each distinct start of a batch is walked once, each vertex fetched
+    once.  A ``1..1`` traversal without an edge variable — a
+    :class:`LookupJoinOp` once the ``lookup_join`` rule fired — takes the
+    batch's adjacency lists in one
+    :meth:`~repro.graph.store.PropertyGraph.one_hop` call, no BFS."""
+    kind = type(operation)
+    graph = ctx.db.graph(operation.source if kind is LookupJoinOp else operation.graph)
+    var = operation.var
+    edge_var = operation.edge_var if kind is ast.TraversalOp else None
+    txn = ctx.txn
+    if kind is ast.ShortestPathOp:
+        start_fn = _compiled(operation, "_c_start", operation.start)
+        goal_fn = _compiled(operation, "_c_goal", operation.goal)
+
+        def start_of(ctx, frame):
+            start = _coerce_vertex_key(start_fn(ctx, frame), "shortest-path start")
+            return start, _coerce_vertex_key(goal_fn(ctx, frame), "shortest-path goal")
+
+        def walk(ends):
+            paths = (graph.shortest_path(*end, operation.direction, txn=txn) for end in ends)
+            return [[(key, None) for key in path or ()] for path in paths]
+    else:
+        start_expr = operation.key if kind is LookupJoinOp else operation.start
+        start_fn = _compiled(operation, "_c_start", start_expr)
+
+        def start_of(ctx, frame):
+            return _coerce_vertex_key(start_fn(ctx, frame), "traversal start")
+
+        def walk(starts):
+            if kind is LookupJoinOp:
+                hops = graph.one_hop(starts, operation.direction, operation.label, txn=txn)
+                return [[(key, None) for key in hops[start]] for start in starts]
+            # (key, depth) visits, or (key, depth, discovery edge) ones.
+            visit = graph.traverse if edge_var is None else graph.traverse_with_edges
+            return [
+                [
+                    (found[0], found[2] if edge_var is not None else None)
+                    for found in visit(
+                        start, operation.min_depth, operation.max_depth,
+                        operation.direction, operation.label, txn=txn,
+                    )
+                ]
+                for start in starts
+            ]
+
+    def probe(starts):
+        vertices: dict = {}
+        found = []
+        for pairs in walk(starts):
+            matched = []
+            for key, edge in pairs:
+                vertex = vertices.get(key, _UNSET)
+                if vertex is _UNSET:
+                    vertex = vertices[key] = graph.vertex(key, txn=txn)
+                if vertex is not None:
+                    matched.append((vertex, edge))
+            found.append(matched)
+        return found
+
+    def emit(frame, matched):
+        ctx.stats["scanned"] += len(matched)
+        if edge_var is None:
+            return [{**frame, var: vertex} for vertex, _edge in matched]
+        return [{**frame, var: vertex, edge_var: edge} for vertex, edge in matched]
+
+    yield from _lookup_join(ctx, batches, start_of, probe, emit)
+
+
+def _apply_join(ctx, operation, batches):
+    """Hash, semi and anti joins — the linear-time replacement for a
+    correlated rescan: a ``hash_value(key) -> [(key, record), …]`` table
+    over the named collection, built once and lazily (an empty outer side
+    never scans; the scan is txn-aware), probed once per distinct key
+    through :func:`_lookup_join`.  Probes confirm with ``compare() == 0``,
+    so collisions cannot leak rows and ``null == null`` / ``1 == 1.0``
+    match as in the FILTER or subquery replaced.  A hash join binds each
+    match that passes the residual; a semi join passes the frame unchanged
+    iff some match does (an anti join iff none does)."""
+    probe_fn = _compiled(operation, "_c_probe", operation.probe)
+    residual_fn = _compiled(operation, "_c_residual", operation.residual)
+    hash_value = datamodel.hash_value
+    compare = datamodel.compare
+    kind = "semi_join" if isinstance(operation, SemiJoinOp) else "hash_join"
     table: Optional[dict] = None
-    for batch in batches:
+
+    def key_of(ctx, frame):
+        nonlocal table
         if table is None:
             table = {}
             for record in _iter_source(ctx, operation.source_name):
-                key = datamodel.deep_get(record, build_path)
+                key = datamodel.deep_get(record, operation.build_path)
                 table.setdefault(hash_value(key), []).append((key, record))
-            ctx.stats["semi_join_builds"] += 1
+            ctx.stats[f"{kind}_builds"] += 1
             if obs_metrics.ENABLED:
-                obs_metrics.counter("semi_join_builds_total").inc()
-        out = []
-        for frame in batch:
-            probe = probe_fn(ctx, frame)
-            matched = False
-            for key, record in table.get(hash_value(probe), ()):
-                if compare(key, probe) != 0:
-                    continue
-                if residual_fn is not None:
-                    child = dict(frame)
-                    child[var] = record
-                    if not truthy(residual_fn(ctx, child)):
-                        continue
-                matched = True
-                break
-            if matched != anti:
-                out.append(frame)
-            else:
-                ctx.stats["filtered_out"] += 1
-        if out:
-            yield out
+                obs_metrics.counter(f"{kind}_builds_total").inc()
+        return probe_fn(ctx, frame)
 
+    def probe(values):
+        return [
+            [record for key, record in table.get(hash_value(value), ())
+             if compare(key, value) == 0]
+            for value in values
+        ]
 
-def _apply_anti_join(ctx, operation: AntiJoinOp, batches):
-    return _apply_semi_join(ctx, operation, batches, anti=True)
+    var = operation.var
+    anti = isinstance(operation, AntiJoinOp)
+
+    def emit(frame, records):
+        if kind == "hash_join":
+            return _bind_matches(ctx, frame, var, records, residual_fn)
+        matched = any(
+            residual_fn is None or datamodel.truthy(residual_fn(ctx, {**frame, var: record}))
+            for record in records
+        )
+        if matched != anti:
+            return (frame,)
+        ctx.stats["filtered_out"] += 1
+        return ()
+
+    return _lookup_join(ctx, batches, key_of, probe, emit)
 
 
 def _apply_materialize(ctx, operation: MaterializeOp, batches):
@@ -1067,52 +1107,19 @@ def _apply_materialize(ctx, operation: MaterializeOp, batches):
             rows, _writes = _run_pipeline(ctx, operation.query, {})
             ctx.materialized[token] = rows
             ctx.stats["materialized_subqueries"] += 1
-        out = []
-        for frame in batch:
-            child = dict(frame)
-            child[var] = rows
-            out.append(child)
-        yield out
+        yield [{**frame, var: rows} for frame in batch]
 
 
 def _coerce_vertex_key(value, what: str) -> str:
     if isinstance(value, dict):
         value = value.get("_key")
     if isinstance(value, (int, float)) and not isinstance(value, bool):
+        # Vertex keys are strings; numeric ids (e.g. from a relational
+        # primary key) coerce, so `FOR f IN 1..1 OUTBOUND c.id …` works.
         value = str(int(value))
     if not isinstance(value, str):
         raise ExecutionError(f"{what} must be a vertex key or vertex")
     return value
-
-
-def _apply_shortest_path(ctx, operation: ast.ShortestPathOp, batches):
-    graph = ctx.db.graph(operation.graph)
-    width = ctx.batch_size
-    out: list = []
-    for batch in batches:
-        for frame in batch:
-            start = _coerce_vertex_key(
-                evaluate(ctx, operation.start, frame), "shortest-path start"
-            )
-            goal = _coerce_vertex_key(
-                evaluate(ctx, operation.goal, frame), "shortest-path goal"
-            )
-            path = graph.shortest_path(
-                start, goal, operation.direction, txn=ctx.txn
-            )
-            for key in path or []:
-                vertex = graph.vertex(key, txn=ctx.txn)
-                if vertex is None:
-                    continue
-                ctx.stats["scanned"] += 1
-                child = dict(frame)
-                child[operation.var] = vertex
-                out.append(child)
-                if len(out) >= width:
-                    yield out
-                    out = []
-    if out:
-        yield out
 
 
 def _apply_filter(ctx, operation: ast.FilterOp, batches):
@@ -1159,12 +1166,7 @@ def _apply_let(ctx, operation: ast.LetOp, batches):
     value_fn = _compiled(operation, "_c_value", operation.value)
     var = operation.var
     for batch in batches:
-        out = []
-        for frame in batch:
-            child = dict(frame)
-            child[var] = value_fn(ctx, frame)
-            out.append(child)
-        yield out
+        yield [{**frame, var: value_fn(ctx, frame)} for frame in batch]
 
 
 def _apply_sort(ctx, operation: ast.SortOp, batches):
@@ -1315,9 +1317,7 @@ def _apply_insert(ctx, operation: ast.InsertOp, frames):
     kind, store = _dml_target(ctx, operation.target)
     for frame in frames:
         document = evaluate(ctx, operation.document, frame)
-        if kind == "collection":
-            key = store.insert(document, txn=ctx.txn)
-        elif kind == "table":
+        if kind in ("collection", "table"):
             key = store.insert(document, txn=ctx.txn)
         elif kind == "bucket":
             if (
@@ -1342,9 +1342,7 @@ def _apply_update(ctx, operation: ast.UpdateOp, frames):
         if isinstance(key, dict):
             key = key.get("_key", key.get("id"))
         changes = evaluate(ctx, operation.changes, frame)
-        if kind == "collection":
-            updated = store.update(key, changes, txn=ctx.txn)
-        elif kind == "table":
+        if kind in ("collection", "table"):
             updated = store.update(key, changes, txn=ctx.txn)
         elif kind == "bucket":
             store.put(key, changes, txn=ctx.txn)
@@ -1429,14 +1427,13 @@ _DML_APPLIERS = {
 
 _BATCH_APPLIERS = (
     (IndexScanOp, _apply_index_scan),
-    (HashJoinOp, _apply_hash_join),
-    # AntiJoinOp subclasses SemiJoinOp — the anti entry must come first.
-    (AntiJoinOp, _apply_anti_join),
-    (SemiJoinOp, _apply_semi_join),
+    (HashJoinOp, _apply_join),
+    (SemiJoinOp, _apply_join),  # AntiJoinOp included
     (MaterializeOp, _apply_materialize),
+    (LookupJoinOp, _apply_lookup_join),
     (ast.ForOp, _apply_for),
     (ast.TraversalOp, _apply_traversal),
-    (ast.ShortestPathOp, _apply_shortest_path),
+    (ast.ShortestPathOp, _apply_traversal),
     (ast.FilterOp, _apply_filter),
     (ast.LetOp, _apply_let),
     (ast.SortOp, _apply_sort),

@@ -27,7 +27,7 @@ from typing import Any, Callable
 from repro.core import datamodel
 from repro.errors import FunctionError
 
-__all__ = ["FUNCTIONS", "call_function"]
+__all__ = ["FUNCTIONS", "call_function", "keyed_reader"]
 
 
 def _require(condition: bool, name: str, message: str) -> None:
@@ -292,22 +292,45 @@ def _fn_json_path(ctx, document, path):
 # --------------------------------------------------------------------------
 
 
-def _fn_document(ctx, name, key):
+def keyed_reader(ctx, function: str, name: str) -> Callable[[Any], Any]:
+    """The read behind ``DOCUMENT(name, key)`` (*function* ``"DOCUMENT"``)
+    or ``KV_GET(name, key)`` (``"KV_GET"``) with *name* resolved once:
+    ``read(key)`` answers one key and raises what the function raises for
+    it.  The functions and the executor's set-at-a-time lookup joins both
+    read through here, so they cannot disagree."""
+    txn = ctx.txn
+    if function == "KV_GET":
+        bucket = ctx.db.bucket(name)
+
+        def read(key):
+            _require(isinstance(key, str), "KV_GET", "keys are strings")
+            return bucket.get(key, txn=txn)
+
+        return read
     store = ctx.db.resolve(name)
     kind = ctx.db.kind_of(name)
-    if kind == "table":
-        return store.get(key, txn=ctx.txn)
-    if kind == "collection":
-        return store.get(key, txn=ctx.txn)
-    if kind == "graph":
-        return store.vertex(key, txn=ctx.txn)
-    raise FunctionError(f"DOCUMENT: {name!r} is a {kind}, not a keyed store")
+    if kind in ("table", "collection"):
+        get = store.get
+    elif kind == "graph":
+        get = store.vertex
+    else:
+        raise FunctionError(f"DOCUMENT: {name!r} is a {kind}, not a keyed store")
+
+    def read(key):
+        try:
+            return get(key, txn=txn)
+        except TypeError as error:  # an unhashable key: what call_function says
+            raise FunctionError(f"DOCUMENT: bad arity ({error})") from error
+
+    return read
+
+
+def _fn_document(ctx, name, key):
+    return keyed_reader(ctx, "DOCUMENT", name)(key)
 
 
 def _fn_kv_get(ctx, bucket_name, key):
-    bucket = ctx.db.bucket(bucket_name)
-    _require(isinstance(key, str), "KV_GET", "keys are strings")
-    return bucket.get(key, txn=ctx.txn)
+    return keyed_reader(ctx, "KV_GET", bucket_name)(key)
 
 
 def _fn_kv_keys(ctx, bucket_name):

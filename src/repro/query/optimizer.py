@@ -27,7 +27,13 @@ import dataclasses
 from typing import Any, Iterator, Optional
 
 from repro.query import ast
-from repro.query.plan import HashJoinOp, IndexScanOp, MaterializeOp, SemiJoinOp
+from repro.query.plan import (
+    HashJoinOp,
+    IndexScanOp,
+    LookupJoinOp,
+    MaterializeOp,
+    SemiJoinOp,
+)
 from repro.query.visit import (
     WRITE_OPS,
     and_join,
@@ -222,16 +228,21 @@ def _equality_probes(parts: list, var: str) -> Iterator[tuple]:
                 yield position, path, probe_side
 
 
-def select_indexes(query: ast.Query, db, scope=frozenset()) -> ast.Query:
+def select_indexes(
+    query: ast.Query, db, scope=frozenset(), writes=None
+) -> ast.Query:
     """Rewrite scan+filter pairs into index scans where the catalog allows.
 
     *scope* holds the variables the enclosing scopes bind (empty for a
     top-level statement): a FOR over a name bound there or upstream
     iterates that variable's array, not the collection of the same name,
-    so no index can serve it."""
+    so no index can serve it.  In a statement that writes the scans probe
+    frame by frame (:attr:`IndexScanOp.per_frame`); *writes()*, asked once a
+    scan is made, says whether it does (by default, whether *query* does)."""
     operations = list(query.operations)
     result: list[ast.Operation] = []
     bound_vars = set(scope)
+    per_frame = None
     index = 0
     while index < len(operations):
         operation = operations[index]
@@ -246,6 +257,9 @@ def select_indexes(query: ast.Query, db, scope=frozenset()) -> ast.Query:
             rewritten = _try_index_scan(operation, next_operation, db)
         bound_vars.update(binds(operation))
         if rewritten is not None:
+            if per_frame is None:
+                per_frame = contains_write(query) if writes is None else writes()
+            rewritten.per_frame = per_frame
             result.append(rewritten)
             index += 2
         else:
@@ -305,6 +319,14 @@ _MULTI_FRAME_OPS = (
 )
 
 
+def multi_frame(operation: ast.Operation) -> bool:
+    """True when *operation* can emit more than one frame per input frame:
+    the multi-frame operations, and a lookup join of the traversal form."""
+    return isinstance(operation, _MULTI_FRAME_OPS) or (
+        type(operation) is LookupJoinOp and operation.fans_out
+    )
+
+
 def build_hash_joins(query: ast.Query, db, scope=frozenset()) -> ast.Query:
     """Rewrite correlated inner scans into hash joins.
 
@@ -348,7 +370,7 @@ def build_hash_joins(query: ast.Query, db, scope=frozenset()) -> ast.Query:
                 inner_loop = True
                 index += 2
                 continue
-        if isinstance(operation, _MULTI_FRAME_OPS):
+        if multi_frame(operation):
             inner_loop = True
         bound_vars.update(binds(operation))
         result.append(operation)
@@ -433,9 +455,16 @@ def optimize(
         if rule.name not in off and (rule.ast_safe or physical)
     ]
     context = rules_module.RuleContext(db=db)
+    # No rule adds a subquery: a statement without one keeps none, and
+    # writes iff one of its own operations does.
+    nested = physical and any(nested_queries(op) for op in query.operations)
+    if physical and not nested:
+        context.writes = any(type(op) in WRITE_OPS for op in query.operations)
     optimized = _fixpoint(query, active, context)
-    if physical and any(nested_queries(op) for op in optimized.operations):
-        context.writes = contains_write(optimized)
+    if nested and any(nested_queries(op) for op in optimized.operations):
+        # Settle the verdict on the whole statement: a nested scope's rules
+        # would otherwise work it out from their own query.
+        context.statement_writes(optimized)
         optimized = _plan_nested_scopes(optimized, active, context)
     if optimized is query:
         # Never hand back the caller's object with mutated metadata.

@@ -18,6 +18,7 @@ __all__ = [
     "HashJoinOp",
     "SemiJoinOp",
     "AntiJoinOp",
+    "LookupJoinOp",
     "MaterializeOp",
     "render_plan",
     "analyzed_op_stats",
@@ -35,6 +36,10 @@ class IndexScanOp(ast.Operation):
     index cannot answer: inside a transaction (the index holds committed
     state, not the snapshot's) and for a NULL probe value (the index holds
     no NULL keys, yet ``attr == NULL`` matches NULL and missing attributes).
+
+    Probes are made once per distinct value per batch; ``per_frame`` keeps
+    them frame by frame in a statement that writes, where a write landing
+    between two probes of one batch is observable.
     """
 
     var: str
@@ -45,6 +50,7 @@ class IndexScanOp(ast.Operation):
     index_kind: str
     residual: Optional[ast.Expr] = None
     original_condition: Optional[ast.Expr] = None
+    per_frame: bool = False
 
 
 @dataclass
@@ -99,6 +105,36 @@ class SemiJoinOp(ast.Operation):
 class AntiJoinOp(SemiJoinOp):
     """The ``LENGTH(…) == 0`` twin of :class:`SemiJoinOp`: frames pass
     when **no** build row matches."""
+
+
+@dataclass
+class LookupJoinOp(ast.Operation):
+    """A per-frame cross-model lookup rewritten by the ``lookup_join``
+    rule into a set-at-a-time join: for each batch the executor evaluates
+    ``key`` per frame, probes once per distinct key and scatters the
+    results back in frame order.
+
+    ``kind`` names the probe:
+
+    * ``"DOCUMENT"`` / ``"KV_GET"`` — ``LET var = DOCUMENT('source', key)``
+      / ``LET var = KV_GET('source', key)``, one value bound per frame;
+    * ``"HOP"`` — ``FOR var IN 1..1 <direction> key GRAPH source
+      [LABEL label]`` without an edge variable, one frame per neighbour
+      (the start itself excluded, as the depth-1 traversal excludes it).
+    """
+
+    var: str
+    kind: str
+    source: str
+    key: ast.Expr
+    direction: Optional[str] = None
+    label: Optional[str] = None
+
+    @property
+    def fans_out(self) -> bool:
+        """True when the lookup emits a frame per match (the traversal
+        form), not one per input frame."""
+        return self.kind == "HOP"
 
 
 @dataclass
@@ -200,6 +236,19 @@ def _own_lines(operation: ast.Operation, indent: int) -> list[str]:
         if operation.residual is not None:
             lines.append(f"{pad}  Residual: {_expr_text(operation.residual)}")
         return lines
+    if isinstance(operation, LookupJoinOp):
+        once = "one probe per distinct key per batch"
+        if operation.fans_out:
+            label = f" LABEL {operation.label!r}" if operation.label else ""
+            return [
+                f"{pad}LookupJoin {operation.var} IN 1..1 "
+                f"{operation.direction.upper()} {_expr_text(operation.key)} "
+                f"GRAPH {operation.source}{label} (adjacency, {once})"
+            ]
+        return [
+            f"{pad}LookupJoin {operation.var} = {operation.kind}"
+            f"({operation.source!r}, {_expr_text(operation.key)}) ({once})"
+        ]
     if isinstance(operation, MaterializeOp):
         return [
             f"{pad}Materialize {operation.var} = (subquery) "

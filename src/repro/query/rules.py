@@ -18,7 +18,7 @@ Registry order is the application order within one fixpoint pass:
 normalization first (folding, predicate split, pushdown), then the
 subquery rewrites (decorrelation, materialization), then access-path
 selection (indexes before hash joins, so an index nested-loop keeps
-first pick).
+first pick), and last the set-at-a-time lookup joins.
 
 A rule rewrites one query's operations and never looks inside a
 subquery: the optimizer plans each subquery left in the plan as a scope
@@ -40,14 +40,14 @@ from typing import Any, Callable, Optional
 
 from repro.query import ast
 from repro.query.optimizer import (
-    _MULTI_FRAME_OPS,
     _equality_probes,
     build_hash_joins,
     fold_constants,
+    multi_frame,
     push_down_filters,
     select_indexes,
 )
-from repro.query.plan import AntiJoinOp, MaterializeOp, SemiJoinOp
+from repro.query.plan import AntiJoinOp, LookupJoinOp, MaterializeOp, SemiJoinOp
 from repro.query.visit import (
     and_join,
     binds,
@@ -151,12 +151,22 @@ class RuleContext:
     collection or over a variable" must count them as bound: a subquery
     two levels down that reads the outermost variable is correlated,
     though nothing in its own query or its parent's binds it.
-    ``writes`` is true when the enclosing statement performs DML."""
+    ``writes`` is whether the statement performs DML, None until a rule
+    asks (:meth:`statement_writes`)."""
 
     db: Any = None
     fired: list = field(default_factory=list)
     scope: frozenset = frozenset()
-    writes: bool = False
+    writes: Optional[bool] = None
+
+    def statement_writes(self, query: ast.Query) -> bool:
+        """True when the statement performs DML.  Worked out from *query*
+        — the statement being rewritten — the first time a rule asks, and
+        kept: no rule adds or drops a write, and a nested scope inherits
+        the verdict from its statement."""
+        if self.writes is None:
+            self.writes = contains_write(query)
+        return self.writes
 
     def suggest(self, source: str, path: tuple, rule: str, reason: str) -> None:
         log = getattr(self.db, "index_suggestions", None)
@@ -372,7 +382,9 @@ def _fold_members(
                 return None
             downstream.extend(operations[position + 1:])
             break
-        if type(operation) not in _KEEPS_EVERY_FRAME:
+        if type(operation) not in _KEEPS_EVERY_FRAME and not (
+            type(operation) is LookupJoinOp and not operation.fans_out
+        ):
             every_group = False
     if not folded:
         return None
@@ -399,7 +411,7 @@ def _rule_collect_into_aggregate(query: ast.Query, ctx: RuleContext) -> ast.Quer
     for index, operation in enumerate(operations):
         if type(operation) is not ast.CollectOp or not operation.into:
             continue
-        if ctx.writes or contains_write(query):
+        if ctx.statement_writes(query):
             return query
         # What the member frames hold: the variables bound since the last
         # COLLECT (which starts fresh frames), or since the enclosing scopes.
@@ -669,16 +681,16 @@ def _rule_materialize_let(query: ast.Query, ctx: RuleContext) -> ast.Query:
     change that story because there is none to change."""
     operations = list(query.operations)
     changed = False
-    multi_frame = False
+    fanned_out = False
     bound: set = set(ctx.scope)
     for index, operation in enumerate(operations):
         if (
-            multi_frame
+            fanned_out
             and isinstance(operation, ast.LetOp)
             and isinstance(operation.value, ast.SubQuery)
             and not free_vars(operation.value.query.operations) & bound
         ):
-            if ctx.writes or contains_write(query):
+            if ctx.statement_writes(query):
                 return query
             operations[index] = MaterializeOp(
                 var=operation.var, query=operation.value.query
@@ -686,9 +698,66 @@ def _rule_materialize_let(query: ast.Query, ctx: RuleContext) -> ast.Query:
             changed = True
             bound.add(operation.var)
             continue
-        if isinstance(operation, _MULTI_FRAME_OPS):
-            multi_frame = True
+        if multi_frame(operation):
+            fanned_out = True
         bound.update(binds(operation))
+    return ast.Query(operations) if changed else query
+
+
+# ---------------------------------------------------------------------------
+# Rule: set-at-a-time cross-model lookups
+# ---------------------------------------------------------------------------
+
+#: The keyed functions a ``LET`` may call for a lookup join.
+_LOOKUP_FUNCTIONS = ("DOCUMENT", "KV_GET")
+
+
+def _lookup_join(operation: ast.Operation) -> Optional[LookupJoinOp]:
+    """The :class:`LookupJoinOp` for a ``LET v = DOCUMENT('c', k)`` /
+    ``LET v = KV_GET('b', k)`` or an edge-less ``1..1`` traversal, else
+    None."""
+    if type(operation) is ast.LetOp:
+        value = operation.value
+        if (
+            type(value) is ast.FuncCall
+            and value.name in _LOOKUP_FUNCTIONS
+            and len(value.args) == 2
+            and type(value.args[0]) is ast.Literal
+            and type(value.args[0].value) is str
+        ):
+            return LookupJoinOp(
+                operation.var, value.name, value.args[0].value, value.args[1]
+            )
+    elif (
+        type(operation) is ast.TraversalOp
+        and operation.min_depth == operation.max_depth == 1
+        and operation.edge_var is None
+    ):
+        return LookupJoinOp(
+            operation.var, "HOP", operation.graph, operation.start,
+            operation.direction, operation.label,
+        )
+    return None
+
+
+def _rule_lookup_join(query: ast.Query, ctx: RuleContext) -> ast.Query:
+    """Per-frame cross-model lookups → :class:`LookupJoinOp`: the executor
+    gathers a batch's keys, probes the store, bucket or adjacency once per
+    distinct key and scatters the results back in frame order, instead of
+    one scalar call per frame.
+
+    Statements that write are left alone: a write landing between two
+    probes of one batch would be seen by one frame and not the other."""
+    operations = list(query.operations)
+    changed = False
+    for index, operation in enumerate(operations):
+        joined = _lookup_join(operation)
+        if joined is None:
+            continue
+        if ctx.statement_writes(query):
+            return query
+        operations[index] = joined
+        changed = True
     return ast.Query(operations) if changed else query
 
 
@@ -706,7 +775,9 @@ def _rule_filter_pushdown(query: ast.Query, ctx: RuleContext) -> ast.Query:
 
 
 def _rule_index_selection(query: ast.Query, ctx: RuleContext) -> ast.Query:
-    rewritten = select_indexes(query, ctx.db, ctx.scope)
+    rewritten = select_indexes(
+        query, ctx.db, ctx.scope, writes=lambda: ctx.statement_writes(query)
+    )
     _suggest_scan_near_misses(rewritten, ctx)
     return rewritten
 
@@ -815,6 +886,14 @@ REGISTRY: tuple[Rule, ...] = (
         name="hash_join",
         description="correlated inner scans become hash joins",
         rewrite=_rule_hash_join,
+    ),
+    Rule(
+        name="lookup_join",
+        description=(
+            "LET DOCUMENT/KV_GET lookups and 1..1 traversals probe once "
+            "per distinct key per batch"
+        ),
+        rewrite=_rule_lookup_join,
     ),
 )
 

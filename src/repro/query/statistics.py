@@ -34,7 +34,13 @@ import threading
 from typing import Any, Optional
 
 from repro.query import ast
-from repro.query.plan import AntiJoinOp, HashJoinOp, IndexScanOp, SemiJoinOp
+from repro.query.plan import (
+    AntiJoinOp,
+    HashJoinOp,
+    IndexScanOp,
+    LookupJoinOp,
+    SemiJoinOp,
+)
 
 __all__ = [
     "collection_cardinality",
@@ -264,7 +270,9 @@ def annotate_estimates(query: ast.Query, db) -> None:
                 if fingerprint is not None:
                     ratio = stats.ratio(fingerprint)
             rows *= ratio if ratio is not None else _DEFAULT_FILTER_SELECTIVITY
-        elif isinstance(operation, (ast.TraversalOp, ast.ShortestPathOp)):
+        elif isinstance(operation, (ast.TraversalOp, ast.ShortestPathOp)) or (
+            type(operation) is LookupJoinOp and operation.fans_out
+        ):
             rows *= _DEFAULT_TRAVERSAL_FANOUT
         elif isinstance(operation, ast.LimitOp):
             rows = float(min(rows, operation.count))

@@ -30,6 +30,7 @@ from repro.query.plan import (
     AntiJoinOp,
     HashJoinOp,
     IndexScanOp,
+    LookupJoinOp,
     MaterializeOp,
     SemiJoinOp,
 )
@@ -183,6 +184,7 @@ _SHAPES: dict[type, _Shape] = {
     # Only existence is observable: the inner variable never escapes.
     SemiJoinOp: _PROBE._replace(binds=()),
     AntiJoinOp: _PROBE._replace(binds=()),
+    LookupJoinOp: _Shape(exprs=("key",), binds=("var",)),
     # Its query is a scope of its own (see nested_queries), not an
     # expression: uncorrelated by construction, it reads no frame.
     MaterializeOp: _Shape(binds=("var",)),

@@ -21,7 +21,11 @@ from repro.cluster import start_cluster
 from repro.unibench.generator import generate, load_into_multimodel
 from repro.query.engine import run_query
 from repro.unibench.workloads import QUERIES_B, workload_b_remote
-from tests.query.nested_scopes import COLLECT_QUERIES, COLLECT_SCATTER
+from tests.query.nested_scopes import (
+    COLLECT_QUERIES,
+    COLLECT_SCATTER,
+    LOOKUP_SCATTER,
+)
 
 #: Queries whose statements impose a total order on the result.
 ORDERED = {"Q3", "Q4"}
@@ -70,6 +74,16 @@ def test_collect_into_aggregates_equal_unoptimized_embedded_rows(
     """The coordinator turns ``AGG(members[*].path)`` into per-shard
     partial aggregates with the same rule the embedded optimizer uses."""
     text, binds = COLLECT_QUERIES[name]
+    expected = run_query(embedded, text, binds, optimize_query=False).rows
+    assert len(expected) > 0, "vacuous equivalence"
+    assert cluster.query(text, binds).rows == expected  # every one SORTs
+
+
+@pytest.mark.parametrize("name", sorted(LOOKUP_SCATTER))
+def test_lookups_equal_unoptimized_embedded_rows(name, embedded, cluster):
+    """Each shard gathers, dedupes and probes its own batches; the merged
+    rows are the unoptimized embedded statement's."""
+    text, binds = LOOKUP_SCATTER[name]
     expected = run_query(embedded, text, binds, optimize_query=False).rows
     assert len(expected) > 0, "vacuous equivalence"
     assert cluster.query(text, binds).rows == expected  # every one SORTs

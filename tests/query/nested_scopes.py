@@ -6,7 +6,10 @@ residual of a decorrelated join), so the optimizer plans it as a scope of
 its own.  Every suite that takes them
 (rule ablation, batch/columnar equivalence, 1-vs-3-shard scatter)
 compares the rows with those of the unoptimized statement.  The
-``COLLECT … INTO`` statements ride the same suites.
+``COLLECT … INTO`` statements ride the same suites, and so do the
+set-at-a-time lookups (``LOOKUP_*``): every key shape a per-batch dedupe
+could get wrong, the errors it must not reorder, and a writing statement
+it must leave frame by frame.
 
 Every statement SORTs, outside and inside its list-valued subqueries: an
 index probe and a scan may enumerate matches in different orders, and
@@ -313,6 +316,254 @@ def load_probe_collections(db) -> None:
         left.insert(dict(document))
         right.insert(dict(document))
     right.create_index("k", kind="hash")
+
+
+#: The frames of the lookup fixtures, one per key a per-batch dedupe could
+#: get wrong: repeats (in one batch, and at width 2 across a batch
+#: boundary), 1 beside 1.0 and '1', true beside 1, NULL beside a missing
+#: attribute, an object and an array.
+LOOKUP_KEYS = [
+    {"_key": "k01", "n": 1, "k": "a"},
+    {"_key": "k02", "n": 2, "k": "a"},
+    {"_key": "k03", "n": 3, "k": 1},
+    {"_key": "k04", "n": 4, "k": 1.0},
+    {"_key": "k05", "n": 5, "k": "1"},
+    {"_key": "k06", "n": 6, "k": True},
+    {"_key": "k07", "n": 7, "k": None},
+    {"_key": "k08", "n": 8},
+    {"_key": "k09", "n": 9, "k": {"x": 1}},
+    {"_key": "k10", "n": 10, "k": [1]},
+    {"_key": "k11", "n": 11, "k": "b"},
+    {"_key": "k12", "n": 12, "k": "a"},
+    {"_key": "k13", "n": 13, "k": 2},
+]
+
+#: The keys a traversal can start from (strings and numbers).
+_VERTEX_KEYS = "d.n IN [1, 2, 3, 4, 5, 11, 12, 13]"
+
+#: Set-at-a-time lookups (the ``lookup_join`` rule, index scans, hash
+#: joins, traversals) over :func:`load_lookup_collections`: every key of
+#: :data:`LOOKUP_KEYS` probed, the rows identical whichever way.
+LOOKUP_QUERIES = {
+    "lookup_document_keys": (
+        """
+        FOR d IN lookup_keys
+          FILTER d.n <= 8 OR d.n >= 11
+          SORT d.n
+          LET doc = DOCUMENT('lookup_docs', d.k)
+          LET row = DOCUMENT('lookup_table', d.k)
+          RETURN {n: d.n, doc: doc.tag, row: row.tag}
+        """,
+        {},
+    ),
+    "lookup_kv_keys": (
+        """
+        FOR d IN lookup_keys
+          SORT d.n
+          LET v = KV_GET('lookup_bucket', TO_STRING(d.k))
+          RETURN {n: d.n, v: v}
+        """,
+        {},
+    ),
+    "lookup_index_keys": (
+        """
+        FOR d IN lookup_keys
+          FOR e IN lookup_index
+            FILTER e.k == d.k
+            SORT d.n, e._key
+            RETURN {n: d.n, e: e._key}
+        """,
+        {},
+    ),
+    "lookup_hash_join_keys": (
+        """
+        FOR d IN lookup_keys
+          FOR e IN lookup_plain
+            FILTER e.k == d.k AND e.w > d.n - 100
+            SORT d.n, e._key
+            RETURN {n: d.n, e: e._key}
+        """,
+        {},
+    ),
+    # A self-loop (a -> a) and a dangling edge (a -> a vertex removed
+    # without its edges): neither yields a row at depth 1.
+    "lookup_one_hop": (
+        f"""
+        FOR d IN lookup_keys
+          FILTER {_VERTEX_KEYS}
+          FOR v IN 1..1 OUTBOUND d.k GRAPH lookup_graph
+            SORT d.n, v._key
+            RETURN {{n: d.n, v: v._key}}
+        """,
+        {},
+    ),
+    "lookup_one_hop_any_label": (
+        f"""
+        FOR d IN lookup_keys
+          FILTER {_VERTEX_KEYS}
+          FOR v IN 1..1 ANY d.k GRAPH lookup_graph LABEL 'knows'
+            SORT d.n, v._key
+            RETURN {{n: d.n, v: v._key}}
+        """,
+        {},
+    ),
+    # Deeper and edge-binding traversals keep the BFS, set at a time too.
+    "lookup_two_hops_with_edges": (
+        f"""
+        FOR d IN lookup_keys
+          FILTER {_VERTEX_KEYS}
+          FOR v, e IN 1..2 OUTBOUND d.k GRAPH lookup_graph
+            SORT d.n, v._key
+            RETURN {{n: d.n, v: v._key, e: e._key}}
+        """,
+        {},
+    ),
+}
+
+#: A statement that writes keeps its lookups frame by frame: the rule
+#: leaves the LET alone and the index scan probes per frame.  Every run
+#: updates the documents :func:`load_lookup_collections` put there.
+LOOKUP_WRITES = {
+    "lookup_in_a_writing_statement": (
+        """
+        FOR d IN lookup_keys
+          FILTER d.n <= 8 OR d.n >= 11
+          LET doc = DOCUMENT('lookup_docs', d.k)
+          FOR e IN lookup_index
+            FILTER e.k == d.k
+            UPSERT {k: d._key} INSERT {k: d._key, doc: doc._key}
+            UPDATE {doc: doc._key} INTO lookup_seen
+        """,
+        {},
+    ),
+}
+
+#: Statements that raise: the frame that fails first, and the class of its
+#: error, must not depend on the batch a lookup gathers.
+LOOKUP_ERRORS = {
+    # Frame 3 probes KV_GET with a number before frame 5's key divides by 0.
+    "kv_non_string_key_before_a_raising_key": (
+        """
+        FOR d IN lookup_keys
+          SORT d.n
+          LET v = KV_GET('lookup_bucket',
+                         d.n == 3 ? d.k : (d.n == 5 ? d.n / 0 : TO_STRING(d.k)))
+          RETURN v
+        """,
+        "FunctionError",
+    ),
+    "raising_key_before_a_kv_non_string_key": (
+        """
+        FOR d IN lookup_keys
+          SORT d.n
+          LET v = KV_GET('lookup_bucket',
+                         d.n == 3 ? d.n / 0 : (d.n == 4 ? d.k : TO_STRING(d.k)))
+          RETURN v
+        """,
+        "ExecutionError",
+    ),
+    "document_object_key": (
+        """
+        FOR d IN lookup_keys
+          SORT d.n
+          LET doc = DOCUMENT('lookup_docs', d.k)
+          RETURN doc
+        """,
+        "FunctionError",
+    ),
+    "traversal_from_a_boolean": (
+        """
+        FOR d IN lookup_keys
+          SORT d.n
+          FOR v IN 1..1 OUTBOUND d.k GRAPH lookup_graph
+            RETURN v
+        """,
+        "ExecutionError",
+    ),
+    # Frame 2's residual fails on a match before frame 5's key divides by 0.
+    "index_residual_before_a_raising_key": (
+        """
+        FOR d IN lookup_keys
+          SORT d.n
+          FOR e IN lookup_index
+            FILTER e.k == (d.n == 5 ? d.n / 0 : d.k)
+              AND (d.n != 2 OR UPPER(e.w) == 'X')
+            RETURN e
+        """,
+        "FunctionError",
+    ),
+}
+
+#: Over the UniBench data, along the demo placements' partition keys, so a
+#: sharded cluster answers them too.
+LOOKUP_SCATTER = {
+    "lookup_document_per_order": (
+        """
+        FOR o IN orders
+          LET c = DOCUMENT('customers', o.customer_id)
+          SORT o._key
+          RETURN {order: o._key, city: c.city}
+        """,
+        {},
+    ),
+    "lookup_friends_carts": (
+        """
+        FOR c IN customers
+          FILTER c.id <= @limit
+          FOR friend IN 1..1 OUTBOUND c.id GRAPH social LABEL 'knows'
+            LET cart = KV_GET('cart', friend._key)
+            SORT c.id, friend._key
+            RETURN {customer: c.id, friend: friend._key, cart: cart}
+        """,
+        {"limit": 40},
+    ),
+}
+
+
+def load_lookup_collections(db) -> None:
+    """The stores :data:`LOOKUP_QUERIES` probe, keyed the way
+    :data:`LOOKUP_KEYS` can find (and miss) them."""
+    from repro.relational.schema import Column, ColumnType, TableSchema
+
+    keys = db.create_collection("lookup_keys")
+    for document in LOOKUP_KEYS:
+        keys.insert(dict(document))
+    docs = db.create_collection("lookup_docs")
+    for key in ("a", "b", "1"):
+        docs.insert({"_key": key, "tag": f"doc-{key}"})
+    db.create_table(TableSchema(
+        "lookup_table",
+        [Column("id", ColumnType.INTEGER, nullable=False), Column("tag")],
+        primary_key="id",
+    ))
+    for number in (1, 2):
+        db.table("lookup_table").insert({"id": number, "tag": f"row-{number}"})
+    bucket = db.create_bucket("lookup_bucket")
+    for key in ("a", "b", "1", "true"):
+        bucket.put(key, f"kv-{key}")
+    indexed = db.create_collection("lookup_index")
+    plain = db.create_collection("lookup_plain")
+    for number, value in enumerate(
+        ["a", "a", 1, 1.0, "1", True, None, {"x": 1}, [1], 2], start=1
+    ):
+        for target in (indexed, plain):
+            target.insert({"_key": f"e{number:02}", "k": value, "w": number})
+    for target in (indexed, plain):
+        target.insert({"_key": "e11", "w": 11})  # k missing: matches NULL
+    indexed.create_index("k", kind="hash")
+    graph = db.create_graph("lookup_graph")
+    for key in ("a", "b", "c", "1", "2", "gone"):
+        graph.add_vertex(key, {"name": key})
+    for source, target, label in (
+        ("a", "b", "knows"), ("a", "a", "knows"), ("a", "c", "likes"),
+        ("b", "a", "knows"), ("c", "1", "knows"), ("1", "2", "knows"),
+        ("2", "1", "likes"), ("a", "gone", "knows"),
+    ):
+        graph.add_edge(source, target, label)
+    graph.remove_vertex("gone", cascade=False)
+    seen = db.create_collection("lookup_seen")
+    for document in LOOKUP_KEYS:
+        seen.insert({"_key": f"s-{document['_key']}", "k": document["_key"]})
 
 
 def load_write_collections(db) -> None:

@@ -17,9 +17,14 @@ from repro.unibench.workloads import QUERIES_B, workload_b_api
 from repro.widecolumn.table import CqlColumn
 from tests.query.nested_scopes import (
     COLLECT_QUERIES,
+    LOOKUP_ERRORS,
+    LOOKUP_QUERIES,
+    LOOKUP_SCATTER,
+    LOOKUP_WRITES,
     NESTED_QUERIES,
     PROBE_QUERY,
     WRITING_SUBQUERIES,
+    load_lookup_collections,
     load_probe_collections,
     load_write_collections,
 )
@@ -28,12 +33,17 @@ WIDTHS = [1, 2, 256]
 
 #: Workload B plus the nested-scope statements: a planned subquery runs
 #: its own pipeline per outer frame, at the same width as the statement.
+#: The lookups dedupe per batch, so width 2 splits their repeated keys
+#: across batch boundaries.
 QUERIES = {
     **QUERIES_B,
     **NESTED_QUERIES,
     **COLLECT_QUERIES,
     "probe_keys": (PROBE_QUERY, {}),
     **WRITING_SUBQUERIES,
+    **LOOKUP_QUERIES,
+    **LOOKUP_WRITES,
+    **LOOKUP_SCATTER,
 }
 
 
@@ -42,6 +52,7 @@ def db():
     db = make_demo_db(scale_factor=1)
     load_probe_collections(db)
     load_write_collections(db)
+    load_lookup_collections(db)
     return db
 
 
@@ -60,6 +71,16 @@ def test_workload_b_rows_invariant_under_batch_size(db, name):
         )
         # The same work was done: identical scan volume at every width.
         assert result.stats["scanned"] == baseline.stats["scanned"]
+
+
+@pytest.mark.parametrize("name", sorted(LOOKUP_ERRORS))
+def test_lookup_errors_invariant_under_batch_size_and_columnar(db, name):
+    text, expected = LOOKUP_ERRORS[name]
+    for width in WIDTHS:
+        for columnar in (True, False):
+            with pytest.raises(Exception) as raised:
+                db.query(text, batch_size=width, columnar=columnar)
+            assert type(raised.value).__name__ == expected, (width, columnar)
 
 
 def test_recommendation_matches_handwritten_at_every_width(db):

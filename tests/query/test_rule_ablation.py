@@ -28,20 +28,29 @@ from repro.unibench.workloads import QUERIES_B
 from tests.query.nested_scopes import (
     COLLECT_KEEPS_MEMBERS,
     COLLECT_QUERIES,
+    LOOKUP_ERRORS,
+    LOOKUP_QUERIES,
+    LOOKUP_SCATTER,
+    LOOKUP_WRITES,
     NESTED_QUERIES,
     PROBE_QUERY,
     WRITING_SUBQUERIES,
+    load_lookup_collections,
     load_probe_collections,
     load_write_collections,
 )
 
 #: Nested-scope statements, the NULL / 1 vs 1.0 / missing probe keys, the
-#: subqueries that write and the COLLECT … INTO statements among them.
+#: subqueries that write, the COLLECT … INTO statements and the
+#: set-at-a-time lookups among them.
 NESTED = {
     **NESTED_QUERIES,
     **COLLECT_QUERIES,
     "probe_keys": (PROBE_QUERY, {}),
     **WRITING_SUBQUERIES,
+    **LOOKUP_QUERIES,
+    **LOOKUP_WRITES,
+    **LOOKUP_SCATTER,
 }
 
 #: Queries whose statements impose a total order on the result.
@@ -108,6 +117,7 @@ def _build():
     db = build_multimodel(generate(scale_factor=1, seed=11))
     load_probe_collections(db)
     load_write_collections(db)
+    load_lookup_collections(db)
     return db
 
 
@@ -333,3 +343,78 @@ def test_drop_index_after_a_cached_run_falls_back_to_the_scan_plan():
     assert replanned.rows == cached.rows
     assert "hash:doc:feedback:product_no" not in replanned.stats["indexes_used"]
     assert "Scan f IN feedback" in db.explain(text)
+
+
+# ---------------------------------------------------------------------------
+# Set-at-a-time lookups: the lookup_join rule, on and off
+# ---------------------------------------------------------------------------
+
+
+def _error_class(db, text, **options):
+    try:
+        run_query(db, text, {}, **options)
+    except Exception as error:
+        return type(error).__name__
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(LOOKUP_ERRORS))
+@pytest.mark.parametrize("rule", [None, "lookup_join", "index_selection"])
+def test_lookup_errors_keep_their_class(db, name, rule):
+    """The frame that fails first, and so the error class, is the
+    unoptimized statement's whichever lookups gather a batch."""
+    text, expected = LOOKUP_ERRORS[name]
+    assert _error_class(db, text, optimize_query=False) == expected
+    if rule is not None:
+        db.optimizer_rules.disable(rule)
+    assert _error_class(db, text) == expected
+
+
+def test_lookup_join_fires_on_its_fixtures_and_not_in_writes(db):
+    fired = {
+        name: "lookup_join" in optimize(parse(text), db).rules_fired
+        for name, (text, _binds) in {
+            **LOOKUP_QUERIES, **LOOKUP_SCATTER, **LOOKUP_WRITES, **QUERIES_B
+        }.items()
+    }
+    assert {name for name, on in fired.items() if on} == {
+        "lookup_document_keys", "lookup_kv_keys", "lookup_one_hop",
+        "lookup_one_hop_any_label", "lookup_document_per_order",
+        "lookup_friends_carts", "Q1", "Q3", "Q5",
+    }
+    # A writing statement keeps its index probes frame by frame too.
+    text, _binds = LOOKUP_WRITES["lookup_in_a_writing_statement"]
+    plan = optimize(parse(text), db)
+    scans = [op for op in plan.operations if isinstance(op, IndexScanOp)]
+    assert scans and all(scan.per_frame for scan in scans)
+    text, _binds = LOOKUP_QUERIES["lookup_index_keys"]
+    scans = [
+        op for op in optimize(parse(text), db).operations
+        if isinstance(op, IndexScanOp)
+    ]
+    assert scans and not any(scan.per_frame for scan in scans)
+
+
+@pytest.mark.parametrize("query_id", sorted(LOOKUP_QUERIES))
+def test_lookups_inside_a_transaction_see_its_own_writes(db, query_id):
+    """Every store a lookup probes reads the transaction's snapshot, with
+    the rule on and off."""
+    text, binds = LOOKUP_QUERIES[query_id]
+    committed = db.query(text, binds).rows
+    txn = db.begin()
+    try:
+        db.collection("lookup_docs").update("a", {"tag": "txn"}, txn=txn)
+        db.table("lookup_table").update(1, {"tag": "txn"}, txn=txn)
+        db.bucket("lookup_bucket").put("a", "txn", txn=txn)
+        for name in ("lookup_index", "lookup_plain"):
+            db.collection(name).insert({"_key": "txn", "k": "a", "w": 0}, txn=txn)
+        db.graph("lookup_graph").add_edge("b", "c", "knows", txn=txn)
+        inside = db.query(text, binds, txn=txn).rows
+        db.optimizer_rules.disable("lookup_join")
+        without = db.query(text, binds, txn=txn).rows
+        naive = run_query(db, text, binds, txn=txn, optimize_query=False).rows
+    finally:
+        db.abort(txn)
+    assert inside == without == naive
+    assert inside != committed, "the uncommitted writes did not reach it"
+    assert db.query(text, binds).rows == committed

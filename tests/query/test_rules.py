@@ -65,6 +65,7 @@ class TestRegistry:
             "materialize_let",
             "index_selection",
             "hash_join",
+            "lookup_join",
         ]
         assert set(rule_names()) == {r.name for r in REGISTRY}
 

@@ -177,24 +177,34 @@ class TestChaosRuns:
     @pytest.mark.parametrize("seed", [11, 42])
     def test_fixed_seed_run_holds_invariants(self, seed):
         report = chaos_run(seed, replicas=2, writes=45, fault_rounds=3)
+        # ok: every confirmed write survived the failover.  A refused
+        # semi-sync write is legal and leaves the oracle; it must be
+        # reported as refused, not lost without a word.
         assert report.ok, report.summary()
         assert report.failovers >= 1
-        assert report.writes_confirmed == report.writes_attempted
+        refused = sum(
+            1 for event in report.events if event["kind"] == "write_refused"
+        )
+        assert report.writes_confirmed + refused == report.writes_attempted, (
+            report.summary()
+        )
+        assert report.writes_confirmed > 0
         assert report.killed_primary and report.promoted
         assert report.promoted != report.killed_primary
 
-    def test_randomized_seed_run_echoes_seed(self):
-        # CI sets CHAOS_SEED to reproduce a failed randomized pass; the
-        # seed lands in the assertion message (and stdout) either way.
-        seed = int(os.environ.get("CHAOS_SEED") or
-                   int.from_bytes(os.urandom(4), "big") % 100000)
-        print(f"chaos randomized seed={seed} "
-              f"(reproduce: chaos_run({seed}))")
-        report = chaos_run(seed, replicas=2, writes=45, fault_rounds=3)
-        assert report.ok, (
-            f"randomized chaos failed — reproduce with chaos_run({seed}): "
-            + report.summary()
-        )
+    if os.environ.get("CHAOS_SEED"):
+        # Randomized seeds stay out of the deterministic suite: the
+        # chaos-smoke CI job draws one, echoes it and sets CHAOS_SEED, which
+        # is also how a failed pass is reproduced.
+        def test_randomized_seed_run_echoes_seed(self):
+            seed = int(os.environ["CHAOS_SEED"])
+            print(f"chaos randomized seed={seed} "
+                  f"(reproduce: chaos_run({seed}))")
+            report = chaos_run(seed, replicas=2, writes=45, fault_rounds=3)
+            assert report.ok, (
+                f"randomized chaos failed — reproduce with "
+                f"chaos_run({seed}): " + report.summary()
+            )
 
     def test_no_kill_run_is_quiet(self):
         report = chaos_run(7, replicas=1, writes=24, fault_rounds=2,
