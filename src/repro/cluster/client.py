@@ -13,8 +13,9 @@ the same code.
 Shard-map staleness is handled here: every shipped statement carries the
 map version the plan used; when any shard answers ``SHARD_MAP_STALE``
 the client refetches the map (``shard_map`` op, any reachable shard),
-rebuilds its per-shard replica sets and replans — once per statement, so
-a flapping topology surfaces as an error instead of a livelock.
+rebuilds its per-shard replica sets and its coordinator (whose plan cache
+starts empty) and replans — once per statement, so a flapping topology
+surfaces as an error instead of a livelock.
 """
 
 from __future__ import annotations
@@ -243,7 +244,8 @@ class ClusterClient:
 
     def explain(self, text: str, bind_vars: Optional[dict] = None) -> str:
         """The coordinator's plan: strategy, fan-out, per-segment shard
-        statements — the cluster analogue of the embedded EXPLAIN."""
+        statements — the cluster analogue of the embedded EXPLAIN.  Planned
+        through the same plan cache as :meth:`query`."""
         self.connect()
         match = _EXPLAIN_ANALYZE.match(text)
         if match:
@@ -274,6 +276,7 @@ class ClusterClient:
                     self.shard_map.placements.items()
                 )
             },
+            "plan_cache": self.coordinator.plan_cache.stats(),
         }
 
     def shards_status(self) -> list:

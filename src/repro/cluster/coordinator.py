@@ -34,6 +34,16 @@ shard when the partition value is statically evaluable, broadcasts
 otherwise (UPDATE/REMOVE/REPLACE are self-locating: a shard that does not
 hold the key no-ops).
 
+Each statement shape is planned once.  Everything above depends on the
+bind parameters' names and types only — whether a value is static at all,
+whether it is an object — except which shard owns a value.  So a plan is
+built as a *template* that records :class:`Route` terms where shard ids
+would go, cached in a :class:`~repro.query.engine.PlanCache` keyed on the
+text, the bind shape and the shard-map version, and every call routes it:
+the terms are evaluated against that call's bind values into a fresh
+:class:`ClusterPlan`.  The value-dependent refusals run there, on every
+call.
+
 Statements the placement model cannot execute correctly raise
 :class:`~repro.errors.ClusterUnsupportedError` — an honest refusal
 instead of a silently partial answer.
@@ -55,15 +65,23 @@ from repro.errors import (
 )
 from repro.obs import metrics as obs_metrics
 from repro.query import ast, visit
+from repro.query.engine import PlanCache
 from repro.query.executor import _group_token
 from repro.query.optimizer import optimize
 from repro.query.parser import parse
+from repro.query.rules import keeps_every_frame, map_reached
 from repro.query.unparse import unparse, unparse_expr
 from repro.core.datamodel import compare
 
 from repro.cluster.shardmap import ShardMap
 
-__all__ = ["Coordinator", "ClusterPlan", "SegmentPlan", "ClusterResult"]
+__all__ = [
+    "Coordinator",
+    "ClusterPlan",
+    "SegmentPlan",
+    "Route",
+    "ClusterResult",
+]
 
 #: Reserved identifier prefix for coordinator-generated variables.
 _PREFIX = "__cluster_"
@@ -104,11 +122,38 @@ obs_metrics.describe(
     "cluster_shard_errors_total",
     "Per-shard failures observed during scatter-gather",
 )
+obs_metrics.describe(
+    "cluster_plan_cache_hits_total",
+    "Statements the coordinator routed from a cached plan template",
+)
+obs_metrics.describe(
+    "cluster_plan_cache_misses_total",
+    "Statements the coordinator had to plan (no cached template)",
+)
+obs_metrics.describe(
+    "cluster_plan_cache_evictions_total",
+    "Plan templates dropped from the coordinator's full plan cache",
+)
 
 
 # ---------------------------------------------------------------------------
 # Plan data model
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Route:
+    """A shard choice a plan template leaves to each call: the owner, in
+    *store*, of the value *expr* takes under the call's bind values — of
+    that value's *attribute* when one is named.  *absent* says what a
+    value without the attribute means: route by NULL (``"null"``, an
+    INSERT's document), every shard (``"broadcast"``, a by-key write) or
+    a refusal (``"refuse"``, an UPSERT's search document)."""
+
+    store: str
+    expr: Any
+    attribute: Optional[str] = None
+    absent: str = "null"
 
 
 @dataclass
@@ -117,7 +162,9 @@ class SegmentPlan:
 
     ops: list
     multi: bool  # scatter to every shard vs. one shard
-    pinned: Optional[int] = None  # single-shard target when known
+    pinned: Optional[int] = None  # single-shard target, set per call
+    #: The terms that pin a single-shard segment; all must name one shard.
+    routes: tuple = ()
     anchor_var: Optional[str] = None
     input_vars: list = field(default_factory=list)
     output_vars: Optional[list] = None  # None = final segment
@@ -138,6 +185,10 @@ class ClusterPlan:
     segments: list = field(default_factory=list)
     dml: Optional[dict] = None
     fan_out: int = 1
+    #: A standalone write's owner, resolved per call (routed or broadcast).
+    route: Optional[Route] = None
+    #: Served from the coordinator's plan cache (``stats["plan_cached"]``).
+    cached: bool = False
 
     def describe(self, shard_map: ShardMap) -> str:
         lines = [
@@ -284,6 +335,28 @@ def _member_arg(suffix, frame_vars: set):
     return member
 
 
+def _local_statement(exports: list, post_ops: list) -> Optional[str]:
+    """The MMQL the coordinator runs over the combined groups of a
+    distributed COLLECT: each group's *exports* bound from
+    ``@__cluster_groups``, then the *post_ops*; None when there are none."""
+    if not post_ops:
+        return None
+    group_var = _PREFIX + "g"
+    ops: list = [ast.ForOp(group_var, ast.BindVar(_PREFIX + "groups"))]
+    ops += [
+        ast.LetOp(name, ast.AttrAccess(ast.VarRef(group_var), name))
+        for name in exports
+    ]
+    return unparse(ast.Query(ops + list(post_ops)))
+
+
+def _upsert_refusal(store: str, partition_key: str) -> ClusterUnsupportedError:
+    return ClusterUnsupportedError(
+        f"UPSERT into hash-partitioned {store!r} needs the partition key "
+        f"{partition_key!r} in a statically evaluable search document"
+    )
+
+
 # ---------------------------------------------------------------------------
 # The coordinator
 # ---------------------------------------------------------------------------
@@ -299,6 +372,10 @@ class Coordinator:
 
     def __init__(self, shard_map: ShardMap):
         self.shard_map = shard_map
+        #: Plan templates by (text, bind shape, map version).  A new map
+        #: means a new coordinator, so the version in the key only guards
+        #: a map swapped under a live one.
+        self.plan_cache = PlanCache(name="cluster_plan_cache")
         self._rr = 0
         self._rr_lock = threading.Lock()
         self._local_db = None  # lazily-created store-free evaluator
@@ -314,8 +391,23 @@ class Coordinator:
     # -- planning --------------------------------------------------------
 
     def plan(self, text: str, bind_vars: Optional[dict] = None) -> ClusterPlan:
-        query = parse(text)
+        """The plan for one call: the statement's cached template (built
+        on a miss; a statement that is refused while it is built is not
+        cached), routed with this call's bind values."""
         binds = bind_vars or {}
+        key = PlanCache.key(text, binds, True, (self.shard_map.version,))
+        template = self.plan_cache.get(key, ())
+        cached = template is not None
+        if not cached:
+            template = self._template(text, binds)
+            self.plan_cache.put(key, template, ())
+        return self._route(template, binds, cached)
+
+    def _template(self, text: str, binds: dict) -> ClusterPlan:
+        """Parse, rewrite, segment and render *text*.  Reads only the
+        names and types of *binds*, never a value's owner: where a shard
+        id depends on a value the plan holds a :class:`Route`."""
+        query = parse(text)
         terminal = query.operations[-1] if query.operations else None
         if isinstance(terminal, visit.WRITE_OPS):
             return self._plan_dml(query, binds)
@@ -331,6 +423,57 @@ class Coordinator:
         query = optimize(query, None, ast_only=True)
         return self._plan_read(query, binds)
 
+    def _route(
+        self, template: ClusterPlan, binds: dict, cached: bool
+    ) -> ClusterPlan:
+        """A fresh plan for one call: *template* with every route resolved
+        against *binds*.  The template itself is never changed."""
+        dml = dict(template.dml) if template.dml is not None else None
+        if template.route is not None:
+            dml["shard"] = self._owner(template.route, binds)
+            routed = dml["shard"] is not None
+            return dataclasses.replace(
+                template,
+                strategy="dml_routed" if routed else "dml_broadcast",
+                fan_out=1 if routed else self.shard_map.num_shards,
+                dml=dml,
+                cached=cached,
+            )
+        segments = [
+            dataclasses.replace(
+                segment, pinned=self._pin(segment.routes, binds)
+            )
+            if segment.routes
+            else segment
+            for segment in template.segments
+        ]
+        return dataclasses.replace(
+            template, segments=segments, dml=dml, cached=cached
+        )
+
+    def _owner(self, route: Route, binds: dict) -> Optional[int]:
+        """The shard *route* names under *binds*; None for a broadcast."""
+        _static, value = _static_value(route.expr, binds)
+        if route.attribute is not None:
+            if route.attribute in value:
+                value = value[route.attribute]
+            elif route.absent == "broadcast":
+                return None
+            elif route.absent == "refuse":
+                raise _upsert_refusal(route.store, route.attribute)
+            else:
+                value = None
+        return self.shard_map.owner(route.store, value)
+
+    def _pin(self, routes: tuple, binds: dict) -> int:
+        shards = {self._owner(route, binds) for route in routes}
+        if len(shards) > 1:
+            raise ClusterUnsupportedError(
+                "statement pins keys on different shards; split it or "
+                "use a scatter-friendly predicate"
+            )
+        return shards.pop()
+
     # .. read planning ...................................................
 
     def _plan_read(self, query: ast.Query, binds: dict) -> ClusterPlan:
@@ -338,7 +481,7 @@ class Coordinator:
         self._render_segments(segments, binds)
         multi_any = any(segment.multi for segment in segments)
         fan_out = self.shard_map.num_shards if multi_any else 1
-        if len(segments) == 1 and segments[0].pinned is not None:
+        if len(segments) == 1 and segments[0].routes:
             strategy = "single_shard"
         elif not multi_any:
             strategy = "reference"
@@ -360,15 +503,15 @@ class Coordinator:
         anchor: Optional[list] = None  # exprs equal to the partition value
         anchor_var: Optional[str] = None
         multi = False
-        pinned: set = set()
+        routes: list = []
         bound: set = set()
 
         def close() -> None:
-            nonlocal current, anchor, anchor_var, multi, pinned
+            nonlocal current, anchor, anchor_var, multi, routes
             segment = SegmentPlan(
                 ops=current,
                 multi=multi,
-                pinned=self._pin(pinned) if not multi else None,
+                routes=() if multi else tuple(routes),
                 anchor_var=anchor_var,
             )
             segments.append(segment)
@@ -376,7 +519,7 @@ class Coordinator:
             anchor = None
             anchor_var = None
             multi = False
-            pinned = set()
+            routes = []
 
         index = 0
         while index < len(ops):
@@ -430,7 +573,7 @@ class Coordinator:
                 return self._finish_segments(segments, ops)
             # Expression-level store accesses (DOCUMENT/KV_GET/…).
             for expr in visit.operation_exprs(op):
-                self._check_expr(expr, anchor, binds, pinned, bound, multi)
+                self._check_expr(expr, anchor, binds, routes, bound, multi)
             if isinstance(op, ast.LetOp) and anchor is not None:
                 if any(op.value == known for known in anchor):
                     anchor.append(ast.VarRef(op.var))
@@ -458,21 +601,11 @@ class Coordinator:
             bound.update(visit.binds(op))
             current.append(op)
             index += 1
-        segment = SegmentPlan(
-            ops=current,
-            multi=multi,
-            pinned=self._pin(pinned) if not multi else None,
-            anchor_var=anchor_var,
-        )
-        segments.append(segment)
+        close()
         return self._finish_segments(segments, ops)
 
     def _finish_segments(self, segments: list, ops: list) -> list:
-        """Assign fast-path pins and inter-segment frame variables."""
-        # Single-shard fast path: the anchor partition key is bound by a
-        # top-level equality to a static value.
-        if len(segments) == 1 and segments[0].multi:
-            segments[0].pinned = None  # resolved during render with binds
+        """Assign inter-segment frame variables."""
         # Live variables across each cut: a variable reaches segment k+1
         # only through segment k's output frames, so the candidates are
         # the segment's own bindings plus whatever was shipped into it.
@@ -495,16 +628,6 @@ class Coordinator:
             segment.output_vars = live
             segments[position + 1].input_vars = live
         return segments
-
-    def _pin(self, pinned: set) -> Optional[int]:
-        if not pinned:
-            return None
-        if len(pinned) > 1:
-            raise ClusterUnsupportedError(
-                "statement pins keys on different shards; split it or "
-                "use a scatter-friendly predicate"
-            )
-        return next(iter(pinned))
 
     def _store_of(self, op: ast.ForOp, bound: set) -> bool:
         return (
@@ -534,15 +657,15 @@ class Coordinator:
         return False
 
     def _check_expr(
-        self, expr, anchor, binds, pinned: set, bound: set, multi: bool
+        self, expr, anchor, binds, routes: list, bound: set, multi: bool
     ) -> None:
         for node in visit.walk(expr):
             if isinstance(node, ast.SubQuery):
-                self._check_subquery(node.query, anchor, binds, pinned, bound)
+                self._check_subquery(node.query, anchor, binds, routes, bound)
             elif isinstance(node, ast.FuncCall):
-                self._check_store_func(node, anchor, binds, pinned)
+                self._check_store_func(node, anchor, binds, routes)
 
-    def _check_store_func(self, node, anchor, binds, pinned: set) -> None:
+    def _check_store_func(self, node, anchor, binds, routes: list) -> None:
         if node.name == "FULLTEXT":
             raise ClusterUnsupportedError(
                 "FULLTEXT cannot be routed (the coordinator cannot map an "
@@ -582,17 +705,17 @@ class Coordinator:
             key_expr == known for known in anchor
         ):
             return  # aligned: the frame already lives on the owner shard
-        if key_expr is not None:
-            ok, value = _static_value(key_expr, binds)
-            if ok:
-                pinned.add(self.shard_map.owner(store, value))
-                return
+        if key_expr is not None and _static_value(key_expr, binds)[0]:
+            route = Route(store, key_expr)
+            if route not in routes:
+                routes.append(route)
+            return
         raise ClusterUnsupportedError(
             f"{node.name}({store!r}, …) key is neither aligned with the "
             "segment's partition value nor statically evaluable"
         )
 
-    def _check_subquery(self, query, anchor, binds, pinned: set, bound) -> None:
+    def _check_subquery(self, query, anchor, binds, routes: list, bound) -> None:
         """Subqueries run per frame on the frame's shard: hash FORs inside
         must align with the enclosing anchor (cuts are impossible here)."""
         local_anchor = list(anchor) if anchor else None
@@ -624,7 +747,7 @@ class Coordinator:
                     )
             for expr in visit.operation_exprs(op):
                 self._check_expr(
-                    expr, local_anchor, binds, pinned, local_bound, False
+                    expr, local_anchor, binds, routes, local_bound, False
                 )
             if isinstance(op, ast.LetOp) and local_anchor is not None:
                 if any(op.value == known for known in local_anchor):
@@ -702,10 +825,10 @@ class Coordinator:
             return
         # Fast path: anchored scatter whose partition key is statically
         # equality-bound routes to the owner and ships verbatim.
-        pinned = self._fast_path_shard(segment, binds)
-        if pinned is not None:
+        route = self._fast_path_route(segment, binds)
+        if route is not None:
             segment.multi = False
-            segment.pinned = pinned
+            segment.routes = (route,)
             segment.statement = unparse(ast.Query(prefix + ops))
             segment.merge = {"kind": "rows"}
             return
@@ -769,7 +892,7 @@ class Coordinator:
             "distinct": terminal.distinct,
         }
 
-    def _fast_path_shard(self, segment, binds) -> Optional[int]:
+    def _fast_path_route(self, segment, binds) -> Optional[Route]:
         if segment.anchor_var is None:
             return None
         anchor_store = None
@@ -797,10 +920,10 @@ class Coordinator:
                     continue
                 sides = (conjunct.left, conjunct.right)
                 for one, other in (sides, sides[::-1]):
-                    if one == partition_attr:
-                        ok, value = _static_value(other, binds)
-                        if ok:
-                            return self.shard_map.owner(anchor_store, value)
+                    if one != partition_attr:
+                        continue
+                    if _static_value(other, binds)[0]:
+                        return Route(anchor_store, other)
         return None
 
     def _render_collect(self, segment, prefix) -> None:
@@ -885,6 +1008,12 @@ class Coordinator:
         segment.statement = unparse(
             ast.Query(prefix + body + [shard_collect, wrapper])
         )
+        exports = (
+            group_names
+            + [entry[0] for entry in agg_plan]
+            + ([collect.count_into] if collect.count_into else [])
+            + ([into] if into else [])
+        )
         segment.merge.update(
             {
                 "kind": "collect",
@@ -892,52 +1021,60 @@ class Coordinator:
                 "aggs": agg_plan,
                 "count_into": collect.count_into,
                 "into": into,
+                "local": _local_statement(exports, post_ops),
             }
         )
 
     def _split_into_aggregates(
         self, into: str, post_ops: list, frame_vars: set, offset: int
     ):
-        """Rewrite ``AGG(members[*].path)`` uses in the post-COLLECT
-        remainder into per-shard AGGREGATE partials.  Returns
+        """Rewrite the ``AGG(members[*].path)`` uses of the post-COLLECT
+        remainder that every group reaches into per-shard AGGREGATE
+        partials (``COUNT``/``LENGTH``, which cannot fail, wherever they
+        are; nothing inside a subquery is reached for certain).  Returns
         ``(shard_aggregates, agg_plan, rewritten_post_ops)`` or None when
-        any use of *into* resists the rewrite (then the member frames
-        ship as before)."""
-        def splittable(node) -> bool:
-            if not isinstance(node, ast.FuncCall) or len(node.args) != 1:
-                return False
-            func = node.name.upper()
-            arg = node.args[0]
-            if func not in _SPLITTABLE_AGGS:
-                return False
-            if isinstance(arg, ast.Expansion):
-                return arg.subject == ast.VarRef(into)
-            return arg == ast.VarRef(into) and func in ("COUNT", "LENGTH")
-
-        candidates: dict = {}
-        pending = list(post_ops)  # grows as subquery bodies are met
-        for op in pending:
-            for expr in visit.operation_exprs(op):
-                for node in visit.walk(expr):
-                    if isinstance(node, ast.SubQuery):
-                        pending.extend(node.query.operations)
-                    elif splittable(node):
-                        candidates.setdefault(node)
-        if not candidates:
-            return None
-        table: list = []
+        any use of *into* is left (then the member frames ship as before,
+        and the coordinator aggregates only the groups that get there)."""
         extra_aggs: list = []
         extra_plan: list = []
-        for position, call in enumerate(candidates, start=offset):
-            func = call.name.upper()
-            arg = call.args[0]
-            if isinstance(arg, ast.Expansion):
-                member = _member_arg(arg.suffix, frame_vars)
-                if member is None:
+        folded: list = []  # (call, partial variable)
+
+        def fold(node, certain: bool):
+            if isinstance(node, ast.SubQuery):
+                ops = node.query.operations
+                if any(into in visit.binds(op) for op in ops):
+                    return None  # shadowed: not the group's members
+                mapped = [
+                    visit.map_operation_exprs(
+                        op, lambda expr: map_reached(expr, False, fold)
+                    )
+                    for op in ops
+                ]
+                if all(new is old for new, old in zip(mapped, ops)):
                     return None
-            else:
+                return ast.SubQuery(ast.Query(mapped))
+            if not isinstance(node, ast.FuncCall) or len(node.args) != 1:
+                return None
+            func = node.name.upper()
+            arg = node.args[0]
+            if func not in _SPLITTABLE_AGGS or not (
+                certain or func in ("COUNT", "LENGTH")
+            ):
+                return None
+            for call, variable in folded:
+                if call == node:
+                    return variable
+            members = ast.VarRef(into)
+            if isinstance(arg, ast.Expansion) and arg.subject == members:
+                member = _member_arg(arg.suffix, frame_vars)
+            elif arg == members and func in ("COUNT", "LENGTH"):
                 member = ast.Literal(1)  # COUNT/LENGTH of the group
-            name = f"{_PREFIX}m{position}"
+            else:
+                member = None
+            if member is None:
+                return None
+            name = f"{_PREFIX}m{offset + len(folded)}"
+            folded.append((node, ast.VarRef(name)))
             if func == "AVG":
                 sum_name, n_name = f"{name}_s", f"{name}_n"
                 extra_aggs.append((sum_name, "SUM", member))
@@ -959,9 +1096,20 @@ class Coordinator:
             else:
                 extra_aggs.append((name, func, member))
                 extra_plan.append((name, func))
-            table.append((call, ast.VarRef(name)))
-        rewritten = [_rewrite_tree(op, table) for op in post_ops]
-        if into in visit.free_vars(rewritten):
+            return folded[-1][1]
+
+        rewritten: list = []
+        every_group = True
+        for op in post_ops:
+            if into in visit.binds(op):
+                return None
+            rewritten.append(
+                visit.map_operation_exprs(
+                    op, lambda expr: map_reached(expr, every_group, fold)
+                )
+            )
+            every_group = every_group and keeps_every_frame(op)
+        if not folded or into in visit.free_vars(rewritten):
             return None  # members consumed beyond splittable aggregates
         return extra_aggs, extra_plan, rewritten
 
@@ -1123,6 +1271,7 @@ class Coordinator:
         stats["cluster_strategy"] = plan.strategy
         stats["cluster_segments"] = len(plan.segments) or 1
         stats["merged_rows"] = merged
+        stats["plan_cached"] = plan.cached
         return stats
 
     def _render_analyzed(self, plan, parts, fan_out, merged) -> str:
@@ -1253,18 +1402,12 @@ class Coordinator:
             if into:
                 frame[into] = state["members"]
             group_frames.append(frame)
-        post_ops = merge.get("post_ops") or []
-        if not post_ops:
+        text = merge["local"]
+        if text is None:
             return []
-        exports = list(group_frames[0].keys()) if group_frames else (
-            group_names
-            + [entry[0] for entry in agg_plan]
-            + ([count_into] if count_into else [])
-            + ([into] if into else [])
-        )
-        return self._local_eval(exports, group_frames, post_ops, binds)
+        return self._local_eval(text, group_frames, binds)
 
-    def _local_eval(self, exports, frames, post_ops, binds) -> list:
+    def _local_eval(self, text, frames, binds) -> list:
         """Evaluate store-free pipeline ops at the coordinator with the
         *real* executor (an empty embedded engine), so expression, sort
         and aggregate semantics are identical to a shard's."""
@@ -1272,14 +1415,6 @@ class Coordinator:
             from repro.core.database import MultiModelDB
 
             self._local_db = MultiModelDB()
-        group_var = _PREFIX + "g"
-        ops: list = [ast.ForOp(group_var, ast.BindVar(_PREFIX + "groups"))]
-        ops += [
-            ast.LetOp(name, ast.AttrAccess(ast.VarRef(group_var), name))
-            for name in exports
-        ]
-        ops += list(post_ops)
-        text = unparse(ast.Query(ops))
         local_binds = dict(binds)
         local_binds[_PREFIX + "groups"] = frames
         return self._local_db.query(text, local_binds).rows
@@ -1320,7 +1455,7 @@ class Coordinator:
             # apply the identical statement to stay in sync.
             for segment in segments:
                 segment.multi = True
-                segment.pinned = None
+                segment.routes = ()
         self._render_segments(segments, binds)
         final = segments[-1]
         final.merge = {"kind": "concat", "headless": False}
@@ -1350,7 +1485,10 @@ class Coordinator:
                 fan_out=self.shard_map.num_shards,
             )
         partition_key = placement.partition_key
-        shard: Optional[int] = None
+        route: Optional[Route] = None
+        # Whether a value is static, and whether it is an object, follows
+        # from the bind shape; which shard owns it, and whether an object
+        # bind holds the partition key, is the call's (see _route).
         if isinstance(op, ast.InsertOp):
             ok, document = _static_value(op.document, binds)
             if not ok or not isinstance(document, dict):
@@ -1358,34 +1496,31 @@ class Coordinator:
                     f"INSERT into hash-partitioned {op.target!r} needs a "
                     "statically evaluable document to pick the owner shard"
                 )
-            shard = self.shard_map.owner(
-                op.target, document.get(partition_key)
-            )
+            route = Route(op.target, op.document, partition_key)
         elif isinstance(op, ast.UpsertOp):
             ok, search = _static_value(op.search, binds)
-            if ok and isinstance(search, dict) and partition_key in search:
-                shard = self.shard_map.owner(op.target, search[partition_key])
-            else:
-                raise ClusterUnsupportedError(
-                    f"UPSERT into hash-partitioned {op.target!r} needs the "
-                    f"partition key {partition_key!r} in a statically "
-                    "evaluable search document"
-                )
+            if not ok or not isinstance(search, dict):
+                raise _upsert_refusal(op.target, partition_key)
+            route = Route(op.target, op.search, partition_key, "refuse")
         else:  # UPDATE / REMOVE / REPLACE by key
             ok, key = _static_value(op.key, binds)
-            if ok and isinstance(key, dict):
-                ok = partition_key in key
-                key = key.get(partition_key)
             if ok and placement.key_routable:
                 # The store's primary key doubles as the partition key, so
-                # the key value routes directly.
-                shard = self.shard_map.owner(op.target, key)
-        if shard is not None:
+                # the key value (or an object key's partition key) routes
+                # directly.
+                route = Route(
+                    op.target,
+                    op.key,
+                    partition_key if isinstance(key, dict) else None,
+                    "broadcast",
+                )
+        if route is not None:
             return ClusterPlan(
                 kind="dml",
                 strategy="dml_routed",
-                dml={"statement": text, "shard": shard, "reference": False},
+                dml={"statement": text, "shard": None, "reference": False},
                 fan_out=1,
+                route=route,
             )
         # Partitioned on an attribute the statement does not bind: let
         # every shard try — the owner applies it, the rest no-op.

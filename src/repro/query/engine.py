@@ -129,10 +129,12 @@ class PlanCache:
       unbounded query-text diversity (e.g. values inlined into the text
       instead of bind parameters) would otherwise grow without limit.
 
-    Counters are mirrored into the observability registry
-    (``plan_cache_hits_total`` / ``plan_cache_misses_total`` /
-    ``plan_cache_evictions_total``) and kept locally so the shell's
-    ``.plancache`` works even with metrics disabled.
+    Counters are mirrored into the observability registry under the
+    cache's *name* (``<name>_hits_total`` / ``<name>_misses_total`` /
+    ``<name>_evictions_total``: ``plan_cache_*`` for a database's cache,
+    ``cluster_plan_cache_*`` for a cluster coordinator's, so the two never
+    mix in one process) and kept locally so the shell's ``.plancache``
+    works even with metrics disabled.
 
     * **Thread safety** — all mutation (LRU reordering on ``get``,
       insertion/eviction on ``put``, ``resize``/``clear``) happens under one
@@ -142,8 +144,11 @@ class PlanCache:
       single-threaded use.
     """
 
-    def __init__(self, capacity: int = 128):
+    def __init__(self, capacity: int = 128, name: str = "plan_cache"):
         self.capacity = max(int(capacity), 1)
+        self._hits_series = f"{name}_hits_total"
+        self._misses_series = f"{name}_misses_total"
+        self._evictions_series = f"{name}_evictions_total"
         self._entries: "OrderedDict[tuple, dict]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -189,9 +194,7 @@ class PlanCache:
                 plan = entry["plan"]
         if metrics.ENABLED:
             metrics.counter(
-                "plan_cache_hits_total"
-                if plan is not None
-                else "plan_cache_misses_total"
+                self._hits_series if plan is not None else self._misses_series
             ).inc()
         return plan
 
@@ -205,7 +208,7 @@ class PlanCache:
                 self.evictions += 1
                 evicted += 1
         if evicted and metrics.ENABLED:
-            metrics.counter("plan_cache_evictions_total").inc(evicted)
+            metrics.counter(self._evictions_series).inc(evicted)
 
     def peek_text(self, text: str, versions: tuple) -> Optional[int]:
         """Prior hit count of a *live* entry for this query text, or None.
@@ -229,7 +232,7 @@ class PlanCache:
                 self.evictions += 1
                 evicted += 1
         if evicted and metrics.ENABLED:
-            metrics.counter("plan_cache_evictions_total").inc(evicted)
+            metrics.counter(self._evictions_series).inc(evicted)
 
     def clear(self) -> None:
         with self._lock:

@@ -71,6 +71,8 @@ __all__ = [
     "REGISTRY",
     "rule_names",
     "MAX_PASSES",
+    "keeps_every_frame",
+    "map_reached",
 ]
 
 #: Fixpoint bound — every current rule is idempotent, so passes converge
@@ -316,6 +318,39 @@ _EVALUATES_ALL = (
 )
 
 
+def keeps_every_frame(operation: ast.Operation) -> bool:
+    """True when *operation* hands every frame it is given on, one for
+    one, so the operations after it still see each of them."""
+    return type(operation) in _KEEPS_EVERY_FRAME or (
+        type(operation) is LookupJoinOp and not operation.fans_out
+    )
+
+
+def map_reached(expr: ast.Expr, certain: bool, replace: Callable) -> ast.Expr:
+    """*expr* rebuilt top-down through ``replace(node, certain)``: a node
+    for which it returns an expression is replaced by it whole, any other
+    is entered.  *certain* says the statement evaluates the node whenever
+    it evaluates *expr*'s operation; below a ternary's arms, the right of
+    AND / OR, an expansion or an inline filter it is False.
+
+    This is the reachability guard of every rewrite that moves an
+    aggregate over a group's members to where each group is built: an
+    accumulator raises on a non-number while it runs, the array function
+    only where it is called, so a use some group may never reach must
+    stay where it is."""
+    replaced = replace(expr, certain)
+    if replaced is not None:
+        return replaced
+    if not (
+        isinstance(expr, _EVALUATES_ALL)
+        or (isinstance(expr, ast.BinOp) and expr.op not in ("AND", "OR"))
+    ):
+        certain = False
+    return map_children(
+        expr, lambda child: map_reached(child, certain, replace)
+    )
+
+
 def _fold_members(
     operations: list, index: int, frame_vars: set, taken: set
 ) -> Optional[list]:
@@ -326,11 +361,9 @@ def _fold_members(
     aggregates = list(collect.aggregates)
     folded: dict = {}
 
-    def fold(expr: ast.Expr, certain: bool) -> ast.Expr:
-        """*certain*: the statement evaluates *expr* for every group.  An
-        accumulator raises on a non-number while it runs, the array
-        function only where it is called — so a use some group may never
-        reach (COUNT aside, which cannot fail) keeps the members."""
+    def fold(expr: ast.Expr, certain: bool) -> Optional[ast.Expr]:
+        """The aggregate variable for a use every group reaches (COUNT,
+        which cannot fail, wherever it is)."""
         if (
             isinstance(expr, ast.FuncCall)
             and expr.name.upper() in _RUNNING_AGGREGATES
@@ -350,12 +383,7 @@ def _fold_members(
                     folded[key] = name
                     aggregates.append((name, func, member))
                 return ast.VarRef(folded[key])
-        if not (
-            isinstance(expr, _EVALUATES_ALL)
-            or (isinstance(expr, ast.BinOp) and expr.op not in ("AND", "OR"))
-        ):
-            certain = False  # a ternary's arms, the right of AND / OR, …
-        return map_children(expr, lambda child: fold(child, certain))
+        return None
 
     downstream: list = []
     every_group = True
@@ -368,7 +396,7 @@ def _fold_members(
             # the aggregate variables in their place.
             return None
         operation = map_operation_exprs(
-            operation, lambda expr: fold(expr, every_group)
+            operation, lambda expr: map_reached(expr, every_group, fold)
         )
         if into in reads(operation):
             # LENGTH(m), m returned or passed whole, m[*] bare, or an
@@ -382,9 +410,7 @@ def _fold_members(
                 return None
             downstream.extend(operations[position + 1:])
             break
-        if type(operation) not in _KEEPS_EVERY_FRAME and not (
-            type(operation) is LookupJoinOp and not operation.fans_out
-        ):
+        if not keeps_every_frame(operation):
             every_group = False
     if not folded:
         return None

@@ -70,6 +70,7 @@ def test_stale_map_is_refetched_transparently(cluster):
     with cluster.client() as fresh:
         baseline = fresh.query("FOR c IN customers RETURN c.id").rows
         assert fresh.shard_map.version == cluster.shard_map.version
+        stale = fresh.coordinator
         # The topology moves on: every server adopts a bumped map.  The
         # client's next statement hits SHARD_MAP_STALE, refetches, and
         # retries — the caller never sees the hiccup.
@@ -77,9 +78,16 @@ def test_stale_map_is_refetched_transparently(cluster):
         for server in cluster.servers + cluster.replica_servers:
             server.shard_map = bumped
         try:
-            rows = fresh.query("FOR c IN customers RETURN c.id").rows
-            assert sorted(rows) == sorted(baseline)
+            result = fresh.query("FOR c IN customers RETURN c.id")
+            assert sorted(result.rows) == sorted(baseline)
             assert fresh.shard_map.version == bumped.version
+            # The first try was served from the old map's cached plan; the
+            # retry planned afresh on the new map's coordinator.
+            assert stale.plan_cache.stats()["hits"] == 1
+            assert fresh.coordinator is not stale
+            assert result.stats["plan_cached"] is False
+            fresh_cache = fresh.coordinator.plan_cache.stats()
+            assert (fresh_cache["hits"], fresh_cache["misses"]) == (0, 1)
         finally:
             for server in cluster.servers + cluster.replica_servers:
                 server.shard_map = cluster.shard_map
@@ -130,6 +138,15 @@ def test_info_names_the_placements(client):
     assert info["cluster"] is True
     assert info["placements"]["customers"] == "hash"
     assert info["placements"]["social"] == "reference"
+
+
+def test_info_reports_the_coordinator_plan_cache(client):
+    text = "FOR c IN customers FILTER c.id == @id RETURN c.name"
+    assert client.query(text, {"id": 1}).stats["plan_cached"] is False
+    assert client.query(text, {"id": 2}).stats["plan_cached"] is True
+    assert client.explain(text, {"id": 3}).startswith("cluster plan")
+    cache = client.info()["plan_cache"]
+    assert (cache["size"], cache["hits"], cache["misses"]) == (1, 2, 1)
 
 
 def test_client_needs_a_map_or_a_seed():

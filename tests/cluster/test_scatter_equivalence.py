@@ -67,12 +67,38 @@ def test_cluster_rows_equal_embedded_rows(query_id, embedded, cluster):
     assert len(got) > 0, f"{query_id} returned nothing — vacuous equivalence"
 
 
+#: A second bind set per Workload-B query, of the first one's shape.
+OTHER_BINDS = {
+    "Q1": {"min_credit": 3000},
+    "Q2": {"city": "Brno"},
+    "Q3": {},
+    "Q4": {"category": "Toy"},
+    "Q5": {"start": "13"},
+}
+
+
+@pytest.mark.parametrize("query_id", sorted(QUERIES_B))
+def test_a_cached_plan_answers_other_bind_values(query_id, embedded, cluster):
+    """Back to back on one client: the second bind set is served from the
+    plan the first one cached, and both answer as embedded does."""
+    ordered = query_id in ORDERED
+    for position, binds in enumerate((None, OTHER_BINDS[query_id])):
+        expected = workload_b_remote(embedded, query_id, binds).rows
+        got = workload_b_remote(cluster, query_id, binds)
+        assert _canon(got.rows, ordered) == _canon(expected, ordered)
+        assert len(expected) > 0, "vacuous equivalence"
+        if position:
+            assert got.stats["plan_cached"] is True
+
+
 @pytest.mark.parametrize("name", COLLECT_SCATTER)
 def test_collect_into_aggregates_equal_unoptimized_embedded_rows(
     name, embedded, cluster
 ):
     """The coordinator turns ``AGG(members[*].path)`` into per-shard
-    partial aggregates with the same rule the embedded optimizer uses."""
+    partial aggregates with the same rule the embedded optimizer uses, and
+    under the same guard: a group a later FILTER or a ternary spares is
+    never aggregated."""
     text, binds = COLLECT_QUERIES[name]
     expected = run_query(embedded, text, binds, optimize_query=False).rows
     assert len(expected) > 0, "vacuous equivalence"

@@ -246,12 +246,10 @@ COLLECT_KEEPS_MEMBERS = {
 
 #: Those a sharded cluster answers bit for bit.  Partial sums of a group
 #: spread over shards associate differently, so the by-city float sums
-#: stay out; and what the rule leaves alone, the coordinator's own member
-#: elision (older than the rule, and without its guard) still turns into
-#: per-shard partials that fail on the spared groups' inputs.
-COLLECT_SCATTER = sorted(
-    set(COLLECT_QUERIES) - {"collect_into_float_sum_order"} - COLLECT_KEEPS_MEMBERS
-)
+#: stay out.  The coordinator's own member elision takes the rule's
+#: reachability guard, so the groups a later FILTER or a ternary spares
+#: ship their members and are never aggregated.
+COLLECT_SCATTER = sorted(set(COLLECT_QUERIES) - {"collect_into_float_sum_order"})
 
 #: A subquery that writes reads the outer variables its DML expressions
 #: name, like any other: the FILTER that holds it has to stay below the

@@ -60,6 +60,27 @@ class TestHitsAndMisses:
         assert metrics.REGISTRY.total("plan_cache_hits_total") == 1
         assert metrics.REGISTRY.total("plan_cache_misses_total") == 1
 
+    def test_a_coordinator_cache_counts_under_its_own_series(self, db):
+        from repro.cluster.coordinator import Coordinator
+        from repro.cluster.shardmap import ShardMap, demo_placements
+
+        metrics.REGISTRY.reset()
+        coordinator = Coordinator(ShardMap(["127.0.0.1:9000"], demo_placements()))
+        db.query(QUERY, {"low": 5})
+        for low in (5, 6, 7):
+            coordinator.plan(QUERY, {"low": low})
+        small = PlanCache(capacity=1, name="cluster_plan_cache")
+        small.put(("a", (), True), "plan-a", ())
+        small.put(("b", (), True), "plan-b", ())
+        total = metrics.REGISTRY.total
+        assert (total("plan_cache_misses_total"), total("plan_cache_hits_total")) == (1, 0)
+        assert (
+            total("cluster_plan_cache_misses_total"),
+            total("cluster_plan_cache_hits_total"),
+        ) == (1, 2)
+        assert total("plan_cache_evictions_total") == 0
+        assert total("cluster_plan_cache_evictions_total") == 1
+
 
 class TestInvalidation:
     def test_index_ddl_invalidates(self, db):
