@@ -11,7 +11,7 @@ repository root:
 The workload is the plan-cache-warm point-read mix every serving story is
 judged by: relational point reads by key with bind parameters, so parse +
 optimize are skipped after the first round and the measurement isolates
-the wire + session + executor-bridge overhead this PR added.
+the wire and session-thread overhead of the server.
 """
 
 import json

@@ -963,8 +963,8 @@ def serve_main(argv: Optional[list[str]] = None) -> int:
         role += f", shard {args.shard_id} of {shard_map.num_shards}"
     print(
         f"repro {__version__} serving on {host}:{port} as {role} "
-        f"(max {args.max_sessions} sessions, {args.max_inflight} workers; "
-        "Ctrl-C for graceful drain)",
+        f"(max {args.max_sessions} sessions, {args.max_inflight} engine "
+        "calls at once; Ctrl-C for graceful drain)",
         file=sys.stdout,
     )
     if args.ack_replication:

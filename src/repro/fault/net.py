@@ -1,9 +1,9 @@
 """Network fault shim: wire-frame send/receive with injectable failures.
 
 The wire protocol (:mod:`repro.server.protocol`) routes every frame
-boundary — client socket writes/reads and server stream writes/reads —
-through these helpers, so an armed failpoint can make a *specific* frame
-suffer a realistic network failure:
+boundary — client and server socket writes and reads alike — through these
+helpers, so an armed failpoint can make a *specific* frame suffer a
+realistic network failure:
 
 ===============  ===========================================================
 effect           behaviour at a frame boundary
@@ -29,7 +29,6 @@ costs one attribute load.
 
 from __future__ import annotations
 
-import asyncio
 import errno
 import socket
 import time
@@ -38,13 +37,7 @@ from typing import Optional
 from repro.errors import SimulatedCrash
 from repro.fault.registry import Failpoint
 
-__all__ = [
-    "DELAY_SECONDS",
-    "send_bytes",
-    "recv_gate",
-    "send_bytes_async",
-    "recv_gate_async",
-]
+__all__ = ["DELAY_SECONDS", "send_bytes", "recv_gate"]
 
 #: How long the ``delay`` effect stalls a frame.  Short enough that armed
 #: test suites stay fast, long enough to reorder against concurrent
@@ -64,9 +57,15 @@ def _partition_error(site: str) -> OSError:
     )
 
 
-# ---------------------------------------------------------------------------
-# Blocking (client-side) paths
-# ---------------------------------------------------------------------------
+def _sever(sock: socket.socket) -> None:
+    """Tear the connection down.  ``shutdown`` first: a server connection
+    is shared by its session thread and (after ``wal_subscribe``) a ship
+    thread, and only ``shutdown`` wakes the one still blocked on it."""
+    for teardown in (lambda: sock.shutdown(socket.SHUT_RDWR), sock.close):
+        try:
+            teardown()
+        except OSError:
+            pass
 
 
 def send_bytes(sock: socket.socket, data: bytes,
@@ -78,32 +77,20 @@ def send_bytes(sock: socket.socket, data: bytes,
             raise SimulatedCrash(fp.name)
         if effect == "partition":
             raise _partition_error(fp.name)
-        if effect in ("drop_conn", "error"):
-            try:
-                sock.close()
-            except OSError:
-                pass
-            raise _reset_error(fp.name)
         if effect == "truncate_frame":
             try:
                 sock.sendall(data[: max(1, len(data) // 2)])
             except OSError:
                 pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+            _sever(sock)
             raise _reset_error(fp.name)
         if effect == "delay":
             time.sleep(DELAY_SECONDS)
         elif effect == "duplicate_frame":
             sock.sendall(data)  # once here, once below
-        # any other effect (torn/bitflip/enospc) degrades to drop_conn:
+        # drop_conn, error, and any other effect (torn/bitflip/enospc):
         elif effect is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            _sever(sock)
             raise _reset_error(fp.name)
     sock.sendall(data)
 
@@ -123,82 +110,5 @@ def recv_gate(sock: socket.socket, fp: Optional[Failpoint] = None) -> None:
     if effect == "delay":
         time.sleep(DELAY_SECONDS)
         return
-    try:
-        sock.close()
-    except OSError:
-        pass
+    _sever(sock)
     raise _reset_error(fp.name)
-
-
-# ---------------------------------------------------------------------------
-# Async (server-side) paths
-# ---------------------------------------------------------------------------
-
-
-async def send_bytes_async(writer: asyncio.StreamWriter, data: bytes,
-                           fp: Optional[Failpoint] = None) -> None:
-    """``writer.write(data); await drain()`` with the armed effect applied."""
-    if fp is not None and fp.armed:
-        effect = fp.fires()
-        if effect == "crash":
-            raise SimulatedCrash(fp.name)
-        if effect == "partition":
-            raise _partition_error(fp.name)
-        if effect in ("drop_conn", "error"):
-            _abort_writer(writer)
-            raise _reset_error(fp.name)
-        if effect == "truncate_frame":
-            writer.write(data[: max(1, len(data) // 2)])
-            try:
-                await writer.drain()
-            except OSError:
-                pass
-            _close_writer(writer)
-            raise _reset_error(fp.name)
-        if effect == "delay":
-            await asyncio.sleep(DELAY_SECONDS)
-        elif effect == "duplicate_frame":
-            writer.write(data)
-        elif effect is not None:
-            _abort_writer(writer)
-            raise _reset_error(fp.name)
-    writer.write(data)
-    await writer.drain()
-
-
-async def recv_gate_async(fp: Optional[Failpoint] = None) -> None:
-    """Gate before an async frame read (the stream itself is severed by the
-    caller catching the raised error)."""
-    if fp is None or not fp.armed:
-        return
-    effect = fp.fires()
-    if effect is None:
-        return
-    if effect == "crash":
-        raise SimulatedCrash(fp.name)
-    if effect == "partition":
-        raise _partition_error(fp.name)
-    if effect == "delay":
-        await asyncio.sleep(DELAY_SECONDS)
-        return
-    raise _reset_error(fp.name)
-
-
-def _abort_writer(writer: asyncio.StreamWriter) -> None:
-    """RST-style teardown: unread buffered data is discarded, like a real
-    connection reset (``close()`` would flush, which a reset does not)."""
-    transport = writer.transport
-    try:
-        if transport is not None:
-            transport.abort()
-        else:
-            writer.close()
-    except Exception:
-        pass
-
-
-def _close_writer(writer: asyncio.StreamWriter) -> None:
-    try:
-        writer.close()
-    except Exception:
-        pass

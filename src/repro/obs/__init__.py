@@ -13,7 +13,7 @@ Entry points:
 * :mod:`repro.obs.instrument` — per-model store method wrapping.
 * :mod:`repro.obs.events` — structured JSON-lines event log with
   trace/session/request correlation ids.
-* :mod:`repro.obs.telemetry` — asyncio HTTP endpoint serving
+* :mod:`repro.obs.telemetry` — stdlib HTTP endpoint, on its own thread, serving
   ``/metrics`` (Prometheus), ``/healthz``, ``/stats`` and ``/events``.
 
 Distributed tracing (trace ids, remote-parent adoption, explicit

@@ -1,4 +1,4 @@
-"""Live telemetry endpoint: a dependency-free asyncio HTTP server.
+"""Live telemetry endpoint: a dependency-free HTTP server on a thread.
 
 Serves the observability surface of a running process over plain
 HTTP/1.1 so a server is inspectable with ``curl`` or scraped by
@@ -13,17 +13,19 @@ Prometheus without going through the wire protocol (or the shell):
 * ``GET /events``   — the structured event log's recent entries
   (``?n=50`` limits, ``?kind=slow_query`` filters).
 
-The implementation is deliberately minimal: one request per connection
-(``Connection: close``), GET only, no TLS — it binds to loopback by
-default and exists for scrapes and health probes, not as a public API.
-:class:`repro.server.server.ReproServer` starts one alongside its wire
-port when constructed with ``telemetry_port=``.
+The implementation is deliberately minimal: stdlib :mod:`http.server`, one
+request per connection (``Connection: close``), GET only, no TLS — it
+binds to loopback by default and exists for scrapes and health probes, not
+as a public API.  :class:`repro.server.server.ReproServer` starts one
+alongside its wire port when constructed with ``telemetry_port=``.
 """
 
 from __future__ import annotations
 
-import asyncio
+import http
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional
 from urllib.parse import parse_qs, urlsplit
 
@@ -35,7 +37,8 @@ __all__ = ["PROMETHEUS_CONTENT_TYPE", "TelemetryEndpoint"]
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-_MAX_REQUEST_BYTES = 16 * 1024
+#: How often the serving thread looks for a stop request.
+_POLL_SECONDS = 0.05
 
 
 class TelemetryEndpoint:
@@ -59,66 +62,35 @@ class TelemetryEndpoint:
         self.registry = registry if registry is not None else obs_metrics.REGISTRY
         self.stats_provider = stats_provider
         self.health_provider = health_provider
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._server: Optional[ThreadingHTTPServer] = None
+        self._thread: Optional[threading.Thread] = None
 
     @property
     def address(self) -> tuple[str, int]:
         return (self.host, self.port)
 
-    async def start(self) -> tuple[str, int]:
+    def start(self) -> tuple[str, int]:
         """Bind and serve; ``port=0`` picks a free port, returned here."""
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+        self._server = ThreadingHTTPServer((self.host, self.port), _Handler)
+        self._server.endpoint = self
+        self.port = self._server.server_address[1]
+        self._thread = threading.Thread(
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": _POLL_SECONDS},
+            name="repro-telemetry",
+            daemon=True,
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._thread.start()
         return self.address
 
-    async def stop(self) -> None:
+    def stop(self) -> None:
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+            self._server.shutdown()
+            self._server.server_close()
             self._server = None
+            self._thread = None
 
     # ------------------------------------------------------------- serving --
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            request_line = await reader.readline()
-            if not request_line or len(request_line) > _MAX_REQUEST_BYTES:
-                return
-            # Drain headers up to the blank line; the routes take no body.
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                if len(line) > _MAX_REQUEST_BYTES:
-                    return
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2:
-                await self._respond(writer, 400, "text/plain", b"bad request\n")
-                return
-            method, target = parts[0], parts[1]
-            if method != "GET":
-                await self._respond(
-                    writer, 405, "text/plain", b"method not allowed\n"
-                )
-                return
-            status, content_type, body = self._route(target)
-            await self._respond(writer, status, content_type, body)
-            if obs_metrics.ENABLED:
-                obs_metrics.counter(
-                    "telemetry_requests_total",
-                    path=urlsplit(target).path or "/",
-                ).inc()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
 
     def _route(self, target: str) -> tuple[int, str, bytes]:
         split = urlsplit(target)
@@ -151,21 +123,43 @@ class TelemetryEndpoint:
             return 200, "application/json", _json_bytes({"events": entries})
         return 404, "text/plain", b"not found: /metrics /healthz /stats /events\n"
 
-    @staticmethod
-    async def _respond(
-        writer: asyncio.StreamWriter, status: int, content_type: str, body: bytes
-    ) -> None:
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed", 503: "Service Unavailable"}
+
+class _Handler(BaseHTTPRequestHandler):
+    """GET goes to :meth:`TelemetryEndpoint._route`; every other method is
+    405 and a malformed request 400.  Responses are written whole, with
+    only the three headers below."""
+
+    def do_GET(self) -> None:
+        self._respond(*self.server.endpoint._route(self.path))
+        if obs_metrics.ENABLED:
+            obs_metrics.counter(
+                "telemetry_requests_total",
+                path=urlsplit(self.path).path or "/",
+            ).inc()
+
+    def __getattr__(self, name: str):
+        if name.startswith("do_"):
+            return lambda: self._respond(
+                405, "text/plain", b"method not allowed\n"
+            )
+        raise AttributeError(name)
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        self._respond(code, "text/plain", b"bad request\n")
+
+    def _respond(self, status: int, content_type: str, body: bytes) -> None:
         head = (
-            f"HTTP/1.1 {status} {reason.get(status, 'OK')}\r\n"
+            f"HTTP/1.1 {status} {http.HTTPStatus(status).phrase}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
             "Connection: close\r\n"
             "\r\n"
         )
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
+        self.wfile.write(head.encode("latin-1") + body)
+        self.close_connection = True
+
+    def log_message(self, format, *args) -> None:
+        pass  # scrapes are counted in telemetry_requests_total, not logged
 
 
 def _json_bytes(payload: dict) -> bytes:

@@ -55,7 +55,7 @@ class ReplicationApplier:
 
     Thread-safety: :meth:`apply_records` runs on the puller thread while
     ``repl_wait``/``repl_status`` read the watermarks from the server's
-    event loop, so watermark updates happen under a small lock and the
+    session threads, so watermark updates happen under a small lock and the
     read side uses :meth:`watermarks`.
     """
 

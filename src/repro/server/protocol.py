@@ -44,7 +44,6 @@ which is exactly what a torn TCP stream looks like to the peer.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
@@ -67,9 +66,8 @@ __all__ = [
     "decode_payload",
     "read_frame",
     "write_frame",
-    "read_frame_async",
-    "write_frame_async",
-    "write_payload_async",
+    "read_request",
+    "send_payload",
     "request",
     "parse_trace_context",
     "ok_response",
@@ -143,14 +141,24 @@ def _check_length(length: int, max_frame: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Blocking I/O (client side, plain sockets)
+# Blocking socket I/O (client, server sessions, replication)
 # ---------------------------------------------------------------------------
 
 
 def write_frame(sock: socket.socket, payload: dict) -> int:
-    """Send one frame; returns the bytes written."""
+    """Client side: send one frame; returns the bytes written."""
     data = encode_frame(payload)
     fault_net.send_bytes(sock, data, FP_CLIENT_WRITE)
+    return len(data)
+
+
+def send_payload(sock: socket.socket, data: bytes) -> int:
+    """Server side: send an already-encoded frame (callers that time
+    serialization separately encode first, then send here); returns the
+    bytes written."""
+    fault_net.send_bytes(sock, data, FP_FRAME_WRITE)
+    if obs_metrics.ENABLED:
+        obs_metrics.counter("server_bytes_written_total").inc(len(data))
     return len(data)
 
 
@@ -172,71 +180,39 @@ def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
     return b"".join(chunks)
 
 
-def read_frame(
-    sock: socket.socket, max_frame: int = MAX_FRAME_BYTES
-) -> Optional[dict]:
-    """Read one frame; None on clean EOF before any header byte."""
-    if FP_CLIENT_READ.armed:
-        fault_net.recv_gate(sock, FP_CLIENT_READ)
+def _read(sock: socket.socket, max_frame: int, fp) -> tuple[Optional[dict], int]:
+    """One frame and its size on the wire; ``(None, 0)`` on clean EOF
+    before any header byte."""
+    if fp.armed:
+        fault_net.recv_gate(sock, fp)
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
-        return None
+        return None, 0
     (length,) = _HEADER.unpack(header)
     _check_length(length, max_frame)
     body = _recv_exact(sock, length) if length else b""
     if body is None:
         raise ProtocolError("connection closed between header and payload")
-    return decode_payload(body)
+    return decode_payload(body), _HEADER.size + length
 
 
-# ---------------------------------------------------------------------------
-# Async I/O (server side)
-# ---------------------------------------------------------------------------
-
-
-async def read_frame_async(
-    reader: asyncio.StreamReader, max_frame: int = MAX_FRAME_BYTES
+def read_frame(
+    sock: socket.socket, max_frame: int = MAX_FRAME_BYTES
 ) -> Optional[dict]:
-    """Read one frame from a stream reader; None on clean EOF."""
-    if FP_FRAME_READ.armed:
-        await fault_net.recv_gate_async(FP_FRAME_READ)
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise ProtocolError(
-            f"connection closed mid-header ({len(error.partial)}/{_HEADER.size})"
-        ) from error
-    (length,) = _HEADER.unpack(header)
-    _check_length(length, max_frame)
-    try:
-        body = await reader.readexactly(length) if length else b""
-    except asyncio.IncompleteReadError as error:
-        raise ProtocolError(
-            f"connection closed mid-frame ({len(error.partial)}/{length} bytes)"
-        ) from error
-    if obs_metrics.ENABLED:
-        obs_metrics.counter("server_bytes_read_total").inc(_HEADER.size + length)
-    return decode_payload(body)
+    """Client side: read one frame; None on clean EOF before any header
+    byte."""
+    return _read(sock, max_frame, FP_CLIENT_READ)[0]
 
 
-async def write_payload_async(writer: asyncio.StreamWriter, data: bytes) -> int:
-    """Send an already-encoded frame (callers that time serialization
-    separately encode first, then write here); returns bytes written."""
-    if FP_FRAME_WRITE.armed:
-        await fault_net.send_bytes_async(writer, data, FP_FRAME_WRITE)
-    else:
-        writer.write(data)
-        await writer.drain()
-    if obs_metrics.ENABLED:
-        obs_metrics.counter("server_bytes_written_total").inc(len(data))
-    return len(data)
-
-
-async def write_frame_async(writer: asyncio.StreamWriter, payload: dict) -> int:
-    """Send one frame through a stream writer; returns bytes written."""
-    return await write_payload_async(writer, encode_frame(payload))
+def read_request(
+    sock: socket.socket, max_frame: int = MAX_FRAME_BYTES
+) -> Optional[dict]:
+    """Server side: read one frame from a session's socket; None on clean
+    EOF before any header byte."""
+    payload, size = _read(sock, max_frame, FP_FRAME_READ)
+    if size and obs_metrics.ENABLED:
+        obs_metrics.counter("server_bytes_read_total").inc(size)
+    return payload
 
 
 # ---------------------------------------------------------------------------

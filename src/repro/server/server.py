@@ -1,53 +1,60 @@
-"""Asyncio TCP server hosting one :class:`~repro.core.database.MultiModelDB`.
+"""Threaded TCP server hosting one :class:`~repro.core.database.MultiModelDB`.
 
-Architecture (one process, three layers):
+Architecture (one process, one thread per connection):
 
-* the **event loop** accepts connections, frames requests and responses
-  (:mod:`repro.server.protocol`), and keeps all admission-control state —
-  session count, in-flight counter — single-threaded, so none of it needs
-  locks;
-* a **thread-pool executor bridge** runs every blocking engine call
-  (``query``/``explain``/``commit``/``abort``) off the loop, sized to
-  ``max_inflight`` workers, so one long scan never stalls frame I/O for
-  other sessions;
+* an **accept thread** takes connections off the listening socket, applies
+  the session cap, and hands each admitted connection to its own
+  **session thread**;
+* the **session thread** reads a request frame
+  (:mod:`repro.server.protocol`), runs the op — engine call included —
+  encodes the response and writes it, then reads the next frame.  Nothing
+  on the request path changes threads, so a request costs no cross-thread
+  wake-up; a lock wait, an fsync or a long scan blocks its own session
+  only, and the GIL hands the other threads a turn every switch interval;
 * the **engine** underneath is shared: the catalog lock, plan-cache lock
-  and transaction-manager mutex added for this layer make that safe.
+  and transaction-manager mutex make that safe.  Server-side shared state
+  (the session table, the in-flight count, the replication hub, each
+  session's cursor registry) has a lock of its own.
 
-Admission control is two gates with typed rejections
+Admission control is three gates with typed rejections
 (:class:`repro.errors.ServerOverloadedError` — the request is *refused*,
 never silently queued forever):
 
-* ``max_sessions`` — connections beyond it are greeted with an error frame
-  and closed;
-* ``max_inflight + queue_depth`` — blocking calls beyond the worker count
-  queue in the executor, and past the queue budget they are rejected
-  immediately.
+* ``max_sessions`` — checked by the accept thread; connections beyond it
+  are greeted with an error frame and closed;
+* ``max_inflight`` — a semaphore around engine calls
+  (``query``/``query_open``/``cursor_next``/``explain``/``commit``/
+  ``abort``): at most that many run at once, the others wait for a slot
+  (the ``queue`` phase);
+* ``max_inflight + queue_depth`` — an engine call that would push running
+  plus waiting calls past it is rejected immediately.
 
 **Streaming cursors** (``query_open`` / ``cursor_next`` / ``cursor_close``)
 let a client pull a large result in chunks instead of one frame: the server
 holds a lazy engine cursor (:class:`repro.query.engine.QueryCursor`) per
 open stream, scoped to the session, capped at ``max_cursors_per_session``
-(:class:`repro.errors.CursorLimitError`) and reaped by a background task
+(:class:`repro.errors.CursorLimitError`) and reaped by a background thread
 after ``cursor_idle_timeout`` seconds without a fetch
 (:class:`repro.errors.CursorNotFoundError` on later touches).  Peak server
 memory per stream is one chunk, not one result set.
 
 Graceful shutdown (:meth:`ReproServer.shutdown`) stops accepting, lets
-in-flight queries drain (bounded by ``drain_timeout``), closes every open
-cursor (mid-stream clients see :class:`repro.errors.ServerShutdownError` on
-their next fetch — cursor ops are not in the always-allowed set while
+in-flight engine calls drain (bounded by ``drain_timeout``), closes every
+open cursor (mid-stream clients see :class:`repro.errors.ServerShutdownError`
+on their next fetch — cursor ops are not in the always-allowed set while
 draining), aborts transactions orphaned by surviving sessions, optionally
-checkpoints the database, and only then tears down connections — so every
-positively-acknowledged commit is durable in the WAL.
+checkpoints the database, and only then shuts the session sockets down and
+joins their threads — so every positively-acknowledged commit is durable
+in the WAL.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
+import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Optional
 
 from repro import __version__
@@ -74,7 +81,7 @@ from repro.obs import slowlog, tracing
 from repro.obs.telemetry import TelemetryEndpoint
 from repro.query.classify import statement_writes
 from repro.replication.apply import ReplicationApplier
-from repro.replication.hub import ReplicationHub
+from repro.replication.hub import ReplicationHub, heartbeat_timeout
 from repro.server import protocol
 from repro.server.session import Session
 from repro.storage.checkpoint import snapshot_image
@@ -82,9 +89,10 @@ from repro.storage.wal import entry_to_record
 
 __all__ = ["ReproServer"]
 
-#: Ops answered inline on the event loop even while draining, so a client
-#: can still observe a shutting-down server (the observability ops are
-#: here precisely because a draining server is when you want them most).
+#: Ops answered even while draining, and without taking an engine slot, so
+#: a client can still observe a busy or shutting-down server (the
+#: observability ops are here precisely because that is when you want them
+#: most).
 _ALWAYS_ALLOWED = frozenset(
     {"ping", "stats", "info", "trace_dump", "slowlog", "events", "repl_status"}
 )
@@ -95,7 +103,7 @@ _SHIP_BATCH = 512
 
 obs_metrics.describe(
     "server_request_phase_seconds",
-    "Per-request wall seconds by phase: queue (executor wait), "
+    "Per-request wall seconds by phase: queue (engine-slot wait), "
     "execute (engine work), serialize (response encoding)",
 )
 obs_metrics.describe(
@@ -135,6 +143,47 @@ def _merge_limit(requested, session_value, host_default):
     if host_default is not None:
         value = host_default if value is None else min(value, host_default)
     return value
+
+
+class _Connection:
+    """A session's socket, the lock that serialises writes to it — replies
+    from the session thread and, after ``wal_subscribe``, ship frames from
+    the ship thread — and the session thread itself."""
+
+    __slots__ = ("sock", "write_lock", "thread", "reset")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.write_lock = threading.Lock()
+        self.thread: Optional[threading.Thread] = None
+        #: Set by :meth:`sever` with ``reset=True``: nothing more is sent.
+        self.reset = False
+
+    def send(self, data: bytes) -> None:
+        with self.write_lock:
+            if self.reset:
+                raise ConnectionResetError("server killed")
+            protocol.send_payload(self.sock, data)
+
+    def sever(self, reset: bool = False) -> None:
+        """Wake the session thread out of its read.  ``reset`` is the
+        power cut: ``SO_LINGER`` 0 makes the thread's close send an RST,
+        and only the read side is shut, so no FIN goes out before it."""
+        try:
+            if reset:
+                self.reset = True
+                self.sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+            self.sock.shutdown(socket.SHUT_RD if reset else socket.SHUT_RDWR)
+        except OSError:
+            pass
+
+    def close(self) -> None:
+        try:
+            self.sock.close()
+        except OSError:
+            pass
 
 
 class ReproServer:
@@ -200,18 +249,22 @@ class ReproServer:
             shard_map = ShardMap.from_json(shard_map)
         self.shard_map = shard_map
 
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._sessions: dict[int, tuple[Session, asyncio.StreamWriter]] = {}
-        self._conn_tasks: set = set()
+        self._listener: Optional[socket.socket] = None
+        self._accept_thread: Optional[threading.Thread] = None
+        self._reaper: Optional[threading.Thread] = None
+        #: Guards ``_sessions`` and ``_inflight``; ``_idle`` is notified when
+        #: the last in-flight engine call finishes (the drain waits on it).
+        self._lock = threading.Lock()
+        self._idle = threading.Condition(self._lock)
+        self._slots = threading.Semaphore(self.max_inflight)
+        self._sessions: dict[int, tuple[Session, _Connection]] = {}
+        #: Engine calls admitted: running plus waiting for a slot.
         self._inflight = 0
-        self._drained: Optional[asyncio.Event] = None
-        self._stop_requested: Optional[asyncio.Event] = None
+        self._stop_requested = threading.Event()
+        self._closing = threading.Event()
         self._draining = False
         self._started_at = time.time()
         self._thread: Optional[threading.Thread] = None
-        self._reaper: Optional[asyncio.Task] = None
         self._telemetry: Optional[TelemetryEndpoint] = None
         self._hub = ReplicationHub()
         # The bounded engine log trims behind its subscribers, not past them.
@@ -252,23 +305,20 @@ class ReproServer:
     def inflight(self) -> int:
         return self._inflight
 
-    async def start(self) -> tuple[str, int]:
+    def start(self) -> tuple[str, int]:
         """Bind and start accepting; returns the bound (host, port) —
         pass ``port=0`` to let the OS pick a free one."""
-        self._loop = asyncio.get_running_loop()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.max_inflight, thread_name_prefix="repro-exec"
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        self._listener = socket.create_server(
+            (self.host, self.port), family=family, backlog=128
         )
-        self._drained = asyncio.Event()
-        self._drained.set()
-        self._stop_requested = asyncio.Event()
+        self.port = self._listener.getsockname()[1]
+        self._stop_requested.clear()
+        self._closing.clear()
         self._draining = False
         self._started_at = time.time()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._reaper = self._loop.create_task(self._reap_idle_cursors())
+        self._accept_thread = self._spawn("repro-accept", self._accept_loop)
+        self._reaper = self._spawn("repro-reaper", self._reap_idle_cursors)
         if self.replica_of is not None:
             # Imported here, not at module scope: replica.py speaks the wire
             # protocol, so a top-level import would be circular.
@@ -282,7 +332,7 @@ class ReproServer:
                 self._applier,
                 upstream_host,
                 int(upstream_port),
-                heartbeat_timeout=max(self.heartbeat_interval * 4, 1.0),
+                heartbeat_timeout=heartbeat_timeout(self.heartbeat_interval),
             )
             self._puller.start()
         if self.telemetry_port is not None:
@@ -292,8 +342,14 @@ class ReproServer:
                 stats_provider=self._stats_payload,
                 health_provider=self._health_payload,
             )
-            await self._telemetry.start()
+            self._telemetry.start()
         return self.address
+
+    @staticmethod
+    def _spawn(name: str, target, *args) -> threading.Thread:
+        thread = threading.Thread(target=target, args=args, name=name, daemon=True)
+        thread.start()
+        return thread
 
     @property
     def telemetry_address(self) -> Optional[tuple[str, int]]:
@@ -302,16 +358,19 @@ class ReproServer:
             return None
         return (self._telemetry.host, self._telemetry.port)
 
-    async def _reap_idle_cursors(self) -> None:
+    def _session_entries(self) -> list:
+        with self._lock:
+            return list(self._sessions.values())
+
+    def _reap_idle_cursors(self) -> None:
         """Background sweep closing cursors idle past
         ``cursor_idle_timeout`` — an abandoned client must not pin engine
         cursors (and their snapshots) forever."""
         interval = max(min(self.cursor_idle_timeout / 2.0, 5.0), 0.05)
-        while True:
-            await asyncio.sleep(interval)
+        while not self._closing.wait(interval):
             now = time.monotonic()
             reaped = 0
-            for session, _writer in list(self._sessions.values()):
+            for session, _conn in self._session_entries():
                 entries = session.reap_idle_cursors(now, self.cursor_idle_timeout)
                 reaped += len(entries)
                 for entry in entries:
@@ -327,18 +386,20 @@ class ReproServer:
             if reaped and obs_metrics.ENABLED:
                 obs_metrics.counter("server_cursors_reaped_total").inc(reaped)
 
-    async def serve_until_stopped(self) -> None:
+    def serve_until_stopped(self) -> None:
         """Run until :meth:`request_stop` / :meth:`stop`, then shut down
         gracefully."""
-        if self._server is None:
-            await self.start()
+        if self._listener is None:
+            self.start()
         try:
-            await self._stop_requested.wait()
+            self._stop_requested.wait()
         finally:
-            await self.shutdown(drain=not self._kill)
+            self.shutdown(drain=not self._kill)
 
-    async def shutdown(self, drain: bool = True) -> None:
-        """Stop accepting, drain in-flight queries, checkpoint, tear down."""
+    def shutdown(self, drain: bool = True) -> None:
+        """Stop accepting, drain in-flight engine calls, close cursors,
+        abort stranded transactions, checkpoint, then shut every session
+        socket down and join the session threads."""
         self._draining = True
         obs_events.emit(
             "drain_begin",
@@ -346,44 +407,48 @@ class ReproServer:
             inflight=self._inflight,
             drain=drain,
         )
-        if self._reaper is not None:
-            self._reaper.cancel()
-            self._reaper = None
+        self._closing.set()
         if self._puller is not None:
             # Sets the stop flag and severs the socket; the daemon thread
-            # exits on its own (no join — this is the event loop).
+            # exits on its own.
             puller, self._puller = self._puller, None
             puller.stop(join_timeout=None)
         self._hub.shutdown()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if drain and self._inflight:
+        if self._listener is not None:
             try:
-                await asyncio.wait_for(
-                    self._drained.wait(), timeout=self.drain_timeout
+                # What wakes the accept thread out of accept().
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            self._listener.close()
+            self._accept_thread.join(timeout=1.0)
+            self._listener = None
+        if drain and self._inflight:
+            with self._idle:
+                drained = self._idle.wait_for(
+                    lambda: self._inflight == 0, self.drain_timeout
                 )
+                inflight = self._inflight
+            if drained:
                 obs_events.emit("drain_inflight_complete", inflight=0)
-            except asyncio.TimeoutError:
-                # bounded patience: surviving queries die with the loop
+            else:
+                # bounded patience: surviving calls finish unobserved
                 obs_events.emit(
                     "drain_timeout",
-                    inflight=self._inflight,
+                    inflight=inflight,
                     drain_timeout=self.drain_timeout,
                 )
+        entries = self._session_entries()
         # Open streaming cursors cannot outlive the server: close them so
         # their pipelines release store cursors; mid-stream clients get
         # ServerShutdownError on their next cursor_next (the drain gate).
-        closed_cursors = 0
-        for session, _writer in list(self._sessions.values()):
-            closed_cursors += session.close_cursors()
+        closed_cursors = sum(session.close_cursors() for session, _ in entries)
         if closed_cursors:
             obs_events.emit("drain_cursors_closed", closed=closed_cursors)
         # Transactions stranded by sessions that never said commit: roll
         # them back so their locks and intents don't outlive the server.
         aborted_txns = 0
-        for session, _writer in list(self._sessions.values()):
+        for session, _conn in entries:
             if session.txn is not None:
                 try:
                     self.db.abort(session.take_txn("shutdown"))
@@ -394,77 +459,40 @@ class ReproServer:
             obs_events.emit("drain_txns_aborted", aborted=aborted_txns)
         if self.checkpoint_path is not None and not self._kill:
             try:
-                await asyncio.get_running_loop().run_in_executor(
-                    None, self.db.checkpoint, self.checkpoint_path
-                )
+                self.db.checkpoint(self.checkpoint_path)
             except Exception:
                 pass  # checkpointing is an optimization; the WAL is truth
-        for _session, writer in list(self._sessions.values()):
-            try:
-                writer.close()
-            except Exception:
-                pass
-        self._sessions.clear()
-        # Wait for connection handlers to notice the closed transports and
-        # return on their own; whatever is left past the grace window gets
-        # cancelled *and awaited*, so no half-cancelled task survives into
-        # the event loop's teardown (where it would log a spurious
-        # CancelledError traceback).
-        if self._conn_tasks:
-            done, pending = await asyncio.wait(
-                list(self._conn_tasks), timeout=1.0
-            )
-            del done
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            self._conn_tasks.clear()
+        # Wake every session thread out of its read and give them a grace
+        # window to clean up and leave; a thread still inside an engine
+        # call past it is a daemon and ends with the process.
+        for _session, conn in entries:
+            conn.sever(reset=self._kill)
+        grace_ends = time.monotonic() + 1.0
+        for _session, conn in entries:
+            conn.thread.join(max(grace_ends - time.monotonic(), 0.0))
+        with self._lock:
+            self._sessions.clear()
         if obs_metrics.ENABLED:
             obs_metrics.gauge("server_sessions_active").set(0)
         if self._telemetry is not None:
             # Last out: the health endpoint stays scrapeable through the
             # whole drain (it reports ``draining: true``).
-            await self._telemetry.stop()
+            self._telemetry.stop()
             self._telemetry = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=drain)
-            self._executor = None
+        self._reaper.join(timeout=1.0)
         obs_events.emit("drain_complete")
 
     def request_stop(self) -> None:
-        """Thread-safe: ask the serving loop to shut down."""
-        loop, stop = self._loop, self._stop_requested
-        if loop is not None and stop is not None:
-            loop.call_soon_threadsafe(stop.set)
+        """Thread-safe: ask :meth:`serve_until_stopped` to shut down."""
+        self._stop_requested.set()
 
     # -- background-thread conveniences (tests, benchmarks, `serve`) --------
 
     def start_in_thread(self) -> tuple[str, int]:
-        """Run the server in a daemon thread; returns the bound address
-        once it is accepting connections."""
-        ready = threading.Event()
-        failure: list[BaseException] = []
-
-        async def main() -> None:
-            try:
-                await self.start()
-            except BaseException as error:  # bind failure must not hang
-                failure.append(error)
-                ready.set()
-                raise
-            ready.set()
-            await self.serve_until_stopped()
-
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(main()),
-            name="repro-server",
-            daemon=True,
-        )
-        self._thread.start()
-        ready.wait(timeout=10.0)
-        if failure:
-            raise failure[0]
+        """Start accepting and run :meth:`serve_until_stopped` in a daemon
+        thread; returns the bound address."""
+        self.start()
+        self._thread = self._spawn("repro-server", self.serve_until_stopped)
         return self.address
 
     def stop(self, timeout: float = 15.0) -> None:
@@ -475,39 +503,18 @@ class ReproServer:
             self._thread = None
 
     def kill(self, timeout: float = 5.0) -> None:
-        """Thread-safe **unclean** stop, for the chaos harness: abort every
-        live transport (clients and subscribers see a connection reset, as
-        with a power cut), then tear the loop down with no drain and no
-        checkpoint.  Whatever the WAL holds is what recovery — and the
-        replicas — get."""
+        """Thread-safe **unclean** stop, for the chaos harness: reset every
+        live connection (clients and subscribers see a connection reset, as
+        with a power cut), then tear down with no drain and no checkpoint.
+        Whatever the WAL holds is what recovery — and the replicas — get."""
         self._kill = True
+        self._draining = True
         obs_events.emit("server_killed", host=self.host, port=self.port)
         if self._puller is not None:
             self._puller.stop(join_timeout=0.5)
-        loop = self._loop
-        if loop is not None:
-
-            def _die() -> None:
-                self._draining = True
-                for _session, writer in list(self._sessions.values()):
-                    transport = writer.transport
-                    try:
-                        if transport is not None:
-                            transport.abort()
-                        else:
-                            writer.close()
-                    except Exception:
-                        pass
-                if self._stop_requested is not None:
-                    self._stop_requested.set()
-
-            try:
-                loop.call_soon_threadsafe(_die)
-            except RuntimeError:
-                pass  # loop already gone
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-            self._thread = None
+        for _session, conn in self._session_entries():
+            conn.sever(reset=True)
+        self.stop(timeout=timeout)
 
     def __enter__(self) -> "ReproServer":
         self.start_in_thread()
@@ -565,7 +572,7 @@ class ReproServer:
             "draining": self._draining,
             "inflight": self._inflight,
             "sessions": [
-                entry[0].describe() for entry in self._sessions.values()
+                session.describe() for session, _conn in self._session_entries()
             ],
             "limits": self._server_info()["limits"],
             "replication": self._repl_status(),
@@ -594,80 +601,81 @@ class ReproServer:
             "inflight": self._inflight,
         }
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        peername = writer.get_extra_info("peername")
-        peer = f"{peername[0]}:{peername[1]}" if peername else "?"
+    def _accept_loop(self) -> None:
+        listener = self._listener
+        while True:
+            try:
+                sock, address = listener.accept()
+            except OSError:
+                return  # the listener was shut down
+            try:
+                self._admit(sock, f"{address[0]}:{address[1]}")
+            except Exception:
+                sock.close()
+
+    def _admit(self, sock: socket.socket, peer: str) -> None:
+        """Session cap and drain gate, then a session thread for *sock*."""
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if obs_metrics.ENABLED:
             obs_metrics.counter("server_connections_total").inc()
-        if self._draining or len(self._sessions) >= self.max_sessions:
-            error: Exception
+        conn = _Connection(sock)
+        error: Optional[Exception] = None
+        with self._lock:
+            active = len(self._sessions)
             if self._draining:
                 error = ServerShutdownError("server is shutting down")
-            else:
+            elif active >= self.max_sessions:
                 error = ServerOverloadedError(
                     f"session limit reached ({self.max_sessions} active)"
                 )
-                if obs_metrics.ENABLED:
-                    obs_metrics.counter("server_overload_rejections_total").inc()
-                obs_events.emit(
-                    "admission_rejected",
-                    reason="session_limit",
-                    peer=peer,
-                    sessions=len(self._sessions),
-                    max_sessions=self.max_sessions,
+            else:
+                session = Session(peer=peer)
+                conn.thread = threading.Thread(
+                    target=self._serve_session,
+                    args=(session, conn),
+                    name=f"repro-session-{session.session_id}",
+                    daemon=True,
                 )
-            try:
-                await protocol.write_frame_async(
-                    writer, protocol.error_response(None, error)
-                )
-            except Exception:
-                pass
-            writer.close()
+                self._sessions[session.session_id] = (session, conn)
+                active += 1
+        if error is None:
+            if obs_metrics.ENABLED:
+                obs_metrics.gauge("server_sessions_active").set(active)
+            conn.thread.start()
             return
-        session = Session(peer=peer)
-        self._sessions[session.session_id] = (session, writer)
-        if obs_metrics.ENABLED:
-            obs_metrics.gauge("server_sessions_active").set(len(self._sessions))
-        try:
-            await protocol.write_frame_async(
-                writer, {"hello": self._server_info(session)}
+        if isinstance(error, ServerOverloadedError):
+            if obs_metrics.ENABLED:
+                obs_metrics.counter("server_overload_rejections_total").inc()
+            obs_events.emit(
+                "admission_rejected",
+                reason="session_limit",
+                peer=peer,
+                sessions=active,
+                max_sessions=self.max_sessions,
             )
+        try:
+            conn.send(protocol.encode_frame(protocol.error_response(None, error)))
+        except Exception:
+            pass
+        conn.close()
+
+    def _serve_session(self, session: Session, conn: _Connection) -> None:
+        """The session thread: hello, then read → run → answer until the
+        connection ends."""
+        try:
+            conn.send(protocol.encode_frame({"hello": self._server_info(session)}))
             while True:
-                try:
-                    frame = await protocol.read_frame_async(reader, self.max_frame)
-                except (ProtocolError, InjectedFaultError):
-                    break  # torn/corrupt stream: the connection is gone
-                except (ConnectionResetError, BrokenPipeError, OSError):
-                    break
+                frame = protocol.read_request(conn.sock, self.max_frame)
                 if frame is None:
                     break  # clean EOF
                 if "op" not in frame and isinstance(frame.get("ack"), dict):
                     # Fire-and-forget replication acknowledgement from a
                     # subscribed replica — no response frame.
-                    await self._hub.record_ack(
-                        session.session_id, frame["ack"].get("lsn")
-                    )
+                    self._hub.record_ack(session.session_id, frame["ack"].get("lsn"))
                     continue
-                try:
-                    await self._dispatch(session, writer, frame)
-                except (
-                    ProtocolError,
-                    InjectedFaultError,
-                    ConnectionResetError,
-                    BrokenPipeError,
-                    OSError,
-                ):
-                    break  # response could not be delivered
-        except SimulatedCrash:
-            raise  # torture harness territory: nothing here may survive it
-        except (ProtocolError, InjectedFaultError, ConnectionError, OSError):
-            pass  # transport died (hello write, injected fault): clean up
+                self._dispatch(session, conn, frame)
+        except (ProtocolError, InjectedFaultError, OSError):
+            pass  # torn or reset stream, or an undeliverable response
         finally:
             # The connection owns its cursors: a vanished client must not
             # leave lazy pipelines (and their store cursors) behind.  These
@@ -692,21 +700,16 @@ class ReproServer:
                     self.db.abort(session.take_txn("disconnect"))
                 except Exception:
                     pass
-            self._sessions.pop(session.session_id, None)
+            with self._lock:
+                self._sessions.pop(session.session_id, None)
+                active = len(self._sessions)
             if obs_metrics.ENABLED:
-                obs_metrics.gauge("server_sessions_active").set(
-                    len(self._sessions)
-                )
-            try:
-                writer.close()
-            except Exception:
-                pass
+                obs_metrics.gauge("server_sessions_active").set(active)
+            conn.close()
 
     # ------------------------------------------------------------- dispatch --
 
-    async def _dispatch(
-        self, session: Session, writer: asyncio.StreamWriter, frame: dict
-    ) -> None:
+    def _dispatch(self, session: Session, conn: _Connection, frame: dict) -> None:
         request_id = frame.get("id")
         op = frame.get("op")
         params = frame.get("params") or {}
@@ -733,7 +736,7 @@ class ReproServer:
                     session_id=session.session_id,
                     request_id=request_seq,
                 ) as server_span:
-                    result = await self._execute_op(session, op, params)
+                    result = self._execute_op(session, op, params)
             payload = protocol.ok_response(request_id, result)
         except SimulatedCrash:
             raise
@@ -753,7 +756,7 @@ class ReproServer:
         serialize_seconds = time.perf_counter() - serialize_started
         if server_span is not None:
             server_span.set(serialize_ms=round(serialize_seconds * 1000, 3))
-        await protocol.write_payload_async(writer, data)
+        conn.send(data)
         if obs_metrics.ENABLED:
             obs_metrics.histogram("server_request_seconds").observe(
                 time.perf_counter() - started
@@ -762,7 +765,7 @@ class ReproServer:
                 "server_request_phase_seconds", phase="serialize"
             ).observe(serialize_seconds)
 
-    async def _execute_op(self, session: Session, op: str, params: dict) -> Any:
+    def _execute_op(self, session: Session, op: str, params: dict) -> Any:
         if self._draining and op not in _ALWAYS_ALLOWED:
             raise ServerShutdownError(
                 f"server is draining; {op!r} rejected (reconnect elsewhere)"
@@ -812,21 +815,21 @@ class ReproServer:
             }
         if op == "query":
             self._check_shard_map(params)
-            result = await self._op_query(session, params)
-            await self._semi_sync_gate(session, params)
+            result = self._op_query(session, params)
+            self._semi_sync_gate(session, params)
             return result
         if op == "query_open":
             self._check_shard_map(params)
-            result = await self._op_query_open(session, params)
-            await self._semi_sync_gate(session, params)
+            result = self._op_query_open(session, params)
+            self._semi_sync_gate(session, params)
             return result
         if op == "cursor_next":
-            return await self._op_cursor_next(session, params)
+            return self._op_cursor_next(session, params)
         if op == "cursor_close":
             return self._op_cursor_close(session, params)
         if op == "explain":
             text = self._required_text(params)
-            return {"plan": await self._run_blocking(lambda: self.db.explain(text))}
+            return {"plan": self._run_engine(lambda: self.db.explain(text))}
         if op == "begin":
             isolation = params.get("isolation", "snapshot")
             if session.in_txn:
@@ -840,7 +843,7 @@ class ReproServer:
         if op == "commit":
             txn = session.take_txn("commit")
             try:
-                await self._run_blocking(lambda: self.db.commit(txn))
+                self._run_engine(lambda: self.db.commit(txn))
             except Exception:
                 # A failed commit (conflict, lock timeout, injected fault)
                 # aborts server-side; the session must not keep a dead txn.
@@ -852,14 +855,14 @@ class ReproServer:
                 raise
             committed_lsn = self.db.context.log.last_lsn
             if self.ack_replication > 0:
-                await self._hub.wait_for_acks(
+                self._hub.wait_for_acks(
                     committed_lsn, self.ack_replication, self.ack_timeout
                 )
             return {"txn": txn.txn_id, "committed": True,
                     "last_lsn": committed_lsn}
         if op == "abort":
             txn = session.take_txn("abort")
-            await self._run_blocking(lambda: self.db.abort(txn))
+            self._run_engine(lambda: self.db.abort(txn))
             return {"txn": txn.txn_id, "aborted": True}
         if op == "set":
             if "timeout" in params:
@@ -877,13 +880,13 @@ class ReproServer:
             self.db.set_consistency(name, level)
             return {"name": name, "level": str(level)}
         if op == "wal_subscribe":
-            return await self._op_wal_subscribe(session, params)
+            return self._op_wal_subscribe(session, params)
         if op == "repl_status":
             return self._repl_status()
         if op == "repl_wait":
-            return await self._op_repl_wait(params)
+            return self._op_repl_wait(params)
         if op == "promote":
-            return await self._op_promote()
+            return self._op_promote()
         if op == "repoint":
             return self._op_repoint(params)
         raise ProtocolError(f"unknown op {op!r}")
@@ -908,7 +911,7 @@ class ReproServer:
                     primary=self.replica_of,
                 )
 
-    async def _semi_sync_gate(self, session: Session, params: dict) -> None:
+    def _semi_sync_gate(self, session: Session, params: dict) -> None:
         """Semi-sync replication: hold a *write's* response until
         ``ack_replication`` subscribers acked its LSN.  Reads pass through;
         statements inside an open transaction publish nothing until commit,
@@ -918,18 +921,18 @@ class ReproServer:
         text = params.get("text")
         if not isinstance(text, str) or not statement_writes(text):
             return
-        await self._hub.wait_for_acks(
+        self._hub.wait_for_acks(
             self.db.context.log.last_lsn, self.ack_replication, self.ack_timeout
         )
 
-    async def _op_wal_subscribe(self, session: Session, params: dict) -> dict:
+    def _op_wal_subscribe(self, session: Session, params: dict) -> dict:
         from_lsn = params.get("from_lsn", 0)
         if not isinstance(from_lsn, int) or from_lsn < 0:
             raise ProtocolError("wal_subscribe needs a non-negative 'from_lsn'")
         entry = self._sessions.get(session.session_id)
         if entry is None:
             raise SessionStateError("session is gone")
-        writer = entry[1]
+        conn = entry[1]
         # The engine log keeps a bounded tail.  A subscriber from below its
         # floor cannot be streamed to: an empty one (lsn 0) is sent the row
         # image first and streams from the image's LSN, one that holds state
@@ -937,7 +940,7 @@ class ReproServer:
         image = None
         floor_lsn = self.db.context.log.floor_lsn
         if params.get("snapshot") is True or from_lsn == 0 < floor_lsn:
-            image = await self._run_blocking(self._snapshot_image)
+            image = self._run_engine(self._snapshot_image)
             from_lsn = image["lsn"]
         elif from_lsn < floor_lsn:
             if obs_metrics.ENABLED:
@@ -952,9 +955,19 @@ class ReproServer:
                 "subscribe with 'snapshot' to be sent the row image",
                 from_lsn=from_lsn, floor_lsn=floor_lsn,
             )
+        # A subscriber that stops reading must not pin the log's floor: a
+        # ship frame that cannot be sent within the replica's own heartbeat
+        # timeout drops it (the replica comes back through the refusal).
+        timeout = heartbeat_timeout(self.heartbeat_interval)
+        conn.sock.setsockopt(
+            socket.SOL_SOCKET,
+            socket.SO_SNDTIMEO,
+            struct.pack("ll", int(timeout), int(timeout % 1 * 1_000_000)),
+        )
         subscriber = self._hub.subscribe(session.session_id, session.peer, from_lsn)
-        subscriber.task = self._loop.create_task(
-            self._ship_loop(subscriber, writer, image)
+        self._spawn(
+            f"repro-ship-{session.session_id}",
+            self._ship_loop, subscriber, conn, image,
         )
         return {
             "subscribed": True,
@@ -972,23 +985,25 @@ class ReproServer:
         with context.transactions.exclusive():
             return snapshot_image(context.rows, context.log)
 
-    async def _ship_snapshot(self, writer, image: dict) -> None:
+    @staticmethod
+    def _ship(conn: _Connection, ship: dict) -> None:
+        conn.send(protocol.encode_frame({"ship": ship}))
+
+    def _ship_snapshot(self, conn: _Connection, image: dict) -> None:
         """Send *image* as ``{"ship": {"snapshot": ...}}`` frames, each a
         slice of at most ``_SHIP_BATCH`` rows of one namespace, then an empty
         one that says ``done``: the replica loads the whole image only then."""
 
-        async def send(namespaces: dict, done: bool) -> None:
+        def send(namespaces: dict, done: bool) -> None:
             snapshot = {"lsn": image["lsn"], "namespaces": namespaces, "done": done}
-            await protocol.write_frame_async(
-                writer, {"ship": {"snapshot": snapshot, "ts": time.time()}}
-            )
+            self._ship(conn, {"snapshot": snapshot, "ts": time.time()})
 
         rows = 0
         for namespace, pairs in image["namespaces"].items():
             for start in range(0, len(pairs), _SHIP_BATCH):
-                await send({namespace: pairs[start:start + _SHIP_BATCH]}, False)
+                send({namespace: pairs[start:start + _SHIP_BATCH]}, False)
             rows += len(pairs)
-        await send({}, True)
+        send({}, True)
         if obs_metrics.ENABLED:
             obs_metrics.counter("wal_snapshots_shipped_total").inc()
         obs_events.emit(
@@ -1038,20 +1053,21 @@ class ReproServer:
             entries.append(entry)
         return entries
 
-    async def _ship_loop(self, subscriber, writer, image=None) -> None:
-        """Stream log entries past the subscriber's watermark as
-        ``{"ship": ...}`` frames (after *image*, for a snapshot bootstrap);
-        empty frames are heartbeats.  Any wire failure ends the
+    def _ship_loop(self, subscriber, conn: _Connection, image=None) -> None:
+        """The ship thread: stream log entries past the subscriber's
+        watermark as ``{"ship": ...}`` frames (after *image*, for a snapshot
+        bootstrap); empty frames are heartbeats.  Any wire failure ends the
         subscription: the replica's puller reconnects and re-subscribes from
         its own watermark.  The log trims behind ``shipped_lsn``, not past
-        it, so a subscriber that lags keeps its place."""
+        it, so a subscriber that lags keeps its place — as long as it
+        reads."""
         log = self.db.context.log
         last_sent = 0.0
         try:
             if image is not None:
-                await self._ship_snapshot(writer, image)
-            while not self._draining:
-                now = self._loop.time()
+                self._ship_snapshot(conn, image)
+            while not (self._draining or subscriber.stopped.is_set()):
+                now = time.monotonic()
                 records: list = []
                 if log.last_lsn > subscriber.shipped_lsn:
                     for entry in log.entries_since(subscriber.shipped_lsn):
@@ -1060,16 +1076,11 @@ class ReproServer:
                             break
                 if records:
                     subscriber.shipped_lsn = records[-1]["lsn"]
-                    await protocol.write_frame_async(
-                        writer,
-                        {
-                            "ship": {
-                                "records": records,
-                                "last_lsn": subscriber.shipped_lsn,
-                                "ts": time.time(),
-                            }
-                        },
-                    )
+                    self._ship(conn, {
+                        "records": records,
+                        "last_lsn": subscriber.shipped_lsn,
+                        "ts": time.time(),
+                    })
                     if obs_metrics.ENABLED:
                         obs_metrics.counter("wal_records_shipped_total").inc(
                             len(records)
@@ -1077,20 +1088,25 @@ class ReproServer:
                     last_sent = now
                     continue  # drain the backlog before sleeping
                 if now - last_sent >= self.heartbeat_interval:
-                    await protocol.write_frame_async(
-                        writer,
-                        {
-                            "ship": {
-                                "records": [],
-                                "last_lsn": log.last_lsn,
-                                "ts": time.time(),
-                            }
-                        },
-                    )
+                    self._ship(conn, {
+                        "records": [], "last_lsn": log.last_lsn, "ts": time.time(),
+                    })
                     last_sent = now
-                await asyncio.sleep(self.ship_interval)
-        except asyncio.CancelledError:
-            raise
+                subscriber.stopped.wait(self.ship_interval)
+        except BlockingIOError:
+            # The send timeout expired: the subscriber stopped reading.  Drop
+            # it so the log can trim past it; the frame may be torn, so hang
+            # up too.
+            if obs_metrics.ENABLED:
+                obs_metrics.counter("wal_subscribers_stalled_total").inc()
+            obs_events.emit(
+                "wal_subscriber_stalled",
+                session_id=subscriber.session_id,
+                peer=subscriber.peer,
+                shipped_lsn=subscriber.shipped_lsn,
+                send_timeout=heartbeat_timeout(self.heartbeat_interval),
+            )
+            conn.sever()
         except StorageError:
             # ``entries_since`` no longer reaches back to this subscriber: a
             # trim won the race with its subscription.  Hang up, so that it
@@ -1105,14 +1121,13 @@ class ReproServer:
                 shipped_lsn=subscriber.shipped_lsn,
                 floor_lsn=log.floor_lsn,
             )
-            writer.close()
+            conn.sever()
         except Exception:
             pass  # wire is gone (or injected fault): subscription over
         finally:
-            subscriber.task = None
-            self._hub.unsubscribe(subscriber.session_id)
+            self._hub.unsubscribe(subscriber.session_id, subscriber)
 
-    async def _op_repl_wait(self, params: dict) -> dict:
+    def _op_repl_wait(self, params: dict) -> dict:
         lsn = params.get("lsn", 0)
         if not isinstance(lsn, int) or lsn < 0:
             raise ProtocolError("repl_wait needs a non-negative integer 'lsn'")
@@ -1121,7 +1136,7 @@ class ReproServer:
             timeout = max(float(timeout), 0.0)
         except (TypeError, ValueError):
             raise ProtocolError("repl_wait 'timeout' must be a number")
-        deadline = self._loop.time() + timeout
+        deadline = time.monotonic() + timeout
         while True:
             applied = (
                 self._applier.applied_lsn
@@ -1130,11 +1145,11 @@ class ReproServer:
             )
             if applied >= lsn:
                 return {"applied_lsn": applied, "reached": True}
-            if self._loop.time() >= deadline or self._draining:
+            if time.monotonic() >= deadline or self._draining:
                 return {"applied_lsn": applied, "reached": False}
-            await asyncio.sleep(0.01)
+            time.sleep(0.01)
 
-    async def _op_promote(self) -> dict:
+    def _op_promote(self) -> dict:
         log = self.db.context.log
         if self.replica_of is None:
             return {"promoted": False, "role": "primary",
@@ -1145,7 +1160,7 @@ class ReproServer:
         self.replica_of = None
         puller, self._puller = self._puller, None
         if puller is not None:
-            await self._run_blocking(lambda: puller.stop(join_timeout=2.0))
+            puller.stop(join_timeout=2.0)
         dropped = 0
         if self._applier is not None:
             # An open block's COMMIT never arrived: the dead primary never
@@ -1220,7 +1235,7 @@ class ReproServer:
                 version=self.shard_map.version,
             )
 
-    async def _op_query(self, session: Session, params: dict) -> dict:
+    def _op_query(self, session: Session, params: dict) -> dict:
         text, bind_vars = self._query_inputs(params)
         analyze = bool(params.get("analyze", False))
         timeout, max_rows = self._query_limits(session, params)
@@ -1241,7 +1256,7 @@ class ReproServer:
             )
 
         phases: dict = {}
-        result = await self._run_blocking(work, phases=phases)
+        result = self._run_engine(work, phases=phases)
         stats = dict(result.stats)
         stats["server_phases"] = _phases_ms(phases)
         stats["last_lsn"] = self.db.context.log.last_lsn
@@ -1264,7 +1279,7 @@ class ReproServer:
         # smaller chunks (bounding frame size), never larger ones.
         return min(max(int(requested), 1), self.cursor_chunk_rows)
 
-    async def _op_query_open(self, session: Session, params: dict) -> dict:
+    def _op_query_open(self, session: Session, params: dict) -> dict:
         text, bind_vars = self._query_inputs(params)
         timeout, max_rows = self._query_limits(session, params)
         chunk_rows = self._chunk_rows_for(params)
@@ -1287,9 +1302,9 @@ class ReproServer:
                 timeout=timeout, max_rows=max_rows,
                 batch_size=params.get("batch_size"),
             )
-            # First chunk rides in the same blocking call: one admission
-            # pass, and DML (executed eagerly on first pull) occupies its
-            # worker for the whole statement.
+            # First chunk rides in the same engine call: one admission
+            # pass, and DML (executed eagerly on first pull) holds its
+            # engine slot for the whole statement.
             try:
                 if txn is not None:
                     # The stream must not outlive the transaction's
@@ -1302,7 +1317,7 @@ class ReproServer:
                 raise
 
         phases: dict = {}
-        cursor, rows = await self._run_blocking(work, phases=phases)
+        cursor, rows = self._run_engine(work, phases=phases)
         if cursor.exhausted:
             cursor.close()
             stats = dict(cursor.stats)
@@ -1335,7 +1350,7 @@ class ReproServer:
             "stats": stats,
         }
 
-    async def _op_cursor_next(self, session: Session, params: dict) -> dict:
+    def _op_cursor_next(self, session: Session, params: dict) -> dict:
         cursor_id = params.get("cursor")
         if not isinstance(cursor_id, int):
             raise ProtocolError("cursor_next needs an integer 'cursor'")
@@ -1347,7 +1362,7 @@ class ReproServer:
             here.set(cursor=entry.cursor_id, fetch=entry.fetches)
         phases: dict = {}
         try:
-            rows = await self._run_blocking(
+            rows = self._run_engine(
                 lambda: entry.cursor.next_batch(entry.chunk_rows),
                 phases=phases,
             )
@@ -1385,75 +1400,65 @@ class ReproServer:
         entry.close()
         return {"cursor": cursor_id, "closed": True}
 
-    # ------------------------------------------------- executor bridge ------
+    # --------------------------------------------------------- engine slots --
 
-    async def _run_blocking(
-        self, work, phases: Optional[dict] = None
-    ) -> Any:
-        """Run *work* on the thread pool with queue-depth admission control.
+    def _run_engine(self, work, phases: Optional[dict] = None) -> Any:
+        """Run *work* on this session's thread once an engine slot is free.
 
-        The submitting task's trace context is handed to the worker thread
-        explicitly (:func:`repro.obs.tracing.capture`) — context-vars are
-        per-thread, so without the handoff every span the engine opens on
-        the worker would be an orphan root instead of a child of
-        ``server.request``.  Queue wait (submit → worker pickup) and
-        execution are measured separately; *phases* (when given) receives
-        both in seconds, and each lands in
-        ``server_request_phase_seconds{phase=}``.
+        At most ``max_inflight`` calls run at once; a call that would push
+        running plus waiting past ``max_inflight + queue_depth`` is refused
+        at once.  The slot wait (``queue``) and the call (``execute``) are
+        measured separately; *phases* (when given) receives both in seconds,
+        and each lands in ``server_request_phase_seconds{phase=}``.
         """
         budget = self.max_inflight + self.queue_depth
-        if self._inflight >= budget:
+        with self._lock:
+            inflight = self._inflight
+            if inflight < budget:
+                self._inflight = inflight = inflight + 1
+                admitted = True
+            else:
+                admitted = False
+        if not admitted:
             if obs_metrics.ENABLED:
                 obs_metrics.counter("server_overload_rejections_total").inc()
             obs_events.emit(
                 "admission_rejected",
                 reason="queue_full",
-                inflight=self._inflight,
+                inflight=inflight,
                 budget=budget,
             )
             raise ServerOverloadedError(
-                f"{self._inflight} requests in flight or queued "
-                f"(budget {budget}: {self.max_inflight} workers + "
+                f"{inflight} requests in flight or queued "
+                f"(budget {budget}: {self.max_inflight} engine slots + "
                 f"{self.queue_depth} queue slots) — back off and retry"
             )
-        if self._executor is None:
-            raise ServerShutdownError("server executor is gone")
-        self._inflight += 1
-        self._drained.clear()
         if obs_metrics.ENABLED:
-            obs_metrics.gauge("server_inflight_queries").set(self._inflight)
-        handoff = tracing.capture()
-        measured: dict = {}
-        submitted = time.perf_counter()
-
-        def bridged():
-            picked_up = time.perf_counter()
-            measured["queue"] = picked_up - submitted
-            try:
-                return handoff.run(work)
-            finally:
-                measured["execute"] = time.perf_counter() - picked_up
-
+            obs_metrics.gauge("server_inflight_queries").set(inflight)
+        queued = time.perf_counter()
+        self._slots.acquire()
+        started = time.perf_counter()
         try:
-            return await asyncio.get_running_loop().run_in_executor(
-                self._executor, bridged
-            )
+            return work()
         finally:
-            self._inflight -= 1
+            finished = time.perf_counter()
+            self._slots.release()
+            with self._lock:
+                self._inflight = inflight = self._inflight - 1
+                if not inflight:
+                    self._idle.notify_all()
+            measured = {"queue": started - queued, "execute": finished - started}
             if obs_metrics.ENABLED:
-                obs_metrics.gauge("server_inflight_queries").set(self._inflight)
-                if measured:
-                    for phase in ("queue", "execute"):
-                        obs_metrics.histogram(
-                            "server_request_phase_seconds", phase=phase
-                        ).observe(measured.get(phase, 0.0))
-            if self._inflight == 0:
-                self._drained.set()
+                obs_metrics.gauge("server_inflight_queries").set(inflight)
+                for phase, seconds in measured.items():
+                    obs_metrics.histogram(
+                        "server_request_phase_seconds", phase=phase
+                    ).observe(seconds)
             here = tracing.current_span()
-            if here is not None and measured:
+            if here is not None:
                 here.set(
-                    queue_ms=round(measured.get("queue", 0.0) * 1000, 3),
-                    execute_ms=round(measured.get("execute", 0.0) * 1000, 3),
+                    queue_ms=round(measured["queue"] * 1000, 3),
+                    execute_ms=round(measured["execute"] * 1000, 3),
                 )
             if phases is not None:
                 phases.update(measured)

@@ -1,10 +1,12 @@
 """Per-connection session state.
 
-One TCP connection = one :class:`Session`.  Requests on a single session
-execute strictly in order (the connection handler reads, dispatches and
-answers one frame at a time), so session state needs no locking of its
-own — *cross*-session concurrency is what the engine-side locks
-(catalog, plan cache, transaction manager) absorb.
+One TCP connection = one :class:`Session`, served by one session thread
+that reads, dispatches and answers one frame at a time, so requests on a
+session execute strictly in order.  The cursor registry is the exception
+to single-threaded use — the idle reaper and the shutdown drain close
+cursors from their own threads — so it has a lock; *cross*-session
+concurrency is what the engine-side locks (catalog, plan cache,
+transaction manager) absorb.
 
 A session owns:
 
@@ -28,6 +30,7 @@ A session owns:
 from __future__ import annotations
 
 import itertools
+import threading
 import time
 from typing import Any, Optional
 
@@ -97,6 +100,7 @@ class Session:
         "last_op",
         "cursors",
         "_cursor_ids",
+        "_cursor_lock",
     )
 
     def __init__(self, peer: str = "?"):
@@ -114,6 +118,7 @@ class Session:
         #: Open streaming results, keyed by cursor id (session-scoped).
         self.cursors: dict[int, ServerCursor] = {}
         self._cursor_ids = itertools.count(1)
+        self._cursor_lock = threading.Lock()
 
     # -- transactions --------------------------------------------------------
 
@@ -145,15 +150,18 @@ class Session:
                    limit: int, trace_id: Optional[str] = None) -> "ServerCursor":
         """Register an engine cursor; raises :class:`CursorLimitError` at
         the per-session cap (the caller must close *cursor* on raise)."""
-        if len(self.cursors) >= limit:
-            raise CursorLimitError(
-                f"session {self.session_id} already holds {len(self.cursors)} "
-                f"open cursors (limit {limit}) — close or drain one first"
+        with self._cursor_lock:
+            if len(self.cursors) >= limit:
+                raise CursorLimitError(
+                    f"session {self.session_id} already holds "
+                    f"{len(self.cursors)} open cursors (limit {limit}) — "
+                    "close or drain one first"
+                )
+            entry = ServerCursor(
+                next(self._cursor_ids), cursor, chunk_rows, text,
+                trace_id=trace_id,
             )
-        entry = ServerCursor(
-            next(self._cursor_ids), cursor, chunk_rows, text, trace_id=trace_id
-        )
-        self.cursors[entry.cursor_id] = entry
+            self.cursors[entry.cursor_id] = entry
         return entry
 
     def get_cursor(self, cursor_id: int) -> "ServerCursor":
@@ -166,34 +174,32 @@ class Session:
         return entry
 
     def pop_cursor(self, cursor_id: int) -> Optional["ServerCursor"]:
-        return self.cursors.pop(cursor_id, None)
+        with self._cursor_lock:
+            return self.cursors.pop(cursor_id, None)
 
     def close_cursors(self) -> int:
         """Close every open cursor (disconnect/shutdown path); returns how
         many were closed."""
-        closed = 0
-        for entry in list(self.cursors.values()):
+        with self._cursor_lock:
+            entries = list(self.cursors.values())
+            self.cursors.clear()
+        for entry in entries:
             entry.close()
-            closed += 1
-        self.cursors.clear()
-        return closed
+        return len(entries)
 
     def reap_idle_cursors(
         self, now: float, idle_timeout: float
     ) -> list["ServerCursor"]:
         """Close cursors idle longer than *idle_timeout*; returns the
         reaped entries (so the caller can count and log them)."""
-        stale = [
-            cursor_id
-            for cursor_id, entry in self.cursors.items()
-            if now - entry.last_used_at > idle_timeout
-        ]
-        reaped: list[ServerCursor] = []
-        for cursor_id in stale:
-            entry = self.cursors.pop(cursor_id, None)
-            if entry is not None:
-                entry.close()
-                reaped.append(entry)
+        with self._cursor_lock:
+            reaped = [
+                self.cursors.pop(cursor_id)
+                for cursor_id, entry in list(self.cursors.items())
+                if now - entry.last_used_at > idle_timeout
+            ]
+        for entry in reaped:
+            entry.close()
         return reaped
 
     # -- introspection -------------------------------------------------------

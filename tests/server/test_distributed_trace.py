@@ -107,9 +107,10 @@ class TestStreamedCursorTrace:
         assert len({span["attrs"]["cursor"] for span in fetch_spans}) == 1
 
     def test_engine_child_spans_ride_the_thread_handoff(self, client):
-        """The executor runs on a worker thread; its spans must appear
+        """The engine runs on the session thread; its spans must appear
         under server.request, not as orphan roots (the handoff test in
-        tests/obs covers the primitive — this covers the wire path).
+        tests/obs covers cross-thread propagation — this covers the wire
+        path).
         The query text is unique to this test: a plan-cache hit would
         skip the parse/optimize spans we are asserting on."""
         cursor = client.query(

@@ -3,8 +3,9 @@ back) after the primary's floor has passed its watermark cannot be caught up
 by streaming: an empty one bootstraps from a snapshot of the row view, one
 that holds state is refused with a typed error and then loads the snapshot
 as the difference to its state.  A subscriber that is connected and merely
-lags holds the floor where it is."""
+lags holds the floor where it is; one that stops reading is dropped."""
 
+import socket
 import time
 
 import pytest
@@ -14,7 +15,7 @@ from repro.client import ReproClient
 from repro.core import context as context_module
 from repro.errors import ReplicaBelowFloorError
 from repro.obs import events as obs_events
-from repro.server import ReproServer
+from repro.server import ReproServer, protocol
 
 _TAIL = 32
 
@@ -230,4 +231,36 @@ def test_a_subscriber_that_lags_under_write_load_keeps_its_place():
             assert len(db.context.log) <= 2 * _TAIL + 2
     finally:
         replica.stop()
+        primary.stop()
+
+
+def test_a_subscriber_that_stops_reading_is_dropped_and_unpins_the_log():
+    """A ship frame that cannot be sent within the replica's own heartbeat
+    timeout (1 s here) drops the subscriber, so the log trims past it."""
+    db = _primary_db()
+    primary = _server(db)
+    sock = socket.socket()
+    # A small receive window: the primary's send buffer fills sooner.
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.settimeout(5)
+    sock.connect(("127.0.0.1", primary.port))
+    try:
+        assert "hello" in protocol.read_frame(sock)
+        protocol.write_frame(sock, protocol.request(
+            1, "wal_subscribe", from_lsn=db.context.log.last_lsn
+        ))
+        # ... and never read again.
+        assert _wait(lambda: primary._hub.subscriber_count == 1)
+        docs, blob = db.collection("docs"), "x" * 8192
+        for i in range(1000):  # 8 MB of records: more than both buffers hold
+            docs.insert({"_key": f"s{i}", "blob": blob})
+        assert _wait(lambda: primary._hub.subscriber_count == 0, timeout=15)
+        (stalled,) = obs_events.tail(kind="wal_subscriber_stalled")
+        assert stalled["send_timeout"] == 1.0
+        for i in range(3 * _TAIL):
+            docs.insert({"_key": f"after-{i}", "v": i})
+        assert db.context.log.floor_lsn > stalled["shipped_lsn"]
+        assert len(db.context.log) <= 2 * _TAIL
+    finally:
+        sock.close()
         primary.stop()
