@@ -95,7 +95,7 @@ class Counter:
 
 
 class Gauge:
-    """Value that can go up and down (active transactions, memtable size)."""
+    """Value that can go up and down (active transactions, live sessions)."""
 
     __slots__ = ("name", "labels", "value")
 

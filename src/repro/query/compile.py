@@ -1,28 +1,17 @@
 """Expression compilation: lowering ``ast.Expr`` trees into Python closures.
 
-The interpreter (:func:`repro.query.executor.evaluate`) re-dispatches on the
-node type of every expression for every row.  For hot operators — FILTER
-predicates, RETURN projections, SORT keys, COLLECT groupings — that dispatch
-dominates execution time.  :func:`compile_expr` walks the tree **once** and
-returns a closure ``fn(ctx, frame) -> value`` in which all structural
-decisions (node types, operator kinds, literal values, attribute names,
-LIKE patterns) are resolved at compile time; evaluating a row is then plain
-Python calls with no isinstance chains.
+This is the engine's one expression evaluator.  Re-dispatching on the node
+type of every expression for every row would dominate the hot operators —
+FILTER predicates, RETURN projections, SORT keys, COLLECT groupings — so
+:func:`compile_expr` walks the tree **once** and returns a closure
+``fn(ctx, frame) -> value`` in which all structural decisions (node types,
+operator kinds, literal values, attribute names, LIKE patterns) are
+resolved at compile time; evaluating a row is then plain Python calls with
+no isinstance chains.
 
-Coverage and fallback
----------------------
-
-Every expression compiles.  Node kinds the compiler does not lower natively
-(subqueries, array expansion ``[*]``, inline filters — anything that needs
-the pipeline machinery or the ``$CURRENT`` pseudo-variable) compile into a
-closure that calls the interpreter for that *subtree* only; sibling
-subtrees still run compiled.  The fallback is therefore transparent:
-``compile_expr(e)(ctx, frame)`` always produces exactly the same value (and
-raises exactly the same errors) as ``evaluate(ctx, e, frame)``.
-
-:func:`compiles_fully` reports whether a tree lowered without any
-interpreter fallback — tests and EXPLAIN tooling use it; the executor does
-not need to care.
+Every node kind compiles, subqueries, array expansion ``[*]`` and inline
+filters ``[* FILTER …]`` included; the last two bind the pseudo-variable
+``$CURRENT`` per element on a copy of the frame.
 
 Compilation happens once per (cached) plan: the executor memoizes the
 closure on the operation node, so a warm plan cache pays zero compilation
@@ -40,8 +29,7 @@ from repro.errors import BindError, ExecutionError
 from repro.obs import metrics as obs_metrics
 from repro.query import ast
 from repro.query.functions import call_function
-from repro.query.plan import MaterializeOp
-from repro.query.visit import conjuncts, operation_exprs, walk
+from repro.query.visit import conjuncts
 
 __all__ = [
     "compile_expr",
@@ -51,7 +39,6 @@ __all__ = [
     "compile_projection_columnar",
     "extract_zone_predicates",
     "columnar_attr",
-    "compiles_fully",
     "fallback_node_counts",
     "CompiledFn",
     "BatchFn",
@@ -69,71 +56,12 @@ _type_of = datamodel.type_of
 _deep_get = datamodel.deep_get
 _TypeTag = datamodel.TypeTag
 
-#: Node types lowered natively; everything else falls back per subtree.
-_NATIVE_NODES = (
-    ast.Literal,
-    ast.VarRef,
-    ast.BindVar,
-    ast.AttrAccess,
-    ast.IndexAccess,
-    ast.FuncCall,
-    ast.UnaryOp,
-    ast.BinOp,
-    ast.RangeExpr,
-    ast.ArrayLiteral,
-    ast.ObjectLiteral,
-    ast.Ternary,
-)
-
-
-def compiles_fully(expr: ast.Expr) -> bool:
-    """True when *expr* lowers without any interpreter fallback."""
-    return all(isinstance(node, _NATIVE_NODES) for node in walk(expr))
-
 
 def fallback_node_counts(query) -> dict[str, int]:
-    """Per-node-type count of interpreter fallbacks a plan will compile
-    with: the *maximal* non-native subtree roots across every operation's
-    expressions (matching how :func:`_compile` delegates — one fallback
-    closure per maximal uncompilable subtree, siblings stay compiled).
-    EXPLAIN ANALYZE renders this as the ``Compile fallbacks:`` line."""
-    counts: dict[str, int] = {}
-    stack: list = []
-    for operation in query.operations:
-        stack.extend(operation_exprs(operation))
-        if isinstance(operation, MaterializeOp):
-            for name, count in fallback_node_counts(operation.query).items():
-                counts[name] = counts.get(name, 0) + count
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _NATIVE_NODES):
-            stack.extend(node.children())
-        else:
-            name = type(node).__name__
-            counts[name] = counts.get(name, 0) + 1
-    return counts
-
-
-def _interpreted(expr: ast.Expr) -> CompiledFn:
-    """Per-subtree fallback: delegate this node to the interpreter.
-
-    The ``node=`` label names the AST node type that forced the fallback
-    (SubQuery / Expansion / InlineFilter today), so the metrics endpoint
-    shows exactly which shapes are still interpreter-bound — the future
-    rewrite-rule targets."""
-    if obs_metrics.ENABLED:
-        obs_metrics.counter(
-            "expr_compile_total",
-            outcome="fallback",
-            node=type(expr).__name__,
-        ).inc()
-
-    def fallback(ctx, frame):
-        from repro.query.executor import evaluate
-
-        return evaluate(ctx, expr, frame)
-
-    return fallback
+    """Always ``{}``: every node kind compiles, so no expression subtree
+    falls back to another evaluator.  Kept because the benchmark harness
+    still reads it to report ``query.compile.fallbacks_per_stmt``."""
+    return {}
 
 
 def compile_expr(expr: ast.Expr) -> CompiledFn:
@@ -287,9 +215,57 @@ def _compile(expr: ast.Expr) -> CompiledFn:
             else else_fn(ctx, frame)
         )
 
-    # SubQuery / Expansion / InlineFilter (and any future node): interpret
-    # this subtree, keep the rest of the tree compiled.
-    return _interpreted(expr)
+    if isinstance(expr, (ast.Expansion, ast.InlineFilter)):
+        return _compile_per_element(expr)
+
+    if isinstance(expr, ast.SubQuery):
+        # executor imports this module, so reach back into it lazily.
+        from repro.query.executor import _run_pipeline
+
+        query = expr.query
+
+        def subquery(ctx, frame):
+            rows, _writes = _run_pipeline(ctx, query, dict(frame))
+            return rows
+
+        return subquery
+
+    raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
+
+
+def _compile_per_element(expr) -> CompiledFn:
+    """``subject[*]`` / ``subject[*]<suffix>`` / ``subject[* FILTER cond]``:
+    a non-array subject yields ``[]``; otherwise the suffix or condition
+    runs once per element with ``$CURRENT`` bound on a copy of the frame."""
+    subject_fn = _compile(expr.subject)
+    if isinstance(expr, ast.Expansion) and expr.suffix is None:
+
+        def expand(ctx, frame):
+            subject = subject_fn(ctx, frame)
+            if _type_of(subject) is not _TypeTag.ARRAY:
+                return []
+            return list(subject)
+
+        return expand
+    keep = isinstance(expr, ast.InlineFilter)
+    element_fn = _compile(expr.condition if keep else expr.suffix)
+
+    def per_element(ctx, frame):
+        subject = subject_fn(ctx, frame)
+        if _type_of(subject) is not _TypeTag.ARRAY:
+            return []
+        output = []
+        for element in subject:
+            inner = dict(frame)
+            inner["$CURRENT"] = element
+            value = element_fn(ctx, inner)
+            if not keep:
+                output.append(value)
+            elif _truthy(value):
+                output.append(element)
+        return output
+
+    return per_element
 
 
 _COMPARISONS: dict[str, Callable[[int], bool]] = {

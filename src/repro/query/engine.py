@@ -496,13 +496,6 @@ def run_query(
         )
         fired = getattr(query, "rules_fired", ())
         result.analyzed += "\nRules fired: " + (", ".join(fired) or "(none)")
-        from repro.query.compile import fallback_node_counts
-
-        fallbacks = fallback_node_counts(query)
-        if fallbacks:
-            result.analyzed += "\nCompile fallbacks: " + ", ".join(
-                f"{node}={count}" for node, count in sorted(fallbacks.items())
-            )
         result.analyzed += (
             "\nPlan: served from plan cache"
             if ctx.stats["plan_cached"]

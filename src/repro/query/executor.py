@@ -1,4 +1,4 @@
-"""MMQL execution: expression evaluation + the batched operation pipeline.
+"""MMQL execution: the batched operation pipeline.
 
 Execution is *vectorized*: each operation transforms a stream of frame
 **batches** (``list[dict]`` of variable bindings, ``ctx.batch_size`` frames
@@ -21,7 +21,6 @@ verify *how* a result was produced, not just what it is.
 
 from __future__ import annotations
 
-import re
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -30,7 +29,6 @@ from typing import Any, Iterator, Optional
 from repro.core import datamodel
 from repro.core.cursor import DEFAULT_BATCH_SIZE, open_scan_cursor
 from repro.errors import (
-    BindError,
     ExecutionError,
     FunctionError,
     QueryTimeoutError,
@@ -236,148 +234,6 @@ def _check_row_budget(ctx: ExecContext, produced: int) -> None:
             rows=min(produced, ctx.max_rows + 1),
             limit=ctx.max_rows,
         )
-
-
-# ---------------------------------------------------------------------------
-# Expression evaluation
-# ---------------------------------------------------------------------------
-
-
-def evaluate(ctx: ExecContext, expr: ast.Expr, frame: dict) -> Any:
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.VarRef):
-        if expr.name in frame:
-            return frame[expr.name]
-        raise BindError(f"unknown variable {expr.name!r}")
-    if isinstance(expr, ast.BindVar):
-        if expr.name in ctx.bind_vars:
-            return datamodel.normalize(ctx.bind_vars[expr.name])
-        raise BindError(f"missing bind parameter @{expr.name}")
-    if isinstance(expr, ast.AttrAccess):
-        subject = evaluate(ctx, expr.subject, frame)
-        return datamodel.deep_get(subject, (expr.attribute,))
-    if isinstance(expr, ast.IndexAccess):
-        subject = evaluate(ctx, expr.subject, frame)
-        index = evaluate(ctx, expr.index, frame)
-        if isinstance(index, bool) or not isinstance(index, (int, str)):
-            raise ExecutionError(
-                f"index values must be integers or strings, got "
-                f"{datamodel.type_name(index)}"
-            )
-        return datamodel.deep_get(subject, (index,))
-    if isinstance(expr, ast.Expansion):
-        subject = evaluate(ctx, expr.subject, frame)
-        if datamodel.type_of(subject) is not datamodel.TypeTag.ARRAY:
-            return []
-        if expr.suffix is None:
-            return list(subject)
-        output = []
-        for element in subject:
-            inner = dict(frame)
-            inner["$CURRENT"] = element
-            output.append(evaluate(ctx, expr.suffix, inner))
-        return output
-    if isinstance(expr, ast.InlineFilter):
-        subject = evaluate(ctx, expr.subject, frame)
-        if datamodel.type_of(subject) is not datamodel.TypeTag.ARRAY:
-            return []
-        output = []
-        for element in subject:
-            inner = dict(frame)
-            inner["$CURRENT"] = element
-            if datamodel.truthy(evaluate(ctx, expr.condition, inner)):
-                output.append(element)
-        return output
-    if isinstance(expr, ast.FuncCall):
-        args = [evaluate(ctx, arg, frame) for arg in expr.args]
-        return call_function(ctx, expr.name, args)
-    if isinstance(expr, ast.UnaryOp):
-        operand = evaluate(ctx, expr.operand, frame)
-        if expr.op == "-":
-            if datamodel.type_of(operand) is not datamodel.TypeTag.NUMBER:
-                raise ExecutionError("unary - expects a number")
-            return -operand
-        return not datamodel.truthy(operand)
-    if isinstance(expr, ast.BinOp):
-        return _binop(ctx, expr, frame)
-    if isinstance(expr, ast.RangeExpr):
-        low = evaluate(ctx, expr.low, frame)
-        high = evaluate(ctx, expr.high, frame)
-        for bound in (low, high):
-            if datamodel.type_of(bound) is not datamodel.TypeTag.NUMBER:
-                raise ExecutionError("range bounds must be numbers")
-        return list(range(int(low), int(high) + 1))
-    if isinstance(expr, ast.ArrayLiteral):
-        return [evaluate(ctx, item, frame) for item in expr.items]
-    if isinstance(expr, ast.ObjectLiteral):
-        return {key: evaluate(ctx, value, frame) for key, value in expr.items}
-    if isinstance(expr, ast.Ternary):
-        if datamodel.truthy(evaluate(ctx, expr.condition, frame)):
-            return evaluate(ctx, expr.then, frame)
-        return evaluate(ctx, expr.otherwise, frame)
-    if isinstance(expr, ast.SubQuery):
-        rows, _writes = _run_pipeline(ctx, expr.query, dict(frame))
-        return rows
-    raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
-
-
-def _binop(ctx: ExecContext, expr: ast.BinOp, frame: dict) -> Any:
-    op = expr.op
-    if op == "AND":
-        left = evaluate(ctx, expr.left, frame)
-        if not datamodel.truthy(left):
-            return False
-        return datamodel.truthy(evaluate(ctx, expr.right, frame))
-    if op == "OR":
-        left = evaluate(ctx, expr.left, frame)
-        if datamodel.truthy(left):
-            return True
-        return datamodel.truthy(evaluate(ctx, expr.right, frame))
-    left = evaluate(ctx, expr.left, frame)
-    right = evaluate(ctx, expr.right, frame)
-    if op in ("==", "!=", "<", "<=", ">", ">="):
-        comparison = datamodel.compare(left, right)
-        return {
-            "==": comparison == 0,
-            "!=": comparison != 0,
-            "<": comparison < 0,
-            "<=": comparison <= 0,
-            ">": comparison > 0,
-            ">=": comparison >= 0,
-        }[op]
-    if op == "IN":
-        if datamodel.type_of(right) is not datamodel.TypeTag.ARRAY:
-            raise ExecutionError("IN expects an array on the right")
-        return any(datamodel.values_equal(left, item) for item in right)
-    if op == "LIKE":
-        if not isinstance(left, str) or not isinstance(right, str):
-            return False
-        # re.escape leaves % and _ untouched, so the SQL wildcards survive
-        # escaping and can be rewritten into regex equivalents.
-        pattern = "^" + re.escape(right).replace("%", ".*").replace("_", ".") + "$"
-        return re.match(pattern, left, re.DOTALL) is not None
-    if op in ("+", "-", "*", "/", "%"):
-        for operand in (left, right):
-            if datamodel.type_of(operand) is not datamodel.TypeTag.NUMBER:
-                raise ExecutionError(
-                    f"arithmetic {op} expects numbers, got "
-                    f"{datamodel.type_name(operand)} (use CONCAT for strings)"
-                )
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise ExecutionError("division by zero")
-            return left / right
-        if right == 0:
-            raise ExecutionError("modulo by zero")
-        return left % right
-    raise ExecutionError(f"unknown operator {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1315,8 +1171,9 @@ def _dml_target(ctx, name: str):
 
 def _apply_insert(ctx, operation: ast.InsertOp, frames):
     kind, store = _dml_target(ctx, operation.target)
+    document_fn = _compiled(operation, "_c_document", operation.document)
     for frame in frames:
-        document = evaluate(ctx, operation.document, frame)
+        document = document_fn(ctx, frame)
         if kind in ("collection", "table"):
             key = store.insert(document, txn=ctx.txn)
         elif kind == "bucket":
@@ -1337,11 +1194,13 @@ def _apply_insert(ctx, operation: ast.InsertOp, frames):
 
 def _apply_update(ctx, operation: ast.UpdateOp, frames):
     kind, store = _dml_target(ctx, operation.target)
+    key_fn = _compiled(operation, "_c_key", operation.key)
+    changes_fn = _compiled(operation, "_c_changes", operation.changes)
     for frame in frames:
-        key = evaluate(ctx, operation.key, frame)
+        key = key_fn(ctx, frame)
         if isinstance(key, dict):
             key = key.get("_key", key.get("id"))
-        changes = evaluate(ctx, operation.changes, frame)
+        changes = changes_fn(ctx, frame)
         if kind in ("collection", "table"):
             updated = store.update(key, changes, txn=ctx.txn)
         elif kind == "bucket":
@@ -1356,8 +1215,9 @@ def _apply_update(ctx, operation: ast.UpdateOp, frames):
 
 def _apply_remove(ctx, operation: ast.RemoveOp, frames):
     kind, store = _dml_target(ctx, operation.target)
+    key_fn = _compiled(operation, "_c_key", operation.key)
     for frame in frames:
-        key = evaluate(ctx, operation.key, frame)
+        key = key_fn(ctx, frame)
         if isinstance(key, dict):
             key = key.get("_key", key.get("id"))
         removed = store.delete(key, txn=ctx.txn)
@@ -1368,11 +1228,13 @@ def _apply_remove(ctx, operation: ast.RemoveOp, frames):
 
 def _apply_replace(ctx, operation: ast.ReplaceOp, frames):
     kind, store = _dml_target(ctx, operation.target)
+    key_fn = _compiled(operation, "_c_key", operation.key)
+    document_fn = _compiled(operation, "_c_document", operation.document)
     for frame in frames:
-        key = evaluate(ctx, operation.key, frame)
+        key = key_fn(ctx, frame)
         if isinstance(key, dict):
             key = key.get("_key", key.get("id"))
-        document = evaluate(ctx, operation.document, frame)
+        document = document_fn(ctx, frame)
         if kind in ("collection", "table"):
             replaced = store.replace(key, document, txn=ctx.txn)
         elif kind == "bucket":
@@ -1387,8 +1249,11 @@ def _apply_replace(ctx, operation: ast.ReplaceOp, frames):
 
 def _apply_upsert(ctx, operation: ast.UpsertOp, frames):
     kind, store = _dml_target(ctx, operation.target)
+    search_fn = _compiled(operation, "_c_search", operation.search)
+    patch_fn = _compiled(operation, "_c_patch", operation.update_patch)
+    insert_fn = _compiled(operation, "_c_insert", operation.insert_doc)
     for frame in frames:
-        search = evaluate(ctx, operation.search, frame)
+        search = search_fn(ctx, frame)
         if datamodel.type_of(search) is not datamodel.TypeTag.OBJECT:
             raise ExecutionError("UPSERT search must be an object example")
         existing_key = None
@@ -1407,12 +1272,10 @@ def _apply_upsert(ctx, operation: ast.UpsertOp, frames):
         else:
             raise ExecutionError(f"cannot UPSERT into a {kind}")
         if existing_key is not None:
-            patch = evaluate(ctx, operation.update_patch, frame)
-            store.update(existing_key, patch, txn=ctx.txn)
+            store.update(existing_key, patch_fn(ctx, frame), txn=ctx.txn)
             key = existing_key
         else:
-            document = evaluate(ctx, operation.insert_doc, frame)
-            key = store.insert(document, txn=ctx.txn)
+            key = store.insert(insert_fn(ctx, frame), txn=ctx.txn)
         ctx.stats["writes"] += 1
         yield key
 

@@ -58,7 +58,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<comment>//[^\n]*|/\*.*?\*/)
   | (?P<space>\s+)
-  | (?P<number>\d+\.\d+|\d+)
+  | (?P<number>\d+(?:\.\d+)?[eE][+-]?\d+|\d+\.\d+|\d+)
   | (?P<string>'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")
   | (?P<bindvar>@[A-Za-z_]\w*)
   | (?P<ident>\$?[A-Za-z_]\w*)

@@ -284,14 +284,16 @@ class _Parser:
 
     def _parse_limit(self) -> ast.LimitOp:
         self.expect_keyword("LIMIT")
-        if self.current.kind != TokenKind.NUMBER:
-            raise self._error("LIMIT takes integers")
-        first = int(self.advance().text)
+        first = self._limit_integer()
         if self.match_punct(","):
-            if self.current.kind != TokenKind.NUMBER:
-                raise self._error("LIMIT takes integers")
-            return ast.LimitOp(first, int(self.advance().text))
+            return ast.LimitOp(first, self._limit_integer())
         return ast.LimitOp(0, first)
+
+    def _limit_integer(self) -> int:
+        token = self.current
+        if token.kind != TokenKind.NUMBER or not token.text.isdigit():
+            raise self._error("LIMIT takes integers")
+        return int(self.advance().text)
 
     def _parse_collect(self) -> ast.CollectOp:
         self.expect_keyword("COLLECT")
@@ -468,7 +470,7 @@ class _Parser:
         token = self.current
         if token.kind == TokenKind.NUMBER:
             self.advance()
-            value = float(token.text) if "." in token.text else int(token.text)
+            value = int(token.text) if token.text.isdigit() else float(token.text)
             if self.match_op(".."):
                 high = self.parse_expr()
                 return ast.RangeExpr(ast.Literal(value), high)

@@ -9,9 +9,11 @@ the storage-view/column decisions are recorded for EXPLAIN output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.query import ast
+from repro.query.unparse import unparse_expr
 
 __all__ = [
     "IndexScanOp",
@@ -24,6 +26,9 @@ __all__ = [
     "analyzed_op_stats",
     "render_analyzed_plan",
 ]
+
+#: EXPLAIN's expression printer: MMQL text, a subquery as ``(subquery)``.
+_text = partial(unparse_expr, explain=True)
 
 
 @dataclass
@@ -149,45 +154,6 @@ class MaterializeOp(ast.Operation):
     query: ast.Query
 
 
-def _expr_text(expr: ast.Expr) -> str:
-    if isinstance(expr, ast.Literal):
-        return repr(expr.value)
-    if isinstance(expr, ast.VarRef):
-        return expr.name
-    if isinstance(expr, ast.BindVar):
-        return f"@{expr.name}"
-    if isinstance(expr, ast.AttrAccess):
-        return f"{_expr_text(expr.subject)}.{expr.attribute}"
-    if isinstance(expr, ast.IndexAccess):
-        return f"{_expr_text(expr.subject)}[{_expr_text(expr.index)}]"
-    if isinstance(expr, ast.Expansion):
-        suffix = f" -> {_expr_text(expr.suffix)}" if expr.suffix else ""
-        return f"{_expr_text(expr.subject)}[*]{suffix}"
-    if isinstance(expr, ast.InlineFilter):
-        return f"{_expr_text(expr.subject)}[* FILTER {_expr_text(expr.condition)}]"
-    if isinstance(expr, ast.FuncCall):
-        return f"{expr.name}({', '.join(_expr_text(arg) for arg in expr.args)})"
-    if isinstance(expr, ast.UnaryOp):
-        return f"{expr.op} {_expr_text(expr.operand)}"
-    if isinstance(expr, ast.BinOp):
-        return f"({_expr_text(expr.left)} {expr.op} {_expr_text(expr.right)})"
-    if isinstance(expr, ast.RangeExpr):
-        return f"{_expr_text(expr.low)}..{_expr_text(expr.high)}"
-    if isinstance(expr, ast.ArrayLiteral):
-        return f"[{', '.join(_expr_text(item) for item in expr.items)}]"
-    if isinstance(expr, ast.ObjectLiteral):
-        inner = ", ".join(f"{key}: {_expr_text(value)}" for key, value in expr.items)
-        return f"{{{inner}}}"
-    if isinstance(expr, ast.Ternary):
-        return (
-            f"({_expr_text(expr.condition)} ? {_expr_text(expr.then)} : "
-            f"{_expr_text(expr.otherwise)})"
-        )
-    if isinstance(expr, ast.SubQuery):
-        return "(subquery)"
-    return type(expr).__name__
-
-
 def _operation_lines(operation: ast.Operation, indent: int) -> list[str]:
     """The operation's own line(s), then the plan of each query nested
     in it — what a ``(subquery)`` in the text above stands for — indented
@@ -210,31 +176,31 @@ def _own_lines(operation: ast.Operation, indent: int) -> list[str]:
         lines = [
             f"{pad}IndexScan {operation.var} IN {operation.source_name} "
             f"USING {operation.index_kind} index {operation.index_name!r} "
-            f"ON {'.'.join(operation.path)} == {_expr_text(operation.value)}"
+            f"ON {'.'.join(operation.path)} == {_text(operation.value)}"
         ]
         if operation.residual is not None:
-            lines.append(f"{pad}  Residual: {_expr_text(operation.residual)}")
+            lines.append(f"{pad}  Residual: {_text(operation.residual)}")
         return lines
     if isinstance(operation, HashJoinOp):
         lines = [
             f"{pad}HashJoin {operation.var} IN {operation.source_name} "
             f"ON {'.'.join(operation.build_path)} == "
-            f"{_expr_text(operation.probe)} "
+            f"{_text(operation.probe)} "
             f"(build: hash table over {operation.source_name})"
         ]
         if operation.residual is not None:
-            lines.append(f"{pad}  Residual: {_expr_text(operation.residual)}")
+            lines.append(f"{pad}  Residual: {_text(operation.residual)}")
         return lines
     if isinstance(operation, AntiJoinOp) or isinstance(operation, SemiJoinOp):
         word = "AntiJoin" if isinstance(operation, AntiJoinOp) else "SemiJoin"
         lines = [
             f"{pad}{word} EXISTS({operation.var} IN {operation.source_name}) "
             f"ON {'.'.join(operation.build_path)} == "
-            f"{_expr_text(operation.probe)} "
+            f"{_text(operation.probe)} "
             f"(build: hash table over {operation.source_name})"
         ]
         if operation.residual is not None:
-            lines.append(f"{pad}  Residual: {_expr_text(operation.residual)}")
+            lines.append(f"{pad}  Residual: {_text(operation.residual)}")
         return lines
     if isinstance(operation, LookupJoinOp):
         once = "one probe per distinct key per batch"
@@ -242,12 +208,12 @@ def _own_lines(operation: ast.Operation, indent: int) -> list[str]:
             label = f" LABEL {operation.label!r}" if operation.label else ""
             return [
                 f"{pad}LookupJoin {operation.var} IN 1..1 "
-                f"{operation.direction.upper()} {_expr_text(operation.key)} "
+                f"{operation.direction.upper()} {_text(operation.key)} "
                 f"GRAPH {operation.source}{label} (adjacency, {once})"
             ]
         return [
             f"{pad}LookupJoin {operation.var} = {operation.kind}"
-            f"({operation.source!r}, {_expr_text(operation.key)}) ({once})"
+            f"({operation.source!r}, {_text(operation.key)}) ({once})"
         ]
     if isinstance(operation, MaterializeOp):
         return [
@@ -255,39 +221,39 @@ def _own_lines(operation: ast.Operation, indent: int) -> list[str]:
             f"(computed once, shared across frames)"
         ]
     if isinstance(operation, ast.ForOp):
-        return [f"{pad}Scan {operation.var} IN {_expr_text(operation.source)}"]
+        return [f"{pad}Scan {operation.var} IN {_text(operation.source)}"]
     if isinstance(operation, ast.TraversalOp):
         label = f" LABEL {operation.label!r}" if operation.label else ""
         return [
             f"{pad}Traverse {operation.var} IN "
             f"{operation.min_depth}..{operation.max_depth} "
-            f"{operation.direction.upper()} {_expr_text(operation.start)} "
+            f"{operation.direction.upper()} {_text(operation.start)} "
             f"GRAPH {operation.graph}{label} (edge index)"
         ]
     if isinstance(operation, ast.ShortestPathOp):
         return [
             f"{pad}ShortestPath {operation.var} "
-            f"{operation.direction.upper()} {_expr_text(operation.start)} "
-            f"TO {_expr_text(operation.goal)} GRAPH {operation.graph}"
+            f"{operation.direction.upper()} {_text(operation.start)} "
+            f"TO {_text(operation.goal)} GRAPH {operation.graph}"
         ]
     if isinstance(operation, ast.FilterOp):
-        return [f"{pad}Filter {_expr_text(operation.condition)}"]
+        return [f"{pad}Filter {_text(operation.condition)}"]
     if isinstance(operation, ast.LetOp):
-        return [f"{pad}Let {operation.var} = {_expr_text(operation.value)}"]
+        return [f"{pad}Let {operation.var} = {_text(operation.value)}"]
     if isinstance(operation, ast.SortOp):
         keys = ", ".join(
-            f"{_expr_text(key.expr)} {'ASC' if key.ascending else 'DESC'}"
+            f"{_text(key.expr)} {'ASC' if key.ascending else 'DESC'}"
             for key in operation.keys
         )
         return [f"{pad}Sort {keys}"]
     if isinstance(operation, ast.LimitOp):
         return [f"{pad}Limit offset={operation.offset} count={operation.count}"]
     if isinstance(operation, ast.CollectOp):
-        groups = ", ".join(f"{name} = {_expr_text(expr)}" for name, expr in operation.groups)
+        groups = ", ".join(f"{name} = {_text(expr)}" for name, expr in operation.groups)
         extras = []
         if operation.aggregates:
             extras.append("AGGREGATE " + ", ".join(
-                f"{name} = {func}({_expr_text(arg)})"
+                f"{name} = {func}({_text(arg)})"
                 for name, func, arg in operation.aggregates
             ))
         if operation.count_into:
@@ -297,26 +263,26 @@ def _own_lines(operation: ast.Operation, indent: int) -> list[str]:
         return [f"{pad}Collect {groups} {' '.join(extras)}".rstrip()]
     if isinstance(operation, ast.ReturnOp):
         distinct = "DISTINCT " if operation.distinct else ""
-        return [f"{pad}Return {distinct}{_expr_text(operation.expr)}"]
+        return [f"{pad}Return {distinct}{_text(operation.expr)}"]
     if isinstance(operation, ast.InsertOp):
-        return [f"{pad}Insert {_expr_text(operation.document)} INTO {operation.target}"]
+        return [f"{pad}Insert {_text(operation.document)} INTO {operation.target}"]
     if isinstance(operation, ast.UpdateOp):
         return [
-            f"{pad}Update {_expr_text(operation.key)} WITH "
-            f"{_expr_text(operation.changes)} IN {operation.target}"
+            f"{pad}Update {_text(operation.key)} WITH "
+            f"{_text(operation.changes)} IN {operation.target}"
         ]
     if isinstance(operation, ast.RemoveOp):
-        return [f"{pad}Remove {_expr_text(operation.key)} IN {operation.target}"]
+        return [f"{pad}Remove {_text(operation.key)} IN {operation.target}"]
     if isinstance(operation, ast.ReplaceOp):
         return [
-            f"{pad}Replace {_expr_text(operation.key)} WITH "
-            f"{_expr_text(operation.document)} IN {operation.target}"
+            f"{pad}Replace {_text(operation.key)} WITH "
+            f"{_text(operation.document)} IN {operation.target}"
         ]
     if isinstance(operation, ast.UpsertOp):
         return [
-            f"{pad}Upsert {_expr_text(operation.search)} INSERT "
-            f"{_expr_text(operation.insert_doc)} UPDATE "
-            f"{_expr_text(operation.update_patch)} INTO {operation.target}"
+            f"{pad}Upsert {_text(operation.search)} INSERT "
+            f"{_text(operation.insert_doc)} UPDATE "
+            f"{_text(operation.update_patch)} INTO {operation.target}"
         ]
     return [f"{pad}{type(operation).__name__}"]
 

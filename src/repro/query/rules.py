@@ -427,7 +427,7 @@ def _rule_collect_into_aggregate(query: ast.Query, ctx: RuleContext) -> ast.Quer
 
     The executor then keeps one running accumulator per group instead of a
     list of member frames it walks again, per member and per use, through
-    the expression interpreter.  An accumulator raises on a non-number
+    an ``m[*]`` expansion.  An accumulator raises on a non-number
     input when it meets it, so only uses the statement evaluates for every
     group fold — none behind a FILTER, LIMIT or FOR, in a ternary's arm or
     right of AND / OR: a group such a guard spares must not fail the query

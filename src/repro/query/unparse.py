@@ -7,9 +7,8 @@ renders any :mod:`repro.query.ast` tree back into MMQL that
 :func:`repro.query.parser.parse` accepts; subexpressions are parenthesized
 defensively, so the output round-trips regardless of precedence.
 
-``plan._expr_text`` is *not* suitable for this: it renders for humans
-(Python ``repr`` literals, ``(subquery)`` placeholders) and does not
-round-trip.
+EXPLAIN prints plans with the same :func:`unparse_expr`, so a plan shows
+MMQL literals; only a subquery is abbreviated there, to ``(subquery)``.
 """
 
 from __future__ import annotations
@@ -37,8 +36,15 @@ def _literal(value) -> str:
     return repr(value)
 
 
-def unparse_expr(expr: ast.Expr) -> str:
-    """Render one expression as parseable MMQL text."""
+def unparse_expr(expr: ast.Expr, *, explain: bool = False) -> str:
+    """Render one expression as parseable MMQL text.
+
+    ``explain=True`` is EXPLAIN's spelling: a subquery prints as
+    ``(subquery)`` because its plan is printed beneath the operation."""
+
+    def sub(node: ast.Expr) -> str:
+        return unparse_expr(node, explain=explain)
+
     if isinstance(expr, ast.Literal):
         return _literal(expr.value)
     if isinstance(expr, ast.VarRef):
@@ -46,61 +52,54 @@ def unparse_expr(expr: ast.Expr) -> str:
     if isinstance(expr, ast.BindVar):
         return f"@{expr.name}"
     if isinstance(expr, ast.AttrAccess):
-        return f"{unparse_expr(expr.subject)}.{expr.attribute}"
+        return f"{sub(expr.subject)}.{expr.attribute}"
     if isinstance(expr, ast.IndexAccess):
-        return f"{unparse_expr(expr.subject)}[{unparse_expr(expr.index)}]"
+        return f"{sub(expr.subject)}[{sub(expr.index)}]"
     if isinstance(expr, ast.Expansion):
-        rendered = f"{unparse_expr(expr.subject)}[*]"
+        rendered = f"{sub(expr.subject)}[*]"
         if expr.suffix is not None:
-            rendered += _expansion_suffix(expr.suffix)
+            rendered += _expansion_suffix(expr.suffix, sub)
         return rendered
     if isinstance(expr, ast.InlineFilter):
-        return (
-            f"{unparse_expr(expr.subject)}[* FILTER "
-            f"{unparse_expr(expr.condition)}]"
-        )
+        return f"{sub(expr.subject)}[* FILTER {sub(expr.condition)}]"
     if isinstance(expr, ast.FuncCall):
-        args = ", ".join(unparse_expr(arg) for arg in expr.args)
+        args = ", ".join(sub(arg) for arg in expr.args)
         return f"{expr.name}({args})"
     if isinstance(expr, ast.UnaryOp):
         if expr.op == "NOT":
-            return f"(NOT {unparse_expr(expr.operand)})"
-        return f"(-{unparse_expr(expr.operand)})"
+            return f"(NOT {sub(expr.operand)})"
+        return f"(-{sub(expr.operand)})"
     if isinstance(expr, ast.BinOp):
-        return (
-            f"({unparse_expr(expr.left)} {expr.op} {unparse_expr(expr.right)})"
-        )
+        return f"({sub(expr.left)} {expr.op} {sub(expr.right)})"
     if isinstance(expr, ast.RangeExpr):
-        return f"({unparse_expr(expr.low)}..{unparse_expr(expr.high)})"
+        return f"({sub(expr.low)}..{sub(expr.high)})"
     if isinstance(expr, ast.ArrayLiteral):
-        return "[" + ", ".join(unparse_expr(item) for item in expr.items) + "]"
+        return "[" + ", ".join(sub(item) for item in expr.items) + "]"
     if isinstance(expr, ast.ObjectLiteral):
         pairs = ", ".join(
-            f"{_string(key)}: {unparse_expr(value)}"
-            for key, value in expr.items
+            f"{_string(key)}: {sub(value)}" for key, value in expr.items
         )
         return "{" + pairs + "}"
     if isinstance(expr, ast.Ternary):
         return (
-            f"({unparse_expr(expr.condition)} ? {unparse_expr(expr.then)} : "
-            f"{unparse_expr(expr.otherwise)})"
+            f"({sub(expr.condition)} ? {sub(expr.then)} : "
+            f"{sub(expr.otherwise)})"
         )
     if isinstance(expr, ast.SubQuery):
-        return f"({unparse(expr.query)})"
+        return "(subquery)" if explain else f"({unparse(expr.query)})"
     raise TypeError(f"cannot unparse expression node {type(expr).__name__}")
 
 
-def _expansion_suffix(suffix: ast.Expr) -> str:
+def _expansion_suffix(suffix: ast.Expr, sub) -> str:
     """Render the per-element chain of an expansion (``[*].a.b[0]``); the
     parser anchors it on the pseudo-variable ``$CURRENT``."""
     if isinstance(suffix, ast.VarRef) and suffix.name == "$CURRENT":
         return ""
     if isinstance(suffix, ast.AttrAccess):
-        return f"{_expansion_suffix(suffix.subject)}.{suffix.attribute}"
+        return f"{_expansion_suffix(suffix.subject, sub)}.{suffix.attribute}"
     if isinstance(suffix, ast.IndexAccess):
         return (
-            f"{_expansion_suffix(suffix.subject)}"
-            f"[{unparse_expr(suffix.index)}]"
+            f"{_expansion_suffix(suffix.subject, sub)}[{sub(suffix.index)}]"
         )
     raise TypeError(
         f"cannot unparse expansion suffix node {type(suffix).__name__}"

@@ -1,19 +1,10 @@
-"""Storage substrate: central logical log, storage views, pages, WAL, LSM.
+"""Storage substrate: central logical log, storage views, column segments,
+WAL and checkpoint.
 
-See DESIGN.md §3 and slides 15-16 (OctopusDB), 41 (SSTables), 78-82
-(index-backed views).
+See DESIGN.md §3 and slides 15-16 (OctopusDB), 78-82 (index-backed views).
 """
 
 from repro.storage.log import CentralLog, LogEntry, LogOp
-from repro.storage.lsm import LsmTree, SSTable, TOMBSTONE
-from repro.storage.pages import (
-    PAGE_SIZE,
-    BufferPool,
-    PageFile,
-    RecordHeap,
-    RecordId,
-    SlottedPage,
-)
 from repro.storage.views import ColumnView, IndexView, LogOnlyView, RowView
 from repro.storage.wal import WriteAheadLog, recover, replay_into
 
@@ -21,15 +12,6 @@ __all__ = [
     "CentralLog",
     "LogEntry",
     "LogOp",
-    "LsmTree",
-    "SSTable",
-    "TOMBSTONE",
-    "PAGE_SIZE",
-    "BufferPool",
-    "PageFile",
-    "RecordHeap",
-    "RecordId",
-    "SlottedPage",
     "ColumnView",
     "IndexView",
     "LogOnlyView",

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.cluster.coordinator import Coordinator
 from repro.cluster.shardmap import ShardMap, StorePlacement, demo_placements
 from repro.errors import ClusterUnsupportedError
+from repro.query.parser import parse
 from repro.unibench.workloads import QUERIES_B
 
 
@@ -124,6 +125,26 @@ def test_workload_b_strategies_are_pinned():
     for query_id, (text, binds) in QUERIES_B.items():
         plan = coordinator.plan(text, binds)
         assert plan.strategy == expected[query_id], query_id
+
+
+_FLOATS = ("0.00001", "0.00000015", "10000000000000000.0")
+
+
+@pytest.mark.parametrize(
+    "text, binds",
+    [
+        (f"FOR o IN orders FILTER o.total > {literal} RETURN o.Order_no", {})
+        for literal in _FLOATS
+    ]
+    + list(QUERIES_B.values()),
+    ids=list(_FLOATS) + list(QUERIES_B),
+)
+def test_every_rendered_shard_statement_parses(text, binds):
+    """Shards parse what the coordinator renders, float literals in
+    exponent notation included."""
+    coordinator, _ = _coordinator()
+    for segment in coordinator.plan(text, binds).segments:
+        parse(segment.statement)
 
 
 def test_sorted_scatter_merges_with_a_k_way_merge():

@@ -1,14 +1,15 @@
-"""The expression compiler must be observationally identical to the
-interpreter: same values, same errors, for every node kind — with the
-uncovered kinds falling back per subtree."""
+"""The expression compiler is the engine's one expression evaluator: every
+node kind lowers to a closure, with the values and errors pinned below.
+Whole pipelines are cross-checked elsewhere against the unoptimized
+batch-of-one run and the independent ``repro.polyglot`` oracle."""
 
 import pytest
 
 from repro.core.database import MultiModelDB
 from repro.errors import BindError, ExecutionError
 from repro.query import ast
-from repro.query.compile import compile_expr, compiles_fully
-from repro.query.executor import ExecContext, evaluate
+from repro.query.compile import compile_expr
+from repro.query.executor import ExecContext
 from repro.query.parser import parse
 
 
@@ -32,64 +33,83 @@ FRAME = {
     "y": 2.5,
     "s": "hello world",
     "arr": [3, 1, 2],
-    "doc": {"a": {"b": 42}, "tags": ["red", "blue"]},
+    "doc": {
+        "a": {"b": 42},
+        "tags": ["red", "blue"],
+        "items": [
+            {"a": {"b": 1}, "xs": [1, 2]},
+            {"a": {"b": 2}, "xs": [0]},
+            {"xs": [5]},
+        ],
+    },
     "flag": True,
     "nothing": None,
 }
 
 EXPRESSIONS = [
-    "1 + 2 * 3",
-    "x - y",
-    "x % 2 == 1",
-    "-x",
-    "NOT flag",
-    "x > 3 AND y < 3",
-    "x < 3 OR s == 'hello world'",
-    "x != NULL",
-    "nothing == NULL",
-    "doc.a.b",
-    "doc.missing.deeper",
-    "arr[1]",
-    "doc.tags[0]",
-    "x IN arr",
-    "6 IN arr",
-    "s LIKE 'hello%'",
-    "s LIKE '%wor_d'",
-    "s LIKE arr[0]",
-    "1..4",
-    "[x, y, 'z']",
-    "{a: x, b: {c: y}}",
-    "x > 3 ? 'big' : 'small'",
-    "@limit + x",
-    "@name",
-    "LENGTH(arr)",
-    "UPPER(s)",
-    "MAX(arr)",
-    "doc.tags[*]",
-    "arr[* FILTER $CURRENT > 1]",
+    ("1 + 2 * 3", 7),
+    ("x - y", 2.5),
+    ("x % 2 == 1", True),
+    ("-x", -5),
+    ("NOT flag", False),
+    ("x > 3 AND y < 3", True),
+    ("x < 3 OR s == 'hello world'", True),
+    ("x != NULL", True),
+    ("nothing == NULL", True),
+    ("doc.a.b", 42),
+    ("doc.missing.deeper", None),
+    ("arr[1]", 1),
+    ("doc.tags[0]", "red"),
+    ("x IN arr", False),
+    ("6 IN arr", False),
+    ("s LIKE 'hello%'", True),
+    ("s LIKE '%wor_d'", True),
+    ("s LIKE arr[0]", False),
+    ("1..4", [1, 2, 3, 4]),
+    ("[x, y, 'z']", [5, 2.5, "z"]),
+    ("{a: x, b: {c: y}}", {"a": 5, "b": {"c": 2.5}}),
+    ("x > 3 ? 'big' : 'small'", "big"),
+    ("@limit + x", 15),
+    ("@name", "amy"),
+    ("LENGTH(arr)", 3),
+    ("UPPER(s)", "HELLO WORLD"),
+    ("MAX(arr)", 3),
+    ("doc.tags[*]", ["red", "blue"]),
+    ("arr[* FILTER $CURRENT > 1]", [3, 2]),
+    # expansion with a suffix; a non-array subject expands to []
+    ("doc.items[*].a.b", [1, 2, None]),
+    ("nothing[*]", []),
+    ("s[*]", []),
+    ("doc[*]", []),
+    ("s[* FILTER TRUE]", []),
+    # $CURRENT rebinds inside a nested expansion / inline filter
+    (
+        "doc.items[* FILTER LENGTH($CURRENT.xs[*]) > 1]",
+        [{"a": {"b": 1}, "xs": [1, 2]}],
+    ),
+    (
+        "doc.items[* FILTER LENGTH($CURRENT.xs[* FILTER $CURRENT > 1]) > 0]",
+        [{"a": {"b": 1}, "xs": [1, 2]}, {"xs": [5]}],
+    ),
+    # subqueries: a correlated one reads the outer frame
+    ("(FOR d IN docs SORT d.n RETURN d.n)", [1, 2]),
+    ("(FOR d IN docs FILTER d.n == y - 0.5 RETURN d._key)", ["b"]),
 ]
 
 
-@pytest.mark.parametrize("text", EXPRESSIONS)
-def test_compiled_matches_interpreter(ctx, text):
-    expr = _expr_of(text)
-    assert compile_expr(expr)(ctx, dict(FRAME)) == evaluate(ctx, expr, dict(FRAME))
+@pytest.mark.parametrize(
+    "text, expected", EXPRESSIONS, ids=[text for text, _ in EXPRESSIONS]
+)
+def test_compiled_value(ctx, text, expected):
+    value = compile_expr(_expr_of(text))(ctx, dict(FRAME))
+    assert value == expected
+    assert type(value) is type(expected)
 
 
-def test_subquery_falls_back_but_works(ctx):
-    expr = _expr_of("(FOR d IN docs SORT d.n RETURN d.n)")
-    assert not compiles_fully(expr)
-    assert compile_expr(expr)(ctx, {}) == [1, 2]
-
-
-def test_expansion_and_inline_filter_fall_back(ctx):
-    assert not compiles_fully(_expr_of("doc.tags[*]"))
-    assert not compiles_fully(_expr_of("arr[* FILTER $CURRENT > 1]"))
-
-
-def test_plain_arithmetic_compiles_fully():
-    assert compiles_fully(_expr_of("1 + x * LENGTH([2, 3])"))
-    assert compiles_fully(_expr_of("x > 3 ? UPPER(s) : @name"))
+def test_current_binding_does_not_leak_into_the_frame(ctx):
+    frame = dict(FRAME)
+    compile_expr(_expr_of("arr[* FILTER $CURRENT > 1]"))(ctx, frame)
+    assert "$CURRENT" not in frame
 
 
 class TestErrors:
@@ -126,6 +146,17 @@ class TestErrors:
     def test_bad_index_type(self, ctx):
         fn = compile_expr(_expr_of("arr[flag]"))
         with pytest.raises(ExecutionError, match="index values"):
+            fn(ctx, dict(FRAME))
+
+    def test_subquery_error_propagates_with_its_class(self, ctx):
+        fn = compile_expr(_expr_of("(FOR d IN docs RETURN d.n / (x - 5))"))
+        with pytest.raises(ExecutionError, match="division by zero") as info:
+            fn(ctx, dict(FRAME))
+        assert info.type is ExecutionError
+
+    def test_expansion_suffix_error(self, ctx):
+        fn = compile_expr(_expr_of("arr[* FILTER $CURRENT + s]"))
+        with pytest.raises(ExecutionError, match="arithmetic"):
             fn(ctx, dict(FRAME))
 
 

@@ -32,6 +32,14 @@ class TestLexer:
         tokens = tokenize("3 3.5")
         assert [t.text for t in tokens[:2]] == ["3", "3.5"]
 
+    def test_exponent_numbers_are_floats(self):
+        assert [t.text for t in tokenize("1e-05 1.5E+16 2e3")[:3]] == [
+            "1e-05", "1.5E+16", "2e3",
+        ]
+        for text, value in (("1e-05", 1e-05), ("1.5E+16", 1.5e16), ("2e3", 2000.0)):
+            literal = parse_expression(text)
+            assert literal.value == value and type(literal.value) is float
+
     def test_range_operator(self):
         tokens = tokenize("1..5")
         assert [t.text for t in tokens[:3]] == ["1", "..", "5"]
@@ -202,6 +210,11 @@ class TestQueryParsing:
             parse("FOR c IN customers FILTER c.x")
         with pytest.raises(ParseError):
             parse("")
+
+    def test_limit_takes_integers(self):
+        for text in ("LIMIT 1e2", "LIMIT 1.5", "LIMIT '5'", "LIMIT 1, 2.0"):
+            with pytest.raises(ParseError, match="LIMIT takes integers"):
+                parse(f"FOR c IN customers {text} RETURN c")
 
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as info:

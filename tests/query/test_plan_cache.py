@@ -224,3 +224,83 @@ class TestStatisticsInvalidation:
         # The run that produced the feedback re-stamped its own plan, so
         # the repeat run still hits the cache.
         assert second.stats["plan_cached"] is True
+
+
+#: Each DML statement runs twice (UPSERT three times) with different bind
+#: values; the state after each step must show the later runs' values.
+_DML_SCRIPT = [
+    (
+        "INSERT {_key: @k, v: @v} INTO kv",
+        [{"k": "a", "v": 1}, {"k": "b", "v": 2}],
+        {"a": 1, "b": 2},
+    ),
+    (
+        "UPDATE @k WITH {v: @v} IN kv",
+        [{"k": "a", "v": 10}, {"k": "b", "v": 20}],
+        {"a": 10, "b": 20},
+    ),
+    (
+        "REPLACE @k WITH {v: @v} IN kv",
+        [{"k": "a", "v": 100}, {"k": "b", "v": 200}],
+        {"a": 100, "b": 200},
+    ),
+    (
+        "UPSERT {_key: @k} INSERT {_key: @k, v: @v} UPDATE {v: @v} INTO kv",
+        [{"k": "c", "v": 7}, {"k": "c", "v": 8}, {"k": "d", "v": 9}],
+        {"a": 100, "b": 200, "c": 8, "d": 9},
+    ),
+    ("REMOVE @k IN kv", [{"k": "a"}, {"k": "b"}], {"c": 8, "d": 9}),
+]
+
+
+def _run_dml_script(run):
+    for text, runs, expected in _DML_SCRIPT:
+        for binds in runs:
+            run(text, binds)
+        state = run("FOR d IN kv RETURN [d._key, d.v]", {})
+        assert dict(map(tuple, state)) == expected, text
+
+
+class TestCachedDml:
+    """The DML operators memoize their compiled expressions on the plan, so
+    a plan served from the cache must still write each run's own binds."""
+
+    @pytest.fixture()
+    def kv_db(self):
+        database = MultiModelDB()
+        database.create_collection("kv")
+        return database
+
+    def test_embedded(self, kv_db):
+        cached = []
+
+        def run(text, binds):
+            result = kv_db.query(text, binds)
+            cached.append(result.stats["plan_cached"])
+            return result.rows
+
+        _run_dml_script(run)
+        assert cached.count(True) >= len(_DML_SCRIPT)
+
+    def test_in_a_transaction(self, kv_db):
+        with kv_db.transaction() as txn:
+            _run_dml_script(
+                lambda text, binds: kv_db.query(text, binds, txn=txn).rows
+            )
+        rows = kv_db.query("FOR d IN kv RETURN [d._key, d.v]").rows
+        assert dict(map(tuple, rows)) == _DML_SCRIPT[-1][2]
+
+    def test_over_the_wire(self, kv_db):
+        from repro.client import ReproClient
+        from repro.server import ReproServer
+
+        server = ReproServer(kv_db, port=0)
+        server.start_in_thread()
+        try:
+            with ReproClient(port=server.port, sleep=None) as client:
+                _run_dml_script(
+                    lambda text, binds: client.query(text, binds).rows
+                )
+        finally:
+            server.stop()
+        assert kv_db.plan_cache.stats()["hits"] >= len(_DML_SCRIPT)

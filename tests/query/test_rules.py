@@ -652,26 +652,3 @@ class TestFeedbackLoop:
         rendered = db.explain("FOR c IN customers RETURN c")
         assert "Rules fired: (none)" in rendered
 
-
-class TestCompileFallbackCounts:
-    def test_subquery_counted(self, db):
-        from repro.query.compile import fallback_node_counts
-
-        # Disable the rewrites so the subquery survives to the plan.
-        db.optimizer_rules.disable("decorrelate_subquery")
-        plan = optimize(parse(SEMI_INLINE), db)
-        counts = fallback_node_counts(plan)
-        assert counts.get("SubQuery") == 1
-
-    def test_fully_native_plan_counts_nothing(self, db):
-        from repro.query.compile import fallback_node_counts
-
-        plan = optimize(
-            parse("FOR c IN customers FILTER c.id > 2 RETURN c.id"), db
-        )
-        assert fallback_node_counts(plan) == {}
-
-    def test_analyzed_plan_shows_fallbacks(self, db):
-        db.optimizer_rules.disable("decorrelate_subquery")
-        result = db.query("EXPLAIN ANALYZE " + SEMI_INLINE)
-        assert "Compile fallbacks: SubQuery=1" in result.analyzed

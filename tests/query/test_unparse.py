@@ -20,6 +20,10 @@ STATEMENTS = [
     "RETURN [1, 2.5, true, false, NULL, 'x']",
     "RETURN {a: 1, b: {c: [1, 2]}}",
     "RETURN 'it\\'s a \\\\ backslash\\nand a newline'",
+    # floats Python renders in exponent notation
+    "RETURN 0.00001",
+    "RETURN 0.00000015",
+    "RETURN 10000000000000000.0",
     # arithmetic / comparison / logic precedence
     "RETURN 1 + 2 * 3 - 4 / 5 % 6",
     "RETURN (1 + 2) * 3",
