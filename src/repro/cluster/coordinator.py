@@ -18,14 +18,22 @@ map's placements and the statement's AST.  The planning model:
   @__cluster_frames …`` — the unaligned FOR localizes again because each
   matching row exists on one shard only.
 * A terminal COLLECT in a multi-shard segment is split: shards compute
-  partial aggregates (the PR 7 accumulator shapes: count/sum fold by
-  addition, min/max by comparison, avg ships ``[sum, count]`` as two SUM
-  partials), the coordinator combines groups, and any post-COLLECT
-  operations are evaluated locally with the real executor over the
-  combined groups.
-* A terminal SORT in a multi-shard segment becomes a k-way heap merge on
-  the shipped sort keys; ``RETURN DISTINCT`` de-duplicates globally with
-  the executor's own group-token canonicalization.
+  partial aggregates, the coordinator folds each group's partials with
+  the executor's own accumulators (count/length/sum partials add, min/max
+  compare, avg ships its sum and its count as two SUM partials), and any
+  post-COLLECT operations are evaluated locally with the real executor
+  over the combined groups.  Member lists are elided by one rule only,
+  the optimizer's ``collect_into_aggregate`` (run here with the other
+  ast-safe rules): an ``INTO`` it leaves ships its members.
+* A terminal SORT in a multi-shard segment becomes a :func:`heapq.merge`
+  of the shards' sorted runs on the shipped sort keys.  ``LIMIT`` then
+  ``RETURN DISTINCT`` apply to the merged rows in that order, as the
+  executor applies them: frames are cut before they are de-duplicated
+  (with the executor's own group-token canonicalization).
+* One placement walk (:meth:`Coordinator._walk`) checks a pipeline, its
+  subqueries and the coordinator-side remainder of a COLLECT alike; what
+  differs is its argument — whether frames may gather at a cut, and what
+  placement a store has (none, after a distributed COLLECT).
 
 Single-shard fast path: when the anchor store's partition key is bound by
 an equality predicate to a literal or bind parameter, the whole statement
@@ -52,6 +60,7 @@ instead of a silently partial answer.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -66,11 +75,10 @@ from repro.errors import (
 from repro.obs import metrics as obs_metrics
 from repro.query import ast, visit
 from repro.query.engine import PlanCache
-from repro.query.executor import _group_token
+from repro.query.executor import _agg_add, _agg_final, _group_token, _new_group
 from repro.query.optimizer import optimize
 from repro.query.parser import parse
-from repro.query.rules import keeps_every_frame, map_reached
-from repro.query.unparse import unparse, unparse_expr
+from repro.query.unparse import _operation, unparse
 from repro.core.datamodel import compare
 
 from repro.cluster.shardmap import ShardMap
@@ -103,8 +111,17 @@ _STORE_FUNCS = {
     "GEO_NEAREST": "spatial",
 }
 
-#: Aggregate functions with a distributive/algebraic partial form.
-_SPLITTABLE_AGGS = ("COUNT", "LENGTH", "SUM", "MIN", "MAX", "AVG")
+#: Aggregate functions with a distributive/algebraic partial form, and
+#: the executor accumulator mode that folds their shard partials into one
+#: value (AVG's partials are two SUMs, folded ``sum``; ``avg`` divides).
+_PARTIAL_MODES = {
+    "COUNT": "sum",
+    "LENGTH": "sum",
+    "SUM": "sum",
+    "MIN": "min",
+    "MAX": "max",
+    "AVG": "avg",
+}
 
 obs_metrics.describe(
     "cluster_fanout_queries_total",
@@ -165,7 +182,8 @@ class SegmentPlan:
     pinned: Optional[int] = None  # single-shard target, set per call
     #: The terms that pin a single-shard segment; all must name one shard.
     routes: tuple = ()
-    anchor_var: Optional[str] = None
+    #: ``(store, partition attribute)`` of the FOR that locates the frames.
+    anchor: Optional[tuple] = None
     input_vars: list = field(default_factory=list)
     output_vars: Optional[list] = None  # None = final segment
     statement: Optional[str] = None  # rendered shard-side MMQL
@@ -215,17 +233,9 @@ class ClusterPlan:
             lines.append(f"    {segment.statement}")
             post = segment.merge.get("post_ops")
             if post:
-                rendered = " ".join(
-                    _operation_text(op) for op in post
-                )
+                rendered = " ".join(_operation(op) for op in post)
                 lines.append(f"    coordinator: {rendered}")
         return "\n".join(lines)
-
-
-def _operation_text(op) -> str:
-    from repro.query.unparse import _operation
-
-    return _operation(op)
 
 
 class ClusterResult:
@@ -278,61 +288,41 @@ def _static_value(expr, binds: dict):
     return False, None
 
 
-def _rewrite_tree(node, table):
-    """Structurally replace expressions: any subtree equal to a *table*
-    key becomes its value.  Frozen dataclasses make equality the exact
-    match predicate; untouched branches are returned as-is."""
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        for old, new in table:
-            if node == old:
-                return new
-        changes = {}
-        for field in dataclasses.fields(node):
-            value = getattr(node, field.name)
-            rewritten = _rewrite_tree(value, table)
-            if rewritten is not value:
-                changes[field.name] = rewritten
-        return dataclasses.replace(node, **changes) if changes else node
-    if isinstance(node, tuple):
-        rewritten = tuple(_rewrite_tree(item, table) for item in node)
-        return rewritten if rewritten != node else node
-    if isinstance(node, list):
-        rewritten = [_rewrite_tree(item, table) for item in node]
-        return rewritten if rewritten != node else node
-    return node
+def _store_of(op: ast.ForOp, bound: set) -> bool:
+    """True when the FOR *op* scans a store, not a bound variable."""
+    return isinstance(op.source, ast.VarRef) and op.source.name not in bound
 
 
-def _member_arg(suffix, frame_vars: set):
-    """Turn an expansion suffix over INTO-member frames (``$CURRENT.o.
-    total``) into the per-row expression a shard can aggregate *before*
-    shipping (``o.total``) — the member frame's fields are exactly the
-    variables bound upstream of the COLLECT.  Returns None when the
-    suffix cannot be localized (nested element scopes, bare ``$CURRENT``,
-    unknown frame fields)."""
-    if suffix is None:
-        return None
-    for node in visit.walk(suffix):
-        if isinstance(node, (ast.Expansion, ast.InlineFilter, ast.SubQuery)):
-            return None  # inner scopes rebind $CURRENT
-    roots = [
-        node
-        for node in visit.walk(suffix)
-        if isinstance(node, ast.AttrAccess)
-        and node.subject == ast.VarRef("$CURRENT")
-    ]
-    if not roots or any(
-        root.attribute not in frame_vars for root in roots
-    ):
-        return None
-    member = _rewrite_tree(
-        suffix, [(root, ast.VarRef(root.attribute)) for root in roots]
+def _equalities(op):
+    """``(one, other)`` for each ``==`` conjunct of a FILTER *op*, both
+    ways round."""
+    if isinstance(op, ast.FilterOp):
+        for conjunct in visit.conjuncts(op.condition):
+            if isinstance(conjunct, ast.BinOp) and conjunct.op == "==":
+                yield conjunct.left, conjunct.right
+                yield conjunct.right, conjunct.left
+
+
+def _aligned_ahead(partition, anchor: list, ops_ahead: list) -> bool:
+    """Is there an unconditional equality linking *partition* to the
+    anchor set in the ops ahead (before the pipeline re-shapes)?"""
+    for op in ops_ahead:
+        if isinstance(op, (ast.CollectOp, ast.LimitOp)):
+            return False
+        if any(
+            one == partition and other in anchor
+            for one, other in _equalities(op)
+        ):
+            return True
+    return False
+
+
+def _no_store(store: str):
+    """The placement of every store for the remainder of a distributed
+    COLLECT, which the coordinator runs over the combined groups: none."""
+    raise ClusterUnsupportedError(
+        "pipeline stages after a distributed COLLECT must not touch stores"
     )
-    if any(
-        isinstance(node, ast.VarRef) and node.name == "$CURRENT"
-        for node in visit.walk(member)
-    ):
-        return None
-    return member
 
 
 def _local_statement(exports: list, post_ops: list) -> Optional[str]:
@@ -497,114 +487,45 @@ class Coordinator:
         )
 
     def _segment(self, ops: list, binds: dict) -> list:
-        """Split the pipeline at unaligned hash-store FORs."""
+        """Split the pipeline where its located frames must gather at the
+        coordinator: at unaligned hash-store FORs, and at a COLLECT."""
         segments: list[SegmentPlan] = []
-        current: list = []
-        anchor: Optional[list] = None  # exprs equal to the partition value
-        anchor_var: Optional[str] = None
-        multi = False
+        anchor: list = []  # exprs equal to the partition value
         routes: list = []
         bound: set = set()
+        start = 0
+        located: Optional[tuple] = None
 
-        def close() -> None:
-            nonlocal current, anchor, anchor_var, multi, routes
-            segment = SegmentPlan(
-                ops=current,
-                multi=multi,
-                routes=() if multi else tuple(routes),
-                anchor_var=anchor_var,
-            )
-            segments.append(segment)
-            current = []
-            anchor = None
-            anchor_var = None
-            multi = False
-            routes = []
-
-        index = 0
-        while index < len(ops):
-            op = ops[index]
-            if isinstance(op, ast.ForOp) and self._store_of(op, bound):
-                store = op.source.name
-                placement = self.shard_map.placement(store)
-                if placement.mode == "hash":
-                    partition_attr = ast.AttrAccess(
-                        ast.VarRef(op.var), placement.partition_key
-                    )
-                    if anchor is None:
-                        anchor = [partition_attr]
-                        anchor_var = op.var
-                        multi = True
-                    elif self._aligned_ahead(
-                        partition_attr, anchor, ops[index + 1:]
-                    ):
-                        anchor.append(partition_attr)
-                    else:
-                        # Cut: gather frames, broadcast the suffix.
-                        close()
-                        anchor = [partition_attr]
-                        anchor_var = op.var
-                        multi = True
-                bound.add(op.var)
-                current.append(op)
-                index += 1
-                continue
-            if isinstance(op, (ast.TraversalOp, ast.ShortestPathOp)):
-                if self.shard_map.is_hashed(op.graph):
-                    raise ClusterUnsupportedError(
-                        f"graph {op.graph!r} is hash-partitioned; "
-                        "traversals need a reference placement"
-                    )
-            if isinstance(op, ast.CollectOp) and multi:
-                # Merge point: partials on the shards, combine + evaluate
-                # the (store-free) remainder at the coordinator.
-                post_ops = ops[index + 1:]
-                self._require_store_free(
-                    post_ops, bound | set(visit.binds(op))
+        def cut(index: int, store: str, partition) -> None:
+            nonlocal start, located
+            if anchor:
+                # Cut: gather frames, broadcast the suffix.
+                segments.append(
+                    SegmentPlan(ops=ops[start:index], multi=True, anchor=located)
                 )
-                current.append(op)
-                segment = SegmentPlan(
-                    ops=current,
-                    multi=True,
-                    anchor_var=anchor_var,
-                )
-                segment.merge = {"kind": "collect", "post_ops": post_ops}
-                segments.append(segment)
-                return self._finish_segments(segments, ops)
-            # Expression-level store accesses (DOCUMENT/KV_GET/…).
-            for expr in visit.operation_exprs(op):
-                self._check_expr(expr, anchor, binds, routes, bound, multi)
-            if isinstance(op, ast.LetOp) and anchor is not None:
-                if any(op.value == known for known in anchor):
-                    anchor.append(ast.VarRef(op.var))
-            if isinstance(op, ast.FilterOp) and anchor is not None:
-                for conjunct in visit.conjuncts(op.condition):
-                    if (
-                        isinstance(conjunct, ast.BinOp)
-                        and conjunct.op == "=="
-                    ):
-                        for left, right in (
-                            (conjunct.left, conjunct.right),
-                            (conjunct.right, conjunct.left),
-                        ):
-                            if any(right == known for known in anchor) and not any(
-                                left == known for known in anchor
-                            ):
-                                anchor.append(left)
-            if isinstance(op, ast.LimitOp) and multi:
-                tail = ops[index + 1:]
-                if not all(isinstance(o, ast.ReturnOp) for o in tail):
-                    raise ClusterUnsupportedError(
-                        "LIMIT before further pipeline stages cannot be "
-                        "applied per shard; move it to the end of the query"
-                    )
-            bound.update(visit.binds(op))
-            current.append(op)
-            index += 1
-        close()
-        return self._finish_segments(segments, ops)
+                start = index
+                routes.clear()
+            located = (store, partition)
 
-    def _finish_segments(self, segments: list, ops: list) -> list:
+        stop = self._walk(
+            ops, binds, anchor, bound, routes, self.shard_map.placement, cut
+        )
+        segment = SegmentPlan(
+            ops=ops[start:stop + 1],
+            multi=bool(anchor),
+            routes=() if anchor else tuple(routes),
+            anchor=located,
+        )
+        if stop < len(ops):
+            # Merge point: partials on the shards, combine + evaluate the
+            # (store-free) remainder at the coordinator.
+            post_ops = ops[stop + 1:]
+            self._walk(post_ops, binds, [], bound, [], _no_store)
+            segment.merge = {"kind": "collect", "post_ops": post_ops}
+        segments.append(segment)
+        return self._finish_segments(segments)
+
+    def _finish_segments(self, segments: list) -> list:
         """Assign inter-segment frame variables."""
         # Live variables across each cut: a variable reaches segment k+1
         # only through segment k's output frames, so the candidates are
@@ -629,43 +550,78 @@ class Coordinator:
             segments[position + 1].input_vars = live
         return segments
 
-    def _store_of(self, op: ast.ForOp, bound: set) -> bool:
-        return (
-            isinstance(op.source, ast.VarRef)
-            and op.source.name not in bound
-        )
+    def _walk(
+        self, ops, binds, anchor, bound, routes, placement_of, cut=None
+    ) -> int:
+        """The placement walk: check every store *ops* touch against
+        *placement_of*, collect a :class:`Route` for each lookup by a
+        static key in *routes*, and grow *anchor* — the expressions equal
+        to the partition value of the shard the frames are on, empty while
+        they are on no shard in particular — through hash-store FORs, LETs
+        and equality FILTERs.
 
-    def _aligned_ahead(self, partition_attr, anchor, ops_ahead) -> bool:
-        """Is there an unconditional equality linking *partition_attr* to
-        the anchor set in the ops ahead (before the pipeline re-shapes)?"""
-        known = list(anchor)
-        for op in ops_ahead:
-            if isinstance(op, ast.FilterOp):
-                for conjunct in visit.conjuncts(op.condition):
-                    if (
-                        isinstance(conjunct, ast.BinOp)
-                        and conjunct.op == "=="
-                    ):
-                        sides = (conjunct.left, conjunct.right)
-                        for one, other in (sides, sides[::-1]):
-                            if one == partition_attr and any(
-                                other == expr for expr in known
-                            ):
-                                return True
-            elif isinstance(op, (ast.CollectOp, ast.LimitOp)):
-                return False
-        return False
+        At a hash-store FOR the anchor does not reach, the frames must
+        gather: *cut* is called with its index, store and partition
+        attribute, and that FOR anchors what follows.  Given *cut* (the
+        statement's own pipeline), a LIMIT over anchored frames must end
+        it, and the walk stops at a COLLECT over anchored frames and
+        returns its index (else ``len(ops)``).  Without it — a subquery,
+        which runs whole on its frame's shard — such a FOR is refused."""
+        for index, op in enumerate(ops):
+            if isinstance(op, ast.ForOp) and _store_of(op, bound):
+                store = op.source.name
+                placement = placement_of(store)
+                if placement.mode == "hash":
+                    partition = ast.AttrAccess(
+                        ast.VarRef(op.var), placement.partition_key
+                    )
+                    if not _aligned_ahead(partition, anchor, ops[index + 1:]):
+                        if cut is None:
+                            raise ClusterUnsupportedError(
+                                f"subquery over hash-partitioned {store!r} is "
+                                "not aligned with the enclosing partition value"
+                            )
+                        cut(index, store, partition)
+                        anchor.clear()
+                    anchor.append(partition)
+            elif isinstance(op, (ast.TraversalOp, ast.ShortestPathOp)):
+                if placement_of(op.graph).mode == "hash":
+                    raise ClusterUnsupportedError(
+                        f"graph {op.graph!r} is hash-partitioned; "
+                        "traversals need a reference placement"
+                    )
+            elif isinstance(op, ast.LimitOp) and anchor and cut is not None:
+                tail = ops[index + 1:]
+                if not all(isinstance(o, ast.ReturnOp) for o in tail):
+                    raise ClusterUnsupportedError(
+                        "LIMIT before further pipeline stages cannot be "
+                        "applied per shard; move it to the end of the query"
+                    )
+            # Expression-level store accesses (DOCUMENT/KV_GET/…).
+            for expr in visit.operation_exprs(op):
+                for node in visit.walk(expr):
+                    if isinstance(node, ast.SubQuery):
+                        self._walk(
+                            node.query.operations, binds, list(anchor),
+                            set(bound), routes, placement_of,
+                        )
+                    elif isinstance(node, ast.FuncCall):
+                        self._check_store_func(
+                            node, anchor, binds, routes, placement_of
+                        )
+            if isinstance(op, ast.LetOp) and op.value in anchor:
+                anchor.append(ast.VarRef(op.var))
+            for one, other in _equalities(op):
+                if other in anchor and one not in anchor:
+                    anchor.append(one)
+            bound.update(visit.binds(op))
+            if isinstance(op, ast.CollectOp) and anchor and cut is not None:
+                return index
+        return len(ops)
 
-    def _check_expr(
-        self, expr, anchor, binds, routes: list, bound: set, multi: bool
+    def _check_store_func(
+        self, node, anchor, binds, routes: list, placement_of
     ) -> None:
-        for node in visit.walk(expr):
-            if isinstance(node, ast.SubQuery):
-                self._check_subquery(node.query, anchor, binds, routes, bound)
-            elif isinstance(node, ast.FuncCall):
-                self._check_store_func(node, anchor, binds, routes)
-
-    def _check_store_func(self, node, anchor, binds, routes: list) -> None:
         if node.name == "FULLTEXT":
             raise ClusterUnsupportedError(
                 "FULLTEXT cannot be routed (the coordinator cannot map an "
@@ -682,7 +638,7 @@ class Coordinator:
                 f"{node.name} needs a literal store name under a cluster"
             )
         store = store_arg.value
-        placement = self.shard_map.placement(store)
+        placement = placement_of(store)
         if placement.mode != "hash":
             return
         if family in ("graph", "tree", "triple", "spatial", "kv_all"):
@@ -701,9 +657,7 @@ class Coordinator:
                 "shard cannot be derived from the lookup key"
             )
         key_expr = node.args[1] if len(node.args) > 1 else None
-        if key_expr is not None and anchor is not None and any(
-            key_expr == known for known in anchor
-        ):
+        if key_expr is not None and key_expr in anchor:
             return  # aligned: the frame already lives on the owner shard
         if key_expr is not None and _static_value(key_expr, binds)[0]:
             route = Route(store, key_expr)
@@ -714,73 +668,6 @@ class Coordinator:
             f"{node.name}({store!r}, …) key is neither aligned with the "
             "segment's partition value nor statically evaluable"
         )
-
-    def _check_subquery(self, query, anchor, binds, routes: list, bound) -> None:
-        """Subqueries run per frame on the frame's shard: hash FORs inside
-        must align with the enclosing anchor (cuts are impossible here)."""
-        local_anchor = list(anchor) if anchor else None
-        local_bound = set(bound)
-        ops = query.operations
-        for index, op in enumerate(ops):
-            if isinstance(op, ast.ForOp) and self._store_of(op, local_bound):
-                store = op.source.name
-                placement = self.shard_map.placement(store)
-                if placement.mode == "hash":
-                    partition_attr = ast.AttrAccess(
-                        ast.VarRef(op.var), placement.partition_key
-                    )
-                    if local_anchor is None or not self._aligned_ahead(
-                        partition_attr, local_anchor, ops[index + 1:]
-                    ):
-                        raise ClusterUnsupportedError(
-                            f"subquery over hash-partitioned {store!r} is "
-                            "not aligned with the enclosing partition value"
-                        )
-                    local_anchor.append(partition_attr)
-                local_bound.add(op.var)
-                continue
-            if isinstance(op, (ast.TraversalOp, ast.ShortestPathOp)):
-                if self.shard_map.is_hashed(op.graph):
-                    raise ClusterUnsupportedError(
-                        f"graph {op.graph!r} is hash-partitioned; "
-                        "traversals need a reference placement"
-                    )
-            for expr in visit.operation_exprs(op):
-                self._check_expr(
-                    expr, local_anchor, binds, routes, local_bound, False
-                )
-            if isinstance(op, ast.LetOp) and local_anchor is not None:
-                if any(op.value == known for known in local_anchor):
-                    local_anchor.append(ast.VarRef(op.var))
-            local_bound.update(visit.binds(op))
-
-    def _require_store_free(self, ops, bound: set) -> None:
-        local_bound = set(bound)
-        for op in ops:
-            if isinstance(op, ast.ForOp) and self._store_of(op, local_bound):
-                raise ClusterUnsupportedError(
-                    "pipeline stages after a distributed COLLECT must not "
-                    "touch stores"
-                )
-            if isinstance(op, (ast.TraversalOp, ast.ShortestPathOp)):
-                raise ClusterUnsupportedError(
-                    "pipeline stages after a distributed COLLECT must not "
-                    "touch stores"
-                )
-            for expr in visit.operation_exprs(op):
-                for node in visit.walk(expr):
-                    if isinstance(node, ast.FuncCall) and node.name in (
-                        set(_STORE_FUNCS) | {"FULLTEXT"}
-                    ):
-                        raise ClusterUnsupportedError(
-                            "pipeline stages after a distributed COLLECT "
-                            "must not touch stores"
-                        )
-                    if isinstance(node, ast.SubQuery):
-                        self._require_store_free(
-                            node.query.operations, local_bound
-                        )
-            local_bound.update(visit.binds(op))
 
     # .. rendering .......................................................
 
@@ -851,6 +738,15 @@ class Coordinator:
         if body and isinstance(body[-1], ast.SortOp):
             sort = body[-1]
             body = body[:-1]
+        # The executor cuts frames before RETURN DISTINCT dedupes what is
+        # left, so under a LIMIT the shards ship their cut frames as they
+        # are and the coordinator dedupes after its own cut.
+        distinct = terminal.distinct and limit is None
+        merge = {
+            "offset": limit.offset if limit else 0,
+            "count": limit.count if limit else None,
+            "distinct": terminal.distinct,
+        }
         if sort is not None:
             shard_ops = list(body) + [sort]
             if limit is not None:
@@ -867,7 +763,7 @@ class Coordinator:
                         (_PREFIX + "v", terminal.expr),
                     )
                 ),
-                distinct=terminal.distinct,
+                distinct=distinct,
             )
             segment.statement = unparse(
                 ast.Query(prefix + shard_ops + [wrapper])
@@ -875,55 +771,24 @@ class Coordinator:
             segment.merge = {
                 "kind": "sort",
                 "ascending": [key.ascending for key in sort.keys],
-                "offset": limit.offset if limit else 0,
-                "count": limit.count if limit else None,
-                "distinct": terminal.distinct,
+                **merge,
             }
             return
         shard_ops = list(body)
         if limit is not None:
             shard_ops.append(ast.LimitOp(0, limit.offset + limit.count))
-        shard_ops.append(terminal)
+        shard_ops.append(ast.ReturnOp(terminal.expr, distinct))
         segment.statement = unparse(ast.Query(prefix + shard_ops))
-        segment.merge = {
-            "kind": "concat",
-            "offset": limit.offset if limit else 0,
-            "count": limit.count if limit else None,
-            "distinct": terminal.distinct,
-        }
+        segment.merge = {"kind": "concat", **merge}
 
     def _fast_path_route(self, segment, binds) -> Optional[Route]:
-        if segment.anchor_var is None:
+        if segment.anchor is None:
             return None
-        anchor_store = None
+        store, partition = segment.anchor
         for op in segment.ops:
-            if isinstance(op, ast.ForOp) and op.var == segment.anchor_var:
-                anchor_store = (
-                    op.source.name
-                    if isinstance(op.source, ast.VarRef)
-                    else None
-                )
-                break
-        if anchor_store is None or not self.shard_map.is_hashed(anchor_store):
-            return None
-        partition_attr = ast.AttrAccess(
-            ast.VarRef(segment.anchor_var),
-            self.shard_map.placement(anchor_store).partition_key,
-        )
-        for op in segment.ops:
-            if not isinstance(op, ast.FilterOp):
-                continue
-            for conjunct in visit.conjuncts(op.condition):
-                if not (
-                    isinstance(conjunct, ast.BinOp) and conjunct.op == "=="
-                ):
-                    continue
-                sides = (conjunct.left, conjunct.right)
-                for one, other in (sides, sides[::-1]):
-                    if one != partition_attr:
-                        continue
-                    if _static_value(other, binds)[0]:
-                        return Route(anchor_store, other)
+            for one, other in _equalities(op):
+                if one == partition and _static_value(other, binds)[0]:
+                    return Route(store, other)
         return None
 
     def _render_collect(self, segment, prefix) -> None:
@@ -931,23 +796,24 @@ class Coordinator:
         assert isinstance(collect, ast.CollectOp)
         body = segment.ops[:-1]
         group_names = [name for name, _expr in collect.groups]
-        agg_plan: list = []  # (name, func) or (name, "AVG", sum_name, n_name)
+        # (name, func, mode, position of its first partial)
+        finals: list = []
         shard_aggregates: list = []
         for position, (name, func, arg) in enumerate(collect.aggregates):
             func = func.upper()
-            if func not in _SPLITTABLE_AGGS:
+            mode = _PARTIAL_MODES.get(func)
+            if mode is None:
                 raise ClusterUnsupportedError(
                     f"AGGREGATE {func} has no distributive partial form; "
                     "COLLECT it on a single shard or use INTO + a local "
                     "expression"
                 )
+            finals.append((name, func, mode, len(shard_aggregates)))
             if func == "AVG":
-                sum_name = f"{_PREFIX}a{position}_s"
-                n_name = f"{_PREFIX}a{position}_n"
-                shard_aggregates.append((sum_name, "SUM", arg))
+                shard_aggregates.append((f"{_PREFIX}a{position}_s", "SUM", arg))
                 shard_aggregates.append(
                     (
-                        n_name,
+                        f"{_PREFIX}a{position}_n",
                         "SUM",
                         ast.Ternary(
                             ast.BinOp("==", arg, ast.Literal(None)),
@@ -956,30 +822,9 @@ class Coordinator:
                         ),
                     )
                 )
-                agg_plan.append((name, "AVG", sum_name, n_name))
             else:
                 shard_aggregates.append((name, func, arg))
-                agg_plan.append((name, func))
-        # INTO-member elision: when the coordinator-side remainder only
-        # consumes ``members`` through splittable aggregates, ship the
-        # per-shard partials and drop the member frames from the wire —
-        # the difference between shipping every grouped row and shipping
-        # one number per group per shard.
         into = collect.into
-        post_ops = segment.merge.get("post_ops") or []
-        if into and post_ops:
-            frame_vars = set(segment.input_vars or ())
-            for op in body:
-                frame_vars.update(visit.binds(op))
-            split = self._split_into_aggregates(
-                into, post_ops, frame_vars, len(collect.aggregates)
-            )
-            if split is not None:
-                extra_aggs, extra_plan, post_ops = split
-                shard_aggregates.extend(extra_aggs)
-                agg_plan.extend(extra_plan)
-                segment.merge["post_ops"] = post_ops
-                into = None
         shard_collect = ast.CollectOp(
             list(collect.groups),
             collect.count_into,
@@ -994,12 +839,9 @@ class Coordinator:
                 ),
             )
         ]
-        for entry in agg_plan:
-            if entry[1] == "AVG":
-                fields.append((entry[2], ast.VarRef(entry[2])))
-                fields.append((entry[3], ast.VarRef(entry[3])))
-            else:
-                fields.append((entry[0], ast.VarRef(entry[0])))
+        fields += [
+            (field, ast.VarRef(field)) for field, _func, _arg in shard_aggregates
+        ]
         if collect.count_into:
             fields.append((collect.count_into, ast.VarRef(collect.count_into)))
         if into:
@@ -1010,7 +852,7 @@ class Coordinator:
         )
         exports = (
             group_names
-            + [entry[0] for entry in agg_plan]
+            + [name for name, _func, _mode, _position in finals]
             + ([collect.count_into] if collect.count_into else [])
             + ([into] if into else [])
         )
@@ -1018,100 +860,17 @@ class Coordinator:
             {
                 "kind": "collect",
                 "groups": group_names,
-                "aggs": agg_plan,
+                # The executor's accumulator specs, one per shipped partial.
+                "partials": [
+                    (field, func, _PARTIAL_MODES[func], None)
+                    for field, func, _arg in shard_aggregates
+                ],
+                "aggs": finals,
                 "count_into": collect.count_into,
                 "into": into,
-                "local": _local_statement(exports, post_ops),
+                "local": _local_statement(exports, segment.merge["post_ops"]),
             }
         )
-
-    def _split_into_aggregates(
-        self, into: str, post_ops: list, frame_vars: set, offset: int
-    ):
-        """Rewrite the ``AGG(members[*].path)`` uses of the post-COLLECT
-        remainder that every group reaches into per-shard AGGREGATE
-        partials (``COUNT``/``LENGTH``, which cannot fail, wherever they
-        are; nothing inside a subquery is reached for certain).  Returns
-        ``(shard_aggregates, agg_plan, rewritten_post_ops)`` or None when
-        any use of *into* is left (then the member frames ship as before,
-        and the coordinator aggregates only the groups that get there)."""
-        extra_aggs: list = []
-        extra_plan: list = []
-        folded: list = []  # (call, partial variable)
-
-        def fold(node, certain: bool):
-            if isinstance(node, ast.SubQuery):
-                ops = node.query.operations
-                if any(into in visit.binds(op) for op in ops):
-                    return None  # shadowed: not the group's members
-                mapped = [
-                    visit.map_operation_exprs(
-                        op, lambda expr: map_reached(expr, False, fold)
-                    )
-                    for op in ops
-                ]
-                if all(new is old for new, old in zip(mapped, ops)):
-                    return None
-                return ast.SubQuery(ast.Query(mapped))
-            if not isinstance(node, ast.FuncCall) or len(node.args) != 1:
-                return None
-            func = node.name.upper()
-            arg = node.args[0]
-            if func not in _SPLITTABLE_AGGS or not (
-                certain or func in ("COUNT", "LENGTH")
-            ):
-                return None
-            for call, variable in folded:
-                if call == node:
-                    return variable
-            members = ast.VarRef(into)
-            if isinstance(arg, ast.Expansion) and arg.subject == members:
-                member = _member_arg(arg.suffix, frame_vars)
-            elif arg == members and func in ("COUNT", "LENGTH"):
-                member = ast.Literal(1)  # COUNT/LENGTH of the group
-            else:
-                member = None
-            if member is None:
-                return None
-            name = f"{_PREFIX}m{offset + len(folded)}"
-            folded.append((node, ast.VarRef(name)))
-            if func == "AVG":
-                sum_name, n_name = f"{name}_s", f"{name}_n"
-                extra_aggs.append((sum_name, "SUM", member))
-                extra_aggs.append(
-                    (
-                        n_name,
-                        "SUM",
-                        ast.Ternary(
-                            ast.BinOp("==", member, ast.Literal(None)),
-                            ast.Literal(0),
-                            ast.Literal(1),
-                        ),
-                    )
-                )
-                extra_plan.append((name, "AVG", sum_name, n_name))
-            elif func in ("COUNT", "LENGTH"):
-                extra_aggs.append((name, "LENGTH", member))
-                extra_plan.append((name, "LENGTH"))
-            else:
-                extra_aggs.append((name, func, member))
-                extra_plan.append((name, func))
-            return folded[-1][1]
-
-        rewritten: list = []
-        every_group = True
-        for op in post_ops:
-            if into in visit.binds(op):
-                return None
-            rewritten.append(
-                visit.map_operation_exprs(
-                    op, lambda expr: map_reached(expr, every_group, fold)
-                )
-            )
-            every_group = every_group and keeps_every_frame(op)
-        if not folded or into in visit.free_vars(rewritten):
-            return None  # members consumed beyond splittable aggregates
-        return extra_aggs, extra_plan, rewritten
 
     # -- execution -------------------------------------------------------
 
@@ -1295,13 +1054,7 @@ class Coordinator:
             return list(ordered[0][0])
         if kind == "concat":
             rows = [row for result in ordered for row in result[0]]
-            if merge.get("distinct"):
-                rows = _dedupe(rows)
-            count = merge.get("count")
-            if count is not None:
-                offset = merge.get("offset", 0)
-                rows = rows[offset:offset + count]
-            return rows
+            return _limit_then_distinct(rows, merge)
         if kind == "sort":
             return self._merge_sorted(segment, ordered)
         if kind == "collect":
@@ -1311,100 +1064,57 @@ class Coordinator:
     def _merge_sorted(self, segment, ordered) -> list:
         merge = segment.merge
         ascending = merge["ascending"]
-        streams = [result[0] for result in ordered]
-        merged = _kway_merge(streams, ascending)
+        key_field = _PREFIX + "k"
+        merged = heapq.merge(
+            *(result[0] for result in ordered),
+            key=lambda row: _MergeKey(row[key_field], ascending),
+        )
         rows = [row[_PREFIX + "v"] for row in merged]
-        if merge.get("distinct"):
-            rows = _dedupe(rows)
-        count = merge.get("count")
-        if count is not None:
-            offset = merge.get("offset", 0)
-            rows = rows[offset:offset + count]
-        return rows
+        return _limit_then_distinct(rows, merge)
 
     def _merge_collect(self, segment, ordered, binds) -> list:
+        """Fold each group's shard partials with the executor's own
+        accumulators, then run the remainder over the combined groups."""
         merge = segment.merge
+        text = merge["local"]
+        if text is None:
+            return []
         group_names = merge["groups"]
-        agg_plan = merge["aggs"]
+        partials = merge["partials"]
         count_into = merge.get("count_into")
         into = merge.get("into")
-        combined: dict = {}
-        order: list = []
+        groups: dict = {}
         for rows, _stats, _analyzed in ordered:
             for row in rows:
                 keys = row.get(_PREFIX + "k") or []
                 token = tuple(_group_token(value) for value in keys)
-                state = combined.get(token)
-                if state is None:
-                    state = {
-                        "keys": keys,
-                        "count": 0,
-                        "members": [],
-                        "aggs": {},
-                    }
-                    combined[token] = state
-                    order.append(token)
+                group = groups.get(token)
+                if group is None:
+                    group = _new_group(zip(group_names, keys), partials)
+                    groups[token] = group
+                aggs = group["aggs"]
+                for position, (field, func, mode, _fn) in enumerate(partials):
+                    _agg_add(aggs, position, mode, func, row.get(field))
                 if count_into:
-                    state["count"] += row.get(count_into) or 0
+                    group["count"] += row.get(count_into) or 0
                 if into:
-                    state["members"].extend(row.get(into) or [])
-                for entry in agg_plan:
-                    name = entry[0]
-                    slot = state["aggs"]
-                    if entry[1] == "AVG":
-                        partial = slot.setdefault(name, [0, 0])
-                        partial[0] += row.get(entry[2]) or 0
-                        partial[1] += row.get(entry[3]) or 0
-                    elif entry[1] in ("COUNT", "LENGTH"):
-                        slot[name] = (slot.get(name) or 0) + (
-                            row.get(name) or 0
-                        )
-                    elif entry[1] == "SUM":
-                        slot[name] = (slot.get(name) or 0) + (
-                            row.get(name) or 0
-                        )
-                    elif entry[1] in ("MIN", "MAX"):
-                        value = row.get(name)
-                        if value is None:
-                            continue
-                        current = slot.get(name)
-                        if current is None:
-                            slot[name] = value
-                        elif entry[1] == "MIN":
-                            slot[name] = (
-                                value if compare(value, current) < 0
-                                else current
-                            )
-                        else:
-                            slot[name] = (
-                                value if compare(value, current) > 0
-                                else current
-                            )
+                    group["members"].extend(row.get(into) or [])
         group_frames: list = []
-        for token in order:
-            state = combined[token]
-            frame = dict(zip(group_names, state["keys"]))
-            for entry in agg_plan:
-                name = entry[0]
-                if entry[1] == "AVG":
-                    partial = state["aggs"].get(name) or [0, 0]
-                    frame[name] = (
-                        partial[0] / partial[1] if partial[1] else None
-                    )
-                else:
-                    value = state["aggs"].get(name)
-                    if entry[1] in ("COUNT", "LENGTH", "SUM"):
-                        frame[name] = value or 0
-                    else:
-                        frame[name] = value
+        for group in groups.values():
+            frame = group["keys"]
+            aggs = group["aggs"]
+            for name, func, mode, position in merge["aggs"]:
+                # AVG's state is its [sum, count] partials, side by side.
+                state = (
+                    aggs[position:position + 2] if mode == "avg"
+                    else aggs[position]
+                )
+                frame[name] = _agg_final(None, state, mode, func)
             if count_into:
-                frame[count_into] = state["count"]
+                frame[count_into] = group["count"]
             if into:
-                frame[into] = state["members"]
+                frame[into] = group["members"]
             group_frames.append(frame)
-        text = merge["local"]
-        if text is None:
-            return []
         return self._local_eval(text, group_frames, binds)
 
     def _local_eval(self, text, frames, binds) -> list:
@@ -1580,66 +1290,44 @@ class Coordinator:
 
 
 class _MergeKey:
-    """Heap key for the k-way merge: the engine's cross-type total order
-    per sort key, direction-aware, with (shard, position) tie-breaks for
-    determinism."""
+    """Sort key of a shipped row for :func:`heapq.merge`: the engine's
+    cross-type total order per sort key, direction-aware.  Rows that tie
+    on every key compare equal, so the merge takes them in shard order."""
 
-    __slots__ = ("keys", "ascending", "tie")
+    __slots__ = ("keys", "ascending")
 
-    def __init__(self, keys, ascending, tie):
+    def __init__(self, keys, ascending):
         self.keys = keys
         self.ascending = ascending
-        self.tie = tie
 
-    def __lt__(self, other: "_MergeKey") -> bool:
+    def _compare(self, other: "_MergeKey") -> int:
         for mine, theirs, ascending in zip(
             self.keys, other.keys, self.ascending
         ):
             verdict = compare(mine, theirs)
             if verdict:
-                return verdict < 0 if ascending else verdict > 0
-        return self.tie < other.tie
+                return verdict if ascending else -verdict
+        return 0
+
+    def __lt__(self, other: "_MergeKey") -> bool:
+        return self._compare(other) < 0
+
+    def __eq__(self, other: object) -> bool:
+        # Values the model holds equal are equal in Python too (not the
+        # other way round: true == 1), so most calls end at the cheap test.
+        return self.keys == other.keys and self._compare(other) == 0
 
 
-def _kway_merge(streams: list, ascending: list) -> list:
-    import heapq
-
-    key_field = _PREFIX + "k"
-    heap = []
-    for shard_index, rows in enumerate(streams):
-        if rows:
-            row = rows[0]
-            heap.append(
-                (
-                    _MergeKey(
-                        row.get(key_field) or [], ascending, (shard_index, 0)
-                    ),
-                    shard_index,
-                    0,
-                )
-            )
-    heapq.heapify(heap)
-    merged: list = []
-    while heap:
-        _key, shard_index, position = heapq.heappop(heap)
-        rows = streams[shard_index]
-        merged.append(rows[position])
-        following = position + 1
-        if following < len(rows):
-            row = rows[following]
-            heapq.heappush(
-                heap,
-                (
-                    _MergeKey(
-                        row.get(key_field) or [],
-                        ascending,
-                        (shard_index, following),
-                    ),
-                    shard_index,
-                    following,
-                ),
-            )
-    return merged
+def _limit_then_distinct(rows: list, merge: dict) -> list:
+    """The merged *rows* cut by the statement's LIMIT, then de-duplicated
+    by its RETURN DISTINCT — the executor's order."""
+    count = merge.get("count")
+    if count is not None:
+        offset = merge["offset"]
+        rows = rows[offset:offset + count]
+    if merge.get("distinct"):
+        rows = _dedupe(rows)
+    return rows
 
 
 def _dedupe(rows: list) -> list:

@@ -96,13 +96,54 @@ def test_collect_into_aggregates_equal_unoptimized_embedded_rows(
     name, embedded, cluster
 ):
     """The coordinator turns ``AGG(members[*].path)`` into per-shard
-    partial aggregates with the same rule the embedded optimizer uses, and
-    under the same guard: a group a later FILTER or a ternary spares is
-    never aggregated."""
+    partial aggregates with the rule the embedded optimizer uses, and
+    only with it: a group a later FILTER or a ternary spares is never
+    aggregated, and the shapes the rule leaves ship their members."""
     text, binds = COLLECT_QUERIES[name]
     expected = run_query(embedded, text, binds, optimize_query=False).rows
     assert len(expected) > 0, "vacuous equivalence"
     assert cluster.query(text, binds).rows == expected  # every one SORTs
+
+
+#: Statements the coordinator finishes itself.  The executor cuts frames
+#: with LIMIT before RETURN DISTINCT dedupes what is left, so shards must
+#: not dedupe ahead of the coordinator's cut.  The first sort key ties
+#: across shards (one run per residue) and the second runs the other way;
+#: rows that tie on both are equal rows, so embedded order is the only
+#: right answer.  A column NULL in every row makes every MIN/MAX partial
+#: NULL and every AVG count zero.
+MERGE_QUERIES = {
+    "distinct_after_limit": (
+        "FOR o IN orders SORT o.customer_id LIMIT 0, 5 "
+        "RETURN DISTINCT o.customer_id"
+    ),
+    "distinct_after_offset_limit": (
+        "FOR o IN orders SORT o.customer_id LIMIT 2, 5 "
+        "RETURN DISTINCT o.customer_id"
+    ),
+    "ascending_then_descending_with_ties": (
+        "FOR o IN orders SORT o.customer_id % 3, o.total DESC LIMIT 3, 40 "
+        "RETURN [o.customer_id % 3, o.total]"
+    ),
+    "descending_then_ascending_with_ties": (
+        "FOR o IN orders SORT o.customer_id % 3 DESC, o.total LIMIT 3, 40 "
+        "RETURN [o.customer_id % 3, o.total]"
+    ),
+    "aggregates_of_null_partials": (
+        "FOR c IN customers COLLECT city = c.city "
+        "AGGREGATE low = MIN(c.no_such), high = MAX(c.no_such), "
+        "mean = AVG(c.no_such) "
+        "SORT city RETURN {city, low, high, mean}"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_QUERIES))
+def test_merged_rows_equal_unoptimized_embedded_rows(name, embedded, cluster):
+    text = MERGE_QUERIES[name]
+    expected = run_query(embedded, text, {}, optimize_query=False).rows
+    assert len(expected) > 0, "vacuous equivalence"
+    assert cluster.query(text).rows == expected
 
 
 @pytest.mark.parametrize("name", sorted(LOOKUP_SCATTER))

@@ -131,10 +131,10 @@ NESTED_QUERIES = {
 #: feedback is partitioned by product, not by customer.
 ALIGNED = sorted(set(NESTED_QUERIES) - {"let_list_unindexed"})
 
-#: ``COLLECT … INTO members`` whose member lists feed only running
-#: aggregates: the ``collect_into_aggregate`` rule swaps the lists for
-#: accumulators where every group reaches every aggregate, and the rows
-#: must not notice.
+#: ``COLLECT … INTO members`` whose member lists feed aggregates: the
+#: ``collect_into_aggregate`` rule swaps the lists for accumulators where
+#: every group reaches every running aggregate of a member path, and the
+#: rows must not notice.
 COLLECT_QUERIES = {
     "collect_into_every_aggregate": (
         """
@@ -235,20 +235,55 @@ COLLECT_QUERIES = {
         """,
         {"limit": 40},
     ),
+    # The shapes the rule leaves alone: the group's length, a count inside
+    # a subquery, and a suffix that is not an attribute path.  A cluster
+    # ships their members too.
+    "collect_into_group_length": (
+        """
+        FOR o IN orders
+          LET c = DOCUMENT('customers', o.customer_id)
+          COLLECT city = c.city INTO members
+          SORT city
+          RETURN {city, n: LENGTH(members)}
+        """,
+        {},
+    ),
+    "collect_into_count_in_subquery": (
+        """
+        FOR c IN customers
+          COLLECT city = c.city INTO members
+          SORT city
+          RETURN {city, n: (FOR i IN [1] RETURN COUNT(members))}
+        """,
+        {},
+    ),
+    "collect_into_index_suffix": (
+        """
+        FOR c IN customers
+          COLLECT city = c.city INTO members
+          SORT city
+          RETURN {city, credit: SUM(members[*].c['credit_limit'])}
+        """,
+        {},
+    ),
 }
 
-#: Those whose aggregates some group never reaches: the rule has to leave
-#: them their member lists.
+#: Those the rule has to leave their member lists: aggregates some group
+#: never reaches, and member uses that are not a running aggregate of an
+#: attribute path.
 COLLECT_KEEPS_MEMBERS = {
     "collect_into_bad_input_in_a_dropped_group",
     "collect_into_bad_input_behind_a_ternary",
+    "collect_into_group_length",
+    "collect_into_count_in_subquery",
+    "collect_into_index_suffix",
 }
 
 #: Those a sharded cluster answers bit for bit.  Partial sums of a group
 #: spread over shards associate differently, so the by-city float sums
-#: stay out.  The coordinator's own member elision takes the rule's
-#: reachability guard, so the groups a later FILTER or a ternary spares
-#: ship their members and are never aggregated.
+#: stay out.  The coordinator elides members only through the rule, so
+#: the groups a later FILTER or a ternary spares ship their members and
+#: are never aggregated, and so do the shapes the rule leaves.
 COLLECT_SCATTER = sorted(set(COLLECT_QUERIES) - {"collect_into_float_sum_order"})
 
 #: A subquery that writes reads the outer variables its DML expressions
