@@ -23,6 +23,12 @@ from repro.storage.views import IndexView, RowView
 
 __all__ = ["IndexManager", "INDEX_KINDS"]
 
+#: ``index_access_path_total{outcome}``: hit, then miss.
+_ACCESS_PATH_HIT, _ACCESS_PATH_MISS = (
+    obs_metrics.counter("index_access_path_total", outcome=outcome)
+    for outcome in ("hit", "miss")
+)
+
 INDEX_KINDS = {
     "btree": BPlusTree,
     "hash": ExtendibleHashIndex,
@@ -134,12 +140,10 @@ class IndexManager:
             # Access-path miss: the optimizer asked and got nothing — the
             # scan that follows is exactly what an index would have saved.
             if obs_metrics.ENABLED:
-                obs_metrics.counter(
-                    "index_access_path_total", outcome="miss"
-                ).inc()
+                _ACCESS_PATH_MISS.inc()
             return None
         if capability == "point":
             candidates.sort(key=lambda view: 0 if view.index.kind == "hash" else 1)
         if obs_metrics.ENABLED:
-            obs_metrics.counter("index_access_path_total", outcome="hit").inc()
+            _ACCESS_PATH_HIT.inc()
         return candidates[0]

@@ -64,11 +64,14 @@ def fallback_node_counts(query) -> dict[str, int]:
     return {}
 
 
+_COMPILED_TOTAL = obs_metrics.counter("expr_compile_total", outcome="compiled")
+
+
 def compile_expr(expr: ast.Expr) -> CompiledFn:
     """Lower *expr* into a closure ``fn(ctx, frame) -> value``."""
     fn = _compile(expr)
     if obs_metrics.ENABLED:
-        obs_metrics.counter("expr_compile_total", outcome="compiled").inc()
+        _COMPILED_TOTAL.inc()
     return fn
 
 

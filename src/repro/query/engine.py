@@ -57,6 +57,16 @@ __all__ = [
 
 _EXPLAIN_ANALYZE = re.compile(r"^\s*EXPLAIN\s+ANALYZE\b", re.IGNORECASE)
 
+# Every statement observes these: resolved once, not looked up by name and
+# labels per call (``MetricsRegistry.reset`` keeps the handles valid).
+_PHASE_SECONDS = {
+    phase: metrics.histogram("query_phase_seconds", phase=phase)
+    for phase in ("parse", "optimize", "execute")
+}
+_QUERY_SECONDS = metrics.histogram("query_seconds")
+_QUERIES_TOTAL = metrics.counter("queries_total")
+_ROWS_RETURNED_TOTAL = metrics.counter("query_rows_returned_total")
+
 
 def _strip_analyze_prefix(text: str) -> tuple[str, bool]:
     match = _EXPLAIN_ANALYZE.match(text)
@@ -146,9 +156,9 @@ class PlanCache:
 
     def __init__(self, capacity: int = 128, name: str = "plan_cache"):
         self.capacity = max(int(capacity), 1)
-        self._hits_series = f"{name}_hits_total"
-        self._misses_series = f"{name}_misses_total"
-        self._evictions_series = f"{name}_evictions_total"
+        self._hits_total = metrics.counter(f"{name}_hits_total")
+        self._misses_total = metrics.counter(f"{name}_misses_total")
+        self._evictions_total = metrics.counter(f"{name}_evictions_total")
         self._entries: "OrderedDict[tuple, dict]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -193,9 +203,7 @@ class PlanCache:
                 self.hits += 1
                 plan = entry["plan"]
         if metrics.ENABLED:
-            metrics.counter(
-                self._hits_series if plan is not None else self._misses_series
-            ).inc()
+            (self._hits_total if plan is not None else self._misses_total).inc()
         return plan
 
     def put(self, key: tuple, plan: Any, versions: tuple) -> None:
@@ -208,7 +216,7 @@ class PlanCache:
                 self.evictions += 1
                 evicted += 1
         if evicted and metrics.ENABLED:
-            metrics.counter(self._evictions_series).inc(evicted)
+            self._evictions_total.inc(evicted)
 
     def peek_text(self, text: str, versions: tuple) -> Optional[int]:
         """Prior hit count of a *live* entry for this query text, or None.
@@ -232,7 +240,7 @@ class PlanCache:
                 self.evictions += 1
                 evicted += 1
         if evicted and metrics.ENABLED:
-            metrics.counter(self._evictions_series).inc(evicted)
+            self._evictions_total.inc(evicted)
 
     def clear(self) -> None:
         with self._lock:
@@ -360,13 +368,9 @@ def plan_statement(
         if cache is not None:
             cache.put(cache_key, query, versions)
         if metrics.ENABLED:
-            metrics.histogram("query_phase_seconds", phase="parse").observe(
-                phases["parse"]
-            )
+            _PHASE_SECONDS["parse"].observe(phases["parse"])
             if optimize_query:
-                metrics.histogram(
-                    "query_phase_seconds", phase="optimize"
-                ).observe(phases["optimize"])
+                _PHASE_SECONDS["optimize"].observe(phases["optimize"])
     ctx = ExecContext(
         db=db,
         bind_vars=bind_vars or {},
@@ -402,12 +406,10 @@ def _record_finished(text: str, elapsed: float, phases: dict, rows: int) -> None
     """A statement ran to its end: an eager one when its rows are in, a
     stream when it drains or is closed."""
     if metrics.ENABLED:
-        metrics.counter("queries_total").inc()
-        metrics.histogram("query_seconds").observe(elapsed)
-        metrics.histogram("query_phase_seconds", phase="execute").observe(
-            phases["execute"]
-        )
-        metrics.counter("query_rows_returned_total").inc(rows)
+        _QUERIES_TOTAL.inc()
+        _QUERY_SECONDS.observe(elapsed)
+        _PHASE_SECONDS["execute"].observe(phases["execute"])
+        _ROWS_RETURNED_TOTAL.inc(rows)
     if slowlog.THRESHOLD is not None:
         slowlog.record(text, elapsed, rows=rows, phases=phases)
 

@@ -4,13 +4,14 @@ MMQL is the engine's unified query language (challenge 2, slide 92): an
 AQL-flavoured language — "SQL-like + concept of loops" (slide 71) — with
 graph traversals, JSON path access and cross-model function calls.  The
 lexer turns query text into a token stream with line/column positions for
-error messages.
+error messages, in one ``finditer`` pass: a catch-all last alternative
+matches the stray character no token starts with.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import LexError
 
@@ -40,30 +41,35 @@ class TokenKind:
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """``tag`` is what the parser dispatches on: a keyword's upper-case
+    name, an operator's or punctuation's text, else the (lower-case) kind."""
+
     kind: str
     text: str
     line: int
     column: int
+    tag: str
 
     def is_keyword(self, *names: str) -> bool:
-        return self.kind == TokenKind.KEYWORD and self.text.upper() in names
+        return self.kind == TokenKind.KEYWORD and self.tag in names
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.column})"
 
 
+# Group names double as token kinds, but for comment, space, ident, error.
 _TOKEN_RE = re.compile(
     r"""
     (?P<comment>//[^\n]*|/\*.*?\*/)
   | (?P<space>\s+)
   | (?P<number>\d+(?:\.\d+)?[eE][+-]?\d+|\d+\.\d+|\d+)
-  | (?P<string>'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")
+  | (?P<string>'[^'\\]*(?:\\.[^'\\]*)*'|"[^"\\]*(?:\\.[^"\\]*)*")
   | (?P<bindvar>@[A-Za-z_]\w*)
   | (?P<ident>\$?[A-Za-z_]\w*)
   | (?P<op>\.\.|==|!=|<=|>=|&&|\|\||=~|[+\-*/%<>=!])
   | (?P<punct>[()\[\]{},:.?])
+  | (?P<error>.)
 """,
     re.VERBOSE | re.DOTALL,
 )
@@ -71,8 +77,7 @@ _TOKEN_RE = re.compile(
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", "'": "'", '"': '"'}
 
 
-def _unescape(raw: str) -> str:
-    body = raw[1:-1]
+def _unescape(body: str) -> str:
     out = []
     index = 0
     while index < len(body):
@@ -89,42 +94,42 @@ def _unescape(raw: str) -> str:
 def tokenize(text: str) -> list[Token]:
     """Tokenize MMQL text; raises :class:`LexError` on stray characters."""
     tokens: list[Token] = []
+    append = tokens.append
+    # Token's own constructor is a Python-level function; this is not.
+    new = tuple.__new__
     line = 1
     line_start = 0
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            column = position - line_start + 1
-            raise LexError(
-                f"unexpected character {text[position]!r}", line, column
-            )
-        column = position - line_start + 1
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
         value = match.group()
-        position = match.end()
-        if kind in ("space", "comment"):
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                line_start = position - len(value) + value.rfind("\n") + 1
+        if kind == "space" or kind == "comment":
+            if "\n" in value:
+                line += value.count("\n")
+                line_start = match.start() + value.rfind("\n") + 1
             continue
-        if kind == "number":
-            tokens.append(Token(TokenKind.NUMBER, value, line, column))
-        elif kind == "string":
-            tokens.append(Token(TokenKind.STRING, _unescape(value), line, column))
-        elif kind == "bindvar":
-            tokens.append(Token(TokenKind.BINDVAR, value[1:], line, column))
-        elif kind == "ident":
-            if value.upper() in KEYWORDS:
-                # Keywords keep their source spelling; is_keyword compares
-                # case-insensitively, and object keys keep the user's case.
-                tokens.append(Token(TokenKind.KEYWORD, value, line, column))
+        start = match.start()
+        column = start - line_start + 1
+        if kind == "ident":
+            upper = value.upper()
+            if upper in KEYWORDS:
+                append(new(Token, ("keyword", value, line, column, upper)))
             else:
-                tokens.append(Token(TokenKind.IDENT, value, line, column))
-        elif kind == "op":
-            tokens.append(Token(TokenKind.OPERATOR, value, line, column))
-        elif kind == "punct":
-            tokens.append(Token(TokenKind.PUNCT, value, line, column))
-    tokens.append(Token(TokenKind.EOF, "", line, position - line_start + 1))
+                append(new(Token, ("ident", value, line, column, "ident")))
+        elif kind == "op" or kind == "punct":
+            append(new(Token, (kind, value, line, column, value)))
+        elif kind == "number":
+            append(new(Token, (kind, value, line, column, kind)))
+        elif kind == "string":
+            body = value[1:-1]
+            if "\\" in body:
+                body = _unescape(body)
+            append(new(Token, (kind, body, line, column, kind)))
+            if "\n" in value:
+                line += value.count("\n")
+                line_start = start + value.rfind("\n") + 1
+        elif kind == "bindvar":
+            append(new(Token, (kind, value[1:], line, column, kind)))
+        else:
+            raise LexError(f"unexpected character {value!r}", line, column)
+    append(Token(TokenKind.EOF, "", line, len(text) - line_start + 1, TokenKind.EOF))
     return tokens

@@ -8,12 +8,11 @@ wraps them — plus the subquery rewrites (decorrelation, shared LET
 materialization) and predicate splitting — into a named, toggleable
 :data:`~repro.query.rules.REGISTRY`.
 
-:func:`optimize` drives that registry to a **fixpoint**: rules apply in
-registry order, and passes repeat until no rule changes the plan (bounded
-by ``rules.MAX_PASSES``).  The statement comes first; then every subquery
-the outer rules left in the plan is planned the same way, as a nested
-scope that knows which variables are bound around it.  The names of the
-rules that fired — at any depth — land on
+:func:`optimize` drives that registry to a **fixpoint** of declared
+dependencies (:func:`_fixpoint`).  The statement comes first; then every
+subquery the outer rules left in the plan is planned the same way, as a
+nested scope that knows which variables are bound around it.  The names
+of the rules that fired — at any depth — land on
 ``query.rules_fired`` for EXPLAIN's ``Rules fired:`` line, and — when the
 database carries a :class:`repro.query.statistics.StatisticsStore` — the
 final plan is annotated with per-operator cardinality estimates that
@@ -43,11 +42,14 @@ from repro.query.visit import (
     map_children,
     map_operation_exprs,
     nested_queries,
+    operation_exprs,
     variables_in,
+    walk,
 )
 
 __all__ = [
     "optimize",
+    "summarize",
     "fold_constants",
     "push_down_filters",
     "select_indexes",
@@ -55,6 +57,7 @@ __all__ = [
 ]
 
 _FOLDABLE_BINOPS = {"+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "AND", "OR"}
+_FOLDS = (ast.BinOp, ast.UnaryOp, ast.Ternary)
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +141,21 @@ def _try_fold(op: str, left: Any, right: Any) -> Any:
     return _NO_FOLD
 
 
-def fold_constants(query: ast.Query) -> ast.Query:
-    return ast.Query(
-        [map_operation_exprs(operation, _fold_expr) for operation in query.operations]
+def _foldable(node: ast.Expr) -> bool:
+    """True when :func:`_fold_expr` could collapse *node* as its operands
+    stand: every fold starts from such a node."""
+    kind = type(node)
+    if kind is ast.Ternary:
+        return type(node.condition) is ast.Literal
+    return (kind is ast.UnaryOp or (kind is ast.BinOp and node.op in _FOLDABLE_BINOPS)) and all(
+        type(child) is ast.Literal for child in node.children()
     )
+
+
+def fold_constants(query: ast.Query) -> ast.Query:
+    operations = [map_operation_exprs(op, _fold_expr) for op in query.operations]
+    changed = any(new is not old for new, old in zip(operations, query.operations))
+    return ast.Query(operations) if changed else query
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +169,7 @@ def push_down_filters(query: ast.Query) -> ast.Query:
     crossing them changes semantics."""
     operations = list(query.operations)
     barriers = (ast.SortOp, ast.LimitOp, ast.CollectOp) + WRITE_OPS
+    moved = False
     changed = True
     while changed:
         changed = False
@@ -180,9 +195,9 @@ def push_down_filters(query: ast.Query) -> ast.Query:
             ):
                 operations.pop(index)
                 operations.insert(target, operation)
-                changed = True
+                changed = moved = True
                 break
-    return ast.Query(operations)
+    return ast.Query(operations) if moved else query
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +244,19 @@ def _equality_probes(parts: list, var: str) -> Iterator[tuple]:
 
 
 def select_indexes(
-    query: ast.Query, db, scope=frozenset(), writes=None
+    query: ast.Query, db, scope=frozenset(), writes=None, near_miss=None
 ) -> ast.Query:
-    """Rewrite scan+filter pairs into index scans where the catalog allows.
+    """Rewrite scan+filter pairs into index scans where the catalog allows;
+    *query* itself when no pair can be served.
 
     *scope* holds the variables the enclosing scopes bind (empty for a
     top-level statement): a FOR over a name bound there or upstream
     iterates that variable's array, not the collection of the same name,
     so no index can serve it.  In a statement that writes the scans probe
     frame by frame (:attr:`IndexScanOp.per_frame`); *writes()*, asked once a
-    scan is made, says whether it does (by default, whether *query* does)."""
-    operations = list(query.operations)
+    scan is made, says whether it does (by default, whether *query* does).
+    ``near_miss(source, path)`` hears of each path a scan had no index for."""
+    operations = query.operations
     result: list[ast.Operation] = []
     bound_vars = set(scope)
     per_frame = None
@@ -254,7 +271,7 @@ def select_indexes(
             and operation.source.name not in bound_vars
             and isinstance(next_operation, ast.FilterOp)
         ):
-            rewritten = _try_index_scan(operation, next_operation, db)
+            rewritten = _try_index_scan(operation, next_operation, db, near_miss)
         bound_vars.update(binds(operation))
         if rewritten is not None:
             if per_frame is None:
@@ -265,11 +282,11 @@ def select_indexes(
         else:
             result.append(operation)
             index += 1
-    return ast.Query(result)
+    return query if per_frame is None else ast.Query(result)
 
 
 def _try_index_scan(
-    for_op: ast.ForOp, filter_op: ast.FilterOp, db
+    for_op: ast.ForOp, filter_op: ast.FilterOp, db, near_miss=None
 ) -> Optional[IndexScanOp]:
     from repro.query.statistics import index_selectivity
 
@@ -282,13 +299,19 @@ def _try_index_scan(
     # Collect every index-servable conjunct, then pick the most selective
     # index (fewest expected matches per probe) — the cost-based choice.
     candidates: list[tuple[float, int, Any, tuple, ast.Expr]] = []
+    missed: list[tuple] = []
     for position, path, value_side in _equality_probes(parts, for_op.var):
         index_view = db.context.indexes.find(namespace, path, "point")
         if index_view is not None:
             candidates.append(
                 (index_selectivity(index_view), position, index_view, path, value_side)
             )
+        else:
+            missed.append(path)
     if not candidates:
+        if near_miss is not None:
+            for path in missed:
+                near_miss(source_name, path)
         return None
     candidates.sort(key=lambda entry: (entry[0], entry[1]))
     _selectivity, position, index_view, path, value_side = candidates[0]
@@ -344,12 +367,13 @@ def build_hash_joins(query: ast.Query, db, scope=frozenset()) -> ast.Query:
     array iteration, not a collection scan).  Hence the head FOR of a
     subquery never becomes a hash join, however often the enclosing query
     runs it: its build would be redone per outer row, which is the rescan
-    the join was meant to replace.
+    the join was meant to replace.  Returns *query* itself when no scan
+    becomes a join.
     """
-    operations = list(query.operations)
+    operations = query.operations
     result: list[ast.Operation] = []
     bound_vars: set[str] = set(scope)
-    inner_loop = False
+    inner_loop = joined = False
     index = 0
     while index < len(operations):
         operation = operations[index]
@@ -367,7 +391,7 @@ def build_hash_joins(query: ast.Query, db, scope=frozenset()) -> ast.Query:
             if rewritten is not None:
                 result.append(rewritten)
                 bound_vars.update(binds(rewritten))
-                inner_loop = True
+                inner_loop = joined = True
                 index += 2
                 continue
         if multi_frame(operation):
@@ -375,7 +399,7 @@ def build_hash_joins(query: ast.Query, db, scope=frozenset()) -> ast.Query:
         bound_vars.update(binds(operation))
         result.append(operation)
         index += 1
-    return ast.Query(result)
+    return ast.Query(result) if joined else query
 
 
 def _try_hash_join(
@@ -415,7 +439,8 @@ def optimize(
     Rules apply in registry order (normalization → subquery rewrites →
     access paths; hash joins run last so index selection gets first pick:
     an index nested-loop probe needs no build and stays current under
-    writes), repeating until a full pass changes nothing.
+    writes), each only on a statement that holds what it can match (one
+    :func:`summarize` walk), again only when a fired rule enables it.
 
     Toggles compose from two sources: the ``disabled`` iterable of rule
     names and the database's ``optimizer_rules``
@@ -433,8 +458,8 @@ def optimize(
     subquery still in the plan after the statement's own fixpoint — so
     decorrelation and LET materialization keep first pick on the
     unplanned subquery — is planned through the same rules and toggles as
-    a nested scope (:func:`_plan_nested_scopes`).  A statement without
-    subqueries pays one walk over its expressions to find that out.
+    a nested scope (:func:`_plan_nested_scopes`); the summary tells
+    whether the statement holds any.
 
     The names of the rules that fired, inside subqueries included, are
     recorded on ``query.rules_fired`` (EXPLAIN renders them); with a
@@ -455,12 +480,13 @@ def optimize(
         if rule.name not in off and (rule.ast_safe or physical)
     ]
     context = rules_module.RuleContext(db=db)
+    features = summarize(query)
     # No rule adds a subquery: a statement without one keeps none, and
     # writes iff one of its own operations does.
-    nested = physical and any(nested_queries(op) for op in query.operations)
+    nested = physical and ast.SubQuery in features
     if physical and not nested:
-        context.writes = any(type(op) in WRITE_OPS for op in query.operations)
-    optimized = _fixpoint(query, active, context)
+        context.writes = not features.isdisjoint(WRITE_OPS)
+    optimized = _fixpoint(query, active, context, features)
     if nested and any(nested_queries(op) for op in optimized.operations):
         # Settle the verdict on the whole statement: a nested scope's rules
         # would otherwise work it out from their own query.
@@ -475,23 +501,53 @@ def optimize(
     return optimized
 
 
-def _fixpoint(query: ast.Query, active, context) -> ast.Query:
-    """Apply the *active* rules in order, pass after pass, until a whole
-    pass changes nothing; returns *query* itself when no rule fired."""
+def summarize(query: ast.Query) -> set:
+    """The types of *query*'s operations and of the expression nodes in
+    them (a subquery is one ``ast.SubQuery``, not entered), plus the
+    ``rules.FOLDABLE`` and ``rules.COLLECT_INTO`` features."""
+    from repro.query.rules import COLLECT_INTO, FOLDABLE
+
+    found: set = set()
+    for operation in query.operations:
+        kind = type(operation)
+        found.add(kind)
+        if kind is ast.CollectOp and operation.into:
+            found.add(COLLECT_INTO)
+        elif kind is MaterializeOp:
+            found.add(ast.SubQuery)
+        for expr in operation_exprs(operation):
+            for node in walk(expr):
+                node_kind = type(node)
+                found.add(node_kind)
+                if node_kind in _FOLDS and _foldable(node):
+                    found.add(FOLDABLE)
+    return found
+
+
+def _fixpoint(query: ast.Query, active, context, features: set) -> ast.Query:
+    """Apply the *active* rules to a fixpoint; *query* itself when none
+    fired.  The first pass calls each rule whose ``matches`` meet the
+    query's *features*; a rule that fires returns a new query, and only
+    the rules it ``enables`` run again (this pass when they come after
+    it, the next when before), for at most ``rules.MAX_PASSES``."""
     from repro.query.rules import MAX_PASSES
 
+    names = {rule.name for rule in active}
+    pending = {rule.name for rule in active if not features.isdisjoint(rule.matches)}
     optimized = query
     for _pass in range(MAX_PASSES):
-        changed = False
+        if not pending:
+            break
         for rule in active:
+            if rule.name not in pending:
+                continue
+            pending.discard(rule.name)
             rewritten = rule.rewrite(optimized, context)
-            if rewritten is not optimized and rewritten != optimized:
+            if rewritten is not optimized:
                 optimized = rewritten
-                changed = True
                 if rule.name not in context.fired:
                     context.fired.append(rule.name)
-        if not changed:
-            break
+                pending.update(names.intersection(rule.enables))
     return optimized
 
 
@@ -502,9 +558,8 @@ def _plan_nested_scopes(query: ast.Query, active, context) -> ast.Query:
 
     def plan_scope(inner: ast.Query, scope: frozenset) -> ast.Query:
         inner_context = dataclasses.replace(context, scope=scope)
-        return _plan_nested_scopes(
-            _fixpoint(inner, active, inner_context), active, inner_context
-        )
+        settled = _fixpoint(inner, active, inner_context, summarize(inner))
+        return _plan_nested_scopes(settled, active, inner_context)
 
     bound = set(context.scope)
     operations: list[ast.Operation] = []

@@ -1,4 +1,5 @@
-"""MMQL recursive-descent parser (Pratt expressions).
+"""MMQL recursive-descent parser with precedence-climbing (Pratt)
+expressions.
 
 Grammar (EBNF-ish; ``…*`` repetition, ``[…]`` optional):
 
@@ -18,20 +19,22 @@ Grammar (EBNF-ish; ``…*`` repetition, ``[…]`` optional):
     update     := UPDATE expr WITH expr IN ident
     remove     := REMOVE expr IN ident
 
-    expr       := ternary-free Pratt expression with the precedence ladder
-                  OR < AND < NOT < comparison (== != < <= > >= IN LIKE)
+    expr       := one precedence-climbing loop over the binding powers of
+                  _INFIX, loosest first: ?: < OR < AND < NOT < comparison
+                  (== != < <= > >= IN LIKE NOT-IN; they do not chain)
                   < additive (+ -) < multiplicative (* / %) < unary (-)
                   < postfix (.attr, [index], [*], [* FILTER cond], call)
     primary    := literal | ident | @bindvar | '(' query-or-expr ')'
                 | '[' exprs ']' | '{' pairs '}' | ident '(' args ')'
 
 A parenthesized ``(FOR … RETURN …)`` is a subquery expression — the AQL
-idiom the running example uses for its LET clauses (slide 28).
+idiom the running example uses for its LET clauses (slide 28).  The parser
+dispatches on each token's ``tag`` (:class:`repro.query.lexer.Token`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.errors import ParseError
 from repro.query import ast
@@ -43,7 +46,7 @@ __all__ = ["parse", "parse_expression"]
 def parse(text: str) -> ast.Query:
     """Parse a full MMQL query."""
     parser = _Parser(tokenize(text))
-    query = parser.parse_query(top_level=True)
+    query = parser.parse_query()
     parser.expect_eof()
     return query
 
@@ -56,7 +59,44 @@ def parse_expression(text: str) -> ast.Expr:
     return expr
 
 
-_COMPARISON_OPS = ("==", "!=", "<", "<=", ">", ">=")
+# Binding powers: an expression parsed at power P takes every infix
+# operator of power P or more; an operand is parsed at the power above its
+# operator's, except the right-associative ternary's.
+_TERNARY, _OR, _AND, _COMPARE, _ADD, _MUL, _UNARY = 1, 2, 3, 4, 5, 6, 7
+
+#: Infix operator tag -> (binding power, AST operator).
+_INFIX = {
+    "?": (_TERNARY, "?"),
+    "OR": (_OR, "OR"),
+    "||": (_OR, "OR"),
+    "AND": (_AND, "AND"),
+    "&&": (_AND, "AND"),
+    **{op: (_COMPARE, op) for op in ("==", "!=", "<", "<=", ">", ">=", "IN", "LIKE")},
+    "NOT": (_COMPARE, "NOT"),  # NOT IN
+    **{op: (_ADD, op) for op in "+-"},
+    **{op: (_MUL, op) for op in "*/%"},
+}
+
+_KEYWORD_LITERALS = {"TRUE": True, "FALSE": False, "NULL": None}
+
+#: Keywords that open a subquery in parentheses or as a call argument.
+_SUBQUERY_HEADS = frozenset(
+    ("FOR", "LET", "RETURN", "FILTER", "SORT", "COLLECT", "LIMIT")
+)
+
+_DIRECTIONS = ("OUTBOUND", "INBOUND", "ANY")
+
+#: The operations that end a query besides RETURN: the operation, whether
+#: IN separates its clauses (so no expression of it may take one), and the
+#: keyword before each expression after the first, the last one before the
+#: target collection.
+_DML = {
+    "INSERT": (ast.InsertOp, False, ("INTO",)),
+    "UPDATE": (ast.UpdateOp, True, ("WITH", "IN")),
+    "REMOVE": (ast.RemoveOp, True, ("IN",)),
+    "REPLACE": (ast.ReplaceOp, True, ("WITH", "IN")),
+    "UPSERT": (ast.UpsertOp, False, ("INSERT", "UPDATE", "INTO")),
+}
 
 
 class _Parser:
@@ -72,7 +112,7 @@ class _Parser:
         return self._tokens[self._position]
 
     def advance(self) -> Token:
-        token = self.current
+        token = self._tokens[self._position]
         if token.kind != TokenKind.EOF:
             self._position += 1
         return token
@@ -85,28 +125,20 @@ class _Parser:
             token.column,
         )
 
-    def match_punct(self, text: str) -> bool:
-        if self.current.kind == TokenKind.PUNCT and self.current.text == text:
-            self.advance()
-            return True
-        return False
-
-    def match_op(self, *texts: str) -> Optional[str]:
-        if self.current.kind == TokenKind.OPERATOR and self.current.text in texts:
-            return self.advance().text
-        return None
-
-    def match_keyword(self, *names: str) -> Optional[str]:
-        if self.current.is_keyword(*names):
-            return self.advance().text
+    def take(self, *tags: str) -> Optional[Token]:
+        """The current token, stepped past, when its tag is one of *tags*."""
+        token = self._tokens[self._position]
+        if token.tag in tags:
+            self._position += 1
+            return token
         return None
 
     def expect_punct(self, text: str) -> None:
-        if not self.match_punct(text):
+        if not self.take(text):
             raise self._error(f"expected {text!r}")
 
     def expect_keyword(self, name: str) -> None:
-        if not self.match_keyword(name):
+        if not self.take(name):
             raise self._error(f"expected {name}")
 
     def expect_ident(self) -> str:
@@ -118,90 +150,61 @@ class _Parser:
         if self.current.kind != TokenKind.EOF:
             raise self._error("unexpected trailing input")
 
+    def _comma_separated(self, item: Callable) -> list:
+        items = [item()]
+        while self.take(","):
+            items.append(item())
+        return items
+
+    def _bracketed(self, close: str, item: Callable) -> list:
+        """Comma-separated items up to *close*, the opener already taken."""
+        if self.take(close):
+            return []
+        items = self._comma_separated(item)
+        self.expect_punct(close)
+        return items
+
     # -- query structure -----------------------------------------------------------
 
-    def parse_query(self, top_level: bool = False) -> ast.Query:
+    def parse_query(self) -> ast.Query:
         operations: list[ast.Operation] = []
         while True:
-            token = self.current
-            if token.is_keyword("FOR"):
-                operations.append(self._parse_for())
-            elif token.is_keyword("FILTER"):
+            tag = self.current.tag
+            clause = _CLAUSES.get(tag)
+            if clause is not None:
                 self.advance()
-                operations.append(ast.FilterOp(self.parse_expr()))
-            elif token.is_keyword("LET"):
-                operations.append(self._parse_let())
-            elif token.is_keyword("SORT"):
-                operations.append(self._parse_sort())
-            elif token.is_keyword("LIMIT"):
-                operations.append(self._parse_limit())
-            elif token.is_keyword("COLLECT"):
-                operations.append(self._parse_collect())
-            elif token.is_keyword("RETURN"):
+                operations.append(clause(self))
+            elif tag == "RETURN":
                 self.advance()
-                distinct = bool(self.match_keyword("DISTINCT"))
+                distinct = self.take("DISTINCT") is not None
                 operations.append(ast.ReturnOp(self.parse_expr(), distinct))
-                break
-            elif token.is_keyword("INSERT"):
+                return ast.Query(operations)
+            elif tag in _DML:
                 self.advance()
-                document = self.parse_expr()
-                self.expect_keyword("INTO")
-                operations.append(ast.InsertOp(document, self.expect_ident()))
-                break
-            elif token.is_keyword("UPDATE"):
-                self.advance()
-                key = self.parse_expr(no_in=True)
-                self.expect_keyword("WITH")
-                changes = self.parse_expr(no_in=True)
-                self.expect_keyword("IN")
-                operations.append(ast.UpdateOp(key, changes, self.expect_ident()))
-                break
-            elif token.is_keyword("REMOVE"):
-                self.advance()
-                key = self.parse_expr(no_in=True)
-                self.expect_keyword("IN")
-                operations.append(ast.RemoveOp(key, self.expect_ident()))
-                break
-            elif token.is_keyword("REPLACE"):
-                self.advance()
-                key = self.parse_expr(no_in=True)
-                self.expect_keyword("WITH")
-                document = self.parse_expr(no_in=True)
-                self.expect_keyword("IN")
-                operations.append(
-                    ast.ReplaceOp(key, document, self.expect_ident())
-                )
-                break
-            elif token.is_keyword("UPSERT"):
-                self.advance()
-                search = self.parse_expr()
-                self.expect_keyword("INSERT")
-                insert_doc = self.parse_expr()
-                self.expect_keyword("UPDATE")
-                update_patch = self.parse_expr()
-                self.expect_keyword("INTO")
-                operations.append(
-                    ast.UpsertOp(search, insert_doc, update_patch, self.expect_ident())
-                )
-                break
+                operations.append(self._parse_dml(*_DML[tag]))
+                return ast.Query(operations)
             else:
                 raise self._error(
                     "expected FOR/FILTER/LET/SORT/LIMIT/COLLECT/RETURN/"
                     "INSERT/UPDATE/REMOVE"
                 )
-        if not operations:
-            raise self._error("empty query")
-        return ast.Query(operations)
+
+    def _parse_dml(self, operation: type, no_in: bool, keywords: tuple):
+        parts = [self.parse_expr(no_in=no_in)]
+        for keyword in keywords[:-1]:
+            self.expect_keyword(keyword)
+            parts.append(self.parse_expr(no_in=no_in))
+        self.expect_keyword(keywords[-1])
+        return operation(*parts, self.expect_ident())
 
     def _parse_for(self) -> ast.Operation:
-        self.expect_keyword("FOR")
         var = self.expect_ident()
         edge_var = None
-        if self.match_punct(","):
+        if self.take(","):
             edge_var = self.expect_ident()
         self.expect_keyword("IN")
         # Shortest-path form: DIRECTION SHORTEST_PATH start TO goal GRAPH g
-        direction = self.match_keyword("OUTBOUND", "INBOUND", "ANY")
+        direction = self.take(*_DIRECTIONS)
         if direction is not None:
             self.expect_keyword("SHORTEST_PATH")
             if edge_var is not None:
@@ -214,17 +217,17 @@ class _Parser:
             self.expect_keyword("GRAPH")
             graph = self.expect_ident()
             return ast.ShortestPathOp(
-                var, direction.lower(), start, goal, graph
+                var, direction.text.lower(), start, goal, graph
             )
         # Traversal form: min..max DIRECTION start GRAPH name [LABEL s]
         saved = self._position
-        if self.current.kind == TokenKind.NUMBER:
-            low_token = self.advance()
-            if self.match_op(".."):
-                if self.current.kind != TokenKind.NUMBER:
+        low_token = self.take(TokenKind.NUMBER)
+        if low_token is not None:
+            if self.take(".."):
+                high_token = self.take(TokenKind.NUMBER)
+                if high_token is None:
                     raise self._error("expected the traversal's max depth")
-                high_token = self.advance()
-                direction = self.match_keyword("OUTBOUND", "INBOUND", "ANY")
+                direction = self.take(*_DIRECTIONS)
                 if direction is None:
                     # Not a traversal after all — `FOR i IN 1..5` is a plain
                     # range loop; re-parse as an expression.
@@ -239,7 +242,7 @@ class _Parser:
                 self.expect_keyword("GRAPH")
                 graph = self.expect_ident()
                 label = None
-                if self.match_keyword("LABEL"):
+                if self.take("LABEL"):
                     if self.current.kind != TokenKind.STRING:
                         raise self._error("LABEL takes a string")
                     label = self.advance().text
@@ -247,7 +250,7 @@ class _Parser:
                     var,
                     int(low_token.text),
                     int(high_token.text),
-                    direction.lower(),
+                    direction.text.lower(),
                     start,
                     graph,
                     label,
@@ -260,32 +263,28 @@ class _Parser:
             )
         return ast.ForOp(var, self.parse_expr())
 
+    def _parse_filter(self) -> ast.FilterOp:
+        return ast.FilterOp(self.parse_expr())
+
     def _parse_let(self) -> ast.LetOp:
-        self.expect_keyword("LET")
         var = self.expect_ident()
-        if not self.match_op("="):
+        if not self.take("="):
             raise self._error("expected = after LET variable")
         return ast.LetOp(var, self.parse_expr())
 
     def _parse_sort(self) -> ast.SortOp:
-        self.expect_keyword("SORT")
-        keys = []
-        while True:
-            expr = self.parse_expr()
-            ascending = True
-            if self.match_keyword("DESC"):
-                ascending = False
-            else:
-                self.match_keyword("ASC")
-            keys.append(ast.SortKeySpec(expr, ascending))
-            if not self.match_punct(","):
-                break
-        return ast.SortOp(keys)
+        return ast.SortOp(self._comma_separated(self._sort_key))
+
+    def _sort_key(self) -> ast.SortKeySpec:
+        expr = self.parse_expr()
+        ascending = self.take("DESC") is None
+        if ascending:
+            self.take("ASC")
+        return ast.SortKeySpec(expr, ascending)
 
     def _parse_limit(self) -> ast.LimitOp:
-        self.expect_keyword("LIMIT")
         first = self._limit_integer()
-        if self.match_punct(","):
+        if self.take(","):
             return ast.LimitOp(first, self._limit_integer())
         return ast.LimitOp(0, first)
 
@@ -296,37 +295,19 @@ class _Parser:
         return int(self.advance().text)
 
     def _parse_collect(self) -> ast.CollectOp:
-        self.expect_keyword("COLLECT")
         groups = []
         if self.current.kind == TokenKind.IDENT:
-            while True:
-                name = self.expect_ident()
-                if not self.match_op("="):
-                    raise self._error("expected = in COLLECT group")
-                groups.append((name, self.parse_expr()))
-                if not self.match_punct(","):
-                    break
-        aggregates: list[tuple[str, str, ast.Expr]] = []
-        if self.match_keyword("AGGREGATE"):
-            while True:
-                name = self.expect_ident()
-                if not self.match_op("="):
-                    raise self._error("expected = in AGGREGATE clause")
-                call = self.parse_expr()
-                if not isinstance(call, ast.FuncCall) or len(call.args) != 1:
-                    raise self._error(
-                        "AGGREGATE takes FUNC(expr) with one argument"
-                    )
-                aggregates.append((name, call.name, call.args[0]))
-                if not self.match_punct(","):
-                    break
+            groups = self._comma_separated(lambda: self._binding("COLLECT group"))
+        aggregates = []
+        if self.take("AGGREGATE"):
+            aggregates = self._comma_separated(self._aggregate)
         count_into = None
         into = None
-        if self.match_keyword("WITH"):
+        if self.take("WITH"):
             self.expect_keyword("COUNT")
             self.expect_keyword("INTO")
             count_into = self.expect_ident()
-        elif self.match_keyword("INTO"):
+        elif self.take("INTO"):
             into = self.expect_ident()
         if not groups and count_into is None and not aggregates:
             raise self._error(
@@ -334,7 +315,19 @@ class _Parser:
             )
         return ast.CollectOp(groups, count_into, into, aggregates)
 
-    # -- expressions (Pratt) -----------------------------------------------------------
+    def _binding(self, clause: str) -> tuple[str, ast.Expr]:
+        name = self.expect_ident()
+        if not self.take("="):
+            raise self._error(f"expected = in {clause}")
+        return name, self.parse_expr()
+
+    def _aggregate(self) -> tuple[str, str, ast.Expr]:
+        name, call = self._binding("AGGREGATE clause")
+        if not isinstance(call, ast.FuncCall) or len(call.args) != 1:
+            raise self._error("AGGREGATE takes FUNC(expr) with one argument")
+        return name, call.name, call.args[0]
+
+    # -- expressions (precedence climbing) ---------------------------------------
 
     def parse_expr(self, no_in: bool = False) -> ast.Expr:
         """``no_in=True`` keeps a top-level IN keyword unconsumed (the
@@ -343,91 +336,85 @@ class _Parser:
         saved = self._no_in
         self._no_in = no_in
         try:
-            return self._parse_ternary()
+            return self._parse_binary(_TERNARY)
         finally:
             self._no_in = saved
 
-    def _parse_ternary(self) -> ast.Expr:
-        condition = self._parse_or()
-        if self.match_punct("?"):
-            then = self._parse_ternary()
-            self.expect_punct(":")
-            otherwise = self._parse_ternary()
-            return ast.Ternary(condition, then, otherwise)
-        return condition
+    def _parse_binary(self, power: int) -> ast.Expr:
+        """An expression of binding power *power* or more.
 
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_and()
-        while self.match_keyword("OR") or self.match_op("||"):
-            left = ast.BinOp("OR", left, self._parse_and())
-        return left
-
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_not()
-        while self.match_keyword("AND") or self.match_op("&&"):
-            left = ast.BinOp("AND", left, self._parse_not())
-        return left
-
-    def _parse_not(self) -> ast.Expr:
-        if self.match_keyword("NOT") or self.match_op("!"):
-            return ast.UnaryOp("NOT", self._parse_not())
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> ast.Expr:
-        left = self._parse_additive()
-        op = self.match_op(*_COMPARISON_OPS)
-        if op is not None:
-            return ast.BinOp(op, left, self._parse_additive())
-        if not self._no_in and self.match_keyword("IN"):
-            return ast.BinOp("IN", left, self._parse_additive())
-        if self.match_keyword("LIKE"):
-            return ast.BinOp("LIKE", left, self._parse_additive())
-        if not self._no_in and self.match_keyword("NOT"):
-            if self.match_keyword("IN"):
-                return ast.UnaryOp(
-                    "NOT", ast.BinOp("IN", left, self._parse_additive())
-                )
-            raise self._error("expected IN after NOT")
-        return left
-
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_multiplicative()
+        A comparison takes one operand of its own level on each side: once
+        the loop has applied a comparison or anything looser, or the
+        operand was a NOT, a comparison operator ends the expression where
+        it stands, for every enclosing level up to the caller."""
+        tokens = self._tokens
+        tag = tokens[self._position].tag
+        comparable = True
+        if tag == "-":
+            self._position += 1
+            left: ast.Expr = ast.UnaryOp("-", self._parse_binary(_UNARY))
+        elif (tag == "NOT" or tag == "!") and power <= _COMPARE:
+            self._position += 1
+            left = ast.UnaryOp("NOT", self._parse_binary(_COMPARE))
+            comparable = False
+        else:
+            left = self._parse_postfix(self._parse_primary())
         while True:
-            op = self.match_op("+", "-")
-            if op is None:
+            infix = _INFIX.get(tokens[self._position].tag)
+            if infix is None or infix[0] < power:
                 return left
-            left = ast.BinOp(op, left, self._parse_multiplicative())
+            strength, op = infix
+            if strength == _COMPARE:
+                if not comparable or (self._no_in and op in ("IN", "NOT")):
+                    return left
+                self._position += 1
+                if op == "NOT":
+                    if not self.take("IN"):
+                        raise self._error("expected IN after NOT")
+                    left = ast.UnaryOp(
+                        "NOT", ast.BinOp("IN", left, self._parse_binary(_ADD))
+                    )
+                else:
+                    left = ast.BinOp(op, left, self._parse_binary(_ADD))
+                comparable = False
+            elif strength == _TERNARY:
+                self._position += 1
+                then = self._parse_binary(_TERNARY)
+                self.expect_punct(":")
+                left = ast.Ternary(left, then, self._parse_binary(_TERNARY))
+                comparable = False
+            else:
+                self._position += 1
+                left = ast.BinOp(op, left, self._parse_binary(strength + 1))
+                if strength < _COMPARE:
+                    comparable = False
 
-    def _parse_multiplicative(self) -> ast.Expr:
-        left = self._parse_unary()
+    def _parse_postfix(self, expr: ast.Expr, expansions: bool = True) -> ast.Expr:
+        """*expr* followed by its ``.attr`` / ``[index]`` chain and, with
+        *expansions*, ``[*]`` / ``[* FILTER cond]``.  The chain after
+        ``expr[*]`` applies per element: it is parsed against the
+        pseudo-variable ``$CURRENT``, without expansions, up to the next
+        ``[*``."""
+        tokens = self._tokens
         while True:
-            op = self.match_op("*", "/", "%")
-            if op is None:
-                return left
-            left = ast.BinOp(op, left, self._parse_unary())
-
-    def _parse_unary(self) -> ast.Expr:
-        if self.match_op("-"):
-            return ast.UnaryOp("-", self._parse_unary())
-        return self._parse_postfix()
-
-    def _parse_postfix(self) -> ast.Expr:
-        expr = self._parse_primary()
-        while True:
-            if self.match_punct("."):
+            tag = tokens[self._position].tag
+            if tag == ".":
+                self._position += 1
                 if self.current.kind not in (TokenKind.IDENT, TokenKind.KEYWORD):
                     raise self._error("expected an attribute name after .")
                 expr = ast.AttrAccess(expr, self.advance().text)
-            elif self.match_punct("["):
-                if self.current.kind == TokenKind.OPERATOR and self.current.text == "*":
-                    self.advance()
-                    if self.match_keyword("FILTER"):
+            elif tag == "[" and (expansions or tokens[self._position + 1].tag != "*"):
+                self._position += 1
+                if expansions and self.take("*"):
+                    if self.take("FILTER"):
                         condition = self.parse_expr()
                         self.expect_punct("]")
                         expr = ast.InlineFilter(expr, condition)
                     else:
                         self.expect_punct("]")
-                        expr = self._parse_expansion_suffix(expr)
+                        current = ast.VarRef("$CURRENT")
+                        suffix = self._parse_postfix(current, expansions=False)
+                        expr = ast.Expansion(expr, None if suffix is current else suffix)
                 else:
                     index = self.parse_expr()
                     self.expect_punct("]")
@@ -435,98 +422,51 @@ class _Parser:
             else:
                 return expr
 
-    def _parse_expansion_suffix(self, subject: ast.Expr) -> ast.Expr:
-        """After ``expr[*]``, a chain like ``.a.b[0]`` applies per element;
-        it is parsed against the pseudo-variable ``$CURRENT``."""
-        suffix: ast.Expr = ast.VarRef("$CURRENT")
-        has_suffix = False
-        while True:
-            if self.match_punct("."):
-                if self.current.kind not in (TokenKind.IDENT, TokenKind.KEYWORD):
-                    raise self._error("expected an attribute name after .")
-                suffix = ast.AttrAccess(suffix, self.advance().text)
-                has_suffix = True
-            elif (
-                self.current.kind == TokenKind.PUNCT
-                and self.current.text == "["
-                and self._peek_is_index()
-            ):
-                self.advance()
-                index = self.parse_expr()
-                self.expect_punct("]")
-                suffix = ast.IndexAccess(suffix, index)
-                has_suffix = True
-            else:
-                break
-        return ast.Expansion(subject, suffix if has_suffix else None)
-
-    def _peek_is_index(self) -> bool:
-        next_token = self._tokens[self._position + 1]
-        return not (
-            next_token.kind == TokenKind.OPERATOR and next_token.text == "*"
-        )
-
     def _parse_primary(self) -> ast.Expr:
         token = self.current
-        if token.kind == TokenKind.NUMBER:
-            self.advance()
+        tag = token.tag
+        if tag == TokenKind.IDENT:
+            self._position += 1
+            if self.current.tag == "(":
+                return self._parse_call(token.text)
+            return ast.VarRef(token.text)
+        if tag == TokenKind.NUMBER:
+            self._position += 1
             value = int(token.text) if token.text.isdigit() else float(token.text)
-            if self.match_op(".."):
+            if self.take(".."):
                 high = self.parse_expr()
                 return ast.RangeExpr(ast.Literal(value), high)
             return ast.Literal(value)
-        if token.kind == TokenKind.STRING:
-            self.advance()
+        if tag == TokenKind.STRING:
+            self._position += 1
             return ast.Literal(token.text)
-        if token.kind == TokenKind.BINDVAR:
-            self.advance()
+        if tag == TokenKind.BINDVAR:
+            self._position += 1
             return ast.BindVar(token.text)
-        if token.is_keyword("TRUE"):
-            self.advance()
-            return ast.Literal(True)
-        if token.is_keyword("FALSE"):
-            self.advance()
-            return ast.Literal(False)
-        if token.is_keyword("NULL"):
-            self.advance()
-            return ast.Literal(None)
-        if token.is_keyword("SHORTEST_PATH", "COUNT"):
+        if tag in _KEYWORD_LITERALS:
+            self._position += 1
+            return ast.Literal(_KEYWORD_LITERALS[tag])
+        if tag == "SHORTEST_PATH" or tag == "COUNT":
             # keyword-named builtins usable as functions
-            self.advance()
+            self._position += 1
             return self._parse_call(token.text)
-        if token.kind == TokenKind.IDENT:
-            self.advance()
-            if self.current.kind == TokenKind.PUNCT and self.current.text == "(":
-                return self._parse_call(token.text)
-            return ast.VarRef(token.text)
-        if self.match_punct("("):
-            if self.current.is_keyword(
-                "FOR", "LET", "RETURN", "FILTER", "SORT", "COLLECT", "LIMIT"
-            ):
+        if tag == "(":
+            self._position += 1
+            if self.current.tag in _SUBQUERY_HEADS:
                 query = self.parse_query()
                 self.expect_punct(")")
                 return ast.SubQuery(query)
             expr = self.parse_expr()
             self.expect_punct(")")
             return expr
-        if self.match_punct("["):
-            items = []
-            if not self.match_punct("]"):
-                while True:
-                    items.append(self.parse_expr())
-                    if not self.match_punct(","):
-                        break
-                self.expect_punct("]")
-            return ast.ArrayLiteral(tuple(items))
-        if self.match_punct("{"):
-            pairs = []
-            if not self.match_punct("}"):
-                while True:
-                    pairs.append(self._parse_object_pair())
-                    if not self.match_punct(","):
-                        break
-                self.expect_punct("}")
-            return ast.ObjectLiteral(tuple(pairs))
+        if tag == "[":
+            self._position += 1
+            return ast.ArrayLiteral(tuple(self._bracketed("]", self.parse_expr)))
+        if tag == "{":
+            self._position += 1
+            return ast.ObjectLiteral(
+                tuple(self._bracketed("}", self._parse_object_pair))
+            )
         raise self._error("expected an expression")
 
     def _parse_object_pair(self) -> tuple[str, ast.Expr]:
@@ -535,25 +475,29 @@ class _Parser:
             key = self.advance().text
         else:
             raise self._error("expected an object key")
-        if self.match_punct(":"):
+        if self.take(":"):
             return key, self.parse_expr()
         # Shorthand {name} == {name: name}
         return key, ast.VarRef(key)
 
     def _parse_call(self, name: str) -> ast.FuncCall:
         self.expect_punct("(")
-        args = []
-        if not self.match_punct(")"):
-            while True:
-                # A bare subquery is allowed as a call argument:
-                # FIRST(FOR x IN xs RETURN x).
-                if self.current.is_keyword(
-                    "FOR", "LET", "RETURN", "FILTER", "SORT", "COLLECT", "LIMIT"
-                ):
-                    args.append(ast.SubQuery(self.parse_query()))
-                else:
-                    args.append(self.parse_expr())
-                if not self.match_punct(","):
-                    break
-            self.expect_punct(")")
-        return ast.FuncCall(name.upper(), tuple(args))
+        return ast.FuncCall(name.upper(), tuple(self._bracketed(")", self._argument)))
+
+    def _argument(self) -> ast.Expr:
+        # A bare subquery is allowed as a call argument:
+        # FIRST(FOR x IN xs RETURN x).
+        if self.current.tag in _SUBQUERY_HEADS:
+            return ast.SubQuery(self.parse_query())
+        return self.parse_expr()
+
+
+#: The operations a query goes on after, by keyword (already taken).
+_CLAUSES = {
+    "FOR": _Parser._parse_for,
+    "FILTER": _Parser._parse_filter,
+    "LET": _Parser._parse_let,
+    "SORT": _Parser._parse_sort,
+    "LIMIT": _Parser._parse_limit,
+    "COLLECT": _Parser._parse_collect,
+}

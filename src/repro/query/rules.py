@@ -4,15 +4,17 @@ The optimizer used to be four hand-ordered function calls; it is now a
 **registry of rules** applied to a fixpoint by :func:`repro.query.
 optimizer.optimize`.  Each rule is a named match+rewrite pair:
 
-* ``rewrite(query, ctx)`` returns a rewritten :class:`ast.Query` (or the
-  input unchanged when the rule does not apply) — rules never mutate the
-  input plan;
+* ``rewrite(query, ctx)`` returns a new :class:`ast.Query` when it fired
+  and the input itself otherwise — rules never mutate the input plan;
 * the ``name`` is what EXPLAIN's ``Rules fired:`` line reports and what
   :class:`RuleToggles` / the ablation suite toggle;
 * ``ast_safe`` marks rules whose output is still pure AST (re-parseable
   through :mod:`repro.query.unparse`).  The cluster coordinator replans
   with only these before segmenting, since shard statements travel as
-  text; physical rules (index scans, joins) fire shard-locally.
+  text; physical rules (index scans, joins) fire shard-locally;
+* a rule is called only on a query holding one of its ``matches``, and
+  again only after a rule that ``enables`` it fired (Calcite's planner
+  likewise fires a rule only where its operands can match).
 
 Registry order is the application order within one fixpoint pass:
 normalization first (folding, predicate split, pushdown), then the
@@ -36,6 +38,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.query import ast
@@ -71,13 +74,21 @@ __all__ = [
     "REGISTRY",
     "rule_names",
     "MAX_PASSES",
+    "FOLDABLE",
+    "COLLECT_INTO",
     "keeps_every_frame",
     "map_reached",
 ]
 
-#: Fixpoint bound — every current rule is idempotent, so passes converge
-#: in two or three iterations; the cap is a runaway backstop.
+#: Fixpoint bound — one pass settles a statement unless a rule's output
+#: gives an earlier rule new work; the cap is a runaway backstop.
 MAX_PASSES = 10
+
+#: Features :func:`repro.query.optimizer.summarize` reports beside node
+#: types: an operator with only literal operands, which folding collapses,
+#: and a ``COLLECT … INTO``.
+FOLDABLE = "foldable"
+COLLECT_INTO = "collect into"
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +165,15 @@ class RuleContext:
     two levels down that reads the outermost variable is correlated,
     though nothing in its own query or its parent's binds it.
     ``writes`` is whether the statement performs DML, None until a rule
-    asks (:meth:`statement_writes`)."""
+    asks (:meth:`statement_writes`).  ``suggested`` holds the near misses
+    already recorded for the statement; a nested scope's context shares
+    it, like ``fired``."""
 
     db: Any = None
     fired: list = field(default_factory=list)
     scope: frozenset = frozenset()
     writes: Optional[bool] = None
+    suggested: set = field(default_factory=set)
 
     def statement_writes(self, query: ast.Query) -> bool:
         """True when the statement performs DML.  Worked out from *query*
@@ -171,9 +185,15 @@ class RuleContext:
         return self.writes
 
     def suggest(self, source: str, path: tuple, rule: str, reason: str) -> None:
+        """Record a near miss, once per planned statement however often
+        the rule looks at the same pair."""
+        key = (source, tuple(path), rule)
+        if key in self.suggested:
+            return
+        self.suggested.add(key)
         log = getattr(self.db, "index_suggestions", None)
         if log is not None:
-            log.record(IndexSuggestion(source, tuple(path), rule, reason))
+            log.record(IndexSuggestion(source, key[1], rule, reason))
 
 
 @dataclass(frozen=True)
@@ -182,12 +202,16 @@ class Rule:
 
     ``ast_safe`` rules emit pure AST (unparseable back to MMQL text) and
     need no database — they are the subset the cluster coordinator may
-    apply before shipping statements to shards."""
+    apply before shipping statements to shards.  ``matches`` are node
+    types or features (:func:`repro.query.optimizer.summarize`);
+    ``enables`` the rules whose work this rule's output can change."""
 
     name: str
     description: str
     rewrite: Callable[[ast.Query, RuleContext], ast.Query]
     ast_safe: bool = False
+    matches: tuple = ()
+    enables: tuple = ()
 
 
 class RuleToggles:
@@ -788,67 +812,20 @@ def _rule_lookup_join(query: ast.Query, ctx: RuleContext) -> ast.Query:
 
 
 # ---------------------------------------------------------------------------
-# Rule wrappers for the classic rewrites
+# Rule wrapper for index selection (the other classic rewrites need none)
 # ---------------------------------------------------------------------------
 
 
-def _rule_constant_folding(query: ast.Query, ctx: RuleContext) -> ast.Query:
-    return fold_constants(query)
-
-
-def _rule_filter_pushdown(query: ast.Query, ctx: RuleContext) -> ast.Query:
-    return push_down_filters(query)
-
-
 def _rule_index_selection(query: ast.Query, ctx: RuleContext) -> ast.Query:
-    rewritten = select_indexes(
-        query, ctx.db, ctx.scope, writes=lambda: ctx.statement_writes(query)
+    """Every equality pair left a scan for want of a point index is a near
+    miss for the advisor."""
+    near_miss = partial(
+        ctx.suggest,
+        rule="index_selection",
+        reason="equality predicate matched but no point index exists",
     )
-    _suggest_scan_near_misses(rewritten, ctx)
-    return rewritten
-
-
-def _rule_hash_join(query: ast.Query, ctx: RuleContext) -> ast.Query:
-    return build_hash_joins(query, ctx.db, ctx.scope)
-
-
-def _suggest_scan_near_misses(query: ast.Query, ctx: RuleContext) -> None:
-    """Every FOR+FILTER equality pair still present after index selection
-    is a near miss (a servable pair would have become an IndexScanOp):
-    record the missing index."""
-    db = ctx.db
-    if db is None:
-        return
-    operations = query.operations
-    for index, operation in enumerate(operations):
-        if not (
-            isinstance(operation, ast.ForOp)
-            and isinstance(operation.source, ast.VarRef)
-            and operation.source.name not in ctx.scope
-        ):
-            continue
-        follower = operations[index + 1] if index + 1 < len(operations) else None
-        if not isinstance(follower, ast.FilterOp):
-            continue
-        source_name = operation.source.name
-        try:
-            namespace = db.resolve(source_name).namespace
-        except Exception:
-            continue
-        for _position, path, _probe in _equality_probes(
-            conjuncts(follower.condition), operation.var
-        ):
-            try:
-                if db.context.indexes.find(namespace, path, "point"):
-                    continue
-            except Exception:
-                continue
-            ctx.suggest(
-                source_name,
-                path,
-                "index_selection",
-                "equality predicate matched but no point index exists",
-            )
+    writes = partial(ctx.statement_writes, query)
+    return select_indexes(query, ctx.db, ctx.scope, writes, near_miss)
 
 
 # ---------------------------------------------------------------------------
@@ -860,8 +837,9 @@ REGISTRY: tuple[Rule, ...] = (
     Rule(
         name="constant_folding",
         description="collapse pure arithmetic/boolean subtrees to literals",
-        rewrite=_rule_constant_folding,
+        rewrite=lambda query, ctx: fold_constants(query),
         ast_safe=True,
+        matches=(FOLDABLE,),
     ),
     Rule(
         name="predicate_split",
@@ -871,12 +849,18 @@ REGISTRY: tuple[Rule, ...] = (
         ),
         rewrite=_rule_predicate_split,
         ast_safe=True,
+        matches=(ast.FilterOp,),
+        # The parts it splits off can move on their own.
+        enables=("filter_pushdown",),
     ),
     Rule(
         name="filter_pushdown",
         description="move each FILTER just after the op binding its inputs",
-        rewrite=_rule_filter_pushdown,
+        rewrite=lambda query, ctx: push_down_filters(query),
         ast_safe=True,
+        matches=(ast.FilterOp,),
+        # A FILTER it moves can land right after the FOR it filters.
+        enables=("index_selection", "hash_join"),
     ),
     Rule(
         name="collect_into_aggregate",
@@ -886,6 +870,9 @@ REGISTRY: tuple[Rule, ...] = (
         ),
         rewrite=_rule_collect_into_aggregate,
         ast_safe=True,
+        matches=(COLLECT_INTO,),
+        # One COLLECT a call, and folding one can free the one before it.
+        enables=("collect_into_aggregate",),
     ),
     Rule(
         name="decorrelate_subquery",
@@ -894,6 +881,10 @@ REGISTRY: tuple[Rule, ...] = (
             "semi/anti joins"
         ),
         rewrite=_rule_decorrelate,
+        matches=(ast.SubQuery,),
+        # The residual FILTER can move up; and a member aggregate the
+        # subquery hid from the COLLECT rule is now the join's probe.
+        enables=("filter_pushdown", "collect_into_aggregate"),
     ),
     Rule(
         name="materialize_let",
@@ -902,16 +893,19 @@ REGISTRY: tuple[Rule, ...] = (
             "instead of once per frame"
         ),
         rewrite=_rule_materialize_let,
+        matches=(ast.SubQuery,),
     ),
     Rule(
         name="index_selection",
         description="scan+equality-filter pairs probe point indexes",
         rewrite=_rule_index_selection,
+        matches=(ast.ForOp,),
     ),
     Rule(
         name="hash_join",
         description="correlated inner scans become hash joins",
-        rewrite=_rule_hash_join,
+        rewrite=lambda query, ctx: build_hash_joins(query, ctx.db, ctx.scope),
+        matches=(ast.ForOp,),
     ),
     Rule(
         name="lookup_join",
@@ -920,6 +914,7 @@ REGISTRY: tuple[Rule, ...] = (
             "per distinct key per batch"
         ),
         rewrite=_rule_lookup_join,
+        matches=(ast.LetOp, ast.TraversalOp),
     ),
 )
 

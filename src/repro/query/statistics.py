@@ -215,6 +215,8 @@ def annotate_estimates(query: ast.Query, db) -> None:
     pipeline exactly as :func:`repro.query.plan.analyzed_op_stats`
     threads actual rows — so EXPLAIN ANALYZE can zip them into Q-errors."""
     stats: Optional[StatisticsStore] = getattr(db, "statistics", None)
+    # Nothing learned yet: no fingerprint (an unparse) can find a ratio.
+    ratios = stats if stats is not None and stats._ratio else None
     rows = 1.0
     for operation in query.operations:
         if isinstance(operation, ast.ForOp):
@@ -224,8 +226,8 @@ def annotate_estimates(query: ast.Query, db) -> None:
                 rows *= _DEFAULT_SOURCE_ROWS
         elif isinstance(operation, IndexScanOp):
             ratio = None
-            if stats is not None and operation.original_condition is not None:
-                ratio = stats.ratio(
+            if ratios is not None and operation.original_condition is not None:
+                ratio = ratios.ratio(
                     predicate_fingerprint(
                         operation.original_condition, operation.source_name
                     )
@@ -245,8 +247,8 @@ def annotate_estimates(query: ast.Query, db) -> None:
             rows *= ratio
         elif isinstance(operation, HashJoinOp):
             ratio = None
-            if stats is not None and operation.original_condition is not None:
-                ratio = stats.ratio(
+            if ratios is not None and operation.original_condition is not None:
+                ratio = ratios.ratio(
                     predicate_fingerprint(
                         operation.original_condition, operation.source_name
                     )
@@ -255,8 +257,8 @@ def annotate_estimates(query: ast.Query, db) -> None:
             rows *= ratio if ratio is not None else _DEFAULT_JOIN_MATCHES
         elif isinstance(operation, SemiJoinOp):  # covers AntiJoinOp
             ratio = None
-            if stats is not None and operation.original_condition is not None:
-                ratio = stats.ratio(
+            if ratios is not None and operation.original_condition is not None:
+                ratio = ratios.ratio(
                     predicate_fingerprint(
                         operation.original_condition, operation.source_name
                     )
@@ -265,10 +267,10 @@ def annotate_estimates(query: ast.Query, db) -> None:
             rows *= ratio if ratio is not None else _DEFAULT_EXISTS_SELECTIVITY
         elif isinstance(operation, ast.FilterOp):
             ratio = None
-            if stats is not None:
+            if ratios is not None:
                 fingerprint = predicate_fingerprint(operation.condition)
                 if fingerprint is not None:
-                    ratio = stats.ratio(fingerprint)
+                    ratio = ratios.ratio(fingerprint)
             rows *= ratio if ratio is not None else _DEFAULT_FILTER_SELECTIVITY
         elif isinstance(operation, (ast.TraversalOp, ast.ShortestPathOp)) or (
             type(operation) is LookupJoinOp and operation.fans_out

@@ -53,6 +53,18 @@ class TestLexer:
         assert tokens[1].line == 2
         assert tokens[1].column == 3
 
+    @pytest.mark.parametrize(
+        "text,error,line,column",
+        [
+            ('RETURN "a\nb" #', LexError, 2, 4),
+            ('LET x = "a\nbc"\nRETURN ]', ParseError, 3, 8),
+        ],
+    )
+    def test_positions_after_a_multi_line_string(self, text, error, line, column):
+        with pytest.raises(error) as info:
+            parse(text)
+        assert (info.value.line, info.value.column) == (line, column)
+
 
 class TestExpressionParsing:
     def test_precedence(self):

@@ -53,6 +53,47 @@ FOR c IN customers
   RETURN c.id
 """
 
+#: Existence tests over a correlated subquery, and the join each becomes.
+EXISTENCE = (
+    "FOR c IN customers FILTER LENGTH(FOR o IN orders "
+    "FILTER o.cust == c.id RETURN o) {test} RETURN c.id"
+)
+EXISTENCE_TESTS = [
+    ("> 0", SemiJoinOp),
+    (">= 1", SemiJoinOp),
+    ("!= 0", SemiJoinOp),
+    ("== 0", AntiJoinOp),
+    ("< 1", AntiJoinOp),
+    ("<= 0", AntiJoinOp),
+]
+
+#: COLLECT … INTO statements, by the tail after :data:`BY_PARITY`.
+BY_PARITY = "FOR o IN orders LET even = o.cust % 4 == 0 COLLECT k = even INTO g "
+
+#: Tails that use the members in a way the rule must leave alone.
+MEMBER_LIST_TAILS = [
+    "RETURN {n: LENGTH(g), s: SUM(g[*].o.total)}",   # LENGTH(m)
+    "RETURN {g, s: SUM(g[*].o.total)}",               # m returned whole
+    "RETURN {all: g[*].o.total, s: SUM(g[*].o.total)}",  # m[*] bare
+    "RETURN SUM(g[*].o.total[0])",                    # not a pure path
+    "RETURN SUM(g[*].nobody.total)",                  # not a frame variable
+    "RETURN UNIQUE(g[*].o.total)",                    # no running form
+    "LET g = 1 RETURN g",                             # rebound
+    "RETURN (FOR x IN g RETURN x.o.total)",           # read in a subquery
+    # a subquery's own members would show the swap
+    "RETURN {s: SUM(g[*].o.total), "
+    "inner: (FOR i IN 1..1 COLLECT j = i INTO h RETURN h)}",
+    # and so would a later COLLECT … INTO
+    "LET s = SUM(g[*].o.total) COLLECT j = s > 0 INTO h RETURN h",
+    # aggregates some group may never reach
+    "FILTER k RETURN SUM(g[*].o.total)",
+    "SORT k LIMIT 1 RETURN MAX(g[*].o.total)",
+    "FOR i IN [] RETURN AVG(g[*].o.total)",
+    "RETURN k ? SUM(g[*].o.total) : 0",
+    "RETURN k AND MIN(g[*].o.total) > 0",
+    "RETURN [1, 2][* FILTER SUM(g[*].o.total) > 0]",
+]
+
 
 class TestRegistry:
     def test_registry_order_and_names(self):
@@ -159,23 +200,9 @@ class TestDecorrelation:
         rows = db.query(ANTI_LET).rows
         assert sorted(rows) == list(range(1, 20, 2))
 
-    @pytest.mark.parametrize(
-        "test,kind",
-        [
-            ("> 0", SemiJoinOp),
-            (">= 1", SemiJoinOp),
-            ("!= 0", SemiJoinOp),
-            ("== 0", AntiJoinOp),
-            ("< 1", AntiJoinOp),
-            ("<= 0", AntiJoinOp),
-        ],
-    )
+    @pytest.mark.parametrize("test,kind", EXISTENCE_TESTS)
     def test_existence_test_spellings(self, db, test, kind):
-        text = (
-            "FOR c IN customers FILTER LENGTH(FOR o IN orders "
-            f"FILTER o.cust == c.id RETURN o) {test} RETURN c.id"
-        )
-        plan = optimize(parse(text), db)
+        plan = optimize(parse(EXISTENCE.format(test=test)), db)
         joins = [op for op in plan.operations if isinstance(op, SemiJoinOp)]
         assert len(joins) == 1 and type(joins[0]) is kind
 
@@ -361,7 +388,7 @@ class TestCollectIntoAggregate:
     """``COLLECT … INTO m`` read only through ``AGG(m[*].v.path)`` keeps
     running aggregates; any other use of ``m`` keeps the member lists."""
 
-    BY_PARITY = "FOR o IN orders LET even = o.cust % 4 == 0 COLLECT k = even INTO g "
+    BY_PARITY = BY_PARITY
 
     def _collect(self, plan):
         """The statement's first COLLECT."""
@@ -432,31 +459,7 @@ class TestCollectIntoAggregate:
         assert self._collect(plan).into == "g"
         assert "collect_into_aggregate" not in plan.rules_fired
 
-    @pytest.mark.parametrize(
-        "tail",
-        [
-            "RETURN {n: LENGTH(g), s: SUM(g[*].o.total)}",   # LENGTH(m)
-            "RETURN {g, s: SUM(g[*].o.total)}",               # m returned whole
-            "RETURN {all: g[*].o.total, s: SUM(g[*].o.total)}",  # m[*] bare
-            "RETURN SUM(g[*].o.total[0])",                    # not a pure path
-            "RETURN SUM(g[*].nobody.total)",                  # not a frame variable
-            "RETURN UNIQUE(g[*].o.total)",                    # no running form
-            "LET g = 1 RETURN g",                             # rebound
-            "RETURN (FOR x IN g RETURN x.o.total)",           # read in a subquery
-            # a subquery's own members would show the swap
-            "RETURN {s: SUM(g[*].o.total), "
-            "inner: (FOR i IN 1..1 COLLECT j = i INTO h RETURN h)}",
-            # and so would a later COLLECT … INTO
-            "LET s = SUM(g[*].o.total) COLLECT j = s > 0 INTO h RETURN h",
-            # aggregates some group may never reach
-            "FILTER k RETURN SUM(g[*].o.total)",
-            "SORT k LIMIT 1 RETURN MAX(g[*].o.total)",
-            "FOR i IN [] RETURN AVG(g[*].o.total)",
-            "RETURN k ? SUM(g[*].o.total) : 0",
-            "RETURN k AND MIN(g[*].o.total) > 0",
-            "RETURN [1, 2][* FILTER SUM(g[*].o.total) > 0]",
-        ],
-    )
+    @pytest.mark.parametrize("tail", MEMBER_LIST_TAILS)
     def test_any_other_use_of_the_members_leaves_the_collect_alone(self, db, tail):
         text = self.BY_PARITY + tail
         plan = optimize(parse(text), db)
@@ -572,6 +575,17 @@ class TestSuggestionLog:
             for suggestion, _count in db.index_suggestions.entries()
         )
 
+    @pytest.mark.parametrize("between", ["", "LET z = 1 "])
+    def test_a_near_miss_counts_once_per_planned_statement(self, db, between):
+        # Pushdown moves the FILTER over the LET: index selection still
+        # looks at the pair once.
+        text = f"FOR c IN customers {between}FILTER c.name == 'n3' RETURN c"
+        optimize(parse(text), db)
+        assert [
+            (suggestion.source, suggestion.path, count)
+            for suggestion, count in db.index_suggestions.entries()
+        ] == [("customers", ("name",), 1)]
+
 
 class TestFeedbackLoop:
     def test_store_version_bumps_on_new_key(self):
@@ -651,4 +665,61 @@ class TestFeedbackLoop:
         assert "Rules fired: decorrelate_subquery" in rendered
         rendered = db.explain("FOR c IN customers RETURN c")
         assert "Rules fired: (none)" in rendered
+
+
+#: The statement shapes this module plans, over its :func:`db`: the
+#: front-end differential suite holds the optimizer to a full fixpoint on
+#: each of them.
+STATEMENTS = (
+    SEMI_INLINE,
+    ANTI_LET,
+    SHARED_LET,
+    *(EXISTENCE.format(test=test) for test, _kind in EXISTENCE_TESTS),
+    *(BY_PARITY + tail for tail in MEMBER_LIST_TAILS),
+    "FOR c IN customers RETURN c",
+    "FOR l IN customers FOR r IN orders FILTER r.cust == l.id RETURN r",
+    "FOR c IN customers FILTER 0 < LENGTH(FOR o IN orders "
+    "FILTER o.cust == c.id RETURN o) RETURN c.id",
+    "FOR c IN customers FILTER LENGTH(FOR o IN orders "
+    "FILTER o.cust == c.id AND o.total >= 100 RETURN o) > 0 RETURN c.id",
+    "FOR c IN customers FILTER LENGTH(FOR o IN orders FILTER o.cust == c.id "
+    "INSERT {cust: o.cust} INTO orders) > 0 RETURN c.id",
+    "FOR c IN customers LET m = (FOR o IN orders FILTER o.cust == c.id RETURN o) "
+    "FILTER LENGTH(m) > 0 RETURN {id: c.id, n: LENGTH(m)}",
+    "FOR c IN customers FILTER LENGTH(FOR o IN orders FILTER o.cust == c.id "
+    "RETURN LENGTH(FOR x IN orders RETURN x)) > 0 RETURN c.id",
+    "FOR c IN customers LET bigs = (FOR o IN orders FILTER o.total >= 100 "
+    "RETURN o.cust) FILTER c.id IN bigs INSERT {id: c.id} INTO customers",
+    "LET bigs = (FOR o IN orders FILTER o.total >= 100 RETURN o.cust) "
+    "FOR c IN customers FILTER c.id IN bigs RETURN c.id",
+    "FOR c IN customers FOR o IN orders "
+    "FILTER o.cust == c.id AND c.name == 'n4' RETURN o",
+    "FOR o IN orders FILTER o.cust == 4 AND o.total >= 40 RETURN o",
+    "FOR s IN starts FOR x IN 1..2 OUTBOUND s.v GRAPH social "
+    "FILTER x.age >= 50 AND s.w <= 1 RETURN x.age",
+    BY_PARITY + "SORT k RETURN {k, s: SUM(g[*].o.total), lo: MIN(g[*].o.total), "
+    "hi: MAX(g[*].o.total), mean: AVG(g[*].o.total), n: COUNT(g[*].o), "
+    "again: SUM(g[*].o.total) + 1}",
+    "FOR o IN orders LET g_0 = 7 COLLECT k = o.cust % 4 == 0 INTO g "
+    "SORT k RETURN [k, SUM(g[*].o.total), MAX(g[*].g_0)]",
+    BY_PARITY + "LET s = SUM(g[*].o.total) SORT -MAX(g[*].o.total) "
+    "FILTER s + MIN(g[*].o.total) >= 400 LIMIT 5 RETURN [k, s, COUNT(g[*].o)]",
+    BY_PARITY + "LET s = SUM(g[*].o.total) COLLECT AGGREGATE all = SUM(s) RETURN all",
+    "FOR c IN customers FILTER c.id < 4 SORT c.id "
+    "RETURN {id: c.id, mine: (FOR o IN orders FILTER o.cust == c.id "
+    "COLLECT k = o.cust INTO g RETURN {n: COUNT(g[*].o), ids: SUM(g[*].c.id)})}",
+    "FOR c IN customers LET z = 1 FILTER c.name == 'n3' RETURN c",
+    "FOR c IN customers FILTER c.id >= 10 RETURN c",
+    # Unsplit (predicate_split off), the residual FILTER decorrelation
+    # leaves moves next to its FOR and becomes a hash join a pass later.
+    "FOR l IN customers FOR r IN orders FILTER LENGTH(FOR x IN orders "
+    "FILTER x.cust == l.id RETURN x) > 0 AND r.cust == l.id RETURN r",
+    # Decorrelation turns a subquery's member aggregate into a join probe
+    # the COLLECT rule can fold.
+    "FOR o IN orders COLLECT k = o.cust INTO g FILTER LENGTH(FOR x IN orders "
+    "FILTER x.total == SUM(g[*].o.total) RETURN 1) > 0 RETURN k",
+    # The second COLLECT folds first; that frees the first.
+    BY_PARITY + "LET s = SUM(g[*].o.total) COLLECT p = s > 50 INTO h "
+    "RETURN {p, n: COUNT(h[*].s)}",
+)
 
