@@ -130,12 +130,14 @@ class _Handler(BaseHTTPRequestHandler):
     only the three headers below."""
 
     def do_GET(self) -> None:
-        self._respond(*self.server.endpoint._route(self.path))
+        # Counted before the response goes out, so a client that has read
+        # it finds it counted.
         if obs_metrics.ENABLED:
             obs_metrics.counter(
                 "telemetry_requests_total",
                 path=urlsplit(self.path).path or "/",
             ).inc()
+        self._respond(*self.server.endpoint._route(self.path))
 
     def __getattr__(self, name: str):
         if name.startswith("do_"):

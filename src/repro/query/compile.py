@@ -5,9 +5,9 @@ type of every expression for every row would dominate the hot operators —
 FILTER predicates, RETURN projections, SORT keys, COLLECT groupings — so
 :func:`compile_expr` walks the tree **once** and returns a closure
 ``fn(ctx, frame) -> value`` in which all structural decisions (node types,
-operator kinds, literal values, attribute names, LIKE patterns) are
-resolved at compile time; evaluating a row is then plain Python calls with
-no isinstance chains.
+operator kinds, literal values, attribute names) are resolved at compile
+time; evaluating a row is then plain Python calls with no isinstance
+chains.  A LIKE pattern's regex is built once per distinct pattern.
 
 Every node kind compiles, subqueries, array expansion ``[*]`` and inline
 filters ``[* FILTER …]`` included; the last two bind the pseudo-variable
@@ -20,6 +20,7 @@ cost per query.
 
 from __future__ import annotations
 
+import functools
 import re
 from array import array
 from typing import Any, Callable
@@ -122,9 +123,15 @@ def _compile(expr: ast.Expr) -> CompiledFn:
 
         def bind_var(ctx, frame):
             try:
-                return normalize(ctx.bind_vars[name])
+                value = ctx.bind_vars[name]
             except KeyError:
                 raise BindError(f"missing bind parameter @{name}") from None
+            # Strings and ints are their own normal form (a lifted
+            # literal always is one of them, or a float).
+            kind = type(value)
+            if kind is str or kind is int:
+                return value
+            return normalize(value)
 
         return bind_var
 
@@ -281,7 +288,10 @@ _COMPARISONS: dict[str, Callable[[int], bool]] = {
 }
 
 
+@functools.lru_cache(maxsize=1024)
 def _like_regex(pattern: str) -> "re.Pattern":
+    """The regex of a LIKE pattern, built once per distinct pattern: a
+    literal pattern is as often a (lifted) bind parameter, read per row."""
     # re.escape leaves % and _ untouched, so the SQL wildcards survive
     # escaping and can be rewritten into regex equivalents.
     return re.compile(
@@ -332,28 +342,14 @@ def _compile_binop(expr: ast.BinOp) -> CompiledFn:
         return in_op
 
     if op == "LIKE":
-        if isinstance(expr.right, ast.Literal) and isinstance(
-            expr.right.value, str
-        ):
-            # Constant pattern: compile the regex once per plan.
-            regex = _like_regex(expr.right.value)
-
-            def like_constant(ctx, frame):
-                left = left_fn(ctx, frame)
-                if not isinstance(left, str):
-                    return False
-                return regex.match(left) is not None
-
-            return like_constant
-
-        def like_dynamic(ctx, frame):
+        def like(ctx, frame):
             left = left_fn(ctx, frame)
             right = right_fn(ctx, frame)
             if not isinstance(left, str) or not isinstance(right, str):
                 return False
             return _like_regex(right).match(left) is not None
 
-        return like_dynamic
+        return like
 
     if op in ("+", "-", "*", "/", "%"):
 

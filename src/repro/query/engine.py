@@ -18,13 +18,17 @@ Every query, eager or streamed, is observable end to end:
   plan to the result (``Result.analyzed`` / ``Result.op_stats``).
 
 The **plan cache** (:class:`PlanCache`) removes parse+optimize from the hot
-path: plans are keyed on the exact query text plus the *shape* of the bind
-parameters (names and model types — plans never embed bind *values*, so any
-value reuses the plan), and validated against the database's catalog and
-index DDL versions, so ``CREATE INDEX`` / ``drop()`` invalidate exactly the
-plans they could change.  Cached plans also carry their compiled expression
-closures (:mod:`repro.query.compile`), so a warm query skips parsing,
-optimization *and* expression-tree dispatch.
+path.  Plans are keyed on the statement's *shape*
+(:mod:`repro.query.shapes`): its token stream with every value literal
+lifted into a hidden bind parameter, plus the names and model types of the
+bind parameters, hidden ones included.  Plans never embed bind *values*,
+so ``FILTER c.id == 7`` and ``FILTER c.id == 8`` share one plan, each call
+passing its own literal as the hidden bind's value.  Entries are validated
+against the database's catalog and index DDL versions, so ``CREATE INDEX``
+/ ``drop()`` invalidate exactly the plans they could change.  Cached plans
+also carry their compiled expression closures (:mod:`repro.query.compile`),
+so a warm query skips parsing, optimization *and* expression-tree
+dispatch.  EXPLAIN and EXPLAIN ANALYZE plan the user's literal text.
 """
 
 from __future__ import annotations
@@ -37,13 +41,20 @@ from typing import Any, Optional
 
 from repro.core import datamodel
 from repro.core.cursor import DEFAULT_BATCH_SIZE
-from repro.errors import PlanError, QueryTimeoutError, ResourceExhaustedError
+from repro.errors import (
+    ParseError,
+    PlanError,
+    QueryTimeoutError,
+    ResourceExhaustedError,
+)
 from repro.obs import metrics, slowlog, tracing
 from repro.query.executor import ExecContext, Result, execute, execute_stream
 from repro.query.optimizer import optimize
-from repro.query.parser import parse
+from repro.query.parser import parse, parse_tokens
 from repro.query.plan import render_analyzed_plan, render_plan
 from repro.query import plan as plan_module
+from repro.query import shapes
+from repro.query.shapes import Shape, literal_shape
 
 __all__ = [
     "PlanCache",
@@ -123,12 +134,18 @@ class QueryGuardrails:
 class PlanCache:
     """LRU cache of parsed+optimized plans.
 
-    * **Keying** — ``(query text, bind shape, optimized?)``.  The bind
-      shape is the sorted tuple of ``(name, model type tag)`` pairs: the
-      optimizer treats bind parameters as opaque constants, so two
-      executions with different *values* (but the same names/types) share
-      one plan, while adding or removing a parameter — which can change
-      what parses or which index qualifies — gets its own entry.
+    * **Keying** — ``(statement, bind shape, optimized?, rule config)``.
+      The bind shape is the sorted tuple of ``(name, model type tag)``
+      pairs: the optimizer treats bind parameters as opaque constants, so
+      two executions with different *values* (but the same names/types)
+      share one plan, while adding or removing a parameter — which can
+      change what parses or which index qualifies — gets its own entry.
+      A database keys the statement on its shape
+      (:meth:`statement`): the token stream with the value literals lifted
+      into hidden binds, whose types join the bind shape.  A text→shape
+      memo, bounded by the same capacity, spares a repeated text the
+      lexer.  :meth:`key` is the exact-text key, for the coordinator's
+      cache and for EXPLAIN ANALYZE, which plan the literal text.
     * **Invalidation** — every entry records the catalog and index DDL
       versions it was planned under; a lookup whose recorded versions no
       longer match the database's current versions is dropped and counted
@@ -136,8 +153,9 @@ class PlanCache:
       invalidate affected plans.
     * **Sizing** — bounded LRU (default 128 entries); evictions are
       counted.  Plans are ASTs plus compiled closures: small, but
-      unbounded query-text diversity (e.g. values inlined into the text
-      instead of bind parameters) would otherwise grow without limit.
+      unbounded statement diversity would otherwise grow without limit.
+      A capacity of 0 caches nothing: every statement is planned from its
+      literal text.
 
     Counters are mirrored into the observability registry under the
     cache's *name* (``<name>_hits_total`` / ``<name>_misses_total`` /
@@ -155,11 +173,14 @@ class PlanCache:
     """
 
     def __init__(self, capacity: int = 128, name: str = "plan_cache"):
-        self.capacity = max(int(capacity), 1)
+        self.capacity = max(int(capacity), 0)
         self._hits_total = metrics.counter(f"{name}_hits_total")
         self._misses_total = metrics.counter(f"{name}_misses_total")
         self._evictions_total = metrics.counter(f"{name}_evictions_total")
         self._entries: "OrderedDict[tuple, dict]" = OrderedDict()
+        #: Statement text → :class:`~repro.query.shapes.Shape`, oldest
+        #: first; holds at most ``capacity`` texts.
+        self._shapes: dict[str, Shape] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -173,18 +194,59 @@ class PlanCache:
         optimized: bool,
         config: tuple = (),
     ) -> tuple:
-        shape = tuple(
-            sorted(
-                (name, int(datamodel.type_of(value)))
-                for name, value in (bind_vars or {}).items()
-            )
+        """The key of *text* planned as it stands, literals and all."""
+        return PlanCache.statement_key(
+            literal_shape(text), bind_vars, optimized, config
         )
-        # Leading/trailing whitespace never changes the plan (an EXPLAIN
-        # ANALYZE prefix strip leaves one behind); interior whitespace can
-        # sit inside string literals, so only the ends are normalized.
-        # ``config`` is the optimizer-rule fingerprint: the same text
-        # planned under different rule toggles is a different plan.
-        return (text.strip(), shape, optimized, config)
+
+    @staticmethod
+    def statement_key(
+        statement: Shape,
+        bind_vars: Optional[dict],
+        optimized: bool,
+        config: tuple = (),
+    ) -> tuple:
+        # A literal shape's text is the statement's, stripped: leading and
+        # trailing whitespace never changes the plan (an EXPLAIN ANALYZE
+        # prefix strip leaves one behind).  ``config`` is the
+        # optimizer-rule fingerprint: the same text planned under
+        # different rule toggles is a different plan.
+        shape = statement.binds
+        if bind_vars:
+            shape = tuple(
+                sorted(
+                    (name, int(datamodel.type_of(value)))
+                    for name, value in bind_vars.items()
+                )
+            ) + shape
+        return (statement.text, shape, optimized, config)
+
+    def statement(self, text: str, remember: bool = True) -> tuple:
+        """``(shape, tokens)``: the shape *text* plans under, and the
+        token stream to parse it from — None when the shape came from the
+        memo of the texts seen lately, which spares them the lexer
+        (*remember* False leaves the memo as it is)."""
+        shape = self._shapes.get(text)
+        if shape is not None:
+            return shape, None
+        shape, tokens = shapes.lift(text)
+        if remember:
+            self._remember(text, shape)
+        return shape, tokens
+
+    def plan_literally(self, text: str) -> Shape:
+        """From now on plan *text* as it stands: its lifted tokens did not
+        parse, so the user's own tokens decide."""
+        shape = literal_shape(text)
+        self._remember(text, shape)
+        return shape
+
+    def _remember(self, text: str, shape: Shape) -> None:
+        with self._lock:
+            shapes = self._shapes
+            shapes[text] = shape
+            while len(shapes) > self.capacity:
+                del shapes[next(iter(shapes))]
 
     def get(self, key: tuple, versions: tuple) -> Optional[Any]:
         with self._lock:
@@ -206,10 +268,21 @@ class PlanCache:
             (self._hits_total if plan is not None else self._misses_total).inc()
         return plan
 
-    def put(self, key: tuple, plan: Any, versions: tuple) -> None:
+    def put(
+        self,
+        key: tuple,
+        plan: Any,
+        versions: tuple,
+        statement: Optional[str] = None,
+    ) -> None:
+        """*statement* is what :meth:`entries` lists for the entry (by
+        default the key's text)."""
         evicted = 0
         with self._lock:
-            self._entries[key] = {"plan": plan, "versions": versions, "hits": 0}
+            self._entries[key] = {
+                "plan": plan, "versions": versions, "hits": 0,
+                "statement": statement or key[0],
+            }
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -218,33 +291,49 @@ class PlanCache:
         if evicted and metrics.ENABLED:
             self._evictions_total.inc(evicted)
 
-    def peek_text(self, text: str, versions: tuple) -> Optional[int]:
-        """Prior hit count of a *live* entry for this query text, or None.
+    def peek(
+        self, key: tuple, versions: tuple, any_binds: bool = False
+    ) -> Optional[int]:
+        """Prior hit count of the *live* entry under *key*, or None.  With
+        *any_binds* the user's bind parameters are unknown: the most
+        served live entry that differs from *key* in them alone.
 
         Read-only: EXPLAIN uses it to report cache state without touching
         LRU order or the hit/miss counters."""
-        text = text.strip()
-        best: Optional[int] = None
         with self._lock:
-            for key, entry in self._entries.items():
-                if key[0] == text and entry["versions"] == versions:
+            if not any_binds:
+                entry = self._entries.get(key)
+                if entry is None or entry["versions"] != versions:
+                    return None
+                return entry["hits"]
+            best: Optional[int] = None
+            for other, entry in self._entries.items():
+                if (
+                    other[0] == key[0]
+                    and other[2:] == key[2:]
+                    and _hidden_binds(other[1]) == key[1]
+                    and entry["versions"] == versions
+                ):
                     best = max(best or 0, entry["hits"])
-        return best
+            return best
 
     def resize(self, capacity: int) -> None:
         evicted = 0
         with self._lock:
-            self.capacity = max(int(capacity), 1)
+            self.capacity = max(int(capacity), 0)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
                 evicted += 1
+            while len(self._shapes) > self.capacity:
+                del self._shapes[next(iter(self._shapes))]
         if evicted and metrics.ENABLED:
             self._evictions_total.inc(evicted)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._shapes.clear()
 
     def stats(self) -> dict:
         with self._lock:
@@ -259,12 +348,15 @@ class PlanCache:
 
     def entries(self) -> list[dict]:
         """Cached statements, least- to most-recently used (for
-        ``.plancache``)."""
+        ``.plancache``): a lifted literal shows as ``$1``, ``$2``, …, and
+        ``bind_shape`` names the user's bind parameters only."""
         with self._lock:
             return [
                 {
-                    "query": key[0].strip(),
-                    "bind_shape": [name for name, _tag in key[1]],
+                    "query": entry["statement"],
+                    "bind_shape": [
+                        name for name, _tag in key[1] if not name[:1].isdigit()
+                    ],
                     "optimized": key[2],
                     "hits": entry["hits"],
                 }
@@ -273,6 +365,11 @@ class PlanCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def _hidden_binds(shape: tuple) -> tuple:
+    """The lifted literals' part of a key's bind shape."""
+    return tuple(bind for bind in shape if bind[0][:1].isdigit())
 
 
 def _ddl_versions(db: Any) -> tuple:
@@ -328,11 +425,18 @@ def plan_statement(
     columnar: Optional[bool] = None,
 ) -> tuple:
     """Everything between a statement's text and its execution, for both
-    entry points: guardrail defaults, the plan cache (key, lookup,
+    entry points: guardrail defaults, the plan cache (shape, key, lookup,
     DDL-version validation, put), parse and optimize on a miss — timed,
     in ``query.parse``/``query.optimize`` spans, and observed in
     ``query_phase_seconds`` here, where planning happens — and the
-    :class:`ExecContext` with every knob resolved.
+    :class:`ExecContext` with every knob resolved, the statement's lifted
+    literals merged into its bind parameters.
+
+    An *analyze* run plans the literal text, so its plan, estimates and
+    statistics feedback are those of the statement as written.  If a
+    shape's lifted tokens do not parse, the user's own tokens are parsed:
+    that raises the user's error, or gives a plan cached under the exact
+    text.
 
     Returns ``(query, ctx, phases, cache_key)``: the plan, its context,
     the planning seconds by phase (zeros on a cache hit) and the plan's
@@ -346,10 +450,17 @@ def plan_statement(
         if max_rows is None:
             max_rows = guardrails.max_rows
     cache: Optional[PlanCache] = getattr(db, "plan_cache", None)
-    cache_key = versions = query = None
+    if cache is not None and not cache.capacity:
+        cache = None
+    statement = tokens = cache_key = versions = query = None
     if cache is not None:
-        cache_key = PlanCache.key(
-            text, bind_vars, optimize_query, _plan_config(db)
+        if analyze:
+            statement = literal_shape(text)
+        else:
+            statement, tokens = cache.statement(text)
+        config = _plan_config(db)
+        cache_key = PlanCache.statement_key(
+            statement, bind_vars, optimize_query, config
         )
         versions = _ddl_versions(db)
         query = cache.get(cache_key, versions)
@@ -358,7 +469,21 @@ def plan_statement(
     if query is None:
         with tracing.span("query.parse"):
             phase_start = perf_counter()
-            query = parse(text)
+            if statement is None or statement.literal:
+                query = parse(text)
+            else:
+                if tokens is None:
+                    tokens = shapes.lift(text)[1]
+                try:
+                    query = parse_tokens(tokens)
+                except ParseError:
+                    if not statement.binds:
+                        raise
+                    query = parse(text)
+                    statement = cache.plan_literally(text)
+                    cache_key = PlanCache.statement_key(
+                        statement, bind_vars, optimize_query, config
+                    )
             phases["parse"] = perf_counter() - phase_start
         if optimize_query:
             with tracing.span("query.optimize"):
@@ -366,11 +491,18 @@ def plan_statement(
                 query = optimize(query, db)
                 phases["optimize"] = perf_counter() - phase_start
         if cache is not None:
-            cache.put(cache_key, query, versions)
+            cache.put(
+                cache_key, query, versions,
+                statement.text if statement.literal else shapes.display(tokens),
+            )
         if metrics.ENABLED:
             _PHASE_SECONDS["parse"].observe(phases["parse"])
             if optimize_query:
                 _PHASE_SECONDS["optimize"].observe(phases["optimize"])
+    if statement is not None and statement.values:
+        bind_vars = (
+            {**bind_vars, **statement.values} if bind_vars else statement.values
+        )
     ctx = ExecContext(
         db=db,
         bind_vars=bind_vars or {},
@@ -667,13 +799,13 @@ def open_query_cursor(
 
 
 def explain_query(db: Any, text: str, bind_vars: Optional[dict] = None) -> str:
-    """The optimized physical plan as text (bind vars affect index choice
-    only through constancy, so they are optional).
+    """The optimized physical plan of the literal text (bind vars affect
+    index choice only through constancy, so they are optional).
 
-    When the database has a plan cache, the first line reports whether a
-    live plan for this exact text is cached (and how often it has been
-    served) — without perturbing the cache."""
-    del bind_vars
+    When the database has a plan cache, the first line reports whether
+    the plan the next ``db.query(text, bind_vars)`` would be served is
+    cached (and how often it has been served) — without perturbing the
+    cache.  Without *bind_vars*, any bind shape of the statement counts."""
     text, analyze = _strip_analyze_prefix(text)
     if analyze:
         raise PlanError(
@@ -686,7 +818,13 @@ def explain_query(db: Any, text: str, bind_vars: Optional[dict] = None) -> str:
     rendered += "\nRules fired: " + (", ".join(fired) or "(none)")
     cache: Optional[PlanCache] = getattr(db, "plan_cache", None)
     if cache is not None:
-        hits = cache.peek_text(text, _ddl_versions(db))
+        hits = None
+        if cache.capacity:
+            key = PlanCache.statement_key(
+                cache.statement(text, remember=False)[0], bind_vars, True,
+                _plan_config(db),
+            )
+            hits = cache.peek(key, _ddl_versions(db), any_binds=not bind_vars)
         if hits is None:
             header = "-- plan: not cached"
         else:

@@ -40,12 +40,17 @@ from repro.errors import ParseError
 from repro.query import ast
 from repro.query.lexer import Token, TokenKind, tokenize
 
-__all__ = ["parse", "parse_expression"]
+__all__ = ["parse", "parse_tokens", "parse_expression"]
 
 
 def parse(text: str) -> ast.Query:
     """Parse a full MMQL query."""
-    parser = _Parser(tokenize(text))
+    return parse_tokens(tokenize(text))
+
+
+def parse_tokens(tokens: list[Token]) -> ast.Query:
+    """Parse a full MMQL query from its :func:`tokenize` stream."""
+    parser = _Parser(tokens)
     query = parser.parse_query()
     parser.expect_eof()
     return query

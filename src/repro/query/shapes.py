@@ -1,0 +1,234 @@
+"""Statement shapes: what the plan cache keys a statement on.
+
+``FILTER c.id == 7`` and ``FILTER c.id == 8`` plan the same.  A
+statement's *shape* is its token stream with each value literal lifted into
+a hidden bind parameter.  The plan cache keys on the shape (every kept
+token's kind and text, ``$1``, ``$2``, … for the lifted literals, and their
+model types), and each call hands its own literals to the shared plan as
+the hidden binds' values.  ``pg_stat_statements`` normalization and Oracle's
+``CURSOR_SHARING=FORCE`` are the same move.
+
+Literals the parser or a rewrite rule reads for *structure* stay in the
+shape as literals, so that a shared plan is the plan the literal text would
+get:
+
+* numbers on either side of ``..`` (traversal depths, ranges);
+* the LIMIT offset and count, and the string after LABEL;
+* the first argument of ``DOCUMENT`` / ``KV_GET`` (``lookup_join`` wants it
+  literal);
+* a string object key (``{'a': 1}``, ``{'a'}``);
+* an integer compared with a call (``LENGTH(x) > 0``: the existence tests
+  ``decorrelate_subquery`` reads);
+* a literal joined by an operator to another literal, and a number after a
+  unary minus, so that constant folding still yields a ``Literal`` (which
+  the columnar kernels and zone maps take).
+
+TRUE, FALSE and NULL are keywords and never lift.  A hidden bind is named
+by its ordinal (``1``, ``2``, …): MMQL wants a letter or ``_`` after ``@``,
+so no statement can name one.
+"""
+
+from __future__ import annotations
+
+from repro.core.datamodel import TypeTag
+from repro.query.lexer import Token, TokenKind, tokenize
+
+__all__ = ["Shape", "display", "lift", "literal_shape"]
+
+_NUMBER = TokenKind.NUMBER
+_STRING = TokenKind.STRING
+_BINDVAR = TokenKind.BINDVAR
+_NUMBER_TAG = int(TypeTag.NUMBER)
+_STRING_TAG = int(TypeTag.STRING)
+
+_COMPARISONS = frozenset(("==", "!=", "<", "<=", ">", ">="))
+#: Operators constant folding collapses when both operands are literals.
+_FOLDABLE = _COMPARISONS | {"+", "-", "*", "/", "%", "AND", "OR", "&&", "||"}
+_KEYWORD_LITERALS = frozenset(("TRUE", "FALSE", "NULL"))
+_LOOKUPS = frozenset(("DOCUMENT", "KV_GET"))
+#: Tags of tokens an operand can end with: a ``-`` after one is binary.
+_OPERAND_ENDS = frozenset(
+    (")", "]", "}", "ident", _NUMBER, _STRING, _BINDVAR) + tuple(_KEYWORD_LITERALS)
+)
+_OPENERS = frozenset("([{")
+_CLOSERS = frozenset(")]}")
+#: Tags :func:`display` writes without a space before them.
+_TIGHT_BEFORE = _CLOSERS | {",", ":", ".", ".."}
+
+
+class Shape:
+    """One statement's shape.
+
+    ``text`` and ``binds`` (the hidden binds' ``(name, model type tag)``
+    pairs) go into the plan-cache key; ``values`` are this text's literals
+    by hidden name.  A *literal* shape keeps every literal: its text is
+    the statement's own, and it is planned from that."""
+
+    __slots__ = ("text", "binds", "values", "literal")
+
+    def __init__(
+        self, text: str, binds: tuple, values: dict, literal: bool = False
+    ):
+        self.text = text
+        self.binds = binds
+        self.values = values
+        self.literal = literal
+
+
+def literal_shape(text: str) -> Shape:
+    """The shape of *text* as it stands: the plan-cache key of its exact
+    text (stripped)."""
+    return Shape(text.strip(), (), {}, literal=True)
+
+
+def lift(text: str) -> tuple[Shape, list[Token]]:
+    """Tokenize *text* and lift its value literals: its shape, and the
+    token stream the parser reads, a hidden bind token in place of each
+    lifted literal (raises :class:`~repro.errors.LexError` as
+    :func:`tokenize` does)."""
+    tokens = tokenize(text)
+    parts = []
+    binds = []
+    values = {}
+    lifted = None
+    for index in range(len(tokens) - 1):
+        token = tokens[index]
+        kind = token[0]
+        body = token[1]
+        if kind == _NUMBER or kind == _STRING:
+            if _kept(tokens, index):
+                parts.append(body if kind == _NUMBER else _quote(body))
+                continue
+            name = str(len(binds) + 1)
+            if kind == _NUMBER:
+                values[name] = int(body) if body.isdigit() else float(body)
+                binds.append((name, _NUMBER_TAG))
+            else:
+                values[name] = body
+                binds.append((name, _STRING_TAG))
+            parts.append("$" + name)
+            if lifted is None:
+                lifted = list(tokens)
+            lifted[index] = Token(_BINDVAR, name, token[2], token[3], _BINDVAR)
+        elif kind == _BINDVAR:
+            parts.append("@" + body)
+        else:
+            parts.append(body)
+    return Shape(" ".join(parts), tuple(binds), values), lifted or tokens
+
+
+def display(tokens: list[Token]) -> str:
+    """A lifted token stream as ``.plancache`` lists it: the literals as
+    ``$1``, ``$2``, …, the tokens spaced the way one writes them."""
+    out = []
+    glue = True
+    for index in range(len(tokens) - 1):
+        token = tokens[index]
+        tag = token.tag
+        if not glue and tag not in _TIGHT_BEFORE and not (
+            tag == "(" and tokens[index - 1].kind == TokenKind.IDENT
+        ):
+            out.append(" ")
+        out.append(_render(token))
+        glue = tag in _OPENERS or tag == "." or tag == ".." or (
+            tag == "-" and not _operand_end(tokens, index - 1)
+        )
+    return "".join(out)
+
+
+def _quote(body: str) -> str:
+    return "'" + body.replace("\\", "\\\\").replace("'", "\\'") + "'"
+
+
+def _render(token: Token) -> str:
+    kind = token.kind
+    if kind == _STRING:
+        return _quote(token.text)
+    if kind == _BINDVAR:
+        return ("$" if token.text[0].isdigit() else "@") + token.text
+    return token.text
+
+
+def _operand_end(tokens: list, index: int) -> bool:
+    """True when the token at *index* can end an operand (an attribute
+    name after ``.`` may be a keyword)."""
+    if index < 0:
+        return False
+    token = tokens[index]
+    return token.tag in _OPERAND_ENDS or (
+        token.kind == TokenKind.KEYWORD and index > 0 and tokens[index - 1].tag == "."
+    )
+
+
+def _literal_at(tokens: list, index: int) -> bool:
+    if index < 0 or index >= len(tokens):
+        return False
+    token = tokens[index]
+    return (
+        token.kind == _NUMBER
+        or token.kind == _STRING
+        or token.tag in _KEYWORD_LITERALS
+    )
+
+
+def _call_at(tokens: list, index: int) -> bool:
+    return (
+        index + 1 < len(tokens)
+        and (tokens[index].kind == TokenKind.IDENT or tokens[index].tag == "COUNT")
+        and tokens[index + 1].tag == "("
+    )
+
+
+def _innermost_opener(tokens: list, index: int):
+    """The bracket the token at *index* sits directly inside, or None."""
+    depth = 0
+    for position in range(index - 1, -1, -1):
+        tag = tokens[position].tag
+        if tag in _CLOSERS:
+            depth += 1
+        elif tag in _OPENERS:
+            if not depth:
+                return tag
+            depth -= 1
+    return None
+
+
+def _kept(tokens: list, index: int) -> bool:
+    """True when the literal at *index* is read for structure (see the
+    module docstring) and so stays in the shape."""
+    before = tokens[index - 1].tag if index else ""
+    after = tokens[index + 1].tag
+    if before == ".." or after == "..":
+        return True
+    if before in _FOLDABLE:
+        if before == "-" and not _operand_end(tokens, index - 2):
+            if tokens[index].kind == _NUMBER:  # unary minus
+                return True
+        elif _literal_at(tokens, index - 2):
+            return True
+    if after in _FOLDABLE and (
+        _literal_at(tokens, index + 2)
+        or (tokens[index + 2].tag == "-" and tokens[index + 3].kind == _NUMBER)
+    ):
+        return True
+    if tokens[index].kind == _NUMBER:
+        if before == "LIMIT" or (
+            before == "," and index >= 3 and tokens[index - 3].tag == "LIMIT"
+        ):
+            return True
+        return tokens[index].text.isdigit() and (
+            (before in _COMPARISONS and tokens[index - 2].tag == ")")
+            or (after in _COMPARISONS and _call_at(tokens, index + 2))
+        )
+    if before == "LABEL":
+        return True
+    if (
+        before == "("
+        and index >= 2
+        and tokens[index - 2].kind == TokenKind.IDENT
+        and tokens[index - 2].text.upper() in _LOOKUPS
+    ):
+        return True
+    return (before == "{" or before == ",") and _innermost_opener(
+        tokens, index
+    ) == "{"

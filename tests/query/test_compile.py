@@ -222,3 +222,23 @@ class TestSortSemantics:
         rows = db.query("FOR r IN rows SORT r.v RETURN r.v").rows
         # null < bool < number < string < array < object
         assert rows == [True, 1, "s", [1], {}]
+
+
+def test_like_builds_one_regex_per_pattern():
+    from repro.query import compile as compile_module
+
+    # Planned from the literal text, so a quoted pattern stays a literal.
+    db = MultiModelDB(plan_cache_size=0)
+    docs = db.create_collection("docs")
+    for number in range(300):
+        docs.insert({"name": f"n{number % 37}"})
+    compile_module._like_regex.cache_clear()
+    for pattern in ("n1%", "n_", "%7"):
+        literal = db.query(
+            f"FOR d IN docs FILTER d.name LIKE '{pattern}' RETURN d.name"
+        ).rows
+        bound = db.query(
+            "FOR d IN docs FILTER d.name LIKE @p RETURN d.name", {"p": pattern}
+        ).rows
+        assert literal and bound == literal
+    assert compile_module._like_regex.cache_info().misses == 3

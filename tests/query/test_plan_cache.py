@@ -152,6 +152,95 @@ class TestExplainIndicator:
         db.explain(QUERY)
         assert db.plan_cache.stats() == stats_before
 
+    def test_explain_peeks_the_key_the_next_query_uses(self, db):
+        join = TestRuleConfigKeying.JOIN
+        db.query(join)
+        db.query(join)
+        assert "-- plan: cached (served 1 time)" in db.explain(join)
+        db.optimizer_rules.disable("hash_join")
+        assert "-- plan: not cached" in db.explain(join)
+        assert db.query(join).stats["plan_cached"] is False
+
+    def test_explain_with_binds_peeks_their_shape(self, db):
+        db.query(QUERY, {"low": 5})
+        db.query(QUERY, {"low": 5})
+        assert "-- plan: cached (served 1 time)" in db.explain(QUERY, {"low": 6})
+        assert "-- plan: not cached" in db.explain(QUERY, {"low": "6"})
+
+    def test_explain_sees_the_shared_shape(self, db):
+        db.query("FOR d IN docs FILTER d.n >= 3 RETURN d.n")
+        db.query("FOR d IN docs FILTER d.n >= 4 RETURN d.n")
+        explained = db.explain("FOR d IN docs FILTER d.n >= 9 RETURN d.n")
+        assert explained.startswith("-- plan: cached (served 1 time)\n")
+        # The plan shown is the literal text's.
+        assert "(d.n >= 9)" in explained
+
+
+class TestShapes:
+    """Statements that differ in their value literals share one plan."""
+
+    def test_literals_share_a_plan(self, db):
+        rows = [
+            db.query(f"FOR d IN docs FILTER d.n >= {low} RETURN d.n")
+            for low in (3, 8)
+        ]
+        assert [result.stats["plan_cached"] for result in rows] == [False, True]
+        assert sorted(rows[0].rows) == [3, 4, 5, 6, 7, 8, 9]
+        assert sorted(rows[1].rows) == [8, 9]
+        assert len(db.plan_cache) == 1
+
+    def test_literal_types_are_part_of_the_key(self, db):
+        db.query("FOR d IN docs FILTER d.n >= 3 RETURN d.n")
+        result = db.query("FOR d IN docs FILTER d.n >= '3' RETURN d.n")
+        assert result.stats["plan_cached"] is False
+        assert result.rows == []
+
+    def test_a_zero_capacity_caches_nothing(self):
+        database = MultiModelDB(plan_cache_size=0)
+        database.create_collection("docs").insert({"n": 1})
+        for _round in range(2):
+            result = database.query("FOR d IN docs FILTER d.n == 1 RETURN d.n")
+            assert result.rows == [1]
+            assert result.stats["plan_cached"] is False
+        assert database.plan_cache.stats()["misses"] == 0
+        assert len(database.plan_cache) == 0
+
+    def test_the_memo_is_bounded_by_the_capacity(self):
+        cache = PlanCache(capacity=2)
+        for low in range(5):
+            cache.statement(f"RETURN {low}")
+        assert len(cache._shapes) == 2
+        cache.resize(1)
+        assert len(cache._shapes) == 1
+        cache.clear()
+        assert not cache._shapes
+
+    def test_plancache_lists_the_normalized_statement(self, db):
+        from io import StringIO
+
+        from repro.cli import run_statement
+
+        for low in (3, 4):
+            db.query(
+                f"FOR d IN docs FILTER d.n >= {low} AND d.city == 'Oslo' "
+                "RETURN d.n"
+            )
+        db.query(QUERY, {"low": 5})
+        assert [
+            (entry["query"], entry["bind_shape"]) for entry in db.plan_cache.entries()
+        ] == [
+            ("FOR d IN docs FILTER d.n >= $1 AND d.city == $2 RETURN d.n", []),
+            ("FOR d IN docs FILTER d.n >= @low RETURN d.n", ["low"]),
+        ]
+        out = StringIO()
+        run_statement(db, ".plancache", out, {"done": False})
+        lines = [line.strip() for line in out.getvalue().splitlines()]
+        assert lines == [
+            "2/128 entries; 1 hits, 2 misses, 0 evictions, 0 DDL invalidations",
+            "0 hits  FOR d IN docs FILTER d.n >= @low RETURN d.n @low",
+            "1 hits  FOR d IN docs FILTER d.n >= $1 AND d.city == $2 RETURN d.n",
+        ]
+
 
 class TestRuleConfigKeying:
     """The cache-key bugfix: the optimizer-rule configuration is part of
@@ -167,8 +256,8 @@ class TestRuleConfigKeying:
         from repro.query.plan import HashJoinOp
 
         db.query(self.JOIN)
-        key_default = PlanCache.key(
-            self.JOIN, None, True, db.optimizer_rules.fingerprint()
+        key_default = PlanCache.statement_key(
+            db.plan_cache.statement(self.JOIN)[0], None, True, db.optimizer_rules.fingerprint()
         )
         plan_default = db.plan_cache._entries[key_default]["plan"]
         assert any(
@@ -176,8 +265,8 @@ class TestRuleConfigKeying:
         )
         db.optimizer_rules.disable("hash_join")
         db.query(self.JOIN)
-        key_disabled = PlanCache.key(
-            self.JOIN, None, True, db.optimizer_rules.fingerprint()
+        key_disabled = PlanCache.statement_key(
+            db.plan_cache.statement(self.JOIN)[0], None, True, db.optimizer_rules.fingerprint()
         )
         assert key_disabled != key_default
         plan_disabled = db.plan_cache._entries[key_disabled]["plan"]

@@ -93,6 +93,51 @@ class TestPlanCacheThreadSafety:
         assert not errors, errors[:3]
         assert len(db.plan_cache) <= db.plan_cache.capacity
 
+    def test_literal_values_from_threads_share_one_shape(self):
+        """Texts that differ in their literals churn the text→shape memo
+        (four slots, thirty texts) while every thread reads it: each call
+        must still run with its own literal."""
+        import sys
+
+        db = MultiModelDB(plan_cache_size=4)
+        items = db.create_collection("items")
+        for index in range(30):
+            items.insert({"n": index, "tag": f"t{index}"})
+        errors: list = []
+        barrier = threading.Barrier(8)
+
+        def worker(seed: int) -> None:
+            try:
+                barrier.wait(timeout=10)
+                for round_ in range(60):
+                    value = (seed * 7 + round_) % 30
+                    rows = db.query(
+                        f"FOR i IN items FILTER i.n == {value} "
+                        f"AND i.tag == 't{value}' RETURN i.n"
+                    ).rows
+                    assert rows == [value], (value, rows)
+            except Exception as error:  # pragma: no cover
+                errors.append(repr(error))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(seed,)) for seed in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:3]
+        assert len(db.plan_cache._shapes) <= db.plan_cache.capacity
+        stats = db.plan_cache.stats()
+        assert stats["hits"] + stats["misses"] == 8 * 60
+        assert len(db.plan_cache) == 1
+
 
 class TestCatalogThreadSafety:
     def test_concurrent_register_and_lookup(self):
