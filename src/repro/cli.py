@@ -276,7 +276,8 @@ def run_statement(db: MultiModelDB, statement: str, out: IO, state: dict) -> Non
             f"segments / {segment_stats['rows']} rows over "
             f"{segment_stats['namespaces']} namespaces "
             f"({segment_stats['rebuilds']} rebuilds, "
-            f"{segment_stats['appends']} tail appends)",
+            f"{segment_stats['appends']} tail appends, "
+            f"{segment_stats['patches']} row patches)",
             file=out,
         )
         return

@@ -20,7 +20,7 @@ from repro.errors import UnknownCollectionError
 from repro.indexes.manager import IndexManager
 from repro.storage.log import CentralLog, LogOp
 from repro.storage.segments import SegmentManager
-from repro.storage.views import ColumnView, RowView
+from repro.storage.views import RowView
 from repro.txn.consistency import ConsistencyPolicy
 from repro.txn.manager import Transaction, TransactionManager
 
@@ -40,7 +40,6 @@ class EngineContext:
     def __init__(self, lock_timeout: float = 5.0):
         self.log = CentralLog(tail=_LOG_TAIL)
         self.rows = RowView(self.log)
-        self.columns = ColumnView(self.log)
         #: Columnar segments + zone maps for registered (relational /
         #: wide-column) namespaces — the analytic scan format.
         self.segments = SegmentManager(self.log, self.rows)

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import time
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Iterator, Optional
 
 from repro.core import datamodel
@@ -433,12 +435,8 @@ def _agg_add(aggs: list, position: int, mode: str, func: str, value) -> None:
         return
     if value is None:
         return
-    if datamodel.type_of(value) is not datamodel.TypeTag.NUMBER:
-        # Same verdict and message _numbers() would have produced had the
-        # inputs been buffered and aggregated at the end.
-        raise FunctionError(
-            f"{func}: array contains a {datamodel.type_name(value)}"
-        )
+    if not _is_number(value):
+        raise _not_a_number(func, value)
     if mode == "sum":
         aggs[position] += value
     elif mode == "avg":
@@ -453,6 +451,24 @@ def _agg_add(aggs: list, position: int, mode: str, func: str, value) -> None:
         current = aggs[position]
         if current is _UNSET or value > current:
             aggs[position] = value
+
+
+def _is_number(value) -> bool:
+    value_type = type(value)
+    return (
+        value_type is int
+        or value_type is float
+        or datamodel.type_of(value) is datamodel.TypeTag.NUMBER
+    )
+
+
+def _not_a_number(func: str, value) -> FunctionError:
+    """The error a numeric aggregate raises for a non-number input: the
+    same verdict and message ``_numbers()`` would have produced had the
+    inputs been buffered and aggregated at the end."""
+    return FunctionError(
+        f"{func}: array contains a {datamodel.type_name(value)}"
+    )
 
 
 def _agg_final(ctx, state, mode: str, func: str):
@@ -501,13 +517,140 @@ def _collect_plan(operation: ast.CollectOp, var: str):
     return plan
 
 
+def _selected_values(segment, column_name: str, indices, length: int):
+    """``(values, typecode, nulls)`` for one column over the selected rows.
+
+    *values* is a copy of the column's captured prefix when every row is
+    selected, else the picked values; ``None`` when the segment lacks the
+    column.  Never the column itself: the tail segment's columns grow in
+    place under concurrent appends, and the kernels read *values* in
+    several passes, so each must see only the rows the scan captured.
+    *typecode* is the typed array's (``'q'`` / ``'d'``), ``None`` for an
+    object list.  In a typed array the NULL positions (*nulls*) still
+    hold the 0 sentinel; an object list holds ``None`` there."""
+    column = segment.columns.get(column_name)
+    if column is None:
+        return None, None, None
+    if type(indices) is range:
+        values = column[:length]
+    else:
+        values = list(map(column.__getitem__, indices))
+    typecode = column.typecode if isinstance(column, array) else None
+    return values, typecode, segment.nulls.get(column_name)
+
+
+def _null_filled(values, indices, nulls) -> list:
+    """A typed column's selected values with ``None`` at its NULLs."""
+    return [
+        None if i in nulls else value for i, value in zip(indices, values)
+    ]
+
+
+def _group_slots(segment, indices, length, group_columns, agg_specs, groups,
+                 order):
+    """Assign each selected row to its group in one pass: ``(assign,
+    slot_groups)``, where ``assign[k]`` is the batch-local slot of the
+    k-th selected row and ``slot_groups[slot]`` its group state.
+
+    Tokens are :func:`_group_token`'s (strings and typed ints are their
+    own token), new groups keep the first-seen key value and join *order*
+    in first-appearance order — as the row path does."""
+    total = len(indices)
+    token_lists = []
+    value_lists = []
+    for _name, column_name in group_columns:
+        values, typecode, nulls = _selected_values(
+            segment, column_name, indices, length
+        )
+        if values is None:
+            values = [None] * total
+        elif typecode and nulls:
+            values = _null_filled(values, indices, nulls)
+        if typecode == "q":
+            tokens = values
+        else:
+            tokens = [
+                value if type(value) is str else _group_token(value)
+                for value in values
+            ]
+        token_lists.append(tokens)
+        value_lists.append(values)
+    single = len(group_columns) == 1
+    if single:
+        tokens = token_lists[0]
+    else:
+        tokens = list(zip(*token_lists))
+    local = dict.fromkeys(tokens)  # distinct tokens, first-appearance order
+    first_values = None
+    slot_groups = []
+    for slot, token in enumerate(local):
+        local[token] = slot
+        key = (token,) if single else token
+        group = groups.get(key)
+        if group is None:
+            if first_values is None:
+                raw = value_lists[0] if single else list(zip(*value_lists))
+                first_values = dict(zip(reversed(tokens), reversed(raw)))
+            value = first_values[token]
+            group = _new_group(
+                [
+                    (name, key_value)
+                    for (name, _column), key_value in zip(
+                        group_columns, (value,) if single else value
+                    )
+                ],
+                agg_specs,
+            )
+            groups[key] = group
+            order.append(key)
+        slot_groups.append(group)
+    return list(map(local.__getitem__, tokens)), slot_groups
+
+
+def _first_non_number(values) -> Optional[int]:
+    for offset, value in enumerate(values):
+        if value is not None and not _is_number(value):
+            return offset
+    return None
+
+
+def _fold_column(mode: str, pairs, acc: list) -> None:
+    """Fold ``(slot, number)`` pairs into the per-slot running states
+    *acc*, in row order (float sums associate exactly as the row path's
+    :func:`_agg_add` does)."""
+    if mode == "sum":
+        for slot, value in pairs:
+            acc[slot] += value
+    elif mode == "avg":
+        for slot, value in pairs:
+            state = acc[slot]
+            state[0] += value
+            state[1] += 1
+    elif mode == "min":
+        for slot, value in pairs:
+            current = acc[slot]
+            if current is _UNSET or value < current:
+                acc[slot] = value
+    else:  # max
+        for slot, value in pairs:
+            current = acc[slot]
+            if current is _UNSET or value > current:
+                acc[slot] = value
+
+
 def _collect_columnar(
     ctx, operation: ast.CollectOp, batch, agg_specs, groups, order
 ) -> bool:
     """Fold one ColumnBatch into the COLLECT state without building row
-    frames: group-key columns are read directly and tokenized once per
-    row, aggregate inputs come straight from the typed arrays.  Returns
-    False when the shape is not columnar (the caller pivots to rows)."""
+    frames, a column at a time: one pass assigns every selected row to its
+    group (:func:`_group_slots`), then each aggregate makes one pass over
+    its column.  Returns False when the shape is not columnar (the caller
+    pivots to rows).
+
+    Same groups, arithmetic and errors as the row path: a typed, null-free
+    column skips the per-value type check; otherwise the first input that
+    is not a number — first by row, then by aggregate, as the row path
+    meets them — raises :func:`_agg_add`'s ``FunctionError``."""
     plan = _collect_plan(operation, batch.var)
     if plan is None:
         return False
@@ -516,108 +659,99 @@ def _collect_columnar(
         return True
     group_columns, agg_columns = plan
     segment = batch.segment
-    columns = segment.columns
-    nulls_map = segment.nulls
+    length = batch.length
+    indices = batch.indices()
     ctx.stats["columnar_kernel_rows"] += total
     if obs_metrics.ENABLED:
         obs_metrics.counter(
             "columnar_kernel_rows_total", kernel="collect"
         ).inc(total)
-    if not group_columns:
-        # Global aggregate: one group; whole-column builtins (C loops)
-        # when a typed, null-free column is fully selected.
+    if group_columns:
+        assign, slot_groups = _group_slots(
+            segment, indices, length, group_columns, agg_specs, groups, order
+        )
+        tally = Counter(assign)
+        counts = [tally[slot] for slot in range(len(slot_groups))]
+    else:
+        # Global aggregate: one group, every row in slot 0.
         group = groups.get(())
         if group is None:
             group = _new_group([], agg_specs)
             groups[()] = group
             order.append(())
-        group["count"] += total
-        aggs = group["aggs"]
-        full = batch.selection is None
-        for position, (_name, func, mode, _arg_fn) in enumerate(agg_specs):
-            if mode == "count":
-                aggs[position] += total
-                continue
-            column_name = agg_columns[position]
-            column = columns.get(column_name)
-            nulls = nulls_map.get(column_name)
-            if (
-                full
-                and not nulls
-                and isinstance(column, array)
-                and mode != "buffer"
-            ):
-                data = (
-                    column
-                    if len(column) == batch.length
-                    else column[:batch.length]
-                )
+        assign = repeat(0)
+        slot_groups = [group]
+        counts = [total]
+    for group, count in zip(slot_groups, counts):
+        group["count"] += count
+    failures = []
+    for position, (_name, func, mode, _arg_fn) in enumerate(agg_specs):
+        if mode == "count":
+            for group, count in zip(slot_groups, counts):
+                group["aggs"][position] += count
+            continue
+        values, typecode, nulls = _selected_values(
+            segment, agg_columns[position], indices, length
+        )
+        acc = [group["aggs"][position] for group in slot_groups]
+        if mode == "buffer":
+            if values is None:
+                values = [None] * total
+            elif typecode and nulls:
+                values = _null_filled(values, indices, nulls)
+            for slot, value in zip(assign, values):
+                acc[slot].append(value)
+            continue
+        if values is None:
+            continue  # every input NULL: nothing to fold
+        if typecode and not nulls:
+            if not group_columns and type(indices) is range:
+                # Whole typed column into one group: builtins (C loops).
                 if mode == "sum":
-                    aggs[position] += sum(data)
+                    acc[0] += sum(values)
                 elif mode == "avg":
-                    state = aggs[position]
-                    state[0] += sum(data)
-                    state[1] += len(data)
+                    acc[0][0] += sum(values)
+                    acc[0][1] += len(values)
                 else:
-                    extreme = min(data) if mode == "min" else max(data)
-                    current = aggs[position]
+                    extreme = min(values) if mode == "min" else max(values)
+                    current = acc[0]
                     if (
                         current is _UNSET
                         or (mode == "min" and extreme < current)
                         or (mode == "max" and extreme > current)
                     ):
-                        aggs[position] = extreme
-                continue
-            for i in batch.indices():
-                value = (
-                    None
-                    if column is None or (nulls and i in nulls)
-                    else column[i]
-                )
-                _agg_add(aggs, position, mode, func, value)
-        return True
-    key_readers = [
-        (name, columns.get(column), nulls_map.get(column))
-        for name, column in group_columns
-    ]
-    agg_readers: list = []
-    for position, (_name, _func, mode, _arg_fn) in enumerate(agg_specs):
-        if mode == "count":
-            agg_readers.append(None)
+                        acc[0] = extreme
+            else:
+                _fold_column(mode, zip(assign, values), acc)
+        elif typecode:
+            _fold_column(
+                mode,
+                [
+                    (slot, value)
+                    for slot, value, i in zip(assign, values, indices)
+                    if i not in nulls
+                ],
+                acc,
+            )
         else:
-            column_name = agg_columns[position]
-            agg_readers.append(
-                (columns.get(column_name), nulls_map.get(column_name))
-            )
-    group_token = _group_token
-    for i in batch.indices():
-        key_values = [
-            (
-                name,
-                None
-                if column is None or (nulls and i in nulls)
-                else column[i],
-            )
-            for name, column, nulls in key_readers
-        ]
-        token = tuple(group_token(value) for _name, value in key_values)
-        group = groups.get(token)
-        if group is None:
-            group = _new_group(key_values, agg_specs)
-            groups[token] = group
-            order.append(token)
-        group["count"] += 1
-        aggs = group["aggs"]
-        for position, (_name, func, mode, _arg_fn) in enumerate(agg_specs):
-            reader = agg_readers[position]
-            if reader is None:
-                aggs[position] += 1
+            offset = _first_non_number(values)
+            if offset is not None:
+                failures.append((offset, position, func, values[offset]))
                 continue
-            column, nulls = reader
-            value = (
-                None if column is None or (nulls and i in nulls) else column[i]
+            _fold_column(
+                mode,
+                [
+                    (slot, value)
+                    for slot, value in zip(assign, values)
+                    if value is not None
+                ],
+                acc,
             )
-            _agg_add(aggs, position, mode, func, value)
+        for group, state in zip(slot_groups, acc):
+            group["aggs"][position] = state
+    if failures:
+        _offset, _position, func, value = min(failures, key=lambda f: f[:2])
+        raise _not_a_number(func, value)
     return True
 
 

@@ -165,17 +165,22 @@ class _Connection:
                 raise ConnectionResetError("server killed")
             protocol.send_payload(self.sock, data)
 
-    def sever(self, reset: bool = False) -> None:
-        """Wake the session thread out of its read.  ``reset`` is the
-        power cut: ``SO_LINGER`` 0 makes the thread's close send an RST,
-        and only the read side is shut, so no FIN goes out before it."""
+    def sever(self, reset: bool = False, hang_up: bool = True) -> None:
+        """Wake the session thread out of its read.  ``hang_up`` shuts the
+        write side too, so the peer sees the hang-up at once; without it a
+        reply the thread is about to send for a call that already finished
+        still goes out, and the thread's close sends the FIN.  ``reset`` is
+        the power cut: ``SO_LINGER`` 0 makes the thread's close send an
+        RST, and only the read side is shut, so no FIN goes out before it."""
         try:
             if reset:
                 self.reset = True
                 self.sock.setsockopt(
                     socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
                 )
-            self.sock.shutdown(socket.SHUT_RD if reset else socket.SHUT_RDWR)
+            self.sock.shutdown(
+                socket.SHUT_RDWR if hang_up and not reset else socket.SHUT_RD
+            )
         except OSError:
             pass
 
@@ -464,9 +469,11 @@ class ReproServer:
                 pass  # checkpointing is an optimization; the WAL is truth
         # Wake every session thread out of its read and give them a grace
         # window to clean up and leave; a thread still inside an engine
-        # call past it is a daemon and ends with the process.
+        # call past it is a daemon and ends with the process.  The write
+        # side stays open: a call that finished during the drain still
+        # gets its reply.
         for _session, conn in entries:
-            conn.sever(reset=self._kill)
+            conn.sever(reset=self._kill, hang_up=False)
         grace_ends = time.monotonic() + 1.0
         for _session, conn in entries:
             conn.thread.join(max(grace_ends - time.monotonic(), 0.0))

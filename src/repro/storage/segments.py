@@ -22,12 +22,22 @@ workload class" the tutorial's challenge #5 asks for:
 
 Maintenance follows the central-log architecture: :class:`SegmentManager`
 is a :class:`repro.storage.views.StorageView` subscriber, so it only sees
-**committed** entries.  INSERTs append incrementally to the tail segment
-(degrading a typed column to an object list when a value no longer fits);
-UPDATE/DELETE mark the namespace dirty and the next scan rebuilds from
-the row view — which also makes recovery free: after a WAL replay the
-row view is authoritative and the first scan rebuilds the segments from
-it.
+**committed** entries, and it maintains the segments as writes commit:
+
+* an INSERT of a new key appends to the tail segment;
+* an UPDATE, or an INSERT of a key the segments already hold, replaces
+  that one row in its segment **copy-on-write** — the replacement shares
+  every unchanged column, and a scan that already took its snapshot sees
+  none of the change;
+* a value that no longer fits a typed column degrades only that column of
+  that segment to an object list (and one that fits again re-types it),
+  so a maintained segment always stores what a fresh build over its rows
+  would; zone maps only widen, so pruning stays conservative;
+* a DELETE marks the namespace dirty and the next scan rebuilds from the
+  row view (see :class:`SegmentManager` for why).
+
+The first scan builds from the row view too, which makes recovery free:
+after a WAL replay the row view is authoritative.
 """
 
 from __future__ import annotations
@@ -63,7 +73,7 @@ _MISSING = object()
 
 obs_metrics.describe(
     "columnar_segment_rebuilds_total",
-    "Columnar segment rebuilds from the row view (after update/delete).",
+    "Columnar segment rebuilds from the row view (first scan, after a delete).",
 )
 obs_metrics.describe(
     "columnar_segments_pruned_total",
@@ -97,6 +107,28 @@ def _classify(values: list) -> str:
     return kind if kind is not None else _KIND_OBJECT
 
 
+def _store(values: list) -> tuple:
+    """``(kind, column)`` for one column's values, as a fresh build
+    stores them: a typed array when :func:`_classify` allows it and every
+    int fits 64 bits, else the list itself."""
+    kind = _classify(values)
+    if kind == _KIND_OBJECT:
+        return kind, values
+    try:
+        return kind, array(
+            kind, [0 if value is None else value for value in values]
+        )
+    except OverflowError:
+        # An int outside the 64-bit range: keep objects.
+        return _KIND_OBJECT, values
+
+
+def _typable(value: Any) -> bool:
+    """True for the values a typed column holds (an int or a float)."""
+    value_type = type(value)
+    return value_type is int or value_type is float
+
+
 class ColumnSegment:
     """One fixed-size run of rows, decomposed per column.
 
@@ -119,19 +151,7 @@ class ColumnSegment:
         sort_key = datamodel.SortKey
         for name in column_names:
             values = [row.get(name) for row in rows]
-            kind = _classify(values)
-            if kind == _KIND_OBJECT:
-                column: Any = values
-            else:
-                try:
-                    column = array(
-                        kind,
-                        [0 if value is None else value for value in values],
-                    )
-                except OverflowError:
-                    # An int outside the 64-bit range: keep objects.
-                    kind = _KIND_OBJECT
-                    column = values
+            kind, column = _store(values)
             nulls = {
                 position
                 for position, value in enumerate(values)
@@ -172,11 +192,28 @@ class ColumnSegment:
         self.kinds[name] = _KIND_OBJECT
         return values
 
+    def _widen(self, name: str, value: Any) -> None:
+        """Stretch the zone map over *value*; it never narrows, so pruning
+        stays conservative whatever a patch replaced."""
+        zone_min = self.zone_min.get(name, _MISSING)
+        if zone_min is _MISSING:
+            self.zone_min[name] = value
+            self.zone_max[name] = value
+            return
+        compare = datamodel.compare
+        if compare(value, zone_min) < 0:
+            self.zone_min[name] = value
+        if compare(value, self.zone_max[name]) > 0:
+            self.zone_max[name] = value
+
     def append(self, row: dict) -> None:
-        """Append one stored row, maintaining columns and zone maps."""
+        """Append one stored row, maintaining columns and zone maps.
+
+        The segment stays equal to a fresh build over its rows (zone maps
+        aside): a column that held only NULLs — every column of a new
+        tail segment — becomes a typed array at its first number."""
         position = len(self.rows)
         self.rows.append(row)
-        compare = datamodel.compare
         for name, column in self.columns.items():
             value = row.get(name)
             kind = self.kinds[name]
@@ -191,17 +228,91 @@ class ColumnSegment:
             elif kind == _KIND_FLOAT and type(value) is float:
                 column.append(value)
             elif kind == _KIND_OBJECT:
-                column.append(value)
+                if _typable(value) and len(
+                    self.nulls.get(name, ())
+                ) == position:
+                    self.kinds[name], self.columns[name] = _store(
+                        column + [value]
+                    )
+                else:
+                    column.append(value)
             else:
                 self._degrade(name).append(value)
-            if name not in self.zone_min:
-                self.zone_min[name] = value
-                self.zone_max[name] = value
+            self._widen(name, value)
+
+    def replaced(self, position: int, row: dict) -> "ColumnSegment":
+        """A copy of this segment with the row at *position* replaced —
+        the copy-on-write patch a committed UPDATE makes.
+
+        The copy shares every column the new row leaves unchanged and
+        copies ``rows`` and the changed columns only, so a scan holding
+        this segment sees none of the change.  Each changed column ends as
+        a fresh build over the new rows would store it (a value that no
+        longer fits degrades only that column; one that fits again re-
+        types it); zone maps only widen."""
+        clone = ColumnSegment.__new__(ColumnSegment)
+        clone.rows = list(self.rows)
+        before = clone.rows[position]
+        clone.rows[position] = row
+        clone.columns = dict(self.columns)
+        clone.kinds = dict(self.kinds)
+        clone.nulls = dict(self.nulls)
+        clone.zone_min = dict(self.zone_min)
+        clone.zone_max = dict(self.zone_max)
+        for name in self.columns:
+            value = row.get(name)
+            old = before.get(name)
+            if value is old or (
+                type(value) is type(old)
+                and (type(value) is int or type(value) is str)
+                and value == old
+            ):
+                continue
+            clone._write(name, position, value)
+        return clone
+
+    def _write(self, name: str, position: int, value: Any) -> None:
+        """Store *value* at *position* of column *name* in fresh objects
+        (the column and, when it changes, its null set)."""
+        nulls = self.nulls.get(name)
+        if value is None:
+            nulls = set(nulls) if nulls else set()
+            nulls.add(position)
+            self.nulls[name] = nulls
+        elif nulls and position in nulls:
+            nulls = set(nulls)
+            nulls.discard(position)
+            if nulls:
+                self.nulls[name] = nulls
             else:
-                if compare(value, self.zone_min[name]) < 0:
-                    self.zone_min[name] = value
-                if compare(value, self.zone_max[name]) > 0:
-                    self.zone_max[name] = value
+                del self.nulls[name]
+        self._widen(name, value)
+        kind = self.kinds[name]
+        column = self.columns[name]
+        if kind != _KIND_OBJECT:
+            fits = (
+                len(self.nulls[name]) < len(self.rows)
+                if value is None
+                else type(value) is (int if kind == _KIND_INT else float)
+            )
+            if fits:
+                column = column[:]
+                try:
+                    column[position] = 0 if value is None else value
+                except OverflowError:
+                    pass
+                else:
+                    self.columns[name] = column
+                    return
+            values = self._degrade(name)
+        else:
+            values = list(column)
+        values[position] = value
+        if value is None or _typable(value):
+            self.kinds[name], self.columns[name] = _store(values)
+        else:
+            self.columns[name] = values
+            self.kinds[name] = _KIND_OBJECT
 
 
 def segment_may_match(
@@ -306,16 +417,30 @@ class ColumnBatch:
 
 
 class _Namespace:
-    __slots__ = ("column_names", "segments", "dirty", "rebuilds", "appends")
+    __slots__ = (
+        "column_names",
+        "segments",
+        "positions",
+        "width",
+        "dirty",
+        "rebuilds",
+        "appends",
+        "patches",
+    )
 
     def __init__(self, column_names: tuple):
         self.column_names = column_names
         self.segments: list[ColumnSegment] = []
+        #: Key -> global row position (segment, offset = divmod by
+        #: ``width``, the segment width of the last build).
+        self.positions: dict = {}
+        self.width = 1
         #: Dirty until the first scan builds the segments; set again by
-        #: UPDATE/DELETE (lazy rebuild keeps random writes cheap).
+        #: DELETE and by writes the position map cannot place.
         self.dirty = True
         self.rebuilds = 0
         self.appends = 0
+        self.patches = 0
 
 
 class SegmentManager(StorageView):
@@ -326,12 +451,21 @@ class SegmentManager(StorageView):
       wide-column stores at creation; the first scan builds segments from
       the row view (so registering over existing data, or after a WAL
       replay, just works).
-    * INSERT appends to the tail segment incrementally (zone maps update
-      in place); UPDATE/DELETE mark the namespace dirty and the next scan
-      rebuilds; DROP resets.
+    * A key -> position map places every committed write.  INSERT of a
+      new key appends to the tail segment; UPDATE, or INSERT of a key the
+      segments already hold (a delete and re-insert inside one
+      transaction), replaces that one row in its segment copy-on-write
+      (:meth:`ColumnSegment.replaced`) — the segments stay in the row
+      view's order, and no scan pays a rebuild.
+    * DELETE marks the namespace dirty and the next scan rebuilds, on
+      purpose: an eager per-segment rebuild would make a bulk ``REMOVE``
+      cost O(rows x segment), and a tombstone selection vector would touch
+      every kernel.  No workload deletes from a registered table.  An
+      UPDATE of a key the map does not hold also marks it dirty; DROP and
+      ``register`` reset.
     * ``segments_for_scan`` returns a snapshot list of
       ``(segment, row_count)`` pairs — the captured count shields readers
-      from concurrent tail appends.
+      from concurrent tail appends, and copy-on-write from patches.
     """
 
     name = "segments"
@@ -365,12 +499,21 @@ class SegmentManager(StorageView):
         if space is None:
             return
         with self._lock:
-            if entry.op is LogOp.INSERT and not space.dirty:
-                self._append(space, entry.value)
+            if space.dirty:
+                return  # the next scan rebuilds from the row view
+            row = entry.value
+            if entry.op is LogOp.DELETE or not isinstance(row, dict):
+                space.dirty = True
+                return
+            position = space.positions.get(entry.key)
+            if position is not None:
+                index, offset = divmod(position, space.width)
+                segments = space.segments
+                segments[index] = segments[index].replaced(offset, row)
+                space.patches += 1
+            elif entry.op is LogOp.INSERT:
+                self._append(space, entry.key, row)
             else:
-                # UPDATE/DELETE (or an INSERT before the first build):
-                # positions shift or values change in place — rebuild
-                # lazily on the next scan.
                 space.dirty = True
 
     def _drop_namespace(self, namespace: str) -> None:
@@ -379,27 +522,31 @@ class SegmentManager(StorageView):
             return
         with self._lock:
             space.segments = []
+            space.positions = {}
             space.dirty = True
 
-    def _append(self, space: _Namespace, row: Any) -> None:
-        if not isinstance(row, dict):
-            space.dirty = True
-            return
+    def _append(self, space: _Namespace, key: Any, row: dict) -> None:
         segments = space.segments
-        if not segments or len(segments[-1]) >= self.segment_rows:
+        if not segments or len(segments[-1]) >= space.width:
             segments.append(ColumnSegment([], space.column_names))
-        segments[-1].append(row)
+        tail = segments[-1]
+        space.positions[key] = (len(segments) - 1) * space.width + len(tail)
+        tail.append(row)
         space.appends += 1
 
     # -- scanning ----------------------------------------------------------
 
     def _rebuild(self, namespace: str, space: _Namespace) -> None:
-        rows = [value for _key, value in self._rows.scan(namespace)]
-        width = self.segment_rows
+        items = list(self._rows.scan(namespace))
+        rows = [value for _key, value in items]
+        width = space.width = self.segment_rows
         space.segments = [
             ColumnSegment(rows[start:start + width], space.column_names)
             for start in range(0, len(rows), width)
         ]
+        space.positions = {
+            key: position for position, (key, _value) in enumerate(items)
+        }
         space.dirty = False
         space.rebuilds += 1
         if obs_metrics.ENABLED:
@@ -442,5 +589,8 @@ class SegmentManager(StorageView):
                 ),
                 "appends": sum(
                     space.appends for space in self._spaces.values()
+                ),
+                "patches": sum(
+                    space.patches for space in self._spaces.values()
                 ),
             }

@@ -16,8 +16,8 @@ This module reproduces the slide examples:
 
 Rows are *sparse*: unset columns simply don't exist in storage (the
 wide-column property), and reappear as ``null`` in SELECT JSON output.
-Physically the shared :class:`repro.storage.views.ColumnView` holds the
-per-column decomposition.
+The query engine scans them through the per-column decomposition of the
+columnar segments (:mod:`repro.storage.segments`).
 """
 
 from __future__ import annotations
@@ -196,12 +196,9 @@ class WideColumnTable(BaseStore):
         return output
 
     def column_values(self, column: str, txn: Optional[Transaction] = None):
-        """The columnar read path (through the shared column view when
-        outside a transaction)."""
+        """``(key, value)`` for every row that sets *column*."""
         if column not in self.columns:
             raise SchemaError(f"table {self.name!r} has no column {column!r}")
-        if txn is None:
-            return self._context.columns.scan_column(self.namespace, column)
         return iter(
             (key, row[column])
             for key, row in self._raw_scan(txn)

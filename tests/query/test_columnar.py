@@ -277,3 +277,150 @@ class TestSessionKnob:
             ]
             == 0
         )
+
+
+#: Group keys under the model's equality: 1, 1.0 and 1.5-free integral
+#: floats share a group, True stays apart from 1, '1' from 1, and the
+#: containers group by value.
+KEYS = [1, 1.0, True, None, "1", [1], {"a": 1}, 2, 2.0, "x", [1], {"a": 1}, 3]
+
+
+@pytest.fixture(scope="module")
+def mixed_db():
+    """Four-row segments (so several per scan) over key and input columns
+    of every kind: JSON keys of mixed types, a typed float column with
+    NULLs, a typed int column, a mixed int/float object column, and two
+    columns whose one non-number sits in the same segment."""
+    db = MultiModelDB()
+    db.context.segments.segment_rows = 4
+    db.create_table(
+        TableSchema(
+            "mixed",
+            [
+                Column("id", ColumnType.INTEGER, nullable=False),
+                Column("k", ColumnType.JSON),
+                Column("tag", ColumnType.STRING),
+                Column("f", ColumnType.FLOAT),
+                Column("n", ColumnType.INTEGER),
+                Column("v", ColumnType.JSON),
+                Column("bad1", ColumnType.JSON),
+                Column("bad2", ColumnType.JSON),
+            ],
+            primary_key="id",
+        )
+    )
+    table = db.table("mixed")
+    for index in range(30):
+        table.insert(
+            {
+                "id": index,
+                "k": KEYS[index % len(KEYS)],
+                "tag": ["p", "q", None][index % 3],
+                "f": None if index % 5 == 0 else index * 0.1,
+                "n": index * 3 - 20,
+                "v": [1, 2.5, None, 7, -4.25][index % 5],
+                "bad1": "six" if index == 6 else index,
+                "bad2": [5] if index == 5 else index,
+            }
+        )
+    return db
+
+
+def _both(db, text):
+    columnar = db.query(text, columnar=True)
+    rows = db.query(text, columnar=False).rows
+    assert columnar.stats["segments_scanned"] > 1
+    return columnar.rows, rows
+
+
+class TestGroupedKernelEquivalence:
+    """The column-at-a-time grouped COLLECT against the row path: equal
+    rows, the first-seen key value of each group (repr tells 1 from 1.0
+    and True), and the first-appearance group order before any SORT."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # mixed-type keys, every streamable aggregate
+            "FOR r IN mixed COLLECT k = r.k AGGREGATE c = COUNT(r), "
+            "s = SUM(r.n), lo = MIN(r.f), hi = MAX(r.f), m = AVG(r.f) "
+            "RETURN {k, c, s, lo, hi, m}",
+            # multi-key groups, NULLs in a string key
+            "FOR r IN mixed COLLECT k = r.k, tag = r.tag "
+            "AGGREGATE s = SUM(r.f), c = COUNT(r.f) RETURN {k, tag, s, c}",
+            # a selection vector from the FILTER kernel
+            "FOR r IN mixed FILTER r.id >= 3 AND r.id < 23 "
+            "COLLECT tag = r.tag AGGREGATE s = SUM(r.n), m = AVG(r.v), "
+            "hi = MAX(r.v) RETURN {tag, s, m, hi}",
+            # typed int and float keys
+            "FOR r IN mixed COLLECT n = r.n AGGREGATE s = SUM(r.v) "
+            "RETURN {n, s}",
+            "FOR r IN mixed COLLECT f = r.f AGGREGATE c = COUNT(r) "
+            "RETURN {f, c}",
+            # NULL and missing inputs: a column no row has
+            "FOR r IN mixed COLLECT tag = r.tag AGGREGATE "
+            "s = SUM(r.missing), lo = MIN(r.missing), m = AVG(r.missing), "
+            "c = COUNT(r.missing), v = SUM(r.v) RETURN {tag, s, lo, m, c, v}",
+            # a key column no row has: one NULL group
+            "FOR r IN mixed COLLECT k = r.missing AGGREGATE s = SUM(r.n) "
+            "RETURN {k, s}",
+            # library aggregates without a running form still buffer
+            "FOR r IN mixed COLLECT tag = r.tag AGGREGATE u = UNIQUE(r.f) "
+            "RETURN {tag, u}",
+        ],
+    )
+    def test_columnar_equals_row_path(self, mixed_db, text):
+        columnar, rows = _both(mixed_db, text)
+        assert columnar == rows
+        assert repr(columnar) == repr(rows)
+
+    def test_first_seen_key_value_and_order(self, mixed_db):
+        columnar, rows = _both(
+            mixed_db,
+            "FOR r IN mixed COLLECT k = r.k AGGREGATE c = COUNT(r) "
+            "RETURN {k, c}",
+        )
+        assert repr(columnar) == repr(rows)
+        keys = [row["k"] for row in columnar]
+        # 1 then 1.0: one group keyed 1; True and '1' are groups apart.
+        assert keys[:6] == [1, True, None, "1", [1], {"a": 1}]
+        assert type(keys[0]) is int
+        assert type(keys[6]) is int and keys[6] == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "FOR r IN mixed COLLECT tag = r.tag "
+                "AGGREGATE s = SUM(r.tag) RETURN s",
+                "SUM: array contains a string",
+            ),
+            (
+                "FOR r IN mixed COLLECT AGGREGATE s = SUM(r.tag) RETURN s",
+                "SUM: array contains a string",
+            ),
+            # Both non-numbers sit in one segment: the row path meets
+            # bad2's array (row 5) before bad1's string (row 6).
+            (
+                "FOR r IN mixed COLLECT tag = r.tag "
+                "AGGREGATE a = SUM(r.bad1), b = MAX(r.bad2) RETURN a",
+                "MAX: array contains a array",
+            ),
+            (
+                "FOR r IN mixed COLLECT AGGREGATE a = MIN(r.bad1), "
+                "b = AVG(r.bad2) RETURN a",
+                "AVG: array contains a array",
+            ),
+        ],
+    )
+    def test_non_numbers_raise_the_row_path_error(
+        self, mixed_db, text, message
+    ):
+        from repro.errors import FunctionError
+
+        with pytest.raises(FunctionError) as row_error:
+            mixed_db.query(text, columnar=False)
+        with pytest.raises(FunctionError) as columnar_error:
+            mixed_db.query(text, columnar=True)
+        assert str(row_error.value) == message
+        assert str(columnar_error.value) == message

@@ -1,6 +1,11 @@
 """Columnar segment storage: typed arrays, null sets, zone maps, tail
-appends, lazy rebuilds and the conservative ``segment_may_match`` pruning
-predicate (PR 7)."""
+appends, copy-on-write row patches at commit, lazy rebuilds after a
+delete, and the conservative ``segment_may_match`` pruning predicate."""
+
+import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -180,13 +185,13 @@ class TestColumnBatch:
         assert [frame["m"]["v"] for frame in batch] == [1, 2]
 
 
-def _fresh_table(db, name="t"):
+def _fresh_table(db, name="t", value_type=ColumnType.INTEGER):
     db.create_table(
         TableSchema(
             name,
             [
                 Column("id", ColumnType.INTEGER, nullable=False),
-                Column("v", ColumnType.INTEGER),
+                Column("v", value_type),
             ],
             primary_key="id",
         )
@@ -220,7 +225,25 @@ class TestSegmentManagerMaintenance:
         assert manager.stats()["rebuilds"] == rebuilds
         assert manager.stats()["appends"] >= 2
 
-    def test_update_and_delete_trigger_lazy_rebuild(self):
+    def test_update_patches_its_segment_without_a_rebuild(self):
+        db = MultiModelDB()
+        table = _fresh_table(db)
+        manager = db.context.segments
+        for index in range(4):
+            table.insert({"id": index, "v": index})
+        manager.segments_for_scan(table.namespace)
+        before = manager.stats()
+        table.update(1, {"v": 99})
+        pairs = manager.segments_for_scan(table.namespace)
+        after = manager.stats()
+        assert after["rebuilds"] == before["rebuilds"]
+        assert after["patches"] == before["patches"] + 1
+        (segment, count), = pairs
+        assert [segment.rows[i]["v"] for i in range(count)] == [0, 99, 2, 3]
+        assert list(segment.columns["v"]) == [0, 99, 2, 3]
+        assert segment.zone_max["v"] == 99
+
+    def test_delete_rebuilds_lazily(self):
         db = MultiModelDB()
         table = _fresh_table(db)
         manager = db.context.segments
@@ -228,16 +251,77 @@ class TestSegmentManagerMaintenance:
             table.insert({"id": index, "v": index})
         manager.segments_for_scan(table.namespace)
         before = manager.stats()["rebuilds"]
-        table.update(1, {"v": 99})
         table.delete(3)
+        assert manager.stats()["rebuilds"] == before  # not until a scan
         pairs = manager.segments_for_scan(table.namespace)
         assert manager.stats()["rebuilds"] == before + 1
-        values = sorted(
+        values = [
             segment.rows[position]["v"]
             for segment, count in pairs
             for position in range(count)
+        ]
+        assert values == [0, 1, 2]
+
+    def test_delete_and_reinsert_in_one_transaction_counts_once(self):
+        # The commit logs one INSERT for a key the segments already hold;
+        # it must replace that row, not append a second copy.
+        db = MultiModelDB()
+        table = _fresh_table(db)
+        for index in range(5):
+            table.insert({"id": index, "v": index})
+        text = "FOR r IN t COLLECT AGGREGATE n = COUNT(r), s = SUM(r.v) " \
+            "RETURN {n, s}"
+        assert db.query(text).rows == [{"n": 5, "s": 10}]
+        txn = db.begin()
+        table.delete(1, txn=txn)
+        table.insert({"id": 1, "v": 100}, txn=txn)
+        db.commit(txn)
+        assert db.query(text, columnar=True).rows == [{"n": 5, "s": 109}]
+        assert db.query(text, columnar=False).rows == [{"n": 5, "s": 109}]
+
+    def test_scan_snapshot_sees_none_of_a_later_commit(self):
+        db = MultiModelDB()
+        table = _fresh_table(db, value_type=ColumnType.JSON)
+        manager = db.context.segments
+        manager.segment_rows = 4
+        for index in range(10):
+            table.insert({"id": index, "v": None if index == 2 else index})
+        pairs = manager.segments_for_scan(table.namespace)
+
+        def frozen():
+            return [
+                (
+                    [id(row) for row in segment.rows[:count]],
+                    {
+                        name: list(column[:count])
+                        for name, column in segment.columns.items()
+                    },
+                    dict(segment.kinds),
+                    {
+                        name: {p for p in nulls if p < count}
+                        for name, nulls in segment.nulls.items()
+                    },
+                )
+                for segment, count in pairs
+            ]
+
+        before = frozen()
+        table.update(2, {"v": 2.5})  # type change: degrades a column
+        table.update(5, {"v": 2**70})  # int overflow
+        table.update(9, {"v": None})
+        txn = db.begin()
+        table.delete(6, txn=txn)
+        table.insert({"id": 6, "v": "six"}, txn=txn)
+        db.commit(txn)
+        for index in range(10, 14):  # tail appends
+            table.insert({"id": index, "v": index})
+        assert frozen() == before
+        current = manager.segments_for_scan(table.namespace)
+        assert all(
+            new is not old
+            for (new, _n), (old, _o) in zip(current, pairs)
         )
-        assert values == [0, 2, 99]
+        assert manager.stats()["rebuilds"] == 1
 
     def test_segments_split_at_configured_width(self):
         db = MultiModelDB()
@@ -272,3 +356,235 @@ class TestSegmentManagerMaintenance:
         assert (
             db.context.segments.segments_for_scan("no/such/namespace") is None
         )
+
+
+#: What an updated ``v`` walks through: int -> float -> string -> NULL,
+#: past the 64-bit range, and back to an int.
+TYPE_WALK = [7, 7.5, "seven", None, 2**63 + 1, 8]
+#: Values fresh rows and plain updates draw from.
+VALUES = [0, 1, -3, 2**40, 0.5, -1.25, "a", "b", None, True, [1], {"a": 1}]
+
+
+def _assert_matches_a_fresh_build(segment, count, column_names):
+    fresh = ColumnSegment(segment.rows[:count], column_names)
+    assert segment.kinds == fresh.kinds
+    assert segment.nulls == fresh.nulls
+    for name in column_names:
+        column = segment.columns[name]
+        assert type(column) is type(fresh.columns[name])
+        assert repr(column[:count]) == repr(fresh.columns[name])
+        for row in segment.rows[:count]:
+            value = row.get(name)
+            for op in ("==", "<=", ">="):
+                assert segment_may_match(segment, name, op, value), (
+                    name, op, value)
+
+
+class TestSeededMaintenanceDifferential:
+    """Random inserts, updates, same-transaction re-inserts, deletes and
+    type-changing updates interleaved with scans, over four-row segments.
+    After every step the columnar rows equal the row path's, every segment
+    equals a fresh build over its rows (zone maps aside, which may only be
+    wider), and only a delete ever costs a rebuild."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_columnar_tracks_the_row_view(self, seed):
+        rng = random.Random(seed)
+        db = MultiModelDB()
+        table = _fresh_table(db, value_type=ColumnType.JSON)
+        manager = db.context.segments
+        manager.segment_rows = 4
+        names = ["id", "v"]
+        walks: dict = {}
+        next_id = 0
+        for _ in range(6):
+            table.insert({"id": next_id, "v": rng.choice(VALUES)})
+            next_id += 1
+        rebuilds = None
+        texts = [
+            "FOR r IN t RETURN r",
+            "FOR r IN t FILTER r.v >= 0 RETURN r.id",
+            "FOR r IN t COLLECT AGGREGATE n = COUNT(r) RETURN n",
+        ]
+        for step in range(160):
+            keys = [row["id"] for row in table.select()]
+            action = rng.choice(
+                ["insert", "insert", "update", "update", "walk", "walk",
+                 "reinsert", "delete"]
+            )
+            if action == "insert" or not keys:
+                table.insert({"id": next_id, "v": rng.choice(VALUES)})
+                next_id += 1
+            elif action == "update":
+                table.update(rng.choice(keys), {"v": rng.choice(VALUES)})
+            elif action == "walk":
+                key = rng.choice(keys[:3])
+                walks[key] = (walks.get(key, -1) + 1) % len(TYPE_WALK)
+                table.update(key, {"v": TYPE_WALK[walks[key]]})
+            elif action == "reinsert":
+                key = rng.choice(keys)
+                txn = db.begin()
+                table.delete(key, txn=txn)
+                table.insert({"id": key, "v": rng.choice(VALUES)}, txn=txn)
+                db.commit(txn)
+            else:
+                table.delete(rng.choice(keys))
+            for text in texts:
+                assert (
+                    db.query(text, columnar=True).rows
+                    == db.query(text, columnar=False).rows
+                ), (step, action, text)
+            stats = manager.stats()
+            if rebuilds is not None and action != "delete":
+                assert stats["rebuilds"] == rebuilds, (step, action)
+            rebuilds = stats["rebuilds"]
+            for segment, count in manager.segments_for_scan(table.namespace):
+                _assert_matches_a_fresh_build(segment, count, names)
+        assert manager.stats()["patches"] > 0
+
+
+class TestConcurrentPatchesAndScans:
+    def test_scans_see_whole_segments_while_updates_commit(self):
+        """Two columnar readers against one updating writer, with a short
+        switch interval: every scan counts every row exactly once (a scan
+        works on the segments its snapshot captured, never on one being
+        patched), and the end state matches the row path."""
+        db = MultiModelDB()
+        table = _fresh_table(db)
+        manager = db.context.segments
+        manager.segment_rows = 16
+        for index in range(200):
+            table.insert({"id": index, "v": index})
+        text = "FOR r IN t COLLECT AGGREGATE n = COUNT(r) RETURN n"
+        assert db.query(text).rows == [200]
+        stop = threading.Event()
+        errors: list = []
+
+        def writer():
+            rng = random.Random(7)
+            try:
+                while not stop.is_set():
+                    table.update(rng.randrange(200), {"v": rng.randrange(999)})
+            except Exception as error:  # reported by the assertion below
+                errors.append(error)
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    counts = db.query(text, columnar=True).rows
+                    if counts != [200]:
+                        errors.append(AssertionError(counts))
+            except Exception as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader) for _ in range(2)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert manager.stats()["rebuilds"] == 1
+        assert manager.stats()["patches"] > 0
+        full = "FOR r IN t RETURN r"
+        assert (
+            db.query(full, columnar=True).rows
+            == db.query(full, columnar=False).rows
+        )
+
+    def test_scans_read_only_captured_rows_while_inserts_grow_the_tail(self):
+        """Columnar aggregates over object columns of the tail segment
+        while inserts append to it: a scan reads each column over the rows
+        it captured and no further.  Every row adds 1 (or 1.0) to ``v``, so
+        each result's SUM equals its COUNT whatever the scan captured; a
+        kernel that read a column past the captured count would break the
+        equality, or fail."""
+        db = MultiModelDB()
+        db.create_table(
+            TableSchema(
+                "t",
+                [
+                    Column("id", ColumnType.INTEGER, nullable=False),
+                    Column("g", ColumnType.STRING),
+                    Column("v", ColumnType.JSON),
+                ],
+                primary_key="id",
+            )
+        )
+        table = db.table("t")
+        manager = db.context.segments
+        manager.segment_rows = 1 << 20  # every row in one, growing, segment
+
+        def row(index):
+            # Mixed int / float values keep ``v`` an object list.
+            return {"id": index, "g": f"g{index % 5}",
+                    "v": 1 if index % 2 else 1.0}
+
+        for index in range(50):
+            table.insert(row(index))
+        grouped = (
+            "FOR r IN t COLLECT g = r.g "
+            "AGGREGATE n = COUNT(r), s = SUM(r.v) RETURN {g, n, s}"
+        )
+        overall = (
+            "FOR r IN t COLLECT AGGREGATE n = COUNT(r), s = SUM(r.v) "
+            "RETURN {n, s}"
+        )
+        assert db.query(overall).rows == [{"n": 50, "s": 50}]
+        stop = threading.Event()
+        errors: list = []
+
+        def writer():
+            index = 50
+            try:
+                while not stop.is_set() and index < 20_000:
+                    table.insert(row(index))
+                    index += 1
+            except Exception as error:  # reported by the assertion below
+                errors.append(error)
+
+        def reader(text):
+            try:
+                while not stop.is_set():
+                    for result in db.query(text, columnar=True).rows:
+                        if result["s"] != result["n"] or (
+                            "g" in result and result["g"] not in
+                            {f"g{k}" for k in range(5)}
+                        ):
+                            errors.append(AssertionError(result))
+            except Exception as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(text,))
+            for text in (grouped, overall)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:3]
+        assert manager.stats()["rebuilds"] == 1
+        assert manager.stats()["appends"] > 0
+        for text in (grouped, overall):
+            assert (
+                db.query(text, columnar=True).rows
+                == db.query(text, columnar=False).rows
+            )
