@@ -70,6 +70,15 @@ _UNSET = object()
 _EXPLAIN_ANALYZE = re.compile(r"^\s*EXPLAIN\s+ANALYZE\b", re.IGNORECASE)
 
 
+def _answer(frame: dict) -> Any:
+    """The result a response frame carries, or the typed error it reports.
+    Read after the transport retry: a well-formed error answer leaves the
+    stream in step, so it is the server's verdict, not a cue to re-dial."""
+    if frame.get("ok") is not True:
+        protocol.raise_wire_error(frame.get("error"))
+    return frame.get("result")
+
+
 class StitchedTrace:
     """One distributed trace as the client observed it: every RPC issued
     under the trace, each carrying the server's span-summary tree for that
@@ -374,7 +383,8 @@ class ReproClient:
     def _roundtrip(
         self, op: str, params: dict, trace: Optional[StitchedTrace] = None
     ) -> Any:
-        """One request/response exchange on the current socket."""
+        """One request/response exchange on the current socket; returns
+        the response frame (:func:`_answer` reads it)."""
         if self._sock is None:
             raise ConnectionError("client is not connected")
         self._next_id += 1
@@ -410,9 +420,7 @@ class ReproClient:
                 server_summary if isinstance(server_summary, dict) else None,
             )
             self.last_trace = trace
-        if frame.get("ok") is not True:
-            protocol.raise_wire_error(frame.get("error"))
-        return frame.get("result")
+        return frame
 
     def _call(self, op: str, trace: Any = _UNSET, **params: Any) -> Any:
         """Roundtrip with transparent reconnect on transport failure.
@@ -430,10 +438,11 @@ class ReproClient:
             can_retry = self.auto_reconnect and not self._in_txn
             if not can_retry:
                 try:
-                    return self._roundtrip(op, params, trace=trace)
+                    frame = self._roundtrip(op, params, trace=trace)
                 except (ConnectionError, OSError, socket.timeout):
                     self._teardown()  # the server-side txn is already dead
                     raise
+                return _answer(frame)
 
             def attempt(index: int) -> Any:
                 if index > 0 or self._sock is None:
@@ -455,7 +464,7 @@ class ReproClient:
                     self._teardown()
                     raise
 
-            return retry_with_backoff(
+            return _answer(retry_with_backoff(
                 attempt,
                 attempts=self.retries,
                 retry_on=(ConnectionError, OSError, ProtocolError),
@@ -464,7 +473,7 @@ class ReproClient:
                 jitter=self.retry_jitter,
                 max_elapsed=self.retry_max_elapsed,
                 seed=self.retry_seed,
-            )
+            ))
 
     def _cursor_call(
         self, op: str, trace: Optional[StitchedTrace] = None, **params: Any
@@ -475,10 +484,11 @@ class ReproClient:
         re-run the query from the top."""
         with self._lock:
             try:
-                return self._roundtrip(op, params, trace=trace)
+                frame = self._roundtrip(op, params, trace=trace)
             except (ConnectionError, OSError, socket.timeout):
                 self._teardown()
                 raise
+            return _answer(frame)
 
     # ------------------------------------------------------------------ API --
 
@@ -580,9 +590,6 @@ class ReproClient:
         if max_rows is not _UNSET:
             params["max_rows"] = max_rows
         return self._call("set", **params)
-
-    def set_consistency(self, name: str, level: str) -> dict:
-        return self._call("set_consistency", name=name, level=level)
 
     def ping(self) -> bool:
         return bool(self._call("ping").get("pong"))

@@ -26,6 +26,7 @@ from typing import Any, Optional
 
 from repro.errors import ClusterError, ClusterUnsupportedError, ShardMapStaleError
 from repro.obs import tracing
+from repro.replication.router import check_level
 
 from repro.cluster.coordinator import ClusterResult, Coordinator
 from repro.cluster.shardmap import ShardMap
@@ -58,7 +59,7 @@ class ClusterClient:
         if shard_map is None and seed is None:
             raise ClusterError("ClusterClient needs a shard_map or a seed")
         self._options = dict(client_options)
-        self.consistency = consistency
+        self.consistency = check_level(consistency)
         self.trace = trace
         self.last_trace = None
         self._lock = threading.RLock()

@@ -94,23 +94,6 @@ __all__ = [
 #: Reserved identifier prefix for coordinator-generated variables.
 _PREFIX = "__cluster_"
 
-#: Functions whose first argument names a store (a string literal in
-#: every supported plan); maps function → the store kind family used for
-#: placement checks.
-_STORE_FUNCS = {
-    "DOCUMENT": "keyed",
-    "KV_GET": "kv",
-    "KV_KEYS": "kv_all",
-    "NEIGHBORS": "graph",
-    "TRAVERSE": "graph",
-    "SHORTEST_PATH": "graph",
-    "EDGES": "graph",
-    "XPATH": "tree",
-    "RDF_MATCH": "triple",
-    "GEO_WINDOW": "spatial",
-    "GEO_NEAREST": "spatial",
-}
-
 #: Aggregate functions with a distributive/algebraic partial form, and
 #: the executor accumulator mode that folds their shard partials into one
 #: value (AVG's partials are two SUMs, folded ``sum``; ``avg`` divides).
@@ -627,7 +610,7 @@ class Coordinator:
                 "FULLTEXT cannot be routed (the coordinator cannot map an "
                 "index name to a store placement); run it per shard"
             )
-        family = _STORE_FUNCS.get(node.name)
+        family = visit.STORE_FUNCS.get(node.name)
         if family is None or not node.args:
             return
         store_arg = node.args[0]

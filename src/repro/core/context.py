@@ -21,7 +21,6 @@ from repro.indexes.manager import IndexManager
 from repro.storage.log import CentralLog, LogOp
 from repro.storage.segments import SegmentManager
 from repro.storage.views import RowView
-from repro.txn.consistency import ConsistencyPolicy
 from repro.txn.manager import Transaction, TransactionManager
 
 __all__ = ["EngineContext", "BaseStore"]
@@ -45,7 +44,6 @@ class EngineContext:
         self.segments = SegmentManager(self.log, self.rows)
         self.transactions = TransactionManager(self.log, lock_timeout=lock_timeout)
         self.indexes = IndexManager(self.log, self.rows)
-        self.consistency = ConsistencyPolicy()
 
 
 class BaseStore:

@@ -34,7 +34,6 @@ from repro.rdf.store import TripleStore
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table
 from repro.storage.wal import WriteAheadLog, replay_into
-from repro.txn.consistency import ConsistencyLevel
 from repro.txn.manager import IsolationLevel, Transaction
 from repro.xmlmodel.store import TreeStore
 
@@ -298,14 +297,6 @@ class MultiModelDB:
             raise
         if txn.is_active:
             self.commit(txn)
-
-    def set_consistency(self, name: str, level: ConsistencyLevel | str) -> None:
-        """Per-namespace consistency level (challenge 6 / slide 97)."""
-        store = self.resolve(name)
-        namespace = getattr(store, "namespace", None) or getattr(
-            store, "vertex_namespace"
-        )
-        self.context.consistency.set_level(namespace, level)
 
     # ------------------------------------------------------------------ MMQL --
 

@@ -36,6 +36,7 @@ from repro.query.plan import (
 )
 
 __all__ = [
+    "STORE_FUNCS",
     "WRITE_OPS",
     "walk",
     "map_children",
@@ -49,6 +50,7 @@ __all__ = [
     "free_vars",
     "nested_queries",
     "contains_write",
+    "stores_named",
 ]
 
 
@@ -133,6 +135,25 @@ def variables_in(expr: ast.Expr) -> set[str]:
             names |= free_vars(node.query.operations)
     names.discard("$CURRENT")
     return names
+
+
+#: Functions whose first argument names what they read, and the family of
+#: store it names (the cluster coordinator checks placements by family).
+#: FULLTEXT's names an index, so the store it reads is not in the text.
+STORE_FUNCS = {
+    "DOCUMENT": "keyed",
+    "KV_GET": "kv",
+    "KV_KEYS": "kv_all",
+    "NEIGHBORS": "graph",
+    "TRAVERSE": "graph",
+    "SHORTEST_PATH": "graph",
+    "EDGES": "graph",
+    "XPATH": "tree",
+    "RDF_MATCH": "triple",
+    "GEO_WINDOW": "spatial",
+    "GEO_NEAREST": "spatial",
+    "FULLTEXT": "index",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -312,3 +333,36 @@ def contains_write(query: ast.Query) -> bool:
         or any(contains_write(inner) for inner in nested_queries(operation))
         for operation in query.operations
     )
+
+
+def stores_named(query: ast.Query) -> tuple[frozenset, bool]:
+    """The stores *query* reads by name, nested queries included: its free
+    names (the FOR sources among them), its traversal graphs, and the
+    literal first argument of each store function.  The flag is True when
+    a store function names its store through a bind or an expression, or
+    reads through an index: which store that is, the text does not say."""
+    names = free_vars(query.operations)
+    unnamed = False
+    pending = [query]
+    while pending:
+        for operation in pending.pop().operations:
+            if isinstance(operation, (ast.TraversalOp, ast.ShortestPathOp)):
+                names.add(operation.graph)
+            for expr in operation_exprs(operation):
+                for node in walk(expr):
+                    if type(node) is not ast.FuncCall:
+                        continue
+                    family = STORE_FUNCS.get(node.name)
+                    if family is None:
+                        continue
+                    first = node.args[0] if node.args else None
+                    if (
+                        family != "index"
+                        and type(first) is ast.Literal
+                        and isinstance(first.value, str)
+                    ):
+                        names.add(first.value)
+                    else:
+                        unnamed = True
+            pending.extend(nested_queries(operation))
+    return frozenset(names), unnamed

@@ -29,8 +29,6 @@ replica's log continues in the same LSN space its peers already track.
 
 from __future__ import annotations
 
-from repro.query.classify import statement_writes
-
 from repro.replication.apply import ReplicationApplier
 from repro.replication.hub import ReplicationHub
 from repro.replication.replica import WalPuller
@@ -41,5 +39,4 @@ __all__ = [
     "ReplicationHub",
     "ReplicaSet",
     "WalPuller",
-    "statement_writes",
 ]

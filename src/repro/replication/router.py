@@ -26,10 +26,13 @@ transaction.  Non-transactional statements retry transparently (they are
 at-least-once: use idempotent statements — UPSERT, keyed INSERT — when
 that matters).
 
-Consistency-level names follow
-:class:`repro.txn.consistency.ConsistencyLevel`: ``strong`` | ``bounded``
-(a pragmatic reading of QUORUM for a single-primary topology) |
-``eventual``.
+**Per-store levels** (challenge 6, slide 97: relational data strong, graph
+data eventual).  :meth:`set_consistency` gives a store its own level.  A
+read runs at the per-call ``consistency=``, else at the strictest level of
+the stores it names (a store without a level of its own has the router's
+default).  A store named through a bind or an expression could be any
+store, so that read runs at the strictest level the router has.  The
+stores come from the write verdict's cached classification.
 """
 
 from __future__ import annotations
@@ -41,14 +44,24 @@ from repro.errors import FailoverInProgressError, NotPrimaryError
 from repro.fault.retry import RetryExhaustedError
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
-from repro.query.classify import statement_writes
+from repro.query.classify import classify
 
-__all__ = ["ReplicaSet"]
+__all__ = ["ReplicaSet", "check_level"]
 
 #: Errors that mean "this node is gone", triggering failover.
 _TRANSPORT_ERRORS = (ConnectionError, OSError, RetryExhaustedError)
 
-_LEVELS = ("strong", "bounded", "eventual")
+#: The consistency levels, strictest first.
+LEVELS = ("strong", "bounded", "eventual")
+
+
+def check_level(level: str) -> str:
+    """*level*, when it is one of :data:`LEVELS`; else ValueError."""
+    if level not in LEVELS:
+        raise ValueError(
+            f"unknown consistency {level!r} (use one of {LEVELS})"
+        )
+    return level
 
 
 class ReplicaSet:
@@ -64,10 +77,7 @@ class ReplicaSet:
         sleep=None,
         **client_options: Any,
     ):
-        if consistency not in _LEVELS:
-            raise ValueError(
-                f"unknown consistency {consistency!r} (use one of {_LEVELS})"
-            )
+        check_level(consistency)
         if client_factory is None:
             from repro.client.client import ReproClient
 
@@ -77,6 +87,8 @@ class ReplicaSet:
         if sleep is not None or "sleep" not in self._options:
             self._options["sleep"] = sleep
         self.consistency = consistency
+        #: Store name -> its own level (:meth:`set_consistency`).
+        self._levels: dict[str, str] = {}
         self.bounded_timeout = bounded_timeout
         self._lock = threading.RLock()
         self._primary_addr = (primary[0], int(primary[1]))
@@ -91,6 +103,9 @@ class ReplicaSet:
         #: token ``bounded`` reads wait for.
         self.last_seen_lsn = 0
         self.failovers = 0
+        #: Statements answered by the primary / by a replica.
+        self.primary_statements = 0
+        self.replica_statements = 0
 
     # ------------------------------------------------------------- topology --
 
@@ -139,18 +154,36 @@ class ReplicaSet:
     ) -> Any:
         """Run one MMQL statement at the right node; returns the client's
         :class:`~repro.client.client.ResultCursor`."""
-        level = consistency or self.consistency
-        if level not in _LEVELS:
-            raise ValueError(
-                f"unknown consistency {level!r} (use one of {_LEVELS})"
-            )
-        writes = statement_writes(text)
+        statement = classify(text)
+        writes = statement.writes
+        if consistency is not None:
+            level = check_level(consistency)
+        elif self._levels:
+            level = self._statement_level(statement)
+        else:
+            level = self.consistency
         with self._lock:
             if writes or level == "strong" or self._in_txn:
                 return self._on_primary(text, bind_vars, writes, query_options)
             if level == "eventual":
                 return self._on_any_replica(text, bind_vars, query_options)
             return self._bounded_read(text, bind_vars, query_options)
+
+    def set_consistency(self, name: str, level: str) -> None:
+        """Read the store *name* at *level* when a statement names it."""
+        check_level(level)
+        with self._lock:
+            self._levels[name] = level
+
+    def _statement_level(self, statement) -> str:
+        """The strictest level of the stores *statement* names."""
+        default = self.consistency
+        if statement.unnamed:
+            levels = (default, *self._levels.values())
+        else:
+            levels = [self._levels.get(store, default)
+                      for store in statement.stores] or (default,)
+        return min(levels, key=LEVELS.index)
 
     def _note_lsn(self, cursor: Any) -> Any:
         stats = getattr(cursor, "stats", None) or {}
@@ -173,6 +206,7 @@ class ReplicaSet:
             # served it, and the router may fail that node over between
             # fetches — a complete result has no such hazard.
             cursor.fetch_all()
+            self.primary_statements += 1
             return self._note_lsn(cursor)
         except NotPrimaryError as error:
             # Stale topology: the node we believed primary was re-pointed
@@ -197,6 +231,7 @@ class ReplicaSet:
                     text, bind_vars, **query_options
                 )
                 cursor.fetch_all()
+                self.replica_statements += 1
                 return self._note_lsn(cursor)
             except _TRANSPORT_ERRORS:
                 self._drop_client(addr)
@@ -216,6 +251,7 @@ class ReplicaSet:
                     continue  # too far behind; try the next replica
                 cursor = client.query(text, bind_vars, **query_options)
                 cursor.fetch_all()
+                self.replica_statements += 1
                 return self._note_lsn(cursor)
             except _TRANSPORT_ERRORS:
                 self._drop_client(addr)
@@ -357,6 +393,8 @@ class ReplicaSet:
                 "primary": f"{self._primary_addr[0]}:{self._primary_addr[1]}",
                 "replicas": [f"{h}:{p}" for h, p in self._replica_addrs],
                 "consistency": self.consistency,
+                "primary_statements": self.primary_statements,
+                "replica_statements": self.replica_statements,
                 "last_seen_lsn": self.last_seen_lsn,
                 "failovers": self.failovers,
                 "in_txn": self._in_txn,

@@ -879,13 +879,6 @@ class ReproServer:
                 max_rows = params["max_rows"]
                 session.max_rows = None if max_rows is None else int(max_rows)
             return {"timeout": session.timeout, "max_rows": session.max_rows}
-        if op == "set_consistency":
-            name = params.get("name")
-            level = params.get("level")
-            if not name or not level:
-                raise ProtocolError("set_consistency needs 'name' and 'level'")
-            self.db.set_consistency(name, level)
-            return {"name": name, "level": str(level)}
         if op == "wal_subscribe":
             return self._op_wal_subscribe(session, params)
         if op == "repl_status":

@@ -18,7 +18,6 @@ A session owns:
   precedence over the database defaults for this session only (the server
   always enforces whichever is in effect — a remote client cannot opt out
   of the host's ``db.guardrails`` by simply not sending limits);
-* a requested **consistency level** (applied per named namespace);
 * **server-side cursors** — open streaming results (``query_open`` /
   ``cursor_next``), capped per session and reaped when idle, and always
   closed with the connection so a vanished client cannot leak engine

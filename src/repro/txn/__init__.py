@@ -1,13 +1,9 @@
-"""Transactions: MVCC, 2PL, and hybrid consistency (challenge 6)."""
+"""Transactions: MVCC snapshot isolation and 2PL (challenge 6)."""
 
-from repro.txn.consistency import ConsistencyLevel, ConsistencyPolicy, ReplicaSet
 from repro.txn.locks import LockManager, LockMode
 from repro.txn.manager import IsolationLevel, Transaction, TransactionManager
 
 __all__ = [
-    "ConsistencyLevel",
-    "ConsistencyPolicy",
-    "ReplicaSet",
     "LockManager",
     "LockMode",
     "IsolationLevel",

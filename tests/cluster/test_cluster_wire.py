@@ -156,6 +156,16 @@ def test_client_needs_a_map_or_a_seed():
         ClusterClient()
 
 
+@pytest.mark.parametrize("level", ["quorum", "STRONG", ""])
+def test_client_rejects_an_unknown_level_when_built(level):
+    # The router's vocabulary, checked before any shard is dialled; the
+    # seed names no live server.
+    from repro.cluster import ClusterClient
+
+    with pytest.raises(ValueError, match="unknown consistency"):
+        ClusterClient(seed="127.0.0.1:1", consistency=level)
+
+
 def test_replicated_shard_serves_under_the_coordinator():
     # One shard carries a WAL-shipping replica; eventual reads may be
     # served by it, and the scatter results stay equivalent.

@@ -5,13 +5,15 @@ coordinator — route on :func:`repro.query.classify.statement_writes`.
 These tests pin the verdict for every DML form (including writes buried
 in subqueries) so a parser or classifier change that flips one shows up
 as a routing regression here, not as a write silently landing on a
-replica or the wrong shard.
+replica or the wrong shard.  The replica router also picks a read's
+consistency level from the stores the statement names, so those are
+pinned too: a store the classifier misses is a store read at the wrong
+level.
 """
 
 import pytest
 
-from repro.query.classify import statement_writes
-from repro.replication import statement_writes as reexported
+from repro.query.classify import classify, statement_writes
 from repro.unibench.workloads import QUERIES_B
 
 WRITES = [
@@ -28,6 +30,8 @@ WRITES = [
     # send the whole statement to the primary / owning shards.
     "LET moved = (FOR d IN kv INSERT {v: d.v} INTO archive) RETURN moved",
     "FOR c IN customers LET n = (FOR d IN kv REMOVE d._key IN kv) RETURN c",
+    # EXPLAIN ANALYZE runs the statement, so a replica must refuse it.
+    "EXPLAIN ANALYZE INSERT {_key: 'b'} INTO kv",
 ]
 
 READS = [
@@ -63,5 +67,33 @@ def test_unparseable_text_is_treated_as_a_read():
     assert statement_writes("THIS IS NOT MMQL (") is False
 
 
-def test_replication_reexport_is_the_same_callable():
-    assert reexported is statement_writes
+
+@pytest.mark.parametrize(
+    "text, stores, unnamed",
+    [
+        ("RETURN 1", set(), False),
+        ("FOR c IN customers RETURN c", {"customers"}, False),
+        ("explain analyze FOR c IN customers RETURN c", {"customers"}, False),
+        # A FOR over a bound variable or a bind reads no store.
+        ("LET xs = [1, 2] FOR x IN xs RETURN x", set(), False),
+        ("FOR x IN @rows RETURN x", set(), False),
+        ("FOR v IN 1..2 OUTBOUND 'a' GRAPH social RETURN v", {"social"}, False),
+        ("RETURN KV_GET('carts', 'k')", {"carts"}, False),
+        # Subqueries at any depth, and an outer variable is not a store.
+        (
+            "FOR c IN customers LET f = (FOR o IN orders "
+            "FILTER o.cid == c.id RETURN NEIGHBORS('social', o.k)) RETURN f",
+            {"customers", "orders", "social"},
+            False,
+        ),
+        # The text does not say which store these read.
+        ("RETURN DOCUMENT(@coll, 1)", set(), True),
+        ("LET n = 'carts' RETURN KV_GET(n, 'k')", set(), True),
+        ("RETURN FULLTEXT('bio_idx', 'graph')", set(), True),
+        ("THIS IS NOT MMQL (", set(), False),
+    ],
+)
+def test_stores_a_statement_names(text, stores, unnamed):
+    statement = classify(text)
+    assert statement.stores == stores
+    assert statement.unnamed is unnamed

@@ -1,11 +1,12 @@
-"""WAL-shipping replication: applier semantics, consistency levels,
-semi-sync acks, promotion/repoint, and router failover."""
+"""WAL-shipping replication: applier semantics, consistency levels (per
+call and per store), semi-sync acks, promotion/repoint, and router
+failover."""
 
 import time
 
 import pytest
 
-from repro import MultiModelDB
+from repro import Column, ColumnType, MultiModelDB, TableSchema
 from repro.client import ReproClient
 from repro.errors import (
     FailoverInProgressError,
@@ -13,7 +14,8 @@ from repro.errors import (
     ReplicationError,
 )
 from repro.query.engine import run_query
-from repro.replication import ReplicaSet, statement_writes
+from repro.query.classify import statement_writes
+from repro.replication import ReplicaSet
 from repro.replication.apply import ReplicationApplier
 from repro.server import ReproServer
 from repro.storage.wal import entry_to_record
@@ -22,6 +24,13 @@ from repro.storage.wal import entry_to_record
 def _db():
     db = MultiModelDB()
     db.create_collection("kv")
+    # Slide 97's pair: relational data that wants strong consistency and
+    # graph data that can live with eventual.
+    db.create_table(TableSchema("accounts", [
+        Column("id", ColumnType.INTEGER, nullable=False),
+        Column("balance", ColumnType.INTEGER),
+    ], primary_key="id"))
+    db.create_graph("social")
     return db
 
 
@@ -245,6 +254,103 @@ class TestShippingAndConsistency:
                 "FOR d IN kv RETURN d._key", consistency="eventual"
             ).rows
             assert "r1" in eventual or eventual == []  # may lag, never lies
+        finally:
+            router.close()
+
+    def test_router_routing_table(self, topology):
+        """Per-store levels: each statement lands where its level says,
+        counted by the router (no timing involved)."""
+        primary, replicas = topology
+        router = ReplicaSet(
+            ("127.0.0.1", primary.port),
+            [("127.0.0.1", node.port) for node in replicas],
+            consistency="bounded",
+        )
+        router.set_consistency("accounts", "strong")
+        router.set_consistency("social", "eventual")
+        graph = "FOR v IN 1..1 OUTBOUND 'nobody' GRAPH social RETURN v"
+        cases = [
+            # (statement, binds, per-call level, sent to the primary?)
+            ("FOR a IN accounts RETURN a", None, None, True),
+            (graph, None, None, False),
+            ("FOR a IN accounts LET f = (" + graph + ") RETURN f",
+             None, None, True),
+            # A store named through a bind could be the strong one.
+            ("RETURN DOCUMENT(@coll, 'k')", {"coll": "kv"}, None, True),
+            # kv has no level of its own: the router's default, bounded.
+            ("FOR d IN kv RETURN d", None, None, False),
+            ("FOR a IN accounts RETURN a", None, "eventual", False),
+            (graph, None, "strong", True),
+            ("UPSERT {_key: 'rt'} INSERT {_key: 'rt'} UPDATE {} INTO kv",
+             None, None, True),
+        ]
+        try:
+            for text, binds, level, on_primary in cases:
+                before = router.status()
+                router.query(text, binds, consistency=level)
+                after = router.status()
+                sent = (
+                    after["primary_statements"] - before["primary_statements"],
+                    after["replica_statements"] - before["replica_statements"],
+                )
+                assert sent == ((1, 0) if on_primary else (0, 1)), text
+            # Inside a transaction every statement is the primary's.
+            router.begin()
+            router.query(graph, consistency="eventual")
+            router.query("FOR d IN kv RETURN d")
+            router.abort()
+            status = router.status()
+            assert status["primary_statements"] == 7
+            assert status["replica_statements"] == 3
+            with pytest.raises(ValueError, match="quorum"):
+                router.set_consistency("social", "quorum")
+        finally:
+            router.close()
+
+    def test_hybrid_consistency_on_real_replicas(self, topology):
+        """E19 (slide 97): the relational store strong, the graph
+        eventual, on one primary and two replicas."""
+        primary, replicas = topology
+        social = primary.db.graph("social")
+        for key in ("ann", "bob"):
+            social.add_vertex(key, {"name": key})
+        social.add_edge("ann", "bob", "knows")
+        head = primary.db.context.log.last_lsn
+        for node in replicas:
+            with ReproClient(port=node.port, sleep=None) as client:
+                assert client._call("repl_wait", lsn=head, timeout=5.0)[
+                    "reached"
+                ]
+        router = ReplicaSet(
+            ("127.0.0.1", primary.port),
+            [("127.0.0.1", node.port) for node in replicas],
+        )
+        router.set_consistency("accounts", "strong")
+        router.set_consistency("social", "eventual")
+        rounds = 10
+        friends = "FOR v IN 1..1 OUTBOUND 'ann' GRAPH social RETURN v._key"
+        try:
+            for balance in range(rounds):
+                router.query(
+                    "UPSERT {id: 19} INSERT {id: 19, balance: @b} "
+                    "UPDATE {balance: @b} INTO accounts",
+                    {"b": balance},
+                )
+                # A strong read after a write sees the write.
+                assert router.query(
+                    "FOR a IN accounts FILTER a.id == 19 RETURN a.balance"
+                ).rows == [balance]
+                assert router.query(friends).rows == ["bob"]
+                both = router.query(
+                    "FOR a IN accounts FILTER a.id == 19 "
+                    "RETURN {balance: a.balance, friends: (" + friends + ")}"
+                ).rows
+                assert both == [{"balance": balance, "friends": ["bob"]}]
+            status = router.status()
+            # Writes, relational reads and the mixed read: the primary.
+            # Every graph read: a replica.
+            assert status["primary_statements"] == 3 * rounds
+            assert status["replica_statements"] == rounds
         finally:
             router.close()
 

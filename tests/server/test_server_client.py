@@ -11,6 +11,7 @@ from repro.cli import make_demo_db
 from repro.client import ReproClient
 from repro.errors import (
     ParseError,
+    ProtocolError,
     ResourceExhaustedError,
     ServerOverloadedError,
     SessionStateError,
@@ -105,6 +106,20 @@ class TestQueries:
         with pytest.raises(ParseError) as info:
             demo_client.query("FOR broken FILTER")
         assert info.value.code == "PARSE"
+
+
+class TestUnknownOp:
+    @pytest.mark.parametrize("op", ["set_consistency", "no_such_op"])
+    def test_typed_error_and_the_session_keeps_serving(self, demo_client, op):
+        session = demo_client.session_id
+        with pytest.raises(ProtocolError) as info:
+            demo_client._call(op, name="customers", level="eventual")
+        assert info.value.code == "SERVER_PROTOCOL"
+        assert f"unknown op {op!r}" in str(info.value)
+        # An error answer leaves the stream in step: no re-dial, the
+        # same session serves the next request.
+        assert demo_client.query("RETURN 1").rows == [1]
+        assert demo_client.session_id == session
 
 
 class TestTransactions:

@@ -1,11 +1,11 @@
-"""Lock manager and hybrid-consistency (replica set) tests."""
+"""Lock manager tests.  (Per-store consistency levels are the replica
+router's: tests/server/test_replication.py.)"""
 
 import threading
 
 import pytest
 
 from repro.errors import DeadlockError, LockTimeoutError
-from repro.txn.consistency import ConsistencyLevel, ConsistencyPolicy, ReplicaSet
 from repro.txn.locks import LockManager, LockMode
 
 
@@ -84,76 +84,3 @@ class TestLockManager:
         locks.release_all(1)
         assert locks.held_resources(1) == set()
 
-
-class TestConsistencyPolicy:
-    def test_default_and_overrides(self):
-        policy = ConsistencyPolicy(default=ConsistencyLevel.STRONG)
-        policy.set_level("graph:knows", "eventual")
-        policy.set_level("doc:orders", ConsistencyLevel.QUORUM)
-        assert policy.level_for("rel:customers") is ConsistencyLevel.STRONG
-        assert policy.level_for("graph:knows") is ConsistencyLevel.EVENTUAL
-        assert policy.as_dict() == {
-            "doc:orders": "quorum",
-            "graph:knows": "eventual",
-        }
-
-
-class TestReplicaSet:
-    def test_strong_write_is_immediately_visible_everywhere(self):
-        replicas = ReplicaSet(replicas=5, seed=1)
-        replicas.write("k", "v", ConsistencyLevel.STRONG)
-        assert replicas.staleness("k") == 0
-        value, _ = replicas.read("k", ConsistencyLevel.EVENTUAL)
-        assert value == "v"
-
-    def test_strong_writes_cost_more(self):
-        replicas = ReplicaSet(replicas=5, seed=1)
-        strong_cost = replicas.write("a", 1, ConsistencyLevel.STRONG)
-        eventual_cost = replicas.write("b", 1, ConsistencyLevel.EVENTUAL)
-        quorum_cost = replicas.write("c", 1, ConsistencyLevel.QUORUM)
-        assert strong_cost == 5
-        assert quorum_cost == 3
-        assert eventual_cost == 1
-
-    def test_eventual_write_can_be_stale(self):
-        replicas = ReplicaSet(replicas=5, seed=2)
-        replicas.write("k", "new", ConsistencyLevel.EVENTUAL)
-        assert replicas.staleness("k") > 0
-        # Some eventual read somewhere misses the write.
-        seen = {replicas.read("k", ConsistencyLevel.EVENTUAL)[0] for _ in range(50)}
-        assert None in seen or "new" in seen
-
-    def test_quorum_read_sees_quorum_write(self):
-        replicas = ReplicaSet(replicas=5, seed=3)
-        replicas.write("k", "v1", ConsistencyLevel.QUORUM)
-        for _ in range(20):
-            value, _ = replicas.read("k", ConsistencyLevel.QUORUM)
-            assert value == "v1"  # overlapping majorities guarantee it
-
-    def test_anti_entropy_converges(self):
-        replicas = ReplicaSet(replicas=5, seed=4)
-        for i in range(10):
-            replicas.write(f"k{i}", i, ConsistencyLevel.EVENTUAL)
-        assert not replicas.is_converged()
-        replicas.tick()
-        assert replicas.is_converged()
-        for i in range(10):
-            assert replicas.staleness(f"k{i}") == 0
-
-    def test_tick_budget(self):
-        replicas = ReplicaSet(replicas=3, seed=5)
-        replicas.write("k", 1, ConsistencyLevel.EVENTUAL)
-        applied = replicas.tick(budget=1)
-        assert applied == 1
-
-    def test_anti_entropy_never_regresses(self):
-        replicas = ReplicaSet(replicas=3, seed=6)
-        replicas.write("k", "old", ConsistencyLevel.EVENTUAL)
-        replicas.write("k", "new", ConsistencyLevel.STRONG)
-        replicas.tick()  # the stale "old" delivery must not overwrite "new"
-        value, _ = replicas.read("k", ConsistencyLevel.EVENTUAL)
-        assert value == "new"
-
-    def test_needs_a_replica(self):
-        with pytest.raises(ValueError):
-            ReplicaSet(replicas=0)
