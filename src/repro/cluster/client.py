@@ -60,6 +60,8 @@ class ClusterClient:
             raise ClusterError("ClusterClient needs a shard_map or a seed")
         self._options = dict(client_options)
         self.consistency = check_level(consistency)
+        #: Store name -> its own read level, on every shard's router.
+        self._levels: dict[str, str] = {}
         self.trace = trace
         self.last_trace = None
         self._lock = threading.RLock()
@@ -167,8 +169,20 @@ class ClusterClient:
                     consistency=self.consistency,
                     client_factory=factory,
                 )
+                for name, level in self._levels.items():
+                    replica_set.set_consistency(name, level)
                 self._sets[shard_id] = replica_set
             return replica_set
+
+    def set_consistency(self, name: str, level: str) -> None:
+        """Read the store *name* at *level* on every shard: each shard's
+        router gets the level, those built later (on first use, or after a
+        map refetch) included."""
+        check_level(level)
+        with self._lock:
+            self._levels[name] = level
+            for replica_set in self._sets.values():
+                replica_set.set_consistency(name, level)
 
     # -------------------------------------------------------------- queries --
 

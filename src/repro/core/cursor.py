@@ -21,7 +21,7 @@ overrides) and no other full-scan method.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -111,10 +111,3 @@ def open_scan_cursor(db: Any, name: str, txn: Any = None) -> ScanCursor:
     if opener is None:
         raise UnknownCollectionError(f"cannot iterate a {db.kind_of(name)}")
     return opener(txn=txn)
-
-
-def _values_cursor(store: Any, txn: Optional[Any]) -> IteratorScanCursor:
-    """Default cursor shape: the stored record values, scan order."""
-    return IteratorScanCursor(
-        value for _key, value in store._raw_scan(txn)
-    )

@@ -210,9 +210,6 @@ class MultiModelDB:
     def wide_table(self, name: str):
         return self._get(name, "wide")
 
-    def object_store(self, name: str = "objects"):
-        return self._get(name, "objects")
-
     def resolve(self, name: str) -> Any:
         """Any catalog object by name (used by the query engine)."""
         with self._catalog_lock:

@@ -117,11 +117,6 @@ def type_name(value: Any) -> str:
     return type_of(value).name.lower()
 
 
-def is_scalar(value: Any) -> bool:
-    """True for null, bool, number and string values."""
-    return type_of(value) in _SCALAR_TAGS
-
-
 def normalize(value: Any) -> Any:
     """Return a canonical copy of *value* inside the value algebra.
 

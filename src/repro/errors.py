@@ -218,12 +218,6 @@ class StorageError(ReproError):
     code = "STORAGE"
 
 
-class PageError(StorageError):
-    """Invalid page access (bad page id, overflow, corrupt slot)."""
-
-    code = "STORAGE_PAGE"
-
-
 class WalError(StorageError):
     """The write-ahead log is corrupt or out of sequence."""
 
@@ -448,17 +442,6 @@ class ClusterUnsupportedError(ClusterError):
     transactions, which would need distributed commit)."""
 
     code = "CLUSTER_UNSUPPORTED"
-
-
-# ---------------------------------------------------------------------------
-# Benchmark / workload
-# ---------------------------------------------------------------------------
-
-
-class BenchmarkError(ReproError):
-    """A benchmark workload was misconfigured."""
-
-    code = "BENCHMARK"
 
 
 # ---------------------------------------------------------------------------

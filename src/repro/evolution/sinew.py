@@ -84,9 +84,6 @@ class UniversalRelation:
         """Every column of the universal relation (dotted key paths)."""
         return sorted(self._columns)
 
-    def materialized_columns(self) -> list[str]:
-        return sorted(self._materialized)
-
     def is_materialized(self, column: str) -> bool:
         return column in self._materialized
 

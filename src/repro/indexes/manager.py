@@ -110,9 +110,6 @@ class IndexManager:
             raise UnknownIndexError(f"no index named {name!r}")
         return view
 
-    def indexes_on(self, namespace: str) -> list[IndexView]:
-        return list(self._by_namespace.get(namespace, []))
-
     def names(self) -> list[str]:
         return sorted(self._by_name)
 

@@ -23,9 +23,9 @@ from typing import Optional
 
 from repro.errors import QueryError
 from repro.query import ast
-from repro.query.optimizer import _equality_probes
+from repro.query.optimizer import _filter_run, _run_probes
 from repro.query.parser import parse
-from repro.query.visit import conjuncts, nested_queries
+from repro.query.visit import nested_queries
 
 __all__ = ["Recommendation", "advise", "apply"]
 
@@ -48,17 +48,16 @@ class Recommendation:
 
 
 def _walk_operations(query: ast.Query):
-    """Yield (for_op, filter_op) pairs, recursing into subqueries."""
+    """Yield (for_op, the run of FILTERs after it) pairs, recursing into
+    subqueries."""
     operations = query.operations
     for index, operation in enumerate(operations):
         if isinstance(operation, ast.ForOp) and isinstance(
             operation.source, ast.VarRef
         ):
-            next_operation = (
-                operations[index + 1] if index + 1 < len(operations) else None
-            )
-            if isinstance(next_operation, ast.FilterOp):
-                yield operation, next_operation
+            filters = _filter_run(operations, index + 1)
+            if filters:
+                yield operation, filters
         for inner in nested_queries(operation):
             yield from _walk_operations(inner)
 
@@ -90,15 +89,13 @@ def advise(
             opportunities[(suggestion.source, suggestion.path)] += count
     for text in workload or ():
         query = parse(text)
-        for for_op, filter_op in _walk_operations(query):
+        for for_op, filters in _walk_operations(query):
             source_name = for_op.source.name
             try:
                 namespace = db.resolve(source_name).namespace
             except Exception:
                 continue
-            for _position, path, _probe in _equality_probes(
-                conjuncts(filter_op.condition), for_op.var
-            ):
+            for *_where, path, _probe in _run_probes(filters, for_op.var):
                 if db.context.indexes.find(namespace, path, "point"):
                     continue  # already served
                 opportunities[(source_name, path)] += 1

@@ -142,10 +142,17 @@ class PlanCache:
       change what parses or which index qualifies — gets its own entry.
       A database keys the statement on its shape
       (:meth:`statement`): the token stream with the value literals lifted
-      into hidden binds, whose types join the bind shape.  A text→shape
-      memo, bounded by the same capacity, spares a repeated text the
-      lexer.  :meth:`key` is the exact-text key, for the coordinator's
-      cache and for EXPLAIN ANALYZE, which plan the literal text.
+      into hidden binds, whose types join the bind shape.  Two memos,
+      each bounded by the same capacity, spare a text the lexer: the
+      exact-text memo answers a repeated text (a bind-parameterised
+      statement is always one) with one dict probe; the skeleton memo
+      answers a text whose literals alone are new with one regex pass
+      (:func:`~repro.query.shapes.skeleton`) and a
+      :class:`~repro.query.shapes.Template` that :func:`~repro.query.shapes.lift`
+      filled for the first text of that skeleton.  Only a new skeleton is
+      tokenized, so a lexer error keeps its line and column.  :meth:`key`
+      is the exact-text key, for the coordinator's cache and for EXPLAIN
+      ANALYZE, which plan the literal text.
     * **Invalidation** — every entry records the catalog and index DDL
       versions it was planned under; a lookup whose recorded versions no
       longer match the database's current versions is dropped and counted
@@ -181,6 +188,9 @@ class PlanCache:
         #: Statement text → :class:`~repro.query.shapes.Shape`, oldest
         #: first; holds at most ``capacity`` texts.
         self._shapes: dict[str, Shape] = {}
+        #: Skeleton → :class:`~repro.query.shapes.Template`, or
+        #: ``shapes.LIFT`` / ``shapes.LITERAL``; at most ``capacity`` too.
+        self._skeletons: dict[str, Any] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -223,30 +233,55 @@ class PlanCache:
 
     def statement(self, text: str, remember: bool = True) -> tuple:
         """``(shape, tokens)``: the shape *text* plans under, and the
-        token stream to parse it from — None when the shape came from the
-        memo of the texts seen lately, which spares them the lexer
-        (*remember* False leaves the memo as it is)."""
+        token stream to parse it from — None when a memo gave the shape
+        and spared the lexer (*remember* False leaves the memos as they
+        are)."""
         shape = self._shapes.get(text)
         if shape is not None:
             return shape, None
-        shape, tokens = shapes.lift(text)
+        skeleton, literals = shapes.skeleton(text)
+        template = self._skeletons.get(skeleton)
+        if template is None:
+            shape, tokens, template = shapes.learn(text)
+        elif template is shapes.LIFT:
+            shape, tokens = shapes.lift(text)
+            skeleton = None
+        else:
+            shape = (
+                literal_shape(text) if template is shapes.LITERAL
+                else template.shape(literals)
+            )
+            tokens = skeleton = None
         if remember:
-            self._remember(text, shape)
+            self._remember(text, shape, skeleton, template)
         return shape, tokens
 
     def plan_literally(self, text: str) -> Shape:
-        """From now on plan *text* as it stands: its lifted tokens did not
-        parse, so the user's own tokens decide."""
+        """From now on plan *text*, and every text of its skeleton, as it
+        stands: its lifted tokens did not parse, so the user's own tokens
+        decide."""
         shape = literal_shape(text)
-        self._remember(text, shape)
+        skeleton = shapes.skeleton(text)[0]
+        with self._lock:
+            self._shapes[text] = shape
+            _trim(self._shapes, self.capacity)
+            # A skeleton lifted every call stays so: its texts may lex
+            # apart.
+            if isinstance(self._skeletons.get(skeleton), shapes.Template):
+                self._skeletons[skeleton] = shapes.LITERAL
         return shape
 
-    def _remember(self, text: str, shape: Shape) -> None:
+    def _remember(
+        self, text: str, shape: Shape, skeleton: Optional[str], template: Any
+    ) -> None:
+        """Memo *text*'s shape and, unless *skeleton* is None, what its
+        skeleton's texts get."""
         with self._lock:
-            shapes = self._shapes
-            shapes[text] = shape
-            while len(shapes) > self.capacity:
-                del shapes[next(iter(shapes))]
+            self._shapes[text] = shape
+            _trim(self._shapes, self.capacity)
+            if skeleton is not None:
+                self._skeletons[skeleton] = template
+                _trim(self._skeletons, self.capacity)
 
     def get(self, key: tuple, versions: tuple) -> Optional[Any]:
         with self._lock:
@@ -325,8 +360,8 @@ class PlanCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
                 evicted += 1
-            while len(self._shapes) > self.capacity:
-                del self._shapes[next(iter(self._shapes))]
+            _trim(self._shapes, self.capacity)
+            _trim(self._skeletons, self.capacity)
         if evicted and metrics.ENABLED:
             self._evictions_total.inc(evicted)
 
@@ -334,6 +369,7 @@ class PlanCache:
         with self._lock:
             self._entries.clear()
             self._shapes.clear()
+            self._skeletons.clear()
 
     def stats(self) -> dict:
         with self._lock:
@@ -365,6 +401,12 @@ class PlanCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def _trim(memo: dict, capacity: int) -> None:
+    """Drop the oldest entries of *memo* past its *capacity*."""
+    while len(memo) > capacity:
+        del memo[next(iter(memo))]
 
 
 def _hidden_binds(shape: tuple) -> tuple:

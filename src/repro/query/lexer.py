@@ -58,19 +58,25 @@ class Token(NamedTuple):
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.column})"
 
 
+#: The comment and literal patterns, shared with the skeleton pass of
+#: :mod:`repro.query.shapes` so that both find the same literals.
+COMMENT_PATTERN = r"//[^\n]*|/\*.*?\*/"
+NUMBER_PATTERN = r"\d+(?:\.\d+)?[eE][+-]?\d+|\d+\.\d+|\d+"
+STRING_PATTERN = r"""'[^'\\]*(?:\\.[^'\\]*)*'|"[^"\\]*(?:\\.[^"\\]*)*\""""
+
 # Group names double as token kinds, but for comment, space, ident, error.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<comment>//[^\n]*|/\*.*?\*/)
+    (?P<comment>%s)
   | (?P<space>\s+)
-  | (?P<number>\d+(?:\.\d+)?[eE][+-]?\d+|\d+\.\d+|\d+)
-  | (?P<string>'[^'\\]*(?:\\.[^'\\]*)*'|"[^"\\]*(?:\\.[^"\\]*)*")
+  | (?P<number>%s)
+  | (?P<string>%s)
   | (?P<bindvar>@[A-Za-z_]\w*)
   | (?P<ident>\$?[A-Za-z_]\w*)
-  | (?P<op>\.\.|==|!=|<=|>=|&&|\|\||=~|[+\-*/%<>=!])
+  | (?P<op>\.\.|==|!=|<=|>=|&&|\|\||=~|[+\-*/%%<>=!])
   | (?P<punct>[()\[\]{},:.?])
   | (?P<error>.)
-""",
+""" % (COMMENT_PATTERN, NUMBER_PATTERN, STRING_PATTERN),
     re.VERBOSE | re.DOTALL,
 )
 

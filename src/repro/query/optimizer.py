@@ -243,11 +243,35 @@ def _equality_probes(parts: list, var: str) -> Iterator[tuple]:
                 yield position, path, probe_side
 
 
+def _filter_run(operations: list, start: int) -> list:
+    """The FILTERs that follow one another from *operations[start]* on."""
+    end = start
+    while end < len(operations) and isinstance(operations[end], ast.FilterOp):
+        end += 1
+    return operations[start:end]
+
+
+def _run_probes(filters: list, var: str) -> Iterator[tuple]:
+    """``(filter number, conjuncts, position, path, probe)`` for each
+    equality probe on *var* among the conjuncts of the FILTERs *filters*,
+    in the order they are written."""
+    for number, filter_op in enumerate(filters):
+        parts = conjuncts(filter_op.condition)
+        for position, path, probe in _equality_probes(parts, var):
+            yield number, parts, position, path, probe
+
+
 def select_indexes(
     query: ast.Query, db, scope=frozenset(), writes=None, near_miss=None
 ) -> ast.Query:
-    """Rewrite scan+filter pairs into index scans where the catalog allows;
-    *query* itself when no pair can be served.
+    """Rewrite a scan and the run of FILTERs after it into an index scan
+    where the catalog allows; *query* itself when no scan can be served.
+
+    Every conjunct of every FILTER of the run is a candidate probe, so
+    ``FILTER a FILTER b``, ``FILTER b FILTER a`` and ``FILTER a AND b``
+    (split by ``predicate_split``) plan alike: the FILTER whose conjunct
+    the index serves becomes the scan (its other conjuncts the residual),
+    and the run's other FILTERs follow it in their order.
 
     *scope* holds the variables the enclosing scopes bind (empty for a
     top-level statement): a FOR over a name bound there or upstream
@@ -271,14 +295,17 @@ def select_indexes(
             and operation.source.name not in bound_vars
             and isinstance(next_operation, ast.FilterOp)
         ):
-            rewritten = _try_index_scan(operation, next_operation, db, near_miss)
+            filters = _filter_run(operations, index + 1)
+            rewritten = _try_index_scan(operation, filters, db, near_miss)
         bound_vars.update(binds(operation))
         if rewritten is not None:
+            rewritten, rest = rewritten
             if per_frame is None:
                 per_frame = contains_write(query) if writes is None else writes()
             rewritten.per_frame = per_frame
             result.append(rewritten)
-            index += 2
+            result.extend(rest)
+            index += 1 + len(filters)
         else:
             result.append(operation)
             index += 1
@@ -286,8 +313,10 @@ def select_indexes(
 
 
 def _try_index_scan(
-    for_op: ast.ForOp, filter_op: ast.FilterOp, db, near_miss=None
-) -> Optional[IndexScanOp]:
+    for_op: ast.ForOp, filters: list, db, near_miss=None
+) -> Optional[tuple]:
+    """``(index scan, the run's other FILTERs)`` for *for_op* and the
+    FILTERs *filters* after it, or None."""
     from repro.query.statistics import index_selectivity
 
     source_name = for_op.source.name
@@ -295,17 +324,20 @@ def _try_index_scan(
         namespace = db.resolve(source_name).namespace
     except Exception:
         return None
-    parts = conjuncts(filter_op.condition)
     # Collect every index-servable conjunct, then pick the most selective
-    # index (fewest expected matches per probe) — the cost-based choice.
-    candidates: list[tuple[float, int, Any, tuple, ast.Expr]] = []
+    # index (fewest expected matches per probe) — the cost-based choice;
+    # on a tie, the first written.
+    candidates: list[tuple] = []
     missed: list[tuple] = []
-    for position, path, value_side in _equality_probes(parts, for_op.var):
+    for number, parts, position, path, value_side in _run_probes(
+        filters, for_op.var
+    ):
         index_view = db.context.indexes.find(namespace, path, "point")
         if index_view is not None:
-            candidates.append(
-                (index_selectivity(index_view), position, index_view, path, value_side)
-            )
+            candidates.append((
+                index_selectivity(index_view), number, position,
+                parts, index_view, path, value_side,
+            ))
         else:
             missed.append(path)
     if not candidates:
@@ -313,9 +345,11 @@ def _try_index_scan(
             for path in missed:
                 near_miss(source_name, path)
         return None
-    candidates.sort(key=lambda entry: (entry[0], entry[1]))
-    _selectivity, position, index_view, path, value_side = candidates[0]
-    return IndexScanOp(
+    candidates.sort(key=lambda entry: entry[:3])
+    _selectivity, number, position, parts, index_view, path, value_side = (
+        candidates[0]
+    )
+    scan = IndexScanOp(
         var=for_op.var,
         source_name=source_name,
         path=path,
@@ -323,8 +357,9 @@ def _try_index_scan(
         index_name=index_view.index.name,
         index_kind=index_view.index.kind,
         residual=and_join(parts[:position] + parts[position + 1:]),
-        original_condition=filter_op.condition,
+        original_condition=filters[number].condition,
     )
+    return scan, filters[:number] + filters[number + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +390,9 @@ def build_hash_joins(query: ast.Query, db, scope=frozenset()) -> ast.Query:
 
     Pattern: an inner ``FOR x IN coll`` + ``FILTER … x.path == probe …``
     pair (after filter pushdown has made them adjacent, and after index
-    selection has taken every pair an index can serve).  Executed naively
+    selection has taken every pair an index can serve); as in
+    :func:`select_indexes`, the probe may sit in any FILTER of the run
+    after the FOR.  Executed naively
     the pair rescans *coll* once per outer frame — O(outer x inner); the
     :class:`HashJoinOp` builds a hash table over *coll* once and probes it
     per frame — O(outer + inner).
@@ -387,12 +424,15 @@ def build_hash_joins(query: ast.Query, db, scope=frozenset()) -> ast.Query:
             and operation.source.name not in bound_vars
             and isinstance(next_operation, ast.FilterOp)
         ):
-            rewritten = _try_hash_join(operation, next_operation, db)
+            filters = _filter_run(operations, index + 1)
+            rewritten = _try_hash_join(operation, filters, db)
             if rewritten is not None:
+                rewritten, rest = rewritten
                 result.append(rewritten)
+                result.extend(rest)
                 bound_vars.update(binds(rewritten))
                 inner_loop = joined = True
-                index += 2
+                index += 1 + len(filters)
                 continue
         if multi_frame(operation):
             inner_loop = True
@@ -403,23 +443,27 @@ def build_hash_joins(query: ast.Query, db, scope=frozenset()) -> ast.Query:
 
 
 def _try_hash_join(
-    for_op: ast.ForOp, filter_op: ast.FilterOp, db
-) -> Optional[HashJoinOp]:
+    for_op: ast.ForOp, filters: list, db
+) -> Optional[tuple]:
+    """``(hash join, the run's other FILTERs)`` for *for_op* and the
+    FILTERs *filters* after it, or None."""
     source_name = for_op.source.name
     try:
         db.resolve(source_name)
     except Exception:
         return None
-    parts = conjuncts(filter_op.condition)
-    for position, path, probe_side in _equality_probes(parts, for_op.var):
-        return HashJoinOp(
+    for number, parts, position, path, probe_side in _run_probes(
+        filters, for_op.var
+    ):
+        join = HashJoinOp(
             var=for_op.var,
             source_name=source_name,
             build_path=path,
             probe=probe_side,
             residual=and_join(parts[:position] + parts[position + 1:]),
-            original_condition=filter_op.condition,
+            original_condition=filters[number].condition,
         )
+        return join, filters[:number] + filters[number + 1:]
     return None
 
 

@@ -26,14 +26,38 @@ get:
 TRUE, FALSE and NULL are keywords and never lift.  A hidden bind is named
 by its ordinal (``1``, ``2``, …): MMQL wants a letter or ``_`` after ``@``,
 so no statement can name one.
+
+Finding a shape takes the lexer.  Texts that differ only in their literals
+have one *skeleton* (:func:`skeleton`): the text with each string and
+number literal replaced by a marker of its class, found by one regex pass
+that also matches the comments (and keeps them), so no tokens are built.
+:func:`learn` lifts the first text of a skeleton and records what
+:func:`lift` decided for each literal position as a :class:`Template`;
+every later text of the skeleton gets its shape from the template and its
+own literals.  A template is made only when the skeleton's literals are,
+offset for offset, the lexer's NUMBER and STRING tokens; otherwise the
+skeleton is :data:`LIFT`, lifted on every call.
 """
 
 from __future__ import annotations
 
-from repro.core.datamodel import TypeTag
-from repro.query.lexer import Token, TokenKind, tokenize
+import re
 
-__all__ = ["Shape", "display", "lift", "literal_shape"]
+from repro.core.datamodel import TypeTag
+from repro.query.lexer import (
+    COMMENT_PATTERN,
+    NUMBER_PATTERN,
+    STRING_PATTERN,
+    Token,
+    TokenKind,
+    _unescape,
+    tokenize,
+)
+
+__all__ = [
+    "LIFT", "LITERAL", "Shape", "Template", "display", "learn", "lift",
+    "literal_shape", "skeleton",
+]
 
 _NUMBER = TokenKind.NUMBER
 _STRING = TokenKind.STRING
@@ -86,10 +110,18 @@ def lift(text: str) -> tuple[Shape, list[Token]]:
     token stream the parser reads, a hidden bind token in place of each
     lifted literal (raises :class:`~repro.errors.LexError` as
     :func:`tokenize` does)."""
-    tokens = tokenize(text)
+    shape, tokens, _parts, _slots = _lift(tokenize(text))
+    return shape, tokens
+
+
+def _lift(tokens: list[Token]) -> tuple:
+    """:func:`lift` over *tokens*, plus the shape text's ``parts`` and,
+    per literal in order, ``(index of its part, hidden bind name)`` — the
+    name None for a kept literal."""
     parts = []
     binds = []
     values = {}
+    slots = []
     lifted = None
     for index in range(len(tokens) - 1):
         token = tokens[index]
@@ -97,6 +129,7 @@ def lift(text: str) -> tuple[Shape, list[Token]]:
         body = token[1]
         if kind == _NUMBER or kind == _STRING:
             if _kept(tokens, index):
+                slots.append((len(parts), None))
                 parts.append(body if kind == _NUMBER else _quote(body))
                 continue
             name = str(len(binds) + 1)
@@ -106,6 +139,7 @@ def lift(text: str) -> tuple[Shape, list[Token]]:
             else:
                 values[name] = body
                 binds.append((name, _STRING_TAG))
+            slots.append((len(parts), name))
             parts.append("$" + name)
             if lifted is None:
                 lifted = list(tokens)
@@ -114,7 +148,137 @@ def lift(text: str) -> tuple[Shape, list[Token]]:
             parts.append("@" + body)
         else:
             parts.append(body)
-    return Shape(" ".join(parts), tuple(binds), values), lifted or tokens
+    shape = Shape(" ".join(parts), tuple(binds), values)
+    return shape, lifted or tokens, parts, slots
+
+
+# ---------------------------------------------------------------------------
+# Skeletons
+# ---------------------------------------------------------------------------
+
+#: Finds what the lexer would read as a string or number literal, and the
+#: comments (kept as they are, so a quote or digit in one is not a
+#: literal).  A number never starts inside a word (``c1``, ``@p2``).  The
+#: lookahead lets the scan skip, in C, every position no match starts at.
+_SKELETON_RE = re.compile(
+    r"(?=[/'\"\d])(?:(?P<comment>%s)|(?P<string>%s)|(?<!\w)(?P<number>%s))"
+    % (COMMENT_PATTERN, STRING_PATTERN, NUMBER_PATTERN),
+    re.DOTALL,
+)
+#: A skeleton marks each literal by its class: :func:`_kept` reads
+#: whether a number is an integer.  Only a comment or a string can hold
+#: the marker character, and a text that does is given no skeleton.
+_MARK = "\x00"
+_INTEGER = _MARK + "i"
+_DECIMAL = _MARK + "d"
+_STRING_MARK = _MARK + "s"
+
+#: Skeleton-memo verdicts besides a :class:`Template`: the skeleton's
+#: literals are not the lexer's, so lift every call; its lifted tokens did
+#: not parse, so plan every text of it from its literal text.
+LIFT = "lift"
+LITERAL = "literal"
+
+
+def skeleton(text: str) -> tuple:
+    """``(key, literals)``: *text* with each string and number literal
+    replaced by a marker of its class (integer, decimal, string), and the
+    literals as written, in order.  One regex pass, no tokens.  The key is
+    None when *text* holds the marker character."""
+    if _MARK in text:
+        return None, ()
+    parts = []
+    literals = []
+    last = 0
+    for match in _SKELETON_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "comment":
+            continue
+        start, end = match.span()
+        literal = text[start:end]
+        parts.append(text[last:start])
+        parts.append(
+            _STRING_MARK if kind == "string"
+            else _INTEGER if literal.isdigit() else _DECIMAL
+        )
+        literals.append(literal)
+        last = end
+    parts.append(text[last:])
+    return "".join(parts), literals
+
+
+class Template:
+    """What :func:`lift` decided for each literal of one skeleton, so
+    that a text of the skeleton gets its shape without the lexer.
+
+    ``names`` holds, per literal in order, its hidden bind name, or None
+    for a literal kept in the shape; ``pieces`` is the shape text cut at
+    each kept literal; ``binds`` is the shape's bind shape."""
+
+    __slots__ = ("pieces", "names", "binds")
+
+    def __init__(self, pieces: list, names: tuple, binds: tuple):
+        self.pieces = pieces
+        self.names = names
+        self.binds = binds
+
+    def shape(self, literals: list) -> Shape:
+        """The shape of the text whose skeleton's literals are *literals*:
+        the :class:`Shape` :func:`lift` gives it."""
+        values = {}
+        text = self.pieces[0]
+        piece = 1
+        for literal, name in zip(literals, self.names):
+            if name is not None:
+                values[name] = _value(literal)
+            else:
+                text += (
+                    literal if literal[0] not in "'\"" else _quote(_body(literal))
+                ) + self.pieces[piece]
+                piece += 1
+        return Shape(text, self.binds, values)
+
+
+def learn(text: str) -> tuple:
+    """``(shape, tokens, template)``: :func:`lift`'s answer for *text*,
+    and the :class:`Template` of its skeleton — :data:`LIFT` when the
+    skeleton's literals are not, offset for offset, the lexer's NUMBER
+    and STRING tokens."""
+    tokens = tokenize(text)
+    shape, lifted, parts, slots = _lift(tokens)
+    if _literal_offsets(text, tokens) != [
+        match.start() for match in _SKELETON_RE.finditer(text)
+        if match.lastgroup != "comment"
+    ]:
+        return shape, lifted, LIFT
+    for index, name in slots:
+        if name is None:
+            parts[index] = _MARK
+    pieces = " ".join(parts).split(_MARK)
+    names = tuple(name for _index, name in slots)
+    return shape, lifted, Template(pieces, names, shape.binds)
+
+
+def _literal_offsets(text: str, tokens: list[Token]) -> list[int]:
+    """Where in *text* each NUMBER and STRING token starts."""
+    line_starts = [0] + [match.end() for match in re.finditer("\n", text)]
+    return [
+        line_starts[token[2] - 1] + token[3] - 1
+        for token in tokens
+        if token[0] == _NUMBER or token[0] == _STRING
+    ]
+
+
+def _body(literal: str) -> str:
+    body = literal[1:-1]
+    return _unescape(body) if "\\" in body else body
+
+
+def _value(literal: str):
+    """A literal's value, as the lexer and :func:`lift` read it."""
+    if literal[0] in "'\"":
+        return _body(literal)
+    return int(literal) if literal.isdigit() else float(literal)
 
 
 def display(tokens: list[Token]) -> str:

@@ -83,7 +83,6 @@ class WriteAheadLog:
         self.path = path
         self._sync = sync
         self._file = open(path, "a", encoding="utf-8")
-        self._records_written = 0
 
     # -- writing -------------------------------------------------------------
 
@@ -135,7 +134,6 @@ class WriteAheadLog:
                 os.fsync(self._file.fileno())
             if enabled:
                 _WAL_FSYNCS.inc()
-        self._records_written += len(lines)
         if enabled:
             _WAL_APPENDS.inc(len(lines))
             _WAL_APPEND_SECONDS.observe(time.perf_counter() - start)
@@ -160,10 +158,6 @@ class WriteAheadLog:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    @property
-    def records_written(self) -> int:
-        return self._records_written
 
     # -- reading -------------------------------------------------------------
 

@@ -215,6 +215,20 @@ class TestShapes:
         cache.clear()
         assert not cache._shapes
 
+    def test_the_skeleton_memo_is_bounded_by_the_capacity(self):
+        # Five skeletons (the spacing is part of one), oldest dropped first.
+        cache = PlanCache(capacity=2)
+        for low in range(5):
+            cache.statement(f"RETURN {low}" + " " * low)
+        assert list(cache._skeletons) == ["RETURN \x00i   ", "RETURN \x00i    "]
+        shape, tokens = cache.statement("RETURN 9    ")
+        assert tokens is None and shape.values == {"1": 9}
+        cache.resize(1)
+        assert len(cache._skeletons) == 1
+        cache.clear()
+        assert not cache._skeletons
+        assert cache.statement("RETURN 9    ")[1] is not None
+
     def test_plancache_lists_the_normalized_statement(self, db):
         from io import StringIO
 

@@ -11,6 +11,7 @@ import threading
 import pytest
 
 from repro import MultiModelDB
+from repro.query import shapes
 from repro.query.engine import PlanCache
 
 
@@ -137,6 +138,59 @@ class TestPlanCacheThreadSafety:
         stats = db.plan_cache.stats()
         assert stats["hits"] + stats["misses"] == 8 * 60
         assert len(db.plan_cache) == 1
+
+    def test_skeletons_from_threads_churn_and_share_one_shape(self):
+        """Twelve skeletons of one shape (the spacing before RETURN is part
+        of a skeleton, not of the shape) churn the four-slot skeleton memo
+        while every thread reads it: each call runs with its own literals,
+        and the one plan serves them all."""
+        import sys
+
+        db = MultiModelDB(plan_cache_size=4)
+        items = db.create_collection("items")
+        for index in range(30):
+            items.insert({"n": index, "tag": f"t{index}"})
+        errors: list = []
+        barrier = threading.Barrier(8)
+
+        def worker(seed: int) -> None:
+            try:
+                barrier.wait(timeout=10)
+                for round_ in range(60):
+                    value = (seed * 11 + round_) % 30
+                    spaces = " " * (1 + (seed + round_) % 12)
+                    rows = db.query(
+                        f"FOR i IN items FILTER i.n == {value} "
+                        f"AND i.tag == 't{value}'{spaces}RETURN i.n"
+                    ).rows
+                    assert rows == [value], (value, rows)
+            except Exception as error:  # pragma: no cover
+                errors.append(repr(error))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(seed,)) for seed in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:3]
+        cache = db.plan_cache
+        assert len(cache._skeletons) <= cache.capacity
+        assert len(cache._shapes) <= cache.capacity
+        assert all(
+            isinstance(template, shapes.Template)
+            for template in cache._skeletons.values()
+        )
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == 8 * 60
+        assert len(cache) == 1
 
 
 class TestCatalogThreadSafety:

@@ -9,7 +9,7 @@ for the query metrics, the error counters and the trace.
 import pytest
 
 from repro.core.database import MultiModelDB
-from repro.errors import BindError, ParseError
+from repro.errors import BindError, ParseError, ResourceExhaustedError
 from repro.obs import metrics, tracing
 from repro.query.engine import open_query_cursor, run_query
 
@@ -146,3 +146,25 @@ def test_planning_spans_are_children_of_a_query_span(db, entry):
     assert len(roots) == 1
     children = [child.name for child in roots[0].children]
     assert children[:2] == ["query.parse", "query.optimize"]
+
+
+def test_the_database_query_cursor_streams_what_query_returns(db):
+    """``MultiModelDB.query_cursor``, the documented embedded stream: its
+    batches, in order, are ``db.query``'s rows, and every option it takes
+    reaches the statement."""
+    expected = db.query(TEXT, BINDS).rows
+    with db.query_cursor(TEXT, BINDS, batch_size=2) as cursor:
+        assert cursor.next_batch(3) == expected[:3]
+        assert list(cursor) == expected[3:]
+        assert cursor.exhausted
+        assert cursor.stats["rows_returned"] == len(expected)
+    with db.query_cursor("FOR d IN docs RETURN d.x", batch_size=2) as cursor:
+        assert cursor.fetch_all() == list(range(10))
+        assert cursor.stats["batches"] == 5
+    with db.query_cursor("FOR d IN docs RETURN d.x", max_rows=4) as cursor:
+        with pytest.raises(ResourceExhaustedError):
+            cursor.fetch_all()
+    # Without binds a statement that needs one fails at its first fetch.
+    with db.query_cursor(TEXT) as cursor:
+        with pytest.raises(BindError):
+            cursor.fetch_all()

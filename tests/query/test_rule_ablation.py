@@ -21,7 +21,7 @@ from repro.query import ast
 from repro.query.engine import run_query
 from repro.query.optimizer import optimize
 from repro.query.parser import parse
-from repro.query.plan import HashJoinOp, IndexScanOp
+from repro.query.plan import HashJoinOp, IndexScanOp, render_plan
 from repro.query.rules import rule_names
 from repro.unibench import build_multimodel, generate
 from repro.unibench.workloads import QUERIES_B
@@ -101,6 +101,22 @@ EXTRA_QUERIES = {
         {"floor": 100},
     ),
 }
+
+#: One indexed join filter in three spellings — two FILTERs in either
+#: order, and one AND — that must plan alike.
+FILTER_RUN_SPELLINGS = {
+    "run_probe_first": "FILTER o.customer_id == c.id FILTER o.total >= @floor",
+    "run_probe_second": "FILTER o.total >= @floor FILTER o.customer_id == c.id",
+    "run_one_and": "FILTER o.total >= @floor AND o.customer_id == c.id",
+}
+EXTRA_QUERIES.update({
+    name: (
+        "FOR c IN customers FILTER c.city == @city FOR o IN orders "
+        f"{filters} RETURN {{c: c.name, o: o.Order_no}}",
+        {"city": "Prague", "floor": 100},
+    )
+    for name, filters in FILTER_RUN_SPELLINGS.items()
+})
 
 ALL_QUERIES = {**QUERIES_B, **EXTRA_QUERIES, **NESTED}
 
@@ -199,6 +215,19 @@ def test_collect_into_aggregate_fires_on_its_fixtures(db, baselines):
         == (0, None, None, None, None) and row["n"] > 0
         for row in empty
     )
+
+
+def test_every_spelling_of_a_filter_run_plans_the_same_index_scan(db, baselines):
+    plans = set()
+    for name in FILTER_RUN_SPELLINGS:
+        text, _binds = ALL_QUERIES[name]
+        plan = optimize(parse(text), db)
+        scans = [op for op in plan.operations if isinstance(op, IndexScanOp)]
+        assert [scan.path for scan in scans] == [("customer_id",)], name
+        plans.add(render_plan(plan))
+    assert len(plans) == 1
+    rows = [_canon(baselines[name], False) for name in FILTER_RUN_SPELLINGS]
+    assert rows[0] == rows[1] == rows[2]
 
 
 def test_all_rules_off_equals_all_rules_on(db, baselines):

@@ -10,7 +10,14 @@ from repro.query import ast
 from repro.query.engine import run_query
 from repro.query.optimizer import optimize
 from repro.query.parser import parse
-from repro.query.plan import AntiJoinOp, MaterializeOp, SemiJoinOp
+from repro.query.plan import (
+    AntiJoinOp,
+    HashJoinOp,
+    IndexScanOp,
+    MaterializeOp,
+    SemiJoinOp,
+    render_plan,
+)
 from repro.query.rules import (
     REGISTRY,
     RuleToggles,
@@ -667,6 +674,82 @@ class TestFeedbackLoop:
         assert "Rules fired: (none)" in rendered
 
 
+#: One join filter written three ways: two FILTERs in either order, and
+#: one AND (which predicate_split cuts into the second form).
+RUN_SPELLINGS = (
+    "FILTER o.cust == c.id FILTER o.total >= 40",
+    "FILTER o.total >= 40 FILTER o.cust == c.id",
+    "FILTER o.total >= 40 AND o.cust == c.id",
+)
+RUN_JOIN = (
+    "FOR c IN customers FILTER c.id >= 2 FOR o IN orders {filters} "
+    "RETURN {{c: c.name, o: o._key}}"
+)
+
+
+class TestFilterRuns:
+    """Index and hash-join selection read every conjunct of the run of
+    FILTERs after a FOR, not only the first FILTER's."""
+
+    @staticmethod
+    def _inner(plan):
+        inner = [
+            op for op in plan.operations if getattr(op, "var", None) == "o"
+        ]
+        return inner[0], plan.operations[plan.operations.index(inner[0]) + 1:]
+
+    def test_every_spelling_plans_the_same_index_scan(self, db):
+        db.collection("orders").create_index("cust", kind="hash")
+        plans = []
+        for filters in RUN_SPELLINGS:
+            plan = optimize(parse(RUN_JOIN.format(filters=filters)), db)
+            scan, after = self._inner(plan)
+            assert isinstance(scan, IndexScanOp), filters
+            assert scan.path == ("cust",) and scan.residual is None
+            assert [type(op) for op in after] == [ast.FilterOp, ast.ReturnOp]
+            plans.append(render_plan(plan))
+        assert len(set(plans)) == 1, plans
+        rows = [
+            sorted(map(repr, db.query(RUN_JOIN.format(filters=filters)).rows))
+            for filters in RUN_SPELLINGS
+        ]
+        assert rows[0] == rows[1] == rows[2] and len(rows[0]) == 8
+
+    def test_every_spelling_plans_the_same_hash_join(self, db):
+        plans = []
+        for filters in RUN_SPELLINGS:
+            plan = optimize(parse(RUN_JOIN.format(filters=filters)), db)
+            join, after = self._inner(plan)
+            assert isinstance(join, HashJoinOp), filters
+            assert join.build_path == ("cust",) and join.residual is None
+            assert [type(op) for op in after] == [ast.FilterOp, ast.ReturnOp]
+            plans.append(render_plan(plan))
+        assert len(set(plans)) == 1, plans
+
+    def test_the_most_selective_index_of_the_run_wins(self, db):
+        orders = db.collection("orders")
+        for extra in range(10):
+            orders.insert({"_key": f"x{extra}", "cust": 4, "total": 0})
+        orders.create_index("cust", kind="hash")
+        orders.create_index("_key", kind="hash")
+        text = (
+            "FOR c IN customers FOR o IN orders FILTER o.cust == c.id "
+            "FILTER o._key == 'o4' RETURN o._key"
+        )
+        scan, after = self._inner(optimize(parse(text), db))
+        assert isinstance(scan, IndexScanOp) and scan.path == ("_key",)
+        assert db.query(text).rows == ["o4"]
+
+    def test_a_near_miss_in_a_later_filter_is_suggested(self, db):
+        optimize(parse(
+            "FOR o IN orders FILTER o.total >= 40 FILTER o.cust == 4 RETURN o"
+        ), db)
+        assert ("orders", ("cust",)) in [
+            (suggestion.source, suggestion.path)
+            for suggestion, _count in db.index_suggestions.entries()
+        ]
+
+
 #: The statement shapes this module plans, over its :func:`db`: the
 #: front-end differential suite holds the optimizer to a full fixpoint on
 #: each of them.
@@ -721,5 +804,6 @@ STATEMENTS = (
     # The second COLLECT folds first; that frees the first.
     BY_PARITY + "LET s = SUM(g[*].o.total) COLLECT p = s > 50 INTO h "
     "RETURN {p, n: COUNT(h[*].s)}",
+    *(RUN_JOIN.format(filters=filters) for filters in RUN_SPELLINGS),
 )
 

@@ -9,8 +9,13 @@ exactly as the statement planned from its literal text.
   but for ``constant_folding`` on lifted operands, and the EXPLAIN text is
   the same once each hidden bind reads as its literal.
 * **Traps** — the literals that have to stay in the shape.
-* **Counts** — the adhoc round's six shapes, and the memo that spares a
-  repeated text the lexer.
+* **Skeletons** — a text whose literals alone are new gets its shape from
+  the skeleton memo, without the lexer: the same :class:`Shape` as
+  :func:`lift` gives it, or the same lexer error, over every text of the
+  corpus with random literals put in, and over the texts that could fool
+  a one-regex scan.
+* **Counts** — the adhoc round's six shapes and six tokenizations, and
+  the memo that spares a repeated text the lexer.
 """
 
 import importlib.util
@@ -20,11 +25,16 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import Column, ColumnType, TableSchema
 from repro.core.database import MultiModelDB
+from repro.errors import LexError
 from repro.query import ast, shapes
 from repro.query import parser as parser_module
+from repro.query.engine import PlanCache
+from repro.query.lexer import STRING_PATTERN, TokenKind, tokenize
 from repro.query.optimizer import optimize
 from repro.query.parser import parse, parse_tokens
 from repro.query.plan import render_plan
@@ -355,17 +365,267 @@ def test_hidden_binds_cannot_be_written():
 
 
 # ---------------------------------------------------------------------------
+# Skeletons
+# ---------------------------------------------------------------------------
+
+_STRING_RE = re.compile(STRING_PATTERN)
+
+
+def _literal_spans(text: str) -> list:
+    """``(start, end)`` of each NUMBER and STRING token of *text*, found
+    by the lexer (not by the skeleton pass under test)."""
+    line_starts = [0] + [match.end() for match in re.finditer("\n", text)]
+    spans = []
+    for token in tokenize(text)[:-1]:
+        if token.kind not in (TokenKind.NUMBER, TokenKind.STRING):
+            continue
+        start = line_starts[token.line - 1] + token.column - 1
+        if token.kind == TokenKind.NUMBER:
+            spans.append((start, start + len(token.text)))
+        else:
+            spans.append((start, _STRING_RE.match(text, start).end()))
+    return spans
+
+
+def _substitute(text: str, spans: list, literals: list) -> str:
+    for (start, end), literal in reversed(list(zip(spans, literals))):
+        text = text[:start] + literal + text[end:]
+    return text
+
+
+def _shape_or_error(statement):
+    """What a shape lookup gives: the shape's text, bind shape, typed
+    values and literal flag, or the lexer error's line and column."""
+    try:
+        shape = statement()
+    except LexError as error:
+        return "LexError", error.line, error.column
+    values = {name: (type(value), value) for name, value in shape.values.items()}
+    return shape.text, shape.binds, values, shape.literal
+
+
+def _lexes(text: str) -> bool:
+    try:
+        tokenize(text)
+    except LexError:
+        return False
+    return True
+
+
+def _class_of(literal: str) -> str:
+    if literal[0] in "'\"":
+        return "string"
+    return "integer" if literal.isdigit() else "decimal"
+
+
+_STRING_UNITS = [
+    "a", "Z", "7", "0.5", " ", ".", "/", "*", "//", "/*", "*/", "\n", "é",
+    "@x", "$", "\\n", "\\t", "\\\\", "\\'", '\\"', "\\q", "'", '"',
+]
+
+
+def _quoted(quote: str, units: list) -> str:
+    """A string literal in *quote* of *units*, a bare quote escaped."""
+    return quote + "".join(
+        "\\" + unit if unit == quote else unit for unit in units
+    ) + quote
+
+
+_LITERALS = {
+    "integer": st.integers(0, 10**15).map(str),
+    "decimal": st.one_of(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)).map(
+            lambda parts: f"{parts[0]}.{parts[1]}"
+        ),
+        st.tuples(
+            st.integers(0, 999), st.sampled_from(["e", "E", "e+", "E-"]),
+            st.integers(0, 400),
+        ).map(lambda parts: "".join(map(str, parts))),
+    ),
+    "string": st.builds(
+        _quoted, st.sampled_from("'\""),
+        st.lists(st.sampled_from(_STRING_UNITS), max_size=8),
+    ),
+}
+#: Text that is no literal of the same class, or no literal at all.
+_OTHER = st.one_of(
+    st.sampled_from([
+        "x.5", "1..3", "-1", "- 2.5", "'open", '"open', "/* 9 */ 4",
+        "// '\n 5", "1e", "2.", ".5", "0x1", "'a''b'", "7 8", "@p1", "c1",
+    ]),
+    _LITERALS["integer"], _LITERALS["decimal"], _LITERALS["string"],
+)
+
+
+def _replacement(literal: str):
+    return st.one_of(_LITERALS[_class_of(literal)], _OTHER)
+
+
+#: Every text of the corpus that lexes: the parser goldens, the rule
+#: statements, the nested_scopes fixtures as written and inlined, and
+#: Q1–Q5 with literal values (the adhoc round joins them in the test).
+_SKELETON_CORPUS = [
+    text
+    for text in (
+        *json.loads((Path(__file__).with_name("parser_golden.json")).read_text()),
+        *RULE_STATEMENTS,
+        *(text for text, _binds in _FIXTURES.values()),
+        *(_inline(text, binds) for text, binds in _FIXTURES.values()),
+    )
+    if _lexes(text)
+]
+
+
+@settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_the_skeleton_path_gives_what_lift_gives(adhoc_texts, data):
+    text = data.draw(st.sampled_from(_SKELETON_CORPUS + adhoc_texts[:64]))
+    spans = _literal_spans(text)
+    literals = [
+        data.draw(_replacement(text[start:end])) for start, end in spans
+    ]
+    other = _substitute(text, spans, literals)
+    cache = PlanCache()
+    learned, _tokens = cache.statement(text)
+    assert _shape_or_error(lambda: learned) == _shape_or_error(
+        lambda: lift(text)[0]
+    )
+    answer = []
+    assert _shape_or_error(
+        lambda: answer.extend(cache.statement(other)) or answer[0]
+    ) == _shape_or_error(lambda: lift(other)[0]), other
+    if shapes.skeleton(other)[0] == shapes.skeleton(text)[0]:
+        assert answer[1] is None, other  # the memo answered, not the lexer
+
+
+#: Texts a one-regex literal scan could misread: quotes and digits in
+#: comments, digits in names, ``x.5``, ``1..3``, LIMIT pairs, an integer
+#: compared with a call beside a decimal, unary minus, escapes, strings
+#: over lines, both quotes, exponents.
+SKELETON_TRAPS = [
+    "FOR d IN docs FILTER d.n == 1 // it's 2 o'clock\nRETURN d.n",
+    "FOR d IN docs /* 'a' 3 \"b\" */ FILTER d.s == 'x' RETURN d._key",
+    "FOR d IN docs /* 1\n 2 */ FILTER d.n == 3\n// 4 '\nRETURN d.n",
+    "FOR c1 IN docs FILTER c1.n2 == 3 AND c1.x == @p1 RETURN c1.n2",
+    "LET x = {a: 1} RETURN x.5",
+    "LET x = [1, 2, 3] RETURN x[1].5",
+    "FOR i IN 1..3 RETURN i",
+    "FOR v IN 1..2 OUTBOUND '1' GRAPH g LABEL 'knows' RETURN v._key",
+    "FOR i IN 1..10 LIMIT 2, 3 RETURN i",
+    "FOR d IN docs FILTER LENGTH(d.tags) > 0 AND d.x > 0.5 RETURN d._key",
+    "FOR d IN docs FILTER d.n > -1 AND d.m < - 2.5 AND d.k == 3 - 1 RETURN d",
+    "FOR d IN docs FILTER d.s == 'it\\'s \\\"q\\\" \\\\ \\n' RETURN d._key",
+    "FOR d IN docs FILTER d.s == 'line one\nline 2' AND d.n == 2\nRETURN d.n",
+    "FOR d IN docs FILTER d.a == \"x'y\" OR d.b == 'p\"q' RETURN d._key",
+    "FOR d IN docs FILTER d.x < 1e3 AND d.y > 2.5E-2 RETURN {'k': d._key}",
+    "RETURN [1.5, 'a' , \"b\", 7, {'k': 8}]",
+]
+
+#: Same-class stand-ins for a trap's literals: a sibling text of the
+#: same skeleton.
+_SIBLINGS = {"integer": "41", "decimal": "9.25", "string": "'z\\'z'"}
+
+
+@pytest.mark.parametrize("text", SKELETON_TRAPS)
+def test_a_trap_and_its_sibling_get_lift_s_shapes(text):
+    spans = _literal_spans(text)
+    sibling = _substitute(
+        text, spans,
+        [_SIBLINGS[_class_of(text[start:end])] for start, end in spans],
+    )
+    cache = PlanCache()
+    for probe in (text, sibling):
+        assert _shape_or_error(lambda: cache.statement(probe)[0]) == (
+            _shape_or_error(lambda: lift(probe)[0])
+        ), probe
+    # The sibling's shape came from the skeleton memo, not the lexer.
+    fresh = PlanCache()
+    fresh.statement(text)
+    assert fresh.statement(sibling)[1] is None
+
+
+@pytest.mark.parametrize("first, then", [
+    # Kept as an integer compared with a call, lifted as a decimal.
+    ("FOR d IN docs FILTER LENGTH(d.tags) > 0 RETURN d._key",
+     "FOR d IN docs FILTER LENGTH(d.tags) > 0.5 RETURN d._key"),
+    ("FOR d IN docs FILTER d.n == 1 RETURN d", "FOR d IN docs FILTER d.n == '1' RETURN d"),
+    ("FOR d IN docs FILTER d.n == 1.0 RETURN d", "FOR d IN docs FILTER d.n == 1 RETURN d"),
+])
+def test_a_literal_of_another_class_makes_another_skeleton(first, then):
+    cache = PlanCache()
+    cache.statement(first)
+    assert _shape_or_error(lambda: cache.statement(then)[0]) == _shape_or_error(
+        lambda: lift(then)[0]
+    )
+
+
+@pytest.mark.parametrize("text, position", [
+    ("FOR d IN docs FILTER d.s == 'open RETURN d", (1, 29)),
+    ("FOR d IN docs\n  FILTER d.s == \"a\" AND d.t == 'b RETURN 1", (2, 32)),
+    ("FOR d IN docs FILTER d.s == 'two\nlines' AND d.n == 1 # RETURN 1", (2, 21)),
+])
+def test_a_lexer_error_keeps_its_line_and_column(text, position):
+    cache = PlanCache()
+    for _call in range(2):
+        with pytest.raises(LexError) as caught:
+            cache.statement(text)
+        assert (caught.value.line, caught.value.column) == position
+    assert not cache._skeletons
+
+
+def test_a_skeleton_the_lexer_disagrees_with_is_lifted_every_call(monkeypatch):
+    # A scan that does not know comments reads the ``2`` in one as a
+    # literal: the offset check catches it.
+    monkeypatch.setattr(
+        shapes, "_SKELETON_RE",
+        re.compile(r"(?P<string>'[^']*')|(?P<number>\d+)"),
+    )
+    cache = PlanCache()
+    for value in (1, 5, 9):
+        text = f"RETURN {value} // 2"
+        shape, tokens = cache.statement(text)
+        assert tokens is not None
+        assert _shape_or_error(lambda: shape) == _shape_or_error(
+            lambda: lift(text)[0]
+        )
+    assert list(cache._skeletons.values()) == [shapes.LIFT]
+
+
+def test_a_skeleton_planned_literally_stays_literal():
+    cache = PlanCache()
+    cache.statement("FOR d IN docs FILTER d.n == 1 RETURN d")
+    cache.plan_literally("FOR d IN docs FILTER d.n == 1 RETURN d")
+    shape, tokens = cache.statement("FOR d IN docs FILTER d.n == 2 RETURN d")
+    assert shape.literal and tokens is None
+    assert shape.text == "FOR d IN docs FILTER d.n == 2 RETURN d"
+
+
+# ---------------------------------------------------------------------------
 # Counts
 # ---------------------------------------------------------------------------
 
 
-def test_one_adhoc_round_plans_six_shapes(mmbench_data, adhoc_texts):
+def test_one_adhoc_round_plans_six_shapes(mmbench_data, adhoc_texts, monkeypatch):
     db = MultiModelDB()
     load_into_multimodel(db, mmbench_data)
     before = db.plan_cache.stats()
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(shapes, "tokenize", counted)
+    monkeypatch.setattr(parser_module, "tokenize", counted)
     for text in adhoc_texts:
         db.query(text)
     after = db.plan_cache.stats()
+    # One tokenization per skeleton: the other 538 texts are answered by
+    # the skeleton memo.
+    assert len(calls) == 6
     assert after["misses"] - before["misses"] == 6
     assert after["hits"] - before["hits"] == 544 - 6
     assert after["evictions"] == before["evictions"] == 0
@@ -380,7 +640,6 @@ def test_a_repeated_text_is_not_lexed_again(unibench_pair, monkeypatch):
         calls.append(text)
         return tokenize(text)
 
-    tokenize = shapes.tokenize
     for text, binds in QUERIES_B.values():
         shared.query(text, binds)
     monkeypatch.setattr(shapes, "tokenize", counted)
