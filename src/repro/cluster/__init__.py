@@ -16,14 +16,15 @@ for the repro engine:
 * :mod:`~repro.cluster.client` — ``ClusterClient``: ReproClient-shaped
   facade composing one :class:`~repro.replication.router.ReplicaSet`
   per shard over the wire protocol, with SHARD_MAP_STALE refetch.
-* :mod:`~repro.cluster.bootstrap` — sharded UniBench provisioning and
-  the in-process ``start_cluster`` harness tests/chaos/CI share.
+* :mod:`~repro.cluster.bootstrap` — the UniBench loader's per-shard
+  placement predicate and the in-process ``start_cluster`` harness
+  tests/chaos/CI share.
 """
 
 from repro.cluster.bootstrap import (
     ClusterHandle,
-    load_sharded_unibench,
     make_demo_shard_map,
+    shard_slice,
     start_cluster,
 )
 from repro.cluster.client import ClusterClient
@@ -46,8 +47,8 @@ __all__ = [
     "ShardMap",
     "StorePlacement",
     "demo_placements",
-    "load_sharded_unibench",
     "make_demo_shard_map",
     "partition_hash",
+    "shard_slice",
     "start_cluster",
 ]

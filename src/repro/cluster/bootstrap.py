@@ -1,11 +1,11 @@
 """Provision a sharded cluster: DDL everywhere, rows where they belong.
 
-Mirrors :func:`repro.unibench.generator.load_into_multimodel` exactly —
-same schemas, same indexes — but routes every row through the shard
-map's placements: hash-partitioned rows land only on their owner shard,
-reference rows land on every shard.  DDL (and index DDL) is applied to
-*all* shards regardless of placement, so any shard can run any aligned
-statement.
+Each shard is populated by the one UniBench loader,
+:func:`repro.unibench.generator.load_into_multimodel` — same schemas,
+same indexes — with the placement predicate :func:`shard_slice`:
+hash-partitioned rows land only on their owner shard, reference stores
+land on every shard.  DDL (and index DDL) is applied on every shard
+regardless of placement, so any shard can run any aligned statement.
 
 Also provides :func:`start_cluster`, the in-process harness the tests,
 the chaos runs and CI's cluster-smoke job share: N
@@ -17,136 +17,42 @@ read replica) on OS-picked ports, a matching versioned
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.cluster.shardmap import ShardMap, StorePlacement, demo_placements
 
 __all__ = [
-    "load_sharded_unibench",
     "make_demo_shard_map",
+    "shard_slice",
     "start_cluster",
     "ClusterHandle",
 ]
 
 
-def _owner(shard_map: ShardMap, store: str, value) -> Optional[int]:
-    """Owner shard for one row's partition value, or None = everywhere."""
-    if shard_map.is_hashed(store):
-        return shard_map.owner(store, value)
-    return None
-
-
-def _route(shard_map: ShardMap, store: str, value, sinks: list, apply) -> None:
-    owner = _owner(shard_map, store, value)
-    for shard_id, sink in enumerate(sinks):
-        if owner is None or owner == shard_id:
-            apply(sink)
-
-
-def load_sharded_unibench(
-    dbs: list,
-    data,
-    shard_map: ShardMap,
-    with_indexes: bool = True,
-) -> None:
-    """Populate one :class:`MultiModelDB` per shard from *data*.
-
-    ``dbs[i]`` receives shard ``i``'s slice; ``len(dbs)`` must equal
-    ``shard_map.num_shards``."""
-    from repro.relational.schema import Column, ColumnType, TableSchema
-
-    if len(dbs) != shard_map.num_shards:
-        raise ValueError(
-            f"{len(dbs)} databases for {shard_map.num_shards} shards"
-        )
-
-    tables = []
-    for db in dbs:
-        db.create_table(
-            TableSchema(
-                "customers",
-                [
-                    Column("id", ColumnType.INTEGER, nullable=False),
-                    Column("name", ColumnType.STRING, nullable=False),
-                    Column("city", ColumnType.STRING),
-                    Column("credit_limit", ColumnType.INTEGER),
-                ],
-                primary_key="id",
+def shard_slice(shard_map: ShardMap, position: int) -> Callable[[str, Any], bool]:
+    """The placement predicate of the shard at *position* in *shard_map*,
+    for :func:`~repro.unibench.generator.load_into_multimodel`: it keeps a
+    hash-partitioned row only when ``shard_map.owner`` assigns it here,
+    and every row of a reference store."""
+    for store, kind in (("social", "graphs"), ("vendors", "triple stores")):
+        if shard_map.is_hashed(store):
+            raise NotImplementedError(
+                f"hash-partitioned {kind} are not provisioned by this loader"
             )
-        )
-        tables.append(db.table("customers"))
-    key = shard_map.placement("customers").partition_key or "id"
-    for row in data.customers:
-        _route(
-            shard_map, "customers", row.get(key), tables,
-            lambda table, row=row: table.insert(row),
-        )
+    partition_keys = {
+        store: placement.partition_key
+        for store, placement in shard_map.placements.items()
+        if placement.mode == "hash"
+    }
 
-    # The social graph: vertices and edges follow the store's placement
-    # (reference in the demo profile — every shard gets the whole graph,
-    # which is what keeps traversals shard-local).
-    if shard_map.is_hashed("social"):
-        raise NotImplementedError(
-            "hash-partitioned graphs are not provisioned by this loader"
-        )
-    for db in dbs:
-        social = db.create_graph("social")
-        for row in data.customers:
-            social.add_vertex(str(row["id"]), {"name": row["name"]})
-        for source, target in data.knows_edges:
-            social.add_edge(source, target, label="knows")
+    def keep(store: str, record) -> bool:
+        key = partition_keys.get(store)
+        if key is None:
+            return True
+        value = record[0] if store == "cart" else record.get(key)
+        return shard_map.owner(store, value) == position
 
-    products = [db.create_collection("products") for db in dbs]
-    key = shard_map.placement("products").partition_key or "_key"
-    for product in data.products:
-        _route(
-            shard_map, "products", product.get(key), products,
-            lambda sink, product=product: sink.insert(product),
-        )
-
-    orders = [db.create_collection("orders") for db in dbs]
-    key = shard_map.placement("orders").partition_key or "_key"
-    for order in data.orders:
-        _route(
-            shard_map, "orders", order.get(key), orders,
-            lambda sink, order=order: sink.insert(order),
-        )
-
-    carts = [db.create_bucket("cart") for db in dbs]
-    for customer_id, order_no in data.carts.items():
-        _route(
-            shard_map, "cart", customer_id, carts,
-            lambda sink, k=customer_id, v=order_no: sink.put(k, v),
-        )
-
-    feedback = [db.create_collection("feedback") for db in dbs]
-    key = shard_map.placement("feedback").partition_key or "_key"
-    for review in data.feedback:
-        _route(
-            shard_map, "feedback", review.get(key), feedback,
-            lambda sink, review=review: sink.insert(review),
-        )
-
-    if shard_map.is_hashed("vendors"):
-        raise NotImplementedError(
-            "hash-partitioned triple stores are not provisioned by this "
-            "loader"
-        )
-    for db in dbs:
-        db.create_triple_store("vendors").add_many(data.vendor_triples)
-
-    if with_indexes:
-        for db, order_sink, product_sink, feedback_sink in zip(
-            dbs, orders, products, feedback
-        ):
-            order_sink.create_index("Order_no", kind="hash")
-            order_sink.create_index("customer_id", kind="hash")
-            product_sink.create_index("category", kind="hash")
-            feedback_sink.create_index("product_no", kind="hash")
-            db.context.indexes.create_index(
-                feedback_sink.namespace, ("text",), kind="fulltext",
-                name="feedback_text",
-            )
+    return keep
 
 
 def make_demo_shard_map(
@@ -213,7 +119,7 @@ def start_cluster(
     coordinator).  Returns a :class:`ClusterHandle`."""
     from repro.core.database import MultiModelDB
     from repro.server.server import ReproServer
-    from repro.unibench.generator import generate
+    from repro.unibench.generator import generate, load_into_multimodel
 
     if data is None:
         data = generate(scale_factor=scale_factor, seed=seed)
@@ -236,8 +142,14 @@ def start_cluster(
         [f"pending:{9000 + shard_id}" for shard_id in range(num_shards)],
         store_placements,
     )
-    dbs = [MultiModelDB() for _ in range(num_shards)]
-    load_sharded_unibench(dbs, data, routing_map, with_indexes=with_indexes)
+
+    def provision(position: int) -> MultiModelDB:
+        db = MultiModelDB()
+        keep = shard_slice(routing_map, position)
+        load_into_multimodel(db, data, with_indexes=with_indexes, keep=keep)
+        return db
+
+    dbs = [provision(shard_id) for shard_id in range(num_shards)]
 
     servers = []
     addresses = []
@@ -252,11 +164,10 @@ def start_cluster(
         replica_servers = []
         replicas: dict = {}
         if replica_for is not None:
-            replica_db = _provision_replica_db(
-                data, routing_map, replica_for, with_indexes
-            )
+            # A replica is provisioned like its primary; the WAL stream
+            # keeps it converged from there.
             replica = ReproServer(
-                replica_db,
+                provision(replica_for),
                 port=0,
                 shard_id=replica_for,
                 replica_of=addresses[replica_for],
@@ -286,15 +197,3 @@ def start_cluster(
             except Exception:
                 pass
         raise
-
-
-def _provision_replica_db(data, routing_map, shard_id, with_indexes):
-    """A fresh database holding exactly shard *shard_id*'s slice —
-    replicas are provisioned like their primary (DDL + snapshot), then
-    the WAL stream keeps them converged."""
-    from repro.core.database import MultiModelDB
-
-    stand_ins = [MultiModelDB() for _ in range(routing_map.num_shards)]
-    load_sharded_unibench(stand_ins, data, routing_map,
-                          with_indexes=with_indexes)
-    return stand_ins[shard_id]

@@ -1,6 +1,6 @@
 """Slow-query log: queries slower than a configurable threshold are kept
 in a bounded ring for post-hoc inspection (shell command ``.slowlog``,
-wire op ``slowlog``).
+wire op ``slowlog``; both read :func:`payload`).
 
 Disabled by default (``threshold = None``); recording is guarded by the
 caller (:mod:`repro.query.engine`) so the fast path pays one attribute
@@ -30,6 +30,7 @@ __all__ = [
     "record",
     "entries",
     "clear",
+    "payload",
 ]
 
 #: Seconds; ``None`` disables the log entirely.
@@ -95,3 +96,22 @@ def entries() -> list[dict]:
 
 def clear() -> None:
     _ENTRIES.clear()
+
+
+def payload(params: dict) -> dict:
+    """The ``slowlog`` answer the wire op and the embedded shell share.
+
+    ``params["threshold_ms"]``, when present, is applied first: a number
+    of milliseconds sets the threshold, ``None`` turns the log off and
+    drops what it kept."""
+    if "threshold_ms" in params:
+        value = params["threshold_ms"]
+        if value is None:
+            set_threshold(None)
+            clear()
+        else:
+            set_threshold(float(value) / 1000.0)
+    return {
+        "threshold_ms": None if THRESHOLD is None else THRESHOLD * 1000.0,
+        "entries": entries(),
+    }

@@ -9,19 +9,12 @@ tree after every query.
 
 Every active span carries a W3C-traceparent-style identity: a 32-hex
 ``trace_id`` shared by the whole request tree and a 16-hex ``span_id`` of
-its own. Identity crosses two boundaries the plain context-var mechanism
-cannot:
-
-* **processes** — a remote peer's ``(trace_id, parent_span_id)`` is
-  adopted with :func:`adopt`; spans opened inside continue the remote
-  trace instead of starting a fresh one. An adopted remote parent also
-  *forces* span creation even when tracing is globally disabled, so a
-  server records spans exactly for the requests that asked for them.
-* **threads** — :func:`capture` snapshots the current span and remote
-  parent so a thread-pool worker can re-activate them (``with
-  handoff:``). Without the explicit handoff, work bridged onto an
-  executor thread starts from an empty context and its spans are
-  orphaned.
+its own. Identity crosses the process boundary the plain context-var
+mechanism cannot: a remote peer's ``(trace_id, parent_span_id)`` is
+adopted with :func:`adopt`; spans opened inside continue the remote trace
+instead of starting a fresh one. An adopted remote parent also *forces* span creation
+even when tracing is globally disabled, so a server records spans exactly
+for the requests that asked for them.
 
 Tracing is **off** by default and the disabled path allocates nothing:
 :func:`span` returns a shared no-op context manager without creating a
@@ -50,8 +43,6 @@ __all__ = [
     "current_context",
     "current_correlation",
     "adopt",
-    "capture",
-    "TraceHandoff",
     "new_trace_id",
     "new_span_id",
     "format_traceparent",
@@ -321,44 +312,6 @@ class adopt:
         if self._token is not None:
             _remote_parent.reset(self._token)
             self._token = None
-
-
-class TraceHandoff:
-    """Snapshot of the active trace context, for explicit cross-thread
-    propagation (:func:`capture` on the submitting side, ``with handoff:``
-    on the worker). Context-vars are per-thread, so without this a
-    thread-pool worker's spans would be orphan roots."""
-
-    __slots__ = ("_span", "_remote", "_span_token", "_remote_token")
-
-    def __init__(self, span_: Optional[Span], remote: Optional[SpanContext]):
-        self._span = span_
-        self._remote = remote
-        self._span_token = None
-        self._remote_token = None
-
-    def __enter__(self) -> "TraceHandoff":
-        self._span_token = _current.set(self._span)
-        if self._remote is not None:
-            self._remote_token = _remote_parent.set(self._remote)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _current.reset(self._span_token)
-        self._span_token = None
-        if self._remote_token is not None:
-            _remote_parent.reset(self._remote_token)
-            self._remote_token = None
-
-    def run(self, fn, *args, **kwargs):
-        """Run ``fn`` under the captured context (worker-thread side)."""
-        with self:
-            return fn(*args, **kwargs)
-
-
-def capture() -> TraceHandoff:
-    """Snapshot the current span + remote parent for another thread."""
-    return TraceHandoff(_current.get(), _remote_parent.get())
 
 
 def last_trace() -> Optional[Span]:

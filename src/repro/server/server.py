@@ -792,16 +792,7 @@ class ReproServer:
                 roots = roots[-limit:]
             return {"traces": [tracing.span_summary(root) for root in roots]}
         if op == "slowlog":
-            if "threshold_ms" in params:
-                value = params["threshold_ms"]
-                slowlog.set_threshold(
-                    None if value is None else float(value) / 1000.0
-                )
-            threshold = slowlog.get_threshold()
-            return {
-                "threshold_ms": None if threshold is None else threshold * 1000.0,
-                "entries": slowlog.entries(),
-            }
+            return slowlog.payload(params)
         if op == "events":
             limit = params.get("n")
             kind = params.get("kind")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Iterable, Optional
 
 __all__ = ["UniBenchData", "generate", "load_into_multimodel", "load_into_polyglot"]
 
@@ -178,14 +178,30 @@ def generate(scale_factor: int = 1, seed: int = 42) -> UniBenchData:
     return data
 
 
-def load_into_multimodel(db, data: UniBenchData, with_indexes: bool = True) -> None:
+def load_into_multimodel(
+    db,
+    data: UniBenchData,
+    with_indexes: bool = True,
+    keep: Optional[Callable[[str, Any], bool]] = None,
+) -> None:
     """Populate a :class:`repro.MultiModelDB` with the data set.
 
     Creates: table ``customers``; graph ``social``; collections
     ``products``, ``orders``, ``feedback``; bucket ``cart``; triple store
     ``vendors``; and (optionally) the indexes the workloads exploit.
+
+    *keep* is a placement predicate, ``keep(store, record) -> bool``: a
+    row of ``customers``, ``products``, ``orders`` or ``feedback``, or a
+    ``cart`` ``(key, value)`` pair, is loaded only when it returns true.
+    The graph (whose vertices are the *whole* customer list) and the
+    triple store are always loaded in full.  ``None`` keeps every row.
     """
     from repro.relational.schema import Column, ColumnType, TableSchema
+
+    def kept(store: str, records: Iterable) -> Iterable:
+        if keep is None:
+            return records
+        return [record for record in records if keep(store, record)]
 
     db.create_table(
         TableSchema(
@@ -200,7 +216,7 @@ def load_into_multimodel(db, data: UniBenchData, with_indexes: bool = True) -> N
         )
     )
     customers = db.table("customers")
-    for row in data.customers:
+    for row in kept("customers", data.customers):
         customers.insert(row)
 
     social = db.create_graph("social")
@@ -210,19 +226,19 @@ def load_into_multimodel(db, data: UniBenchData, with_indexes: bool = True) -> N
         social.add_edge(source, target, label="knows")
 
     products = db.create_collection("products")
-    for product in data.products:
+    for product in kept("products", data.products):
         products.insert(product)
 
     orders = db.create_collection("orders")
-    for order in data.orders:
+    for order in kept("orders", data.orders):
         orders.insert(order)
 
     cart = db.create_bucket("cart")
-    for customer_id, order_no in data.carts.items():
+    for customer_id, order_no in kept("cart", data.carts.items()):
         cart.put(customer_id, order_no)
 
     feedback = db.create_collection("feedback")
-    for review in data.feedback:
+    for review in kept("feedback", data.feedback):
         feedback.insert(review)
 
     vendors = db.create_triple_store("vendors")

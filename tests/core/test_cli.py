@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro import MultiModelDB
-from repro.cli import make_demo_db, repl, run_statement
+from repro.cli import main, make_demo_db, repl, run_statement, split_script
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +33,7 @@ class TestRunStatement:
 
     def test_error_reported_not_raised(self, demo_db):
         output, _state = _run(demo_db, "FOR broken FILTER")
-        assert output.startswith("error:")
+        assert output.startswith("error [PARSE]:")
 
     def test_catalog(self, demo_db):
         output, _state = _run(demo_db, ".catalog")
@@ -149,7 +149,7 @@ class TestFaultsCommand:
         output, _state = _run(
             demo_db, "INSERT {_key: 'fault-probe'} INTO orders"
         )
-        assert output.startswith("error:")
+        assert output.startswith("error [FAULT_INJECTED]:")
         _run(demo_db, ".faults disarm all")
         output, _state = _run(demo_db, "RETURN 1")
         assert "error" not in output
@@ -202,3 +202,24 @@ class TestRepl:
         out = io.StringIO()
         repl(db, io.StringIO(""), out)
         assert out.getvalue() == ""
+
+
+SCRIPT = 'RETURN "a;b"; // a comment; with a semicolon\nRETURN \'c;d\'; /* ; */ RETURN 2'
+
+
+class TestScripts:
+    def test_split_only_outside_strings_and_comments(self):
+        assert [part.strip() for part in split_script(SCRIPT)] == [
+            'RETURN "a;b"',
+            "// a comment; with a semicolon\nRETURN 'c;d'",
+            "/* ; */ RETURN 2",
+        ]
+
+    def test_file_script_keeps_semicolons_in_strings(self, tmp_path, capsys):
+        script = tmp_path / "script.mmql"
+        script.write_text(SCRIPT)
+        assert main(["-f", str(script)]) == 0
+        output = capsys.readouterr().out
+        assert "error" not in output
+        assert output.splitlines()[::2] == ['"a;b"', '"c;d"', "2"]
+

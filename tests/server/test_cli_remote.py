@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.cli import connect_main, make_demo_db, remote_repl, run_remote_statement
+from repro.cli import connect_main, make_demo_db, repl, run_statement
 from repro.client import ReproClient
 from repro.server import ReproServer
 
@@ -27,7 +27,7 @@ def client(served):
 def _run(client, statement):
     out = io.StringIO()
     state = {"done": False}
-    run_remote_statement(client, statement, out, state)
+    run_statement(client, statement, out, state)
     return out.getvalue(), state
 
 
@@ -83,11 +83,23 @@ class TestRemoteStatements:
         assert ".replicas" in output
 
 
+class TestClientErrors:
+    def test_attribute_error_inside_a_client_method_is_not_masked(self):
+        class StandIn:
+            def stats(self):
+                return {}.uptime  # a bug inside the method
+
+        out = io.StringIO()
+        with pytest.raises(AttributeError, match="uptime"):
+            run_statement(StandIn(), ".server", out, {"done": False})
+        assert "not available" not in out.getvalue()
+
+
 class TestRemoteRepl:
     def test_script_stream(self, client):
         source = io.StringIO("RETURN 1\n.quit\n")
         out = io.StringIO()
-        remote_repl(client, source, out)
+        repl(client, source, out)
         assert "1" in out.getvalue()
 
 
@@ -99,6 +111,15 @@ class TestConnectMain:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "42" in captured.out
+
+    def test_file_script_keeps_semicolons_in_strings(self, served, tmp_path, capsys):
+        script = tmp_path / "script.mmql"
+        script.write_text('RETURN "a;b"; // one; two\nRETURN 2')
+        exit_code = connect_main(["--port", str(served.port), "-f", str(script)])
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        assert "error" not in output
+        assert output.splitlines()[::2] == ['"a;b"', "2"]
 
     def test_unreachable_server(self, capsys):
         exit_code = connect_main(["--port", "1", "-c", "RETURN 1"])
