@@ -75,11 +75,11 @@ from repro.errors import (
 from repro.obs import metrics as obs_metrics
 from repro.query import ast, visit
 from repro.query.engine import PlanCache
-from repro.query.executor import _agg_add, _agg_final, _group_token, _new_group
+from repro.query.executor import _agg_add, _agg_final, _distinct, _new_group
 from repro.query.optimizer import optimize
 from repro.query.parser import parse
 from repro.query.unparse import _operation, unparse
-from repro.core.datamodel import compare
+from repro.core.datamodel import compare, value_token
 
 from repro.cluster.shardmap import ShardMap
 
@@ -1070,7 +1070,7 @@ class Coordinator:
         for rows, _stats, _analyzed in ordered:
             for row in rows:
                 keys = row.get(_PREFIX + "k") or []
-                token = tuple(_group_token(value) for value in keys)
+                token = tuple(map(value_token, keys))
                 group = groups.get(token)
                 if group is None:
                     group = _new_group(zip(group_names, keys), partials)
@@ -1309,17 +1309,5 @@ def _limit_then_distinct(rows: list, merge: dict) -> list:
         offset = merge["offset"]
         rows = rows[offset:offset + count]
     if merge.get("distinct"):
-        rows = _dedupe(rows)
+        rows = _distinct(rows, set())
     return rows
-
-
-def _dedupe(rows: list) -> list:
-    seen: set = set()
-    out: list = []
-    for row in rows:
-        token = _group_token(row)
-        if token in seen:
-            continue
-        seen.add(token)
-        out.append(row)
-    return out

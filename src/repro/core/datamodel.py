@@ -47,6 +47,7 @@ __all__ = [
     "iter_keys_and_values",
     "canonical_json",
     "hash_value",
+    "value_token",
     "deep_get",
     "deep_merge",
 ]
@@ -374,6 +375,35 @@ def hash_value(value: Any) -> int:
         text = canonical_json(_canonical_for_hash(value))
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def value_token(value: Any) -> Any:
+    """Hashable token of a model value, equal for two values exactly when
+    :func:`compare` calls them equal: a string, an int, ``None`` and a
+    non-integral float are their own token, an integral float is its int
+    (1 and 1.0 meet), a boolean is tagged apart from the numbers, and an
+    array or object becomes a nested tuple of its elements' tokens (an
+    object's by sorted key).  No digest, so no collision: sets and dicts
+    keyed by it need no equality check behind them."""
+    kind = type(value)
+    if kind is str or kind is int or value is None:
+        return value
+    if kind is float:
+        return int(value) if value.is_integer() else value
+    if kind is bool:
+        return ("$bool", value)
+    if kind is list or kind is tuple:
+        return ("$array", *map(value_token, value))
+    if kind is dict:
+        return ("$object", *sorted(
+            (key, value_token(item)) for key, item in value.items()
+        ))
+    # A subclass (IntEnum, OrderedDict …) tokenizes as its model type;
+    # anything outside the model raises here, as type_of does.
+    tag = type_of(value)
+    if tag is TypeTag.NUMBER:
+        return value_token(float(value) if isinstance(value, float) else int(value))
+    return value_token((None, bool, None, str, list, dict)[tag](value))
 
 
 _MISSING = object()

@@ -1,61 +1,60 @@
-"""Expression compilation: lowering ``ast.Expr`` trees into Python closures.
+"""Generated code: MMQL expressions lowered to Python source.
 
-This is the engine's one expression evaluator.  Re-dispatching on the node
-type of every expression for every row would dominate the hot operators —
-FILTER predicates, RETURN projections, SORT keys, COLLECT groupings — so
-:func:`compile_expr` walks the tree **once** and returns a closure
-``fn(ctx, frame) -> value`` in which all structural decisions (node types,
-operator kinds, literal values, attribute names) are resolved at compile
-time; evaluating a row is then plain Python calls with no isinstance
-chains.  A LIKE pattern's regex is built once per distinct pattern.
+This is the engine's one expression evaluator.  A :class:`Source` turns an
+``ast.Expr`` tree into Python statements, emitted one at a time in
+evaluation order, with every structural decision — node kind, operator,
+literal, attribute name — settled while generating.  The exact-``dict``
+step of :func:`~repro.core.datamodel.deep_get` and the same-type fast path
+of :func:`~repro.core.datamodel.compare` are inlined, a variable, bind
+parameter or attribute read once per frame stays in a local, and a LIKE
+pattern literal's regex is built once.  :func:`compile_expr` wraps one
+expression as ``fn(ctx, frame) -> value``.  The executor wraps its
+per-batch loops — FILTER / LET / RETURN runs, FOR over an expression, the
+COLLECT fold, the key gather of lookups — the same way, expressions
+inlined, so a frame pays no Python call per expression node.
 
-Every node kind compiles, subqueries, array expansion ``[*]`` and inline
-filters ``[* FILTER …]`` included; the last two bind the pseudo-variable
-``$CURRENT`` per element on a copy of the frame.
-
-Compilation happens once per (cached) plan: the executor memoizes the
-closure on the operation node, so a warm plan cache pays zero compilation
-cost per query.
+Every node kind lowers, subqueries, array expansion ``[*]`` and inline
+filters ``[* FILTER …]`` included; the last two bind ``$CURRENT`` to a
+local per element.  Each source is ``compile()``d once per plan node: the
+executor memoizes the result there, so a warm plan cache generates
+nothing.  The source is registered with :mod:`linecache` under its
+operator's EXPLAIN label, so a traceback through it shows the emitted line.
 """
 
 from __future__ import annotations
 
 import functools
+import linecache
 import re
 from array import array
-from typing import Any, Callable
+from collections import deque
+from contextlib import contextmanager
+from keyword import iskeyword
+from typing import Any, Callable, Optional
 
 from repro.core import datamodel
 from repro.errors import BindError, ExecutionError
 from repro.obs import metrics as obs_metrics
 from repro.query import ast
 from repro.query.functions import call_function
+from repro.query.unparse import unparse_expr
 from repro.query.visit import conjuncts
 
 __all__ = [
+    "Source",
     "compile_expr",
-    "compile_filter_batch",
-    "compile_projection_batch",
     "compile_filter_columnar",
     "compile_projection_columnar",
     "extract_zone_predicates",
     "columnar_attr",
     "fallback_node_counts",
     "CompiledFn",
-    "BatchFn",
 ]
 
 #: A compiled expression: ``fn(ctx, frame) -> value``.
 CompiledFn = Callable[[Any, dict], Any]
 
-#: A compiled batch operator: ``fn(ctx, frames) -> list``.
-BatchFn = Callable[[Any, list], list]
-
-_truthy = datamodel.truthy
 _compare = datamodel.compare
-_type_of = datamodel.type_of
-_deep_get = datamodel.deep_get
-_TypeTag = datamodel.TypeTag
 
 
 def fallback_node_counts(query) -> dict[str, int]:
@@ -67,225 +66,9 @@ def fallback_node_counts(query) -> dict[str, int]:
 
 _COMPILED_TOTAL = obs_metrics.counter("expr_compile_total", outcome="compiled")
 
-
-def compile_expr(expr: ast.Expr) -> CompiledFn:
-    """Lower *expr* into a closure ``fn(ctx, frame) -> value``."""
-    fn = _compile(expr)
-    if obs_metrics.ENABLED:
-        _COMPILED_TOTAL.inc()
-    return fn
-
-
-def compile_filter_batch(expr: ast.Expr) -> BatchFn:
-    """Lower a FILTER predicate into ``fn(ctx, frames) -> kept_frames``.
-
-    The per-frame closure is hoisted out of the loop so a batch pays one
-    Python call per frame plus a single list comprehension — no generator
-    frames, no per-row dispatch."""
-    row_fn = compile_expr(expr)
-    truthy = _truthy
-
-    def filter_batch(ctx, frames):
-        return [frame for frame in frames if truthy(row_fn(ctx, frame))]
-
-    return filter_batch
-
-
-def compile_projection_batch(expr: ast.Expr) -> BatchFn:
-    """Lower a RETURN projection into ``fn(ctx, frames) -> values``."""
-    row_fn = compile_expr(expr)
-
-    def projection_batch(ctx, frames):
-        return [row_fn(ctx, frame) for frame in frames]
-
-    return projection_batch
-
-
-def _compile(expr: ast.Expr) -> CompiledFn:
-    if isinstance(expr, ast.Literal):
-        value = expr.value
-        return lambda ctx, frame: value
-
-    if isinstance(expr, ast.VarRef):
-        name = expr.name
-
-        def var_ref(ctx, frame):
-            try:
-                return frame[name]
-            except KeyError:
-                raise BindError(f"unknown variable {name!r}") from None
-
-        return var_ref
-
-    if isinstance(expr, ast.BindVar):
-        name = expr.name
-        normalize = datamodel.normalize
-
-        def bind_var(ctx, frame):
-            try:
-                value = ctx.bind_vars[name]
-            except KeyError:
-                raise BindError(f"missing bind parameter @{name}") from None
-            # Strings and ints are their own normal form (a lifted
-            # literal always is one of them, or a float).
-            kind = type(value)
-            if kind is str or kind is int:
-                return value
-            return normalize(value)
-
-        return bind_var
-
-    if isinstance(expr, ast.AttrAccess):
-        # Collapse an attribute chain (``var.a.b.c``) into a single
-        # deep_get over a precomputed path — one call per row instead of
-        # one closure frame per step.
-        path: list = [expr.attribute]
-        node = expr.subject
-        while isinstance(node, ast.AttrAccess):
-            path.append(node.attribute)
-            node = node.subject
-        path_tuple = tuple(reversed(path))
-        subject_fn = _compile(node)
-        return lambda ctx, frame: _deep_get(subject_fn(ctx, frame), path_tuple)
-
-    if isinstance(expr, ast.IndexAccess):
-        subject_fn = _compile(expr.subject)
-        index_fn = _compile(expr.index)
-
-        def index_access(ctx, frame):
-            subject = subject_fn(ctx, frame)
-            index = index_fn(ctx, frame)
-            if isinstance(index, bool) or not isinstance(index, (int, str)):
-                raise ExecutionError(
-                    f"index values must be integers or strings, got "
-                    f"{datamodel.type_name(index)}"
-                )
-            return _deep_get(subject, (index,))
-
-        return index_access
-
-    if isinstance(expr, ast.FuncCall):
-        name = expr.name
-        arg_fns = tuple(_compile(arg) for arg in expr.args)
-
-        def func_call(ctx, frame):
-            return call_function(
-                ctx, name, [fn(ctx, frame) for fn in arg_fns]
-            )
-
-        return func_call
-
-    if isinstance(expr, ast.UnaryOp):
-        operand_fn = _compile(expr.operand)
-        if expr.op == "-":
-
-            def negate(ctx, frame):
-                operand = operand_fn(ctx, frame)
-                if _type_of(operand) is not _TypeTag.NUMBER:
-                    raise ExecutionError("unary - expects a number")
-                return -operand
-
-            return negate
-        return lambda ctx, frame: not _truthy(operand_fn(ctx, frame))
-
-    if isinstance(expr, ast.BinOp):
-        return _compile_binop(expr)
-
-    if isinstance(expr, ast.RangeExpr):
-        low_fn = _compile(expr.low)
-        high_fn = _compile(expr.high)
-
-        def range_expr(ctx, frame):
-            low = low_fn(ctx, frame)
-            high = high_fn(ctx, frame)
-            for bound in (low, high):
-                if _type_of(bound) is not _TypeTag.NUMBER:
-                    raise ExecutionError("range bounds must be numbers")
-            return list(range(int(low), int(high) + 1))
-
-        return range_expr
-
-    if isinstance(expr, ast.ArrayLiteral):
-        item_fns = tuple(_compile(item) for item in expr.items)
-        return lambda ctx, frame: [fn(ctx, frame) for fn in item_fns]
-
-    if isinstance(expr, ast.ObjectLiteral):
-        entry_fns = tuple((key, _compile(value)) for key, value in expr.items)
-        return lambda ctx, frame: {
-            key: fn(ctx, frame) for key, fn in entry_fns
-        }
-
-    if isinstance(expr, ast.Ternary):
-        condition_fn = _compile(expr.condition)
-        then_fn = _compile(expr.then)
-        else_fn = _compile(expr.otherwise)
-        return lambda ctx, frame: (
-            then_fn(ctx, frame)
-            if _truthy(condition_fn(ctx, frame))
-            else else_fn(ctx, frame)
-        )
-
-    if isinstance(expr, (ast.Expansion, ast.InlineFilter)):
-        return _compile_per_element(expr)
-
-    if isinstance(expr, ast.SubQuery):
-        # executor imports this module, so reach back into it lazily.
-        from repro.query.executor import _run_pipeline
-
-        query = expr.query
-
-        def subquery(ctx, frame):
-            rows, _writes = _run_pipeline(ctx, query, dict(frame))
-            return rows
-
-        return subquery
-
-    raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
-
-
-def _compile_per_element(expr) -> CompiledFn:
-    """``subject[*]`` / ``subject[*]<suffix>`` / ``subject[* FILTER cond]``:
-    a non-array subject yields ``[]``; otherwise the suffix or condition
-    runs once per element with ``$CURRENT`` bound on a copy of the frame."""
-    subject_fn = _compile(expr.subject)
-    if isinstance(expr, ast.Expansion) and expr.suffix is None:
-
-        def expand(ctx, frame):
-            subject = subject_fn(ctx, frame)
-            if _type_of(subject) is not _TypeTag.ARRAY:
-                return []
-            return list(subject)
-
-        return expand
-    keep = isinstance(expr, ast.InlineFilter)
-    element_fn = _compile(expr.condition if keep else expr.suffix)
-
-    def per_element(ctx, frame):
-        subject = subject_fn(ctx, frame)
-        if _type_of(subject) is not _TypeTag.ARRAY:
-            return []
-        output = []
-        for element in subject:
-            inner = dict(frame)
-            inner["$CURRENT"] = element
-            value = element_fn(ctx, inner)
-            if not keep:
-                output.append(value)
-            elif _truthy(value):
-                output.append(element)
-        return output
-
-    return per_element
-
-
-_COMPARISONS: dict[str, Callable[[int], bool]] = {
-    "==": lambda c: c == 0,
-    "!=": lambda c: c != 0,
-    "<": lambda c: c < 0,
-    "<=": lambda c: c <= 0,
-    ">": lambda c: c > 0,
-    ">=": lambda c: c >= 0,
-}
+#: Generated sources kept in linecache at once; the oldest goes first.
+_LINECACHE_LIMIT = 1024
+_registered: deque = deque()
 
 
 @functools.lru_cache(maxsize=1024)
@@ -300,89 +83,389 @@ def _like_regex(pattern: str) -> "re.Pattern":
     )
 
 
-def _compile_binop(expr: ast.BinOp) -> CompiledFn:
-    op = expr.op
-    left_fn = _compile(expr.left)
-    right_fn = _compile(expr.right)
+def _in_array(left, right) -> bool:
+    return any(datamodel.values_equal(left, item) for item in right)
 
-    if op == "AND":
 
-        def and_op(ctx, frame):
-            if not _truthy(left_fn(ctx, frame)):
-                return False
-            return _truthy(right_fn(ctx, frame))
+#: What every generated function reads besides its own constants.  FAST:
+#: the operand types Python's own comparison orders as compare() does;
+#: MODEL: the exact model types, for which ``x == NULL`` is ``x is None``.
+_GLOBALS = dict(
+    ARRAY=datamodel.TypeTag.ARRAY, NUMBER=datamodel.TypeTag.NUMBER,
+    BindError=BindError, ExecutionError=ExecutionError,
+    in_array=_in_array, type_name=datamodel.type_name,
+    like_regex=_like_regex, call_function=call_function, compare=_compare,
+    deep_get=datamodel.deep_get, normalize=datamodel.normalize,
+    truthy=datamodel.truthy, type_of=datamodel.type_of,
+    value_token=datamodel.value_token,
+    FAST=frozenset(((str, str), (int, int), (float, float), (int, float), (float, int))),
+    NUMERIC=frozenset((int, float)),
+    MODEL=frozenset((type(None), bool, int, float, str, list, tuple, dict)),
+)
 
-        return and_op
+#: A comparison in Python's own operators, valid for FAST operand pairs
+#: (``>`` as ``not <=`` keeps compare()'s verdict even for a NaN).
+_PYTHON_VERDICT = {
+    "==": "{0} == {1}", "!=": "{0} != {1}", "<": "{0} < {1}",
+    "<=": "{0} <= {1}", ">": "not {0} <= {1}", ">=": "not {0} < {1}",
+}
 
-    if op == "OR":
+_NOT_NUMBER = "type({0}) is not int and type({0}) is not float and type_of({0}) is not NUMBER"
 
-        def or_op(ctx, frame):
-            if _truthy(left_fn(ctx, frame)):
-                return True
-            return _truthy(right_fn(ctx, frame))
 
-        return or_op
+def _register(filename: str, source: str) -> str:
+    """Put *source* in linecache under *filename*, for tracebacks."""
+    if filename not in linecache.cache:
+        _registered.append(filename)
+        if len(_registered) > _LINECACHE_LIMIT:
+            linecache.cache.pop(_registered.popleft(), None)
+    linecache.cache[filename] = (
+        len(source), None, source.splitlines(True), filename
+    )
+    return filename
 
-    if op in _COMPARISONS:
-        verdict = _COMPARISONS[op]
-        return lambda ctx, frame: verdict(
-            _compare(left_fn(ctx, frame), right_fn(ctx, frame))
+
+class Source:
+    """Python source under construction: functions emitted a statement at
+    a time, constants handed to them by name.
+
+    :meth:`value` lowers an expression — it emits the statements that
+    compute it and returns the Python expression (a local or a literal)
+    that holds the result; :meth:`test` is that result's truthiness.
+    Within a function ``bound`` maps a variable, bind parameter or
+    attribute path already read to the local holding it, so a frame is
+    read once per name, and ``overrides`` holds the variables kept only in
+    locals (a fused LET, an expansion's ``$CURRENT``), which a frame handed
+    on must add."""
+
+    def __init__(self, label: str):
+        self.label = label
+        self.lines: list = []
+        self.names: dict = {}
+        self.depth = 0
+        self.loops = 0
+        self.serial = 0
+        self.bound: dict = {}
+        self.overrides: dict = {}
+        self.bools: set = {"True", "False"}
+
+    def line(self, *texts: str) -> None:
+        self.lines.extend("    " * self.depth + text for text in texts)
+
+    def raise_if(self, condition: str, error: str) -> None:
+        self.line(f"if {condition}:", f"    raise {error}")
+
+    def fresh(self) -> str:
+        self.serial += 1
+        return f"v{self.serial}"
+
+    def const(self, value: Any) -> str:
+        name = f"k{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def assign(self, text: str, boolean: bool = False) -> str:
+        local = self.fresh()
+        self.line(f"{local} = {text}")
+        if boolean:
+            self.bools.add(local)
+        return local
+
+    def local(self, text: str) -> str:
+        """*text* as a name (a literal is assigned to one first)."""
+        return text if text.isidentifier() and not iskeyword(text) else self.assign(text)
+
+    @contextmanager
+    def block(self, header: str):
+        """An indented suite under *header*; what it reads stays in it."""
+        self.line(header)
+        saved = dict(self.bound), dict(self.overrides), self.loops
+        self.depth += 1
+        self.loops += header.startswith(("for ", "try:"))
+        try:
+            yield
+        finally:
+            self.depth -= 1
+            self.bound, self.overrides, self.loops = saved
+
+    def function(self, name: str, params: str):
+        """A new top-level function, nothing read yet."""
+        self.bound, self.overrides = {}, {}
+        return self.block(f"def {name}({params}):")
+
+    def read(self, key: str, text: str, error: str) -> str:
+        """The local holding *text* (a frame or bind lookup that raises
+        KeyError), read once per function scope; *error* if it is absent."""
+        local = self.bound.get(key)
+        if local is None:
+            local = self.bound[key] = self.fresh()
+            self.line("try:", f"    {local} = {text}", "except KeyError:",
+                      f"    raise {error} from None")
+        return local
+
+    def frame(self) -> str:
+        """The frame with the locals-only variables added, as a dict."""
+        if not self.overrides:
+            return "frame"
+        pairs = ", ".join(
+            f"{name!r}: {local}" for name, local in self.overrides.items()
         )
+        return f"{{**frame, {pairs}}}"
 
+    def value(self, expr: ast.Expr) -> str:
+        if self.depth > 40 or self.loops > 12:
+            # Python caps indentation and nested loops: a subtree nested
+            # this deep becomes a function of its own, called on the frame.
+            nested = self.const(compile_expr(expr, f"{self.label} #{self.serial}"))
+            return self.assign(f"{nested}(ctx, {self.frame()})")
+        lower = _LOWER.get(type(expr))
+        if lower is None:
+            raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
+        return lower(self, expr)
+
+    def test(self, value: str) -> str:
+        return value if value in self.bools else f"truthy({value})"
+
+    def build(self, **names) -> dict:
+        """``compile()`` the source once; its namespace, functions in it."""
+        source = "\n".join(self.lines) + "\n"
+        filename = _register(f"<mmql {self.label}>", source)
+        namespace = {**_GLOBALS, **self.names, **names}
+        exec(compile(source, filename, "exec"), namespace)
+        if obs_metrics.ENABLED:
+            _COMPILED_TOTAL.inc()
+        return namespace
+
+
+def compile_expr(expr: ast.Expr, label: Optional[str] = None) -> CompiledFn:
+    """Lower *expr* into ``fn(ctx, frame) -> value``."""
+    src = Source(label or unparse_expr(expr, explain=True))
+    with src.function("expr", "ctx, frame"):
+        src.line(f"return {src.value(expr)}")
+    return src.build()["expr"]
+
+
+# ---------------------------------------------------------------------------
+# Lowering, one function per node kind
+# ---------------------------------------------------------------------------
+
+
+def _is_number_literal(expr: ast.Expr) -> bool:
+    return isinstance(expr, ast.Literal) and type(expr.value) in (int, float)
+
+
+def _literal(src: Source, expr: ast.Literal) -> str:
+    value = expr.value
+    if value is None or type(value) in (str, int, bool):
+        return repr(value)
+    return src.const(value)
+
+
+def _var_ref(src: Source, expr: ast.VarRef) -> str:
+    message = f"unknown variable {expr.name!r}"
+    return src.read(expr.name, f"frame[{expr.name!r}]", f"BindError({message!r})")
+
+
+def _bind_var(src: Source, expr: ast.BindVar) -> str:
+    key = "@" + expr.name
+    fresh = key not in src.bound
+    message = f"missing bind parameter @{expr.name}"
+    local = src.read(key, f"ctx.bind_vars[{expr.name!r}]", f"BindError({message!r})")
+    if fresh:
+        # Strings and ints are their own normal form (a lifted literal
+        # always is one of them, or a float).
+        src.line(f"if type({local}) is not str and type({local}) is not int:",
+                 f"    {local} = normalize({local})")
+    return local
+
+
+def _attr_access(src: Source, expr: ast.AttrAccess) -> str:
+    path: list = []
+    node: ast.Expr = expr
+    while isinstance(node, ast.AttrAccess):
+        path.append(node.attribute)
+        node = node.subject
+    current = src.local(src.value(node))
+    for step in reversed(path):
+        local = src.bound.get((current, step))
+        if local is None:
+            local = src.bound[(current, step)] = src.assign(
+                f"{current}.get({step!r}) if type({current}) is dict "
+                f"else deep_get({current}, ({step!r},))"
+            )
+        current = local
+    return current
+
+
+def _index_access(src: Source, expr: ast.IndexAccess) -> str:
+    subject = src.local(src.value(expr.subject))
+    index = src.value(expr.index)
+    literal = expr.index.value if isinstance(expr.index, ast.Literal) else None
+    if type(literal) is int and literal >= 0:
+        return src.assign(
+            f"{subject}[{index}] if type({subject}) is list and "
+            f"len({subject}) > {index} else deep_get({subject}, ({index},))"
+        )
+    if type(literal) is not int and type(literal) is not str:
+        src.raise_if(f"isinstance({index}, bool) or not isinstance({index}, (int, str))",
+                     "ExecutionError('index values must be integers or strings, got ' "
+                     f"+ type_name({index}))")
+    return src.assign(f"deep_get({subject}, ({index},))")
+
+
+def _func_call(src: Source, expr: ast.FuncCall) -> str:
+    args = ", ".join([src.value(arg) for arg in expr.args])
+    return src.assign(f"call_function(ctx, {expr.name!r}, [{args}])")
+
+
+def _unary(src: Source, expr: ast.UnaryOp) -> str:
+    operand = src.value(expr.operand)
+    if expr.op != "-":
+        return src.assign(f"not {src.test(operand)}", boolean=True)
+    if not _is_number_literal(expr.operand):
+        src.raise_if(_NOT_NUMBER.format(operand),
+                     "ExecutionError('unary - expects a number')")
+    return src.assign(f"-{operand}")
+
+
+def _binary(src: Source, expr: ast.BinOp) -> str:
+    op = expr.op
+    if op in ("AND", "OR"):
+        result = src.assign(src.test(src.value(expr.left)), boolean=True)
+        with src.block(f"if {result}:" if op == "AND" else f"if not {result}:"):
+            src.line(f"{result} = {src.test(src.value(expr.right))}")
+        return result
+    left = src.value(expr.left)
+    right = src.value(expr.right)
+    if op in _PYTHON_VERDICT:
+        return _comparison(src, expr, left, right)
     if op == "IN":
-        values_equal = datamodel.values_equal
-
-        def in_op(ctx, frame):
-            left = left_fn(ctx, frame)
-            right = right_fn(ctx, frame)
-            if _type_of(right) is not _TypeTag.ARRAY:
-                raise ExecutionError("IN expects an array on the right")
-            return any(values_equal(left, item) for item in right)
-
-        return in_op
-
+        src.raise_if(f"type({right}) is not list and type_of({right}) is not ARRAY",
+                     "ExecutionError('IN expects an array on the right')")
+        return src.assign(f"({left} in {right}) if type({left}) is str "
+                          f"else in_array({left}, {right})", boolean=True)
     if op == "LIKE":
-        def like(ctx, frame):
-            left = left_fn(ctx, frame)
-            right = right_fn(ctx, frame)
-            if not isinstance(left, str) or not isinstance(right, str):
-                return False
-            return _like_regex(right).match(left) is not None
-
-        return like
-
+        pattern = expr.right.value if isinstance(expr.right, ast.Literal) else None
+        if type(pattern) is str:
+            regex = src.const(_like_regex(pattern))
+            return src.assign(f"isinstance({left}, str) and "
+                              f"{regex}.match({left}) is not None", boolean=True)
+        return src.assign(f"isinstance({left}, str) and isinstance({right}, str) and "
+                          f"like_regex({right}).match({left}) is not None", boolean=True)
     if op in ("+", "-", "*", "/", "%"):
+        for side, operand in ((expr.left, left), (expr.right, right)):
+            if not _is_number_literal(side):
+                src.raise_if(_NOT_NUMBER.format(operand),
+                             f"ExecutionError('arithmetic {op} expects numbers, got ' + "
+                             f"type_name({operand}) + ' (use CONCAT for strings)')")
+        if op in ("/", "%") and not (_is_number_literal(expr.right) and expr.right.value):
+            message = "division by zero" if op == "/" else "modulo by zero"
+            src.raise_if(f"{right} == 0", f"ExecutionError({message!r})")
+        return src.assign(f"{left} {op} {right}")
+    message = f"unknown operator {op!r}"
+    src.line(f"raise ExecutionError({message!r})")
+    return "None"
 
-        def arithmetic(ctx, frame):
-            left = left_fn(ctx, frame)
-            right = right_fn(ctx, frame)
-            for operand in (left, right):
-                if _type_of(operand) is not _TypeTag.NUMBER:
-                    raise ExecutionError(
-                        f"arithmetic {op} expects numbers, got "
-                        f"{datamodel.type_name(operand)} "
-                        f"(use CONCAT for strings)"
-                    )
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                if right == 0:
-                    raise ExecutionError("division by zero")
-                return left / right
-            if right == 0:
-                raise ExecutionError("modulo by zero")
-            return left % right
 
-        return arithmetic
+def _comparison(src: Source, expr: ast.BinOp, left: str, right: str) -> str:
+    """compare()'s verdict, answered by Python's own operator when the
+    operand types allow it (an int/float against a number literal, a
+    string against a string literal, ``x == NULL`` as ``x is None``)."""
+    op = expr.op
+    verdict = f"compare({left}, {right}) {op} 0"
+    nulls = [isinstance(side, ast.Literal) and side.value is None
+             for side in (expr.left, expr.right)]
+    if op in ("==", "!=") and any(nulls):
+        other = right if nulls[0] else left
+        fast = f"{other} is None" if op == "==" else f"{other} is not None"
+        guard = f"type({other}) in MODEL"
+    else:
+        fast = _PYTHON_VERDICT[op].format(left, right)
+        guard = f"(type({left}), type({right})) in FAST"
+        for side, other in ((expr.right, left), (expr.left, right)):
+            if _is_number_literal(side):
+                guard = f"type({other}) in NUMERIC"
+            elif isinstance(side, ast.Literal) and type(side.value) is str:
+                guard = f"type({other}) is str"
+    return src.assign(f"({fast}) if {guard} else ({verdict})", boolean=True)
 
-    def unknown(ctx, frame):
-        raise ExecutionError(f"unknown operator {op!r}")
 
-    return unknown
+def _range(src: Source, expr: ast.RangeExpr) -> str:
+    low = src.value(expr.low)
+    high = src.value(expr.high)
+    src.raise_if(f"{_NOT_NUMBER.format(low)} or {_NOT_NUMBER.format(high)}",
+                 "ExecutionError('range bounds must be numbers')")
+    return src.assign(f"list(range(int({low}), int({high}) + 1))")
+
+
+def _array(src: Source, expr: ast.ArrayLiteral) -> str:
+    return src.assign("[" + ", ".join([src.value(item) for item in expr.items]) + "]")
+
+
+def _object(src: Source, expr: ast.ObjectLiteral) -> str:
+    entries = [f"{key!r}: {src.value(value)}" for key, value in expr.items]
+    return src.assign("{" + ", ".join(entries) + "}")
+
+
+def _ternary(src: Source, expr: ast.Ternary) -> str:
+    condition = src.test(src.value(expr.condition))
+    result = src.fresh()
+    with src.block(f"if {condition}:"):
+        src.line(f"{result} = {src.value(expr.then)}")
+    with src.block("else:"):
+        src.line(f"{result} = {src.value(expr.otherwise)}")
+    return result
+
+
+def _per_element(src: Source, expr) -> str:
+    """``subject[*]`` / ``subject[*]<suffix>`` / ``subject[* FILTER cond]``:
+    a non-array subject yields ``[]``; otherwise the suffix or condition
+    runs once per element with ``$CURRENT`` bound to it."""
+    subject = src.local(src.value(expr.subject))
+    is_array = f"type({subject}) is list or type_of({subject}) is ARRAY"
+    if isinstance(expr, ast.Expansion) and expr.suffix is None:
+        return src.assign(f"list({subject}) if {is_array} else []")
+    keep = isinstance(expr, ast.InlineFilter)
+    result = src.assign("[]")
+    with src.block(f"if {is_array}:"):
+        element = src.fresh()
+        with src.block(f"for {element} in {subject}:"):
+            src.bound["$CURRENT"] = src.overrides["$CURRENT"] = element
+            value = src.value(expr.condition if keep else expr.suffix)
+            if keep:
+                with src.block(f"if {src.test(value)}:"):
+                    src.line(f"{result}.append({element})")
+            else:
+                src.line(f"{result}.append({value})")
+    return result
+
+
+def _subquery(src: Source, expr: ast.SubQuery) -> str:
+    # executor imports this module, so reach back into it lazily.
+    from repro.query.executor import _run_pipeline
+
+    frame = src.frame() if src.overrides else "dict(frame)"
+    run, query = src.const(_run_pipeline), src.const(expr.query)
+    return src.assign(f"{run}(ctx, {query}, {frame})[0]")
+
+
+_LOWER = {
+    ast.Literal: _literal,
+    ast.VarRef: _var_ref,
+    ast.BindVar: _bind_var,
+    ast.AttrAccess: _attr_access,
+    ast.IndexAccess: _index_access,
+    ast.FuncCall: _func_call,
+    ast.UnaryOp: _unary,
+    ast.BinOp: _binary,
+    ast.RangeExpr: _range,
+    ast.ArrayLiteral: _array,
+    ast.ObjectLiteral: _object,
+    ast.Ternary: _ternary,
+    ast.Expansion: _per_element,
+    ast.InlineFilter: _per_element,
+    ast.SubQuery: _subquery,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +478,8 @@ def _compile_binop(expr: ast.BinOp) -> CompiledFn:
 # is not columnar (the executor then pivots to rows); a kernel *call*
 # returns None when the batch at hand lacks the column (per-segment
 # fallback).  Either way semantics are identical to the row path — the
-# kernels reimplement datamodel.compare's total order, with a direct
-# numeric fast path when both sides are guaranteed numbers.
-
-_EMPTY_FRAME: dict = {}
+# kernels keep datamodel.compare's total order, with a direct numeric
+# fast path when both sides are guaranteed numbers.
 
 #: Comparison flipped to keep the column on the left (``5 < c.x`` becomes
 #: ``c.x > 5``).
@@ -417,26 +498,18 @@ def columnar_attr(expr: ast.Expr, var: str) -> Any:
     return None
 
 
-def _constant_fn(expr: ast.Expr):
-    """Compiled value fn for frame-independent expressions, else None."""
-    if isinstance(expr, (ast.Literal, ast.BindVar)):
-        return _compile(expr)
-    return None
-
-
 def _column_comparison(node: ast.Expr, var: str):
-    """``(column, op, value_fn)`` when *node* is ``var.col <op> constant``
-    (either orientation), else None."""
+    """``(column, op, constant)`` when *node* is ``var.col <op> constant``
+    (either orientation) and the constant a literal or bind parameter,
+    else None."""
     if not (isinstance(node, ast.BinOp) and node.op in _FLIP):
         return None
-    column = columnar_attr(node.left, var)
-    value_fn = _constant_fn(node.right)
-    if column is not None and value_fn is not None:
-        return (column, node.op, value_fn)
-    column = columnar_attr(node.right, var)
-    value_fn = _constant_fn(node.left)
-    if column is not None and value_fn is not None:
-        return (column, _FLIP[node.op], value_fn)
+    for column_side, constant, op in (
+        (node.left, node.right, node.op), (node.right, node.left, _FLIP[node.op])
+    ):
+        column = columnar_attr(column_side, var)
+        if column is not None and isinstance(constant, (ast.Literal, ast.BindVar)):
+            return (column, op, constant)
     return None
 
 
@@ -453,122 +526,46 @@ def extract_zone_predicates(condition: ast.Expr, var: str) -> list:
     for node in conjuncts(condition):
         found = _column_comparison(node, var)
         if found is not None and found[1] != "!=":
-            predicates.append(found)
+            column, op, constant = found
+            predicates.append((column, op, compile_expr(constant)))
     return predicates
-
-
-def _cmp_kernel(column_name: str, op: str, value_fn: CompiledFn):
-    """Selection-vector kernel for one ``column <op> constant`` conjunct.
-
-    Typed int/float arrays compare against numeric constants directly
-    (NULL handled by position set: NULL sorts *below* every number, so
-    ``<``/``<=``/``!=`` keep null rows and ``==``/``>``/``>=`` drop
-    them — exactly datamodel.compare's verdict); everything else goes
-    through the full model comparison per value."""
-    verdict = _COMPARISONS[op]
-
-    def kernel(ctx, segment, indices):
-        column = segment.columns.get(column_name)
-        if column is None:
-            return None
-        constant = value_fn(ctx, _EMPTY_FRAME)
-        nulls = segment.nulls.get(column_name)
-        if (
-            isinstance(column, array)
-            and isinstance(constant, (int, float))
-            and not isinstance(constant, bool)
-        ):
-            if not nulls:
-                if op == "==":
-                    return [i for i in indices if column[i] == constant]
-                if op == "!=":
-                    return [i for i in indices if column[i] != constant]
-                if op == "<":
-                    return [i for i in indices if column[i] < constant]
-                if op == "<=":
-                    return [i for i in indices if column[i] <= constant]
-                if op == ">":
-                    return [i for i in indices if column[i] > constant]
-                return [i for i in indices if column[i] >= constant]
-            if op == "==":
-                return [
-                    i for i in indices
-                    if i not in nulls and column[i] == constant
-                ]
-            if op == "!=":
-                return [
-                    i for i in indices
-                    if i in nulls or column[i] != constant
-                ]
-            if op == "<":
-                return [
-                    i for i in indices
-                    if i in nulls or column[i] < constant
-                ]
-            if op == "<=":
-                return [
-                    i for i in indices
-                    if i in nulls or column[i] <= constant
-                ]
-            if op == ">":
-                return [
-                    i for i in indices
-                    if i not in nulls and column[i] > constant
-                ]
-            return [
-                i for i in indices
-                if i not in nulls and column[i] >= constant
-            ]
-        compare = _compare
-        if nulls:
-            return [
-                i
-                for i in indices
-                if verdict(
-                    compare(None if i in nulls else column[i], constant)
-                )
-            ]
-        return [i for i in indices if verdict(compare(column[i], constant))]
-
-    return kernel
 
 
 def compile_filter_columnar(condition: ast.Expr, var: str):
     """Lower a FILTER condition into a columnar selection kernel
-    ``fn(ctx, batch) -> selected_indices | None``.
+    ``fn(ctx, batch) -> selected_indices | None``, generated code.
 
     Supported shape: an AND-chain where every conjunct compares one
     column of *var* against a constant.  Returns None (compile-time
     fallback) for anything else; the kernel itself returns None
-    (run-time fallback) when a segment lacks one of the columns."""
-    kernels = []
-    for node in conjuncts(condition):
-        found = _column_comparison(node, var)
-        if found is None:
-            return None
-        kernels.append(_cmp_kernel(*found))
-    if not kernels:
+    (run-time fallback) when a segment lacks one of the columns.  Per
+    conjunct, a typed int/float column meets a numeric constant directly
+    (NULL sorts *below* every number, so ``<``/``<=``/``!=`` keep null
+    rows and ``==``/``>``/``>=`` drop them — exactly compare()'s
+    verdict); everything else goes through compare() per value."""
+    found = [_column_comparison(node, var) for node in conjuncts(condition)]
+    if not found or None in found:
         return None
-    if len(kernels) == 1:
-        single = kernels[0]
-
-        def filter_one(ctx, batch):
-            return single(ctx, batch.segment, batch.indices())
-
-        return filter_one
-
-    def filter_columnar(ctx, batch):
-        segment = batch.segment
-        indices = batch.indices()
-        for kernel in kernels:
-            indices = kernel(ctx, segment, indices)
-            if indices is None:
-                return None
-            if not indices:
-                break
-        return indices
-
-    return filter_columnar
+    src = Source(f"Filter {unparse_expr(condition, explain=True)} columnar")
+    with src.function("kernel", "ctx, batch"):
+        src.line("segment = batch.segment", "indices = batch.indices()")
+        for column, op, constant in found:
+            src.line(f"column = segment.columns.get({column!r})", "if column is None:",
+                     "    return None", f"constant = {src.value(constant)}",
+                     f"nulls = segment.nulls.get({column!r})")
+            keep_nulls = "i in nulls or" if op in ("!=", "<", "<=") else "i not in nulls and"
+            fast = "isinstance(column, array) and type(constant) in NUMERIC"
+            for header, pick in (
+                (f"if {fast} and nulls:", f"{keep_nulls} column[i] {op} constant"),
+                (f"elif {fast}:", f"column[i] {op} constant"),
+                ("elif nulls:", f"compare(None if i in nulls else column[i], constant) {op} 0"),
+                ("else:", f"compare(column[i], constant) {op} 0"),
+            ):
+                with src.block(header):
+                    src.line(f"indices = [i for i in indices if {pick}]")
+            src.line("if not indices:", "    return indices")
+        src.line("return indices")
+    return src.build(array=array)["kernel"]
 
 
 def compile_projection_columnar(expr: ast.Expr, var: str):
@@ -578,26 +575,18 @@ def compile_projection_columnar(expr: ast.Expr, var: str):
     record dicts, no frame copies) and a single column
     (``RETURN var.column`` — read straight out of the typed array)."""
     if isinstance(expr, ast.VarRef) and expr.name == var:
-
-        def project_rows(ctx, batch):
-            stored = batch.segment.rows
-            return [stored[i] for i in batch.indices()]
-
-        return project_rows
+        return lambda ctx, batch: list(map(batch.segment.rows.__getitem__, batch.indices()))
     column_name = columnar_attr(expr, var)
     if column_name is None:
         return None
 
     def project_column(ctx, batch):
-        segment = batch.segment
-        column = segment.columns.get(column_name)
+        column = batch.segment.columns.get(column_name)
         if column is None:
             return None
-        nulls = segment.nulls.get(column_name)
+        nulls = batch.segment.nulls.get(column_name)
         if not nulls:
-            return [column[i] for i in batch.indices()]
-        return [
-            None if i in nulls else column[i] for i in batch.indices()
-        ]
+            return list(map(column.__getitem__, batch.indices()))
+        return [None if i in nulls else column[i] for i in batch.indices()]
 
     return project_column

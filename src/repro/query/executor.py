@@ -5,8 +5,9 @@ Execution is *vectorized*: each operation transforms a stream of frame
 per batch) rather than single frames.  Per-row costs that used to be paid
 on every frame — deadline checks, row-budget checks, probe bookkeeping,
 generator suspensions — are amortized to once per batch, while the
-per-frame work inside a batch is a tight Python loop or a compiled batch
-closure (:mod:`repro.query.compile`).
+per-frame loops of FOR, FILTER / LET / RETURN runs, COLLECT and the lookup
+key gather are Python source generated once per plan, expressions inlined
+(:mod:`repro.query.compile`).
 
 Sources pull batches straight from the unified store cursors
 (:func:`repro.core.cursor.open_scan_cursor`); RETURN materializes result
@@ -25,6 +26,7 @@ import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from typing import Any, Iterator, Optional
 
@@ -40,11 +42,10 @@ from repro.errors import (
 from repro.obs import metrics as obs_metrics
 from repro.query import ast
 from repro.query.compile import (
+    Source,
     columnar_attr,
     compile_expr,
-    compile_filter_batch,
     compile_filter_columnar,
-    compile_projection_batch,
     compile_projection_columnar,
     extract_zone_predicates,
 )
@@ -56,31 +57,33 @@ from repro.query.plan import (
     LookupJoinOp,
     MaterializeOp,
     SemiJoinOp,
+    operation_label,
 )
+from repro.query.visit import conjuncts
 from repro.storage.segments import ColumnBatch, segment_may_match
 
 __all__ = ["ExecContext", "OpProbe", "Result", "execute", "execute_stream"]
 
 
-def _compiled(operation: Any, slot: str, expr: ast.Expr):
-    """Memoized compiled form of *expr*, cached on the operation node.
+def _generated(operation: Any, slot: str, generate, *args):
+    """``generate(*args)``, memoized on the operation node under *slot*.
 
-    Plans live in the plan cache across executions, so compilation happens
-    once per plan, not once per query; a warm cache executes straight
-    closures.  An absent expression (a residual there is none of)
-    compiles to None."""
+    Plans live in the plan cache across executions, so code is generated
+    once per plan, not once per query; a warm cache runs straight
+    generated code (:mod:`repro.query.compile`)."""
     fn = getattr(operation, slot, None)
-    if fn is None and expr is not None:
-        fn = compile_expr(expr)
+    if fn is None:
+        fn = generate(*args)
         setattr(operation, slot, fn)
     return fn
 
 
-def _compiled_batch(operation: Any, slot: str, expr: ast.Expr, factory):
-    """Like :func:`_compiled` but for batch closures (``fn(ctx, frames)``)."""
+def _compiled(operation: Any, slot: str, expr: ast.Expr):
+    """The generated ``fn(ctx, frame)`` of one of *operation*'s
+    expressions, memoized under *slot*; an absent one is None."""
     fn = getattr(operation, slot, None)
-    if fn is None:
-        fn = factory(expr)
+    if fn is None and expr is not None:
+        fn = compile_expr(expr, f"{operation_label(operation)} {slot.rsplit('_', 1)[-1]}")
         setattr(operation, slot, fn)
     return fn
 
@@ -391,66 +394,16 @@ def _columnar_slot(operation, slot: str, var: str, factory, expr):
     return kernel
 
 
-def _group_token(value: Any) -> Any:
-    """Hashable group key under the model's equality: cheap scalar fast
-    path (1 and 1.0 unify, booleans stay distinct from numbers), model
-    hash for containers.  Both the row and the columnar COLLECT paths
-    tokenize through here, so groups merge across mixed batch kinds."""
-    value_type = type(value)
-    if value_type is str or value is None:
-        return value
-    if value_type is bool:
-        return ("$bool", value)
-    if value_type is int:
-        return value
-    if value_type is float:
-        return int(value) if value.is_integer() else value
-    return ("$hash", datamodel.hash_value(value))
+#: A fresh accumulator per aggregate mode.
+_INITIAL = {
+    "count": int, "sum": int, "avg": lambda: [0, 0], "buffer": list,
+    "min": lambda: _UNSET, "max": lambda: _UNSET,
+}
 
 
-def _new_group(key_values: list, agg_specs: list) -> dict:
-    aggs: list = []
-    for _name, _func, mode, _arg_fn in agg_specs:
-        if mode in ("count", "sum"):
-            aggs.append(0)
-        elif mode == "avg":
-            aggs.append([0, 0])
-        elif mode == "buffer":
-            aggs.append([])
-        else:  # min / max
-            aggs.append(_UNSET)
+def _new_group(key_values, agg_specs: list) -> dict:
+    aggs = [_INITIAL[mode]() for _name, _func, mode, _arg in agg_specs]
     return {"keys": dict(key_values), "count": 0, "members": [], "aggs": aggs}
-
-
-def _agg_add(aggs: list, position: int, mode: str, func: str, value) -> None:
-    """Fold one input into a running accumulator.  Streamable aggregates
-    keep O(groups) state; only library functions without a running form
-    (UNIQUE, …) still buffer their inputs."""
-    if mode == "count":
-        # COUNT is LENGTH of the input array — NULLs count.
-        aggs[position] += 1
-        return
-    if mode == "buffer":
-        aggs[position].append(value)
-        return
-    if value is None:
-        return
-    if not _is_number(value):
-        raise _not_a_number(func, value)
-    if mode == "sum":
-        aggs[position] += value
-    elif mode == "avg":
-        state = aggs[position]
-        state[0] += value
-        state[1] += 1
-    elif mode == "min":
-        current = aggs[position]
-        if current is _UNSET or value < current:
-            aggs[position] = value
-    else:  # max
-        current = aggs[position]
-        if current is _UNSET or value > current:
-            aggs[position] = value
 
 
 def _is_number(value) -> bool:
@@ -471,6 +424,57 @@ def _not_a_number(func: str, value) -> FunctionError:
     )
 
 
+#: One aggregate's fold of its input ``{a}`` into ``aggs[{p}]``, by mode.
+#: COLLECT's generated row loop, :func:`_agg_add` and the columnar path's
+#: per-slot folds are all generated from these lines.
+_FOLD_LINES = {
+    "count": ["aggs[{p}] += 1"],  # COUNT is LENGTH of the inputs: NULLs count
+    "buffer": ["aggs[{p}].append({a})"],
+    "sum": ["aggs[{p}] += {a}"],
+    "avg": ["state = aggs[{p}]", "state[0] += {a}", "state[1] += 1"],
+    "min": ["if aggs[{p}] is UNSET or {a} < aggs[{p}]:", "    aggs[{p}] = {a}"],
+    "max": ["if aggs[{p}] is UNSET or {a} > aggs[{p}]:", "    aggs[{p}] = {a}"],
+}
+
+
+def _emit_fold(src: Source, mode: str, func: str, position, value: str) -> None:
+    """Emit the fold of *value* into ``aggs[position]``: a numeric mode
+    skips NULL and raises :func:`_not_a_number` for any other non-number."""
+    lines = [line.format(p=position, a=value) for line in _FOLD_LINES[mode]]
+    if mode in ("count", "buffer"):
+        return src.line(*lines)
+    with src.block(f"if {value} is not None:"):
+        src.raise_if(f"type({value}) is not int and type({value}) is not float "
+                     f"and not is_number({value})", f"not_a_number({func}, {value})")
+        src.line(*lines)
+
+
+def _generate_folds():
+    """Per mode, ``add(aggs, position, func, value)`` — one input, as the
+    row path folds it — and ``fold(pairs, aggs)`` over ``(slot, number)``
+    pairs the columnar path has checked already, in row order."""
+    src = Source("aggregate folds")
+    for mode, lines in _FOLD_LINES.items():
+        with src.function(f"add_{mode}", "aggs, p, func, a"):
+            _emit_fold(src, mode, "func", "p", "a")
+        with src.function(f"fold_{mode}", "pairs, aggs"), src.block("for p, a in pairs:"):
+            src.line(*(line.format(p="p", a="a") for line in lines))
+    namespace = src.build(**_FOLD_NAMES)
+    return [{mode: namespace[f"{kind}_{mode}"] for mode in _FOLD_LINES}
+            for kind in ("add", "fold")]
+
+
+_FOLD_NAMES = {"UNSET": _UNSET, "is_number": _is_number, "not_a_number": _not_a_number}
+_ADD, _FOLD = _generate_folds()
+
+
+def _agg_add(aggs: list, position: int, mode: str, func: str, value) -> None:
+    """Fold one input into a running accumulator.  Streamable aggregates
+    keep O(groups) state; only library functions without a running form
+    (UNIQUE, …) still buffer their inputs."""
+    _ADD[mode](aggs, position, func, value)
+
+
 def _agg_final(ctx, state, mode: str, func: str):
     if mode == "buffer":
         return call_function(ctx, func, [state])
@@ -481,40 +485,22 @@ def _agg_final(ctx, state, mode: str, func: str):
     return state
 
 
-def _collect_plan(operation: ast.CollectOp, var: str):
+def _collect_columns(operation: ast.CollectOp, var: str):
     """``(group_columns, agg_columns)`` when every group key and every
     non-COUNT aggregate input is a plain ``var.column`` access, else
     None.  COUNT counts rows whatever its input evaluates to, so its
-    argument never needs a column."""
-    cache = getattr(operation, "_cc_collect", None)
-    if cache is None:
-        cache = {}
-        operation._cc_collect = cache
-    plan = cache.get(var, _UNSET)
-    if plan is not _UNSET:
-        return plan
-
-    def build():
-        group_columns = []
-        for name, expr in operation.groups:
-            column = columnar_attr(expr, var)
-            if column is None:
-                return None
-            group_columns.append((name, column))
-        agg_columns: list = []
-        for _name, func, arg in operation.aggregates:
-            if _AGG_MODES.get(func.upper()) == "count":
-                agg_columns.append(None)
-                continue
-            column = columnar_attr(arg, var)
-            if column is None:
-                return None
-            agg_columns.append(column)
-        return (group_columns, agg_columns)
-
-    plan = build()
-    cache[var] = plan
-    return plan
+    argument never needs a column (its entry is None)."""
+    counts = [_AGG_MODES.get(func.upper()) == "count" for _n, func, _a in operation.aggregates]
+    group_columns = [(name, columnar_attr(expr, var)) for name, expr in operation.groups]
+    agg_columns = [
+        None if count else columnar_attr(arg, var)
+        for count, (_name, _func, arg) in zip(counts, operation.aggregates)
+    ]
+    if any(column is None for _name, column in group_columns) or any(
+        column is None and not count for column, count in zip(agg_columns, counts)
+    ):
+        return None
+    return group_columns, agg_columns
 
 
 def _selected_values(segment, column_name: str, indices, length: int):
@@ -552,9 +538,9 @@ def _group_slots(segment, indices, length, group_columns, agg_specs, groups,
     slot_groups)``, where ``assign[k]`` is the batch-local slot of the
     k-th selected row and ``slot_groups[slot]`` its group state.
 
-    Tokens are :func:`_group_token`'s (strings and typed ints are their
-    own token), new groups keep the first-seen key value and join *order*
-    in first-appearance order — as the row path does."""
+    Tokens are :func:`~repro.core.datamodel.value_token`'s, as on the row
+    path (strings and typed ints are their own token); new groups keep the
+    first-seen key value and join *order* in first-appearance order."""
     total = len(indices)
     token_lists = []
     value_lists = []
@@ -570,7 +556,7 @@ def _group_slots(segment, indices, length, group_columns, agg_specs, groups,
             tokens = values
         else:
             tokens = [
-                value if type(value) is str else _group_token(value)
+                value if type(value) is str else datamodel.value_token(value)
                 for value in values
             ]
         token_lists.append(tokens)
@@ -614,30 +600,6 @@ def _first_non_number(values) -> Optional[int]:
     return None
 
 
-def _fold_column(mode: str, pairs, acc: list) -> None:
-    """Fold ``(slot, number)`` pairs into the per-slot running states
-    *acc*, in row order (float sums associate exactly as the row path's
-    :func:`_agg_add` does)."""
-    if mode == "sum":
-        for slot, value in pairs:
-            acc[slot] += value
-    elif mode == "avg":
-        for slot, value in pairs:
-            state = acc[slot]
-            state[0] += value
-            state[1] += 1
-    elif mode == "min":
-        for slot, value in pairs:
-            current = acc[slot]
-            if current is _UNSET or value < current:
-                acc[slot] = value
-    else:  # max
-        for slot, value in pairs:
-            current = acc[slot]
-            if current is _UNSET or value > current:
-                acc[slot] = value
-
-
 def _collect_columnar(
     ctx, operation: ast.CollectOp, batch, agg_specs, groups, order
 ) -> bool:
@@ -651,7 +613,7 @@ def _collect_columnar(
     column skips the per-value type check; otherwise the first input that
     is not a number — first by row, then by aggregate, as the row path
     meets them — raises :func:`_agg_add`'s ``FunctionError``."""
-    plan = _collect_plan(operation, batch.var)
+    plan = _columnar_slot(operation, "_cc_collect", batch.var, _collect_columns, operation)
     if plan is None:
         return False
     total = len(batch)
@@ -722,10 +684,9 @@ def _collect_columnar(
                     ):
                         acc[0] = extreme
             else:
-                _fold_column(mode, zip(assign, values), acc)
+                _FOLD[mode](zip(assign, values), acc)
         elif typecode:
-            _fold_column(
-                mode,
+            _FOLD[mode](
                 [
                     (slot, value)
                     for slot, value, i in zip(assign, values, indices)
@@ -738,8 +699,7 @@ def _collect_columnar(
             if offset is not None:
                 failures.append((offset, position, func, values[offset]))
                 continue
-            _fold_column(
-                mode,
+            _FOLD[mode](
                 [
                     (slot, value)
                     for slot, value in zip(assign, values)
@@ -761,72 +721,125 @@ def _collect_columnar(
 
 
 def _apply_for(ctx, operation: ast.ForOp, batches):
-    source_fn = _compiled(operation, "_c_source", operation.source)
-    source_is_name = isinstance(operation.source, ast.VarRef)
+    return _generated(operation, "_g_for", _generate_for, operation)(ctx, batches)
+
+
+def _generate_for(operation: ast.ForOp):
+    """FOR as one generated loop ``scan(ctx, batches)`` over the source
+    expression's array, a child frame per element, flushed every
+    ``batch_size`` frames.  A bare name the frame does not bind is a
+    catalog object (collections are shadowable by variables):
+    :func:`_scan_catalog`."""
+    src = Source(operation_label(operation))
+    source = operation.source
+    with src.function("scan", "ctx, batches"):
+        src.line("out = []", "width = ctx.batch_size")
+        with src.block("for batch in batches:"), src.block("for frame in batch:"):
+            if isinstance(source, ast.VarRef):
+                with src.block(f"if {source.name!r} not in frame:"):
+                    src.line("out = yield from scan_catalog(ctx, operation, frame, out)",
+                             "continue")
+            values = src.local(src.value(source))
+            src.raise_if(f"type({values}) is not list and type_of({values}) is not ARRAY",
+                         f"ExecutionError('FOR expects an array or collection, got ' "
+                         f"+ type_name({values}))")
+            with src.block(f"for value in {values}:"):
+                src.line(f"out.append({{**frame, {operation.var!r}: value}})")
+                with src.block("if len(out) >= width:"):
+                    src.line("if ctx.deadline is not None:", "    check_deadline(ctx)",
+                             "yield out", "out = []")
+        src.line("if out:", "    yield out")
+    return src.build(operation=operation, scan_catalog=_scan_catalog,
+                     check_deadline=_check_deadline)["scan"]
+
+
+def _scan_catalog(ctx, operation: ast.ForOp, frame: dict, out: list):
+    """FOR over a catalog object: columnar segments when the store
+    maintains them (zone maps prune inside; transactions need snapshot
+    reads so they take the row path), else the store cursor
+    batch-at-a-time.  Yields the full batches of *out*; returns the rest."""
+    name = operation.source.name
+    if ctx.columnar and ctx.txn is None:
+        pairs = _columnar_segments(ctx, name)
+        if pairs is not None:
+            if out:
+                yield out
+            yield from _columnar_for(ctx, operation, frame, pairs)
+            return []
     var = operation.var
     width = ctx.batch_size
-    out: list = []
-    for batch in batches:
-        for frame in batch:
-            if source_is_name and operation.source.name not in frame:
-                # a catalog name (collections shadowable by variables):
-                # columnar segments when the store maintains them (zone
-                # maps prune inside; transactions need snapshot reads so
-                # they take the row path), else the store cursor
-                # batch-at-a-time.
-                if ctx.columnar and ctx.txn is None:
-                    pairs = _columnar_segments(ctx, operation.source.name)
-                    if pairs is not None:
-                        if out:
-                            yield out
-                            out = []
-                        yield from _columnar_for(ctx, operation, frame, pairs)
-                        continue
-                for source_batch in _source_batches(ctx, operation.source.name):
-                    for value in source_batch:
-                        child = dict(frame)
-                        child[var] = value
-                        out.append(child)
-                        if len(out) >= width:
-                            yield out
-                            out = []
-                continue
-            values = source_fn(ctx, frame)
-            if datamodel.type_of(values) is not datamodel.TypeTag.ARRAY:
-                raise ExecutionError(
-                    f"FOR expects an array or collection, got "
-                    f"{datamodel.type_name(values)}"
-                )
-            for value in values:
-                child = dict(frame)
-                child[var] = value
-                out.append(child)
-                if len(out) >= width:
-                    if ctx.deadline is not None:
-                        _check_deadline(ctx)
-                    yield out
-                    out = []
-    if out:
-        yield out
+    for source_batch in _source_batches(ctx, name):
+        for value in source_batch:
+            out.append({**frame, var: value})
+            if len(out) >= width:
+                yield out
+                out = []
+    return out
 
 
 def _lookup_token(key: Any) -> Any:
     """The dedupe token of a lookup key.  Exact ``str`` / ``int`` /
-    ``float`` keys dedupe under :func:`_group_token` (1 and 1.0 meet,
-    ``true`` never meets 1); any other key — NULL, a boolean, an object,
-    an array — gets a token equal to no other, so it is probed per frame."""
+    ``float`` keys dedupe under :func:`~repro.core.datamodel.value_token`
+    (1 and 1.0 meet, ``true`` never meets 1); any other key — NULL, a
+    boolean, an object, an array — gets a token equal to no other, so it
+    is probed per frame."""
     key_type = type(key)
     if key_type is str or key_type is int:
         return key
     if key_type is float:
-        return _group_token(key)
+        return datamodel.value_token(key)
     return object()
 
 
-def _lookup_join(ctx, batches, key_fn, probe, emit, per_frame=False):
+def _generate_key(parts: list, label: str):
+    """``(key_fn, gather)`` of a lookup.  ``key_fn(ctx, frame)`` is one
+    frame's key; ``gather(ctx, frames)`` runs it over a batch in frame
+    order and returns ``(distinct, positions, failure)``: the distinct keys
+    (first occurrences), each frame's index into them, and the error of
+    the frame that raised, which ends the gather.  *parts* are ``(key,
+    wrap)`` pairs — an expression or an ``fn(ctx, frame)``, passed through
+    *wrap* when there is one; several parts make a tuple key."""
+    src = Source(label)
+
+    def key() -> str:
+        values = []
+        for part, wrap in parts:
+            value = (src.value(part) if isinstance(part, ast.Expr)
+                     else src.assign(f"{src.const(part)}(ctx, frame)"))
+            values.append(src.assign(f"{src.const(wrap)}({value})") if wrap else value)
+        return values[0] if len(values) == 1 else f"({', '.join(values)})"
+
+    with src.function("key_fn", "ctx, frame"):
+        src.line(f"return {key()}")
+    with src.function("gather", "ctx, frames"):
+        src.line("slots = {}", "distinct = []", "positions = []")
+        with src.block("for frame in frames:"):
+            with src.block("try:"):
+                src.line(f"key = {key()}")
+            src.line("except Exception as error:", "    return distinct, positions, error",
+                     "token = key if type(key) is str or type(key) is int else lookup_token(key)",
+                     "position = slots.get(token)", "if position is None:",
+                     "    position = slots[token] = len(distinct)", "    distinct.append(key)",
+                     "positions.append(position)")
+        src.line("return distinct, positions, None")
+    namespace = src.build(lookup_token=_lookup_token)
+    return namespace["key_fn"], namespace["gather"]
+
+
+def _lookup_key(operation, slot: str, *parts):
+    """:func:`_generate_key` of *operation*, memoized under *slot*."""
+    fns = getattr(operation, slot, None)
+    if fns is None:
+        fns = _generate_key(list(parts), f"{operation_label(operation)} key")
+        setattr(operation, slot, fns)
+    return fns
+
+
+def _lookup_join(ctx, batches, key_fn, probe, emit, per_frame=False, gather=None):
     """The one gather → dedupe → probe-once → scatter path of lookup
-    joins, traversals, index scans and hash joins.  Per batch,
-    ``key_fn(ctx, frame)`` runs for every frame in frame order;
+    joins, traversals, index scans and hash joins.  Per batch, the
+    generated ``gather`` (:func:`_generate_key`, built from ``key_fn(ctx,
+    frame)`` when not given) runs the key of every frame in frame order;
     ``probe(keys)`` answers the distinct keys (first occurrences, in frame
     order) in one call; ``emit(frame, result)`` gives each frame's output
     frames, in frame order.  Nothing is kept across batches.  Errors come
@@ -834,6 +847,8 @@ def _lookup_join(ctx, batches, key_fn, probe, emit, per_frame=False):
     is re-raised after the frames before it are probed and emitted; a probe
     that raises sends the batch through again frame by frame — the way a
     one-frame batch and, with ``per_frame`` (writes), every batch goes."""
+    if gather is None:
+        key_fn, gather = _generate_key([(key_fn, None)], "lookup key")
     width = ctx.batch_size
     out: list = []
     for batch in batches:
@@ -841,21 +856,7 @@ def _lookup_join(ctx, batches, key_fn, probe, emit, per_frame=False):
         if len(batch) == 1:
             scattered = zip(batch, probe([key_fn(ctx, batch[0])]))
         elif not per_frame:
-            slots: dict = {}
-            distinct: list = []
-            positions: list = []
-            for frame in batch:
-                try:
-                    key = key_fn(ctx, frame)
-                except Exception as error:  # re-raised after the frames before it
-                    failure = error
-                    break
-                token = _lookup_token(key)
-                position = slots.get(token)
-                if position is None:
-                    position = slots[token] = len(distinct)
-                    distinct.append(key)
-                positions.append(position)
+            distinct, positions, failure = gather(ctx, batch)
             try:
                 results = probe(distinct) if distinct else ()
             except Exception:  # raised again below, from the frame that raises first
@@ -899,7 +900,6 @@ def _apply_index_scan(ctx, operation: IndexScanOp, batches):
     rows = ctx.db.context.rows
     stats = ctx.stats
     var = operation.var
-    value_fn = _compiled(operation, "_c_value", operation.value)
     residual_fn = _compiled(operation, "_c_residual", operation.residual)
     lookups = (
         obs_metrics.counter("index_lookups_total", index=operation.index_name)
@@ -933,8 +933,17 @@ def _apply_index_scan(ctx, operation: IndexScanOp, batches):
             return scanned
         return (child for child in scanned if datamodel.truthy(original_fn(ctx, child)))
 
-    key_fn = value_fn if ctx.txn is None else (lambda ctx, frame: None)
-    yield from _lookup_join(ctx, batches, key_fn, probe, emit, operation.per_frame)
+    if ctx.txn is None:
+        key_fn, gather = _lookup_key(operation, "_g_value", (operation.value, None))
+    else:
+        key_fn, gather = _lookup_key(operation, "_g_no_value", (_no_key, None))
+    yield from _lookup_join(
+        ctx, batches, key_fn, probe, emit, operation.per_frame, gather
+    )
+
+
+def _no_key(ctx, frame) -> None:
+    """An index probe's key inside a transaction: none, every frame scans."""
 
 
 def _apply_lookup_join(ctx, operation: LookupJoinOp, batches):
@@ -943,7 +952,7 @@ def _apply_lookup_join(ctx, operation: LookupJoinOp, batches):
     :func:`_apply_traversal`)."""
     if operation.fans_out:
         return _apply_traversal(ctx, operation, batches)
-    key_fn = _compiled(operation, "_c_key", operation.key)
+    key_fn, gather = _lookup_key(operation, "_g_key", (operation.key, None))
     var = operation.var
     read = None
 
@@ -954,7 +963,8 @@ def _apply_lookup_join(ctx, operation: LookupJoinOp, batches):
         return [read(key) for key in keys]
 
     return _lookup_join(
-        ctx, batches, key_fn, probe, lambda frame, value: ({**frame, var: value},)
+        ctx, batches, key_fn, probe,
+        lambda frame, value: ({**frame, var: value},), gather=gather,
     )
 
 
@@ -971,22 +981,21 @@ def _apply_traversal(ctx, operation, batches):
     edge_var = operation.edge_var if kind is ast.TraversalOp else None
     txn = ctx.txn
     if kind is ast.ShortestPathOp:
-        start_fn = _compiled(operation, "_c_start", operation.start)
-        goal_fn = _compiled(operation, "_c_goal", operation.goal)
-
-        def start_of(ctx, frame):
-            start = _coerce_vertex_key(start_fn(ctx, frame), "shortest-path start")
-            return start, _coerce_vertex_key(goal_fn(ctx, frame), "shortest-path goal")
+        key_fn, gather = _lookup_key(
+            operation, "_g_ends",
+            (operation.start, partial(_coerce_vertex_key, what="shortest-path start")),
+            (operation.goal, partial(_coerce_vertex_key, what="shortest-path goal")),
+        )
 
         def walk(ends):
             paths = (graph.shortest_path(*end, operation.direction, txn=txn) for end in ends)
             return [[(key, None) for key in path or ()] for path in paths]
     else:
-        start_expr = operation.key if kind is LookupJoinOp else operation.start
-        start_fn = _compiled(operation, "_c_start", start_expr)
-
-        def start_of(ctx, frame):
-            return _coerce_vertex_key(start_fn(ctx, frame), "traversal start")
+        key_fn, gather = _lookup_key(
+            operation, "_g_start",
+            (operation.key if kind is LookupJoinOp else operation.start,
+             partial(_coerce_vertex_key, what="traversal start")),
+        )
 
         def walk(starts):
             if kind is LookupJoinOp:
@@ -1025,44 +1034,42 @@ def _apply_traversal(ctx, operation, batches):
             return [{**frame, var: vertex} for vertex, _edge in matched]
         return [{**frame, var: vertex, edge_var: edge} for vertex, edge in matched]
 
-    yield from _lookup_join(ctx, batches, start_of, probe, emit)
+    yield from _lookup_join(ctx, batches, key_fn, probe, emit, gather=gather)
 
 
 def _apply_join(ctx, operation, batches):
     """Hash, semi and anti joins — the linear-time replacement for a
-    correlated rescan: a ``hash_value(key) -> [(key, record), …]`` table
-    over the named collection, built once and lazily (an empty outer side
-    never scans; the scan is txn-aware), probed once per distinct key
-    through :func:`_lookup_join`.  Probes confirm with ``compare() == 0``,
-    so collisions cannot leak rows and ``null == null`` / ``1 == 1.0``
-    match as in the FILTER or subquery replaced.  A hash join binds each
-    match that passes the residual; a semi join passes the frame unchanged
-    iff some match does (an anti join iff none does)."""
-    probe_fn = _compiled(operation, "_c_probe", operation.probe)
+    correlated rescan: a ``value_token(key) -> [record, …]`` table over
+    the named collection, built once and lazily (an empty outer side never
+    scans; the scan is txn-aware), probed once per distinct key through
+    :func:`_lookup_join`.  The token is exact under the model's equality,
+    so ``null == null`` / ``1 == 1.0`` match as in the FILTER or subquery
+    replaced and nothing else does.  A hash join binds each match that
+    passes the residual; a semi join passes the frame unchanged iff some
+    match does (an anti join iff none does)."""
+    key_fn, gather = _lookup_key(operation, "_g_probe", (operation.probe, None))
     residual_fn = _compiled(operation, "_c_residual", operation.residual)
-    hash_value = datamodel.hash_value
-    compare = datamodel.compare
+    value_token = datamodel.value_token
     kind = "semi_join" if isinstance(operation, SemiJoinOp) else "hash_join"
     table: Optional[dict] = None
 
-    def key_of(ctx, frame):
+    def built(batches):
+        # The table is built before the first key of the first non-empty
+        # batch is read, as a per-frame build-on-first-key would.
         nonlocal table
-        if table is None:
-            table = {}
-            for record in _iter_source(ctx, operation.source_name):
-                key = datamodel.deep_get(record, operation.build_path)
-                table.setdefault(hash_value(key), []).append((key, record))
-            ctx.stats[f"{kind}_builds"] += 1
-            if obs_metrics.ENABLED:
-                obs_metrics.counter(f"{kind}_builds_total").inc()
-        return probe_fn(ctx, frame)
+        for batch in batches:
+            if batch and table is None:
+                table = {}
+                for record in _iter_source(ctx, operation.source_name):
+                    key = datamodel.deep_get(record, operation.build_path)
+                    table.setdefault(value_token(key), []).append(record)
+                ctx.stats[f"{kind}_builds"] += 1
+                if obs_metrics.ENABLED:
+                    obs_metrics.counter(f"{kind}_builds_total").inc()
+            yield batch
 
     def probe(values):
-        return [
-            [record for key, record in table.get(hash_value(value), ())
-             if compare(key, value) == 0]
-            for value in values
-        ]
+        return [table.get(value_token(value), ()) for value in values]
 
     var = operation.var
     anti = isinstance(operation, AntiJoinOp)
@@ -1079,7 +1086,7 @@ def _apply_join(ctx, operation, batches):
         ctx.stats["filtered_out"] += 1
         return ()
 
-    return _lookup_join(ctx, batches, key_of, probe, emit)
+    return _lookup_join(ctx, built(batches), key_fn, probe, emit, gather=gather)
 
 
 def _apply_materialize(ctx, operation: MaterializeOp, batches):
@@ -1112,51 +1119,126 @@ def _coerce_vertex_key(value, what: str) -> str:
     return value
 
 
-def _apply_filter(ctx, operation: ast.FilterOp, batches):
-    predicate = _compiled_batch(
-        operation, "_cb_condition", operation.condition, compile_filter_batch
-    )
+def _generate_steps(steps: tuple):
+    """A run of FILTER / LET steps, maybe ended by the RETURN projection,
+    as one generated loop ``steps(ctx, frames, seen) -> list``: the kept
+    frames (a LET's value added), or the RETURN values — under DISTINCT
+    only those whose exact token *seen* does not hold yet.  A frame goes
+    through every step before the next frame starts, as at batch size 1;
+    a FILTER's conjuncts drop it one by one and count it filtered out."""
+    src = Source(" | ".join(map(operation_label, steps)))
+    terminal = steps[-1] if isinstance(steps[-1], ast.ReturnOp) else None
+    with src.function("steps", "ctx, frames, seen"):
+        src.line("out = []", "dropped = 0")
+        with src.block("for frame in frames:"):
+            for step in steps:
+                if isinstance(step, ast.FilterOp):
+                    for node in conjuncts(step.condition):
+                        with src.block(f"if not {src.test(src.value(node))}:"):
+                            src.line("dropped += 1", "continue")
+                elif isinstance(step, ast.LetOp):
+                    value = src.value(step.value)
+                    src.bound[step.var] = src.overrides[step.var] = value
+            if terminal is None:
+                src.line(f"out.append({src.frame()})")
+            else:
+                value = src.value(terminal.expr)
+                if terminal.distinct:
+                    token = src.assign(
+                        f"{value} if type({value}) is str else value_token({value})"
+                    )
+                    with src.block(f"if {token} in seen:"):
+                        src.line("continue")
+                    src.line(f"seen.add({token})")
+                src.line(f"out.append({value})")
+        src.line("if dropped:", "    ctx.stats['filtered_out'] += dropped",
+                 "return out")
+    return src.build()["steps"]
+
+
+def _steps_from(steps: tuple, start: int):
+    """The generated loop of ``steps[start:]``, memoized on its first step
+    by length (a step heads one run per plan, or a run of one when EXPLAIN
+    ANALYZE probes every step)."""
+    memo = _generated(steps[start], "_g_steps", dict)
+    length = len(steps) - start
+    fn = memo.get(length)
+    if fn is None:
+        fn = memo[length] = _generate_steps(steps[start:])
+    return fn
+
+
+def _apply_step(ctx, operation, batches):
+    """One FILTER or LET as its own loop (EXPLAIN ANALYZE probes each)."""
+    return _apply_steps(ctx, (operation,), batches)
+
+
+def _columnar_steps(ctx, steps: tuple, batch: ColumnBatch, seen):
+    """Run the leading steps a ColumnBatch takes as kernels: FILTERs
+    narrow its selection vector column-at-a-time, a RETURN reads its
+    column.  ``(position, batch)``: at ``len(steps)`` the batch is the
+    output (a ColumnBatch, RETURN values, or None when nothing is left),
+    else the rows the steps from *position* on still have to run over."""
+    for position, step in enumerate(steps):
+        returns = isinstance(step, ast.ReturnOp)
+        if returns:
+            kernel = _columnar_slot(step, "_cc_project", batch.var,
+                                    compile_projection_columnar, step.expr)
+        elif isinstance(step, ast.FilterOp):
+            kernel = _columnar_slot(step, "_cc_filters", batch.var,
+                                    compile_filter_columnar, step.condition)
+        else:
+            kernel = None
+        found = kernel(ctx, batch) if kernel is not None else None
+        if found is None:
+            return position, batch.to_rows()
+        total = len(found) if returns else len(batch)
+        ctx.stats["columnar_kernel_rows"] += total
+        if obs_metrics.ENABLED:
+            obs_metrics.counter("columnar_kernel_rows_total",
+                                kernel="project" if returns else "filter").inc(total)
+        if returns:
+            return len(steps), _distinct(found, seen) if step.distinct else found
+        if total - len(found):
+            ctx.stats["filtered_out"] += total - len(found)
+        if not found:
+            return len(steps), None
+        batch = batch.with_selection(found)
+    return len(steps), batch
+
+
+def _distinct(values: list, seen: set) -> list:
+    """*values* less those whose exact token *seen* holds (it learns the rest)."""
+    kept = []
+    for value in values:
+        token = datamodel.value_token(value)
+        if token not in seen:
+            seen.add(token)
+            kept.append(value)
+    return kept
+
+
+def _apply_steps(ctx, steps: tuple, batches, seen: Optional[set] = None):
+    """FILTER / LET steps — and the RETURN projection that may end them —
+    over each batch in one generated loop (:func:`_generate_steps`).  A
+    ColumnBatch first takes what it can as kernels (:func:`_columnar_steps`)
+    and stays columnar when every step did.  Batches a FILTER or RETURN
+    leaves empty are dropped; a run of LETs passes every batch on."""
+    returns = isinstance(steps[-1], ast.ReturnOp)
+    keep_empty = not returns and all(type(step) is ast.LetOp for step in steps)
     for batch in batches:
+        if returns and ctx.deadline is not None:
+            _check_deadline(ctx)
+        start = 0
         if type(batch) is ColumnBatch:
-            kernel = _columnar_slot(
-                operation,
-                "_cc_filters",
-                batch.var,
-                compile_filter_columnar,
-                operation.condition,
-            )
-            selection = kernel(ctx, batch) if kernel is not None else None
-            if selection is not None:
-                # Vectorized: the kernel narrowed the selection vector
-                # column-at-a-time; the batch stays columnar downstream.
-                total = len(batch)
-                ctx.stats["columnar_kernel_rows"] += total
-                if obs_metrics.ENABLED:
-                    obs_metrics.counter(
-                        "columnar_kernel_rows_total", kernel="filter"
-                    ).inc(total)
-                dropped = total - len(selection)
-                if dropped:
-                    ctx.stats["filtered_out"] += dropped
-                if selection:
-                    yield batch.with_selection(selection)
+            start, batch = _columnar_steps(ctx, steps, batch, seen)
+            if start == len(steps):
+                if batch:
+                    yield batch
                 continue
-            batch = batch.to_rows()
-            if not batch:
-                continue
-        kept = predicate(ctx, batch)
-        dropped = len(batch) - len(kept)
-        if dropped:
-            ctx.stats["filtered_out"] += dropped
-        if kept:
-            yield kept
-
-
-def _apply_let(ctx, operation: ast.LetOp, batches):
-    value_fn = _compiled(operation, "_c_value", operation.value)
-    var = operation.var
-    for batch in batches:
-        yield [{**frame, var: value_fn(ctx, frame)} for frame in batch]
+        out = _steps_from(steps, start)(ctx, batch, seen)
+        if out or keep_empty:
+            yield out
 
 
 def _apply_sort(ctx, operation: ast.SortOp, batches):
@@ -1170,17 +1252,11 @@ def _apply_sort(ctx, operation: ast.SortOp, batches):
     single tuple sort; mixed ASC/DESC runs one stable pass per key from
     the least-significant key outward.  A pipeline breaker: materializes
     every upstream frame, then re-chunks downstream."""
-    key_fns = getattr(operation, "_c_keys", None)
-    if key_fns is None:
-        key_fns = [compile_expr(key.expr) for key in operation.keys]
-        operation._c_keys = key_fns
+    keys = ast.ArrayLiteral(tuple(key.expr for key in operation.keys))
+    keys_fn = _compiled(operation, "_c_keys", keys)
     sort_key = datamodel.SortKey
     decorated = [
-        (
-            tuple(sort_key(fn(ctx, frame)) for fn in key_fns),
-            frame,
-        )
-        for frame in _flatten(batches)
+        (tuple(map(sort_key, keys_fn(ctx, frame))), frame) for frame in _flatten(batches)
     ]
     directions = [key.ascending for key in operation.keys]
     if directions:
@@ -1227,24 +1303,18 @@ def _apply_collect(ctx, operation: ast.CollectOp, batches):
     functions without a running form (UNIQUE, …) and ``INTO`` member
     lists still buffer.  ColumnBatches whose group keys and aggregate
     inputs are plain column reads are folded without building frames
-    (:func:`_collect_columnar`); both paths share :func:`_group_token`,
-    so groups merge correctly across mixed batch kinds."""
-    group_fns = getattr(operation, "_c_groups", None)
-    if group_fns is None:
-        group_fns = [
-            (name, compile_expr(expr)) for name, expr in operation.groups
-        ]
-        operation._c_groups = group_fns
+    (:func:`_collect_columnar`), the rest by one generated loop
+    (:func:`_generate_fold`); both key groups on
+    :func:`~repro.core.datamodel.value_token`, so groups merge correctly
+    across mixed batch kinds."""
     agg_specs = getattr(operation, "_c_agg_specs", None)
     if agg_specs is None:
-        agg_specs = []
-        for name, func, arg in operation.aggregates:
-            func = func.upper()
-            agg_specs.append(
-                (name, func, _AGG_MODES.get(func, "buffer"), compile_expr(arg))
-            )
+        agg_specs = [
+            (name, func.upper(), _AGG_MODES.get(func.upper(), "buffer"), arg)
+            for name, func, arg in operation.aggregates
+        ]
         operation._c_agg_specs = agg_specs
-
+    fold = _generated(operation, "_g_fold", _generate_fold, operation, agg_specs)
     into = operation.into
     groups: dict = {}
     order: list = []
@@ -1257,33 +1327,14 @@ def _apply_collect(ctx, operation: ast.CollectOp, batches):
             )
         ):
             continue
-        for frame in batch:
-            key_values = [(name, fn(ctx, frame)) for name, fn in group_fns]
-            token = tuple(_group_token(value) for _name, value in key_values)
-            group = groups.get(token)
-            if group is None:
-                group = _new_group(key_values, agg_specs)
-                groups[token] = group
-                order.append(token)
-            group["count"] += 1
-            aggs = group["aggs"]
-            for position, (_name, func, mode, arg_fn) in enumerate(agg_specs):
-                _agg_add(aggs, position, mode, func, arg_fn(ctx, frame))
-            if into:
-                group["members"].append(
-                    {
-                        name: value
-                        for name, value in frame.items()
-                        if not name.startswith("$")
-                    }
-                )
+        fold(ctx, batch, groups, order)
     out: list = []
     width = ctx.batch_size
     for token in order:
         group = groups[token]
         frame = dict(group["keys"])
         aggs = group["aggs"]
-        for position, (name, func, mode, _arg_fn) in enumerate(agg_specs):
+        for position, (name, func, mode, _arg) in enumerate(agg_specs):
             frame[name] = _agg_final(ctx, aggs[position], mode, func)
         if operation.count_into:
             frame[operation.count_into] = group["count"]
@@ -1297,10 +1348,36 @@ def _apply_collect(ctx, operation: ast.CollectOp, batches):
         yield out
 
 
+def _generate_fold(operation: ast.CollectOp, agg_specs: list):
+    """COLLECT's row path as one generated loop ``fold(ctx, frames, groups,
+    order)``: per frame the group keys, their exact token, the group (new
+    ones join *order*), then each aggregate's input folded in, and the
+    member frame under INTO — :func:`_agg_add` inlined."""
+    src = Source(operation_label(operation))
+    with src.function("fold", "ctx, frames, groups, order"):
+        with src.block("for frame in frames:"):
+            keys = [src.local(src.value(expr)) for _name, expr in operation.groups]
+            token = src.assign("(" + "".join(
+                f"{key} if type({key}) is str or type({key}) is int or "
+                f"{key} is None else value_token({key}), " for key in keys
+            ) + ")")
+            src.line(f"group = groups.get({token})")
+            with src.block("if group is None:"):
+                pairs = ", ".join(f"({name!r}, {key})"
+                                  for (name, _expr), key in zip(operation.groups, keys))
+                src.line(f"group = groups[{token}] = new_group([{pairs}], agg_specs)",
+                         f"order.append({token})")
+            src.line("group['count'] += 1", "aggs = group['aggs']")
+            for position, (_name, func, mode, arg) in enumerate(agg_specs):
+                _emit_fold(src, mode, repr(func), position, src.local(src.value(arg)))
+            if operation.into:
+                src.line("group['members'].append({name: value for name, value in "
+                         "frame.items() if not name.startswith('$')})")
+    return src.build(new_group=_new_group, agg_specs=agg_specs, **_FOLD_NAMES)["fold"]
+
+
 def _dml_target(ctx, name: str):
-    kind = ctx.db.kind_of(name)
-    store = ctx.db.resolve(name)
-    return kind, store
+    return ctx.db.kind_of(name), ctx.db.resolve(name)
 
 
 def _apply_insert(ctx, operation: ast.InsertOp, frames):
@@ -1326,57 +1403,36 @@ def _apply_insert(ctx, operation: ast.InsertOp, frames):
         yield key
 
 
-def _apply_update(ctx, operation: ast.UpdateOp, frames):
+#: UPDATE / REPLACE: the slot of the new value, the method of a collection
+#: or table that writes it, and how other kinds are refused.
+_KEYED_WRITES = {
+    ast.UpdateOp: ("changes", "update", "UPDATE a"),
+    ast.ReplaceOp: ("document", "replace", "REPLACE in a"),
+}
+
+
+def _apply_keyed(ctx, operation, frames):
+    """UPDATE / REPLACE / REMOVE of the key each frame names (an object
+    names its ``_key``, else its ``id``); a bucket puts the new value."""
     kind, store = _dml_target(ctx, operation.target)
     key_fn = _compiled(operation, "_c_key", operation.key)
-    changes_fn = _compiled(operation, "_c_changes", operation.changes)
+    slot, method, refusal = _KEYED_WRITES.get(type(operation), (None, None, None))
+    value_fn = slot and _compiled(operation, f"_c_{slot}", getattr(operation, slot))
     for frame in frames:
         key = key_fn(ctx, frame)
         if isinstance(key, dict):
             key = key.get("_key", key.get("id"))
-        changes = changes_fn(ctx, frame)
-        if kind in ("collection", "table"):
-            updated = store.update(key, changes, txn=ctx.txn)
+        if value_fn is None:
+            written = store.delete(key, txn=ctx.txn)
+        elif kind in ("collection", "table"):
+            written = getattr(store, method)(key, value_fn(ctx, frame), txn=ctx.txn)
         elif kind == "bucket":
-            store.put(key, changes, txn=ctx.txn)
-            updated = True
+            store.put(key, value_fn(ctx, frame), txn=ctx.txn)
+            written = True
         else:
-            raise ExecutionError(f"cannot UPDATE a {kind}")
-        if updated:
-            ctx.stats["writes"] += 1
-            yield key
-
-
-def _apply_remove(ctx, operation: ast.RemoveOp, frames):
-    kind, store = _dml_target(ctx, operation.target)
-    key_fn = _compiled(operation, "_c_key", operation.key)
-    for frame in frames:
-        key = key_fn(ctx, frame)
-        if isinstance(key, dict):
-            key = key.get("_key", key.get("id"))
-        removed = store.delete(key, txn=ctx.txn)
-        if removed:
-            ctx.stats["writes"] += 1
-            yield key
-
-
-def _apply_replace(ctx, operation: ast.ReplaceOp, frames):
-    kind, store = _dml_target(ctx, operation.target)
-    key_fn = _compiled(operation, "_c_key", operation.key)
-    document_fn = _compiled(operation, "_c_document", operation.document)
-    for frame in frames:
-        key = key_fn(ctx, frame)
-        if isinstance(key, dict):
-            key = key.get("_key", key.get("id"))
-        document = document_fn(ctx, frame)
-        if kind in ("collection", "table"):
-            replaced = store.replace(key, document, txn=ctx.txn)
-        elif kind == "bucket":
-            store.put(key, document, txn=ctx.txn)
-            replaced = True
-        else:
-            raise ExecutionError(f"cannot REPLACE in a {kind}")
-        if replaced:
+            value_fn(ctx, frame)
+            raise ExecutionError(f"cannot {refusal} {kind}")
+        if written:
             ctx.stats["writes"] += 1
             yield key
 
@@ -1416,9 +1472,9 @@ def _apply_upsert(ctx, operation: ast.UpsertOp, frames):
 
 _DML_APPLIERS = {
     ast.InsertOp: _apply_insert,
-    ast.UpdateOp: _apply_update,
-    ast.RemoveOp: _apply_remove,
-    ast.ReplaceOp: _apply_replace,
+    ast.UpdateOp: _apply_keyed,
+    ast.RemoveOp: _apply_keyed,
+    ast.ReplaceOp: _apply_keyed,
     ast.UpsertOp: _apply_upsert,
 }
 
@@ -1431,8 +1487,8 @@ _BATCH_APPLIERS = (
     (ast.ForOp, _apply_for),
     (ast.TraversalOp, _apply_traversal),
     (ast.ShortestPathOp, _apply_traversal),
-    (ast.FilterOp, _apply_filter),
-    (ast.LetOp, _apply_let),
+    (ast.FilterOp, _apply_step),
+    (ast.LetOp, _apply_step),
     (ast.SortOp, _apply_sort),
     (ast.LimitOp, _apply_limit),
     (ast.CollectOp, _apply_collect),
@@ -1442,10 +1498,12 @@ _BATCH_APPLIERS = (
 def _open_pipeline(ctx: ExecContext, query: ast.Query, initial_frame: dict):
     """Chain every non-terminal operation over the initial frame.
 
-    Returns ``(batches, terminal, probes)`` where *terminal* is the
-    RETURN/DML operation (or None for a headless pipeline) and *probes*
-    is the probe list when this is the outermost EXPLAIN ANALYZE
-    pipeline, else None."""
+    Returns ``(batches, steps, terminal, probes)``: *terminal* is the
+    RETURN/DML operation (or None for a headless pipeline), *steps* the
+    FILTER / LET run right before a RETURN, left to run in its projection's
+    loop, and *probes* the probe list when this is the outermost EXPLAIN
+    ANALYZE pipeline, else None.  Unprobed, each run of adjacent FILTER /
+    LET steps is one generated loop (:func:`_apply_steps`)."""
     _attach_zone_sources(query)
     batches: Iterator[list] = iter([[initial_frame]])
     # Only the outermost pipeline is probed: subqueries run inside a parent
@@ -1453,12 +1511,18 @@ def _open_pipeline(ctx: ExecContext, query: ast.Query, initial_frame: dict):
     probes = ctx.probes if ctx.analyze else None
     if probes is not None:
         ctx.analyze = False
+    steps: list = []
     for operation in query.operations:
-        if (
-            type(operation) in _DML_APPLIERS
-            or isinstance(operation, ast.ReturnOp)
-        ):
-            return batches, operation, probes
+        if probes is None and type(operation) in (ast.FilterOp, ast.LetOp):
+            steps.append(operation)
+            continue
+        if isinstance(operation, ast.ReturnOp):
+            return batches, tuple(steps), operation, probes
+        if steps:
+            batches = _apply_steps(ctx, tuple(steps), batches)
+            steps = []
+        if type(operation) in _DML_APPLIERS:
+            return batches, (), operation, probes
         start = time.perf_counter() if probes is not None else 0.0
         for op_type, applier in _BATCH_APPLIERS:
             if isinstance(operation, op_type):
@@ -1473,83 +1537,30 @@ def _open_pipeline(ctx: ExecContext, query: ast.Query, initial_frame: dict):
             probe = OpProbe(operation, seconds=time.perf_counter() - start)
             probes.append(probe)
             batches = _probed(batches, probe)
-    return batches, None, probes
+    if steps:
+        batches = _apply_steps(ctx, tuple(steps), batches)
+    return batches, (), None, probes
 
 
-def _return_batches(ctx: ExecContext, operation: ast.ReturnOp, batches, probes):
-    """Project RETURN over the pipeline, batch-at-a-time.
-
-    DISTINCT dedups through the model hash (compare-equal values hash
-    equally); each bucket is verified with values_equal so a hash
-    collision can never drop a distinct row.  Strings skip that: a string
-    equals nothing but an equal string, so a plain ``set`` holds them and
-    every other type (1 == 1.0, true != 1, NULL, arrays, objects) keeps
-    the model-hash path.  Deadline and row-budget guardrails are charged
-    once per batch."""
-    project = _compiled_batch(
-        operation, "_cb_expr", operation.expr, compile_projection_batch
+def _return_batches(ctx: ExecContext, operation: ast.ReturnOp, steps: tuple,
+                    batches, probes):
+    """Project RETURN over the pipeline, batch-at-a-time, in one loop with
+    the FILTER / LET *steps* before it (:func:`_apply_steps`).  DISTINCT
+    keeps one set of exact tokens across batches
+    (:func:`~repro.core.datamodel.value_token`: 1 == 1.0, true != 1, and no
+    two distinct rows can meet).  The row budget is charged per batch."""
+    values_batches = _apply_steps(
+        ctx, (*steps, operation), batches, set() if operation.distinct else None
     )
-    probe = None
     if probes is not None:
-        probe = OpProbe(operation)
-        probes.append(probe)
-    perf_counter = time.perf_counter
-    seen: Optional[dict] = {} if operation.distinct else None
-    seen_strings: set = set()
+        probes.append(OpProbe(operation))
+        values_batches = _probed(values_batches, probes[-1])
     produced = 0
-    start = perf_counter() if probe is not None else 0.0
-    for batch in batches:
-        if ctx.deadline is not None:
-            _check_deadline(ctx)
-        values = None
-        if type(batch) is ColumnBatch:
-            kernel = _columnar_slot(
-                operation,
-                "_cc_project",
-                batch.var,
-                compile_projection_columnar,
-                operation.expr,
-            )
-            if kernel is not None:
-                values = kernel(ctx, batch)
-                if values is not None:
-                    ctx.stats["columnar_kernel_rows"] += len(values)
-                    if obs_metrics.ENABLED:
-                        obs_metrics.counter(
-                            "columnar_kernel_rows_total", kernel="project"
-                        ).inc(len(values))
-        if values is None:
-            values = project(ctx, batch)
-        if seen is not None:
-            kept = []
-            for value in values:
-                if isinstance(value, str):
-                    if value in seen_strings:
-                        continue
-                    seen_strings.add(value)
-                else:
-                    bucket = seen.setdefault(datamodel.hash_value(value), [])
-                    if any(
-                        datamodel.values_equal(value, known)
-                        for known in bucket
-                    ):
-                        continue
-                    bucket.append(value)
-                kept.append(value)
-            values = kept
+    for values in values_batches:
         produced += len(values)
         if ctx.max_rows is not None:
             _check_row_budget(ctx, produced)
-        if values:
-            if probe is not None:
-                probe.seconds += perf_counter() - start
-                probe.rows_out += len(values)
-                probe.batches_out += 1
-            yield values
-            if probe is not None:
-                start = perf_counter()
-    if probe is not None:
-        probe.seconds += perf_counter() - start
+        yield values
 
 
 def _execute_batches(
@@ -1559,7 +1570,7 @@ def _execute_batches(
 
     DML pipelines are always drained eagerly (their side effects must not
     depend on how far a client reads); RETURN pipelines stream."""
-    batches, terminal, probes = _open_pipeline(ctx, query, initial_frame)
+    batches, steps, terminal, probes = _open_pipeline(ctx, query, initial_frame)
     if terminal is None:
         # No RETURN/DML: drain the pipeline for its side effects (none)
         # and produce no rows.
@@ -1582,7 +1593,7 @@ def _execute_batches(
         if rows:
             yield rows
         return
-    yield from _return_batches(ctx, terminal, batches, probes)
+    yield from _return_batches(ctx, terminal, steps, batches, probes)
 
 
 def _run_pipeline(ctx: ExecContext, query: ast.Query, initial_frame: dict):

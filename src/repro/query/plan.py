@@ -170,6 +170,11 @@ def _operation_lines(operation: ast.Operation, indent: int) -> list[str]:
     return lines
 
 
+def operation_label(operation: ast.Operation) -> str:
+    """The operation's EXPLAIN line, unindented."""
+    return _own_lines(operation, 0)[0]
+
+
 def _own_lines(operation: ast.Operation, indent: int) -> list[str]:
     pad = "  " * indent
     if isinstance(operation, IndexScanOp):
@@ -314,7 +319,7 @@ def analyzed_op_stats(probes: list) -> list[dict]:
     previous_seconds = 0.0
     for probe in probes:
         operation = probe.operation
-        label = _own_lines(operation, 0)[0].strip()
+        label = operation_label(operation)
         entry = {
             "operator": type(operation).__name__,
             "label": label,

@@ -101,17 +101,17 @@ class LogOnlyView(StorageView):
 
     def scan(self, namespace: str) -> Iterator[tuple[Any, Any]]:
         """Replay the log and yield the live (key, value) pairs."""
-        state: dict[int, tuple[Any, Any]] = {}
+        state: dict[Any, tuple[Any, Any]] = {}
         for entry in self._log:
             if entry.op is LogOp.DROP_NAMESPACE and entry.namespace == namespace:
                 state.clear()
             if not entry.is_data_op() or entry.namespace != namespace:
                 continue
-            hashed = datamodel.hash_value(entry.key)
+            token = datamodel.value_token(entry.key)
             if entry.op is LogOp.DELETE:
-                state.pop(hashed, None)
+                state.pop(token, None)
             else:
-                state[hashed] = (entry.key, entry.value)
+                state[token] = (entry.key, entry.value)
         return iter(list(state.values()))
 
 

@@ -294,15 +294,15 @@ class TransactionManager:
             for key in keys:
                 value = self._visible_value(txn, namespace, key)
                 if value is not None:
-                    result[datamodel.hash_value(key)] = (key, value)
+                    result[datamodel.value_token(key)] = (key, value)
         for (write_namespace, key), pending in txn.writes.items():
             if write_namespace != namespace:
                 continue
-            hashed = datamodel.hash_value(key)
+            token = datamodel.value_token(key)
             if pending.op is LogOp.DELETE:
-                result.pop(hashed, None)
+                result.pop(token, None)
             else:
-                result[hashed] = (key, pending.value)
+                result[token] = (key, pending.value)
         return iter(sorted(result.values(), key=lambda kv: datamodel.SortKey(kv[0])))
 
     def _visible_value(self, txn: Transaction, namespace: str, key: Any) -> Any:

@@ -1,7 +1,10 @@
-"""The expression compiler is the engine's one expression evaluator: every
-node kind lowers to a closure, with the values and errors pinned below.
+"""The expression code generator is the engine's one expression evaluator:
+every node kind lowers to generated Python, with the values and errors
+pinned below.
 Whole pipelines are cross-checked elsewhere against the unoptimized
 batch-of-one run and the independent ``repro.polyglot`` oracle."""
+
+import traceback
 
 import pytest
 
@@ -242,3 +245,23 @@ def test_like_builds_one_regex_per_pattern():
         ).rows
         assert literal and bound == literal
     assert compile_module._like_regex.cache_info().misses == 3
+
+
+def test_traceback_shows_the_generated_line():
+    """Generated source sits in linecache under its operator's label, so a
+    traceback through it shows the emitted statement."""
+    db = MultiModelDB()
+    db.create_collection("docs").insert({"k": 1, "n": 0})
+    with pytest.raises(ExecutionError, match="division by zero") as info:
+        db.query("FOR d IN docs FILTER d.k / d.n > d.k RETURN d")
+    generated = [
+        frame for frame in traceback.extract_tb(info.value.__traceback__)
+        if frame.filename.startswith("<mmql ")
+    ]
+    assert [frame.filename for frame in generated] == [
+        "<mmql Filter ((d.k / d.n) > d.k) | Return d>"
+    ]
+    assert generated[0].line == "raise ExecutionError('division by zero')"
+    assert "raise ExecutionError('division by zero')" in "".join(
+        traceback.format_exception(info.value)
+    )
