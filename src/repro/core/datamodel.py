@@ -126,15 +126,22 @@ def normalize(value: Any) -> Any:
     The returned structure shares no mutable state with the input, so stores
     can keep it without fear of aliasing.
     """
-    tag = type_of(value)
-    if tag is TypeTag.NUMBER:
-        if isinstance(value, float) and math.isnan(value):
-            raise DataModelError("NaN is not representable in the data model")
+    # The exact types first: a store normalizes every value it writes.
+    kind = type(value)
+    if kind is str or kind is int or kind is bool or value is None:
         return value
-    if tag in _SCALAR_TAGS:
-        return value
-    if tag is TypeTag.ARRAY:
+    if kind is list:
         return [normalize(item) for item in value]
+    if kind is not dict:
+        tag = type_of(value)
+        if tag is TypeTag.NUMBER:
+            if isinstance(value, float) and math.isnan(value):
+                raise DataModelError("NaN is not representable in the data model")
+            return value
+        if tag in _SCALAR_TAGS:
+            return value
+        if tag is TypeTag.ARRAY:
+            return [normalize(item) for item in value]
     # OBJECT
     out = {}
     for key, item in value.items():

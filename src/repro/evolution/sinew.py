@@ -50,15 +50,13 @@ class UniversalRelation:
         self._materialized: dict[str, dict[Any, Any]] = {}
         self.virtual_reads = 0
         self.materialized_reads = 0
-        log.subscribe(self._on_log_entry)
+        log.subscribe(self._on_log_entry, namespace)
         for _key, document in rows.scan(namespace):
             self._columns.update(flatten_document(document))
 
     # -- log maintenance --------------------------------------------------------
 
     def _on_log_entry(self, entry: LogEntry) -> None:
-        if entry.namespace != self.namespace:
-            return
         if entry.op is LogOp.DROP_NAMESPACE:
             self._columns.clear()
             for column in self._materialized:

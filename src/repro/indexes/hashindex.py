@@ -29,8 +29,8 @@ class _Bucket:
 
     def __init__(self, local_depth: int):
         self.local_depth = local_depth
-        # entries: list of (hash, key, [rids]) — a small open list; the
-        # bucket capacity bounds its length.
+        # entries: list of [hash, key, rid, rid, ...] — a small open list;
+        # the bucket capacity bounds its length (unless one digest fills it).
         self.entries: list[list] = []
 
 
@@ -66,11 +66,15 @@ class ExtendibleHashIndex(Index):
                         f"unique hash index {self.name or self.kind!r} "
                         f"already contains key {key!r}"
                     )
-                slot[2].append(rid)
+                slot.append(rid)
                 self._entries += 1
                 return
-            if len(bucket.entries) < self._capacity:
-                bucket.entries.append([hashed, key, [rid]])
+            # A full bucket whose entries all share the new key's digest
+            # overflows: no split can ever separate them.
+            if len(bucket.entries) < self._capacity or all(
+                entry[0] == hashed for entry in bucket.entries
+            ):
+                bucket.entries.append([hashed, key, rid])
                 self._distinct += 1
                 self._entries += 1
                 return
@@ -82,15 +86,14 @@ class ExtendibleHashIndex(Index):
         slot = self._find_entry(bucket, hashed, key)
         if slot is None:
             return
-        rids = slot[2]
-        for index, stored in enumerate(rids):
-            if stored == rid:
-                del rids[index]
+        for index in range(2, len(slot)):
+            if slot[index] == rid:
+                del slot[index]
                 self._entries -= 1
                 break
         else:
             return
-        if not rids:
+        if len(slot) == 2:
             bucket.entries.remove(slot)
             self._distinct -= 1
 
@@ -100,7 +103,7 @@ class ExtendibleHashIndex(Index):
         slot = self._find_entry(bucket, hashed, key)
         if slot is None:
             return []
-        return list(slot[2])
+        return slot[2:]
 
     def range_search(self, low: Any = None, high: Any = None, **kwargs) -> list[Any]:
         raise UnsupportedIndexOperationError(
@@ -151,7 +154,8 @@ class ExtendibleHashIndex(Index):
         for entry in bucket.entries:
             target = one_bucket if entry[0] & bit else zero_bucket
             target.entries.append(entry)
-        # Repoint every directory slot that referenced the old bucket.
-        for slot in range(len(self._directory)):
-            if self._directory[slot] is bucket:
-                self._directory[slot] = one_bucket if slot & bit else zero_bucket
+        # Repoint the 2^(global - local) slots of the old bucket: every
+        # ``bit``-th from *hashed*'s low local-depth bits, alternating.
+        self._directory[hashed & (bit - 1)::bit] = [zero_bucket, one_bucket] * (
+            len(self._directory) >> new_depth
+        )

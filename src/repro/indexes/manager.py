@@ -99,7 +99,7 @@ class IndexManager:
         if view is None:
             raise UnknownIndexError(f"no index named {name!r}")
         self._by_namespace[view.namespace].remove(view)
-        self._log.unsubscribe(view.apply)
+        self._log.unsubscribe(view.apply, view.namespace)
         self.version += 1
 
     # -- lookup ---------------------------------------------------------------

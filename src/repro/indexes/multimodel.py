@@ -142,12 +142,13 @@ class MultiModelJoinIndex:
         self._mapping: dict[Any, frozenset] = {}
         self._stale = True
         self._rebuilds = 0
-        log.subscribe(self._on_log_entry)
+        for namespace in self._watched:
+            log.subscribe(self._on_log_entry, namespace)
 
     # -- maintenance ---------------------------------------------------------
 
     def _on_log_entry(self, entry: LogEntry) -> None:
-        if entry.is_data_op() and entry.namespace in self._watched:
+        if entry.is_data_op():
             self._stale = True
 
     def rebuild(self) -> None:

@@ -55,15 +55,13 @@ class GlobalsStore(BaseStore):
         super().__init__(context, name)
         # Ordered directory of live subscript tuples (committed state).
         self._order_tree = BPlusTree(order=32)
-        context.log.subscribe(self._on_log_entry)
+        context.log.subscribe(self._on_log_entry, self.namespace)
 
     @staticmethod
     def _key(subscripts: tuple) -> str:
         return datamodel.canonical_json(list(subscripts))
 
     def _on_log_entry(self, entry: LogEntry) -> None:
-        if entry.namespace != self.namespace:
-            return
         if entry.op is LogOp.DROP_NAMESPACE:
             self._order_tree.clear()
             return

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import time
+import weakref
 from typing import Any
 
 from repro.obs import metrics
@@ -67,14 +68,17 @@ INSTRUMENTED_METHODS = (
 def _wrap(kind: str, op_name: str, func) -> Any:
     calls = metrics.counter("model_ops_total", model=kind, op=op_name)
     seconds = metrics.histogram("model_op_seconds", model=kind, op=op_name)
+    # The wrapper lives on the store, so it holds the store weakly: a bound
+    # method would make every store a cycle only the cyclic collector frees.
+    function, store = func.__func__, weakref.ref(func.__self__)
 
-    @functools.wraps(func)
+    @functools.wraps(function)
     def wrapper(*args, **kwargs):
         if not metrics.ENABLED:
-            return func(*args, **kwargs)
+            return function(store(), *args, **kwargs)
         start = time.perf_counter()
         try:
-            return func(*args, **kwargs)
+            return function(store(), *args, **kwargs)
         finally:
             seconds.observe(time.perf_counter() - start)
             calls.inc()

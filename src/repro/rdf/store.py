@@ -48,13 +48,11 @@ class TripleStore(BaseStore):
         self._reverse_primary: dict[str, set[Triple]] = defaultdict(set)
         self._direct_secondary: dict[tuple[str, str], set[Triple]] = defaultdict(set)
         self._reverse_secondary: dict[tuple[str, str], set[Triple]] = defaultdict(set)
-        context.log.subscribe(self._on_log_entry)
+        context.log.subscribe(self._on_log_entry, self.namespace)
 
     def _on_log_entry(self, entry) -> None:
         from repro.storage.log import LogOp
 
-        if entry.namespace != self.namespace:
-            return
         if entry.op is LogOp.DROP_NAMESPACE:
             for layout in (
                 self._direct_primary,

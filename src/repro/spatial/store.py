@@ -53,13 +53,11 @@ class SpatialStore(BaseStore):
     def __init__(self, context: EngineContext, name: str, rtree_fanout: int = 8):
         super().__init__(context, name)
         self._rtree = RTree(max_entries=rtree_fanout, name=f"rtree:{name}")
-        context.log.subscribe(self._on_log_entry)
+        context.log.subscribe(self._on_log_entry, self.namespace)
 
     # -- R-tree maintenance (committed data only, like all indexes) ------------
 
     def _on_log_entry(self, entry: LogEntry) -> None:
-        if entry.namespace != self.namespace:
-            return
         if entry.op is LogOp.DROP_NAMESPACE:
             self._rtree.clear()
             return

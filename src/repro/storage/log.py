@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import threading
+import weakref
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
@@ -31,6 +32,17 @@ __all__ = ["LogOp", "LogEntry", "CentralLog"]
 _FP_APPEND = fault_registry.register(
     "log.append", "central-log append, before entry creation and fan-out"
 )
+
+_Callback = Callable[["LogEntry"], None]
+
+
+def _held(callback: _Callback) -> tuple:
+    """``(owner, function)``: a bound method's owner by weak reference, so
+    the log keeps no view or store alive; anything else as is, no owner."""
+    try:
+        return weakref.ref(callback.__self__), callback.__func__
+    except (AttributeError, TypeError):
+        return None, callback
 
 # The ``meta`` of every entry that carries none: the log retains each entry,
 # so an empty dict apiece would be paid for on every record ever written.
@@ -81,10 +93,12 @@ class CentralLog:
     transaction's data records followed by its COMMIT (:meth:`append_group`).
     The unit goes to :attr:`write_ahead` first — the WAL, when one is
     attached, makes it durable with one write — and only then into the log
-    and to the subscribers (storage views), synchronously, entry by entry in
-    registration order.  A unit the WAL could not take therefore reaches
-    neither the log, nor a view, nor a replica fed from the log; every view
-    is consistent with the log tail the moment the call returns.
+    and to the subscribers (storage views), synchronously, entry by entry.
+    An entry goes only to the subscribers of its namespace and to those that
+    asked for every namespace (the row view), in registration order among
+    them.  A unit the WAL could not take therefore reaches neither the log,
+    nor a view, nor a replica fed from the log; every view is consistent
+    with the log tail the moment the call returns.
 
     A bare ``CentralLog()`` retains every entry — the log-only view and the
     recovery helpers replay it from LSN 1.  With *tail* set it keeps between
@@ -101,7 +115,10 @@ class CentralLog:
         # by position on one thread while a commit trims on another.
         self._lock = threading.Lock()
         self._entries: list[LogEntry] = []
-        self._subscribers: list[Callable[[LogEntry], None]] = []
+        # (owner, function, namespace or None: all) in registration order;
+        # per namespace, the (owner, function) its entries go to.
+        self._subscribers: list[tuple] = []
+        self._routes: dict[str, list[tuple]] = {}
         #: Called with each unit's entries before the log takes them; if it
         #: raises, the unit was never published (its LSNs are used again).
         self.write_ahead: Optional[Callable[[list[LogEntry]], None]] = None
@@ -150,19 +167,36 @@ class CentralLog:
             self._entries.extend(entries)
             if self._tail is not None and len(self._entries) > 2 * self._tail:
                 self._trim()
+        routes = self._routes
         for entry in entries:
-            for subscriber in self._subscribers:
-                subscriber(entry)
+            route = routes.get(entry.namespace)
+            if route is None:
+                route = routes[entry.namespace] = [
+                    (owner, function) for owner, function, namespace in self._subscribers
+                    if namespace is None or namespace == entry.namespace
+                ]
+            for owner, function in route:
+                if owner is None:
+                    function(entry)
+                else:
+                    subscriber = owner()
+                    if subscriber is not None:
+                        function(subscriber, entry)
         return entries
 
     # -- subscription ------------------------------------------------------
 
-    def subscribe(self, callback: Callable[[LogEntry], None]) -> None:
-        """Register a view-maintenance callback for future entries."""
-        self._subscribers.append(callback)
+    def subscribe(self, callback: _Callback, namespace: Optional[str] = None) -> None:
+        """Register a view-maintenance callback for future entries of
+        *namespace* (every entry when None).  A view or store nothing else
+        holds any more is dropped."""
+        self._subscribers = [h for h in self._subscribers if h[0] is None or h[0]() is not None]
+        self._subscribers.append((*_held(callback), namespace))
+        self._routes = {}
 
-    def unsubscribe(self, callback: Callable[[LogEntry], None]) -> None:
-        self._subscribers.remove(callback)
+    def unsubscribe(self, callback: _Callback, namespace: Optional[str] = None) -> None:
+        self._subscribers.remove((*_held(callback), namespace))
+        self._routes = {}
 
     # -- reading -----------------------------------------------------------
 

@@ -480,13 +480,16 @@ class SegmentManager(StorageView):
         self._spaces: dict[str, _Namespace] = {}
         self._lock = threading.RLock()
         self.segment_rows = max(int(segment_rows), 1)
-        super().__init__(log, subscribe=True)
+        # Subscribed per namespace, as each is registered.
+        super().__init__(log, subscribe=False)
 
     # -- registration ------------------------------------------------------
 
     def register(self, namespace: str, column_names: Iterable[str]) -> None:
         """(Re)register a namespace for columnar maintenance."""
         with self._lock:
+            if namespace not in self._spaces:
+                self._log.subscribe(self.apply, namespace)
             self._spaces[namespace] = _Namespace(tuple(column_names))
 
     def registered(self, namespace: str) -> bool:

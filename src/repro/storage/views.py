@@ -36,12 +36,14 @@ class StorageView:
     """Base class: a materialized structure maintained from the log."""
 
     name = "view"
+    #: The one namespace whose entries this view reads (None: every one).
+    namespace: Optional[str] = None
 
     def __init__(self, log: CentralLog, subscribe: bool = True):
         self._log = log
         self._applied_lsn = 0
         if subscribe:
-            log.subscribe(self.apply)
+            log.subscribe(self.apply, self.namespace)
 
     def apply(self, entry: LogEntry) -> None:
         """Incorporate one log entry (idempotent per LSN)."""
@@ -58,8 +60,9 @@ class StorageView:
         number applied.  Used after creating a view on an existing log."""
         applied = 0
         for entry in self._log.entries_since(self._applied_lsn):
-            self.apply(entry)
-            applied += 1
+            if self.namespace in (None, entry.namespace):
+                self.apply(entry)
+                applied += 1
         return applied
 
     # Subclass API -----------------------------------------------------
@@ -240,8 +243,6 @@ class IndexView(StorageView):
         return datamodel.deep_get(record, self.path)
 
     def _apply_data(self, entry: LogEntry) -> None:
-        if entry.namespace != self.namespace:
-            return
         if entry.op in (LogOp.UPDATE, LogOp.DELETE) and entry.before is not None:
             self.index.delete(self._extract(entry.before), entry.key)
         if entry.op in (LogOp.INSERT, LogOp.UPDATE):
@@ -250,8 +251,7 @@ class IndexView(StorageView):
                 self.index.insert(indexed, entry.key)
 
     def _drop_namespace(self, namespace: str) -> None:
-        if namespace == self.namespace:
-            self.index.clear()
+        self.index.clear()
 
     def search(self, value: Any) -> list[Any]:
         """Primary keys of records whose indexed value equals *value*."""

@@ -33,7 +33,6 @@ import time
 import zlib
 from typing import Any, Iterator, Optional
 
-from repro.core.datamodel import canonical_json
 from repro.errors import WalError
 from repro.fault import io as fault_io
 from repro.fault import registry as fault_registry
@@ -41,6 +40,11 @@ from repro.obs import metrics as obs_metrics
 from repro.storage.log import CentralLog, LogOp
 
 __all__ = ["WriteAheadLog", "entry_to_record", "recover", "replay_into"]
+
+# ``canonical_json``'s encoder without its ``normalize`` walk: every value
+# reaches the log normalized by the store that made it, so the lines are
+# byte-identical (``Infinity`` included — the model admits ±inf).
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 # Module-level metric handles: created once, cheap to touch, survive
 # registry resets.
@@ -113,7 +117,7 @@ class WriteAheadLog:
         start = time.perf_counter() if enabled else 0.0
         lines = []
         for record in records:
-            payload = canonical_json(record)
+            payload = _encode(record)
             checksum = zlib.crc32(payload.encode("utf-8"))
             lines.append(f"{checksum:08x} {payload}\n")
         if _FP_APPEND_WRITE.armed or _FP_COMMIT_MID.armed:

@@ -95,10 +95,18 @@ class _TxnStatus(enum.Enum):
 
 @dataclass(slots=True)
 class _Version:
-    """One committed version of a record."""
+    """One committed version of a record, linked to the one it replaced."""
 
     commit_ts: int
     value: Any  # None encodes deletion
+    older: Optional["_Version"] = None
+
+
+def _chain(version: Optional[_Version]) -> Iterator[_Version]:
+    """*version* and every older one it links to, newest first."""
+    while version is not None:
+        yield version
+        version = version.older
 
 
 @dataclass
@@ -132,7 +140,8 @@ class TransactionManager:
         self._log = log
         self._clock = 0  # logical timestamp: bumped on begin and commit
         self._next_txn_id = 1
-        self._versions: dict[tuple[str, Any], list[_Version]] = {}
+        # namespace -> key -> the newest committed version of the record.
+        self._versions: dict[str, dict[Any, _Version]] = {}
         self._active: dict[int, Transaction] = {}
         self._locks = LockManager(timeout=lock_timeout)
         self._mutex = threading.RLock()
@@ -219,16 +228,19 @@ class TransactionManager:
             self._finish(txn, _TxnStatus.ABORTED)
             raise
         horizon = None
-        for chain_key, write in txn.writes.items():
+        for (namespace, key), write in txn.writes.items():
             value = None if write.op is LogOp.DELETE else write.value
-            chain = self._versions.setdefault(chain_key, [])
-            chain.append(_Version(commit_ts, value))
+            chains = self._versions.get(namespace)
+            if chains is None:
+                chains = self._versions[namespace] = {}
+            older = chains.get(key)
+            chains[key] = _Version(commit_ts, value, older)
             # A lone live version has nothing to prune: a bulk load pays
             # for neither the horizon nor the call.
-            if len(chain) > 1 or value is None:
+            if older is not None or value is None:
                 if horizon is None:
                     horizon = self._horizon(finishing=txn)
-                self._prune(chain_key, chain, horizon)
+                self._prune(chains, key, horizon)
 
     def exclusive(self):
         """The commit mutex, for ``with``: no transaction begins, publishes
@@ -278,21 +290,16 @@ class TransactionManager:
             )
         txn.read_keys.add((namespace, key))
         with self._mutex:
-            return self._visible_value(txn, namespace, key)
+            return self._visible_value(txn, self._newest(namespace, key))
 
     def scan(self, txn: Transaction, namespace: str) -> Iterator[tuple[Any, Any]]:
         """Snapshot-consistent scan of a namespace (committed-visible
         versions merged with the transaction's own writes)."""
         self._require_active(txn)
         with self._mutex:
-            keys = {
-                key
-                for (chain_namespace, key) in self._versions
-                if chain_namespace == namespace
-            }
             result = {}
-            for key in keys:
-                value = self._visible_value(txn, namespace, key)
+            for key, newest in self._versions.get(namespace, {}).items():
+                value = self._visible_value(txn, newest)
                 if value is not None:
                     result[datamodel.value_token(key)] = (key, value)
         for (write_namespace, key), pending in txn.writes.items():
@@ -305,16 +312,18 @@ class TransactionManager:
                 result[token] = (key, pending.value)
         return iter(sorted(result.values(), key=lambda kv: datamodel.SortKey(kv[0])))
 
-    def _visible_value(self, txn: Transaction, namespace: str, key: Any) -> Any:
-        chain = self._versions.get((namespace, key))
-        if not chain:
-            return None
-        if txn.isolation is IsolationLevel.READ_COMMITTED:
-            return chain[-1].value
-        for version in reversed(chain):
-            if version.commit_ts <= txn.begin_ts:
-                return version.value
-        return None
+    def _newest(self, namespace: str, key: Any) -> Optional[_Version]:
+        chains = self._versions.get(namespace)
+        return None if chains is None else chains.get(key)
+
+    @staticmethod
+    def _visible_value(txn: Transaction, version: Optional[_Version]) -> Any:
+        """The value of the newest version in *version*'s chain that *txn*
+        sees (read committed: the newest of all)."""
+        if txn.isolation is not IsolationLevel.READ_COMMITTED:
+            while version is not None and version.commit_ts > txn.begin_ts:
+                version = version.older
+        return None if version is None else version.value
 
     # -- writes -------------------------------------------------------------------
 
@@ -344,19 +353,19 @@ class TransactionManager:
         """First-committer-wins: abort if any written key has a version
         committed after this transaction began."""
         for (namespace, key) in txn.writes:
-            chain = self._versions.get((namespace, key), [])
-            if chain and chain[-1].commit_ts > txn.begin_ts:
+            newest = self._newest(namespace, key)
+            if newest is not None and newest.commit_ts > txn.begin_ts:
                 raise SerializationError(
                     f"write-write conflict on {namespace}:{key!r} "
-                    f"(committed at ts {chain[-1].commit_ts} after this "
+                    f"(committed at ts {newest.commit_ts} after this "
                     f"transaction began at ts {txn.begin_ts})"
                 )
 
     # -- helpers --------------------------------------------------------------------
 
     def read_committed_latest(self, namespace: str, key: Any) -> Any:
-        chain = self._versions.get((namespace, key))
-        return chain[-1].value if chain else None
+        newest = self._newest(namespace, key)
+        return None if newest is None else newest.value
 
     def run(self, work, isolation=IsolationLevel.SNAPSHOT, retries: int = 0):
         """Execute ``work(txn)`` in a transaction; commit on success, abort
@@ -386,21 +395,20 @@ class TransactionManager:
         )
         return min(others, default=self._clock)
 
-    def _prune(self, chain_key, chain: list[_Version], horizon: int) -> int:
-        """Cut *chain* down to the newest version committed at or below
-        *horizon* plus everything newer — what no active snapshot can read
-        goes; a chain left with only a tombstone at or below the horizon
-        goes whole.  Returns the number of versions dropped."""
-        keep_from = 0
-        for index in range(len(chain) - 1, 0, -1):
-            if chain[index].commit_ts <= horizon:
-                keep_from = index
-                break
-        del chain[:keep_from]
-        if len(chain) == 1 and chain[0].value is None and chain[0].commit_ts <= horizon:
-            del self._versions[chain_key]
-            return keep_from + 1
-        return keep_from
+    def _prune(self, chains: dict, key: Any, horizon: int) -> int:
+        """Cut *key*'s chain down to the newest version committed at or
+        below *horizon* plus everything newer — what no active snapshot can
+        read goes; a chain left with only a tombstone at or below the
+        horizon goes whole.  Returns the number of versions dropped."""
+        newest = kept = chains[key]
+        while kept.commit_ts > horizon and kept.older is not None:
+            kept = kept.older
+        dropped = sum(1 for _ in _chain(kept.older))
+        kept.older = None
+        if kept is newest and kept.value is None and kept.commit_ts <= horizon:
+            del chains[key]
+            return dropped + 1
+        return dropped
 
     def garbage_collect(self) -> int:
         """Drop versions no active transaction can see; returns the count.
@@ -410,8 +418,9 @@ class TransactionManager:
         with self._mutex:
             horizon = self._horizon()
             return sum(
-                self._prune(chain_key, chain, horizon)
-                for chain_key, chain in list(self._versions.items())
+                self._prune(chains, key, horizon)
+                for chains in self._versions.values()
+                for key in list(chains)
             )
 
     def drop_namespace(self, namespace: str) -> None:
@@ -419,16 +428,12 @@ class TransactionManager:
         drop collection).  The caller is responsible for the matching
         DROP_NAMESPACE entry in the central log."""
         with self._mutex:
-            for chain_key in [
-                chain_key
-                for chain_key in self._versions
-                if chain_key[0] == namespace
-            ]:
-                del self._versions[chain_key]
+            self._versions.pop(namespace, None)
 
     @property
     def version_count(self) -> int:
-        return sum(len(chain) for chain in self._versions.values())
+        chains = (chain for keys in self._versions.values() for chain in keys.values())
+        return sum(1 for newest in chains for _ in _chain(newest))
 
     @property
     def active_count(self) -> int:

@@ -1,5 +1,7 @@
 """Tests for extendible hashing, bitmap and bit-slice indexes."""
 
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from repro.errors import (
     ConstraintViolationError,
     UnsupportedIndexOperationError,
 )
+from repro.indexes import hashindex
 from repro.indexes.bitmap import BitmapIndex, BitSliceIndex
 from repro.indexes.hashindex import ExtendibleHashIndex
 
@@ -77,6 +80,80 @@ class TestExtendibleHash:
             reference.setdefault(key, []).append(rid)
         for key, rids in reference.items():
             assert sorted(index.search(key)) == sorted(rids)
+
+    def test_digest_collision_overflows_instead_of_splitting(self, monkeypatch):
+        # Distinct keys sharing one digest: no split can separate them, so
+        # the full bucket must take the third key rather than split forever.
+        monkeypatch.setattr(hashindex, "hash_value", lambda key: 12345)
+        splits = []
+        split = ExtendibleHashIndex._split_bucket
+
+        def bounded_split(self, hashed):
+            splits.append(hashed)
+            if len(splits) > 16:  # each split here doubles the directory
+                raise RuntimeError("split loop on one digest")
+            split(self, hashed)
+
+        monkeypatch.setattr(ExtendibleHashIndex, "_split_bucket", bounded_split)
+        index = ExtendibleHashIndex(bucket_capacity=2)
+        outcome = []
+
+        def insert_three():
+            for key in ("a", "b", "c"):
+                index.insert(key, key.upper())
+            outcome.append("done")
+
+        worker = threading.Thread(target=insert_three, daemon=True)
+        worker.start()
+        worker.join(timeout=5)
+        assert outcome == ["done"], f"insert did not return ({len(splits)} splits)"
+        assert [index.search(key) for key in "abc"] == [["A"], ["B"], ["C"]]
+        index.delete("b", "B")
+        assert index.search("b") == [] and index.search("c") == ["C"]
+        assert len(index) == 2
+
+
+def _check_directory(index):
+    """The extendible-hashing invariants over the private directory."""
+    directory = index._directory
+    depth = index.global_depth
+    assert len(directory) == 1 << depth
+    for slot, bucket in enumerate(directory):
+        assert bucket.local_depth <= depth
+        mask = (1 << bucket.local_depth) - 1
+        # Every slot agreeing on the low local-depth bits shares the bucket,
+        # and every entry in it hashes there.
+        for other in range(slot & mask, len(directory), mask + 1):
+            assert directory[other] is bucket
+        for entry in bucket.entries:
+            assert entry[0] & mask == slot & mask
+
+
+_HASH_OPS = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 40), st.integers(0, 3)), max_size=150
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 3), _HASH_OPS)
+def test_extendible_hash_invariants(capacity, operations):
+    index = ExtendibleHashIndex(bucket_capacity=capacity)
+    model: dict[int, list[int]] = {}
+    for insert, key, rid in operations:
+        if insert:
+            index.insert(key, rid)
+            model.setdefault(key, []).append(rid)
+        else:
+            index.delete(key, rid)
+            if rid in model.get(key, ()):
+                model[key].remove(rid)
+                if not model[key]:
+                    del model[key]
+        _check_directory(index)
+    for key in range(41):
+        assert sorted(index.search(key)) == sorted(model.get(key, []))
+    assert len(index) == len(model)
+    assert index.entry_count == sum(map(len, model.values()))
 
 
 class TestBitmapIndex:
