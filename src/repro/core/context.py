@@ -49,10 +49,10 @@ class EngineContext:
 class BaseStore:
     """Keyed record store over the shared backend.
 
-    All methods accept an optional ``txn``: inside a transaction, reads see
-    the transaction's snapshot plus its own writes and writes are buffered;
-    outside, reads hit the row view (latest committed) and each write
-    auto-commits as a single-operation transaction.
+    All methods accept an optional ``txn``.  Reads take the same path
+    either way, the row view or an index as of latest, which the visibility
+    rule (``TransactionManager.changed``) turns into a transaction's snapshot
+    plus its own writes; writes are buffered, or auto-commit one at a time.
     """
 
     #: model tag used in the namespace prefix, e.g. "doc"
@@ -112,9 +112,22 @@ class BaseStore:
     def _raw_scan(
         self, txn: Optional[Transaction] = None
     ) -> Iterator[tuple[Any, Any]]:
-        if txn is not None:
-            return self._context.transactions.scan(txn, self.namespace)
-        return self._context.rows.scan(self.namespace)
+        latest = self._context.rows.scan(self.namespace)
+        changed = self._context.transactions.changed(txn, self.namespace)
+        if not changed:
+            return latest
+        kept = [pair for pair in latest if pair[0] not in changed]
+        return iter(kept + [pair for pair in changed.items() if pair[1] is not None])
+
+    def _index_records(self, keys, txn: Optional[Transaction], matches=None) -> dict:
+        """key -> record (None: none) of the *keys* an index answered, as
+        *txn* sees them: a changed key's record is the one *txn* sees, kept
+        when it passes *matches(record)*."""
+        rows, namespace = self._context.rows, self.namespace
+        found = {key: rows.get(namespace, key) for key in keys}
+        for key, record in self._context.transactions.changed(txn, namespace).items():
+            found[key] = record if record is None or matches is None or matches(record) else None
+        return found
 
     def scan_cursor(self, txn: Optional[Transaction] = None) -> ScanCursor:
         """Unified batched scan (:class:`repro.core.cursor.ScanCursor`)

@@ -9,10 +9,10 @@ batched protocol:
 * ``next_batch(n)`` returns up to *n* frame values (the store's natural
   MMQL row shape) and ``[]`` once exhausted;
 * ``close()`` releases the underlying snapshot iterator (idempotent);
-* cursors are **snapshot/txn-aware**: opened inside a transaction they
-  read the transaction's snapshot plus its own writes; outside, the row
-  view materializes a point-in-time copy at open, so concurrent writers
-  never perturb a running scan.
+* cursors are **snapshot/txn-aware**: the row view materializes a
+  point-in-time copy at open, so concurrent writers never perturb a
+  running scan, and inside a transaction the visibility rule turns that
+  copy into the transaction's snapshot plus its own writes.
 
 Every model store exposes ``scan_cursor(txn=None)`` (see the per-store
 overrides) and no other full-scan method.

@@ -158,15 +158,14 @@ class DocumentCollection(BaseStore):
         self, probe: dict, txn: Optional[Transaction] = None
     ) -> list[dict]:
         """``@>`` query, answered through a GIN index when one exists on the
-        whole document, else by scan + exact containment."""
-        if txn is None:
-            index = self._context.indexes.find(self.namespace, (), "containment")
-            if index is not None:
-                keys = index.index.search_contains(
-                    probe, lambda key: self._raw_get(key)
-                )
-                return [self._raw_get(key) for key in keys]
-        return self.find_by_example(probe, txn=txn)
+        whole document (inside a transaction too, under the visibility
+        rule), else by scan + exact containment."""
+        index = self._context.indexes.find(self.namespace, (), "containment")
+        if index is None:
+            return self.find_by_example(probe, txn=txn)
+        keys = index.index.search_contains(probe, lambda key: self._raw_get(key))
+        found = self._index_records(keys, txn, lambda document: datamodel.contains(document, probe))
+        return [document for document in found.values() if document is not None]
 
     def find_path_equals(
         self,
@@ -177,20 +176,15 @@ class DocumentCollection(BaseStore):
         """Documents whose value at *path* equals *value* (index-served when
         a matching single-field index exists)."""
         steps = jsonpath.parse_path(path)
-        if txn is None:
-            index = self._context.indexes.find(self.namespace, steps, "point")
-            if index is not None:
-                return [
-                    document
-                    for document in (self._raw_get(key) for key in index.search(value))
-                    if document is not None
-                ]
-        return self.find(
-            lambda document: datamodel.values_equal(
-                datamodel.deep_get(document, steps), value
-            ),
-            txn=txn,
-        )
+
+        def equal(document: dict) -> bool:
+            return datamodel.values_equal(datamodel.deep_get(document, steps), value)
+
+        index = self._context.indexes.find(self.namespace, steps, "point")
+        if index is None:
+            return self.find(equal, txn=txn)
+        found = self._index_records(index.search(value), txn, equal)
+        return [document for document in found.values() if document is not None]
 
     # -- DDL helpers ----------------------------------------------------------------
 

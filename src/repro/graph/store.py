@@ -171,35 +171,26 @@ class PropertyGraph:
         label: Optional[str] = None,
         txn: Optional[Transaction] = None,
     ) -> Iterator[dict]:
-        """Incident edges, via the edge index outside transactions."""
+        """Incident edges in edge-key order, via the edge index; inside a
+        transaction the visibility rule rechecks the edges it sees
+        changed."""
         if direction not in Direction.ALL:
             raise ValueError(f"bad direction {direction!r}")
-        if txn is None:
-            edge_keys: set = set()
-            if direction in (Direction.OUTBOUND, Direction.ANY):
-                edge_keys.update(self._from_index.search(key))
-            if direction in (Direction.INBOUND, Direction.ANY):
-                edge_keys.update(self._to_index.search(key))
-            candidates = (
-                self._edges._raw_get(edge_key) for edge_key in sorted(edge_keys)
-            )
-        else:
-            candidates = (
-                edge
-                for _edge_key, edge in self._edges._raw_scan(txn)
-                if (
-                    direction in (Direction.OUTBOUND, Direction.ANY)
-                    and edge["_from"] == key
-                )
-                or (
-                    direction in (Direction.INBOUND, Direction.ANY)
-                    and edge["_to"] == key
-                )
-            )
-        for edge in candidates:
-            if edge is None:
-                continue
-            if label is not None and edge.get("label") != label:
+        outbound = direction in (Direction.OUTBOUND, Direction.ANY)
+        inbound = direction in (Direction.INBOUND, Direction.ANY)
+        edge_keys: set = set()
+        if outbound:
+            edge_keys.update(self._from_index.search(key))
+        if inbound:
+            edge_keys.update(self._to_index.search(key))
+        incident = self._edges._index_records(
+            edge_keys,
+            txn,
+            lambda edge: (outbound and edge["_from"] == key) or (inbound and edge["_to"] == key),
+        )
+        for edge_key in sorted(incident):
+            edge = incident[edge_key]
+            if edge is None or label is not None and edge.get("label") != label:
                 continue
             yield edge
 
@@ -231,9 +222,8 @@ class PropertyGraph:
         """Depth-1 traversal of many starts at once: each start's adjacent
         vertex keys, sorted, itself excluded (a self-loop does not make a
         vertex its own neighbour at depth 1) — ``traverse(start, 1, 1)``
-        for every start, without a BFS each.  Outside transactions each
-        start costs its edge-index probes; inside one, a single snapshot
-        scan of the edges serves the whole set."""
+        for every start, without a BFS each: the edge-index probes of every
+        start, then each edge they found once (under the visibility rule)."""
         if direction not in Direction.ALL:
             raise ValueError(f"bad direction {direction!r}")
         # (edge index, the start's end of the edge, the neighbour's end)
@@ -243,23 +233,17 @@ class PropertyGraph:
         if direction in (Direction.INBOUND, Direction.ANY):
             sides.append((self._to_index, "_to", "_from"))
         found: dict[str, set] = {start: set() for start in starts}
-        if txn is None:
-            get_edge = self._edges._raw_get
-            for start, adjacent in found.items():
-                for index, near, far in sides:
-                    for edge_key in index.search(start):
-                        edge = get_edge(edge_key)
-                        if edge is not None and edge[near] == start and (
-                            label is None or edge.get("label") == label
-                        ):
-                            adjacent.add(edge[far])
-        else:
-            for _edge_key, edge in self._edges._raw_scan(txn):
-                if label is None or edge.get("label") == label:
-                    for _index, near, far in sides:
-                        adjacent = found.get(edge[near])
-                        if adjacent is not None:
-                            adjacent.add(edge[far])
+        edges = self._edges._index_records(
+            (edge_key for start in found for index, _near, _far in sides
+             for edge_key in index.search(start)),
+            txn,
+        )
+        for edge in edges.values():
+            if edge is not None and (label is None or edge.get("label") == label):
+                for _index, near, far in sides:
+                    adjacent = found.get(edge[near])
+                    if adjacent is not None:
+                        adjacent.add(edge[far])
         for start, adjacent in found.items():
             adjacent.discard(start)
         return {start: sorted(adjacent) for start, adjacent in found.items()}

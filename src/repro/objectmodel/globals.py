@@ -21,6 +21,7 @@ hierarchically structured data" in ordered sparse arrays.
 
 from __future__ import annotations
 
+from itertools import takewhile
 from typing import Any, Iterator, Optional
 
 from repro.core import datamodel
@@ -104,23 +105,19 @@ class GlobalsStore(BaseStore):
 
     def _subtree_records(
         self, prefix: tuple, txn: Optional[Transaction]
-    ) -> Iterator[dict]:
+    ) -> list[dict]:
+        """The records under *prefix* in subscript order: a B+tree range
+        over the order directory, under the visibility rule."""
         prefix_list = list(prefix)
-        if txn is None:
-            # B+tree range over the committed order directory.
-            for subs, _key in self._order_tree.range_items(low=prefix_list):
-                if subs[: len(prefix_list)] != prefix_list:
-                    break
-                record = self._raw_get(self._key(tuple(subs)))
-                if record is not None:
-                    yield record
-        else:
-            records = sorted(
-                (record for _key, record in self._raw_scan(txn)
-                 if record["subs"][: len(prefix_list)] == prefix_list),
-                key=lambda record: datamodel.SortKey(record["subs"]),
-            )
-            yield from records
+
+        def under(subs: list) -> bool:
+            return subs[: len(prefix_list)] == prefix_list
+
+        items = self._order_tree.range_items(low=prefix_list)
+        keys = [key for _subs, key in takewhile(lambda item: under(item[0]), items)]
+        found = self._index_records(keys, txn, lambda record: under(record["subs"]))
+        records = [record for record in found.values() if record is not None]
+        return sorted(records, key=lambda record: datamodel.SortKey(record["subs"]))
 
     def walk(
         self, prefix: tuple = (), txn: Optional[Transaction] = None
@@ -161,35 +158,43 @@ class GlobalsStore(BaseStore):
         """Caché ``$ORDER``: the next sibling subscript after *subscripts*
         (None when it was the last).
 
-        Outside transactions this is one B+tree range probe: start just
-        past the current sibling's subtree and read the first node that
-        still shares the parent prefix.
+        One B+tree range probe: start just past the current node and read
+        the first node that still shares the parent prefix with a later
+        sibling.  Inside a transaction the probe skips the nodes the
+        visibility rule sees changed (and probes again if the node it found
+        changed meanwhile), and their siblings compete with its own.
         """
         subscripts = _check_subscripts(subscripts)
         parent = list(subscripts[:-1])
         current = subscripts[-1]
         depth = len(parent)
-        if txn is not None:
-            siblings = (
-                self.children(tuple(parent), txn)
-                if parent
-                else self.children(txn=txn)
+
+        def later(subs: list) -> bool:  # under parent, at a sibling after current
+            return (
+                len(subs) > depth
+                and subs[:depth] == parent
+                and datamodel.compare(subs[depth], current) > 0
             )
-            for sibling in siblings:
-                if datamodel.compare(sibling, current) > 0:
-                    return sibling
-            return None
-        # Everything under (parent..., current, …) sorts before
-        # (parent..., next_sibling, …); objects sort after any scalar or
-        # array in the value order, so parent + [current, OBJECT_MAX] is an
-        # upper bound for the current subtree.  Simpler and exact: scan the
-        # range starting right after the current node itself and skip
+
+        # Everything under (parent..., current, …) sorts right after the
+        # current node itself: the range starts there and skips the
         # entries still inside the current sibling's subtree.
         low = parent + [current]
-        for subs, _key in self._order_tree.range_items(low=low, include_low=False):
-            if subs[:depth] != parent or len(subs) <= depth:
-                return None
-            sibling = subs[depth]
-            if datamodel.compare(sibling, current) > 0:
-                return sibling
-        return None
+        skip: dict = {}
+        while True:
+            found = None
+            for subs, key in self._order_tree.range_items(low=low, include_low=False):
+                if subs[:depth] != parent or len(subs) <= depth:
+                    break
+                if key not in skip and later(subs):
+                    found = subs, key
+                    break
+            changed = self._context.transactions.changed(txn, self.namespace)
+            if found is None or found[1] not in changed:
+                break
+            skip = changed
+        siblings = [] if found is None else [found[0][depth]]
+        for record in changed.values():
+            if record is not None and later(record["subs"]):
+                siblings.append(record["subs"][depth])
+        return min(siblings, key=datamodel.SortKey, default=None)

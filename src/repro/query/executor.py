@@ -28,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
+from operator import itemgetter
 from typing import Any, Iterator, Optional
 
 from repro.core import datamodel
@@ -267,14 +268,7 @@ def _source_batches(ctx: ExecContext, name: str) -> Iterator[list]:
         cursor.close()
 
 
-def _iter_source(ctx: ExecContext, name: str) -> Iterator[Any]:
-    """Row-at-a-time view of :func:`_source_batches` (hash-join builds and
-    snapshot fallbacks that want plain values)."""
-    for batch in _source_batches(ctx, name):
-        yield from batch
-
-
-def _flatten(batches: Iterator[list]) -> Iterator[dict]:
+def _flatten(batches: Iterator[list]) -> Iterator[Any]:
     for batch in batches:
         yield from batch
 
@@ -755,9 +749,9 @@ def _generate_for(operation: ast.ForOp):
 
 def _scan_catalog(ctx, operation: ast.ForOp, frame: dict, out: list):
     """FOR over a catalog object: columnar segments when the store
-    maintains them (zone maps prune inside; transactions need snapshot
-    reads so they take the row path), else the store cursor
-    batch-at-a-time.  Yields the full batches of *out*; returns the rest."""
+    maintains them (zone maps prune inside; not in a transaction, as they do
+    not take the visibility rule yet), else the store cursor batch-at-a-time.
+    Yields the full batches of *out*; returns the rest."""
     name = operation.source.name
     if ctx.columnar and ctx.txn is None:
         pairs = _columnar_segments(ctx, name)
@@ -892,10 +886,9 @@ def _bind_matches(ctx, frame, var, records, residual_fn) -> list:
 
 def _apply_index_scan(ctx, operation: IndexScanOp, batches):
     """Equality probes of a point index, through :func:`_lookup_join`.  The
-    index cannot answer a NULL probe (it holds no NULL keys, while ``attr ==
-    NULL`` matches NULL and missing attributes) nor one inside a transaction
-    (it holds committed state, not the snapshot's): those frames fall back
-    to a scan + the original full predicate."""
+    index answers as of latest; the original full predicate rechecks, per
+    frame, the visibility rule's changed records and a NULL probe's scan
+    (the index holds no NULL keys, yet ``attr == NULL`` matches missing)."""
     namespace = ctx.db.resolve(operation.source_name).namespace
     rows = ctx.db.context.rows
     stats = ctx.stats
@@ -916,34 +909,36 @@ def _apply_index_scan(ctx, operation: IndexScanOp, batches):
             lookups.inc(made)
         if operation.index_name not in stats["indexes_used"]:
             stats["indexes_used"].append(operation.index_name)
-        return [
+        found = [
             None if value is None else [
-                record for key in search(value)
+                (key, record) for key in search(value)
                 if (record := rows.get(namespace, key)) is not None
             ]
             for value in values
         ]
+        changed = ctx.db.context.transactions.changed(ctx.txn, namespace)
+        recheck = [record for record in changed.values() if record is not None]
+        return [
+            None if pairs is None
+            else ([pair for pair in pairs if pair[0] not in changed] if changed else pairs, recheck)
+            for pairs in found
+        ]
 
-    def emit(frame, records):
-        if records is not None:
-            return _bind_matches(ctx, frame, var, records, residual_fn)
-        scanned = ({**frame, var: value} for value in _iter_source(ctx, operation.source_name))
-        original_fn = _compiled(operation, "_c_original", operation.original_condition)
-        if original_fn is None:
-            return scanned
-        return (child for child in scanned if datamodel.truthy(original_fn(ctx, child)))
+    def emit(frame, found):
+        pairs, recheck = found or ((), _flatten(_source_batches(ctx, operation.source_name)))
+        children = _bind_matches(ctx, frame, var, map(itemgetter(1), pairs), residual_fn)
+        if recheck:
+            original_fn = _compiled(operation, "_c_original", operation.original_condition)
+            children.extend(
+                child for child in ({**frame, var: record} for record in recheck)
+                if original_fn is None or datamodel.truthy(original_fn(ctx, child))
+            )
+        return children
 
-    if ctx.txn is None:
-        key_fn, gather = _lookup_key(operation, "_g_value", (operation.value, None))
-    else:
-        key_fn, gather = _lookup_key(operation, "_g_no_value", (_no_key, None))
+    key_fn, gather = _lookup_key(operation, "_g_value", (operation.value, None))
     yield from _lookup_join(
         ctx, batches, key_fn, probe, emit, operation.per_frame, gather
     )
-
-
-def _no_key(ctx, frame) -> None:
-    """An index probe's key inside a transaction: none, every frame scans."""
 
 
 def _apply_lookup_join(ctx, operation: LookupJoinOp, batches):
@@ -1060,7 +1055,7 @@ def _apply_join(ctx, operation, batches):
         for batch in batches:
             if batch and table is None:
                 table = {}
-                for record in _iter_source(ctx, operation.source_name):
+                for record in _flatten(_source_batches(ctx, operation.source_name)):
                     key = datamodel.deep_get(record, operation.build_path)
                     table.setdefault(value_token(key), []).append(record)
                 ctx.stats[f"{kind}_builds"] += 1

@@ -37,10 +37,11 @@ class IndexScanOp(ast.Operation):
     a secondary index.
 
     ``residual`` is any remaining filter condition; ``original_condition``
-    is the full original predicate, re-applied over a plain scan when the
-    index cannot answer: inside a transaction (the index holds committed
-    state, not the snapshot's) and for a NULL probe value (the index holds
-    no NULL keys, yet ``attr == NULL`` matches NULL and missing attributes).
+    is the full original predicate.  It rechecks the records a transaction
+    sees changed since its snapshot (the index answers as of latest), and
+    it is re-applied over a plain scan for a NULL probe value, which the
+    index cannot answer (it holds no NULL keys, yet ``attr == NULL``
+    matches NULL and missing attributes).
 
     Probes are made once per distinct value per batch; ``per_frame`` keeps
     them frame by frame in a statement that writes, where a write landing

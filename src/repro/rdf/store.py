@@ -130,9 +130,6 @@ class TripleStore(BaseStore):
             list(stored) for _key, stored in self._raw_scan(txn)
         )
 
-    def _scan_triples(self, txn: Optional[Transaction] = None) -> Iterator[Triple]:
-        return (tuple(frame) for frame in self.scan_cursor(txn=txn))
-
     def match(
         self,
         subject: str = "?s",
@@ -147,19 +144,25 @@ class TripleStore(BaseStore):
         * object bound + predicate bound → reverse secondary;
         * object bound → reverse primary;
         * nothing bound → full scan.
+
+        Inside a transaction the visibility rule drops the triples it sees
+        changed from a layout's answer and adds back those its snapshot holds.
         """
-        if txn is not None:
-            candidates: Iterable[Triple] = self._scan_triples(txn)
-        elif not is_variable(subject) and not is_variable(predicate):
-            candidates = self._direct_secondary.get((subject, predicate), set())
+        if not is_variable(subject) and not is_variable(predicate):
+            layout = self._direct_secondary.get((subject, predicate), set())
         elif not is_variable(subject):
-            candidates = self._direct_primary.get(subject, set())
+            layout = self._direct_primary.get(subject, set())
         elif not is_variable(obj) and not is_variable(predicate):
-            candidates = self._reverse_secondary.get((obj, predicate), set())
+            layout = self._reverse_secondary.get((obj, predicate), set())
         elif not is_variable(obj):
-            candidates = self._reverse_primary.get(obj, set())
+            layout = self._reverse_primary.get(obj, set())
         else:
-            candidates = self._scan_triples()
+            layout = (tuple(stored) for _key, stored in self._context.rows.scan(self.namespace))
+        candidates = list(layout)
+        changed = self._context.transactions.changed(txn, self.namespace)
+        if changed:
+            candidates = [triple for triple in candidates if self._key(triple) not in changed]
+            candidates += [tuple(stored) for stored in changed.values() if stored is not None]
         result = []
         for triple in candidates:
             if not is_variable(subject) and triple[0] != subject:

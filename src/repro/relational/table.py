@@ -121,22 +121,17 @@ class Table(BaseStore):
         self, column: str, value: Any, txn: Optional[Transaction] = None
     ) -> list[dict]:
         """Equality filter, served by a secondary index when available
-        (and the read is not inside a snapshot older than the index)."""
+        (inside a transaction too, under the visibility rule)."""
         self.schema.column(column)
-        if txn is None:
-            index = self._context.indexes.find(self.namespace, (column,), "point")
-            if index is not None:
-                keys = index.search(value)
-                return [
-                    row
-                    for row in (self._raw_get(key) for key in keys)
-                    if row is not None
-                ]
-        return [
-            row
-            for row in self.scan_cursor(txn=txn)
-            if datamodel.values_equal(row.get(column), value)
-        ]
+
+        def equal(row: dict) -> bool:
+            return datamodel.values_equal(row.get(column), value)
+
+        index = self._context.indexes.find(self.namespace, (column,), "point")
+        if index is None:
+            return [row for row in self.scan_cursor(txn=txn) if equal(row)]
+        found = self._index_records(index.search(value), txn, equal)
+        return [row for row in found.values() if row is not None]
 
     def json_path(
         self,

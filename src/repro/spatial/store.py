@@ -45,6 +45,10 @@ def geometry_to_rect(geometry: dict) -> Rect:
     raise SchemaError(f"unknown geometry type {kind!r} (point or box)")
 
 
+def _rect(record: dict) -> Rect:
+    return geometry_to_rect(record["geometry"])
+
+
 class SpatialStore(BaseStore):
     """Geo-keyed records with an R-tree maintained from the central log."""
 
@@ -62,13 +66,9 @@ class SpatialStore(BaseStore):
             self._rtree.clear()
             return
         if entry.op in (LogOp.UPDATE, LogOp.DELETE) and entry.before is not None:
-            self._rtree.delete(
-                geometry_to_rect(entry.before["geometry"]), entry.key
-            )
+            self._rtree.delete(_rect(entry.before), entry.key)
         if entry.op in (LogOp.INSERT, LogOp.UPDATE):
-            self._rtree.insert(
-                geometry_to_rect(entry.value["geometry"]), entry.key
-            )
+            self._rtree.insert(_rect(entry.value), entry.key)
 
     # -- CRUD --------------------------------------------------------------------
 
@@ -143,19 +143,10 @@ class SpatialStore(BaseStore):
         max_y: float,
         txn: Optional[Transaction] = None,
     ) -> list[str]:
-        """Keys whose geometry intersects the window.
-
-        Served by the R-tree outside transactions; snapshot reads fall back
-        to a filtered scan (index reflects committed state only).
-        """
+        """Keys whose geometry intersects the window, served by the R-tree
+        (inside a transaction too, under the visibility rule)."""
         query = Rect(min_x, min_y, max_x, max_y)
-        if txn is None:
-            return sorted(self._rtree.search_intersects(query))
-        return sorted(
-            key
-            for key, record in self._raw_scan(txn)
-            if geometry_to_rect(record["geometry"]).intersects(query)
-        )
+        return self._sorted_keys(self._rtree.search_intersects(query), txn, query.intersects)
 
     def within(
         self,
@@ -167,31 +158,32 @@ class SpatialStore(BaseStore):
     ) -> list[str]:
         """Keys fully contained in the window."""
         query = Rect(min_x, min_y, max_x, max_y)
-        if txn is None:
-            return sorted(self._rtree.search_contained_in(query))
-        return sorted(
-            key
-            for key, record in self._raw_scan(txn)
-            if query.contains(geometry_to_rect(record["geometry"]))
-        )
+        return self._sorted_keys(self._rtree.search_contained_in(query), txn, query.contains)
+
+    def _sorted_keys(self, keys: list, txn: Optional[Transaction], matches) -> list[str]:
+        """The R-tree's *keys* as *txn* sees them, sorted; *matches* takes
+        the rectangle of a record the visibility rule rechecks."""
+        found = self._index_records(keys, txn, lambda record: matches(_rect(record)))
+        return sorted(key for key, record in found.items() if record is not None)
 
     def nearest(
         self, x: float, y: float, k: int = 1, txn: Optional[Transaction] = None
     ) -> list[tuple[str, float]]:
-        """k nearest keys to (x, y) as (key, distance)."""
-        if txn is None:
-            return [
-                (key, distance)
-                for distance, key in self._rtree.nearest(x, y, k)
-            ]
-        scored = sorted(
-            (
-                geometry_to_rect(record["geometry"]).min_distance_to(x, y),
-                key,
-            )
-            for key, record in self._raw_scan(txn)
-        )
-        return [(key, distance) for distance, key in scored[:k]]
+        """k nearest keys to (x, y) as (key, distance).  The R-tree is asked
+        for *k* more than the keys a transaction sees changed, so *k* of its
+        answers are unchanged; those merge with the changed records."""
+        asked = k
+        while True:
+            found = self._rtree.nearest(x, y, asked)
+            changed = self._context.transactions.changed(txn, self.namespace)
+            if asked >= k + len(changed):
+                break
+            asked = k + len(changed)
+        scored = [(distance, key) for distance, key in found if key not in changed]
+        for key, record in changed.items():
+            if record is not None:
+                scored.append((_rect(record).min_distance_to(x, y), key))
+        return [(key, distance) for distance, key in sorted(scored)[:k]]
 
     @property
     def rtree(self) -> RTree:

@@ -33,6 +33,7 @@ import enum
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Any, Iterator, Optional
 
 from repro.core import datamodel
@@ -230,10 +231,8 @@ class TransactionManager:
         horizon = None
         for (namespace, key), write in txn.writes.items():
             value = None if write.op is LogOp.DELETE else write.value
-            chains = self._versions.get(namespace)
-            if chains is None:
-                chains = self._versions[namespace] = {}
-            older = chains.get(key)
+            chains = self._versions.setdefault(namespace, {})
+            older = chains.pop(key, None)  # re-inserted: in commit order
             chains[key] = _Version(commit_ts, value, older)
             # A lone live version has nothing to prune: a bulk load pays
             # for neither the horizon nor the call.
@@ -292,25 +291,31 @@ class TransactionManager:
         with self._mutex:
             return self._visible_value(txn, self._newest(namespace, key))
 
-    def scan(self, txn: Transaction, namespace: str) -> Iterator[tuple[Any, Any]]:
-        """Snapshot-consistent scan of a namespace (committed-visible
-        versions merged with the transaction's own writes)."""
+    def changed(self, txn: Optional[Transaction], namespace: str) -> dict:
+        """The visibility rule (DESIGN.md): each key *txn* may see otherwise
+        than latest (committed since it began, not under READ COMMITTED, or
+        written by it), mapped to the value it sees (None: no record).  Take
+        it after the read it corrects: a commit that read saw is in it whole."""
+        if txn is None:
+            return {}
         self._require_active(txn)
-        with self._mutex:
-            result = {}
-            for key, newest in self._versions.get(namespace, {}).items():
-                value = self._visible_value(txn, newest)
-                if value is not None:
-                    result[datamodel.value_token(key)] = (key, value)
-        for (write_namespace, key), pending in txn.writes.items():
-            if write_namespace != namespace:
-                continue
-            token = datamodel.value_token(key)
-            if pending.op is LogOp.DELETE:
-                result.pop(token, None)
-            else:
-                result[token] = (key, pending.value)
-        return iter(sorted(result.values(), key=lambda kv: datamodel.SortKey(kv[0])))
+        found = {}
+        if txn.isolation is not IsolationLevel.READ_COMMITTED:
+            with self._mutex:  # the chains are in commit order (_publish)
+                chains = self._versions.get(namespace, {})
+                new = takewhile(lambda key: chains[key].commit_ts > txn.begin_ts, reversed(chains))
+                found = {key: self._visible_value(txn, chains[key]) for key in new}
+        for (written, key), pending in txn.writes.items():
+            if written == namespace:
+                found[key] = None if pending.op is LogOp.DELETE else pending.value
+        return found
+
+    def scan(self, txn: Transaction, namespace: str) -> Iterator[tuple[Any, Any]]:
+        """*namespace* as *txn* sees it, in key order: the rule over the chains."""
+        seen = {key: chain.value for key, chain in list(self._versions.get(namespace, {}).items())}
+        seen.update(self.changed(txn, namespace))
+        pairs = [(key, value) for key, value in seen.items() if value is not None]
+        return iter(sorted(pairs, key=lambda pair: datamodel.SortKey(pair[0])))
 
     def _newest(self, namespace: str, key: Any) -> Optional[_Version]:
         chains = self._versions.get(namespace)

@@ -168,7 +168,7 @@ class TestIndexSelection:
         assert all(db.table("customers").get(i)["credit"] >= 2000 for i in result.rows)
         assert result.stats["index_lookups"] == 1
 
-    def test_inside_transaction_falls_back_to_scan(self, db):
+    def test_index_serves_inside_transaction(self, db):
         db.table("customers").create_index("city", kind="hash")
         txn = db.begin()
         result = run_query(
@@ -177,7 +177,7 @@ class TestIndexSelection:
             txn=txn,
         )
         assert len(result.rows) == 10
-        assert result.stats["index_lookups"] == 0
+        assert result.stats["index_lookups"] == 1
         db.abort(txn)
 
 
