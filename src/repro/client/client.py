@@ -46,7 +46,6 @@ needs no protocol bump.
 
 from __future__ import annotations
 
-import re
 import socket
 import threading
 import time
@@ -56,6 +55,7 @@ from repro.errors import CursorNotFoundError, ProtocolError
 from repro.fault.retry import retry_with_backoff
 from repro.obs import events as obs_events
 from repro.obs import tracing
+from repro.query.shapes import split_analyze
 from repro.server import protocol
 
 __all__ = ["ReproClient", "ResultCursor", "StitchedTrace", "DEFAULT_PORT"]
@@ -64,10 +64,6 @@ __all__ = ["ReproClient", "ResultCursor", "StitchedTrace", "DEFAULT_PORT"]
 DEFAULT_PORT = 8845
 
 _UNSET = object()
-
-#: EXPLAIN ANALYZE executes eagerly (probes only mean anything over a
-#: completed run), so such statements bypass the streaming path.
-_EXPLAIN_ANALYZE = re.compile(r"^\s*EXPLAIN\s+ANALYZE\b", re.IGNORECASE)
 
 
 def _answer(frame: dict) -> Any:
@@ -533,7 +529,7 @@ class ReproClient:
             params["max_rows"] = max_rows
         if batch_size is not None:
             params["batch_size"] = batch_size
-        if analyze or not stream or _EXPLAIN_ANALYZE.match(text):
+        if analyze or not stream or split_analyze(text)[1]:
             if analyze:
                 params["analyze"] = True
             payload = self._call("query", trace=stitched, **params)

@@ -20,7 +20,6 @@ surfaces as an error instead of a livelock.
 
 from __future__ import annotations
 
-import re
 import threading
 from typing import Any, Optional
 
@@ -32,9 +31,6 @@ from repro.cluster.coordinator import ClusterResult, Coordinator
 from repro.cluster.shardmap import ShardMap
 
 __all__ = ["ClusterClient"]
-
-_EXPLAIN_ANALYZE = re.compile(r"^\s*EXPLAIN\s+ANALYZE\b", re.IGNORECASE)
-
 
 def _split_address(address) -> tuple:
     if isinstance(address, (tuple, list)) and len(address) == 2:
@@ -225,10 +221,7 @@ class ClusterClient:
         per-shard RPC lands in the same trace, which is how a fan-out
         query stays one story in the trace viewer."""
         self.connect()
-        match = _EXPLAIN_ANALYZE.match(text)
-        if match:
-            text = text[match.end():]
-            analyze = True
+        analyze = analyze or self.coordinator.plan_cache.statement(text)[0].analyze
         stitched = self._new_trace(force=trace)
         try:
             result = self._query_once(
@@ -262,9 +255,6 @@ class ClusterClient:
         statements — the cluster analogue of the embedded EXPLAIN.  Planned
         through the same plan cache as :meth:`query`."""
         self.connect()
-        match = _EXPLAIN_ANALYZE.match(text)
-        if match:
-            text = text[match.end():]
         plan = self.coordinator.plan(text, bind_vars)
         return plan.describe(self.shard_map)
 

@@ -387,13 +387,24 @@ def _fn_geo_distance(ctx, x1, y1, x2, y2):
 
 
 def _fn_fulltext(ctx, index_name, query):
-    index = ctx.db.context.indexes.get(index_name).index
+    """The keys whose text holds every term of *query*, as ``ctx.txn``
+    sees them (a changed key is rechecked against its text)."""
+    view = ctx.db.context.indexes.get(index_name)
     _require(
-        hasattr(index, "search_all"), "FULLTEXT", f"{index_name!r} is not a full-text index"
+        hasattr(view.index, "search_all"), "FULLTEXT", f"{index_name!r} is not a full-text index"
     )
-    from repro.indexes.fulltext import tokenize
+    from repro.core.context import index_records
+    from repro.indexes.fulltext import extract_text, tokenize
 
-    return sorted(index.search_all(tokenize(query)), key=datamodel.SortKey)
+    terms = set(tokenize(query))
+
+    def holds(record) -> bool:
+        return bool(terms) and terms <= set(tokenize(extract_text(view._extract(record)), True))
+
+    found = index_records(
+        ctx.db.context, view.namespace, view.index.search_all(terms), ctx.txn, holds
+    )
+    return sorted((key for key, value in found.items() if value is not None), key=datamodel.SortKey)
 
 
 FUNCTIONS: dict[str, Callable] = {

@@ -79,7 +79,6 @@ from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import slowlog, tracing
 from repro.obs.telemetry import TelemetryEndpoint
-from repro.query.classify import statement_writes
 from repro.replication.apply import ReplicationApplier
 from repro.replication.hub import ReplicationHub, heartbeat_timeout
 from repro.server import protocol
@@ -895,7 +894,7 @@ class ReproServer:
             )
         if op in ("query", "query_open"):
             text = params.get("text")
-            if isinstance(text, str) and statement_writes(text):
+            if isinstance(text, str) and self.db.plan_cache.classify(text).writes:
                 raise NotPrimaryError(
                     "write statement refused: this server is a read replica "
                     f"of {self.replica_of} — send writes to the primary",
@@ -910,7 +909,7 @@ class ReproServer:
         if self.ack_replication <= 0 or session.in_txn:
             return
         text = params.get("text")
-        if not isinstance(text, str) or not statement_writes(text):
+        if not isinstance(text, str) or not self.db.plan_cache.classify(text).writes:
             return
         self._hub.wait_for_acks(
             self.db.context.log.last_lsn, self.ack_replication, self.ack_timeout

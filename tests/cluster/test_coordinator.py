@@ -195,6 +195,7 @@ def test_only_the_member_uses_the_rule_folds_ship_as_partials():
 
 #: ``describe()`` of Workload B on the two-shard demo map, as b_cluster2
 #: plans it.  A change to how the coordinator is built must leave it be.
+#: Q5's lifted literals reach the shards as ``@__cluster_<n>`` binds.
 WORKLOAD_B_PLANS = {
     "Q1": """\
 cluster plan [strategy=multi_segment fan_out=2 shards=2 map_version=1]
@@ -218,7 +219,7 @@ cluster plan [strategy=scatter fan_out=2 shards=2 map_version=1]
     "Q5": """\
 cluster plan [strategy=scatter fan_out=2 shards=2 map_version=1]
   segment 0 [scatter(2) merge=concat]
-    FOR friend IN 2..2 OUTBOUND @start GRAPH social LABEL 'knows' LET order_no = KV_GET('cart', friend._key) FILTER (order_no != NULL) FOR o IN orders FILTER (o.Order_no == order_no) FOR line IN o.Orderlines FOR triple IN RDF_MATCH('vendors', line.Product_no, 'soldBy', '?v') RETURN DISTINCT {'product': line.Product_no, 'vendor': triple[2]}""",
+    FOR friend IN 2..2 OUTBOUND @start GRAPH social LABEL 'knows' LET order_no = KV_GET('cart', friend._key) FILTER (order_no != NULL) FOR o IN orders FILTER (o.Order_no == order_no) FOR line IN o.Orderlines FOR triple IN RDF_MATCH('vendors', line.Product_no, @__cluster_1, @__cluster_2) RETURN DISTINCT {'product': line.Product_no, 'vendor': triple[@__cluster_3]}""",
 }
 
 

@@ -1,7 +1,7 @@
-"""Verdict pinning for the shared statement classifier.
+"""Verdict pinning for the statement classification.
 
-Both distributed routers — the replica-set router and the cluster
-coordinator — route on :func:`repro.query.classify.statement_writes`.
+The replica-set router and the server's replica and semi-sync gates
+route on a statement's ``writes`` (:meth:`StatementMemo.classify`).
 These tests pin the verdict for every DML form (including writes buried
 in subqueries) so a parser or classifier change that flips one shows up
 as a routing regression here, not as a write silently landing on a
@@ -13,8 +13,16 @@ level.
 
 import pytest
 
-from repro.query.classify import classify, statement_writes
+from repro.query.shapes import StatementMemo
 from repro.unibench.workloads import QUERIES_B
+
+
+def classify(text):
+    return StatementMemo().classify(text)
+
+
+def statement_writes(text):
+    return classify(text).writes
 
 WRITES = [
     "INSERT {_key: 'a', v: 1} INTO kv",

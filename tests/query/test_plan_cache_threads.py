@@ -26,7 +26,8 @@ class TestPlanCacheThreadSafety:
             try:
                 barrier.wait(timeout=10)
                 for round_ in range(300):
-                    key = PlanCache.key(f"RETURN {tag}_{round_ % 9}", None, True)
+                    statement = shapes.literal_statement(f"RETURN {tag}_{round_ % 9}")
+                    key = PlanCache.statement_key(statement, None, True)
                     plan = cache.get(key, versions)
                     if plan is None:
                         cache.put(key, f"plan-{tag}-{round_}", versions)

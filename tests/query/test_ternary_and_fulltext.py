@@ -84,3 +84,46 @@ class TestFulltextFunction:
 
         with pytest.raises(FunctionError):
             db.query("RETURN FULLTEXT('stars_idx', 'x')")
+
+
+class TestFulltextInTransaction:
+    """FULLTEXT takes the visibility rule: a transaction finds the
+    documents its snapshot and its own writes hold, not the index's
+    latest."""
+
+    QUERY = "RETURN FULLTEXT('reviews_text', 'excellent')"
+
+    def test_a_second_sessions_writes_after_begin_stay_unseen(self, db):
+        reviews = db.collection("reviews")
+        txn = db.begin()
+        reviews.insert({"_key": "r4", "text": "excellent purchase", "stars": 5})
+        reviews.update("r1", {"text": "mediocre quality"})
+        reviews.update("r2", {"text": "excellent after all"})
+        reviews.delete("r3")
+        assert db.query(self.QUERY).rows == [["r2", "r4"]]
+        assert db.query(self.QUERY, txn=txn).rows == [["r1", "r3"]]
+        db.commit(txn)
+
+    def test_own_writes_are_seen(self, db):
+        reviews = db.collection("reviews")
+        txn = db.begin()
+        reviews.insert({"_key": "r4", "text": "excellent purchase"}, txn=txn)
+        reviews.update("r1", {"text": "mediocre quality"}, txn=txn)
+        reviews.update("r2", {"text": "excellent after all"}, txn=txn)
+        reviews.delete("r3", txn=txn)
+        assert db.query(self.QUERY, txn=txn).rows == [["r2", "r4"]]
+        assert db.query(self.QUERY).rows == [["r1", "r3"]]
+        db.abort(txn)
+
+    @pytest.mark.parametrize(
+        "isolation, expected",
+        [("read_committed", ["r1", "r4"]), ("snapshot", ["r1", "r3"])],
+    )
+    def test_read_committed_sees_commits_snapshot_does_not(self, db, isolation, expected):
+        reviews = db.collection("reviews")
+        txn = db.begin(isolation)
+        assert db.query(self.QUERY, txn=txn).rows == [["r1", "r3"]]
+        reviews.insert({"_key": "r4", "text": "excellent purchase"})
+        reviews.delete("r3")
+        assert db.query(self.QUERY, txn=txn).rows == [expected]
+        db.commit(txn)

@@ -14,7 +14,7 @@ from repro.errors import (
     ReplicationError,
 )
 from repro.query.engine import run_query
-from repro.query.classify import statement_writes
+from repro.query.shapes import StatementMemo
 from repro.replication import ReplicaSet
 from repro.replication.apply import ReplicationApplier
 from repro.server import ReproServer
@@ -65,6 +65,10 @@ def topology():
     for node in replicas:
         node.stop()
     primary.stop()
+
+
+def statement_writes(text):
+    return StatementMemo().classify(text).writes
 
 
 class TestStatementWrites:
