@@ -147,7 +147,7 @@ def torture_run(
     # -- build the engine stack ------------------------------------------
     log = CentralLog()
     rows = RowView(log)
-    manager = TransactionManager(log)
+    manager = TransactionManager(log, rows)
     wal = WriteAheadLog(wal_path, sync=True)
     log.write_ahead = wal.log_group
 

@@ -168,7 +168,7 @@ class _Stack:
         self.path = str(tmp_path / "unit.wal")
         self.log = CentralLog()
         self.rows = RowView(self.log)
-        self.manager = TransactionManager(self.log)
+        self.manager = TransactionManager(self.log, self.rows)
         self.wal = WriteAheadLog(self.path, sync=sync)
         self.log.write_ahead = self.wal.log_group
         self.acknowledged = {}

@@ -24,7 +24,7 @@ INITIAL = 100
 def _setup():
     log = CentralLog()
     rows = RowView(log)
-    manager = TransactionManager(log)
+    manager = TransactionManager(log, rows)
     seed_txn = manager.begin()
     for account in range(ACCOUNTS):
         manager.write(seed_txn, "bank", account, INITIAL)
