@@ -82,25 +82,17 @@ class BaseStore:
     # -- write path ------------------------------------------------------------
 
     def _write(
-        self,
-        key: Any,
-        value: Any,
-        op: LogOp,
-        txn: Optional[Transaction],
+        self, key: Any, value: Any, txn: Optional[Transaction]
     ) -> None:
+        """Write *value* under *key* (``None`` deletes); the transaction
+        manager derives the logged op from what the write replaces."""
         manager = self._context.transactions
         if txn is not None:
-            if op is LogOp.DELETE:
-                manager.delete(txn, self.namespace, key)
-            else:
-                manager.write(txn, self.namespace, key, value, op)
+            manager.write(txn, self.namespace, key, value)
             return
         local = manager.begin()
         try:
-            if op is LogOp.DELETE:
-                manager.delete(local, self.namespace, key)
-            else:
-                manager.write(local, self.namespace, key, value, op)
+            manager.write(local, self.namespace, key, value)
             manager.commit(local)
         except BaseException:
             if local.is_active:
@@ -108,14 +100,12 @@ class BaseStore:
             raise
 
     def _put(self, key: Any, value: Any, txn: Optional[Transaction] = None) -> None:
-        exists = self._raw_get(key, txn) is not None
-        op = LogOp.UPDATE if exists else LogOp.INSERT
-        self._write(key, datamodel.normalize(value), op, txn)
+        self._write(key, datamodel.normalize(value), txn)
 
     def _delete_key(self, key: Any, txn: Optional[Transaction] = None) -> bool:
         if self._raw_get(key, txn) is None:
             return False
-        self._write(key, None, LogOp.DELETE, txn)
+        self._write(key, None, txn)
         return True
 
     # -- read path ----------------------------------------------------------------

@@ -174,14 +174,15 @@ class DocumentCollection(BaseStore):
         txn: Optional[Transaction] = None,
     ) -> list[dict]:
         """Documents whose value at *path* equals *value* (index-served when
-        a matching single-field index exists)."""
+        a matching single-field index exists; an index holds no null, so
+        ``value=None`` — a null or missing field — always scans)."""
         steps = jsonpath.parse_path(path)
 
         def equal(document: dict) -> bool:
             return datamodel.values_equal(datamodel.deep_get(document, steps), value)
 
         index = self._context.indexes.find(self.namespace, steps, "point")
-        if index is None:
+        if index is None or value is None:
             return self.find(equal, txn=txn)
         found = self._index_records(index.search(value), txn, equal)
         return [document for document in found.values() if document is not None]

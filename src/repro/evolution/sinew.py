@@ -64,12 +64,12 @@ class UniversalRelation:
             return
         if not entry.is_data_op():
             return
-        if entry.op in (LogOp.UPDATE, LogOp.DELETE) and entry.before is not None:
+        if entry.before is not None:
             before_flat = flatten_document(entry.before)
             for column, store in self._materialized.items():
                 if column in before_flat:
                     store.pop(entry.key, None)
-        if entry.op in (LogOp.INSERT, LogOp.UPDATE):
+        if entry.op is not LogOp.DELETE:
             flat = flatten_document(entry.value)
             self._columns.update(flat)
             for column, store in self._materialized.items():

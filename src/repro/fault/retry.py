@@ -73,14 +73,16 @@ def retry_with_backoff(
     """
     if attempts < 1:
         raise ValueError("attempts must be >= 1")
-    rng = random.Random(0 if seed is None else seed) if jitter else None
+    rng: Optional[random.Random] = None  # seeded at the first jittered retry
     started = clock()
     last_error: Optional[BaseException] = None
     made = 0
     for attempt in range(attempts):
         if attempt:
             delay = min(base_delay * (2 ** (attempt - 1)), max_delay)
-            if rng is not None:
+            if jitter:
+                if rng is None:
+                    rng = random.Random(0 if seed is None else seed)
                 delay = rng.uniform(0.0, delay)
             if max_elapsed is not None and (clock() - started) + delay > max_elapsed:
                 break

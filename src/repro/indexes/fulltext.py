@@ -136,47 +136,6 @@ class FullTextIndex(Index):
         """Boolean NOT: docs with *include* but without *exclude*."""
         return self.search_term(include) - self.search_term(exclude)
 
-    def search_prefix(self, prefix: str) -> set:
-        """Trailing wildcard, e.g. ``data*``."""
-        prefix = prefix.lower().rstrip("*")
-        result: set = set()
-        for term, postings in self._postings.items():
-            if term.startswith(prefix):
-                result |= set(postings)
-        return result
-
-    def search_phrase(self, phrase: str) -> set:
-        """Exact phrase via position intersection."""
-        tokens = tokenize(phrase, self._keep_stopwords)
-        if not tokens:
-            return set()
-        candidates = self.search_all(tokens)
-        result = set()
-        for rid in candidates:
-            first_positions = self._postings[tokens[0]][rid]
-            for start in first_positions:
-                if all(
-                    start + offset in self._postings[token][rid]
-                    for offset, token in enumerate(tokens[1:], start=1)
-                ):
-                    result.add(rid)
-                    break
-        return result
-
-    def search_near(self, term_a: str, term_b: str, within: int) -> set:
-        """Proximity: both terms occur within *within* positions."""
-        hits_a = self._postings.get(term_a.lower(), {})
-        hits_b = self._postings.get(term_b.lower(), {})
-        result = set()
-        for rid in set(hits_a) & set(hits_b):
-            positions_b = hits_b[rid]
-            if any(
-                any(abs(pa - pb) <= within for pb in positions_b)
-                for pa in hits_a[rid]
-            ):
-                result.add(rid)
-        return result
-
     def rank(self, terms: Iterable[str], limit: int = 10) -> list[tuple[Any, float]]:
         """TF-scored OR query: (rid, score) sorted best-first."""
         scores: dict[Any, float] = defaultdict(float)

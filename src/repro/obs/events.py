@@ -100,10 +100,6 @@ class EventLog:
         self._sink = None
         self._sink_path = None
 
-    @property
-    def sink_path(self) -> Optional[str]:
-        return self._sink_path
-
     # -- emission -----------------------------------------------------------
 
     def emit(self, kind: str, **fields) -> dict:

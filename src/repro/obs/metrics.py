@@ -14,6 +14,10 @@ Design constraints:
 * **Stable handles.** ``registry.counter(name, **labels)`` is
   get-or-create: modules grab their handles once at import time and
   :meth:`MetricsRegistry.reset` zeroes values without invalidating them.
+  A site whose label varies per call holds a :class:`Family`, which
+  resolves each label value through the registry once.  A repeated
+  lookup is one dict probe keyed in call order; only the first call of
+  a label order builds the sorted key.
 * **Bounded memory.** Histograms keep running count/sum/min/max exactly,
   fixed Prometheus-style latency buckets, and a fixed-size ring of recent
   samples for the p50/p95/p99 quantiles.  The registry additionally caps
@@ -43,6 +47,7 @@ __all__ = [
     "DEFAULT_MAX_LABEL_SETS",
     "MetricsRegistry",
     "REGISTRY",
+    "Family",
     "counter",
     "gauge",
     "histogram",
@@ -242,32 +247,40 @@ class MetricsRegistry:
     """
 
     def __init__(self, max_label_sets: Optional[int] = DEFAULT_MAX_LABEL_SETS):
+        #: The series, keyed by (name, sorted labels).
         self._metrics: dict[tuple, Any] = {}
+        #: The same series keyed by (name, labels in call order): what a
+        #: lookup probes first.  The overflow series is never entered, so
+        #: every over-cap call reaches the cap check and counts its drop.
+        self._by_call_order: dict[tuple, Any] = {}
         self._lock = threading.Lock()
         self._label_set_counts: dict[str, int] = {}
         self._help: dict[str, str] = {}
         self.max_label_sets = max_label_sets
 
     def _get_or_create(self, factory: Callable, name: str, labels: dict):
-        key = (name, tuple(sorted(labels.items())))
-        metric = self._metrics.get(key)
-        if metric is None:
-            with self._lock:
-                metric = self._metrics.get(key)
-                if metric is None:
-                    if (
-                        labels
-                        and self.max_label_sets is not None
-                        and self._label_set_counts.get(name, 0)
-                        >= self.max_label_sets
-                    ):
-                        return self._overflow_locked(factory, name)
-                    metric = factory(name, key[1])
-                    self._metrics[key] = metric
-                    if labels:
-                        self._label_set_counts[name] = (
-                            self._label_set_counts.get(name, 0) + 1
-                        )
+        call_key = (name, tuple(labels.items()))
+        metric = self._by_call_order.get(call_key)
+        if metric is not None:
+            return metric
+        key = (name, tuple(sorted(call_key[1])))
+        with self._lock:
+            metric = self._metrics.get(key)
+            if metric is None:
+                if (
+                    labels
+                    and self.max_label_sets is not None
+                    and self._label_set_counts.get(name, 0)
+                    >= self.max_label_sets
+                ):
+                    return self._overflow_locked(factory, name)
+                metric = factory(name, key[1])
+                self._metrics[key] = metric
+                if labels:
+                    self._label_set_counts[name] = (
+                        self._label_set_counts.get(name, 0) + 1
+                    )
+            self._by_call_order[call_key] = metric
         return metric
 
     def _overflow_locked(self, factory: Callable, name: str):
@@ -349,6 +362,32 @@ class MetricsRegistry:
 
 #: The default, engine-wide registry.
 REGISTRY = MetricsRegistry()
+
+
+class Family:
+    """The series of one metric that differ in one label, for a site whose
+    label value varies per call: ``family[value]`` is the handle that
+    ``make(name, **{label: value})`` returns, resolved once per value.
+
+    A value the registry folds into the overflow series is not kept, so
+    each over-cap call goes back to the registry and counts its drop; the
+    kept values are therefore bounded by the registry's label-set cap."""
+
+    __slots__ = ("_make", "name", "label", "_series")
+
+    def __init__(self, make: Callable, name: str, label: str):
+        self._make = make
+        self.name = name
+        self.label = label
+        self._series: dict = {}
+
+    def __getitem__(self, value):
+        metric = self._series.get(value)
+        if metric is None:
+            metric = self._make(self.name, **{self.label: value})
+            if metric.labels is not _OVERFLOW_LABELS:
+                self._series[value] = metric
+        return metric
 
 
 def counter(name: str, **labels) -> Counter:

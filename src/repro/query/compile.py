@@ -390,12 +390,18 @@ def _comparison(src: Source, expr: ast.BinOp, left: str, right: str) -> str:
     return src.assign(f"({fast}) if {guard} else ({verdict})", boolean=True)
 
 
-def _range(src: Source, expr: ast.RangeExpr) -> str:
+def range_values(src: Source, expr: ast.RangeExpr) -> str:
+    """A Python ``range`` over ``low..high``, its bounds checked: what a FOR
+    iterates, so that it never builds the array."""
     low = src.value(expr.low)
     high = src.value(expr.high)
     src.raise_if(f"{_NOT_NUMBER.format(low)} or {_NOT_NUMBER.format(high)}",
                  "ExecutionError('range bounds must be numbers')")
-    return src.assign(f"list(range(int({low}), int({high}) + 1))")
+    return f"range(int({low}), int({high}) + 1)"
+
+
+def _range(src: Source, expr: ast.RangeExpr) -> str:
+    return src.assign(f"list({range_values(src, expr)})")
 
 
 def _array(src: Source, expr: ast.ArrayLiteral) -> str:

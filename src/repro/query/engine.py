@@ -72,6 +72,7 @@ _PHASE_SECONDS = {
 _QUERY_SECONDS = metrics.histogram("query_seconds")
 _QUERIES_TOTAL = metrics.counter("queries_total")
 _ROWS_RETURNED_TOTAL = metrics.counter("query_rows_returned_total")
+_CURSORS_TOTAL = metrics.counter("query_cursors_total")
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +730,7 @@ def open_query_cursor(
             _count_error(error)
             raise
     if metrics.ENABLED:
-        metrics.counter("query_cursors_total").inc()
+        _CURSORS_TOTAL.inc()
     return QueryCursor(ctx, execute_stream(ctx, query), text, phases)
 
 

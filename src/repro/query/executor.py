@@ -49,6 +49,7 @@ from repro.query.compile import (
     compile_filter_columnar,
     compile_projection_columnar,
     extract_zone_predicates,
+    range_values,
 )
 from repro.query.functions import call_function, keyed_reader
 from repro.query.plan import (
@@ -723,7 +724,9 @@ def _generate_for(operation: ast.ForOp):
     expression's array, a child frame per element, flushed every
     ``batch_size`` frames.  A bare name the frame does not bind is a
     catalog object (collections are shadowable by variables):
-    :func:`_scan_catalog`."""
+    :func:`_scan_catalog`.  A ``low..high`` source is iterated as a
+    ``range``, never built, so the deadline check at each flush bounds it
+    in time and memory."""
     src = Source(operation_label(operation))
     source = operation.source
     with src.function("scan", "ctx, batches"):
@@ -733,10 +736,14 @@ def _generate_for(operation: ast.ForOp):
                 with src.block(f"if {source.name!r} not in frame:"):
                     src.line("out = yield from scan_catalog(ctx, operation, frame, out)",
                              "continue")
-            values = src.local(src.value(source))
-            src.raise_if(f"type({values}) is not list and type_of({values}) is not ARRAY",
-                         f"ExecutionError('FOR expects an array or collection, got ' "
-                         f"+ type_name({values}))")
+            if isinstance(source, ast.RangeExpr):
+                values = src.assign(range_values(src, source))
+            else:
+                values = src.local(src.value(source))
+                src.raise_if(
+                    f"type({values}) is not list and type_of({values}) is not ARRAY",
+                    f"ExecutionError('FOR expects an array or collection, got ' "
+                    f"+ type_name({values}))")
             with src.block(f"for value in {values}:"):
                 src.line(f"out.append({{**frame, {operation.var!r}: value}})")
                 with src.block("if len(out) >= width:"):

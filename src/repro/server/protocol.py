@@ -86,6 +86,18 @@ MAX_FRAME_BYTES = 32 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
 
+#: One encoder for every frame, both directions: ``json.dumps`` with
+#: keyword arguments builds a new ``JSONEncoder`` per call.  Encoding keeps
+#: no state on the encoder, so the threads may share it.
+_encode = json.JSONEncoder(default=str, separators=(",", ":")).encode
+
+#: The scanner ``json.loads`` runs, called on the frame's text directly:
+#: a frame this module encoded has no whitespace around its object.
+_scan = json.JSONDecoder().scan_once
+
+_BYTES_WRITTEN = obs_metrics.counter("server_bytes_written_total")
+_BYTES_READ = obs_metrics.counter("server_bytes_read_total")
+
 FP_FRAME_READ = fault_registry.register(
     "server.frame_read",
     "server-side wire frame read (net effects; error => connection drop)",
@@ -111,7 +123,7 @@ FP_CLIENT_WRITE = fault_registry.register(
 
 def encode_frame(payload: dict) -> bytes:
     """Header + JSON body for one payload object."""
-    body = json.dumps(payload, default=str, separators=(",", ":")).encode("utf-8")
+    body = _encode(payload).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
@@ -122,7 +134,15 @@ def encode_frame(payload: dict) -> bytes:
 def decode_payload(body: bytes) -> dict:
     """Parse a frame body; the payload must be a JSON object."""
     try:
-        payload = json.loads(body.decode("utf-8"))
+        text = body.decode("utf-8")
+        try:
+            payload, end = _scan(text, 0)
+        except StopIteration:
+            end = -1
+        if end != len(text):
+            # Whitespace around the object, or not JSON: ``json.loads``
+            # accepts the first and names the second.
+            payload = json.loads(text)
     except (ValueError, UnicodeDecodeError) as error:
         raise ProtocolError(f"undecodable frame payload: {error}") from error
     if not isinstance(payload, dict):
@@ -158,20 +178,23 @@ def send_payload(sock: socket.socket, data: bytes) -> int:
     bytes written."""
     fault_net.send_bytes(sock, data, FP_FRAME_WRITE)
     if obs_metrics.ENABLED:
-        obs_metrics.counter("server_bytes_written_total").inc(len(data))
+        _BYTES_WRITTEN.inc(len(data))
     return len(data)
 
 
 def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
     """Read exactly *count* bytes; None on clean EOF at a frame boundary,
     :class:`ProtocolError` on EOF mid-frame."""
-    chunks: list[bytes] = []
-    remaining = count
+    chunk = sock.recv(count)
+    if len(chunk) == count:
+        return chunk  # the common case: one recv, nothing to join
+    if not chunk:
+        return None
+    chunks = [chunk]
+    remaining = count - len(chunk)
     while remaining:
         chunk = sock.recv(remaining)
         if not chunk:
-            if remaining == count and not chunks:
-                return None
             raise ProtocolError(
                 f"connection closed mid-frame ({count - remaining}/{count} bytes)"
             )
@@ -211,7 +234,7 @@ def read_request(
     EOF before any header byte."""
     payload, size = _read(sock, max_frame, FP_FRAME_READ)
     if size and obs_metrics.ENABLED:
-        obs_metrics.counter("server_bytes_read_total").inc(size)
+        _BYTES_READ.inc(size)
     return payload
 
 

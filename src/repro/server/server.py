@@ -22,12 +22,15 @@ never silently queued forever):
 
 * ``max_sessions`` — checked by the accept thread; connections beyond it
   are greeted with an error frame and closed;
-* ``max_inflight`` — a semaphore around engine calls
-  (``query``/``query_open``/``cursor_next``/``explain``/``commit``/
-  ``abort``): at most that many run at once, the others wait for a slot
-  (the ``queue`` phase);
+* ``max_inflight`` — engine calls (``query``/``query_open``/
+  ``cursor_next``/``explain``/``commit``/``abort``) run at most that many at
+  once, the others wait for a slot (the ``queue`` phase);
 * ``max_inflight + queue_depth`` — an engine call that would push running
   plus waiting calls past it is rejected immediately.
+
+The last two are one structure: a condition over the count of running and
+waiting calls, which one lock acquisition admits a call to and one releases
+it from (see :meth:`ReproServer._run_engine`).
 
 **Streaming cursors** (``query_open`` / ``cursor_next`` / ``cursor_close``)
 let a client pull a large result in chunks instead of one frame: the server
@@ -79,6 +82,7 @@ from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import slowlog, tracing
 from repro.obs.telemetry import TelemetryEndpoint
+from repro.query.engine import open_query_cursor, run_query
 from repro.replication.apply import ReplicationApplier
 from repro.replication.hub import ReplicationHub, heartbeat_timeout
 from repro.server import protocol
@@ -127,6 +131,18 @@ obs_metrics.describe(
 obs_metrics.describe(
     "failover_total", "Primary failovers performed by ReplicaSet routers"
 )
+
+# What every request observes, resolved once (``MetricsRegistry.reset``
+# keeps the handles valid); a label that varies per call is a Family.
+_REQUEST_SECONDS = obs_metrics.histogram("server_request_seconds")
+_PHASE_SECONDS = {
+    phase: obs_metrics.histogram("server_request_phase_seconds", phase=phase)
+    for phase in ("queue", "execute", "serialize")
+}
+_INFLIGHT = obs_metrics.gauge("server_inflight_queries")
+_REQUESTS = obs_metrics.Family(obs_metrics.counter, "server_requests_total", "op")
+_ERRORS = obs_metrics.Family(obs_metrics.counter, "server_errors_total", "code")
+_CURSORS_OPENED = obs_metrics.counter("server_cursors_opened_total")
 
 
 def _phases_ms(phases: dict) -> dict:
@@ -256,14 +272,15 @@ class ReproServer:
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._reaper: Optional[threading.Thread] = None
-        #: Guards ``_sessions`` and ``_inflight``; ``_idle`` is notified when
-        #: the last in-flight engine call finishes (the drain waits on it).
+        #: Guards ``_sessions``.
         self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._slots = threading.Semaphore(self.max_inflight)
         self._sessions: dict[int, tuple[Session, _Connection]] = {}
-        #: Engine calls admitted: running plus waiting for a slot.
-        self._inflight = 0
+        #: Engine-call admission: guards the two counts below, and wakes a
+        #: waiting call when a slot frees and the drain when both reach 0.
+        self._admission = threading.Condition(threading.Lock())
+        #: Engine calls holding a slot, and calls admitted to wait for one.
+        self._running = 0
+        self._waiting = 0
         self._stop_requested = threading.Event()
         self._closing = threading.Event()
         self._draining = False
@@ -307,7 +324,8 @@ class ReproServer:
 
     @property
     def inflight(self) -> int:
-        return self._inflight
+        """Engine calls admitted: running plus waiting for a slot."""
+        return self._running + self._waiting
 
     def start(self) -> tuple[str, int]:
         """Bind and start accepting; returns the bound (host, port) —
@@ -408,7 +426,7 @@ class ReproServer:
         obs_events.emit(
             "drain_begin",
             sessions=len(self._sessions),
-            inflight=self._inflight,
+            inflight=self.inflight,
             drain=drain,
         )
         self._closing.set()
@@ -427,12 +445,12 @@ class ReproServer:
             self._listener.close()
             self._accept_thread.join(timeout=1.0)
             self._listener = None
-        if drain and self._inflight:
-            with self._idle:
-                drained = self._idle.wait_for(
-                    lambda: self._inflight == 0, self.drain_timeout
+        if drain and self.inflight:
+            with self._admission:
+                drained = self._admission.wait_for(
+                    lambda: self.inflight == 0, self.drain_timeout
                 )
-                inflight = self._inflight
+                inflight = self.inflight
             if drained:
                 obs_events.emit("drain_inflight_complete", inflight=0)
             else:
@@ -576,7 +594,7 @@ class ReproServer:
         return {
             "uptime_seconds": round(time.time() - self._started_at, 3),
             "draining": self._draining,
-            "inflight": self._inflight,
+            "inflight": self.inflight,
             "sessions": [
                 session.describe() for session, _conn in self._session_entries()
             ],
@@ -604,7 +622,7 @@ class ReproServer:
             "draining": self._draining,
             "uptime_seconds": round(time.time() - self._started_at, 3),
             "sessions": len(self._sessions),
-            "inflight": self._inflight,
+            "inflight": self.inflight,
         }
 
     def _accept_loop(self) -> None:
@@ -726,52 +744,59 @@ class ReproServer:
         # span adopts the client's trace/parent ids, so client and server
         # trees stitch into one distributed trace keyed by trace_id.
         trace_ctx = protocol.parse_trace_context(frame)
-        started = time.perf_counter()
+        perf_counter = time.perf_counter
+        started = perf_counter()
         server_span = None
+        # The engine call's queue and execute seconds (see _run_engine).
+        phases: dict = {}
         try:
             if not isinstance(op, str) or not op:
                 raise ProtocolError(f"request frame without a valid op: {frame!r}")
             if not isinstance(params, dict):
                 raise ProtocolError("request params must be a JSON object")
             if obs_metrics.ENABLED:
-                obs_metrics.counter("server_requests_total", op=op).inc()
-            with tracing.adopt(trace_ctx):
-                with tracing.span(
+                _REQUESTS[op].inc()
+            if trace_ctx is None and not tracing.ENABLED:
+                result = self._execute_op(session, op, params, phases)
+            else:
+                with tracing.adopt(trace_ctx), tracing.span(
                     "server.request",
                     op=op,
                     session_id=session.session_id,
                     request_id=request_seq,
                 ) as server_span:
-                    result = self._execute_op(session, op, params)
+                    result = self._execute_op(session, op, params, phases)
             payload = protocol.ok_response(request_id, result)
         except SimulatedCrash:
             raise
         except Exception as error:
             session.errors += 1
             if obs_metrics.ENABLED:
-                obs_metrics.counter(
-                    "server_errors_total", code=code_of(error)
-                ).inc()
+                _ERRORS[code_of(error)].inc()
             payload = protocol.error_response(request_id, error)
-        if trace_ctx is not None and server_span is not None:
-            # Error responses carry the span tree too — a failed request
-            # is the one you most want to see attributed.
-            payload["trace"] = tracing.span_summary(server_span)
-        serialize_started = time.perf_counter()
+        if server_span is not None:
+            if phases:
+                server_span.set(
+                    queue_ms=round(phases["queue"] * 1000, 3),
+                    execute_ms=round(phases["execute"] * 1000, 3),
+                )
+            if trace_ctx is not None:
+                # Error responses carry the span tree too — a failed
+                # request is the one you most want to see attributed.
+                payload["trace"] = tracing.span_summary(server_span)
+        serialize_started = perf_counter()
         data = protocol.encode_frame(payload)
-        serialize_seconds = time.perf_counter() - serialize_started
+        serialize_seconds = perf_counter() - serialize_started
         if server_span is not None:
             server_span.set(serialize_ms=round(serialize_seconds * 1000, 3))
         conn.send(data)
         if obs_metrics.ENABLED:
-            obs_metrics.histogram("server_request_seconds").observe(
-                time.perf_counter() - started
-            )
-            obs_metrics.histogram(
-                "server_request_phase_seconds", phase="serialize"
-            ).observe(serialize_seconds)
+            _REQUEST_SECONDS.observe(perf_counter() - started)
+            _PHASE_SECONDS["serialize"].observe(serialize_seconds)
 
-    def _execute_op(self, session: Session, op: str, params: dict) -> Any:
+    def _execute_op(
+        self, session: Session, op: str, params: dict, phases: dict
+    ) -> Any:
         if self._draining and op not in _ALWAYS_ALLOWED:
             raise ServerShutdownError(
                 f"server is draining; {op!r} rejected (reconnect elsewhere)"
@@ -812,21 +837,21 @@ class ReproServer:
             }
         if op == "query":
             self._check_shard_map(params)
-            result = self._op_query(session, params)
+            result = self._op_query(session, params, phases)
             self._semi_sync_gate(session, params)
             return result
         if op == "query_open":
             self._check_shard_map(params)
-            result = self._op_query_open(session, params)
+            result = self._op_query_open(session, params, phases)
             self._semi_sync_gate(session, params)
             return result
         if op == "cursor_next":
-            return self._op_cursor_next(session, params)
+            return self._op_cursor_next(session, params, phases)
         if op == "cursor_close":
             return self._op_cursor_close(session, params)
         if op == "explain":
             text = self._required_text(params)
-            return {"plan": self._run_engine(lambda: self.db.explain(text))}
+            return {"plan": self._run_engine(lambda: self.db.explain(text), phases)}
         if op == "begin":
             isolation = params.get("isolation", "snapshot")
             if session.in_txn:
@@ -840,7 +865,7 @@ class ReproServer:
         if op == "commit":
             txn = session.take_txn("commit")
             try:
-                self._run_engine(lambda: self.db.commit(txn))
+                self._run_engine(lambda: self.db.commit(txn), phases)
             except Exception:
                 # A failed commit (conflict, lock timeout, injected fault)
                 # aborts server-side; the session must not keep a dead txn.
@@ -859,7 +884,7 @@ class ReproServer:
                     "last_lsn": committed_lsn}
         if op == "abort":
             txn = session.take_txn("abort")
-            self._run_engine(lambda: self.db.abort(txn))
+            self._run_engine(lambda: self.db.abort(txn), phases)
             return {"txn": txn.txn_id, "aborted": True}
         if op == "set":
             if "timeout" in params:
@@ -870,7 +895,7 @@ class ReproServer:
                 session.max_rows = None if max_rows is None else int(max_rows)
             return {"timeout": session.timeout, "max_rows": session.max_rows}
         if op == "wal_subscribe":
-            return self._op_wal_subscribe(session, params)
+            return self._op_wal_subscribe(session, params, phases)
         if op == "repl_status":
             return self._repl_status()
         if op == "repl_wait":
@@ -915,7 +940,9 @@ class ReproServer:
             self.db.context.log.last_lsn, self.ack_replication, self.ack_timeout
         )
 
-    def _op_wal_subscribe(self, session: Session, params: dict) -> dict:
+    def _op_wal_subscribe(
+        self, session: Session, params: dict, phases: dict
+    ) -> dict:
         from_lsn = params.get("from_lsn", 0)
         if not isinstance(from_lsn, int) or from_lsn < 0:
             raise ProtocolError("wal_subscribe needs a non-negative 'from_lsn'")
@@ -930,7 +957,7 @@ class ReproServer:
         image = None
         floor_lsn = self.db.context.log.floor_lsn
         if params.get("snapshot") is True or from_lsn == 0 < floor_lsn:
-            image = self._run_engine(self._snapshot_image)
+            image = self._run_engine(self._snapshot_image, phases)
             from_lsn = image["lsn"]
         elif from_lsn < floor_lsn:
             if obs_metrics.ENABLED:
@@ -1225,15 +1252,13 @@ class ReproServer:
                 version=self.shard_map.version,
             )
 
-    def _op_query(self, session: Session, params: dict) -> dict:
+    def _op_query(self, session: Session, params: dict, phases: dict) -> dict:
         text, bind_vars = self._query_inputs(params)
         analyze = bool(params.get("analyze", False))
         timeout, max_rows = self._query_limits(session, params)
         txn = session.txn
 
         def work():
-            from repro.query.engine import run_query
-
             return run_query(
                 self.db,
                 text,
@@ -1245,8 +1270,7 @@ class ReproServer:
                 batch_size=params.get("batch_size"),
             )
 
-        phases: dict = {}
-        result = self._run_engine(work, phases=phases)
+        result = self._run_engine(work, phases)
         stats = dict(result.stats)
         stats["server_phases"] = _phases_ms(phases)
         stats["last_lsn"] = self.db.context.log.last_lsn
@@ -1269,7 +1293,9 @@ class ReproServer:
         # smaller chunks (bounding frame size), never larger ones.
         return min(max(int(requested), 1), self.cursor_chunk_rows)
 
-    def _op_query_open(self, session: Session, params: dict) -> dict:
+    def _op_query_open(
+        self, session: Session, params: dict, phases: dict
+    ) -> dict:
         text, bind_vars = self._query_inputs(params)
         timeout, max_rows = self._query_limits(session, params)
         chunk_rows = self._chunk_rows_for(params)
@@ -1285,8 +1311,6 @@ class ReproServer:
             )
 
         def work():
-            from repro.query.engine import open_query_cursor
-
             cursor = open_query_cursor(
                 self.db, text, bind_vars, txn,
                 timeout=timeout, max_rows=max_rows,
@@ -1306,8 +1330,7 @@ class ReproServer:
                 cursor.close()
                 raise
 
-        phases: dict = {}
-        cursor, rows = self._run_engine(work, phases=phases)
+        cursor, rows = self._run_engine(work, phases)
         if cursor.exhausted:
             cursor.close()
             stats = dict(cursor.stats)
@@ -1329,7 +1352,7 @@ class ReproServer:
             cursor.close()
             raise
         if obs_metrics.ENABLED:
-            obs_metrics.counter("server_cursors_opened_total").inc()
+            _CURSORS_OPENED.inc()
         stats = dict(cursor.stats)
         stats["server_phases"] = _phases_ms(phases)
         stats["last_lsn"] = self.db.context.log.last_lsn
@@ -1340,7 +1363,9 @@ class ReproServer:
             "stats": stats,
         }
 
-    def _op_cursor_next(self, session: Session, params: dict) -> dict:
+    def _op_cursor_next(
+        self, session: Session, params: dict, phases: dict
+    ) -> dict:
         cursor_id = params.get("cursor")
         if not isinstance(cursor_id, int):
             raise ProtocolError("cursor_next needs an integer 'cursor'")
@@ -1350,11 +1375,9 @@ class ReproServer:
         here = tracing.current_span()
         if here is not None:
             here.set(cursor=entry.cursor_id, fetch=entry.fetches)
-        phases: dict = {}
         try:
             rows = self._run_engine(
-                lambda: entry.cursor.next_batch(entry.chunk_rows),
-                phases=phases,
+                lambda: entry.cursor.next_batch(entry.chunk_rows), phases
             )
         except Exception:
             # A failed stream has no resumable state to keep.
@@ -1392,23 +1415,40 @@ class ReproServer:
 
     # --------------------------------------------------------- engine slots --
 
-    def _run_engine(self, work, phases: Optional[dict] = None) -> Any:
+    def _run_engine(self, work, phases: dict) -> Any:
         """Run *work* on this session's thread once an engine slot is free.
 
         At most ``max_inflight`` calls run at once; a call that would push
         running plus waiting past ``max_inflight + queue_depth`` is refused
-        at once.  The slot wait (``queue``) and the call (``execute``) are
-        measured separately; *phases* (when given) receives both in seconds,
-        and each lands in ``server_request_phase_seconds{phase=}``.
+        at once.  One condition guards both counts: a call is admitted,
+        and given a slot or queued, under one acquisition of its lock, and
+        released under one more.  A waiting call is woken when a slot
+        frees, and the drain when the last call leaves; a call arriving
+        while others wait queues behind them.  The slot wait (``queue``)
+        and the call (``execute``) are measured separately: *phases*
+        receives both in seconds, and each lands in
+        ``server_request_phase_seconds{phase=}``.
         """
-        budget = self.max_inflight + self.queue_depth
-        with self._lock:
-            inflight = self._inflight
-            if inflight < budget:
-                self._inflight = inflight = inflight + 1
-                admitted = True
-            else:
-                admitted = False
+        admission = self._admission
+        perf_counter = time.perf_counter
+        queued = perf_counter()
+        with admission:
+            inflight = self._running + self._waiting
+            budget = self.max_inflight + self.queue_depth
+            admitted = inflight < budget
+            if admitted:
+                inflight += 1
+                if obs_metrics.ENABLED:
+                    _INFLIGHT.set(inflight)
+                if self._waiting or self._running >= self.max_inflight:
+                    self._waiting += 1
+                    try:
+                        admission.wait_for(
+                            lambda: self._running < self.max_inflight
+                        )
+                    finally:
+                        self._waiting -= 1
+                self._running += 1
         if not admitted:
             if obs_metrics.ENABLED:
                 obs_metrics.counter("server_overload_rejections_total").inc()
@@ -1423,32 +1463,20 @@ class ReproServer:
                 f"(budget {budget}: {self.max_inflight} engine slots + "
                 f"{self.queue_depth} queue slots) — back off and retry"
             )
-        if obs_metrics.ENABLED:
-            obs_metrics.gauge("server_inflight_queries").set(inflight)
-        queued = time.perf_counter()
-        self._slots.acquire()
-        started = time.perf_counter()
+        started = perf_counter()
         try:
             return work()
         finally:
-            finished = time.perf_counter()
-            self._slots.release()
-            with self._lock:
-                self._inflight = inflight = self._inflight - 1
-                if not inflight:
-                    self._idle.notify_all()
-            measured = {"queue": started - queued, "execute": finished - started}
+            finished = perf_counter()
+            with admission:
+                self._running -= 1
+                inflight = self._running + self._waiting
+                if obs_metrics.ENABLED:
+                    _INFLIGHT.set(inflight)
+                if self._waiting or (self._draining and not inflight):
+                    admission.notify_all()
+            phases["queue"] = queue = started - queued
+            phases["execute"] = execute = finished - started
             if obs_metrics.ENABLED:
-                obs_metrics.gauge("server_inflight_queries").set(inflight)
-                for phase, seconds in measured.items():
-                    obs_metrics.histogram(
-                        "server_request_phase_seconds", phase=phase
-                    ).observe(seconds)
-            here = tracing.current_span()
-            if here is not None:
-                here.set(
-                    queue_ms=round(measured["queue"] * 1000, 3),
-                    execute_ms=round(measured["execute"] * 1000, 3),
-                )
-            if phases is not None:
-                phases.update(measured)
+                _PHASE_SECONDS["queue"].observe(queue)
+                _PHASE_SECONDS["execute"].observe(execute)

@@ -65,9 +65,10 @@ class SpatialStore(BaseStore):
         if entry.op is LogOp.DROP_NAMESPACE:
             self._rtree.clear()
             return
-        if entry.op in (LogOp.UPDATE, LogOp.DELETE) and entry.before is not None:
+        # Whatever the op: drop what the entry replaced, add what it wrote.
+        if entry.before is not None:
             self._rtree.delete(_rect(entry.before), entry.key)
-        if entry.op in (LogOp.INSERT, LogOp.UPDATE):
+        if entry.op is not LogOp.DELETE:
             self._rtree.insert(_rect(entry.value), entry.key)
 
     # -- CRUD --------------------------------------------------------------------

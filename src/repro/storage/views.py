@@ -243,9 +243,10 @@ class IndexView(StorageView):
         return datamodel.deep_get(record, self.path)
 
     def _apply_data(self, entry: LogEntry) -> None:
-        if entry.op in (LogOp.UPDATE, LogOp.DELETE) and entry.before is not None:
+        # Whatever the op: drop what the entry replaced, add what it wrote.
+        if entry.before is not None:
             self.index.delete(self._extract(entry.before), entry.key)
-        if entry.op in (LogOp.INSERT, LogOp.UPDATE):
+        if entry.op is not LogOp.DELETE:
             indexed = self._extract(entry.value)
             if indexed is not None:
                 self.index.insert(indexed, entry.key)

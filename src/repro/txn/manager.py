@@ -336,24 +336,29 @@ class TransactionManager:
     # -- writes -------------------------------------------------------------------
 
     def write(
-        self,
-        txn: Transaction,
-        namespace: str,
-        key: Any,
-        value: Any,
-        op: LogOp = LogOp.INSERT,
+        self, txn: Transaction, namespace: str, key: Any, value: Any
     ) -> None:
-        """Buffer a write (INSERT/UPDATE/DELETE) in the transaction."""
+        """Buffer a write in the transaction; ``value=None`` deletes.
+
+        The logged op follows from what the write replaces, the committed
+        value (``before``): an INSERT replaces nothing, an UPDATE replaces
+        ``before``.  So a delete and a re-insert of one key in one
+        transaction log one UPDATE, and every log subscriber removes the
+        old value's entries."""
         self._require_active(txn)
         if txn.isolation is IsolationLevel.SERIALIZABLE:
             _timed_lock_acquire(
                 self._locks, txn.txn_id, (namespace, key), LockMode.EXCLUSIVE
             )
         before = self.read_committed_latest(namespace, key)
+        if value is None:
+            op = LogOp.DELETE
+        else:
+            op = LogOp.INSERT if before is None else LogOp.UPDATE
         txn.writes[(namespace, key)] = _PendingWrite(op, value, before)
 
     def delete(self, txn: Transaction, namespace: str, key: Any) -> None:
-        self.write(txn, namespace, key, None, LogOp.DELETE)
+        self.write(txn, namespace, key, None)
 
     # -- validation ----------------------------------------------------------------
 

@@ -1,8 +1,11 @@
 """retry_with_backoff unit tests."""
 
+import random
+
 import pytest
 
 from repro.errors import InjectedFaultError
+from repro.fault import retry as retry_module
 from repro.fault.retry import RetryExhaustedError, retry_with_backoff
 
 
@@ -137,6 +140,26 @@ class TestJitterAndDeadline:
             )
         assert excinfo.value.attempts == 1
         assert "slow failure" in str(excinfo.value.last_error)
+
+    def test_jitter_draws_the_seeded_sequence(self):
+        delays = []
+
+        def always_fails(attempt):
+            raise OSError("io")
+
+        with pytest.raises(RetryExhaustedError):
+            retry_with_backoff(always_fails, attempts=4, base_delay=0.1,
+                               max_delay=1.0, sleep=delays.append,
+                               jitter=True, seed=3)
+        rng = random.Random(3)
+        assert delays == [rng.uniform(0.0, cap) for cap in (0.1, 0.2, 0.4)]
+
+    def test_a_first_attempt_success_seeds_no_generator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("seeded a generator for a call that never retried")
+
+        monkeypatch.setattr(retry_module.random, "Random", refuse)
+        assert retry_with_backoff(lambda attempt: "ok", jitter=True, seed=5) == "ok"
 
     def test_success_within_deadline_unaffected(self):
         result = retry_with_backoff(

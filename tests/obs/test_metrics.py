@@ -44,6 +44,45 @@ class TestCounterGauge:
         assert registry.counter("c") is counter
 
 
+class TestBoundHandles:
+    def test_a_handle_is_one_series_whatever_the_label_order(self, registry):
+        first = registry.histogram("lat_seconds", op="q", phase="execute")
+        again = registry.histogram("lat_seconds", phase="execute", op="q")
+        assert first is again
+        assert first is registry.histogram("lat_seconds", op="q", phase="execute")
+        first.observe(0.5)
+        again.observe(0.25)
+        [series] = registry.snapshot()["lat_seconds"]
+        assert series["count"] == 2
+        assert series["labels"] == {"op": "q", "phase": "execute"}
+        assert len(registry) == 1
+
+    def test_reset_keeps_bound_handles_live(self):
+        family = metrics.Family(metrics.counter, "bound_handles_total", "op")
+        handle = family["ping"]
+        handle.inc(3)
+        metrics.REGISTRY.reset()
+        assert handle.value == 0
+        handle.inc()
+        assert family["ping"] is handle
+        assert metrics.counter("bound_handles_total", op="ping").value == 1
+
+    def test_every_over_cap_call_counts_a_drop(self):
+        registry = metrics.MetricsRegistry(max_label_sets=2)
+        family = metrics.Family(registry.counter, "ops_total", "op")
+        family["a"].inc()
+        family["b"].inc()
+        for _ in range(5):
+            family["c"].inc()
+        registry.counter("ops_total", op="d", extra="x")
+        registry.counter("ops_total", extra="x", op="d")
+        assert registry.counter("obs_labels_dropped_total").value == 7
+        assert registry.counter("ops_total", overflow="true").value == 5
+        # The series under the cap stay bound; the overflow one never is.
+        assert family["a"] is registry.counter("ops_total", op="a")
+        assert family["a"].value == 1
+
+
 class TestHistogramQuantiles:
     def test_quantiles_over_uniform_samples(self, registry):
         hist = registry.histogram("latency")

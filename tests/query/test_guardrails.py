@@ -4,11 +4,35 @@ Disabled by default — the first test pins that an unconfigured database
 runs unbounded queries exactly as before.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.database import MultiModelDB
 from repro.errors import QueryTimeoutError, ResourceExhaustedError
 from repro.obs import metrics as obs_metrics
+
+
+_RANGE_TIMEOUT_PROBE = """
+import time
+from repro.core.database import MultiModelDB
+from repro.errors import QueryTimeoutError
+db = MultiModelDB()
+started = time.perf_counter()
+try:
+    db.query("FOR i IN 1..100000000 RETURN i", timeout=0.05)
+    error = "none"
+except QueryTimeoutError:
+    error = "QueryTimeoutError"
+seconds = time.perf_counter() - started
+# VmHWM is this process image's own peak (getrusage's ru_maxrss keeps the
+# parent's across exec).
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(error, seconds, peak_kb / 1024)
+"""
 
 
 @pytest.fixture
@@ -86,11 +110,22 @@ class TestTimeout:
             db.query("FOR d IN docs RETURN d.n", timeout=0.0)
         assert excinfo.value.limit == 0.0
 
-    def test_deadline_checked_inside_range_iteration(self, db):
+    def test_deadline_checked_inside_range_iteration(self):
         # No catalog scan at all — the FOR over a range must still observe
-        # the deadline, or a cartesian blow-up would run forever.
-        with pytest.raises(QueryTimeoutError):
-            db.query("FOR i IN 1..100000000 RETURN i", timeout=0.05)
+        # the deadline, or a cartesian blow-up would run forever; and it
+        # iterates the range, so the array is never built.  A fresh process
+        # reports its own peak RSS (this one's high-water mark is the
+        # suite's).
+        child = subprocess.run(
+            [sys.executable, "-c", _RANGE_TIMEOUT_PROBE],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert child.returncode == 0, child.stderr
+        error, seconds, max_rss_mb = child.stdout.split()
+        assert error == "QueryTimeoutError"
+        assert float(seconds) < 0.2
+        assert float(max_rss_mb) < 100
 
     def test_deadline_checked_inside_traversal(self, db):
         with pytest.raises(QueryTimeoutError):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SerializationError
-from repro.storage.log import CentralLog, LogOp
+from repro.storage.log import CentralLog
 from repro.storage.views import RowView
 from repro.txn.manager import TransactionManager
 
@@ -40,8 +40,8 @@ def _transfer(manager, source, target, amount):
     if balance_source < amount:
         manager.abort(txn)
         return False
-    manager.write(txn, "bank", source, balance_source - amount, LogOp.UPDATE)
-    manager.write(txn, "bank", target, balance_target + amount, LogOp.UPDATE)
+    manager.write(txn, "bank", source, balance_source - amount)
+    manager.write(txn, "bank", target, balance_target + amount)
     try:
         manager.commit(txn)
         return True
@@ -78,12 +78,8 @@ class TestMoneyConservation:
                 if balance_source < amount:
                     manager.abort(txn)
                     continue
-                manager.write(
-                    txn, "bank", source, balance_source - amount, LogOp.UPDATE
-                )
-                manager.write(
-                    txn, "bank", target, balance_target + amount, LogOp.UPDATE
-                )
+                manager.write(txn, "bank", source, balance_source - amount)
+                manager.write(txn, "bank", target, balance_target + amount)
                 open_txns.append(txn)
             rng.shuffle(open_txns)
             for txn in open_txns:
@@ -131,7 +127,7 @@ class TestSnapshotStability:
         }
         for account, value in writes:
             writer = manager.begin()
-            manager.write(writer, "bank", account, value, LogOp.UPDATE)
+            manager.write(writer, "bank", account, value)
             manager.commit(writer)
         after = {
             account: manager.read(reader, "bank", account)
@@ -142,7 +138,7 @@ class TestSnapshotStability:
     def test_new_snapshot_sees_latest(self):
         rows, manager = _setup()
         writer = manager.begin()
-        manager.write(writer, "bank", 0, 12345, LogOp.UPDATE)
+        manager.write(writer, "bank", 0, 12345)
         manager.commit(writer)
         fresh = manager.begin()
         assert manager.read(fresh, "bank", 0) == 12345

@@ -7,7 +7,7 @@ from repro.errors import (
     InvalidTransactionStateError,
     SerializationError,
 )
-from repro.storage.log import CentralLog, LogOp
+from repro.storage.log import CentralLog
 from repro.storage.views import RowView
 from repro.txn.manager import IsolationLevel, TransactionManager
 
@@ -228,7 +228,7 @@ class TestRunHelper:
                 rival = manager.begin()
                 manager.write(rival, "t", "counter", current + 10)
                 manager.commit(rival)
-            manager.write(txn, "t", "counter", current + 1, LogOp.UPDATE)
+            manager.write(txn, "t", "counter", current + 1)
 
         manager.run(work, retries=2)
         assert manager.read_committed_latest("t", "counter") == 11
@@ -236,7 +236,7 @@ class TestRunHelper:
 
 def _commit_update(manager, key, value, namespace="t"):
     txn = manager.begin()
-    manager.write(txn, namespace, key, value, LogOp.UPDATE)
+    manager.write(txn, namespace, key, value)
     manager.commit(txn)
 
 
