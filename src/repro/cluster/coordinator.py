@@ -75,7 +75,7 @@ from repro.errors import (
 from repro.obs import metrics as obs_metrics
 from repro.query import ast, visit
 from repro.query.engine import PlanCache
-from repro.query.executor import _agg_add, _agg_final, _distinct, _new_group
+from repro.query.executor import _agg_add, _agg_final, _distinct, _empty_group
 from repro.query.lexer import TokenKind
 from repro.query.optimizer import optimize
 from repro.query.unparse import _operation, unparse
@@ -1096,11 +1096,14 @@ class Coordinator:
                 token = tuple(map(value_token, keys))
                 group = groups.get(token)
                 if group is None:
-                    group = _new_group(zip(group_names, keys), partials)
+                    group = _empty_group(zip(group_names, keys), partials)
                     groups[token] = group
                 aggs = group["aggs"]
                 for position, (field, func, mode, _fn) in enumerate(partials):
-                    _agg_add(aggs, position, mode, func, row.get(field))
+                    if aggs[position] is None:  # a SUM null until a shard had input
+                        aggs[position] = row.get(field)
+                    else:
+                        _agg_add(aggs, position, mode, func, row.get(field))
                 if count_into:
                     group["count"] += row.get(count_into) or 0
                 if into:

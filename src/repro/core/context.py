@@ -36,15 +36,13 @@ _LOG_TAIL = 4096
 class EngineContext:
     """The single integrated backend shared by all model APIs."""
 
-    def __init__(self, lock_timeout: float = 5.0):
+    def __init__(self):
         self.log = CentralLog(tail=_LOG_TAIL)
         self.rows = RowView(self.log)
         #: Columnar segments + zone maps for registered (relational /
         #: wide-column) namespaces — the analytic scan format.
         self.segments = SegmentManager(self.log, self.rows)
-        self.transactions = TransactionManager(
-            self.log, self.rows, lock_timeout=lock_timeout
-        )
+        self.transactions = TransactionManager(self.log, self.rows)
         self.indexes = IndexManager(self.log, self.rows)
 
 

@@ -45,7 +45,6 @@ class MultiModelDB:
 
     def __init__(
         self,
-        lock_timeout: float = 5.0,
         plan_cache_size: int = 128,
         batch_size: int = 256,
         columnar: bool = True,
@@ -54,7 +53,7 @@ class MultiModelDB:
         from repro.query.rules import RuleToggles, SuggestionLog
         from repro.query.statistics import StatisticsStore
 
-        self.context = EngineContext(lock_timeout=lock_timeout)
+        self.context = EngineContext()
         #: Default vectorization width for query execution (frames per
         #: pipeline batch); per-query ``batch_size`` overrides it and
         #: ``guardrails.max_batch_size`` caps both.

@@ -184,21 +184,9 @@ class TransactionError(ReproError):
 
 
 class SerializationError(TransactionError):
-    """Write-write conflict detected under snapshot isolation."""
+    """A write-write conflict, or under SERIALIZABLE a read-write one."""
 
     code = "TXN_SERIALIZATION"
-
-
-class DeadlockError(TransactionError):
-    """The lock manager chose this transaction as a deadlock victim."""
-
-    code = "TXN_DEADLOCK"
-
-
-class LockTimeoutError(TransactionError):
-    """A lock could not be acquired within the configured budget."""
-
-    code = "TXN_LOCK_TIMEOUT"
 
 
 class InvalidTransactionStateError(TransactionError):

@@ -401,6 +401,15 @@ def _new_group(key_values, agg_specs: list) -> dict:
     return {"keys": dict(key_values), "count": 0, "members": [], "aggs": aggs}
 
 
+def _empty_group(key_values, agg_specs: list) -> dict:
+    """A group nothing is folded into yet, finished as AQL and SQL do: its
+    COUNT is 0 and its SUM null like its AVG, MIN and MAX (a fold's first
+    input makes a group whose SUM starts at 0)."""
+    group = _new_group(key_values, agg_specs)
+    group["aggs"] = [None if spec[2] == "sum" else a for a, spec in zip(group["aggs"], agg_specs)]
+    return group
+
+
 def _is_number(value) -> bool:
     value_type = type(value)
     return (
@@ -1330,6 +1339,10 @@ def _apply_collect(ctx, operation: ast.CollectOp, batches):
         ):
             continue
         fold(ctx, batch, groups, order)
+    if not order and not operation.groups:
+        # Without group keys one frame comes out over no input too.
+        groups[()] = _empty_group([], agg_specs)
+        order.append(())
     out: list = []
     width = ctx.batch_size
     for token in order:

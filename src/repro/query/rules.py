@@ -397,7 +397,11 @@ def _fold_members(
         ):
             func = expr.name.upper()
             member = _member_path(expr.args[0].suffix, frame_vars)
-            if member is not None and (certain or func == "COUNT"):
+            # Over no input a COLLECT without group keys still has its
+            # group, whose AGGREGATE SUM is null but SUM(m[*].v) is 0.
+            if member is not None and (certain or func == "COUNT") and (
+                func != "SUM" or collect.groups
+            ):
                 key = (func, member)
                 if key not in folded:
                     name = f"{into}_{len(folded)}"

@@ -9,8 +9,8 @@ Architecture (one process, one thread per connection):
   (:mod:`repro.server.protocol`), runs the op — engine call included —
   encodes the response and writes it, then reads the next frame.  Nothing
   on the request path changes threads, so a request costs no cross-thread
-  wake-up; a lock wait, an fsync or a long scan blocks its own session
-  only, and the GIL hands the other threads a turn every switch interval;
+  wake-up; an fsync or a long scan blocks its own session only, and the
+  GIL hands the other threads a turn every switch interval;
 * the **engine** underneath is shared: the catalog lock, plan-cache lock
   and transaction-manager mutex make that safe.  Server-side shared state
   (the session table, the in-flight count, the replication hub, each

@@ -14,9 +14,12 @@ Design:
   version committed at or before its begin timestamp plus its own buffered
   writes; at commit, first-committer-wins write-write conflict detection
   raises :class:`SerializationError`.
-* **Serializable** — snapshot machinery plus two-phase locking through
-  :class:`repro.txn.locks.LockManager` (S on reads, X on writes), which also
-  closes snapshot isolation's write-skew anomaly.
+* **Serializable** — snapshot isolation plus validation at commit
+  (Neumann et al., SIGMOD 2015): a writer aborts with
+  :class:`SerializationError` if a key it read by point, or a namespace it
+  read any other way (every such read runs :meth:`changed`), has a commit
+  since it began.  That closes write skew; a read-only transaction commits
+  unchecked, its snapshot being a prefix of the commit order.
 * **Read committed** — reads always see the newest committed version
   (no stable snapshot), writes conflict-checked only against concurrent
   commits to the same key after the *write*, i.e. last-committer-wins is
@@ -43,7 +46,6 @@ from repro.errors import (
 from repro.fault import registry as fault_registry
 from repro.obs import metrics as obs_metrics
 from repro.storage.log import CentralLog, LogOp
-from repro.txn.locks import LockManager, LockMode
 
 __all__ = ["IsolationLevel", "Transaction", "TransactionManager"]
 
@@ -53,7 +55,6 @@ _TXN_ABORTS = obs_metrics.counter("txn_aborts_total")
 _TXN_CONFLICTS = obs_metrics.counter("txn_conflicts_total")
 _TXN_ACTIVE = obs_metrics.gauge("txn_active")
 _TXN_COMMIT_SECONDS = obs_metrics.histogram("txn_commit_seconds")
-_TXN_LOCK_WAIT = obs_metrics.histogram("txn_lock_wait_seconds")
 
 # Failpoint sites bracketing the commit publish: ``begin`` fires after
 # validation (nothing published), ``end`` fires after the COMMIT record (the
@@ -67,18 +68,6 @@ _FP_COMMIT_BEGIN = fault_registry.register(
 _FP_COMMIT_END = fault_registry.register(
     "txn.commit.end", "after the COMMIT record, before commit() returns"
 )
-
-
-def _timed_lock_acquire(locks: LockManager, txn_id: int, resource, mode) -> None:
-    """Acquire a lock, charging the wait to the lock-wait histogram."""
-    if not obs_metrics.ENABLED:
-        locks.acquire(txn_id, resource, mode)
-        return
-    start = time.perf_counter()
-    try:
-        locks.acquire(txn_id, resource, mode)
-    finally:
-        _TXN_LOCK_WAIT.observe(time.perf_counter() - start)
 
 
 class IsolationLevel(enum.Enum):
@@ -126,7 +115,9 @@ class Transaction:
     isolation: IsolationLevel
     status: _TxnStatus = _TxnStatus.ACTIVE
     writes: dict[tuple[str, Any], _PendingWrite] = field(default_factory=dict)
+    #: What a SERIALIZABLE transaction read: keys by point, else namespaces.
     read_keys: set[tuple[str, Any]] = field(default_factory=set)
+    read_namespaces: set[str] = field(default_factory=set)
 
     @property
     def is_active(self) -> bool:
@@ -136,7 +127,7 @@ class Transaction:
 class TransactionManager:
     """Versioned store + commit protocol over a central log."""
 
-    def __init__(self, log: CentralLog, rows: Any, lock_timeout: float = 5.0):
+    def __init__(self, log: CentralLog, rows: Any):
         self._log = log
         #: The row view: what a key holds that no commit here versioned
         #: (WAL replay, a checkpoint load and a replica's apply install
@@ -147,7 +138,6 @@ class TransactionManager:
         # namespace -> key -> the newest committed version of the record.
         self._versions: dict[str, dict[Any, _Version]] = {}
         self._active: dict[int, Transaction] = {}
-        self._locks = LockManager(timeout=lock_timeout)
         self._mutex = threading.RLock()
         self.commits = 0
         self.aborts = 0
@@ -272,7 +262,6 @@ class TransactionManager:
     def _finish(self, txn: Transaction, status: _TxnStatus) -> None:
         txn.status = status
         self._active.pop(txn.txn_id, None)
-        self._locks.release_all(txn.txn_id)
         if obs_metrics.ENABLED:
             _TXN_ACTIVE.set(len(self._active))
 
@@ -291,10 +280,7 @@ class TransactionManager:
         if pending is not None:
             return None if pending.op is LogOp.DELETE else pending.value
         if txn.isolation is IsolationLevel.SERIALIZABLE:
-            _timed_lock_acquire(
-                self._locks, txn.txn_id, (namespace, key), LockMode.SHARED
-            )
-        txn.read_keys.add((namespace, key))
+            txn.read_keys.add((namespace, key))
         with self._mutex:
             newest = self._newest(namespace, key)
             if newest is None:
@@ -310,6 +296,8 @@ class TransactionManager:
             return {}
         self._require_active(txn)
         found = {}
+        if txn.isolation is IsolationLevel.SERIALIZABLE:
+            txn.read_namespaces.add(namespace)
         if txn.isolation is not IsolationLevel.READ_COMMITTED:
             with self._mutex:  # the chains are in commit order (_publish)
                 chains = self._versions.get(namespace, {})
@@ -346,10 +334,6 @@ class TransactionManager:
         transaction log one UPDATE, and every log subscriber removes the
         old value's entries."""
         self._require_active(txn)
-        if txn.isolation is IsolationLevel.SERIALIZABLE:
-            _timed_lock_acquire(
-                self._locks, txn.txn_id, (namespace, key), LockMode.EXCLUSIVE
-            )
         before = self.read_committed_latest(namespace, key)
         if value is None:
             op = LogOp.DELETE
@@ -364,15 +348,23 @@ class TransactionManager:
 
     def _validate(self, txn: Transaction) -> None:
         """First-committer-wins: abort if any written key has a version
-        committed after this transaction began."""
-        for (namespace, key) in txn.writes:
-            newest = self._newest(namespace, key)
-            if newest is not None and newest.commit_ts > txn.begin_ts:
-                raise SerializationError(
-                    f"write-write conflict on {namespace}:{key!r} "
-                    f"(committed at ts {newest.commit_ts} after this "
-                    f"transaction began at ts {txn.begin_ts})"
-                )
+        committed after this transaction began.  A SERIALIZABLE writer also
+        aborts if a key it read has one, or a namespace it read (whose
+        newest chain is its last: _publish keeps them in commit order)."""
+        checks = [("write-write", txn.writes)]
+        if txn.writes and txn.isolation is IsolationLevel.SERIALIZABLE:
+            last = [(namespace, next(reversed(chains))) for namespace in txn.read_namespaces
+                    if (chains := self._versions.get(namespace))]
+            checks += [("read-write", txn.read_keys), ("read-write", last)]
+        for kind, keys in checks:
+            for namespace, key in keys:
+                newest = self._newest(namespace, key)
+                if newest is not None and newest.commit_ts > txn.begin_ts:
+                    raise SerializationError(
+                        f"{kind} conflict on {namespace}:{key!r} (committed at ts "
+                        f"{newest.commit_ts} after this transaction began at ts "
+                        f"{txn.begin_ts})"
+                    )
 
     # -- helpers --------------------------------------------------------------------
 

@@ -156,6 +156,38 @@ def test_lookups_equal_unoptimized_embedded_rows(name, embedded, cluster):
     assert cluster.query(text, binds).rows == expected  # every one SORTs
 
 
+#: A COLLECT without group keys emits one frame over no input: on every
+#: shard, when no customer passes, and on all shards but one, when the
+#: one customer of a name passes (``c.id`` would route to one shard).
+GLOBAL_COLLECTS = {
+    "with_count": ("COLLECT WITH COUNT INTO n RETURN n", [0]),
+    "aggregates": (
+        "COLLECT AGGREGATE n = COUNT(c), s = SUM(c.credit_limit), "
+        "a = AVG(c.credit_limit), lo = MIN(c.credit_limit), "
+        "hi = MAX(c.credit_limit) RETURN {n, s, a, lo, hi}",
+        [{"n": 0, "s": None, "a": None, "lo": None, "hi": None}],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GLOBAL_COLLECTS))
+def test_a_global_collect_over_empty_shards(name, embedded, cluster):
+    collect, empty = GLOBAL_COLLECTS[name]
+    shards = cluster.shard_map.num_shards
+    text = f"FOR c IN customers FILTER c.credit_limit < 0 {collect}"
+    assert embedded.query(text).rows == empty
+    result = cluster.query(text)
+    assert result.rows == empty
+    assert result.stats["fan_out"] == shards
+    (customer,) = embedded.query("FOR c IN customers SORT c.id LIMIT 1 RETURN c.name").rows
+    text = f"FOR c IN customers FILTER c.name == @name {collect}"
+    expected = embedded.query(text, {"name": customer}).rows
+    assert expected != empty
+    result = cluster.query(text, {"name": customer})
+    assert result.rows == expected
+    assert result.stats["fan_out"] == shards
+
+
 def test_a_variable_read_only_inside_a_subquery_crosses_the_cut(
     embedded, cluster
 ):

@@ -105,7 +105,7 @@ class TestWorkloadCWithCrash:
 
 class TestThreadedNewOrders:
     def test_concurrent_new_orders_keep_invariants(self, data):
-        db = MultiModelDB(lock_timeout=2.0)
+        db = MultiModelDB()
         load_into_multimodel(db, data, with_indexes=False)
         committed = []
         committed_lock = threading.Lock()

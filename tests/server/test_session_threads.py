@@ -1,6 +1,6 @@
-"""What one thread per session must keep: a session that waits — on a
-lock, or on a long scan — delays only itself, and a killed server resets
-its connections."""
+"""What one thread per session must keep: a session blocked in a long
+engine call delays only itself, and a killed server resets its
+connections."""
 
 import socket
 import sys
@@ -55,58 +55,6 @@ def _wait_until(predicate, timeout=10.0):
             return True
         time.sleep(0.005)
     return predicate()
-
-
-def _assert_others_stay_fast(server):
-    with ReproClient(port=server.port, sleep=None) as third:
-        third.ping()
-        third.query(POINT_READ, {"key": "3"}).fetch_all()  # plan cached
-        for _ in range(5):
-            pong, seconds = _timed(third.ping)
-            assert pong is True and seconds < BOUND_S, seconds
-            rows, seconds = _timed(
-                lambda: third.query(POINT_READ, {"key": "7"}).fetch_all()
-            )
-            assert rows == [7] and seconds < BOUND_S, seconds
-
-
-def test_a_lock_wait_delays_only_its_own_session(server):
-    holder = ReproClient(port=server.port, sleep=None)
-    waiter = ReproClient(port=server.port, sleep=None)
-    holder.connect()
-    waiter.connect()
-    outcome: dict = {}
-    try:
-        holder.begin("serializable")
-        holder.query("UPDATE '1' WITH {v: 100} IN kv").fetch_all()
-        waiter.begin("serializable")
-
-        def blocked_write():
-            try:
-                outcome["rows"] = waiter.query(
-                    "UPDATE '1' WITH {v: 200} IN kv"
-                ).fetch_all()
-            except Exception as error:  # a typed refusal also ends the wait
-                outcome["error"] = error
-
-        thread = threading.Thread(target=blocked_write)
-        thread.start()
-        assert _wait_until(lambda: server.inflight >= 1)
-        time.sleep(0.05)
-        assert thread.is_alive()  # parked on the holder's X lock
-        _assert_others_stay_fast(server)
-        assert thread.is_alive()
-        holder.commit()  # releases the lock, and with it the waiter
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert outcome
-    finally:
-        for client in (holder, waiter):
-            try:
-                client.abort()
-            except Exception:
-                pass
-            client.close()
 
 
 def test_a_slow_scan_delays_only_its_own_session(server):

@@ -16,7 +16,7 @@ from repro.txn.manager import IsolationLevel, TransactionManager
 def setup():
     log = CentralLog()
     rows = RowView(log)
-    manager = TransactionManager(log, rows, lock_timeout=0.3)
+    manager = TransactionManager(log, rows)
     return log, rows, manager
 
 
@@ -117,7 +117,7 @@ class TestSnapshotIsolation:
 
     def test_snapshot_scan(self):
         # A store scan inside a transaction runs the visibility rule.
-        context = EngineContext(lock_timeout=0.3)
+        context = EngineContext()
         manager, store = context.transactions, BaseStore(context, "t")
         base = manager.begin()
         for i in range(3):
@@ -138,7 +138,7 @@ class TestSnapshotIsolation:
         assert keys == ["k1", "k2", "k3"]
 
     def test_scan_includes_own_writes(self):
-        context = EngineContext(lock_timeout=0.3)
+        context = EngineContext()
         manager, store = context.transactions, BaseStore(context, "t")
         txn = manager.begin()
         manager.write(txn, store.namespace, "mine", {"v": 1})
@@ -159,8 +159,8 @@ class TestReadCommitted:
 class TestSerializable:
     def test_write_skew_prevented(self, setup):
         """Classic write-skew: two doctors both read the on-call count and
-        both sign off.  Snapshot isolation allows it; SERIALIZABLE (2PL)
-        must not."""
+        both sign off.  Snapshot isolation allows it; SERIALIZABLE must
+        not: the second commit finds its read of alice changed."""
         _log, _rows, manager = setup
         base = manager.begin()
         manager.write(base, "oncall", "alice", True)
@@ -174,14 +174,13 @@ class TestSerializable:
         # txn_b's read of alice conflicts with txn_a's later write: under
         # 2PL one of the transactions fails to make progress.
         assert manager.read(txn_b, "oncall", "bob") is True
+        assert manager.read(txn_b, "oncall", "alice") is True
         manager.write(txn_a, "oncall", "alice", False)
-        from repro.errors import DeadlockError, LockTimeoutError
-
-        with pytest.raises((DeadlockError, LockTimeoutError)):
-            manager.read(txn_b, "oncall", "alice")
-            manager.write(txn_b, "oncall", "bob", False)
-            # If neither read nor write raised we would have write skew.
-            raise AssertionError("write skew was not prevented")
+        manager.write(txn_b, "oncall", "bob", False)
+        manager.commit(txn_a)
+        with pytest.raises(SerializationError, match="oncall:'alice'"):
+            manager.commit(txn_b)
+        assert manager.read_committed_latest("oncall", "bob") is True
 
     def test_serializable_simple_commit(self, setup):
         _log, rows, manager = setup
