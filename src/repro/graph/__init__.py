@@ -1,4 +1,4 @@
-"""Property-graph model: vertices, edges, edge index, traversals."""
+"""Property-graph model: vertices, edges, adjacency, traversals."""
 
 from repro.graph.store import Direction, PropertyGraph
 

@@ -7,8 +7,11 @@ edges are documents in the shared backend:
 * vertices live in ``graph:<name>:v`` keyed by vertex key;
 * edges live in ``graph:<name>:e`` with the special attributes ``_from``
   and ``_to`` (slide 55) and an optional ``label``;
-* the *edge index* — "hash index for _from and _to attributes" (slide 79) —
-  is maintained automatically, making ``neighbors`` O(degree).
+* where slide 79's ArangoDB keeps an *edge index* (hashes on ``_from`` and
+  ``_to``), the links live with the vertex, as in OrientDB and Neo4j: an
+  adjacency maintained from the central log maps each vertex to the (edge
+  key, label, far vertex) of its edges, so ``neighbors`` is O(degree), with
+  no digest and no edge document read.
 
 Traversals implement the AQL forms the running example uses
 (``FOR f IN 1..1 OUTBOUND c knows``): bounded BFS with direction and label
@@ -18,15 +21,15 @@ filters, shortest paths, and reachability.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from typing import Any, Iterator, Optional
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.core import datamodel
 from repro.core.context import BaseStore, EngineContext
 from repro.core.cursor import ScanCursor
 from repro.errors import PrimaryKeyError, SchemaError, UnknownCollectionError
-from repro.indexes.hashindex import ExtendibleHashIndex
-from repro.storage.views import IndexView
+from repro.storage.log import LogEntry, LogOp
+from repro.storage.views import StorageView
 from repro.txn.manager import Transaction
 
 __all__ = ["PropertyGraph", "Direction"]
@@ -40,8 +43,61 @@ class Direction:
     ALL = (OUTBOUND, INBOUND, ANY)
 
 
+# Per direction, the (near, far) edge ends of each side it reads.  A link is
+# (edge key, label, far vertex).
+_SIDES = {
+    Direction.OUTBOUND: (("_from", "_to"),),
+    Direction.INBOUND: (("_to", "_from"),),
+    Direction.ANY: (("_from", "_to"), ("_to", "_from")),
+}
+_edge_key = itemgetter(0)
+
+
 class _VertexStore(BaseStore):
     model = "graph"
+
+
+class _Adjacency(StorageView):
+    """Edge end (``_from``: outbound, ``_to``: inbound) → vertex → its
+    links, maintained from the edge namespace's log entries.  A vertex's
+    links are a tuple a write replaces whole: a reader on another thread
+    never iterates what a commit is changing."""
+
+    name = "adjacency"
+
+    def __init__(self, context: EngineContext, namespace: str):
+        self.namespace = namespace
+        self._drop_namespace(namespace)
+        # Link the edges already stored (recovered, or applied on a replica).
+        with context.transactions.exclusive():
+            for key, edge in context.rows.scan(namespace):
+                self._link(key, edge)
+            super().__init__(context.log)
+
+    def _apply_data(self, entry: LogEntry) -> None:
+        # Whatever the op: drop what the entry replaced, add what it wrote.
+        if entry.before is not None:
+            self._unlink(entry.key, entry.before)
+        if entry.op is not LogOp.DELETE:
+            self._link(entry.key, entry.value)
+
+    def _link(self, key: Any, edge: dict) -> None:
+        for near, far in _SIDES[Direction.ANY]:
+            links, vertex = self.by_end[near], edge.get(near)
+            if vertex is not None:
+                links[vertex] = links.get(vertex, ()) + ((key, edge.get("label"), edge.get(far)),)
+
+    def _unlink(self, key: Any, edge: dict) -> None:
+        for near, _far in _SIDES[Direction.ANY]:
+            links, vertex = self.by_end[near], edge.get(near)
+            kept = tuple(link for link in links.get(vertex, ()) if link[0] != key)
+            if kept:
+                links[vertex] = kept
+            else:
+                links.pop(vertex, None)
+
+    def _drop_namespace(self, namespace: str) -> None:
+        self.by_end: dict[str, dict[Any, tuple]] = {"_from": {}, "_to": {}}
 
 
 class PropertyGraph:
@@ -53,13 +109,7 @@ class PropertyGraph:
         self._vertices = _VertexStore(context, f"{name}:v")
         self._edges = _VertexStore(context, f"{name}:e")
         self._edge_counter = itertools.count(1)
-        # The ArangoDB edge index: hash indexes on _from and _to.
-        self._from_index = IndexView(
-            context.log, self._edges.namespace, ("_from",), ExtendibleHashIndex()
-        )
-        self._to_index = IndexView(
-            context.log, self._edges.namespace, ("_to",), ExtendibleHashIndex()
-        )
+        self._adjacency = _Adjacency(context, self._edges.namespace)
 
     @property
     def vertex_namespace(self) -> str:
@@ -111,8 +161,8 @@ class PropertyGraph:
         if not self._vertices.contains(key, txn):
             return False
         if cascade:
-            for edge in list(self.edges_of(key, Direction.ANY, txn=txn)):
-                self.remove_edge(edge["_key"], txn)
+            for edge_key in self._edge_keys(key, Direction.ANY, None, txn):
+                self.remove_edge(edge_key, txn)
         self._vertices._delete_key(key, txn)
         return True
 
@@ -135,15 +185,22 @@ class PropertyGraph:
         key: Optional[str] = None,
         txn: Optional[Transaction] = None,
     ) -> str:
-        """Create an edge document; endpoints must exist."""
+        """Create an edge document; endpoints must exist.  A generated key
+        skips the keys the edge namespace already holds (rows recovered, or
+        applied on a replica, that this graph object did not number)."""
         for endpoint in (from_key, to_key):
             if not self._vertices.contains(endpoint, txn):
                 raise UnknownCollectionError(
                     f"graph {self.name!r}: vertex {endpoint!r} does not exist"
                 )
-        edge_key = key if key is not None else f"e{next(self._edge_counter)}"
-        if self._edges.contains(edge_key, txn):
-            raise PrimaryKeyError(f"graph {self.name!r}: edge {edge_key!r} exists")
+        if key is None:
+            edge_key = f"e{next(self._edge_counter)}"
+            while self._edges.contains(edge_key, txn):
+                edge_key = f"e{next(self._edge_counter)}"
+        elif self._edges.contains(key, txn):
+            raise PrimaryKeyError(f"graph {self.name!r}: edge {key!r} exists")
+        else:
+            edge_key = key
         document = dict(datamodel.normalize(properties or {}))
         document.update({"_key": edge_key, "_from": from_key, "_to": to_key})
         if label:
@@ -164,6 +221,40 @@ class PropertyGraph:
     def edge_count(self, txn: Optional[Transaction] = None) -> int:
         return self._edges.count(txn)
 
+    def _links(self, vertices: Iterable[str], direction: str, label, txn) -> dict:
+        """Each vertex's links in *direction* with *label* (None: any), as
+        *txn* sees them: the adjacency first, then the visibility rule — a
+        changed edge's links are dropped and the record *txn* sees linked."""
+        sides = _SIDES.get(direction)
+        if sides is None:
+            raise ValueError(f"bad direction {direction!r}")
+        tables = [self._adjacency.by_end[near] for near, _far in sides]
+        found = {
+            vertex: [link for links in tables for link in links.get(vertex, ())
+                     if label is None or link[1] == label]
+            for vertex in vertices
+        }
+        if txn is None:
+            return found
+        changed = self._context.transactions.changed(txn, self.edge_namespace)
+        if changed:
+            for vertex, links in found.items():
+                links[:] = [link for link in links if link[0] not in changed]
+            for edge_key, edge in changed.items():
+                if edge is None or label is not None and edge.get("label") != label:
+                    continue
+                for near, far in sides:
+                    links = found.get(edge.get(near))
+                    if links is not None:
+                        links.append((edge_key, edge.get("label"), edge.get(far)))
+        return found
+
+    def _edge_keys(self, key: str, direction: str, label, txn) -> list:
+        """Keys of *key*'s incident edges, sorted, each once (a self-loop
+        is both outbound and inbound)."""
+        found = self._links((key,), direction, label, txn)
+        return sorted({link[0] for link in found[key]})
+
     def edges_of(
         self,
         key: str,
@@ -171,28 +262,12 @@ class PropertyGraph:
         label: Optional[str] = None,
         txn: Optional[Transaction] = None,
     ) -> Iterator[dict]:
-        """Incident edges in edge-key order, via the edge index; inside a
-        transaction the visibility rule rechecks the edges it sees
-        changed."""
-        if direction not in Direction.ALL:
-            raise ValueError(f"bad direction {direction!r}")
-        outbound = direction in (Direction.OUTBOUND, Direction.ANY)
-        inbound = direction in (Direction.INBOUND, Direction.ANY)
-        edge_keys: set = set()
-        if outbound:
-            edge_keys.update(self._from_index.search(key))
-        if inbound:
-            edge_keys.update(self._to_index.search(key))
-        incident = self._edges._index_records(
-            edge_keys,
-            txn,
-            lambda edge: (outbound and edge["_from"] == key) or (inbound and edge["_to"] == key),
-        )
-        for edge_key in sorted(incident):
-            edge = incident[edge_key]
-            if edge is None or label is not None and edge.get("label") != label:
-                continue
-            yield edge
+        """Incident edge documents in edge-key order, found through the
+        adjacency and read as *txn* sees them."""
+        for edge_key in self._edge_keys(key, direction, label, txn):
+            edge = self.edge(edge_key, txn)
+            if edge is not None:
+                yield edge
 
     # -- traversal -------------------------------------------------------------------
 
@@ -204,13 +279,8 @@ class PropertyGraph:
         txn: Optional[Transaction] = None,
     ) -> list[str]:
         """Adjacent vertex keys (sorted, de-duplicated)."""
-        result = set()
-        for edge in self.edges_of(key, direction, label, txn):
-            if direction in (Direction.OUTBOUND, Direction.ANY) and edge["_from"] == key:
-                result.add(edge["_to"])
-            if direction in (Direction.INBOUND, Direction.ANY) and edge["_to"] == key:
-                result.add(edge["_from"])
-        return sorted(result)
+        found = self._links((key,), direction, label, txn)
+        return sorted({link[2] for link in found[key]})
 
     def one_hop(
         self,
@@ -219,34 +289,11 @@ class PropertyGraph:
         label: Optional[str] = None,
         txn: Optional[Transaction] = None,
     ) -> dict[str, list[str]]:
-        """Depth-1 traversal of many starts at once: each start's adjacent
-        vertex keys, sorted, itself excluded (a self-loop does not make a
-        vertex its own neighbour at depth 1) — ``traverse(start, 1, 1)``
-        for every start, without a BFS each: the edge-index probes of every
-        start, then each edge they found once (under the visibility rule)."""
-        if direction not in Direction.ALL:
-            raise ValueError(f"bad direction {direction!r}")
-        # (edge index, the start's end of the edge, the neighbour's end)
-        sides = []
-        if direction in (Direction.OUTBOUND, Direction.ANY):
-            sides.append((self._from_index, "_from", "_to"))
-        if direction in (Direction.INBOUND, Direction.ANY):
-            sides.append((self._to_index, "_to", "_from"))
-        found: dict[str, set] = {start: set() for start in starts}
-        edges = self._edges._index_records(
-            (edge_key for start in found for index, _near, _far in sides
-             for edge_key in index.search(start)),
-            txn,
-        )
-        for edge in edges.values():
-            if edge is not None and (label is None or edge.get("label") == label):
-                for _index, near, far in sides:
-                    adjacent = found.get(edge[near])
-                    if adjacent is not None:
-                        adjacent.add(edge[far])
-        for start, adjacent in found.items():
-            adjacent.discard(start)
-        return {start: sorted(adjacent) for start, adjacent in found.items()}
+        """``traverse(start, 1, 1)`` of many starts from their links alone:
+        each start's adjacent vertex keys, sorted, itself excluded (a
+        self-loop does not make a vertex its own neighbour at depth 1)."""
+        found = self._links(starts, direction, label, txn)
+        return {start: sorted({link[2] for link in found[start]} - {start}) for start in found}
 
     def traverse(
         self,
@@ -260,24 +307,8 @@ class PropertyGraph:
         """AQL-style bounded BFS: vertices between *min_depth* and
         *max_depth* hops from *start*, as (key, depth), each vertex at its
         shortest depth."""
-        if min_depth < 0 or max_depth < min_depth:
-            raise ValueError("need 0 <= min_depth <= max_depth")
-        depths = {start: 0}
-        queue = deque([start])
-        while queue:
-            current = queue.popleft()
-            depth = depths[current]
-            if depth >= max_depth:
-                continue
-            for neighbor in self.neighbors(current, direction, label, txn):
-                if neighbor not in depths:
-                    depths[neighbor] = depth + 1
-                    queue.append(neighbor)
-        return sorted(
-            (key, depth)
-            for key, depth in depths.items()
-            if min_depth <= depth <= max_depth
-        )
+        found = self._discover(start, min_depth, max_depth, direction, label, txn)
+        return [(key, depth) for key, depth, _edge in found]
 
     def traverse_with_edges(
         self,
@@ -291,37 +322,33 @@ class PropertyGraph:
         """Like :meth:`traverse` but each vertex carries the edge document
         that discovered it (None for the start vertex) — the AQL
         ``FOR v, e IN …`` form."""
+        found = self._discover(start, min_depth, max_depth, direction, label, txn)
+        return [(key, depth, None if edge is None else self.edge(edge, txn))
+                for key, depth, edge in found]
+
+    def _discover(self, start, min_depth, max_depth, direction, label, txn) -> list:
+        """The BFS behind both traversals, a frontier's links read at once:
+        (vertex, depth, key of the edge that discovered it), each vertex at
+        its shortest depth and found by its first edge in edge-key order."""
         if min_depth < 0 or max_depth < min_depth:
             raise ValueError("need 0 <= min_depth <= max_depth")
-        discovered: dict[str, tuple[int, Optional[dict]]] = {start: (0, None)}
-        queue = deque([start])
-        while queue:
-            current = queue.popleft()
-            depth = discovered[current][0]
-            if depth >= max_depth:
-                continue
-            for edge in self.edges_of(current, direction, label, txn):
-                for neighbor in self._edge_targets(edge, current, direction):
-                    if neighbor not in discovered:
-                        discovered[neighbor] = (depth + 1, edge)
-                        queue.append(neighbor)
+        discovered = {start: (0, None)}
+        frontier, depth = [start], 0
+        while frontier and depth < max_depth:
+            depth += 1
+            found = self._links(frontier, direction, label, txn)
+            next_frontier = []
+            for vertex in frontier:
+                for edge_key, _label, far in sorted(found[vertex], key=_edge_key):
+                    if far not in discovered:
+                        discovered[far] = (depth, edge_key)
+                        next_frontier.append(far)
+            frontier = next_frontier
         return sorted(
-            (
-                (key, depth, edge)
-                for key, (depth, edge) in discovered.items()
-                if min_depth <= depth <= max_depth
-            ),
-            key=lambda entry: (entry[0], entry[1]),
+            (key, depth, edge_key)
+            for key, (depth, edge_key) in discovered.items()
+            if min_depth <= depth <= max_depth
         )
-
-    @staticmethod
-    def _edge_targets(edge: dict, current: str, direction: str) -> list[str]:
-        targets = []
-        if direction in (Direction.OUTBOUND, Direction.ANY) and edge["_from"] == current:
-            targets.append(edge["_to"])
-        if direction in (Direction.INBOUND, Direction.ANY) and edge["_to"] == current:
-            targets.append(edge["_from"])
-        return targets
 
     def shortest_path(
         self,
@@ -334,19 +361,22 @@ class PropertyGraph:
         if start == goal:
             return [start]
         parents: dict[str, str] = {start: start}
-        queue = deque([start])
-        while queue:
-            current = queue.popleft()
-            for neighbor in self.neighbors(current, direction, txn=txn):
-                if neighbor in parents:
-                    continue
-                parents[neighbor] = current
-                if neighbor == goal:
-                    path = [goal]
-                    while path[-1] != start:
-                        path.append(parents[path[-1]])
-                    return list(reversed(path))
-                queue.append(neighbor)
+        frontier = [start]
+        while frontier:
+            found = self._links(frontier, direction, None, txn)
+            next_frontier = []
+            for vertex in frontier:
+                for neighbor in sorted({link[2] for link in found[vertex]}):
+                    if neighbor in parents:
+                        continue
+                    parents[neighbor] = vertex
+                    if neighbor == goal:
+                        path = [goal]
+                        while path[-1] != start:
+                            path.append(parents[path[-1]])
+                        return path[::-1]
+                    next_frontier.append(neighbor)
+            frontier = next_frontier
         return None
 
     def degree(
@@ -355,7 +385,7 @@ class PropertyGraph:
         direction: str = Direction.OUTBOUND,
         txn: Optional[Transaction] = None,
     ) -> int:
-        return sum(1 for _ in self.edges_of(key, direction, txn=txn))
+        return len(self._edge_keys(key, direction, None, txn))
 
     # -- pattern matching (the Gremlin/Cypher-style BGP of slide 61) -------------
 
@@ -378,14 +408,8 @@ class PropertyGraph:
         self._match_rec(list(patterns), {}, results, txn)
         if where is not None:
             results = [binding for binding in results if where(binding)]
-        deduped = []
-        seen = set()
-        for binding in results:
-            token = tuple(sorted(binding.items()))
-            if token not in seen:
-                seen.add(token)
-                deduped.append(binding)
-        return sorted(deduped, key=lambda b: sorted(b.items()))
+        unique = {tuple(sorted(binding.items())) for binding in results}
+        return [dict(items) for items in sorted(unique)]
 
     def _match_rec(
         self, patterns: list[tuple], binding: dict, results: list[dict], txn
@@ -394,50 +418,39 @@ class PropertyGraph:
             results.append(dict(binding))
             return
 
-        def is_var(term):
-            return isinstance(term, str) and term.startswith("?")
-
-        def resolved(term):
-            return binding.get(term, term) if is_var(term) else term
+        def bound(term):  # a constant, or a ?variable's binding (None: unbound)
+            if isinstance(term, str) and term.startswith("?"):
+                return binding.get(term)
+            return term
 
         # Most-bound pattern first (same greedy selectivity as the RDF BGP).
-        def bound_count(pattern):
-            source, _label, target = pattern
-            return sum(
-                1 for term in (source, target)
-                if not is_var(term) or term in binding
-            )
-
-        best = max(range(len(patterns)), key=lambda i: bound_count(patterns[i]))
+        best = max(range(len(patterns)), key=lambda i: sum(
+            bound(patterns[i][end]) is not None for end in (0, 2)))
         source, label, target = patterns[best]
         rest = patterns[:best] + patterns[best + 1:]
-        source_value = resolved(source)
-        target_value = resolved(target)
-
-        if not is_var(source) or source in binding:
-            candidates = self.edges_of(source_value, Direction.OUTBOUND, label, txn)
-        elif not is_var(target) or target in binding:
-            candidates = self.edges_of(target_value, Direction.INBOUND, label, txn)
+        source_key, target_key = bound(source), bound(target)
+        # Candidate (from, to) pairs: a bound end's links, else every edge.
+        if source_key is not None:
+            found = self._links((source_key,), Direction.OUTBOUND, label, txn)
+            candidates = [(source_key, link[2]) for link in found[source_key]]
+        elif target_key is not None:
+            found = self._links((target_key,), Direction.INBOUND, label, txn)
+            candidates = [(link[2], target_key) for link in found[target_key]]
         else:
-            candidates = (
-                edge
+            candidates = [
+                (edge["_from"], edge["_to"])
                 for edge in self.edges(txn)
                 if label is None or edge.get("label") == label
-            )
-        for edge in candidates:
+            ]
+        for from_key, to_key in candidates:
             extended = dict(binding)
-            consistent = True
-            for term, value in ((source, edge["_from"]), (target, edge["_to"])):
-                if is_var(term):
-                    if term in extended and extended[term] != value:
-                        consistent = False
-                        break
-                    extended[term] = value
-                elif term != value:
-                    consistent = False
-                    break
-            if consistent:
-                self._match_rec(rest, extended, results, txn)
+            if source_key is None:
+                extended[source] = from_key
+            # An unbound target binds, unless the source just bound it.
+            held = extended.setdefault(target, to_key) if target_key is None else target_key
+            if held != to_key:
+                continue
+            self._match_rec(rest, extended, results, txn)
 
     # -- interop ---------------------------------------------------------------------
 

@@ -18,9 +18,21 @@ structure without isinstance checks.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
-__all__ = ["Index", "IndexCapabilities"]
+from repro.core.datamodel import normalize, value_token
+
+__all__ = ["Index", "IndexCapabilities", "probe_token"]
+
+
+def probe_token(key: Any) -> Any:
+    """*key*'s :func:`~repro.core.datamodel.value_token`, the dict key an
+    in-memory index files it under; what the model cannot hold (NaN, say)
+    raises ``DataModelError``, as the stable digest does, not a miss."""
+    kind = type(key)
+    if kind is str or kind is int:
+        return key
+    return value_token(normalize(key))
 
 
 class IndexCapabilities:
@@ -69,14 +81,3 @@ class Index:
 
     def __len__(self) -> int:
         raise NotImplementedError
-
-    def bulk_load(self, pairs: Iterable[tuple[Any, Any]]) -> None:
-        """Insert many (key, rid) pairs; subclasses may override with a
-        faster bottom-up build."""
-        for key, rid in pairs:
-            self.insert(key, rid)
-
-    def memory_items(self) -> int:
-        """Approximate number of stored index items (for the size columns in
-        the GIN benchmark, E10)."""
-        return len(self)

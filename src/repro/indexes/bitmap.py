@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from repro.core.datamodel import canonical_json
+from repro.core.datamodel import SortKey
 from repro.errors import UnsupportedIndexOperationError
-from repro.indexes.base import Index, IndexCapabilities
+from repro.indexes.base import Index, IndexCapabilities, probe_token
 
 __all__ = ["BitmapIndex", "BitSliceIndex"]
 
@@ -40,8 +40,9 @@ class BitmapIndex(Index):
 
     def __init__(self, name: str = ""):
         self.name = name
-        self._bitmaps: dict[str, int] = {}
-        self._values: dict[str, Any] = {}
+        # probe_token(value) -> its bitmap, and the value itself.
+        self._bitmaps: dict[Any, int] = {}
+        self._values: dict[Any, Any] = {}
         self._rid_to_row: dict[Any, int] = {}
         self._row_to_rid: list[Any] = []
         self._live = 0  # bitmap of rows currently live
@@ -66,16 +67,12 @@ class BitmapIndex(Index):
             row += 1
         return result
 
-    @staticmethod
-    def _token(key: Any) -> str:
-        return canonical_json(key)
-
     # -- protocol ----------------------------------------------------------
 
     def insert(self, key: Any, rid: Any) -> None:
         row = self._row_of(rid, create=True)
         bit = 1 << row
-        token = self._token(key)
+        token = probe_token(key)
         self._bitmaps[token] = self._bitmaps.get(token, 0) | bit
         self._values.setdefault(token, key)
         self._live |= bit
@@ -85,7 +82,7 @@ class BitmapIndex(Index):
         if row is None:
             return
         bit = 1 << row
-        token = self._token(key)
+        token = probe_token(key)
         if token in self._bitmaps:
             self._bitmaps[token] &= ~bit
             if not self._bitmaps[token]:
@@ -94,7 +91,7 @@ class BitmapIndex(Index):
         self._live &= ~bit
 
     def search(self, key: Any) -> list[Any]:
-        return self._rids_of(self._bitmaps.get(self._token(key), 0))
+        return self._rids_of(self._bitmaps.get(probe_token(key), 0))
 
     def clear(self) -> None:
         self.__init__(name=self.name)
@@ -105,7 +102,7 @@ class BitmapIndex(Index):
     # -- bit-parallel combinators --------------------------------------------
 
     def bitmap_for(self, key: Any) -> int:
-        return self._bitmaps.get(self._token(key), 0)
+        return self._bitmaps.get(probe_token(key), 0)
 
     def search_any(self, keys: Iterable[Any]) -> list[Any]:
         """OR of the bitmaps for *keys* (the ``IN (…)`` fast path)."""
@@ -123,7 +120,7 @@ class BitmapIndex(Index):
         return self.bitmap_for(key).bit_count()
 
     def distinct_values(self) -> list[Any]:
-        return [self._values[token] for token in sorted(self._bitmaps)]
+        return sorted(self._values.values(), key=SortKey)
 
     def intersect_count(self, other: "BitmapIndex", key_a: Any, key_b: Any) -> int:
         """COUNT of rows matching both predicates (bitmap AND).

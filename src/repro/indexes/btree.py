@@ -75,8 +75,7 @@ class BPlusTree(Index):
         """Remove one (key, rid) association; missing pairs are ignored.
 
         Underflowed leaves are left in place (lazy deletion) — a standard
-        simplification that keeps the ordering invariants intact; the tree
-        is rebuilt compact by :meth:`bulk_load` if ever needed.
+        simplification that keeps the ordering invariants intact.
         """
         leaf, position = self._find_leaf(SortKey(key))
         if position is None:

@@ -8,6 +8,10 @@ depths, doubling the directory only when a full bucket's local depth equals
 the global depth — so the point-lookup-vs-range trade-off of experiment E11
 is structural, not simulated.
 
+The digest only places an entry in the directory: probes, deletes and an
+insert's duplicate check find it through a map keyed on
+:func:`~repro.indexes.base.probe_token` (no digest, no collision).
+
 Hash indexes deliberately cannot answer range queries (slide 79:
 "user-defined [ArangoDB hash] indices … no range queries"); asking raises
 :class:`UnsupportedIndexOperationError`.
@@ -17,9 +21,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.datamodel import hash_value, values_equal
+from repro.core.datamodel import hash_value
 from repro.errors import ConstraintViolationError, UnsupportedIndexOperationError
-from repro.indexes.base import Index, IndexCapabilities
+from repro.indexes.base import Index, IndexCapabilities, probe_token
 
 __all__ = ["ExtendibleHashIndex"]
 
@@ -50,57 +54,47 @@ class ExtendibleHashIndex(Index):
         bucket_a = _Bucket(local_depth=1)
         bucket_b = _Bucket(local_depth=1)
         self._directory: list[_Bucket] = [bucket_a, bucket_b]
-        self._distinct = 0
-        self._entries = 0
+        # probe_token(key) -> the key's entry in its bucket.
+        self._slots: dict[Any, list] = {}
 
     # -- protocol ----------------------------------------------------------
 
     def insert(self, key: Any, rid: Any) -> None:
+        token = probe_token(key)
+        slot = self._slots.get(token)
+        if slot is not None:
+            if self._unique:
+                raise ConstraintViolationError(
+                    f"unique hash index {self.name or self.kind!r} "
+                    f"already contains key {key!r}"
+                )
+            slot.append(rid)
+            return
         hashed = hash_value(key)
         while True:
             bucket = self._bucket_for(hashed)
-            slot = self._find_entry(bucket, hashed, key)
-            if slot is not None:
-                if self._unique:
-                    raise ConstraintViolationError(
-                        f"unique hash index {self.name or self.kind!r} "
-                        f"already contains key {key!r}"
-                    )
-                slot.append(rid)
-                self._entries += 1
-                return
             # A full bucket whose entries all share the new key's digest
             # overflows: no split can ever separate them.
             if len(bucket.entries) < self._capacity or all(
                 entry[0] == hashed for entry in bucket.entries
             ):
-                bucket.entries.append([hashed, key, rid])
-                self._distinct += 1
-                self._entries += 1
+                slot = self._slots[token] = [hashed, key, rid]
+                bucket.entries.append(slot)
                 return
             self._split_bucket(hashed)
 
     def delete(self, key: Any, rid: Any) -> None:
-        hashed = hash_value(key)
-        bucket = self._bucket_for(hashed)
-        slot = self._find_entry(bucket, hashed, key)
-        if slot is None:
+        token = probe_token(key)
+        slot = self._slots.get(token)
+        if slot is None or rid not in slot[2:]:
             return
-        for index in range(2, len(slot)):
-            if slot[index] == rid:
-                del slot[index]
-                self._entries -= 1
-                break
-        else:
-            return
+        del slot[slot.index(rid, 2)]
         if len(slot) == 2:
-            bucket.entries.remove(slot)
-            self._distinct -= 1
+            self._bucket_for(slot[0]).entries.remove(slot)
+            del self._slots[token]
 
     def search(self, key: Any) -> list[Any]:
-        hashed = hash_value(key)
-        bucket = self._bucket_for(hashed)
-        slot = self._find_entry(bucket, hashed, key)
+        slot = self._slots.get(probe_token(key))
         if slot is None:
             return []
         return slot[2:]
@@ -114,11 +108,11 @@ class ExtendibleHashIndex(Index):
         self.__init__(bucket_capacity=self._capacity, unique=self._unique, name=self.name)
 
     def __len__(self) -> int:
-        return self._distinct
+        return len(self._slots)
 
     @property
     def entry_count(self) -> int:
-        return self._entries
+        return sum(len(slot) - 2 for slot in self._slots.values())
 
     @property
     def global_depth(self) -> int:
@@ -132,13 +126,6 @@ class ExtendibleHashIndex(Index):
 
     def _bucket_for(self, hashed: int) -> _Bucket:
         return self._directory[hashed & ((1 << self._global_depth) - 1)]
-
-    @staticmethod
-    def _find_entry(bucket: _Bucket, hashed: int, key: Any):
-        for entry in bucket.entries:
-            if entry[0] == hashed and values_equal(entry[1], key):
-                return entry
-        return None
 
     def _split_bucket(self, hashed: int) -> None:
         mask = (1 << self._global_depth) - 1

@@ -234,7 +234,7 @@ def _own_lines(operation: ast.Operation, indent: int) -> list[str]:
             f"{pad}Traverse {operation.var} IN "
             f"{operation.min_depth}..{operation.max_depth} "
             f"{operation.direction.upper()} {_text(operation.start)} "
-            f"GRAPH {operation.graph}{label} (edge index)"
+            f"GRAPH {operation.graph}{label} (adjacency)"
         ]
     if isinstance(operation, ast.ShortestPathOp):
         return [

@@ -128,7 +128,7 @@ class Table(BaseStore):
             return datamodel.values_equal(row.get(column), value)
 
         index = self._context.indexes.find(self.namespace, (column,), "point")
-        if index is None:
+        if index is None or value is None:  # an index holds no null
             return [row for row in self.scan_cursor(txn=txn) if equal(row)]
         found = self._index_records(index.search(value), txn, equal)
         return [row for row in found.values() if row is not None]

@@ -1,4 +1,4 @@
-"""Property-graph tests: CRUD, edge index, traversals, shortest paths."""
+"""Property-graph tests: CRUD, adjacency, traversals, shortest paths."""
 
 import pytest
 

@@ -197,7 +197,7 @@ class TestExplain:
         db.create_graph("g")
         plan = db.explain("FOR f IN 1..2 ANY 'x' GRAPH g RETURN f")
         assert "Traverse" in plan
-        assert "edge index" in plan
+        assert "(adjacency)" in plan
 
     def test_full_query_plan_text(self, db):
         plan = render_plan(

@@ -137,10 +137,10 @@ def test_mixed_namespaces_reach_only_their_subscribers(received):
     entries = _all_entries(db, start)
     assert {entry.namespace for entry in entries} >= {
         "", "rel:customers", "doc:orders", "kv:cart", "rdf:vendors", "geo:shops"}
-    # The row view, the segments, five index views (two the graph's own),
+    # The row view, the segments, three index views, the graph's adjacency,
     # the triple, spatial and globals stores, Sinew's relation, the join
     # index.
-    assert _check_every_subscriber(db.context.log, entries, received) == 12
+    assert _check_every_subscriber(db.context.log, entries, received) == 11
     # What the routed subscribers maintain is what the rows say.
     index = db.context.indexes.find("doc:orders", ("customer_id",))
     assert index.search(2) == [] and index.search(4) == ["o4"]
@@ -159,7 +159,7 @@ def test_drop_namespace_reaches_only_its_subscribers(received):
     db.table("customers").insert({"id": 9, "city": "Prague"})
     entries = _all_entries(db, start)
     assert [entry.op for entry in entries[:2]] == [LogOp.DROP_NAMESPACE] * 2
-    assert _check_every_subscriber(db.context.log, entries, received) == 12
+    assert _check_every_subscriber(db.context.log, entries, received) == 11
     assert db.context.indexes.find("doc:orders", ("customer_id",)).search(4) == []
     assert vendors.match() == []
     assert db.context.indexes.find("rel:customers", ("city",)).search("Prague") == [9]
@@ -179,7 +179,7 @@ def test_a_dropped_index_receives_nothing_more(received):
     before_drop = [entry for entry in entries if entry.lsn <= middle]
     assert received[id(view)][1] == _expected(before_drop, {"doc:orders"})
     assert view.search(1) == ["a"]
-    assert _check_every_subscriber(db.context.log, entries, received) == 11
+    assert _check_every_subscriber(db.context.log, entries, received) == 10
     with pytest.raises(ValueError):
         db.context.log.unsubscribe(view.apply, view.namespace)
 

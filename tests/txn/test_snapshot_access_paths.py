@@ -1,7 +1,7 @@
 """Every access path inside a transaction against the chain walk.
 
 A transaction reads through the structures autocommit reads — the row
-view, the point / GIN indexes, the edge indexes, the R-tree, the RDF
+view, the point / GIN indexes, the graph adjacency, the R-tree, the RDF
 layouts, the globals order directory — and the visibility rule corrects
 their latest answers to its snapshot.  Here each path's answer is compared,
 as a bag, with the one a reference computes from the version chains the
@@ -341,7 +341,7 @@ def test_read_committed_sees_the_second_session():
 
 
 def test_reader_under_concurrent_index_key_moves():
-    """One snapshot reader probes an index and the edge index while writers
+    """One snapshot reader probes an index and the adjacency while writers
     move indexed values of the same namespaces and add edges; every read
     must equal the reader's first.  Each write changes a key for the first
     time since the reader began, which is when the rule's ordering matters:
