@@ -28,6 +28,11 @@ one-shot idiom is unchanged:
             {"m": 5000},
         ).rows
 
+:meth:`ReproClient.submit` writes a query and returns a
+:class:`PendingReply` whose ``result()`` reads the reply later, so one
+thread can have a request outstanding on many servers at once (the
+cluster coordinator's scatter); ``query`` is ``submit(...).result()``.
+
 Cursor fetches are **never retried**: a cursor is session state, and a
 reconnect lands in a fresh session without it — a transport failure
 mid-stream surfaces as the error it is instead of silently re-running
@@ -58,7 +63,9 @@ from repro.obs import tracing
 from repro.query.shapes import split_analyze
 from repro.server import protocol
 
-__all__ = ["ReproClient", "ResultCursor", "StitchedTrace", "DEFAULT_PORT"]
+__all__ = [
+    "ReproClient", "ResultCursor", "PendingReply", "StitchedTrace", "DEFAULT_PORT"
+]
 
 #: Default TCP port for ``repro-shell serve`` / ``connect``.
 DEFAULT_PORT = 8845
@@ -239,6 +246,90 @@ class ResultCursor:
         return f"<ResultCursor {len(self._fetched)} rows fetched, {state}>"
 
 
+class PendingReply:
+    """A request written to the server whose reply is not read yet.
+
+    :meth:`ReproClient.submit` returns one, so a caller can write to many
+    servers before it waits on any of them.  The client's lock is held
+    from the write until :meth:`result` returns: call ``result()`` once,
+    on the thread that submitted.  It reads the reply; on a transport
+    failure, of the write or of the read, it tears the socket down and
+    retries with backoff (reconnect, re-send) as a blocking call does,
+    the lost reply counting as the first attempt."""
+
+    __slots__ = ("_client", "_op", "_params", "_trace", "_retry", "_cursor",
+                 "_sent", "_error")
+
+    def __init__(self, client, op, params, trace, retry, cursor):
+        self._client = client
+        self._op = op
+        self._params = params
+        self._trace = trace
+        self._retry = retry
+        self._cursor = cursor
+        self._sent: Optional[tuple] = None
+        self._error: Optional[BaseException] = None
+
+    def _attempt(self, index: int) -> dict:
+        client = self._client
+        try:
+            if index == 0:
+                if self._error is not None:
+                    raise self._error
+                return client._receive(self._sent)
+            obs_events.emit(
+                "client_reconnect",
+                host=client.host,
+                port=client.port,
+                attempt=index + 1,
+                op=self._op,
+            )
+            client.connect()
+            return client._roundtrip(self._op, self._params, self._trace)
+        except (ConnectionError, OSError):
+            client._teardown()  # in a transaction, the server-side txn is dead too
+            raise
+        except ProtocolError:
+            # A torn hello, a truncated frame or a duplicated response
+            # leaves the stream desynchronized: only a fresh dial
+            # recovers it.
+            if self._retry:
+                client._teardown()
+            raise
+
+    def result(self) -> Any:
+        """The answer's result — a :class:`ResultCursor` for a query — or
+        the typed error the server reported."""
+        client = self._client
+        try:
+            if not self._retry:
+                frame = self._attempt(0)
+            else:
+                frame = retry_with_backoff(
+                    self._attempt,
+                    attempts=client.retries,
+                    retry_on=(ConnectionError, OSError, ProtocolError),
+                    base_delay=client.backoff_base,
+                    sleep=client._sleep,
+                    jitter=client.retry_jitter,
+                    max_elapsed=client.retry_max_elapsed,
+                    seed=client.retry_seed,
+                )
+        finally:
+            client._lock.release()
+        payload = _answer(frame)
+        if not self._cursor:
+            return payload
+        return ResultCursor(
+            client,
+            payload.get("cursor"),
+            payload.get("rows", []),
+            payload.get("stats", {}),
+            analyzed=payload.get("analyzed"),
+            trace=self._trace,
+        )
+
+
 class ReproClient:
     """Synchronous, context-managed client for the repro wire protocol."""
 
@@ -376,11 +467,9 @@ class ReproClient:
             return None
         return StitchedTrace(tracing.new_trace_id())
 
-    def _roundtrip(
-        self, op: str, params: dict, trace: Optional[StitchedTrace] = None
-    ) -> Any:
-        """One request/response exchange on the current socket; returns
-        the response frame (:func:`_answer` reads it)."""
+    def _send(self, op: str, params: dict, trace: Optional[StitchedTrace]) -> tuple:
+        """Write one request frame on the current socket; returns what
+        :meth:`_receive` needs to read its reply."""
         if self._sock is None:
             raise ConnectionError("client is not connected")
         self._next_id += 1
@@ -399,6 +488,12 @@ class ReproClient:
         protocol.write_frame(
             self._sock, protocol.request(request_id, op, trace=trace_frame, **params)
         )
+        return request_id, op, trace, span_id, started
+
+    def _receive(self, sent: tuple) -> dict:
+        """Read the response frame to the request :meth:`_send` wrote
+        (:func:`_answer` reads it)."""
+        request_id, op, trace, span_id, started = sent
         frame = protocol.read_frame(self._sock)
         if frame is None:
             raise ConnectionError("server closed the connection mid-request")
@@ -418,58 +513,45 @@ class ReproClient:
             self.last_trace = trace
         return frame
 
-    def _call(self, op: str, trace: Any = _UNSET, **params: Any) -> Any:
-        """Roundtrip with transparent reconnect on transport failure.
+    def _roundtrip(
+        self, op: str, params: dict, trace: Optional[StitchedTrace] = None
+    ) -> dict:
+        """One request/response exchange on the current socket; returns
+        the response frame."""
+        return self._receive(self._send(op, params, trace))
 
-        Only reconnects when *not* inside a transaction — a reconnect is a
-        brand-new session and silently continuing would lie about the
-        transaction the server already rolled back."""
-        with self._lock:
-            if self._sock is None and not self.auto_reconnect:
-                raise ConnectionError("client is not connected")
+    def _submit(
+        self, op: str, trace: Any, params: dict, cursor: bool = False
+    ) -> PendingReply:
+        """Write *op* and return its :class:`PendingReply`, holding the
+        client's lock until the reply is read.  A transport failure here
+        is kept for ``result()``, which retries as :meth:`_call` does."""
+        self._lock.acquire()
+        try:
             if trace is _UNSET:
                 # Bare API calls (ping/begin/commit/…) still trace when
                 # the policy says so; query() decides for itself.
                 trace = self._new_trace()
-            can_retry = self.auto_reconnect and not self._in_txn
-            if not can_retry:
-                try:
-                    frame = self._roundtrip(op, params, trace=trace)
-                except (ConnectionError, OSError, socket.timeout):
-                    self._teardown()  # the server-side txn is already dead
-                    raise
-                return _answer(frame)
-
-            def attempt(index: int) -> Any:
-                if index > 0 or self._sock is None:
-                    if index > 0:
-                        obs_events.emit(
-                            "client_reconnect",
-                            host=self.host,
-                            port=self.port,
-                            attempt=index + 1,
-                            op=op,
-                        )
+            # Only reconnect when *not* inside a transaction — a reconnect
+            # is a brand-new session and silently continuing would lie
+            # about the transaction the server already rolled back.
+            retry = self.auto_reconnect and not self._in_txn
+            pending = PendingReply(self, op, params, trace, retry, cursor)
+            try:
+                if retry and self._sock is None:
                     self.connect()
-                try:
-                    return self._roundtrip(op, params, trace=trace)
-                except (ConnectionError, OSError, socket.timeout, ProtocolError):
-                    # ProtocolError counts as transport here: a torn hello,
-                    # a truncated frame, or a duplicated response leaves the
-                    # stream desynchronized — only a fresh dial recovers it.
-                    self._teardown()
-                    raise
+                pending._sent = self._send(op, params, trace)
+            except Exception as error:
+                pending._error = error
+            return pending
+        except BaseException:
+            self._lock.release()
+            raise
 
-            return _answer(retry_with_backoff(
-                attempt,
-                attempts=self.retries,
-                retry_on=(ConnectionError, OSError, ProtocolError),
-                base_delay=self.backoff_base,
-                sleep=self._sleep,
-                jitter=self.retry_jitter,
-                max_elapsed=self.retry_max_elapsed,
-                seed=self.retry_seed,
-            ))
+    def _call(self, op: str, trace: Any = _UNSET, **params: Any) -> Any:
+        """Roundtrip with transparent reconnect on transport failure
+        (outside a transaction); returns the answer's result."""
+        return self._submit(op, trace, params).result()
 
     def _cursor_call(
         self, op: str, trace: Optional[StitchedTrace] = None, **params: Any
@@ -516,6 +598,29 @@ class ReproClient:
         default policy.  Passing an existing :class:`StitchedTrace`
         instance joins this statement onto it — the cluster coordinator
         uses that to stitch a whole scatter into one trace."""
+        return self.submit(
+            text, bind_vars, analyze=analyze, timeout=timeout,
+            max_rows=max_rows, batch_size=batch_size, chunk_rows=chunk_rows,
+            stream=stream, trace=trace,
+        ).result()
+
+    def submit(
+        self,
+        text: str,
+        bind_vars: Optional[dict] = None,
+        analyze: bool = False,
+        timeout: Optional[float] = None,
+        max_rows: Optional[int] = None,
+        batch_size: Optional[int] = None,
+        chunk_rows: Optional[int] = None,
+        stream: bool = True,
+        trace: Optional[bool] = None,
+    ) -> PendingReply:
+        """Write :meth:`query`'s request and return without reading the
+        reply: :meth:`PendingReply.result` reads it (a
+        :class:`ResultCursor`).  The client stays locked in between, so a
+        caller can write to several servers, then read each reply while
+        the others execute."""
         if isinstance(trace, StitchedTrace):
             stitched: Optional[StitchedTrace] = trace
         else:
@@ -532,25 +637,10 @@ class ReproClient:
         if analyze or not stream or split_analyze(text)[1]:
             if analyze:
                 params["analyze"] = True
-            payload = self._call("query", trace=stitched, **params)
-            return ResultCursor(
-                self,
-                None,
-                payload.get("rows", []),
-                payload.get("stats", {}),
-                analyzed=payload.get("analyzed"),
-                trace=stitched,
-            )
+            return self._submit("query", stitched, params, cursor=True)
         if chunk_rows is not None:
             params["chunk_rows"] = chunk_rows
-        payload = self._call("query_open", trace=stitched, **params)
-        return ResultCursor(
-            self,
-            payload.get("cursor"),
-            payload.get("rows", []),
-            payload.get("stats", {}),
-            trace=stitched,
-        )
+        return self._submit("query_open", stitched, params, cursor=True)
 
     def explain(self, text: str) -> str:
         return self._call("explain", text=text)["plan"]

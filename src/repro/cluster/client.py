@@ -41,8 +41,23 @@ def _split_address(address) -> tuple:
     return (host, int(port))
 
 
+def _close_all(sets: dict) -> None:
+    for replica_set in sets.values():
+        try:
+            replica_set.close()
+        except Exception:
+            pass
+
+
 class ClusterClient:
-    """Scatter-gather MMQL over hash-partitioned shards."""
+    """Scatter-gather MMQL over hash-partitioned shards.
+
+    Lock order: a scatter holds each shard's router lock (and its node
+    client's) from the write of its request to the read of its reply,
+    taking them in ascending shard order.  This client's own lock guards
+    its map and router table only; it is never held while a router lock
+    is taken, so a thread mid-scatter can always look up the next shard's
+    router."""
 
     def __init__(
         self,
@@ -80,14 +95,8 @@ class ClusterClient:
 
     def close(self) -> None:
         with self._lock:
-            if self.coordinator is not None:
-                self.coordinator.close()
-            for replica_set in self._sets.values():
-                try:
-                    replica_set.close()
-                except Exception:
-                    pass
-            self._sets.clear()
+            sets, self._sets = self._sets, {}
+        _close_all(sets)
 
     def __enter__(self) -> "ClusterClient":
         return self.connect()
@@ -108,15 +117,9 @@ class ClusterClient:
     def _adopt_map(self, shard_map: ShardMap) -> None:
         with self._lock:
             self.shard_map = shard_map
-            if self.coordinator is not None:
-                self.coordinator.close()
             self.coordinator = Coordinator(shard_map)
-            for replica_set in self._sets.values():
-                try:
-                    replica_set.close()
-                except Exception:
-                    pass
-            self._sets.clear()
+            sets, self._sets = self._sets, {}
+        _close_all(sets)
 
     def refetch_map(self) -> ShardMap:
         """Pull a fresh map from any reachable shard (seed as fallback)
@@ -177,24 +180,22 @@ class ClusterClient:
         check_level(level)
         with self._lock:
             self._levels[name] = level
-            for replica_set in self._sets.values():
-                replica_set.set_consistency(name, level)
+            sets = list(self._sets.values())
+        for replica_set in sets:
+            replica_set.set_consistency(name, level)
 
     # -------------------------------------------------------------- queries --
 
     def _runner(
         self, shard_id, text, bind_vars, analyze, consistency, trace
     ):
-        replica_set = self._replica_set(shard_id)
-        cursor = replica_set.query(
+        return self._replica_set(shard_id).submit(
             text,
             bind_vars,
             consistency=consistency,
             analyze=analyze,
             trace=trace,
         )
-        rows = cursor.fetch_all()
-        return rows, dict(cursor.stats or {}), cursor.analyzed
 
     def _new_trace(self, force: Optional[bool] = None):
         wanted = force if force is not None else (

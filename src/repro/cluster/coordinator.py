@@ -343,9 +343,14 @@ class Coordinator:
     """Plans and executes MMQL statements against a sharded topology.
 
     Transport-agnostic: ``execute`` takes a *runner* callable
-    ``runner(shard_id, text, bind_vars, analyze, consistency, trace) ->
-    (rows, stats, analyzed)`` — the :class:`ClusterClient` supplies one
-    backed by per-shard replica sets over the wire protocol."""
+    ``runner(shard_id, text, bind_vars, analyze=, consistency=, trace=)``
+    that returns either the finished ``(rows, stats, analyzed)`` or a
+    pending reply: an object whose ``result()`` returns a cursor
+    (``fetch_all()``, ``stats``, ``analyzed``).  A scatter calls the
+    runner for every shard before it resolves any reply, so a runner that
+    only writes its request lets the shards execute at once.  The
+    :class:`ClusterClient` supplies one backed by per-shard replica sets
+    over the wire protocol (:meth:`ReplicaSet.submit`)."""
 
     def __init__(self, shard_map: ShardMap):
         self.shard_map = shard_map
@@ -356,14 +361,6 @@ class Coordinator:
         self._rr = 0
         self._rr_lock = threading.Lock()
         self._local_db = None  # lazily-created store-free evaluator
-        self._pool = None  # lazily-created scatter thread pool
-        self._pool_lock = threading.Lock()
-
-    def close(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-                self._pool = None
 
     # -- planning --------------------------------------------------------
 
@@ -907,42 +904,37 @@ class Coordinator:
     def _scatter(
         self, shard_ids, statement, binds, runner, analyze, consistency, trace
     ):
-        """Run one statement on many shards concurrently; returns
-        ``{shard_id: (rows, stats, analyzed)}`` or raises."""
-        results: dict = {}
-        errors: dict = {}
+        """Run one statement on many shards; returns ``{shard_id: (rows,
+        stats, analyzed)}`` or raises.
 
-        def one(shard_id: int) -> None:
+        One thread, two passes: the runner writes every shard's request,
+        in ascending shard order, then every reply is read in that order —
+        the shards execute while this thread waits on the first.  Every
+        reply is resolved, an error on another shard notwithstanding, so
+        no lock stays held and no connection is left with an unread
+        reply."""
+        replies: dict = {}
+        errors: dict = {}
+        for shard_id in sorted(shard_ids):
             try:
-                results[shard_id] = runner(
+                replies[shard_id] = runner(
                     shard_id, statement, binds,
                     analyze=analyze, consistency=consistency, trace=trace,
                 )
             except BaseException as error:  # noqa: BLE001 - sorted below
                 errors[shard_id] = error
-
-        if len(shard_ids) == 1:
-            one(shard_ids[0])
-        else:
-            # A persistent pool, not per-query threads: scatter happens on
-            # every fan-out statement, and thread spawn is pure overhead.
-            # The calling thread takes one shard itself, so a query always
-            # progresses even when the pool is busy with other statements.
-            with self._pool_lock:
-                pool = self._pool
-                if pool is None:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    pool = self._pool = ThreadPoolExecutor(
-                        max_workers=max(2, 2 * self.shard_map.num_shards),
-                        thread_name_prefix="cluster-scatter",
-                    )
-            futures = [
-                pool.submit(one, shard_id) for shard_id in shard_ids[1:]
-            ]
-            one(shard_ids[0])
-            for future in futures:
-                future.result()  # `one` captures; this only joins
+        results: dict = {}
+        for shard_id, reply in replies.items():
+            if isinstance(reply, tuple):
+                results[shard_id] = reply
+                continue
+            try:
+                cursor = reply.result()
+                results[shard_id] = (
+                    cursor.fetch_all(), cursor.stats or {}, cursor.analyzed
+                )
+            except BaseException as error:  # noqa: BLE001 - sorted below
+                errors[shard_id] = error
         if errors:
             self._raise_scatter_errors(errors)
         return results
@@ -1019,13 +1011,11 @@ class Coordinator:
         return ClusterResult(rows, stats, analyzed=analyzed, trace=trace)
 
     def _fold_stats(self, total: dict, results: dict) -> None:
-        for rows, stats, _analyzed in results.values():
+        for _rows, stats, _analyzed in results.values():
             for key, value in (stats or {}).items():
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float)
-                ):
-                    continue
-                total[key] = total.get(key, 0) + value
+                # Exact types: a bool or a nested object is not a counter.
+                if type(value) in (int, float):
+                    total[key] = total.get(key, 0) + value
 
     def _final_stats(self, total, plan, fan_out, merged) -> dict:
         stats = dict(total)

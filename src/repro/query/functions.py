@@ -20,6 +20,7 @@ Every function validates its arguments and raises
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
 from typing import Any, Callable
@@ -319,8 +320,11 @@ def keyed_reader(ctx, function: str, name: str) -> Callable[[Any], Any]:
     def read(key):
         try:
             return get(key, txn=txn)
-        except TypeError as error:  # an unhashable key: what call_function says
-            raise FunctionError(f"DOCUMENT: bad arity ({error})") from error
+        except TypeError as error:  # an unhashable key
+            raise FunctionError(
+                f"DOCUMENT: the key must be a scalar, got "
+                f"{datamodel.type_name(key)}"
+            ) from error
 
     return read
 
@@ -337,12 +341,22 @@ def _fn_kv_keys(ctx, bucket_name):
     return sorted(ctx.db.bucket(bucket_name).keys(txn=ctx.txn))
 
 
+def _vertex(name: str, argument: str, value: Any) -> None:
+    _require(
+        isinstance(value, str),
+        name,
+        f"the {argument} vertex must be a string key, got {datamodel.type_name(value)}",
+    )
+
+
 def _fn_neighbors(ctx, graph_name, vertex, direction="outbound", label=None):
+    _vertex("NEIGHBORS", "start", vertex)
     graph = ctx.db.graph(graph_name)
     return graph.neighbors(vertex, direction, label, txn=ctx.txn)
 
 
 def _fn_traverse(ctx, graph_name, start, min_depth, max_depth, direction="outbound", label=None):
+    _vertex("TRAVERSE", "start", start)
     graph = ctx.db.graph(graph_name)
     return [
         key
@@ -353,11 +367,14 @@ def _fn_traverse(ctx, graph_name, start, min_depth, max_depth, direction="outbou
 
 
 def _fn_shortest_path(ctx, graph_name, start, goal, direction="any"):
+    _vertex("SHORTEST_PATH", "start", start)
+    _vertex("SHORTEST_PATH", "goal", goal)
     graph = ctx.db.graph(graph_name)
     return graph.shortest_path(start, goal, direction, txn=ctx.txn)
 
 
 def _fn_edges(ctx, graph_name, vertex, direction="outbound", label=None):
+    _vertex("EDGES", "start", vertex)
     graph = ctx.db.graph(graph_name)
     return list(graph.edges_of(vertex, direction, label, txn=ctx.txn))
 
@@ -458,12 +475,42 @@ FUNCTIONS: dict[str, Callable] = {
 }
 
 
+def _arity(function: Callable) -> tuple:
+    """``(least, most)`` arguments *function* takes after the context."""
+    code = function.__code__
+    most = code.co_argcount - 1
+    least = most - len(function.__defaults__ or ())
+    if code.co_flags & inspect.CO_VARARGS:
+        most = math.inf
+    return least, most
+
+
+#: Each built-in with its argument count bounds, read off its signature once.
+_BUILTINS: dict[str, tuple] = {
+    name: (function, *_arity(function)) for name, function in FUNCTIONS.items()
+}
+
+
+def _takes(least: int, most: float) -> str:
+    if most == math.inf:
+        count = f"at least {least}"
+    else:
+        count = str(least) if least == most else f"{least} to {most}"
+    return f"{count} argument" + ("" if count == "1" else "s")
+
+
 def call_function(ctx, name: str, args: list) -> Any:
-    """Dispatch a built-in; unknown names raise :class:`FunctionError`."""
-    function = FUNCTIONS.get(name)
-    if function is None:
+    """Dispatch a built-in; unknown names, a wrong argument count and an
+    argument of the wrong type raise :class:`FunctionError`."""
+    builtin = _BUILTINS.get(name)
+    if builtin is None:
         raise FunctionError(f"unknown function {name!r}")
+    function, least, most = builtin
+    if not least <= len(args) <= most:
+        raise FunctionError(
+            f"{name}: bad arity (takes {_takes(least, most)}, got {len(args)})"
+        )
     try:
         return function(ctx, *args)
     except TypeError as error:
-        raise FunctionError(f"{name}: bad arity ({error})") from error
+        raise FunctionError(f"{name}: bad argument ({error})") from error

@@ -26,6 +26,13 @@ transaction.  Non-transactional statements retry transparently (they are
 at-least-once: use idempotent statements — UPSERT, keyed INSERT — when
 that matters).
 
+**Written now, read later.**  :meth:`ReplicaSet.submit` picks the node and
+writes the statement there, returning a :class:`PendingStatement` whose
+``result()`` reads the reply and, should the node be gone or no longer
+primary, recovers as above and runs the statement again;
+:meth:`ReplicaSet.query` is ``submit(...).result()``.  The cluster
+coordinator writes to every shard's router before it reads any reply.
+
 **Per-store levels** (challenge 6, slide 97: relational data strong, graph
 data eventual).  :meth:`set_consistency` gives a store its own level.  A
 read runs at the per-call ``consistency=``, else at the strictest level of
@@ -47,7 +54,7 @@ from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.query.shapes import CLASSIFIED, StatementMemo
 
-__all__ = ["ReplicaSet", "check_level"]
+__all__ = ["ReplicaSet", "PendingStatement", "check_level"]
 
 #: Errors that mean "this node is gone", triggering failover.
 _TRANSPORT_ERRORS = (ConnectionError, OSError, RetryExhaustedError)
@@ -149,6 +156,35 @@ class ReplicaSet:
 
     # -------------------------------------------------------------- routing --
 
+    def submit(
+        self,
+        text: str,
+        bind_vars: Optional[dict] = None,
+        consistency: Optional[str] = None,
+        **query_options: Any,
+    ) -> "PendingStatement":
+        """Write one MMQL statement to the right node and return without
+        reading the reply; :meth:`PendingStatement.result` reads it.  The
+        router stays locked in between."""
+        statement = self._statements.classify(text)
+        if consistency is not None:
+            level = check_level(consistency)
+        elif self._levels:
+            level = self._statement_level(statement)
+        else:
+            level = self.consistency
+        self._lock.acquire()
+        try:
+            if statement.writes or level == "strong" or self._in_txn:
+                return self._send_primary(text, bind_vars, query_options, 0)
+            return self._send_replica(
+                text, bind_vars, query_options, level == "bounded",
+                self._replica_order(),
+            )
+        except BaseException:
+            self._lock.release()
+            raise
+
     def query(
         self,
         text: str,
@@ -158,17 +194,7 @@ class ReplicaSet:
     ) -> Any:
         """Run one MMQL statement at the right node; returns the client's
         :class:`~repro.client.client.ResultCursor`."""
-        statement = self._statements.classify(text)
-        if consistency is not None:
-            level = check_level(consistency)
-        elif self._levels:
-            level = self._statement_level(statement)
-        else:
-            level = self.consistency
-        with self._lock:
-            if statement.writes or level == "strong" or self._in_txn:
-                return self._on_primary(text, bind_vars, query_options)
-            return self._on_replica(text, bind_vars, query_options, level == "bounded")
+        return self.submit(text, bind_vars, consistency, **query_options).result()
 
     def set_consistency(self, name: str, level: str) -> None:
         """Read the store *name* at *level* when a statement names it."""
@@ -193,50 +219,80 @@ class ReplicaSet:
             self.last_seen_lsn = lsn
         return cursor
 
-    def _on_primary(self, text, bind_vars, query_options, hops: int = 0) -> Any:
+    def _send_primary(self, text, bind_vars, query_options, hops: int):
         if hops > max(len(self._replica_addrs) + 1, 3):
             raise FailoverInProgressError(
                 "no stable primary found after repeated redirects/failovers"
             )
-        try:
-            cursor = self._client(self._primary_addr).query(
-                text, bind_vars, **query_options
-            )
-            # Drain eagerly: a cursor is session state on the node that
-            # served it, and the router may fail that node over between
-            # fetches — a complete result has no such hazard.
-            cursor.fetch_all()
-            self.primary_statements += 1
-            return self._note_lsn(cursor)
-        except NotPrimaryError as error:
-            # Stale topology: the node we believed primary was re-pointed
-            # (or we raced its demotion).  Its error names the real one.
-            self._adopt_primary_hint(error)
-        except _TRANSPORT_ERRORS as error:
-            self._primary_lost(error)
-        return self._on_primary(text, bind_vars, query_options, hops + 1)
+        reply = self._client(self._primary_addr).submit(
+            text, bind_vars, **query_options
+        )
+        return PendingStatement(self, reply, None, None, text, bind_vars,
+                                query_options, hops, False)
 
-    def _on_replica(self, text, bind_vars, query_options, bounded: bool) -> Any:
-        """The first replica in round-robin order that answers — when
-        *bounded*, only one that ``repl_wait`` confirms has reached the
-        session's last-seen primary LSN — else the primary."""
+    def _send_replica(self, text, bind_vars, query_options, bounded: bool,
+                      order: list):
+        """Write to the first replica of *order* — when *bounded*, only one
+        that ``repl_wait`` confirms has reached the session's last-seen
+        primary LSN — else to the primary.  The replicas left in *order*
+        are the ones to try should this one not answer."""
         token = self.last_seen_lsn
-        for addr in self._replica_order():
-            try:
-                client = self._client(addr)
-                if bounded and not client._call(
-                    "repl_wait", lsn=token, timeout=self.bounded_timeout
-                ).get("reached"):
-                    continue  # too far behind; try the next replica
-                cursor = client.query(text, bind_vars, **query_options)
-                cursor.fetch_all()
-                self.replica_statements += 1
-                return self._note_lsn(cursor)
-            except _TRANSPORT_ERRORS:
-                self._drop_client(addr)
+        while order:
+            addr = order.pop(0)
+            client = self._client(addr)
+            if bounded:
+                try:
+                    if not client._call(
+                        "repl_wait", lsn=token, timeout=self.bounded_timeout
+                    ).get("reached"):
+                        continue  # too far behind; try the next replica
+                except _TRANSPORT_ERRORS:
+                    self._drop_client(addr)
+                    continue
+            reply = client.submit(text, bind_vars, **query_options)
+            return PendingStatement(self, reply, addr, order, text,
+                                    bind_vars, query_options, 0, bounded)
         # Nobody answered (or is caught up): the primary is by definition
         # at the watermark.
-        return self._on_primary(text, bind_vars, query_options)
+        return self._send_primary(text, bind_vars, query_options, 0)
+
+    def _resolve(self, pending: "PendingStatement") -> Any:
+        """Read *pending*'s reply; a node that is gone or no longer primary
+        is recovered from as the statement's retry: the next replica, the
+        hinted primary, or a failover, then the statement again."""
+        while True:
+            try:
+                cursor = pending._reply.result()
+                # Drain eagerly: a cursor is session state on the node
+                # that served it, and the router may fail that node over
+                # between fetches — a complete result has no such hazard.
+                cursor.fetch_all()
+            except NotPrimaryError as error:
+                if pending._addr is not None:
+                    raise  # a replica's refusal is its answer
+                # Stale topology: the node we believed primary was
+                # re-pointed (or we raced its demotion).  Its error names
+                # the real one.
+                self._adopt_primary_hint(error)
+            except _TRANSPORT_ERRORS as error:
+                if pending._addr is not None:
+                    self._drop_client(pending._addr)
+                    pending = self._send_replica(
+                        pending._text, pending._binds, pending._options,
+                        pending._bounded, pending._replicas,
+                    )
+                    continue
+                self._primary_lost(error)
+            else:
+                if pending._addr is None:
+                    self.primary_statements += 1
+                else:
+                    self.replica_statements += 1
+                return self._note_lsn(cursor)
+            pending = self._send_primary(
+                pending._text, pending._binds, pending._options,
+                pending._hops + 1,
+            )
 
     def _replica_order(self) -> list[tuple]:
         if not self._replica_addrs:
@@ -385,3 +441,33 @@ class ReplicaSet:
             f"consistency={self.consistency}>"
         )
 
+
+class PendingStatement:
+    """A statement :meth:`ReplicaSet.submit` wrote to one node, its reply
+    not read yet.  The router's lock and the node client's lock are held
+    until :meth:`result` returns: call it once, on the submitting thread.
+    ``_addr`` is the replica written to, None for the primary;
+    ``_replicas`` the replicas still to try after it."""
+
+    __slots__ = ("_router", "_reply", "_addr", "_replicas", "_text",
+                 "_binds", "_options", "_hops", "_bounded")
+
+    def __init__(self, router, reply, addr, replicas, text, binds, options,
+                 hops, bounded):
+        self._router = router
+        self._reply = reply
+        self._addr = addr
+        self._replicas = replicas
+        self._text = text
+        self._binds = binds
+        self._options = options
+        self._hops = hops
+        self._bounded = bounded
+
+    def result(self) -> Any:
+        """The drained :class:`~repro.client.client.ResultCursor`."""
+        router = self._router
+        try:
+            return router._resolve(self)
+        finally:
+            router._lock.release()

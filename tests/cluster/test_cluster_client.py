@@ -14,6 +14,9 @@ class _Cursor:
     def fetch_all(self):
         return []
 
+    def result(self):
+        return self  # a reply already read
+
 
 class _Node:
     """A shard primary or replica; *reached* lists the addresses that
@@ -24,7 +27,7 @@ class _Node:
     def __init__(self, host=None, port=None, **options):
         self.address = f"{host}:{port}"
 
-    def query(self, text, bind_vars=None, **options):
+    def submit(self, text, bind_vars=None, **options):
         _Node.reached.append(self.address)
         return _Cursor()
 

@@ -96,13 +96,16 @@ class _Cursor:
     def fetch_all(self):
         return []
 
+    def result(self):
+        return self  # a reply already read
+
 
 class _Client:
     def __init__(self, host, port, **_options):
         self.port = port
         self.texts = []
 
-    def query(self, text, bind_vars=None, **_options):
+    def submit(self, text, bind_vars=None, **_options):
         self.texts.append(text)
         return _Cursor()
 
