@@ -15,7 +15,7 @@ counts per variant.
 
 import pytest
 
-from repro.query.executor import ExecContext, execute
+from repro.query.executor import ExecContext, Result, execute_stream
 from repro.query.optimizer import optimize
 from repro.query.parser import parse
 
@@ -32,7 +32,8 @@ FOR c IN customers
 def _run(db, fold, pushdown, indexes):
     query = optimize(parse(QUERY), db, fold=fold, pushdown=pushdown, indexes=indexes)
     ctx = ExecContext(db=db, bind_vars={})
-    return execute(ctx, query)
+    rows = [row for batch in execute_stream(ctx, query) for row in batch]
+    return Result(rows, ctx.stats)
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ work):
 
 import pytest
 
-from repro.query.executor import ExecContext, execute
+from repro.query.executor import ExecContext, Result, execute_stream
 from repro.query.optimizer import optimize
 from repro.query.parser import parse
 
@@ -48,7 +48,9 @@ FOR c IN customers
 
 def _run(db, text, disabled=()):
     query = optimize(parse(text), db, disabled=disabled)
-    return execute(ExecContext(db=db, bind_vars={}), query)
+    ctx = ExecContext(db=db, bind_vars={})
+    rows = [row for batch in execute_stream(ctx, query) for row in batch]
+    return Result(rows, ctx.stats)
 
 
 def _expected(db, text):

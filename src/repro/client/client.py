@@ -14,13 +14,13 @@ the server aborted the transaction the moment the connection died, so the
 only honest outcome is an error the application can see.  Retried queries
 are at-least-once: a response lost in flight re-executes the statement.
 
-Queries **stream** by default: :meth:`ReproClient.query` opens a
-server-side cursor (``query_open``) and returns a :class:`ResultCursor`
-that fetches further chunks (``cursor_next``) as it is iterated — the
-server never materializes more than one chunk per stream, so a result
-larger than the 32 MiB frame cap flows through in many small frames.
-``.rows`` / ``fetch_all()`` drain the cursor for eager callers, so the
-one-shot idiom is unchanged:
+Every query is a cursor: :meth:`ReproClient.query` sends ``query_open``
+and returns a :class:`ResultCursor` holding the first chunk, which
+fetches further chunks (``cursor_next``) as it is iterated — the server
+never materializes more than one chunk per stream, so a result larger
+than the 32 MiB frame cap flows through in many small frames.  A result
+that fits one chunk arrives whole in the one reply.  ``.rows`` /
+``fetch_all()`` drain the cursor for eager callers:
 
     with ReproClient(port=port) as client:
         rows = client.query(
@@ -60,7 +60,6 @@ from repro.errors import CursorNotFoundError, ProtocolError
 from repro.fault.retry import retry_with_backoff
 from repro.obs import events as obs_events
 from repro.obs import tracing
-from repro.query.shapes import split_analyze
 from repro.server import protocol
 
 __all__ = [
@@ -140,14 +139,14 @@ class ResultCursor:
     Rows arrive in chunks: iterating fetches the next chunk on demand
     (``cursor_next``), so a huge result never occupies more than one
     chunk of server memory at a time.  :meth:`fetch_all` / ``.rows``
-    drain the stream for eager callers — the pre-cursor ``Result``
-    idiom (``client.query(...).rows``) works unchanged.  Fetched rows
-    are retained, so the cursor is re-iterable and indexable after a
-    full drain.
+    drain the stream for eager callers (``client.query(...).rows``).
+    Fetched rows are retained, so the cursor is re-iterable and indexable
+    after a full drain.
 
     ``stats`` tracks the server's live execution statistics (updated on
-    every fetched chunk); ``analyzed`` carries the EXPLAIN ANALYZE text
-    for eager/analyze results and is ``None`` on streams.
+    every fetched chunk); ``analyzed`` carries the EXPLAIN ANALYZE text of
+    an analyze run, from the reply that carries it (the server runs such
+    a statement to its end before it answers), and is ``None`` otherwise.
     """
 
     __slots__ = ("_client", "_cursor_id", "_fetched", "stats", "analyzed",
@@ -183,6 +182,7 @@ class ResultCursor:
         )
         self._fetched.extend(payload.get("rows", []))
         self.stats = payload.get("stats", self.stats)
+        self.analyzed = payload.get("analyzed", self.analyzed)
         if not payload.get("has_more"):
             self._cursor_id = None
 
@@ -257,16 +257,15 @@ class PendingReply:
     retries with backoff (reconnect, re-send) as a blocking call does,
     the lost reply counting as the first attempt."""
 
-    __slots__ = ("_client", "_op", "_params", "_trace", "_retry", "_cursor",
-                 "_sent", "_error")
+    __slots__ = ("_client", "_op", "_params", "_trace", "_retry", "_sent",
+                 "_error")
 
-    def __init__(self, client, op, params, trace, retry, cursor):
+    def __init__(self, client, op, params, trace, retry):
         self._client = client
         self._op = op
         self._params = params
         self._trace = trace
         self._retry = retry
-        self._cursor = cursor
         self._sent: Optional[tuple] = None
         self._error: Optional[BaseException] = None
 
@@ -318,7 +317,7 @@ class PendingReply:
         finally:
             client._lock.release()
         payload = _answer(frame)
-        if not self._cursor:
+        if self._op != "query_open":
             return payload
         return ResultCursor(
             client,
@@ -520,9 +519,7 @@ class ReproClient:
         the response frame."""
         return self._receive(self._send(op, params, trace))
 
-    def _submit(
-        self, op: str, trace: Any, params: dict, cursor: bool = False
-    ) -> PendingReply:
+    def _submit(self, op: str, trace: Any, params: dict) -> PendingReply:
         """Write *op* and return its :class:`PendingReply`, holding the
         client's lock until the reply is read.  A transport failure here
         is kept for ``result()``, which retries as :meth:`_call` does."""
@@ -536,7 +533,7 @@ class ReproClient:
             # is a brand-new session and silently continuing would lie
             # about the transaction the server already rolled back.
             retry = self.auto_reconnect and not self._in_txn
-            pending = PendingReply(self, op, params, trace, retry, cursor)
+            pending = PendingReply(self, op, params, trace, retry)
             try:
                 if retry and self._sock is None:
                     self.connect()
@@ -579,18 +576,16 @@ class ReproClient:
         max_rows: Optional[int] = None,
         batch_size: Optional[int] = None,
         chunk_rows: Optional[int] = None,
-        stream: bool = True,
         trace: Optional[bool] = None,
     ) -> ResultCursor:
         """Run MMQL on the server; returns a :class:`ResultCursor`.
 
-        By default the result **streams**: the server opens a cursor and
-        ships rows in chunks of ``chunk_rows`` (capped by the server's
+        The result **streams**: the server opens a cursor and ships rows
+        in chunks of ``chunk_rows`` (capped by the server's
         ``cursor_chunk_rows``) as the cursor is iterated; ``.rows`` /
-        ``fetch_all()`` drain it eagerly.  ``analyze=True`` and
-        ``stream=False`` use the one-shot ``query`` op instead (EXPLAIN
-        ANALYZE is eager by construction), returning an already-complete
-        cursor.  Values are limited to what JSON round-trips.
+        ``fetch_all()`` drain it.  ``analyze=True`` (or a leading
+        ``EXPLAIN ANALYZE``) adds the annotated plan as ``analyzed``.
+        Values are limited to what JSON round-trips.
 
         ``trace=True`` traces this one statement (client RPCs + server
         span trees, stitched across every fetch of a streamed result into
@@ -601,7 +596,7 @@ class ReproClient:
         return self.submit(
             text, bind_vars, analyze=analyze, timeout=timeout,
             max_rows=max_rows, batch_size=batch_size, chunk_rows=chunk_rows,
-            stream=stream, trace=trace,
+            trace=trace,
         ).result()
 
     def submit(
@@ -613,7 +608,6 @@ class ReproClient:
         max_rows: Optional[int] = None,
         batch_size: Optional[int] = None,
         chunk_rows: Optional[int] = None,
-        stream: bool = True,
         trace: Optional[bool] = None,
     ) -> PendingReply:
         """Write :meth:`query`'s request and return without reading the
@@ -634,13 +628,11 @@ class ReproClient:
             params["max_rows"] = max_rows
         if batch_size is not None:
             params["batch_size"] = batch_size
-        if analyze or not stream or split_analyze(text)[1]:
-            if analyze:
-                params["analyze"] = True
-            return self._submit("query", stitched, params, cursor=True)
+        if analyze:
+            params["analyze"] = True
         if chunk_rows is not None:
             params["chunk_rows"] = chunk_rows
-        return self._submit("query_open", stitched, params, cursor=True)
+        return self._submit("query_open", stitched, params)
 
     def explain(self, text: str) -> str:
         return self._call("explain", text=text)["plan"]

@@ -68,6 +68,7 @@ from typing import Any, Callable, Optional
 from repro.errors import (
     ClusterError,
     ClusterUnsupportedError,
+    ReplicationError,
     ReproError,
     ShardMapStaleError,
     ShardUnavailableError,
@@ -940,15 +941,23 @@ class Coordinator:
         return results
 
     def _raise_scatter_errors(self, errors: dict) -> None:
+        """A stale map first (the caller re-plans), then a typed error that
+        is the statement's own answer (parse, timeout, …); a shard that
+        could not answer — a transport error, or its router's failover or
+        replication error — is ``ShardUnavailableError`` naming it,
+        chained from the cause."""
         if obs_metrics.ENABLED:
             obs_metrics.counter("cluster_shard_errors_total").inc(len(errors))
-        for shard_id, error in sorted(errors.items()):
+        ordered = sorted(errors.items())
+        for shard_id, error in ordered:
             if isinstance(error, ShardMapStaleError):
                 raise error
-        for shard_id, error in sorted(errors.items()):
-            if isinstance(error, ReproError):
+        for shard_id, error in ordered:
+            if isinstance(error, ReproError) and not isinstance(
+                error, ReplicationError
+            ):
                 raise error
-        shard_id, error = sorted(errors.items())[0]
+        shard_id, error = ordered[0]
         raise ShardUnavailableError(
             f"shard {shard_id} failed during scatter: "
             f"{type(error).__name__}: {error}",

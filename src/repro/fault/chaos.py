@@ -439,9 +439,9 @@ def cluster_chaos_run(
     its owner or fails whole, which is what makes the invariants sharp:
 
     1. **No silent partial results** — once a shard is down, a scatter
-       read raises a typed error (:class:`ShardUnavailableError` /
-       :class:`FailoverInProgressError`); it never returns the surviving
-       shards' rows as if they were the whole answer.
+       read raises a typed error (:class:`ShardUnavailableError` naming
+       the shard); it never returns the surviving shards' rows as if they
+       were the whole answer.
     2. **Surviving shards keep serving** — writes owned by live shards
        succeed; only writes owned by the dead shard are refused.
     3. **State = confirmed writes** — each surviving shard holds exactly

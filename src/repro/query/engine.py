@@ -1,11 +1,12 @@
 """MMQL front door: parse → optimize → execute (and EXPLAIN / ANALYZE).
 
-One planning path: :func:`plan_statement` takes a statement from text to
-plan and :class:`ExecContext`; :func:`run_query` executes that eagerly,
-:func:`open_query_cursor` streams it, and nothing else differs between
-them.
+One statement path: :func:`plan_statement` takes a statement from text to
+plan and :class:`ExecContext`, and a :class:`QueryCursor` executes it.
+:func:`open_query_cursor` hands the cursor to its caller;
+:func:`run_query` (``db.query``) drains it, so "eager" means nothing but
+"drain the cursor".
 
-Every query, eager or streamed, is observable end to end:
+Every query, drained or streamed, is observable end to end:
 
 * spans ``query`` → ``query.parse`` / ``query.optimize`` / ``query.execute``
   (visible with ``repro.obs.tracing`` enabled, e.g. the shell's ``.trace on``),
@@ -13,9 +14,10 @@ Every query, eager or streamed, is observable end to end:
   ``query_phase_seconds{phase=…}``, ``query_rows_returned_total``,
   ``query_errors_total``, ``plan_cache_{hits,misses,evictions}_total``,
 * a slow-query log (``repro.obs.slowlog``) when a threshold is set,
-* ``EXPLAIN ANALYZE <query>`` (or ``run_query(…, analyze=True)``) executes
-  the query with per-operator probes and attaches the annotated physical
-  plan to the result (``Result.analyzed`` / ``Result.op_stats``).
+* ``EXPLAIN ANALYZE <query>`` (or ``analyze=True``) executes the query
+  with per-operator probes; once the cursor's pipeline has run to its end
+  the annotated physical plan is on the cursor and the drained result
+  (``analyzed`` / ``op_stats``).
 
 The **plan cache** (:class:`PlanCache`) removes parse+optimize from the hot
 path.  Plans are keyed on the statement's *shape*
@@ -45,7 +47,7 @@ from repro.errors import (
     ResourceExhaustedError,
 )
 from repro.obs import metrics, slowlog, tracing
-from repro.query.executor import ExecContext, Result, execute, execute_stream
+from repro.query.executor import ExecContext, Result, execute_stream
 from repro.query.optimizer import optimize
 from repro.query.parser import parse
 from repro.query.plan import render_analyzed_plan, render_plan
@@ -367,23 +369,23 @@ def plan_statement(
     max_rows: Optional[int] = None,
     batch_size: Optional[int] = None,
     columnar: Optional[bool] = None,
-) -> tuple:
+) -> "QueryCursor":
     """Everything between a statement's text and its execution, for both
-    entry points: guardrail defaults, the plan cache (shape, key, lookup,
-    DDL-version validation, put), parse and optimize on a miss — timed,
-    in ``query.parse``/``query.optimize`` spans, and observed in
-    ``query_phase_seconds`` here, where planning happens — and the
-    :class:`ExecContext` with every knob resolved, the statement's lifted
-    literals merged into its bind parameters.
+    entry points: the ``EXPLAIN ANALYZE`` prefix, guardrail defaults, the
+    plan cache (shape, key, lookup, DDL-version validation, put), parse
+    and optimize on a miss — timed, in ``query.parse``/``query.optimize``
+    spans, and observed in ``query_phase_seconds`` here, where planning
+    happens — and the :class:`ExecContext` with every knob resolved, the
+    statement's lifted literals merged into its bind parameters.
 
     An *analyze* run plans the literal text, so its plan, estimates and
     statistics feedback are those of the statement as written.
 
-    Returns ``(query, ctx, phases, cache_key)``: the plan, its context,
-    the planning seconds by phase (zeros on a cache hit) and the plan's
-    cache key (None without a plan cache)."""
+    Returns the statement's unstarted :class:`QueryCursor`."""
     perf_counter = time.perf_counter
     started = perf_counter()
+    text, prefixed = split_analyze(text)
+    analyze = analyze or prefixed
     guardrails = getattr(db, "guardrails", None)
     if guardrails is not None:
         if timeout is None:
@@ -457,7 +459,9 @@ def plan_statement(
     if max_rows is not None:
         ctx.max_rows = int(max_rows)
     ctx.stats["plan_cached"] = plan_cached
-    return query, ctx, phases, cache_key
+    return QueryCursor(
+        ctx, query, text, phases, perf_counter() - started, cache_key
+    )
 
 
 def _count_error(error: Exception) -> None:
@@ -468,18 +472,6 @@ def _count_error(error: Exception) -> None:
             metrics.counter("query_timeouts_total").inc()
         elif isinstance(error, ResourceExhaustedError):
             metrics.counter("query_row_budget_exceeded_total").inc()
-
-
-def _record_finished(text: str, elapsed: float, phases: dict, rows: int) -> None:
-    """A statement ran to its end: an eager one when its rows are in, a
-    stream when it drains or is closed."""
-    if metrics.ENABLED:
-        _QUERIES_TOTAL.inc()
-        _QUERY_SECONDS.observe(elapsed)
-        _PHASE_SECONDS["execute"].observe(phases["execute"])
-        _ROWS_RETURNED_TOTAL.inc(rows)
-    if slowlog.THRESHOLD is not None:
-        slowlog.record(text, elapsed, rows=rows, phases=phases)
 
 
 def run_query(
@@ -494,123 +486,87 @@ def run_query(
     batch_size: Optional[int] = None,
     columnar: Optional[bool] = None,
 ) -> Result:
-    """Parse, optimize and execute an MMQL query against *db*.
+    """Parse, optimize and execute an MMQL query against *db*: open its
+    :class:`QueryCursor` and drain it into a :class:`Result`.
 
+    The options are :meth:`MultiModelDB.query`'s (``analyze``, the
+    ``timeout``/``max_rows`` guardrails, ``batch_size``, ``columnar``);
     ``optimize_query=False`` executes the naive plan — the baseline the
-    optimizer benchmark compares against.  ``analyze=True`` (or a leading
-    ``EXPLAIN ANALYZE`` in *text*) additionally measures every pipeline
-    operator and attaches the annotated plan to the result.
-
-    ``batch_size`` overrides the vectorization width for this query
-    (default: ``db.batch_size``, clamped to
-    ``db.guardrails.max_batch_size``); results are identical at any
-    width, only the amortization changes.
-
-    ``columnar`` overrides the columnar-scan switch for this query
-    (default: ``db.columnar``, which defaults to on).  Columnar scans
-    serve registered relational/wide-column stores from typed column
-    segments with zone-map pruning; results are identical either way.
-
-    ``timeout`` (seconds) and ``max_rows`` are the query guardrails: when
-    set, execution raises :class:`QueryTimeoutError` past the deadline or
-    :class:`ResourceExhaustedError` past the row budget.  Both default to
-    *db*-level defaults (``db.guardrails``) when present, and to *off*
-    otherwise — an unconfigured engine pays nothing for them.
-
-    When *db* carries a :class:`PlanCache` (``db.plan_cache``), the
-    parse+optimize phases are skipped entirely on a cache hit; the result's
-    ``stats["plan_cached"]`` records which path ran.
+    optimizer benchmark compares against.  When *db* carries a
+    :class:`PlanCache` (``db.plan_cache``), a cache hit skips parse and
+    optimize; ``stats["plan_cached"]`` records which path ran.
     """
-    text, prefixed = split_analyze(text)
-    analyze = analyze or prefixed
-    perf_counter = time.perf_counter
-    started = perf_counter()
     with tracing.span("query"):
         try:
-            query, ctx, phases, cache_key = plan_statement(
+            cursor = plan_statement(
                 db, text, bind_vars, txn, optimize_query, analyze,
                 timeout, max_rows, batch_size, columnar,
             )
-            with tracing.span("query.execute") as execute_span:
-                phase_start = perf_counter()
-                result = execute(ctx, query)
-                phases["execute"] = perf_counter() - phase_start
-                if execute_span is not None:
-                    execute_span.set(rows=len(result.rows))
         except Exception as error:
             _count_error(error)
             raise
-    elapsed = perf_counter() - started
-    _record_finished(text, elapsed, phases, len(result.rows))
-    if analyze:
-        statistics = getattr(db, "statistics", None)
-        if statistics is not None:
-            from repro.query.statistics import (
-                annotate_estimates,
-                record_feedback,
-            )
-
-            version_before = statistics.version
-            record_feedback(statistics, ctx.probes)
-            if statistics.version != version_before and cache_key is not None:
-                # The feedback just invalidated every cached plan stamped
-                # with the old statistics version — including this one.
-                # Refresh *this* plan's estimates with the learned numbers
-                # and re-stamp it, so the query that produced the feedback
-                # immediately benefits instead of paying a re-plan.
-                annotate_estimates(query, db)
-                db.plan_cache.put(cache_key, query, _ddl_versions(db))
-        result.op_stats = plan_module.analyzed_op_stats(ctx.probes)
-        result.analyzed = render_analyzed_plan(
-            query, ctx.probes, elapsed, ctx.stats
-        )
-        fired = getattr(query, "rules_fired", ())
-        result.analyzed += "\nRules fired: " + (", ".join(fired) or "(none)")
-        result.analyzed += (
-            "\nPlan: served from plan cache"
-            if ctx.stats["plan_cached"]
-            else "\nPlan: parsed + optimized this call"
-        )
-    return result
+        with tracing.span("query.execute") as execute_span:
+            rows = cursor.fetch_all()
+            if execute_span is not None:
+                execute_span.set(rows=len(rows))
+    return Result(rows, cursor.stats, cursor.analyzed, cursor.op_stats)
 
 
 class QueryCursor:
-    """Lazy, batched handle over one running query.
+    """Lazy, batched handle over one running query — the only way a
+    statement executes: :func:`run_query` drains one, the server's wire
+    cursors (``query_open``/``cursor_next``) are thin shims over one.
 
     Rows are produced on demand through :meth:`next_batch` — the pipeline
     (and its store cursors) advances only as far as the consumer reads, so
     an abandoned cursor never materializes the full result.  Guardrail
-    errors (timeout, row budget) surface from whichever ``next_batch``
-    call crosses the limit.  The server's wire cursors
-    (``query_open``/``cursor_next``) are thin shims over this class.
+    errors (timeout, row budget) surface from whichever pull crosses the
+    limit.
 
-    A stream is one query to the metrics and the slow-query log, like an
-    eager :func:`run_query`: it is recorded once, when the last batch is
-    pulled or the cursor is closed, with the pipeline time summed over
-    every pull (the consumer's think time between fetches is not the
+    A cursor is one query to the metrics and the slow-query log: it is
+    recorded once, when the last row is handed out or the cursor is
+    closed, its seconds the planning time plus the pipeline time summed
+    over every pull (the consumer's think time between fetches is not the
     query's); an error from a pull is counted where it is raised and the
-    failed stream is not recorded as finished.
+    failed query is not recorded as finished.
+
+    An *analyze* cursor (EXPLAIN ANALYZE) probes every pipeline operator.
+    When its pipeline reaches its end, the probes feed the statistics, the
+    plan is re-stamped in the plan cache if that moved an estimate, and
+    :attr:`analyzed` / :attr:`op_stats` are filled in; they stay None on a
+    cursor closed before its end.
     """
 
-    __slots__ = ("text", "_ctx", "_batches", "_buffer", "_exhausted",
-                 "_phases", "_recorded")
+    __slots__ = ("text", "analyze", "analyzed", "op_stats", "_ctx", "_query",
+                 "_cache_key", "_batches", "_buffer", "_exhausted", "_phases",
+                 "_planned", "_recorded")
 
-    def __init__(self, ctx: ExecContext, batches, text: str, phases: dict):
+    def __init__(self, ctx: ExecContext, query: Any, text: str, phases: dict,
+                 planned: float, cache_key: Optional[tuple]):
         self.text = text
+        self.analyze = ctx.analyze
+        #: The annotated plan and per-operator measurements of an analyze
+        #: run, once its pipeline has run to its end.
+        self.analyzed: Optional[str] = None
+        self.op_stats: Optional[list] = None
         self._ctx = ctx
-        self._batches = batches
+        self._query = query
+        self._cache_key = cache_key
+        self._batches = execute_stream(ctx, query)
         self._buffer: list = []
         self._exhausted = False
-        #: Planning seconds from :func:`plan_statement`; ``execute``
-        #: accumulates across every next_batch pull.
+        #: Planning seconds by phase from :func:`plan_statement`;
+        #: ``execute`` accumulates across every pull.  *planned* is the
+        #: wall time of the whole open, plan-cache lookup included.
         self._phases = phases
         phases["execute"] = 0.0
+        self._planned = planned
         self._recorded = False
 
     @property
     def stats(self) -> dict:
         """Live execution statistics (``rows_returned`` advances as the
-        cursor is consumed)."""
+        pipeline is pulled)."""
         return self._ctx.stats
 
     @property
@@ -620,18 +576,67 @@ class QueryCursor:
     def _pull(self, n: Optional[int]) -> None:
         """Advance the pipeline until *n* rows are buffered (None: to its
         end)."""
+        if self._exhausted:
+            return
         pull_started = time.perf_counter()
+        buffer = self._buffer
+        batches = self._batches
         try:
-            while not self._exhausted and (n is None or len(self._buffer) < n):
-                try:
-                    self._buffer.extend(next(self._batches))
-                except StopIteration:
-                    self._exhausted = True
+            if n is None:
+                for batch in batches:
+                    buffer.extend(batch)
+                self._exhausted = True
+            else:
+                while len(buffer) < n:
+                    batch = next(batches, None)
+                    if batch is None:
+                        self._exhausted = True
+                        break
+                    buffer.extend(batch)
         except Exception as error:
             _count_error(error)
-            self._recorded = True  # a failed stream did not finish
+            self._recorded = True  # a failed query did not finish
             raise
         self._phases["execute"] += time.perf_counter() - pull_started
+        if self._exhausted and self.analyze:
+            self._finish_analyze()
+
+    def _finish_analyze(self) -> None:
+        """The pipeline has run to its end: feed the probes back into the
+        statistics and render the annotated plan."""
+        ctx, query = self._ctx, self._query
+        db = ctx.db
+        statistics = getattr(db, "statistics", None)
+        if statistics is not None:
+            from repro.query.statistics import (
+                annotate_estimates,
+                record_feedback,
+            )
+
+            version_before = statistics.version
+            record_feedback(statistics, ctx.probes)
+            if statistics.version != version_before and self._cache_key is not None:
+                # The feedback just invalidated every cached plan stamped
+                # with the old statistics version — including this one.
+                # Refresh *this* plan's estimates with the learned numbers
+                # and re-stamp it, so the query that produced the feedback
+                # immediately benefits instead of paying a re-plan.
+                annotate_estimates(query, db)
+                db.plan_cache.put(self._cache_key, query, _ddl_versions(db))
+        self.op_stats = plan_module.analyzed_op_stats(ctx.probes)
+        fired = getattr(query, "rules_fired", ())
+        self.analyzed = (
+            render_analyzed_plan(
+                query, ctx.probes, self._planned + self._phases["execute"],
+                ctx.stats,
+            )
+            + "\nRules fired: " + (", ".join(fired) or "(none)")
+            + (
+                "\nPlan: served from plan cache"
+                if ctx.stats["plan_cached"]
+                else "\nPlan: parsed + optimized this call"
+            )
+        )
 
     def next_batch(self, n: int = DEFAULT_BATCH_SIZE) -> list:
         """Up to *n* result rows; ``[]`` once the query is exhausted."""
@@ -648,17 +653,16 @@ class QueryCursor:
     def materialize(self) -> None:
         """Run the query to its end now and keep the rows for the
         ``next_batch`` calls to come — for a caller whose snapshot may end
-        before its reader does."""
+        before its reader does, or who wants an analyze run's plan."""
         self._pull(None)
 
     def fetch_all(self) -> list:
-        """Drain the cursor; returns every remaining row."""
-        rows: list = []
-        while True:
-            batch = self.next_batch(DEFAULT_BATCH_SIZE)
-            if not batch:
-                return rows
-            rows.extend(batch)
+        """Drain the cursor: pull the pipeline to its end once and hand
+        the buffer over; returns every remaining row."""
+        self._pull(None)
+        rows, self._buffer = self._buffer, []
+        self._record()
+        return rows
 
     def __iter__(self):
         while True:
@@ -668,15 +672,20 @@ class QueryCursor:
             yield from batch
 
     def _record(self) -> None:
+        """The query ran to its end: it was drained or closed."""
         if self._recorded:
             return
         self._recorded = True
-        _record_finished(
-            self.text,
-            sum(self._phases.values()),
-            self._phases,
-            self._ctx.stats.get("rows_returned", 0),
-        )
+        phases = self._phases
+        elapsed = self._planned + phases["execute"]
+        rows = self._ctx.stats["rows_returned"]
+        if metrics.ENABLED:
+            _QUERIES_TOTAL.inc()
+            _QUERY_SECONDS.observe(elapsed)
+            _PHASE_SECONDS["execute"].observe(phases["execute"])
+            _ROWS_RETURNED_TOTAL.inc(rows)
+        if slowlog.THRESHOLD is not None:
+            slowlog.record(self.text, elapsed, rows=rows, phases=phases)
 
     def close(self) -> None:
         """Stop the query: drop buffered rows and close the pipeline
@@ -701,37 +710,29 @@ def open_query_cursor(
     bind_vars: Optional[dict] = None,
     txn: Any = None,
     optimize_query: bool = True,
+    analyze: bool = False,
     timeout: Optional[float] = None,
     max_rows: Optional[int] = None,
     batch_size: Optional[int] = None,
     columnar: Optional[bool] = None,
 ) -> QueryCursor:
     """Open a :class:`QueryCursor` over an MMQL query: the planning path
-    of :func:`run_query` (:func:`plan_statement`), but execution is
-    *lazy* — rows stream out through ``next_batch`` instead of
-    materializing up front.
-
-    EXPLAIN ANALYZE is eager by construction (probes are only meaningful
-    over a completed run), so an analyze prefix is rejected here."""
-    text, prefixed = split_analyze(text)
-    if prefixed:
-        raise PlanError(
-            "EXPLAIN ANALYZE runs eagerly — use run_query()/db.query() "
-            "instead of a cursor"
-        )
+    of :func:`run_query`, but rows stream out through ``next_batch``
+    instead of being drained up front.  ``analyze=True`` (or a leading
+    ``EXPLAIN ANALYZE``) opens an analyze cursor, whose annotated plan is
+    there once the pipeline has run to its end."""
     with tracing.span("query"):
         try:
-            query, ctx, phases, _cache_key = plan_statement(
-                db, text, bind_vars, txn, optimize_query,
-                timeout=timeout, max_rows=max_rows,
-                batch_size=batch_size, columnar=columnar,
+            cursor = plan_statement(
+                db, text, bind_vars, txn, optimize_query, analyze,
+                timeout, max_rows, batch_size, columnar,
             )
         except Exception as error:
             _count_error(error)
             raise
     if metrics.ENABLED:
         _CURSORS_TOTAL.inc()
-    return QueryCursor(ctx, execute_stream(ctx, query), text, phases)
+    return cursor
 
 
 def explain_query(db: Any, text: str, bind_vars: Optional[dict] = None) -> str:

@@ -64,7 +64,7 @@ from repro.query.plan import (
 from repro.query.visit import conjuncts
 from repro.storage.segments import ColumnBatch, segment_may_match
 
-__all__ = ["ExecContext", "OpProbe", "Result", "execute", "execute_stream"]
+__all__ = ["ExecContext", "OpProbe", "Result", "execute_stream"]
 
 
 def _generated(operation: Any, slot: str, generate, *args):
@@ -1620,18 +1620,10 @@ def _run_pipeline(ctx: ExecContext, query: ast.Query, initial_frame: dict):
     return rows, ctx.stats["writes"] - writes_before
 
 
-def execute(ctx: ExecContext, query: ast.Query) -> Result:
-    """Run an optimized query and package the result."""
-    rows: list = []
-    for batch in _execute_batches(ctx, query, {}):
-        rows.extend(batch)
-        ctx.stats["batches"] += 1
-    ctx.stats["rows_returned"] = len(rows)
-    return Result(rows=rows, stats=ctx.stats)
-
-
 def execute_stream(ctx: ExecContext, query: ast.Query) -> Iterator[list]:
-    """Run an optimized query, yielding result-row **batches** lazily.
+    """Run an optimized query, yielding result-row **batches** lazily — the
+    one execution entry point (:class:`repro.query.engine.QueryCursor`
+    pulls it; a drained cursor is an eager query).
 
     ``ctx.stats["rows_returned"]`` advances as batches are consumed, so a
     cursor abandoned mid-stream reports how far it actually got."""

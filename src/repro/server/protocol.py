@@ -4,7 +4,7 @@ A **frame** is a 4-byte big-endian unsigned length followed by that many
 bytes of UTF-8 JSON encoding one object.  Both directions use the same
 framing; what differs is the payload shape:
 
-* **Request** — ``{"id": N, "op": "query", "params": {...}}``.  ``id`` is a
+* **Request** — ``{"id": N, "op": "query_open", "params": {...}}``.  ``id`` is a
   client-chosen correlation number echoed back verbatim; ``params`` carries
   op-specific arguments (bind variables ride inside ``params.bind_vars`` as
   plain JSON values).  An optional top-level ``"trace"`` object —
@@ -24,7 +24,7 @@ framing; what differs is the payload shape:
   requests carry the ``"trace"`` key too.
 * **Handshake** — immediately after accepting a connection the server sends
   one unsolicited frame ``{"hello": {"server": "repro", "version": ...,
-  "protocol": 1, "session": S}}`` (or an error frame with
+  "protocol": 2, "session": S}}`` (or an error frame with
   ``SERVER_OVERLOADED`` when the session limit is hit, then closes).
 
 Values that are not JSON-native (dates, bytes reprs, …) are serialized with
@@ -75,9 +75,11 @@ __all__ = [
     "raise_wire_error",
 ]
 
-#: Bumped on any incompatible change to the frame or payload shapes; the
-#: client refuses a handshake with a different major protocol.
-PROTOCOL_VERSION = 1
+#: Bumped on any incompatible change to the frame or payload shapes or to
+#: the set of ops; the client refuses a handshake with a different major
+#: protocol.  2: the eager ``query`` op is gone, every query is a
+#: ``query_open``.
+PROTOCOL_VERSION = 2
 
 #: Default per-frame size cap.  Large enough for any sane result page,
 #: small enough that a corrupt length prefix cannot make a peer try to

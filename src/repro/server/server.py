@@ -22,9 +22,9 @@ never silently queued forever):
 
 * ``max_sessions`` — checked by the accept thread; connections beyond it
   are greeted with an error frame and closed;
-* ``max_inflight`` — engine calls (``query``/``query_open``/
-  ``cursor_next``/``explain``/``commit``/``abort``) run at most that many at
-  once, the others wait for a slot (the ``queue`` phase);
+* ``max_inflight`` — engine calls (``query_open``/``cursor_next``/
+  ``explain``/``commit``/``abort``) run at most that many at once, the
+  others wait for a slot (the ``queue`` phase);
 * ``max_inflight + queue_depth`` — an engine call that would push running
   plus waiting calls past it is rejected immediately.
 
@@ -33,9 +33,11 @@ waiting calls, which one lock acquisition admits a call to and one releases
 it from (see :meth:`ReproServer._run_engine`).
 
 **Streaming cursors** (``query_open`` / ``cursor_next`` / ``cursor_close``)
-let a client pull a large result in chunks instead of one frame: the server
-holds a lazy engine cursor (:class:`repro.query.engine.QueryCursor`) per
-open stream, scoped to the session, capped at ``max_cursors_per_session``
+are the one way a statement runs over the wire: a result that fits one
+chunk comes back whole in the ``query_open`` reply, and a larger one
+streams in chunks instead of one frame.  The server holds a lazy engine
+cursor (:class:`repro.query.engine.QueryCursor`) per open stream, scoped
+to the session, capped at ``max_cursors_per_session``
 (:class:`repro.errors.CursorLimitError`) and reaped by a background thread
 after ``cursor_idle_timeout`` seconds without a fetch
 (:class:`repro.errors.CursorNotFoundError` on later touches).  Peak server
@@ -82,7 +84,7 @@ from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import slowlog, tracing
 from repro.obs.telemetry import TelemetryEndpoint
-from repro.query.engine import open_query_cursor, run_query
+from repro.query.engine import open_query_cursor
 from repro.replication.apply import ReplicationApplier
 from repro.replication.hub import ReplicationHub, heartbeat_timeout
 from repro.server import protocol
@@ -148,6 +150,21 @@ _CURSORS_OPENED = obs_metrics.counter("server_cursors_opened_total")
 def _phases_ms(phases: dict) -> dict:
     """Phase seconds → milliseconds, rounded for wire stats."""
     return {name: round(seconds * 1000, 3) for name, seconds in phases.items()}
+
+
+_KINDS = {int: "an integer", float: "a number", bool: "true or false"}
+
+
+def _param(params: dict, name: str, kind: type, default: Any = None) -> Any:
+    """``params[name]`` if it is of *kind* (a ``float`` may be given as an
+    integer; a bool is no number), *default* when absent or null; a
+    malformed value is refused with a :class:`ProtocolError` naming it."""
+    value = params.get(name)
+    if value is None:
+        return default
+    if type(value) is kind or (kind is float and type(value) is int):
+        return value
+    raise ProtocolError(f"{name!r} must be {_KINDS[kind]}, got {value!r}")
 
 
 def _merge_limit(requested, session_value, host_default):
@@ -835,11 +852,6 @@ class ReproServer:
                 "shard_id": self.shard_id,
                 "shard_map": self.shard_map.to_json(),
             }
-        if op == "query":
-            self._check_shard_map(params)
-            result = self._op_query(session, params, phases)
-            self._semi_sync_gate(session, params)
-            return result
         if op == "query_open":
             self._check_shard_map(params)
             result = self._op_query_open(session, params, phases)
@@ -888,11 +900,10 @@ class ReproServer:
             return {"txn": txn.txn_id, "aborted": True}
         if op == "set":
             if "timeout" in params:
-                timeout = params["timeout"]
+                timeout = _param(params, "timeout", float)
                 session.timeout = None if timeout is None else float(timeout)
             if "max_rows" in params:
-                max_rows = params["max_rows"]
-                session.max_rows = None if max_rows is None else int(max_rows)
+                session.max_rows = _param(params, "max_rows", int)
             return {"timeout": session.timeout, "max_rows": session.max_rows}
         if op == "wal_subscribe":
             return self._op_wal_subscribe(session, params, phases)
@@ -917,7 +928,7 @@ class ReproServer:
                 f"{self.replica_of} — transactions belong on the primary",
                 primary=self.replica_of,
             )
-        if op in ("query", "query_open"):
+        if op == "query_open":
             text = params.get("text")
             if isinstance(text, str) and self.db.plan_cache.classify(text).writes:
                 raise NotPrimaryError(
@@ -1218,87 +1229,79 @@ class ReproServer:
             raise ProtocolError("missing query text")
         return text
 
-    def _query_limits(self, session: Session, params: dict) -> tuple:
+    def _query_inputs(self, session: Session, params: dict) -> tuple:
+        """A ``query_open``'s parameters, each read and checked once:
+        ``(text, bind_vars, timeout, max_rows, batch_size, chunk_rows,
+        analyze)``.  The guardrails are the request's (or its session's)
+        capped by the host's, and ``chunk_rows`` is capped by the server
+        default: a client may stream in smaller chunks (bounding frame
+        size), never larger ones."""
+        text = self._required_text(params)
+        bind_vars = params.get("bind_vars") or {}
+        if not isinstance(bind_vars, dict):
+            raise ProtocolError("bind_vars must be a JSON object")
         guardrails = getattr(self.db, "guardrails", None)
         timeout = _merge_limit(
-            params.get("timeout"),
+            _param(params, "timeout", float),
             session.timeout,
             getattr(guardrails, "timeout", None),
         )
         max_rows = _merge_limit(
-            params.get("max_rows"),
+            _param(params, "max_rows", int),
             session.max_rows,
             getattr(guardrails, "max_rows", None),
         )
-        return timeout, max_rows
-
-    @staticmethod
-    def _query_inputs(params: dict) -> tuple:
-        text = ReproServer._required_text(params)
-        bind_vars = params.get("bind_vars") or {}
-        if not isinstance(bind_vars, dict):
-            raise ProtocolError("bind_vars must be a JSON object")
-        return text, bind_vars
+        chunk_rows = _param(params, "chunk_rows", int)
+        chunk_rows = (
+            self.cursor_chunk_rows
+            if chunk_rows is None
+            else min(max(chunk_rows, 1), self.cursor_chunk_rows)
+        )
+        return (
+            text, bind_vars, timeout, max_rows,
+            _param(params, "batch_size", int), chunk_rows,
+            _param(params, "analyze", bool, False),
+        )
 
     def _check_shard_map(self, params: dict) -> None:
         """Reject statements planned against a different topology."""
-        planned = params.get("shard_map_version")
+        planned = _param(params, "shard_map_version", int)
         if planned is None or self.shard_map is None:
             return
-        if int(planned) != self.shard_map.version:
+        if planned != self.shard_map.version:
             raise ShardMapStaleError(
                 f"statement planned against shard map v{planned}, this "
                 f"shard runs v{self.shard_map.version} — refetch the map",
                 version=self.shard_map.version,
             )
 
-    def _op_query(self, session: Session, params: dict, phases: dict) -> dict:
-        text, bind_vars = self._query_inputs(params)
-        analyze = bool(params.get("analyze", False))
-        timeout, max_rows = self._query_limits(session, params)
-        txn = session.txn
-
-        def work():
-            return run_query(
-                self.db,
-                text,
-                bind_vars,
-                txn,
-                analyze=analyze,
-                timeout=timeout,
-                max_rows=max_rows,
-                batch_size=params.get("batch_size"),
-            )
-
-        result = self._run_engine(work, phases)
-        stats = dict(result.stats)
-        stats["server_phases"] = _phases_ms(phases)
-        stats["last_lsn"] = self.db.context.log.last_lsn
-        response = {"rows": result.rows, "stats": stats}
-        if result.analyzed is not None:
-            response["analyzed"] = result.analyzed + (
-                f"\nServer: queue-wait {phases.get('queue', 0.0) * 1000:.3f} ms"
-                f" · execute {phases.get('execute', 0.0) * 1000:.3f} ms"
-                f" (session {session.session_id}, request {session.requests})"
-            )
-        return response
-
     # ------------------------------------------------- streaming cursors ----
 
-    def _chunk_rows_for(self, params: dict) -> int:
-        requested = params.get("chunk_rows")
-        if requested is None:
-            return self.cursor_chunk_rows
-        # The server default is also the ceiling: a client may stream in
-        # smaller chunks (bounding frame size), never larger ones.
-        return min(max(int(requested), 1), self.cursor_chunk_rows)
+    def _chunk_reply(
+        self, cursor, phases: dict, cursor_id: Optional[int], rows: list,
+        fetches: Optional[int] = None,
+    ) -> dict:
+        """A ``query_open`` / ``cursor_next`` answer: one chunk of rows,
+        the cursor to fetch the rest from (None: the result is complete),
+        and the engine's statistics with this request's server phases and
+        the log position it saw."""
+        stats = dict(cursor.stats)
+        if fetches is not None:
+            stats["cursor_fetches"] = fetches
+        stats["server_phases"] = _phases_ms(phases)
+        stats["last_lsn"] = self.db.context.log.last_lsn
+        return {
+            "cursor": cursor_id,
+            "rows": rows,
+            "has_more": cursor_id is not None,
+            "stats": stats,
+        }
 
     def _op_query_open(
         self, session: Session, params: dict, phases: dict
     ) -> dict:
-        text, bind_vars = self._query_inputs(params)
-        timeout, max_rows = self._query_limits(session, params)
-        chunk_rows = self._chunk_rows_for(params)
+        (text, bind_vars, timeout, max_rows, batch_size, chunk_rows,
+         analyze) = self._query_inputs(session, params)
         txn = session.txn
         # Refuse before executing anything — like every admission
         # rejection, a CURSOR_LIMIT means the query did not run.
@@ -1312,18 +1315,19 @@ class ReproServer:
 
         def work():
             cursor = open_query_cursor(
-                self.db, text, bind_vars, txn,
-                timeout=timeout, max_rows=max_rows,
-                batch_size=params.get("batch_size"),
+                self.db, text, bind_vars, txn, analyze=analyze,
+                timeout=timeout, max_rows=max_rows, batch_size=batch_size,
             )
             # First chunk rides in the same engine call: one admission
             # pass, and DML (executed eagerly on first pull) holds its
             # engine slot for the whole statement.
             try:
-                if txn is not None:
+                if txn is not None or cursor.analyze:
                     # The stream must not outlive the transaction's
-                    # snapshot (commit/abort can land between fetches):
-                    # run it to its end now, later fetches read the buffer.
+                    # snapshot (commit/abort can land between fetches),
+                    # and an analyze run's plan is there only at the
+                    # pipeline's end: run it to its end now, later
+                    # fetches read the buffer.
                     cursor.materialize()
                 return cursor, cursor.next_batch(chunk_rows)
             except BaseException:
@@ -1331,45 +1335,42 @@ class ReproServer:
                 raise
 
         cursor, rows = self._run_engine(work, phases)
+        cursor_id = None
         if cursor.exhausted:
             cursor.close()
-            stats = dict(cursor.stats)
-            stats["server_phases"] = _phases_ms(phases)
-            stats["last_lsn"] = self.db.context.log.last_lsn
-            return {
-                "cursor": None,
-                "rows": rows,
-                "has_more": False,
-                "stats": stats,
-            }
-        context = tracing.current_context()
-        try:
-            entry = session.add_cursor(
-                cursor, chunk_rows, text, self.max_cursors_per_session,
-                trace_id=context.trace_id if context is not None else None,
+        else:
+            context = tracing.current_context()
+            try:
+                entry = session.add_cursor(
+                    cursor, chunk_rows, text, self.max_cursors_per_session,
+                    trace_id=context.trace_id if context is not None else None,
+                )
+            except Exception:
+                cursor.close()
+                raise
+            if obs_metrics.ENABLED:
+                _CURSORS_OPENED.inc()
+            cursor_id = entry.cursor_id
+        reply = self._chunk_reply(cursor, phases, cursor_id, rows)
+        if cursor.analyzed is not None:
+            reply["analyzed"] = cursor.analyzed + (
+                f"\nServer: queue-wait {phases.get('queue', 0.0) * 1000:.3f} ms"
+                f" · execute {phases.get('execute', 0.0) * 1000:.3f} ms"
+                f" (session {session.session_id}, request {session.requests})"
             )
-        except Exception:
-            cursor.close()
-            raise
-        if obs_metrics.ENABLED:
-            _CURSORS_OPENED.inc()
-        stats = dict(cursor.stats)
-        stats["server_phases"] = _phases_ms(phases)
-        stats["last_lsn"] = self.db.context.log.last_lsn
-        return {
-            "cursor": entry.cursor_id,
-            "rows": rows,
-            "has_more": True,
-            "stats": stats,
-        }
+        return reply
+
+    @staticmethod
+    def _cursor_id(op: str, params: dict) -> int:
+        cursor_id = params.get("cursor")
+        if type(cursor_id) is not int:
+            raise ProtocolError(f"{op} needs an integer 'cursor'")
+        return cursor_id
 
     def _op_cursor_next(
         self, session: Session, params: dict, phases: dict
     ) -> dict:
-        cursor_id = params.get("cursor")
-        if not isinstance(cursor_id, int):
-            raise ProtocolError("cursor_next needs an integer 'cursor'")
-        entry = session.get_cursor(cursor_id)
+        entry = session.get_cursor(self._cursor_id("cursor_next", params))
         entry.touch()
         entry.fetches += 1
         here = tracing.current_span()
@@ -1384,30 +1385,17 @@ class ReproServer:
             session.pop_cursor(entry.cursor_id)
             entry.close()
             raise
-        stats = dict(entry.cursor.stats)
-        stats["cursor_fetches"] = entry.fetches
-        stats["server_phases"] = _phases_ms(phases)
-        stats["last_lsn"] = self.db.context.log.last_lsn
+        cursor_id = entry.cursor_id
         if entry.cursor.exhausted:
-            session.pop_cursor(entry.cursor_id)
+            session.pop_cursor(cursor_id)
             entry.close()
-            return {
-                "cursor": None,
-                "rows": rows,
-                "has_more": False,
-                "stats": stats,
-            }
-        return {
-            "cursor": entry.cursor_id,
-            "rows": rows,
-            "has_more": True,
-            "stats": stats,
-        }
+            cursor_id = None
+        return self._chunk_reply(
+            entry.cursor, phases, cursor_id, rows, entry.fetches
+        )
 
     def _op_cursor_close(self, session: Session, params: dict) -> dict:
-        cursor_id = params.get("cursor")
-        if not isinstance(cursor_id, int):
-            raise ProtocolError("cursor_close needs an integer 'cursor'")
+        cursor_id = self._cursor_id("cursor_close", params)
         entry = session.get_cursor(cursor_id)
         session.pop_cursor(cursor_id)
         entry.close()

@@ -11,7 +11,7 @@ transaction manager) absorb.
 A session owns:
 
 * at most one **active transaction** — opened with ``begin``, consumed by
-  ``commit``/``abort``, threaded through every ``query`` in between, and
+  ``commit``/``abort``, threaded through every ``query_open`` in between, and
   rolled back automatically when the connection dies mid-transaction (a
   vanished client must never leave locks behind);
 * **guardrail overrides** — per-session ``timeout``/``max_rows`` that take

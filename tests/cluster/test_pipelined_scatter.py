@@ -184,13 +184,32 @@ def test_a_dropped_reply_without_a_replica_ends_the_statement_typed(
             # The first frame this process reads next is shard 0's reply.
             fault_registry.arm("client.frame_read", "once", "drop_conn")
             runner = _blocking_runner(client)
-        with pytest.raises(FailoverInProgressError):
+        with pytest.raises(ShardUnavailableError) as info:
             _execute(client, text, binds, runner)
+        # The shard is named; the router's verdict is the cause.
+        assert info.value.shard == 0
+        assert isinstance(info.value.__cause__, FailoverInProgressError)
         if path == "pipelined":
             # Shard 1's reply was read all the same: its stream is in step.
             assert ("read", 1, runner.log[0][2]) in runner.log
         # The next statement, on both shards, answers what the embedded
         # engine does.
+        assert _canon(client.query(text, binds).rows) == expected["Q5"]
+
+
+def test_a_shard_lost_mid_scatter_is_named(cluster, expected):
+    """A reply lost on shard 0 with nothing to fail over to: the statement
+    ends as SHARD_UNAVAILABLE naming shard 0, the router's failover error
+    its cause."""
+    text, binds = QUERIES_B["Q5"]
+    with cluster.client(retries=1, sleep=None) as client:
+        client.query(text, binds)  # connect both shards
+        # The first frame this process reads next is shard 0's reply.
+        fault_registry.arm("client.frame_read", "once", "drop_conn")
+        with pytest.raises(ShardUnavailableError) as info:
+            client.query(text, binds)
+        assert info.value.shard == 0
+        assert isinstance(info.value.__cause__, FailoverInProgressError)
         assert _canon(client.query(text, binds).rows) == expected["Q5"]
 
 
@@ -261,8 +280,10 @@ def test_a_failed_write_still_reads_the_other_replies(cluster, expected):
         recorder = Recorder(client._runner)
         # The first frame this process writes next is shard 0's request.
         fault_registry.arm("client.frame_write", "once", "drop_conn")
-        with pytest.raises(FailoverInProgressError):
+        with pytest.raises(ShardUnavailableError) as info:
             _execute(client, text, binds, recorder)
+        assert info.value.shard == 0
+        assert isinstance(info.value.__cause__, FailoverInProgressError)
         assert [event[:2] for event in recorder.log] == [
             ("send", 0), ("send", 1), ("read", 0), ("read", 1)
         ]

@@ -17,7 +17,10 @@ import json
 import pytest
 
 from repro import MultiModelDB
+from repro.client import ReproClient
 from repro.cluster import start_cluster
+from repro.errors import BindError, ParseError
+from repro.server import ReproServer
 from repro.unibench.generator import generate, load_into_multimodel
 from repro.query.engine import run_query
 from repro.unibench.workloads import QUERIES_B, workload_b_remote
@@ -241,3 +244,56 @@ def test_partition_key_equality_proves_fan_out_one(cluster):
         {"id": 3},
     )
     assert "fan_out=1" in result.analyzed
+
+
+@pytest.fixture(scope="module")
+def wire(embedded):
+    with ReproServer(embedded, port=0) as server:
+        with ReproClient(port=server.port, sleep=None) as client:
+            yield client
+
+
+def _through(path, text, binds, analyze, embedded, wire, cluster):
+    """*text*'s rows through one of the four ways a statement runs, and
+    its annotated plan when *analyze* is on."""
+    if path == "query_cursor":
+        prefix = "EXPLAIN ANALYZE " if analyze else ""
+        with embedded.query_cursor(prefix + text, binds) as cursor:
+            return cursor.fetch_all(), cursor.analyzed
+    target = {"query": embedded, "wire": wire, "cluster": cluster}[path]
+    result = target.query(text, binds, analyze=analyze)
+    return result.rows, result.analyzed
+
+
+PATHS = ["query", "query_cursor", "wire", "cluster"]
+
+
+@pytest.mark.parametrize("analyze", [False, True], ids=["plain", "analyze"])
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("query_id", sorted(QUERIES_B))
+def test_every_path_answers_the_same_rows(
+    query_id, path, analyze, embedded, wire, cluster
+):
+    text, binds = QUERIES_B[query_id]
+    ordered = query_id in ORDERED
+    expected = _canon(embedded.query(text, binds).rows, ordered)
+    rows, analyzed = _through(path, text, binds, analyze, embedded, wire, cluster)
+    assert _canon(rows, ordered) == expected
+    assert (analyzed is not None) == analyze
+
+
+@pytest.mark.parametrize("analyze", [False, True], ids=["plain", "analyze"])
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("FOR c IN customers RETURN c.id + @missing", BindError),
+        ("FOR c IN customers RETURN", ParseError),
+    ],
+    ids=["bind", "parse"],
+)
+def test_every_path_answers_the_same_error(
+    text, error, path, analyze, embedded, wire, cluster
+):
+    with pytest.raises(error):
+        _through(path, text, {}, analyze, embedded, wire, cluster)

@@ -14,10 +14,16 @@ import pytest
 
 from repro.core import datamodel
 from repro.core.database import MultiModelDB
-from repro.query.executor import ExecContext, execute
+from repro.query.executor import ExecContext, Result, execute_stream
 from repro.query.optimizer import optimize
 from repro.query.parser import parse
 from repro.query.plan import HashJoinOp
+
+
+def execute(ctx, plan):
+    """Drain *plan*'s batches, as a query cursor does."""
+    rows = [row for batch in execute_stream(ctx, plan) for row in batch]
+    return Result(rows, ctx.stats)
 
 
 def _rows_normalized(rows):

@@ -131,7 +131,7 @@ def test_the_router_parses_each_shape_once(parses):
 def test_the_replica_gate_parses_each_shape_once(parses):
     server = ReproServer(MultiModelDB(), port=0, replica_of=("127.0.0.1", 1))
     for text in VARIANTS:
-        server._reject_writes_on_replica("query", {"text": text})
+        server._reject_writes_on_replica("query_open", {"text": text})
     assert parses[0] == 1
     for value in (1, 2):
         with pytest.raises(NotPrimaryError):
@@ -163,7 +163,7 @@ def test_a_small_plan_cache_still_gates_each_shape_with_one_parse(parses, plan_c
     )
     for _round in range(2):
         for text in MANY_SHAPES:
-            server._reject_writes_on_replica("query", {"text": text})
+            server._reject_writes_on_replica("query_open", {"text": text})
     assert parses[0] == len(MANY_SHAPES)
 
 

@@ -1,17 +1,19 @@
-"""One front door: a streamed query is the same query to the telemetry
-as an eager one.
+"""One statement path: an eager query is a drained cursor.
 
-``run_query`` and ``open_query_cursor`` plan through the same
-``plan_statement``; these tests hold the two entry points to one meaning
-for the query metrics, the error counters and the trace.
+``run_query`` opens a ``QueryCursor`` and drains it; ``open_query_cursor``
+hands the same cursor to its caller.  These tests hold the two entry
+points to one meaning for the rows, the statistics, EXPLAIN ANALYZE, the
+query metrics, the error counters and the trace.
 """
+
+import re
 
 import pytest
 
 from repro.core.database import MultiModelDB
 from repro.errors import BindError, ParseError, ResourceExhaustedError
 from repro.obs import metrics, tracing
-from repro.query.engine import open_query_cursor, run_query
+from repro.query.engine import QueryCursor, open_query_cursor, run_query
 
 TEXT = "FOR d IN docs FILTER d.x >= @floor SORT d.x RETURN d.x"
 BINDS = {"floor": 3}
@@ -168,3 +170,84 @@ def test_the_database_query_cursor_streams_what_query_returns(db):
     with db.query_cursor(TEXT) as cursor:
         with pytest.raises(BindError):
             cursor.fetch_all()
+
+
+def operator_lines(analyzed: str) -> list:
+    """An annotated plan's operator lines, rows and batches kept, the
+    estimates (which the first run's feedback may move) and the timings
+    dropped."""
+    return [
+        re.sub(r" (est|q_error|self|cum)=[^ \]]+( ms)?", "", line)
+        for line in analyzed.splitlines()
+        if "[rows " in line
+    ]
+
+
+def test_run_query_drains_a_query_cursor(db, monkeypatch):
+    drained = []
+    fetch_all = QueryCursor.fetch_all
+
+    def spy(cursor):
+        drained.append(cursor)
+        return fetch_all(cursor)
+
+    monkeypatch.setattr(QueryCursor, "fetch_all", spy)
+    assert run_query(db, TEXT, BINDS).rows == [3, 4, 5, 6, 7, 8, 9]
+    assert len(drained) == 1 and drained[0].exhausted
+
+
+def test_an_eager_query_keeps_its_rows_stats_and_metrics(db):
+    opened = metrics.counter("query_cursors_total")
+    before = opened.value
+    moved = Moved()
+    result = db.query("FOR d IN docs RETURN d.x", batch_size=4)
+    assert result.rows == list(range(10))
+    assert (result.stats["rows_returned"], result.stats["batches"]) == (10, 3)
+    delta = moved.delta()
+    assert (delta["queries_total"], delta["query_seconds"]) == (1, 1)
+    assert delta["query_rows_returned_total"] == 10
+    # query_cursors_total counts the cursors a caller opens, not the one
+    # an eager query drains.
+    assert opened.value == before
+    db.query_cursor("FOR d IN docs RETURN d.x").close()
+    assert opened.value == before + 1
+
+
+def test_an_eager_query_spans_parse_optimize_and_execute(db):
+    tracing.enable()
+    tracing.TRACER.clear()
+    try:
+        db.query(TEXT, BINDS)
+        (root,) = [root for root in tracing.TRACER.roots if root.name == "query"]
+    finally:
+        tracing.disable()
+        tracing.TRACER.clear()
+    assert [child.name for child in root.children] == [
+        "query.parse", "query.optimize", "query.execute",
+    ]
+    assert root.children[-1].attrs["rows"] == 7
+
+
+def test_explain_analyze_through_a_cursor_is_what_query_returns(db):
+    text = "EXPLAIN ANALYZE " + TEXT
+    eager = db.query(text, BINDS, batch_size=2)
+    assert eager.rows == [3, 4, 5, 6, 7, 8, 9]
+    with db.query_cursor(text, BINDS, batch_size=2) as cursor:
+        assert cursor.analyze
+        assert cursor.next_batch(3) == eager.rows[:3]
+        # The plan is annotated once the pipeline has run to its end.
+        assert cursor.analyzed is None and cursor.op_stats is None
+        assert cursor.fetch_all() == eager.rows[3:]
+        assert operator_lines(cursor.analyzed) == operator_lines(eager.analyzed)
+        assert len(operator_lines(eager.analyzed)) == 4
+        assert [op["rows_out"] for op in cursor.op_stats] == [
+            op["rows_out"] for op in eager.op_stats
+        ]
+        assert "Execution time:" in cursor.analyzed
+
+
+def test_an_analyze_cursor_closed_early_has_no_plan(db):
+    cursor = open_query_cursor(db, TEXT, BINDS, analyze=True, batch_size=2)
+    assert cursor.next_batch(2) == [3, 4]
+    cursor.close()
+    assert cursor.analyzed is None

@@ -68,7 +68,7 @@ class TestDeterministicNetFaults:
             FAILPOINTS.arm("server.frame_write", "once", "truncate_frame")
             # The torn response surfaces as a transport error; the client
             # re-dials and replays the (idempotent) read.
-            rows = client.query("FOR d IN kv RETURN d.n", stream=False).rows
+            rows = client.query("FOR d IN kv RETURN d.n").rows
             assert len(rows) == 50
 
     def test_duplicate_frame_desync_recovers_via_reconnect(self, server):
@@ -79,9 +79,9 @@ class TestDeterministicNetFaults:
             # stays buffered and desyncs the *next* call's request ids.
             # ProtocolError is a transport error for retry purposes: only
             # a fresh dial resynchronizes the stream.
-            assert client.query("RETURN 1", stream=False).rows == [1]
-            assert client.query("RETURN 2", stream=False).rows == [2]
-            assert client.query("RETURN 3", stream=False).rows == [3]
+            assert client.query("RETURN 1").rows == [1]
+            assert client.query("RETURN 2").rows == [2]
+            assert client.query("RETURN 3").rows == [3]
 
     def test_delay_stalls_but_delivers(self, server):
         from repro.fault import net as fault_net
@@ -90,7 +90,7 @@ class TestDeterministicNetFaults:
             client.ping()
             FAILPOINTS.arm("client.frame_write", "once", "delay")
             started = time.monotonic()
-            assert client.query("RETURN 42", stream=False).rows == [42]
+            assert client.query("RETURN 42").rows == [42]
             assert time.monotonic() - started >= fault_net.DELAY_SECONDS
 
     def test_partition_exhausts_retries_then_heals(self, server):
@@ -98,9 +98,9 @@ class TestDeterministicNetFaults:
             client.ping()
             FAILPOINTS.arm("client.frame_write", "every:1", "partition")
             with pytest.raises((RetryExhaustedError, OSError)):
-                client.query("RETURN 1", stream=False)
+                client.query("RETURN 1")
             FAILPOINTS.disarm("client.frame_write")
-            assert client.query("RETURN 1", stream=False).rows == [1]
+            assert client.query("RETURN 1").rows == [1]
 
     def test_protocol_error_from_id_mismatch_is_transportlike(self, server):
         # Underlying invariant of the duplicate_frame recovery above: a
@@ -109,9 +109,9 @@ class TestDeterministicNetFaults:
         with ReproClient(port=server.port, retries=0, sleep=None) as client:
             client.ping()
             FAILPOINTS.arm("server.frame_write", "once", "duplicate_frame")
-            client.query("RETURN 1", stream=False)
+            client.query("RETURN 1")
             with pytest.raises((ProtocolError, RetryExhaustedError)):
-                client.query("RETURN 2", stream=False)
+                client.query("RETURN 2")
 
 
 class TestCursorReapOnAbruptClose:

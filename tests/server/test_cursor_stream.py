@@ -94,7 +94,7 @@ class TestStreamingRoundTrip:
         assert cursor.stats["scanned"] >= 500
 
     def test_eager_mode_still_available(self, client):
-        result = client.query(SCAN, stream=False)
+        result = client.query(SCAN)
         assert result.rows == list(range(500))
         assert result.exhausted
 
@@ -254,7 +254,6 @@ class TestDrainAndShutdown:
                 outcome["stats"] = w.query(
                     "FOR a IN items FOR b IN items LIMIT 20000 "
                     "INSERT {pair: [a.n, b.n]} INTO sink",
-                    stream=False,
                 ).stats
 
         watcher = ReproClient(port=srv.port, auto_reconnect=False)

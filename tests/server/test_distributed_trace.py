@@ -143,10 +143,10 @@ class TestOneShotAndErrors:
 
     def test_error_responses_still_carry_the_trace(self, client):
         with pytest.raises(ParseError):
-            client.query("THIS IS NOT MMQL", trace=True, stream=False)
+            client.query("THIS IS NOT MMQL", trace=True)
         trace = client.last_trace
         assert trace is not None
-        assert trace.rpcs[-1]["op"] == "query"
+        assert trace.rpcs[-1]["op"] == "query_open"
         server = trace.rpcs[-1]["server"]
         assert server is not None
         assert server["trace_id"] == trace.trace_id

@@ -31,7 +31,7 @@ class TestFraming:
     def test_round_trip(self):
         a, b = _socketpair()
         try:
-            payload = {"id": 7, "op": "query", "params": {"text": "RETURN 1"}}
+            payload = {"id": 7, "op": "query_open", "params": {"text": "RETURN 1"}}
             protocol.write_frame(a, payload)
             assert protocol.read_frame(b) == payload
         finally:

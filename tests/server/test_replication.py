@@ -435,11 +435,11 @@ class TestCatalogBootstrap:
                 assert waited["reached"], waited
                 assert replica.db.catalog() == db.catalog()
                 rows = client.query(
-                    "FOR p IN people RETURN p.name", stream=False
+                    "FOR p IN people RETURN p.name"
                 ).rows
                 assert rows == ["Mary"]
                 assert client.query(
-                    "FOR d IN docs RETURN d.v", stream=False
+                    "FOR d IN docs RETURN d.v"
                 ).rows == [1]
                 # writes after the bootstrap flow through as well
                 db.collection("docs").insert({"_key": "d2", "v": 2})
@@ -447,7 +447,7 @@ class TestCatalogBootstrap:
                     "repl_wait", lsn=db.context.log.last_lsn, timeout=5.0
                 )
                 assert sorted(client.query(
-                    "FOR d IN docs RETURN d.v", stream=False
+                    "FOR d IN docs RETURN d.v"
                 ).rows) == [1, 2]
         finally:
             replica.stop()

@@ -112,7 +112,7 @@ def test_concurrent_sessions_are_refused_past_the_budget_and_measured():
 
         def queued_session():
             with ReproClient(port=server.port, auto_reconnect=False) as client:
-                answers.append(client.query("RETURN 1", stream=False))
+                answers.append(client.query("RETURN 1"))
 
         queued = threading.Thread(target=queued_session)
         queued.start()
@@ -122,7 +122,7 @@ def test_concurrent_sessions_are_refused_past_the_budget_and_measured():
         assert server.inflight == 2
         with ReproClient(port=server.port, auto_reconnect=False) as refused:
             with pytest.raises(ServerOverloadedError) as info:
-                refused.query("RETURN 2", stream=False)
+                refused.query("RETURN 2")
             assert info.value.code == "SERVER_OVERLOADED"
         gate.set()
         holder.join(10)
@@ -167,7 +167,6 @@ SESSION_SERIES = [
     ("server_requests_total", {"op": "explain"}),
     ("server_requests_total", {"op": "info"}),
     ("server_requests_total", {"op": "ping"}),
-    ("server_requests_total", {"op": "query"}),
     ("server_requests_total", {"op": "query_open"}),
     ("server_requests_total", {"op": "set"}),
     ("server_requests_total", {"op": "stats"}),
@@ -195,7 +194,7 @@ def test_a_scripted_session_emits_the_same_series():
             client.info()
             client.stats()
             client.query("FOR d IN kv FILTER d._key == @k RETURN d.v",
-                         {"k": "3"}, stream=False)
+                         {"k": "3"})
             client.query("FOR d IN kv RETURN d.v", chunk_rows=5).fetch_all()
             client.query("FOR d IN kv RETURN d.v", chunk_rows=5).close()
             client.explain("FOR d IN kv RETURN d")
@@ -206,7 +205,7 @@ def test_a_scripted_session_emits_the_same_series():
             client.abort()
             client.set_limits(timeout=5.0)
             with pytest.raises(ReproError):
-                client.query("FOR d IN", stream=False)
+                client.query("FOR d IN")
     touched = sorted(
         (name, labels)
         for (name, labels), value in _readings().items()

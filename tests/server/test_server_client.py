@@ -219,17 +219,18 @@ class TestAdmissionControl:
 
     def test_inflight_budget_rejects_not_hangs(self):
         db = _small_db()
-        with ReproServer(db, port=0, max_inflight=1, queue_depth=0) as server:
+        # One chunk holds the whole result: the query_open is one long
+        # engine call that occupies the single worker for the whole query,
+        # so the watcher's rejection below cannot race a chunk gap.
+        with ReproServer(
+            db, port=0, max_inflight=1, queue_depth=0,
+            cursor_chunk_rows=60 ** 3,
+        ) as server:
             slow_result: dict = {}
 
             def slow():
                 with ReproClient(port=server.port) as c:
-                    # Eager on purpose: one long blocking call must occupy
-                    # the single worker for the whole query, so the
-                    # watcher's rejection below cannot race a chunk gap.
-                    slow_result["rows"] = len(
-                        c.query(SLOW_QUERY, stream=False).rows
-                    )
+                    slow_result["rows"] = len(c.query(SLOW_QUERY).rows)
 
             watcher = ReproClient(port=server.port, auto_reconnect=False)
             watcher.connect()

@@ -60,7 +60,7 @@ def _wait_until(predicate, timeout=10.0):
 def test_a_slow_scan_delays_only_its_own_session(server):
     def scan():
         with ReproClient(port=server.port, sleep=None) as scanner:
-            scanner.query(SLOW_QUERY, stream=False)
+            scanner.query(SLOW_QUERY)
 
     thread = threading.Thread(target=scan)
     thread.start()
