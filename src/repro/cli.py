@@ -992,8 +992,10 @@ def connect_main(argv: Optional[list[str]] = None) -> int:
             f"{args.host}:{args.port} (session {info.get('session')}) — "
             ".help for commands"
         )
-    with client:
+    try:  # the session connected above is the one the shell runs in
         return _drive(client, args, banner, "mmql*> ")
+    finally:
+        client.close()
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -71,6 +71,10 @@ class BaseStore:
 
     #: model tag used in the namespace prefix, e.g. "doc"
     model = "base"
+    #: The FOR frame attribute that holds a record's key, as a path: the
+    #: primary-key access path index selection probes through
+    #: :meth:`keyed_frame` (None: the store offers none).
+    key_path: Optional[tuple] = None
 
     def __init__(self, context: EngineContext, name: str):
         self._context = context
@@ -112,6 +116,11 @@ class BaseStore:
         if txn is not None:
             return self._context.transactions.read(txn, self.namespace, key)
         return self._context.rows.get(self.namespace, key)
+
+    def keyed_frame(self, key: Any, txn: Optional[Transaction] = None) -> Any:
+        """The FOR frame value of the record under *key* as *txn* sees it
+        (None: no record) — what a scan would bind for it."""
+        return self._raw_get(key, txn)
 
     def _raw_scan(
         self, txn: Optional[Transaction] = None

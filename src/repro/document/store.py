@@ -29,6 +29,7 @@ class DocumentCollection(BaseStore):
     """One document collection."""
 
     model = "doc"
+    key_path = ("_key",)
 
     def __init__(
         self,

@@ -33,6 +33,7 @@ class KeyValueBucket(BaseStore):
     """One key/value bucket."""
 
     model = "kv"
+    key_path = ("_key",)
 
     def __init__(self, context: EngineContext, name: str):
         super().__init__(context, name)
@@ -115,6 +116,14 @@ class KeyValueBucket(BaseStore):
                 yield {"_key": key, "value": envelope["value"]}
 
         return IteratorScanCursor(_frames())
+
+    def keyed_frame(self, key: Any, txn: Optional[Transaction] = None) -> Optional[dict]:
+        """The scan frame of *key* (``{"_key": key, "value": value}``), or
+        None when it is absent or expired — a stored NULL is a frame."""
+        envelope = self._raw_get(key, txn)
+        if envelope is None or self._expired(envelope):
+            return None
+        return {"_key": key, "value": envelope["value"]}
 
     def _expired(self, envelope: dict) -> bool:
         expires_at = envelope.get("expires_at")

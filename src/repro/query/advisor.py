@@ -62,6 +62,20 @@ def _walk_operations(query: ast.Query):
             yield from _walk_operations(inner)
 
 
+def _served(db, source_name: str, path: tuple) -> bool:
+    """True when ``source.path == value`` needs no new index: a point
+    index or the store's primary key serves it, or *source_name* names
+    nothing that holds records."""
+    try:
+        store = db.resolve(source_name)
+        namespace = store.namespace
+    except Exception:
+        return True
+    return path == getattr(store, "key_path", None) or (
+        db.context.indexes.find(namespace, path, "point") is not None
+    )
+
+
 def advise(
     db, workload: Optional[list[str]] = None
 ) -> list[Recommendation]:
@@ -80,25 +94,16 @@ def advise(
     suggestions = getattr(db, "index_suggestions", None)
     if suggestions is not None:
         for suggestion, count in suggestions.entries():
-            try:
-                namespace = db.resolve(suggestion.source).namespace
-            except Exception:
-                continue
-            if db.context.indexes.find(namespace, suggestion.path, "point"):
-                continue  # created since the suggestion was recorded
-            opportunities[(suggestion.source, suggestion.path)] += count
+            # An index created since the suggestion was recorded serves it.
+            if not _served(db, suggestion.source, suggestion.path):
+                opportunities[(suggestion.source, suggestion.path)] += count
     for text in workload or ():
         query = parse(text)
         for for_op, filters in _walk_operations(query):
             source_name = for_op.source.name
-            try:
-                namespace = db.resolve(source_name).namespace
-            except Exception:
-                continue
             for *_where, path, _probe in _run_probes(filters, for_op.var):
-                if db.context.indexes.find(namespace, path, "point"):
-                    continue  # already served
-                opportunities[(source_name, path)] += 1
+                if not _served(db, source_name, path):
+                    opportunities[(source_name, path)] += 1
     return [
         Recommendation(source_name, path, count)
         for (source_name, path), count in opportunities.most_common()

@@ -538,8 +538,8 @@ class QueryCursor:
     """
 
     __slots__ = ("text", "analyze", "analyzed", "op_stats", "_ctx", "_query",
-                 "_cache_key", "_batches", "_buffer", "_exhausted", "_phases",
-                 "_planned", "_recorded")
+                 "_cache_key", "_batches", "_buffer", "_exhausted", "_error",
+                 "_phases", "_planned", "_recorded")
 
     def __init__(self, ctx: ExecContext, query: Any, text: str, phases: dict,
                  planned: float, cache_key: Optional[tuple]):
@@ -555,6 +555,8 @@ class QueryCursor:
         self._batches = execute_stream(ctx, query)
         self._buffer: list = []
         self._exhausted = False
+        #: An error of a look-ahead pull, raised by the next pull.
+        self._error: Optional[Exception] = None
         #: Planning seconds by phase from :func:`plan_statement`;
         #: ``execute`` accumulates across every pull.  *planned* is the
         #: wall time of the whole open, plan-cache lookup included.
@@ -575,7 +577,14 @@ class QueryCursor:
 
     def _pull(self, n: Optional[int]) -> None:
         """Advance the pipeline until *n* rows are buffered (None: to its
-        end)."""
+        end).  Holding exactly *n*, it pulls one batch more, so a fetch that
+        hands over the last rows knows it did; an error from that look-ahead
+        waits until those rows are handed over and is raised by the next
+        pull."""
+        error = self._error
+        if error is not None:
+            self._error = None
+            self._fail(error)
         if self._exhausted:
             return
         pull_started = time.perf_counter()
@@ -587,19 +596,31 @@ class QueryCursor:
                     buffer.extend(batch)
                 self._exhausted = True
             else:
-                while len(buffer) < n:
-                    batch = next(batches, None)
+                while len(buffer) <= n:
+                    wanted = len(buffer) < n
+                    try:
+                        batch = next(batches, None)
+                    except Exception as error:
+                        if wanted:
+                            raise
+                        self._error = error
+                        break
                     if batch is None:
                         self._exhausted = True
                         break
                     buffer.extend(batch)
         except Exception as error:
-            _count_error(error)
-            self._recorded = True  # a failed query did not finish
-            raise
+            self._fail(error)
         self._phases["execute"] += time.perf_counter() - pull_started
         if self._exhausted and self.analyze:
             self._finish_analyze()
+
+    def _fail(self, error: Exception):
+        """Raise *error* from a pull, counted once; a failed query did not
+        finish."""
+        _count_error(error)
+        self._recorded = True
+        raise error
 
     def _finish_analyze(self) -> None:
         """The pipeline has run to its end: feed the probes back into the
@@ -692,6 +713,7 @@ class QueryCursor:
         (source cursors release via their ``finally`` blocks)."""
         self._exhausted = True
         self._buffer = []
+        self._error = None
         self._record()
         close = getattr(self._batches, "close", None)
         if close is not None:

@@ -904,27 +904,45 @@ def _apply_index_scan(ctx, operation: IndexScanOp, batches):
     """Equality probes of a point index, through :func:`_lookup_join`.  The
     index answers as of latest; the original full predicate rechecks, per
     frame, the visibility rule's changed records and a NULL probe's scan
-    (the index holds no NULL keys, yet ``attr == NULL`` matches missing)."""
-    namespace = ctx.db.resolve(operation.source_name).namespace
-    rows = ctx.db.context.rows
+    (the index holds no NULL keys, yet ``attr == NULL`` matches missing).
+    The primary key (:func:`_primary_probe`) is probed by keyed reads."""
     stats = ctx.stats
-    var = operation.var
-    residual_fn = _compiled(operation, "_c_residual", operation.residual)
+    name = operation.index_name
     lookups = (
-        obs_metrics.counter("index_lookups_total", index=operation.index_name)
+        obs_metrics.counter("index_lookups_total", index=name)
         if obs_metrics.ENABLED else None
     )
+
+    def count(made):
+        stats["index_lookups"] += made
+        if lookups is not None:
+            lookups.inc(made)
+        if name not in stats["indexes_used"]:
+            stats["indexes_used"].append(name)
+
+    if operation.index_kind == "primary":
+        probe, emit = _primary_probe(ctx, operation, count)
+    else:
+        probe, emit = _index_probe(ctx, operation, count)
+    key_fn, gather = _lookup_key(operation, "_g_value", (operation.value, None))
+    yield from _lookup_join(
+        ctx, batches, key_fn, probe, emit, operation.per_frame, gather
+    )
+
+
+def _index_probe(ctx, operation: IndexScanOp, count):
+    """``(probe, emit)`` of a secondary point index."""
+    namespace = ctx.db.resolve(operation.source_name).namespace
+    rows = ctx.db.context.rows
+    var = operation.var
+    residual_fn = _compiled(operation, "_c_residual", operation.residual)
 
     def probe(values):
         made = len(values) - values.count(None)
         if not made:
             return values  # every frame scans
         search = ctx.db.context.indexes.get(operation.index_name).search
-        stats["index_lookups"] += made
-        if lookups is not None:
-            lookups.inc(made)
-        if operation.index_name not in stats["indexes_used"]:
-            stats["indexes_used"].append(operation.index_name)
+        count(made)
         found = [
             None if value is None else [
                 (key, record) for key in search(value)
@@ -951,10 +969,35 @@ def _apply_index_scan(ctx, operation: IndexScanOp, batches):
             )
         return children
 
-    key_fn, gather = _lookup_key(operation, "_g_value", (operation.value, None))
-    yield from _lookup_join(
-        ctx, batches, key_fn, probe, emit, operation.per_frame, gather
-    )
+    return probe, emit
+
+
+def _primary_probe(ctx, operation: IndexScanOp, count):
+    """``(probe, emit)`` of the store's primary key: one keyed read per
+    key, which takes the visibility rule in a transaction (under
+    SERIALIZABLE it records the key, not the namespace).  The store's map
+    meets keys by Python's equality (``true`` finds key 1), so each record
+    read is rechecked against the full predicate, under the model's; a NULL
+    or unhashable key (an array, an object) reads nothing."""
+    read = ctx.db.resolve(operation.source_name).keyed_frame
+    txn = ctx.txn
+    var = operation.var
+    original_fn = _compiled(operation, "_c_original", operation.original_condition)
+
+    def probe(keys):
+        count(len(keys) - keys.count(None))
+        found = []
+        for key in keys:
+            try:
+                found.append(None if key is None else read(key, txn))
+            except TypeError:  # unhashable
+                found.append(None)
+        return found
+
+    def emit(frame, record):
+        return () if record is None else _bind_matches(ctx, frame, var, (record,), original_fn)
+
+    return probe, emit
 
 
 def _apply_lookup_join(ctx, operation: LookupJoinOp, batches):
@@ -1518,7 +1561,10 @@ def _open_pipeline(ctx: ExecContext, query: ast.Query, initial_frame: dict):
     FILTER / LET run right before a RETURN, left to run in its projection's
     loop, and *probes* the probe list when this is the outermost EXPLAIN
     ANALYZE pipeline, else None.  Unprobed, each run of adjacent FILTER /
-    LET steps is one generated loop (:func:`_apply_steps`)."""
+    LET steps is one generated loop (:func:`_apply_steps`).
+
+    A probe's clock starts at the construction time of its operator and of
+    every operator upstream of it, so each ``cum`` holds its input's."""
     _attach_zone_sources(query)
     batches: Iterator[list] = iter([[initial_frame]])
     # Only the outermost pipeline is probed: subqueries run inside a parent
@@ -1527,17 +1573,21 @@ def _open_pipeline(ctx: ExecContext, query: ast.Query, initial_frame: dict):
     if probes is not None:
         ctx.analyze = False
     steps: list = []
+    built = 0.0
     for operation in query.operations:
         if probes is None and type(operation) in (ast.FilterOp, ast.LetOp):
             steps.append(operation)
             continue
-        if isinstance(operation, ast.ReturnOp):
+        terminal = isinstance(operation, ast.ReturnOp)
+        if not terminal:
+            if steps:
+                batches = _apply_steps(ctx, tuple(steps), batches)
+                steps = []
+            terminal = type(operation) in _DML_APPLIERS
+        if terminal:
+            if probes is not None:
+                probes.append(OpProbe(operation, seconds=built))
             return batches, tuple(steps), operation, probes
-        if steps:
-            batches = _apply_steps(ctx, tuple(steps), batches)
-            steps = []
-        if type(operation) in _DML_APPLIERS:
-            return batches, (), operation, probes
         start = time.perf_counter() if probes is not None else 0.0
         for op_type, applier in _BATCH_APPLIERS:
             if isinstance(operation, op_type):
@@ -1549,7 +1599,8 @@ def _open_pipeline(ctx: ExecContext, query: ast.Query, initial_frame: dict):
             # Charge construction time too: generator appliers return
             # instantly, but pipeline breakers (SORT) materialize upstream
             # inside the call above.
-            probe = OpProbe(operation, seconds=time.perf_counter() - start)
+            built += time.perf_counter() - start
+            probe = OpProbe(operation, seconds=built)
             probes.append(probe)
             batches = _probed(batches, probe)
     if steps:
@@ -1568,7 +1619,6 @@ def _return_batches(ctx: ExecContext, operation: ast.ReturnOp, steps: tuple,
         ctx, (*steps, operation), batches, set() if operation.distinct else None
     )
     if probes is not None:
-        probes.append(OpProbe(operation))
         values_batches = _probed(values_batches, probes[-1])
     produced = 0
     for values in values_batches:
@@ -1597,14 +1647,9 @@ def _execute_batches(
         start = time.perf_counter() if probes is not None else 0.0
         rows = list(dml_applier(ctx, terminal, _flatten(batches)))
         if probes is not None:
-            probes.append(
-                OpProbe(
-                    terminal,
-                    rows_out=len(rows),
-                    seconds=time.perf_counter() - start,
-                    batches_out=1 if rows else 0,
-                )
-            )
+            probe = probes[-1]
+            probe.seconds += time.perf_counter() - start
+            probe.rows_out, probe.batches_out = len(rows), 1 if rows else 0
         if rows:
             yield rows
         return

@@ -316,17 +316,22 @@ def _try_index_scan(
     for_op: ast.ForOp, filters: list, db, near_miss=None
 ) -> Optional[tuple]:
     """``(index scan, the run's other FILTERs)`` for *for_op* and the
-    FILTERs *filters* after it, or None."""
+    FILTERs *filters* after it, or None.  Besides the secondary indexes,
+    the store's primary key (:attr:`~repro.core.context.BaseStore.key_path`)
+    is a unique point access path that is always there."""
     from repro.query.statistics import index_selectivity
 
     source_name = for_op.source.name
     try:
-        namespace = db.resolve(source_name).namespace
+        store = db.resolve(source_name)
+        namespace = store.namespace
     except Exception:
         return None
+    key_path = getattr(store, "key_path", None)
     # Collect every index-servable conjunct, then pick the most selective
     # index (fewest expected matches per probe) — the cost-based choice;
-    # on a tie, the first written.
+    # on a tie, the first written.  The primary key matches at most one
+    # record.
     candidates: list[tuple] = []
     missed: list[tuple] = []
     for number, parts, position, path, value_side in _run_probes(
@@ -338,6 +343,8 @@ def _try_index_scan(
                 index_selectivity(index_view), number, position,
                 parts, index_view, path, value_side,
             ))
+        elif path == key_path:
+            candidates.append((0.0, number, position, parts, None, path, value_side))
         else:
             missed.append(path)
     if not candidates:
@@ -349,13 +356,17 @@ def _try_index_scan(
     _selectivity, number, position, parts, index_view, path, value_side = (
         candidates[0]
     )
+    if index_view is None:
+        index_name, index_kind = f"primary:{namespace}:{'.'.join(path)}", "primary"
+    else:
+        index_name, index_kind = index_view.index.name, index_view.index.kind
     scan = IndexScanOp(
         var=for_op.var,
         source_name=source_name,
         path=path,
         value=value_side,
-        index_name=index_view.index.name,
-        index_kind=index_view.index.kind,
+        index_name=index_name,
+        index_kind=index_kind,
         residual=and_join(parts[:position] + parts[position + 1:]),
         original_condition=filters[number].condition,
     )

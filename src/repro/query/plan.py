@@ -34,7 +34,9 @@ _text = partial(unparse_expr, explain=True)
 @dataclass
 class IndexScanOp(ast.Operation):
     """``FOR var IN collection FILTER var.path == value`` rewritten to probe
-    a secondary index.
+    a secondary index, or the store's primary key (``index_kind``
+    ``"primary"``: one keyed read per probe, each record it finds rechecked
+    against ``original_condition``).
 
     ``residual`` is any remaining filter condition; ``original_condition``
     is the full original predicate.  It rechecks the records a transaction
@@ -179,10 +181,13 @@ def operation_label(operation: ast.Operation) -> str:
 def _own_lines(operation: ast.Operation, indent: int) -> list[str]:
     pad = "  " * indent
     if isinstance(operation, IndexScanOp):
+        using = (
+            "primary key" if operation.index_kind == "primary"
+            else f"{operation.index_kind} index {operation.index_name!r}"
+        )
         lines = [
             f"{pad}IndexScan {operation.var} IN {operation.source_name} "
-            f"USING {operation.index_kind} index {operation.index_name!r} "
-            f"ON {'.'.join(operation.path)} == {_text(operation.value)}"
+            f"USING {using} ON {'.'.join(operation.path)} == {_text(operation.value)}"
         ]
         if operation.residual is not None:
             lines.append(f"{pad}  Residual: {_text(operation.residual)}")

@@ -233,6 +233,8 @@ def annotate_estimates(query: ast.Query, db) -> None:
                     )
                     or ""
                 )
+            if ratio is None and operation.index_kind == "primary":
+                ratio = 1.0  # a key names at most one record
             if ratio is None:
                 try:
                     index_view = db.context.indexes.get(operation.index_name)

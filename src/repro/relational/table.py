@@ -27,6 +27,7 @@ class Table(BaseStore):
     def __init__(self, context: EngineContext, schema: TableSchema):
         super().__init__(context, schema.name)
         self.schema = schema
+        self.key_path = (schema.primary_key,)
         # Rows are dense (admit_row fills every schema column), so every
         # column is worth a typed segment + zone map.
         context.segments.register(self.namespace, schema.column_names)

@@ -55,10 +55,15 @@ def embedded(data):
 
 
 @pytest.fixture(scope="module", params=[1, 3], ids=["1shard", "3shards"])
-def cluster(request, data):
+def shards(request, data):
     with start_cluster(num_shards=request.param, data=data) as handle:
-        with handle.client() as client:
-            yield client
+        yield handle
+
+
+@pytest.fixture(scope="module")
+def cluster(shards):
+    with shards.client() as client:
+        yield client
 
 
 @pytest.mark.parametrize("query_id", sorted(QUERIES_B))
@@ -244,6 +249,45 @@ def test_partition_key_equality_proves_fan_out_one(cluster):
         {"id": 3},
     )
     assert "fan_out=1" in result.analyzed
+
+
+#: Reads by primary key: each shard probes its own key map.  ``orders``
+#: is partitioned on ``customer_id``, not on ``_key``; ``cart`` is
+#: replicated.
+PRIMARY_KEY_QUERIES = {
+    "table_key": ("FOR c IN customers FILTER c.id == @id RETURN c.name", {"id": 7}),
+    "document_key": (
+        "FOR o IN orders FILTER o._key == @key RETURN o.total", {"key": "o000001"}
+    ),
+    "bucket_key": ("FOR x IN cart FILTER x._key == @key RETURN x.value", {"key": "3"}),
+    "inner_key": (
+        "FOR o IN orders FOR c IN customers FILTER c.id == o.customer_id "
+        "SORT o._key RETURN {o: o._key, c: c.name}",
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("index_selection", [True, False], ids=["probe", "scan"])
+@pytest.mark.parametrize("name", sorted(PRIMARY_KEY_QUERIES))
+def test_primary_key_reads_equal_embedded_rows(
+    name, index_selection, embedded, shards, cluster
+):
+    text, binds = PRIMARY_KEY_QUERIES[name]
+    expected = run_query(embedded, text, binds, optimize_query=False).rows
+    assert len(expected) > 0, "vacuous equivalence"
+    dbs = [embedded, *shards.dbs]
+    if not index_selection:
+        for db in dbs:
+            db.optimizer_rules.disable("index_selection")
+    try:
+        assert embedded.query(text, binds).rows == expected
+        result = cluster.query(text, binds, analyze=True)
+        assert result.rows == expected
+        assert ("USING primary key" in result.analyzed) == index_selection
+    finally:
+        for db in dbs:
+            db.optimizer_rules.enable("index_selection")
 
 
 @pytest.fixture(scope="module")

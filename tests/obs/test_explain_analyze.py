@@ -74,6 +74,20 @@ class TestOperatorCounts:
         assert update["operator"] == "UpdateOp"
         assert update["rows_out"] == 1
 
+    @pytest.mark.parametrize("text", [
+        "FOR d IN nums FILTER d.x >= 3 SORT d.x RETURN d.x",
+        "FOR d IN nums FILTER d.x >= 3 SORT d.x LIMIT 2 RETURN d.x",
+        "FOR d IN nums FILTER d.x >= 3 UPDATE d WITH {y: 1} IN nums",
+    ], ids=["sort", "limit", "dml"])
+    def test_cum_is_monotone_up_the_plan(self, db, text):
+        """An operator's construction time (a SORT drains its input when
+        it is built) reaches every consumer's cumulative time."""
+        for _run in range(3):  # the first on a cold plan
+            result = db.query("EXPLAIN ANALYZE " + text)
+            cums = [entry["seconds"] for entry in result.op_stats]
+            assert cums == sorted(cums), result.analyzed
+            assert result.op_stats[-1]["self_seconds"] > 0, result.analyzed
+
     def test_explain_rejects_analyze(self, db):
         with pytest.raises(PlanError):
             db.explain("EXPLAIN ANALYZE FOR d IN nums RETURN d")

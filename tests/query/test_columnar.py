@@ -59,12 +59,22 @@ class TestZoneMapPruningThroughTheEngine:
         assert result.stats["scanned"] == ROWS
 
     def test_equality_on_the_clustered_key_prunes_to_one_segment(self, db):
-        result = db.query(
-            "FOR r IN readings FILTER r.id == 4999 RETURN r.city"
-        )
+        # ``id`` is the primary key: index selection makes the equality a
+        # keyed read, which reads no segment.  The scan is what the zone
+        # maps prune.
+        text = "FOR r IN readings FILTER r.id == 4999 RETURN r.city"
+        db.optimizer_rules.disable("index_selection")
+        try:
+            result = db.query(text)
+        finally:
+            db.optimizer_rules.enable("index_selection")
         assert result.rows == ["pune"]
         assert result.stats["segments_scanned"] == 1
         assert result.stats["segments_pruned"] >= 4
+        probed = db.query(text)
+        assert probed.rows == ["pune"]
+        assert probed.stats["segments_scanned"] == 0
+        assert probed.stats["index_lookups"] == 1
 
     def test_row_path_never_prunes(self, db):
         on = db.query(

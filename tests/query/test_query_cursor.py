@@ -11,7 +11,7 @@ import re
 import pytest
 
 from repro.core.database import MultiModelDB
-from repro.errors import BindError, ParseError, ResourceExhaustedError
+from repro.errors import BindError, FunctionError, ParseError, ResourceExhaustedError
 from repro.obs import metrics, tracing
 from repro.query.engine import QueryCursor, open_query_cursor, run_query
 
@@ -251,3 +251,44 @@ def test_an_analyze_cursor_closed_early_has_no_plan(db):
     assert cursor.next_batch(2) == [3, 4]
     cursor.close()
     assert cursor.analyzed is None
+
+
+def test_a_fetch_that_hands_over_the_last_rows_ends_the_stream(db):
+    """Six rows fetched three at a time take two fetches: the second knows
+    it handed over the last rows."""
+    cursor = open_query_cursor(db, TEXT, {"floor": 4}, batch_size=3)
+    assert cursor.next_batch(3) == [4, 5, 6]
+    assert not cursor.exhausted
+    moved = Moved()
+    assert cursor.next_batch(3) == [7, 8, 9]
+    assert cursor.exhausted
+    assert moved.delta()["query_seconds"] == 1  # recorded on that fetch
+    assert cursor.next_batch(3) == []
+
+
+@pytest.mark.parametrize("case", ["function", "row_budget"])
+def test_an_error_of_the_look_ahead_follows_the_rows_before_it(db, case):
+    """The pull past a full fetch fails: the fetch still hands over its
+    rows, and the next one raises the error, counted once — the rows and
+    the error a fetch-by-fetch reader saw before the look-ahead."""
+    if case == "function":
+        db.collection("docs").insert({"x": "ten"})
+        cursor = open_query_cursor(db, "FOR d IN docs RETURN ABS(d.x)", batch_size=5)
+        error = FunctionError
+    else:
+        cursor = open_query_cursor(db, "FOR d IN docs RETURN d.x", batch_size=5,
+                                   max_rows=5)
+        error = ResourceExhaustedError
+    moved = Moved()
+    assert cursor.next_batch(5) == [0, 1, 2, 3, 4]
+    if case == "function":
+        assert cursor.next_batch(5) == [5, 6, 7, 8, 9]
+    assert not cursor.exhausted
+    assert moved.delta()["query_errors_total"] == 0
+    with pytest.raises(error):
+        cursor.next_batch(5)
+    assert cursor.next_batch(5) == []
+    cursor.close()
+    delta = moved.delta()
+    assert delta["query_errors_total"] == 1
+    assert delta["query_seconds"] == 0  # a failed query did not finish

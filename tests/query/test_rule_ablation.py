@@ -118,6 +118,23 @@ EXTRA_QUERIES.update({
     for name, filters in FILTER_RUN_SPELLINGS.items()
 })
 
+#: Reads by primary key: a table's key, a collection's and a bucket's
+#: ``_key``, and a key probed once per outer frame.
+PRIMARY_KEY_QUERIES = {
+    "pk_point": ("FOR c IN customers FILTER c.id == @id RETURN c.name", {"id": 7}),
+    "pk_doc_key": (
+        "FOR o IN orders FILTER o._key == @key RETURN o.Order_no",
+        {"key": "o000001"},
+    ),
+    "pk_bucket_key": ("FOR x IN cart FILTER x._key == @key RETURN x.value", {"key": "3"}),
+    "pk_inner": (
+        "FOR o IN orders FOR c IN customers FILTER c.id == o.customer_id "
+        "RETURN {o: o.Order_no, c: c.name}",
+        {},
+    ),
+}
+EXTRA_QUERIES.update(PRIMARY_KEY_QUERIES)
+
 ALL_QUERIES = {**QUERIES_B, **EXTRA_QUERIES, **NESTED}
 
 
@@ -191,6 +208,17 @@ def test_new_rules_actually_fire_on_fixtures(db):
         fired_anywhere |= set(optimize(parse(text), db).rules_fired)
     assert "decorrelate_subquery" in fired_anywhere
     assert "materialize_let" in fired_anywhere
+
+
+def test_primary_key_fixtures_probe_the_key_only_with_index_selection(db):
+    for query_id, (text, _binds) in PRIMARY_KEY_QUERIES.items():
+        kinds = [
+            op.index_kind for op in optimize(parse(text), db).operations
+            if isinstance(op, IndexScanOp)
+        ]
+        assert kinds == ["primary"], query_id
+        plan = optimize(parse(text), db, disabled={"index_selection"})
+        assert not any(isinstance(op, IndexScanOp) for op in plan.operations)
 
 
 def test_collect_into_aggregate_fires_on_its_fixtures(db, baselines):

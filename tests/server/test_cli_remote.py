@@ -1,6 +1,8 @@
 """The remote shell (`repro-shell connect`) drives a live server."""
 
 import io
+import re
+import sys
 
 import pytest
 
@@ -120,6 +122,18 @@ class TestConnectMain:
         assert exit_code == 0
         assert "error" not in output
         assert output.splitlines()[::2] == ['"a;b"', "2"]
+
+    def test_the_shell_runs_in_the_session_its_banner_names(
+        self, served, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            sys, "stdin", io.StringIO("EXPLAIN ANALYZE RETURN 1\n.quit\n")
+        )
+        assert connect_main(["--port", str(served.port)]) == 0
+        output = capsys.readouterr().out
+        (banner,) = re.findall(r"\(session (\d+)\) — \.help", output)
+        (executed,) = re.findall(r"Server: .*\(session (\d+), request", output)
+        assert banner == executed
 
     def test_unreachable_server(self, capsys):
         exit_code = connect_main(["--port", "1", "-c", "RETURN 1"])

@@ -14,6 +14,7 @@ from repro.client import ReproClient, ResultCursor
 from repro.errors import (
     CursorLimitError,
     CursorNotFoundError,
+    FunctionError,
     ServerShutdownError,
 )
 from repro.fault import registry as fault_registry
@@ -92,6 +93,33 @@ class TestStreamingRoundTrip:
         cursor = client.query(SCAN, chunk_rows=50)
         cursor.fetch_all()
         assert cursor.stats["scanned"] >= 500
+
+    def test_a_result_of_whole_chunks_takes_no_empty_fetch(self, client):
+        """300 rows in 100-row chunks: the open and two fetches, the
+        second of which tells the client the stream has ended."""
+        cursor = client.query(
+            "FOR i IN items FILTER i.n < 300 SORT i.n RETURN i.n", chunk_rows=100
+        )
+        assert cursor.rows == list(range(300))
+        assert cursor.stats["cursor_fetches"] == 2
+
+    def test_an_error_after_a_full_chunk_reaches_the_client_after_its_rows(self):
+        db = MultiModelDB()
+        docs = db.create_collection("docs")
+        for value in range(10):
+            docs.insert({"x": value})
+        docs.insert({"x": "ten"})
+        with ReproServer(db, port=0) as srv:
+            with ReproClient(port=srv.port, sleep=None) as c:
+                cursor = c.query(
+                    "FOR d IN docs RETURN ABS(d.x)", batch_size=5, chunk_rows=5
+                )
+                seen = []
+                with pytest.raises(FunctionError):
+                    for value in cursor:
+                        seen.append(value)
+                assert seen == list(range(10))
+                assert _only_session(srv).describe()["open_cursors"] == 0
 
     def test_eager_mode_still_available(self, client):
         result = client.query(SCAN)

@@ -1,7 +1,7 @@
 """Every access path inside a transaction against the chain walk.
 
 A transaction reads through the structures autocommit reads — the row
-view, the point / GIN indexes, the graph adjacency, the R-tree, the RDF
+view and its primary keys, the point / GIN indexes, the graph adjacency, the R-tree, the RDF
 layouts, the globals order directory — and the visibility rule corrects
 their latest answers to its snapshot.  Here each path's answer is compared,
 as a bag, with the one a reference computes from the version chains the
@@ -200,6 +200,40 @@ def check_indexes(db, txn) -> None:
         assert bag(result.rows) == bag(colored)
 
 
+#: Primary keys probed by MMQL: present, written in the transaction,
+#: written by the second session, deleted by either, and absent.
+KEY_PROBES = {
+    "people": ("id", [*range(24), 200, 300, 999]),
+    "docs": ("_key", [*(f"d{i}" for i in range(24)), "mine", "theirs", "nope"]),
+    "kv": ("_key", [*(f"c{i}" for i in range(8)), "mine", "theirs", "nope"]),
+}
+
+
+def check_keys(db, txn) -> None:
+    """Each primary key probed with index selection on (a keyed read) and
+    off (a scan)."""
+    for name, (attribute, keys) in KEY_PROBES.items():
+        records = reference(db, txn, db.resolve(name).namespace)
+        text = f"FOR r IN {name} FILTER r.{attribute} == @key RETURN r"
+        for key in keys:
+            record = records.get(key)
+            if record is None:
+                expected = []
+            elif name == "kv":
+                expected = [{"_key": key, "value": record["value"]}]
+            else:
+                expected = [record]
+            for probe in (True, False):
+                if not probe:
+                    db.optimizer_rules.disable("index_selection")
+                try:
+                    result = db.query(text, {"key": key}, txn=txn)
+                finally:
+                    db.optimizer_rules.enable("index_selection")
+                assert result.rows == expected, (name, key, probe)
+                assert result.stats["index_lookups"] == int(probe)
+
+
 def check_graph(db, txn) -> None:
     graph = db.graph("g")
     edges = list(reference(db, txn, graph.edge_namespace).values())
@@ -297,7 +331,7 @@ def check_rdf(db, txn) -> None:
         assert store.match(*pattern, txn=txn) == expected, pattern
 
 
-CHECKS = (check_rows, check_indexes, check_graph, check_spatial, check_globals, check_rdf)
+CHECKS = (check_rows, check_indexes, check_keys, check_graph, check_spatial, check_globals, check_rdf)
 
 
 @pytest.mark.parametrize("isolation", ["snapshot", "serializable", "read_committed"])
